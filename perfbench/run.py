@@ -6,8 +6,10 @@ and an outside-in per-layer trace.
 
 With ``--trace 0`` every subcommand of the workload runs as its own
 ``python -m champagne`` child, one at a time, in pipeline order, a fixed
-number of times each; a stage's time is its fastest run.  Passes repeat until
-``--seconds`` have gone by, with at least one.
+number of times each; a stage's time is the median of its runs.  Passes
+repeat until ``--seconds`` have gone by, with at least one.  Gated times are
+rescaled to a fixed host speed, measured by timing reference work before
+every child (``Children.host_scale``).
 With ``--trace 1`` the workload runs in this process through
 ``champagne.harness.cmd_*``, once plainly and once with timing wrappers
 installed around each layer's public functions (see tracing.py).  Either way
@@ -30,7 +32,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,24 +47,28 @@ os.environ.update(
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from scipy.spatial import cKDTree  # noqa: E402
 
 import checks  # noqa: E402
 import tracing  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_runs"     # run directories and the digest record
 BUDGET_S = 165.0                    # the whole run must end within 180 s
-SETUP_SAMPLES = 7
+SETUP_SAMPLES = 5
+# About the median reference_seconds() on the baseline host.  Gated times are
+# rescaled by REF_NOMINAL_S over the run's own median, so that a host that runs
+# everything 30 % slower for a few minutes does not read as a regression.
+REF_NOMINAL_S = 0.25
 
 
 @dataclass(frozen=True)
 class Workload:
     """``runs`` maps each stage, in pipeline order, to how many times a pass
-    runs its child.  A stage's time is its fastest run: on a shared host,
-    interference from other tenants only ever adds time.  Over seven seeds the
-    fastest of ten ~1 s children spread 5 % where their median spread 21 %.
-    The counts are fixed so that a slow host does not also get fewer samples."""
+    runs its child; a stage's time is the median of its runs.  The counts are
+    fixed so that a slow host does not also get fewer samples."""
 
     n_traj: int
     runs: dict
@@ -91,9 +96,10 @@ class Workload:
 # run simulate, which timeout_frac needs on every workload.
 WORKLOADS = {
     # The roadmap's W2 with grid 4 instead of 32: criteria dominates.
-    "w2-criteria": Workload(2000, {"generate": 8, "criteria": 2, "simulate": 3}),
-    # The simulation half of W2 with twice the trajectories: the step loop dominates.
-    "w2-sim": Workload(4000, {"generate": 8, "simulate": 4}),
+    "w2-criteria": Workload(4000, {"generate": 4, "criteria": 2, "simulate": 1}),
+    # The simulation half of W2 with twice the roadmap's trajectories: the step
+    # loop dominates.
+    "w2-sim": Workload(4000, {"generate": 4, "simulate": 3}),
 }
 
 
@@ -130,29 +136,48 @@ def child_env() -> dict:
 # untraced run: one child process per subcommand
 # ---------------------------------------------------------------------------
 
-def run_child(argv, env, deadline: float, stderr_path=None) -> tuple[float, float, int]:
-    """Wall seconds, peak RSS in MiB and exit status of one child.  The child
-    is killed if it outlives the deadline (a perf_counter value)."""
-    err = open(stderr_path, "wb") if stderr_path else subprocess.DEVNULL
-    try:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, cwd=ROOT, stdin=subprocess.DEVNULL,
-                                stdout=subprocess.DEVNULL, stderr=err)
-        timer = threading.Timer(max(deadline - t0, 0.0), proc.kill)
-        timer.start()
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)
-        finally:
-            timer.cancel()
-        wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    finally:
+def reference_seconds() -> float:
+    """Wall time of fixed work that does not touch champagne: a Python loop,
+    a numpy sort and KD-tree queries, the kinds of work the CLI does."""
+    rng = np.random.default_rng(12345)
+    t0 = time.perf_counter()
+    points = rng.random((100_000, 2))
+    cKDTree(points).query_ball_point(points[:20_000], 0.005)
+    np.sort(rng.random(1_000_000))
+    acc = 0
+    for i in range(1_000_000):
+        acc += i * i % 7
+    return time.perf_counter() - t0
+
+
+class Children:
+    """Runs measured children through launch.py, one at a time, and times the
+    reference work just before each, so that the run's host speed is sampled
+    across the same minute as the children."""
+
+    def __init__(self, env: dict, deadline: float):
+        self.env = env
+        self.deadline = deadline          # a perf_counter value; later children are killed
+        self.refs = []                    # reference_seconds() before each child
+
+    def run(self, argv, stderr_path=None) -> dict:
+        """The child's ``wall_s``, ``rss_mb`` (peak RSS) and exit ``status``."""
+        self.refs.append(reference_seconds())
+        launcher = [sys.executable, str(HERE / "launch.py"),
+                    "--timeout", f"{max(self.deadline - time.perf_counter(), 0.0):.3f}"]
         if stderr_path:
-            err.close()
-    return wall, usage.ru_maxrss / 1024.0, proc.returncode
+            launcher += ["--stderr", str(stderr_path)]
+        out = subprocess.run(launcher + ["--"] + argv, env=self.env, cwd=ROOT,
+                             stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True).stdout
+        return json.loads(out)
+
+    def host_scale(self) -> float:
+        """Factor that turns this run's seconds into seconds at the reference
+        speed: REF_NOMINAL_S over the run's median reference time."""
+        return REF_NOMINAL_S / statistics.median(self.refs)
 
 
-def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, env, deadline,
+def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, children: Children,
                   samples: dict) -> float | None:
     """One pass: every stage's child, ``wl.runs[stage]`` times each, in pipeline
     order.  Appends wall times to ``samples`` and returns the largest child
@@ -167,16 +192,16 @@ def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, env, dead
         err_path = run_dir / f"{stage}.stderr"
         digests = []
         for _ in range(count):
-            wall, peak, status = run_child(argv, env, deadline, err_path)
+            child = children.run(argv, err_path)
             messages = []
-            if status != 0:
+            if child["status"] != 0:
                 err = err_path.read_text(errors="replace").strip()
-                messages = [f"exited {status}: {err[-500:]}"]
+                messages = [f"exited {child['status']}: {err[-500:]}"]
             ledger.record(stage, messages)
             if messages:
                 return None
-            samples.setdefault(stage, []).append(wall)
-            rss.append(peak)
+            samples.setdefault(stage, []).append(child["wall_s"])
+            rss.append(child["rss_mb"])
             digests.append(checks.output_digests(run_dir))
         if count > 1:
             ledger.record(f"{stage} reruns", [f"run {i + 1} wrote outputs unlike run 1"
@@ -184,16 +209,17 @@ def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, env, dead
     return max(rss)
 
 
-def setup_samples(ledger, env, deadline) -> list:
+def setup_samples(ledger, children: Children) -> list:
     """Wall times of children that start the interpreter and import the harness."""
     argv = [sys.executable, "-c", "import champagne.harness"]
     out = []
     for _ in range(SETUP_SAMPLES):
-        wall, _, status = run_child(argv, env, deadline)
+        child = children.run(argv)
+        status = child["status"]
         ledger.record("setup", [f"importing champagne.harness exited {status}"] if status else [])
         if status:
             return []
-        out.append(wall)
+        out.append(child["wall_s"])
     return out
 
 
@@ -287,38 +313,46 @@ def info(msg: str) -> None:
 
 def measure_untraced(ledger, name: str, wl: Workload, seed: int, seconds: float,
                      t_start: float) -> dict:
-    deadline = t_start + BUDGET_S
-    env = child_env()
+    children = Children(child_env(), t_start + BUDGET_S)
     run_dir = WORK / name / "run"
     cfg_path = WORK / name / "run_config.json"
-    setup = setup_samples(ledger, env, deadline)
+    setup = setup_samples(ledger, children)
     if not setup:
         return {}
     info(f"setup samples {[round(s, 4) for s in setup]}")
+    rss_floor = children.run([sys.executable, "-c", "pass"])["rss_mb"]
     samples, peaks = {}, []
     t_loop = time.perf_counter()
     while True:
         t_pass = time.perf_counter()
-        peak = untraced_pass(ledger, wl, cfg_path, run_dir, env, deadline, samples)
+        peak = untraced_pass(ledger, wl, cfg_path, run_dir, children, samples)
         if peak is None:
             return {}
         peaks.append(peak)
         check_outputs(ledger, wl, run_dir)
         now = time.perf_counter()
-        if now - t_loop >= seconds or now + 1.5 * (now - t_pass) > deadline:
+        if now - t_loop >= seconds or now + 1.5 * (now - t_pass) > children.deadline:
             break
     for stage, walls in samples.items():
         info(f"{stage}: {len(walls)} run(s), fastest {min(walls):.4f} s, "
              f"median {statistics.median(walls):.4f} s, slowest {max(walls):.4f} s")
+    scale = children.host_scale()
+    info(f"reference work: {len(children.refs)} runs, median {statistics.median(children.refs):.4f} s"
+         f" (nominal {REF_NOMINAL_S} s), host scale {scale:.4f}")
     digests = checks.output_digests(run_dir)
     ledger.record("digests", digest_failures(name, seed, [digests]))
     info("digests " + json.dumps(digests, sort_keys=True))
     est = checks.read_estimate(run_dir)
-    metrics = {f"{stage}_s": min(walls) for stage, walls in samples.items()}
+    stage_s = {stage: statistics.median(walls) for stage, walls in samples.items()}
+    metrics = {f"{stage}_s": t * scale for stage, t in stage_s.items()}
     metrics.update(
-        setup_s=statistics.median(setup),
-        wall_s=sum(min(walls) for walls in samples.values()),
+        setup_s=statistics.median(setup) * scale,
+        wall_s=sum(stage_s.values()) * scale,
+        setup_raw_s=statistics.median(setup),
+        wall_raw_s=sum(stage_s.values()),
+        host_scale=scale,
         peak_rss_mb=max(peaks),
+        rss_floor_mb=rss_floor,
         timeout_frac=est["counts"]["timeout"] / est["n"],
     )
     return metrics

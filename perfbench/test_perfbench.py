@@ -1,9 +1,10 @@
 """Self-tests of the benchmark's helper logic: span arithmetic, wrapper
-installation, and the trajectory checker."""
+installation, the trajectory checker and the child launcher."""
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import numpy as np
 import checks
 import tracing
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
@@ -127,3 +129,18 @@ def test_trajectory_checker_flags_a_planted_missed_hit():
     points = [[0.55, 0.0], [0.98, 0.0], [0.0, 0.45]]   # the timeout lies in bubble 2
     failures = checks.trajectory_failures(centers, radii, tags, bubbles, points)
     assert len(failures) == 1 and "missed hit" in failures[0] and "bubble 2" in failures[0]
+
+
+def test_launcher_reports_the_childs_own_peak_rss_and_exit_status():
+    # This process now holds over 150 MiB.  A child started straight from it
+    # inherits that high-water mark in ru_maxrss; one started through
+    # launch.py reports only its own and the small launcher's.
+    ballast = np.ones(20_000_000)
+    out = subprocess.run([sys.executable, str(HERE / "launch.py"), "--timeout", "60", "--",
+                          sys.executable, "-c", "import sys; sys.exit(3)"],
+                         stdout=subprocess.PIPE, check=True).stdout
+    del ballast
+    result = json.loads(out)
+    assert result["status"] == 3
+    assert 0 < result["rss_mb"] < 80
+    assert result["wall_s"] > 0

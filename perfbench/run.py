@@ -8,8 +8,8 @@ With ``--trace 0`` every subcommand of the workload runs as its own
 ``python -m champagne`` child, one at a time, in pipeline order, a fixed
 number of times each; a stage's time is the median of its runs.  Passes
 repeat until ``--seconds`` have gone by, with at least one.  Gated times are
-rescaled to a fixed host speed, measured by timing reference work before
-every child (``Children.host_scale``).
+rescaled to a fixed host speed, measured by timing reference work just before
+and after every child (``Children.run``).
 With ``--trace 1`` the workload runs in this process through
 ``champagne.harness.cmd_*``, once plainly and once with timing wrappers
 installed around each layer's public functions (see tracing.py).  Either way
@@ -58,9 +58,10 @@ SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_runs"     # run directories and the digest record
 BUDGET_S = 165.0                    # the whole run must end within 180 s
 SETUP_SAMPLES = 5
-# About the median reference_seconds() on the baseline host.  Gated times are
-# rescaled by REF_NOMINAL_S over the run's own median, so that a host that runs
-# everything 30 % slower for a few minutes does not read as a regression.
+# About the median reference_seconds() on the baseline host.  Each child's
+# time is rescaled by REF_NOMINAL_S over the reference times around it, so
+# that a host that runs everything 30 % slower for a few minutes does not
+# read as a regression.
 REF_NOMINAL_S = 0.25
 
 
@@ -152,35 +153,40 @@ def reference_seconds() -> float:
 
 class Children:
     """Runs measured children through launch.py, one at a time, and times the
-    reference work just before each, so that the run's host speed is sampled
-    across the same minute as the children."""
+    reference work just before and just after each, so that every child's
+    time can be rescaled by the host speed of its own moment."""
 
     def __init__(self, env: dict, deadline: float):
         self.env = env
         self.deadline = deadline          # a perf_counter value; later children are killed
-        self.refs = []                    # reference_seconds() before each child
+        self.refs = []                    # every reference_seconds() taken
 
     def run(self, argv, stderr_path=None) -> dict:
-        """The child's ``wall_s``, ``rss_mb`` (peak RSS) and exit ``status``."""
-        self.refs.append(reference_seconds())
+        """The child's ``wall_s``, ``rss_mb`` (peak RSS) and exit ``status``,
+        and ``scaled_s``: its wall time times REF_NOMINAL_S over the mean of
+        the reference times just before and after it."""
+        before = reference_seconds()
         launcher = [sys.executable, str(HERE / "launch.py"),
                     "--timeout", f"{max(self.deadline - time.perf_counter(), 0.0):.3f}"]
         if stderr_path:
             launcher += ["--stderr", str(stderr_path)]
         out = subprocess.run(launcher + ["--"] + argv, env=self.env, cwd=ROOT,
                              stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, check=True).stdout
-        return json.loads(out)
+        after = reference_seconds()
+        self.refs += [before, after]
+        child = json.loads(out)
+        child["scaled_s"] = child["wall_s"] * REF_NOMINAL_S / ((before + after) / 2)
+        return child
 
     def host_scale(self) -> float:
-        """Factor that turns this run's seconds into seconds at the reference
-        speed: REF_NOMINAL_S over the run's median reference time."""
+        """REF_NOMINAL_S over the run's median reference time."""
         return REF_NOMINAL_S / statistics.median(self.refs)
 
 
 def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, children: Children,
                   samples: dict) -> float | None:
     """One pass: every stage's child, ``wl.runs[stage]`` times each, in pipeline
-    order.  Appends wall times to ``samples`` and returns the largest child
+    order.  Appends each child's result to ``samples`` and returns the largest child
     peak RSS, or None if a child failed.  A rerun of a stage must rewrite
     byte-identical outputs."""
     shutil.rmtree(run_dir, ignore_errors=True)
@@ -200,7 +206,7 @@ def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, children:
             ledger.record(stage, messages)
             if messages:
                 return None
-            samples.setdefault(stage, []).append(child["wall_s"])
+            samples.setdefault(stage, []).append(child)
             rss.append(child["rss_mb"])
             digests.append(checks.output_digests(run_dir))
         if count > 1:
@@ -210,7 +216,7 @@ def untraced_pass(ledger, wl: Workload, cfg_path: Path, run_dir: Path, children:
 
 
 def setup_samples(ledger, children: Children) -> list:
-    """Wall times of children that start the interpreter and import the harness."""
+    """Results of children that start the interpreter and import the harness."""
     argv = [sys.executable, "-c", "import champagne.harness"]
     out = []
     for _ in range(SETUP_SAMPLES):
@@ -219,7 +225,7 @@ def setup_samples(ledger, children: Children) -> list:
         ledger.record("setup", [f"importing champagne.harness exited {status}"] if status else [])
         if status:
             return []
-        out.append(child["wall_s"])
+        out.append(child)
     return out
 
 
@@ -319,9 +325,8 @@ def measure_untraced(ledger, name: str, wl: Workload, seed: int, seconds: float,
     setup = setup_samples(ledger, children)
     if not setup:
         return {}
-    info(f"setup samples {[round(s, 4) for s in setup]}")
+    samples, peaks = {"setup": setup}, []
     rss_floor = children.run([sys.executable, "-c", "pass"])["rss_mb"]
-    samples, peaks = {}, []
     t_loop = time.perf_counter()
     while True:
         t_pass = time.perf_counter()
@@ -333,24 +338,26 @@ def measure_untraced(ledger, name: str, wl: Workload, seed: int, seconds: float,
         now = time.perf_counter()
         if now - t_loop >= seconds or now + 1.5 * (now - t_pass) > children.deadline:
             break
-    for stage, walls in samples.items():
-        info(f"{stage}: {len(walls)} run(s), fastest {min(walls):.4f} s, "
-             f"median {statistics.median(walls):.4f} s, slowest {max(walls):.4f} s")
-    scale = children.host_scale()
+    raw, scaled = {}, {}
+    for stage, runs in samples.items():
+        raw[stage] = statistics.median(c["wall_s"] for c in runs)
+        scaled[stage] = statistics.median(c["scaled_s"] for c in runs)
+        info(f"{stage}: {len(runs)} run(s), wall " + " ".join(f"{c['wall_s']:.3f}" for c in runs)
+             + " s, rescaled " + " ".join(f"{c['scaled_s']:.3f}" for c in runs) + " s")
     info(f"reference work: {len(children.refs)} runs, median {statistics.median(children.refs):.4f} s"
-         f" (nominal {REF_NOMINAL_S} s), host scale {scale:.4f}")
+         f" (nominal {REF_NOMINAL_S} s)")
     digests = checks.output_digests(run_dir)
     ledger.record("digests", digest_failures(name, seed, [digests]))
     info("digests " + json.dumps(digests, sort_keys=True))
     est = checks.read_estimate(run_dir)
-    stage_s = {stage: statistics.median(walls) for stage, walls in samples.items()}
-    metrics = {f"{stage}_s": t * scale for stage, t in stage_s.items()}
+    setup_raw_s, setup_s = raw.pop("setup"), scaled.pop("setup")
+    metrics = {f"{stage}_s": t for stage, t in scaled.items()}
     metrics.update(
-        setup_s=statistics.median(setup) * scale,
-        wall_s=sum(stage_s.values()) * scale,
-        setup_raw_s=statistics.median(setup),
-        wall_raw_s=sum(stage_s.values()),
-        host_scale=scale,
+        setup_s=setup_s,
+        wall_s=sum(scaled.values()),
+        setup_raw_s=setup_raw_s,
+        wall_raw_s=sum(raw.values()),
+        host_scale=children.host_scale(),
         peak_rss_mb=max(peaks),
         rss_floor_mb=rss_floor,
         timeout_frac=est["counts"]["timeout"] / est["n"],

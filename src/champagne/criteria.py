@@ -6,6 +6,16 @@ profile/weight enumeration, otherwise the verdict is Inconclusive and carries
 partial sums as diagnostics.  "sigma-a.e. boundary point" is operationalized
 as every point of a deterministic boundary grid plus the rotation-symmetry
 property of shell configurations; reports state this proxy.
+
+The Whitney-based sums (Aikawa, Wiener, quasi-additivity) all take the
+configuration's cube-bubble incidence (:func:`whitney.ball_cube_incidence`):
+its (bubble, cube) pairs sorted by bubble and then by cube, built once and
+shared by every sum.  Bubbles with no pair lie below the coverage collar.
+Their z-independent factors (each cube's Cap(A ∩ Q) envelope and capped
+Green value) are computed once and reused for every boundary point.  Sums
+add left to right in a fixed order (cubes ascending for Aikawa, in order of
+first appearance among the pairs otherwise), so totals match a plain loop
+over the scalar envelopes bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,11 +44,14 @@ from .geometry import BallDomain
 from .kernels import (
     Constants,
     Envelope,
-    capacity_ball_envelope,
-    capped_green_envelope,
+    _pow_each,
+    capacity_ball_bounds,
+    capped_green_bounds,
     small_radius_threshold,
 )
-from .whitney import WhitneyDecomposition, intersecting_cubes
+# intersecting_cubes is the per-ball reference for the incidence; it stays
+# importable from here
+from .whitney import CubeIncidence, intersecting_cubes  # noqa: F401
 
 __all__ = [
     "BoundaryGrid",
@@ -355,68 +369,143 @@ def classify_shell_series(
 # Whitney-based sums
 # ---------------------------------------------------------------------------
 
-def _cube_bubble_map(dec: WhitneyDecomposition, config: BubbleConfig):
-    """cube id -> bubble ids meeting it, plus bubbles with no cube (collar)."""
-    cube_map: dict[int, list[int]] = {}
-    uncovered = []
-    for k in range(config.n):
-        ids = intersecting_cubes(dec, config.centers[k], float(config.radii[k]))
-        if ids.size == 0:
-            uncovered.append(k)
-            continue
-        for i in ids:
-            cube_map.setdefault(int(i), []).append(k)
-    return cube_map, np.asarray(uncovered, dtype=np.int64)
+def _check_incidence(inc: CubeIncidence, config: BubbleConfig) -> None:
+    if inc.n_balls != config.n:
+        raise ValueError("the incidence was built for another configuration")
 
 
-def _cap_envelope(config: BubbleConfig, consts: Constants, cube, bubble_ids) -> Envelope:
-    """Envelope for Cap(A ∩ Q): upper bound by subadditivity over the meeting
-    bubbles; lower bound from the largest ball inscribed in a single
-    bubble-cube intersection (a bubble whose center lies strictly inside the
-    cube contributes min(r, distance of the center to the cube faces))."""
+def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each segment values[s:s+c], added left to right as a Python
+    loop would (np.add.reduceat adds long segments pairwise)."""
+    out = values[starts]
+    for j in range(1, int(counts.max(initial=1))):
+        more = counts > j
+        out[more] += values[starts[more] + j]
+    return out
+
+
+def _cap_bounds(pos: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Cap(A ∩ Q) bounds per cube from its pairs: the upper bound adds the
+    meeting bubbles' capacities (subadditivity); the lower bound is the
+    largest pair lower bound.  ``pos`` is each pair's cube position; cubes
+    come out in order of first appearance, the order a dict filled pair by
+    pair keeps, with each cube's pairs summed in their given order.  Returns
+    (cube positions, lower, upper)."""
+    if pos.size == 0:
+        return pos, np.empty(0), np.empty(0)
+    uniq, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    group = rank[inverse]
+    perm = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    starts = np.cumsum(counts) - counts
+    up = _segment_sums(upper[perm], starts, counts)
+    lo = np.maximum.reduceat(lower[perm], starts)
+    return uniq[order], np.minimum(lo, up), up
+
+
+def _total(terms: np.ndarray) -> float:
+    """Sum in sequence, like the loop ``acc = acc + t`` (np.sum is pairwise)."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+class _CubeFactors(NamedTuple):
+    """The z-independent factors of the criteria sums over one incidence.
+    Cube arrays follow ``cubes`` (ascending ids); pair arrays follow the
+    incidence's pairs."""
+
+    cubes: np.ndarray
+    lo: np.ndarray            # (m, d) cube boxes
+    hi: np.ndarray
+    dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
+    g_lower: np.ndarray       # capped Green envelope at the cube center
+    g_upper: np.ndarray
+    pair_pos: np.ndarray      # cube position of each pair
+    pair_lower: np.ndarray
+    pair_upper: np.ndarray
+    first_order: np.ndarray   # cube positions in order of first appearance
+    cap_lower: np.ndarray     # Cap(A ∩ Q) envelope over all bubbles
+    cap_upper: np.ndarray
+
+
+def _cube_factors(inc: CubeIncidence, config: BubbleConfig, consts: Constants) -> _CubeFactors:
+    """Factors shared by every boundary point, computed on first use and kept
+    in the incidence for these constants."""
+    key = ("criteria", config, consts)
+    if key not in inc.derived:
+        inc.derived[key] = _build_cube_factors(inc, config, consts)
+    return inc.derived[key]
+
+
+def _build_cube_factors(
+    inc: CubeIncidence, config: BubbleConfig, consts: Constants
+) -> _CubeFactors:
+    """Per-cube and per-pair factors of the criteria sums.
+
+    The lower bound of a pair comes from the largest ball inscribed in the
+    bubble-cube intersection: a bubble whose center lies strictly inside
+    the cube contributes min(r, distance of the center to the cube faces).
+    """
     d = config.dimension
-    upper = sum(
-        capacity_ball_envelope(consts, float(config.radii[k]), d).upper for k in bubble_ids
+    cubes, pair_pos = np.unique(inc.cube, return_inverse=True)
+    idx, side, dist = inc.dec.cube_arrays(cubes)
+    lo = idx * side[:, None]
+    hi = lo + side[:, None]
+    g_lower, g_upper = capped_green_bounds(inc.dec.domain, consts, (idx + 0.5) * side[:, None])
+    radii = config.radii[inc.ball]
+    _, pair_upper = capacity_ball_bounds(consts, radii, d)
+    c = config.centers[inc.ball]
+    face = np.minimum((c - lo[pair_pos]).min(axis=1), (hi[pair_pos] - c).min(axis=1))
+    rho = np.minimum(radii, face)
+    pair_lower = np.zeros(rho.size)
+    inside = rho > 0.0
+    pair_lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
+    first_order, cap_lower, cap_upper = _cap_bounds(pair_pos, pair_lower, pair_upper)
+    by_pos = np.argsort(first_order)
+    return _CubeFactors(
+        cubes, lo, hi, _pow_each(dist, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
+        pair_pos, pair_lower, pair_upper, first_order, cap_lower[by_pos], cap_upper[by_pos],
     )
-    lo, hi = cube.bounds()
-    lower = 0.0
-    for k in bubble_ids:
-        c, r = config.centers[k], float(config.radii[k])
-        face = float(min((c - lo).min(), (hi - c).min()))
-        rho = min(r, face)
-        if rho > 0.0:
-            lower = max(lower, capacity_ball_envelope(consts, rho, d).lower)
-    return Envelope(min(lower, upper), upper)
+
+
+def _green_weighted_total(f: _CubeFactors, pos, cap_lower, cap_upper) -> Envelope:
+    """sum_Q g(Q)^2 * Cap(A ∩ Q) over the cubes at ``pos``, in that order."""
+    gl, gu = f.g_lower[pos], f.g_upper[pos]
+    return Envelope(_total(gl * gl * cap_lower), _total(gu * gu * cap_upper))
 
 
 @dataclass(frozen=True)
 class AikawaTrace:
     cube_ids: np.ndarray
-    terms: list
+    term_lower: np.ndarray   # per cube, following cube_ids
+    term_upper: np.ndarray
     total: Envelope
     uncovered_bubbles: np.ndarray
     warnings: list
 
-    def cumulative(self) -> list:
-        out, acc = [], Envelope.zero()
-        for t in self.terms:
-            acc = acc + t
-            out.append(acc)
-        return out
+    @property
+    def terms(self) -> list:
+        pairs = zip(self.term_lower.tolist(), self.term_upper.tolist())
+        return [Envelope(lo, hi) for lo, hi in pairs]
 
 
 def aikawa_sum(
-    dec: WhitneyDecomposition, config: BubbleConfig, z, consts: Constants
+    inc: CubeIncidence, config: BubbleConfig, z, consts: Constants
 ) -> AikawaTrace:
     """Cube-indexed thinness sum at boundary point z:
 
     sum_j dist(Q_j, boundary)^(2(a-1)) / dist(z, Q_j)^(d+a-2) * Cap(A ∩ Q_j)
 
-    evaluated as an envelope.  Bubbles too deep for the decomposition's
+    evaluated as an envelope over the cubes of ``inc``, the cube-bubble
+    incidence of ``config``.  Bubbles too deep for the decomposition's
     coverage are reported, not silently dropped.
     """
+    _check_incidence(inc, config)
     z = np.asarray(z, dtype=float)
-    dist_z = abs(float(np.sqrt(((z - dec.domain.center) ** 2).sum())) - dec.domain.radius)
+    dom = inc.dec.domain
+    dist_z = abs(float(np.sqrt(((z - dom.center) ** 2).sum())) - dom.radius)
     if dist_z > 1e-9:
         raise ValueError("z must lie on the boundary sphere")
     a = consts.alpha
@@ -429,23 +518,19 @@ def aikawa_sum(
             f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
             "capacity quasi-additivity hypotheses are not certified"
         )
-    cube_map, uncovered = _cube_bubble_map(dec, config)
+    uncovered = inc.uncovered()
     if uncovered.size:
         warnings.append(
             f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
             "their contribution needs a tail estimate"
         )
-    cube_ids = np.asarray(sorted(cube_map), dtype=np.int64)
-    terms = []
-    for i in cube_ids:
-        q = dec.cube(int(i))
-        lo, hi = q.bounds()
-        nearest = np.clip(z, lo, hi)
-        dzq = float(np.sqrt(((z - nearest) ** 2).sum()))
-        w = q.dist_boundary ** (2.0 * (a - 1.0)) / dzq ** (d + a - 2.0)
-        terms.append(_cap_envelope(config, consts, q, cube_map[int(i)]) * w)
-    total = sum(terms, Envelope.zero())
-    return AikawaTrace(cube_ids, terms, total, uncovered, warnings)
+    f = _cube_factors(inc, config, consts)
+    nearest = np.clip(z, f.lo, f.hi)
+    dzq = np.sqrt(((z - nearest) ** 2).sum(axis=1))
+    w = f.dist_weight / _pow_each(dzq, d + a - 2.0)
+    lower, upper = f.cap_lower * w, f.cap_upper * w
+    total = Envelope(_total(lower), _total(upper))
+    return AikawaTrace(f.cubes, lower, upper, total, uncovered, warnings)
 
 
 @dataclass(frozen=True)
@@ -466,7 +551,7 @@ class WienerTrace:
 
 
 def wiener_dyadic_sum(
-    dec: WhitneyDecomposition,
+    inc: CubeIncidence,
     config: BubbleConfig,
     z,
     consts: Constants,
@@ -475,72 +560,61 @@ def wiener_dyadic_sum(
     """Dyadic-shell thinness sum at z: per shell n the contribution
     2^(n(d+a-2)) * sum_j g(x_j)^2 * Cap(E_n ∩ Q_j) as an envelope.
 
-    Bubbles are assigned to shells by center distance; shells reaching below
-    the decomposition's coverage collar are flagged as truncated.
+    Bubbles are assigned to shells by center distance; each shell takes its
+    pairs from ``inc``, the cube-bubble incidence of ``config``.  Shells
+    reaching below the decomposition's coverage collar are flagged as
+    truncated.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_incidence(inc, config)
     z = np.asarray(z, dtype=float)
     a = consts.alpha
     d = config.dimension
     skipped_far = 0
-    shell_members: dict[int, list[int]] = {}
+    shells = np.empty(0, dtype=np.int64)
+    terms = []
+    uncovered = np.empty(0, dtype=np.int64)
     if config.n:
         dist = np.sqrt(((config.centers - z) ** 2).sum(axis=1))
         shell_n = np.ceil(-np.log2(dist)).astype(int) - 1
-        for k in range(config.n):
-            n = int(shell_n[k])
-            if n < 1:
-                skipped_far += 1
-            elif n <= n_max:
-                shell_members.setdefault(n, []).append(k)
-
-    all_uncovered = []
-    shells = np.asarray(sorted(shell_members), dtype=np.int64)
-    terms = []
-    for n in shells:
-        sub = BubbleConfig(
-            config.domain,
-            config.centers[shell_members[int(n)]],
-            config.radii[shell_members[int(n)]],
-            validate=False,
-        )
-        cube_map, uncovered = _cube_bubble_map(dec, sub)
-        all_uncovered.extend(np.asarray(shell_members[int(n)])[uncovered].tolist())
-        acc = Envelope.zero()
-        for i, ks in cube_map.items():
-            q = dec.cube(i)
-            g = capped_green_envelope(dec.domain, consts, q.center)
-            acc = acc + g.squared() * _cap_envelope(sub, consts, q, ks)
-        terms.append(acc * 2.0 ** (int(n) * (d + a - 2.0)))
+        skipped_far = int((shell_n < 1).sum())
+        member = (shell_n >= 1) & (shell_n <= n_max)
+        shells = np.unique(shell_n[member]).astype(np.int64)
+        f = _cube_factors(inc, config, consts)
+        pair_shell = shell_n[inc.ball]
+        for n in shells:
+            keep = pair_shell == n
+            pos, cap_lower, cap_upper = _cap_bounds(
+                f.pair_pos[keep], f.pair_lower[keep], f.pair_upper[keep]
+            )
+            acc = _green_weighted_total(f, pos, cap_lower, cap_upper)
+            terms.append(acc * 2.0 ** (int(n) * (d + a - 2.0)))
+        lone = np.flatnonzero(member & (inc.cubes_per_ball() == 0))
+        uncovered = lone[np.argsort(shell_n[lone], kind="stable")]
     total = sum(terms, Envelope.zero())
-    collar = dec.coverage_threshold
+    collar = inc.dec.coverage_threshold
     truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * collar] if shells.size else shells
-    return WienerTrace(
-        shells, terms, total, truncated, skipped_far, np.asarray(all_uncovered, dtype=np.int64)
-    )
+    return WienerTrace(shells, terms, total, truncated, skipped_far, uncovered)
 
 
 def quasi_additivity_interval(
-    dec: WhitneyDecomposition, config: BubbleConfig, consts: Constants
+    inc: CubeIncidence, config: BubbleConfig, consts: Constants
 ) -> tuple[float, float]:
     """Ratio interval for sum_j gamma_g(A ∩ Q_j) versus the per-bubble energy
     sum, both as envelopes: the surrogate for capacity quasi-additivity over
-    the Whitney cubes.  Reported, not asserted against any constant.
+    the Whitney cubes of ``inc``, the cube-bubble incidence of ``config``.
+    Reported, not asserted against any constant.
     """
     if config.n == 0:
         raise ValueError("quasi-additivity ratio needs a nonempty configuration")
-    d = config.dimension
-    cube_map, _ = _cube_bubble_map(dec, config)
-    num = Envelope.zero()
-    for i, ks in cube_map.items():
-        q = dec.cube(i)
-        g = capped_green_envelope(dec.domain, consts, q.center)
-        num = num + g.squared() * _cap_envelope(config, consts, q, ks)
-    den = Envelope.zero()
-    for k in range(config.n):
-        g = capped_green_envelope(dec.domain, consts, config.centers[k])
-        den = den + g.squared() * capacity_ball_envelope(consts, float(config.radii[k]), d)
+    _check_incidence(inc, config)
+    f = _cube_factors(inc, config, consts)
+    pos = f.first_order
+    num = _green_weighted_total(f, pos, f.cap_lower[pos], f.cap_upper[pos])
+    gl, gu = capped_green_bounds(inc.dec.domain, consts, config.centers)
+    cl, cu = capacity_ball_bounds(consts, config.radii, config.dimension)
+    den = Envelope(_total(gl * gl * cl), _total(gu * gu * cu))
     if den.lower == 0.0 or num.lower == 0.0:
         raise ValueError("degenerate envelopes; decomposition too shallow for this config")
     return num.lower / den.upper, num.upper / den.lower

@@ -39,7 +39,12 @@ from .criteria import (
 from .geometry import BallDomain
 from .kernels import Constants
 from .simulate import SimParams, estimate_hitting
-from .whitney import bubble_cube_ratio_bound, decompose, max_cubes_per_ball
+from .whitney import (
+    ball_cube_incidence,
+    bubble_cube_ratio_bound,
+    decompose,
+    max_cubes_per_ball,
+)
 
 __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
            "cmd_criteria", "cmd_simulate", "cmd_report"]
@@ -209,7 +214,7 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
     return out / "whitney.csv"
 
 
-def cmd_criteria(cfg: RunConfig, out: Path, threads: int = 1) -> Path:
+def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg, out)
     if not (out / "bubbles.csv").exists():
@@ -222,25 +227,16 @@ def cmd_criteria(cfg: RunConfig, out: Path, threads: int = 1) -> Path:
     empirical = {}
     traces = {}
     if config.n:
-        empirical["c2_cubes_per_ball"] = max_cubes_per_ball(dec, config)
-        empirical["C1_ratio_bound"] = bubble_cube_ratio_bound(dec, config, grid.points)
-        qa = quasi_additivity_interval(dec, config, cfg.constants)
+        inc = ball_cube_incidence(dec, config.centers, config.radii)
+        empirical["c2_cubes_per_ball"] = max_cubes_per_ball(inc)
+        empirical["C1_ratio_bound"] = bubble_cube_ratio_bound(inc, config, grid.points)
+        qa = quasi_additivity_interval(inc, config, cfg.constants)
         empirical["quasi_additivity_interval"] = [qa[0], qa[1]]
-
-        def trace_one(i: int):
-            z = grid.points[i]
-            aik = aikawa_sum(dec, config, z, cfg.constants)
-            wie = wiener_dyadic_sum(dec, config, z, cfg.constants, cfg.wiener_n_max)
-            return i, aik, wie
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(trace_one, range(grid.n)))
-        else:
-            results = [trace_one(i) for i in range(grid.n)]
-        results.sort(key=lambda r: r[0])
+        results = [
+            (i, aikawa_sum(inc, config, z, cfg.constants),
+             wiener_dyadic_sum(inc, config, z, cfg.constants, cfg.wiener_n_max))
+            for i, z in enumerate(grid.points)
+        ]
 
         with open(out / "wiener_trace.csv", "w", newline="") as f:
             w = csv.writer(f)
@@ -366,12 +362,11 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="JSON run configuration")
         q.add_argument("--out", required=True, help="output directory")
         q.add_argument("--seed", type=int, default=None, help="override config seed")
-        q.add_argument("--threads", type=int, default=1)
-        q.add_argument("--format", choices=("json", "csv"), default="json")
+        if name == "simulate":
+            q.add_argument("--threads", type=int, default=1)
     r = sub.add_parser("report")
     r.add_argument("runs", nargs="*", help="completed run directories")
     r.add_argument("--out", required=True, help="output file")
-    r.add_argument("--threads", type=int, default=1)
     r.add_argument("--format", choices=("json", "csv"), default="csv")
     return p
 
@@ -393,7 +388,7 @@ def main(argv=None) -> int:
         elif args.command == "whitney":
             cmd_whitney(cfg, out)
         elif args.command == "criteria":
-            cmd_criteria(cfg, out, threads=args.threads)
+            cmd_criteria(cfg, out)
         elif args.command == "simulate":
             cmd_simulate(cfg, out, threads=args.threads)
         return 0

@@ -28,7 +28,9 @@ __all__ = [
     "green_envelope",
     "martin_envelope",
     "capped_green_envelope",
+    "capped_green_bounds",
     "capacity_ball_envelope",
+    "capacity_ball_bounds",
     "EtaRadii",
     "capacity_equivalent_radii",
     "small_radius_threshold",
@@ -238,6 +240,36 @@ def capacity_ball_envelope(consts: Constants, r: float, d: int) -> Envelope:
         raise ValueError("radius must be > 0")
     f = r ** (d - consts.alpha)
     return Envelope(f / consts.C, f * consts.C)
+
+
+def _pow_each(x, p: float) -> np.ndarray:
+    """x**p element by element through the C library pow, as the scalar
+    envelopes compute it.  numpy's vectorized power can differ from it in the
+    last bit, which would change the criteria outputs."""
+    return np.array([v ** p for v in np.asarray(x, dtype=float).tolist()], dtype=float)
+
+
+def capped_green_bounds(
+    domain: BallDomain, consts: Constants, y
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`capped_green_envelope` with the default comparison factor over
+    a batch of points y (n, d), as (lower, upper) arrays."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(domain.contains(y)):
+        raise ValueError("capped_green_envelope requires y inside the domain")
+    c = consts.C_G * 2.0 ** (domain.dimension + 1)
+    base = _pow_each(dist_to_boundary(domain, y), consts.alpha - 1.0)
+    return np.minimum(base / c, 1.0), np.minimum(base * c, 1.0)
+
+
+def capacity_ball_bounds(consts: Constants, r, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`capacity_ball_envelope` over an array of radii, as (lower,
+    upper) arrays."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
+        raise ValueError("radius must be > 0")
+    f = _pow_each(r, d - consts.alpha)
+    return f / consts.C, f * consts.C
 
 
 class EtaRadii(NamedTuple):

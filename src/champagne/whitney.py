@@ -9,6 +9,12 @@ than assumed.  dist(Q, boundary) is computed in closed form for balls.
 Refinement stops at ``max_level``; the uncovered boundary collar
 {delta_D < 5*sqrt(d)*2**-max_level} is explicit, and criteria built on top
 must treat it via tail estimates.
+
+:func:`ball_cube_incidence` lists, for a whole family of balls at once, every
+(ball, cube) pair where the closed ball meets the closed cube box, sorted by
+ball and then by cube.  Balls with no pair lie in the collar.  The criteria
+sums over one configuration all share that one incidence;
+:func:`intersecting_cubes` is the per-ball reference it is tested against.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ from .geometry import BallDomain
 __all__ = [
     "WhitneyCube",
     "WhitneyDecomposition",
+    "CubeIncidence",
     "decompose",
     "doubled_cube",
     "intersecting_cubes",
+    "ball_cube_incidence",
     "coverage_threshold",
     "max_cubes_per_ball",
     "bubble_cube_ratio_bound",
@@ -34,6 +42,8 @@ __all__ = [
 
 # enumeration guard for degenerate queries
 _MAX_CANDIDATES_PER_LEVEL = 4_000_000
+# candidate boxes per batch in ball_cube_incidence (bounds its memory)
+_CANDIDATE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,22 @@ class WhitneyDecomposition:
 
     def __iter__(self):
         return (self.cube(i) for i in range(self._n))
+
+    def cube_arrays(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorized :meth:`cube` for global ids: integer indices (m, d),
+        sides (m,) and dist_boundary (m,)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        idx = np.empty((ids.size, self.dimension), dtype=np.int64)
+        side = np.empty(ids.size)
+        dist = np.empty(ids.size)
+        for lev in self.levels:
+            start = self._start[lev]
+            sel = (ids >= start) & (ids < start + self._idx[lev].shape[0])
+            rows = ids[sel] - start
+            idx[sel] = self._idx[lev][rows]
+            side[sel] = 2.0 ** (-lev)
+            dist[sel] = self._dist[lev][rows]
+        return idx, side, dist
 
     # -- packed-key lookup ---------------------------------------------------
 
@@ -299,12 +325,15 @@ def doubled_cube(domain: BallDomain, cube: WhitneyCube) -> tuple[np.ndarray, np.
     return lo2, hi2
 
 
-def _candidate_levels(dec: WhitneyDecomposition, delta: float, r: float):
+def _candidate_window(dimension: int, delta, r):
     # any cube meeting the ball has side in [(delta-r)/(5 sqrt d), (delta+r)/sqrt d];
-    # widen by 2x each way for safety
-    sqd = math.sqrt(dec.dimension)
-    lo_side = (delta - r) / (10.0 * sqd)
-    hi_side = 2.0 * (delta + r) / sqd
+    # widen by 2x each way for safety.  Scalars or arrays.
+    sqd = math.sqrt(dimension)
+    return (delta - r) / (10.0 * sqd), 2.0 * (delta + r) / sqd
+
+
+def _candidate_levels(dec: WhitneyDecomposition, delta: float, r: float):
+    lo_side, hi_side = _candidate_window(dec.dimension, delta, r)
     for lev in dec.levels:
         side = 2.0 ** (-lev)
         if lo_side <= side <= hi_side:
@@ -350,37 +379,117 @@ def intersecting_cubes(dec: WhitneyDecomposition, center, radius: float) -> np.n
     return np.sort(np.concatenate(found))
 
 
-def max_cubes_per_ball(dec: WhitneyDecomposition, config) -> int:
+@dataclass(frozen=True, eq=False)
+class CubeIncidence:
+    """Every (ball, cube) pair of a ball family where the closed ball meets
+    the closed box of a cube of ``dec``, sorted by ball and then by cube.
+
+    Balls with no pair lie in the uncovered boundary collar.  Built once per
+    configuration by :func:`ball_cube_incidence` and shared by every
+    criteria sum over it.
+    """
+
+    dec: WhitneyDecomposition
+    n_balls: int
+    ball: np.ndarray   # (m,) int64 ball index
+    cube: np.ndarray   # (m,) int64 global cube id
+    # values that users derive from the pairs once and reuse, by their own keys
+    derived: dict = field(default_factory=dict, repr=False)
+
+    def cubes_per_ball(self) -> np.ndarray:
+        return np.bincount(self.ball, minlength=self.n_balls)
+
+    def uncovered(self) -> np.ndarray:
+        """Balls that meet no cube (they lie in the collar), ascending."""
+        return np.flatnonzero(self.cubes_per_ball() == 0)
+
+
+def ball_cube_incidence(dec: WhitneyDecomposition, centers, radii) -> CubeIncidence:
+    """All (ball, cube) pairs where a closed ball meets a closed cube box.
+
+    Equals a loop of :func:`intersecting_cubes` over the balls, with the same
+    checks, but runs level by level over all balls at once: each ball whose
+    candidate window includes the level has its box range expanded, looked
+    up and kept where the nearest point of the box lies in the ball.
+    """
+    x = np.asarray(centers, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    empty = np.empty(0, dtype=np.int64)
+    if r.size == 0:
+        return CubeIncidence(dec, 0, empty, empty)
+    dec.domain._check_dim(x)
+    d = dec.dimension
+    delta = dec.domain.radius - np.sqrt(((x - dec.domain.center) ** 2).sum(axis=1))
+    if not np.all(r > 0):
+        raise ValueError("ball radius must be > 0")
+    if not np.all(r < delta / 2):
+        raise ValueError("ball not inside D: require radius < dist_to_boundary(center)/2")
+
+    lo_side, hi_side = _candidate_window(d, delta, r)
+    balls, cubes = [], []
+    for lev in dec.levels:
+        side = 2.0 ** (-lev)
+        sel = np.flatnonzero((lo_side <= side) & (side <= hi_side))
+        if sel.size == 0:
+            continue
+        kmin = np.floor((x[sel] - r[sel, None]) / side).astype(np.int64)
+        dims = np.floor((x[sel] + r[sel, None]) / side).astype(np.int64) - kmin + 1
+        counts = dims.prod(axis=1)
+        if counts.max() > _MAX_CANDIDATES_PER_LEVEL:
+            raise RuntimeError("candidate enumeration unexpectedly large")
+        step = max(1, _CANDIDATE_CHUNK // int(counts.max()))
+        for start in range(0, sel.size, step):
+            part = slice(start, min(start + step, sel.size))
+            owner = np.repeat(np.arange(part.start, part.stop), counts[part])
+            offset = np.arange(owner.size) - np.repeat(
+                np.cumsum(counts[part]) - counts[part], counts[part])
+            boxes = np.empty((owner.size, d), dtype=np.int64)
+            for j in reversed(range(d)):   # C order, as meshgrid(indexing="ij")
+                boxes[:, j] = kmin[owner, j] + offset % dims[owner, j]
+                offset //= dims[owner, j]
+            rows = dec._find_rows(lev, boxes)
+            hit = rows >= 0
+            owner, boxes, rows = sel[owner[hit]], boxes[hit], rows[hit]
+            lo = boxes * side
+            xb, rb = x[owner], r[owner]
+            near = np.maximum(np.maximum(lo - xb, xb - (lo + side)), 0.0)
+            meets = (near * near).sum(axis=1) <= rb * rb
+            balls.append(owner[meets])
+            cubes.append(dec._locate_global(lev, rows[meets]))
+    ball = np.concatenate(balls) if balls else empty
+    cube = np.concatenate(cubes) if cubes else empty
+    order = np.lexsort((cube, ball))
+    return CubeIncidence(dec, int(r.size), ball[order], cube[order])
+
+
+def max_cubes_per_ball(inc: CubeIncidence) -> int:
     """Empirical bound on how many cubes one bubble can meet (c2 report)."""
-    best = 0
-    for center, radius in zip(config.centers, config.radii):
-        best = max(best, int(intersecting_cubes(dec, center, float(radius)).size))
-    return best
+    return int(inc.cubes_per_ball().max(initial=0))
 
 
-def bubble_cube_ratio_bound(dec: WhitneyDecomposition, config, boundary_points) -> float:
+def bubble_cube_ratio_bound(inc: CubeIncidence, config, boundary_points) -> float:
     """Empirical two-sided comparison constant for bubble/cube geometry.
 
     For every bubble meeting a cube, measures dist(Q, boundary)/delta_D(x_k)
     and, over the given boundary points z, dist(z, Q)/|x_k - z|; returns the
-    smallest C >= 1 with all ratios in [1/C, C].
+    smallest C >= 1 with all ratios in [1/C, C].  ``inc`` is the incidence
+    of ``config``.
     """
     z = np.asarray(boundary_points, dtype=float)
-    dom = dec.domain
-    worst = 1.0
-    for center, radius in zip(config.centers, config.radii):
-        ids = intersecting_cubes(dec, center, float(radius))
-        if ids.size == 0:
-            continue
-        delta = dom.radius - float(np.sqrt(((center - dom.center) ** 2).sum()))
-        dist_z_center = np.sqrt(((z - center) ** 2).sum(axis=1))
-        for i in ids:
-            q = dec.cube(int(i))
-            r1 = q.dist_boundary / delta
-            worst = max(worst, r1, 1.0 / r1)
-            lo, hi = q.bounds()
-            nearest = np.clip(z, lo, hi)
-            dist_z_cube = np.sqrt(((z - nearest) ** 2).sum(axis=1))
-            r2 = dist_z_cube / dist_z_center
-            worst = max(worst, float(r2.max()), float(1.0 / r2.min()))
+    if inc.ball.size == 0:
+        return 1.0
+    dom = inc.dec.domain
+    idx, side, dist = inc.dec.cube_arrays(inc.cube)
+    lo = idx * side[:, None]
+    hi = lo + side[:, None]
+    centers = config.centers[inc.ball]
+    delta = dom.radius - np.sqrt(((centers - dom.center) ** 2).sum(axis=1))
+    r1 = dist / delta
+    worst = max(1.0, float(r1.max()), float((1.0 / r1).max()))
+    for zj in z:   # one boundary point at a time keeps the arrays pairs x d
+        dist_z_center = np.sqrt(((zj - centers) ** 2).sum(axis=1))
+        nearest = np.clip(zj, lo, hi)
+        dist_z_cube = np.sqrt(((zj - nearest) ** 2).sum(axis=1))
+        r2 = dist_z_cube / dist_z_center
+        worst = max(worst, float(r2.max()), float((1.0 / r2).max()))
     return worst

@@ -28,7 +28,7 @@ from champagne.criteria import (
 )
 from champagne.geometry import BallDomain
 from champagne.kernels import Constants
-from champagne.whitney import decompose
+from champagne.whitney import ball_cube_incidence, decompose
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,10 @@ def c15():
 @pytest.fixture(scope="module")
 def dec7(disk):
     return decompose(disk, 7)
+
+
+def _inc(dec, cfg):
+    return ball_cube_incidence(dec, cfg.centers, cfg.radii)
 
 
 # -- boundary grids --------------------------------------------------------------
@@ -181,7 +185,7 @@ def test_shell_series_agrees_with_integral(phi, weight):
 
 def test_aikawa_empty_config(disk, dec7, c15):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = aikawa_sum(dec7, cfg, [1.0, 0.0], c15)
+    trace = aikawa_sum(_inc(dec7, cfg), cfg, [1.0, 0.0], c15)
     assert trace.total.lower == trace.total.upper == 0.0
     assert trace.uncovered_bubbles.size == 0
 
@@ -193,10 +197,10 @@ def test_aikawa_single_bubble_hand_bound(disk, dec7, c15):
     center = dec7.cube(dec7.locate([0.53, 0.01])).center
     cfg = BubbleConfig(disk, [center], [0.01])
     z = np.array([-1.0, 0.0])
-    trace = aikawa_sum(dec7, cfg, z, c15)
+    trace = aikawa_sum(_inc(dec7, cfg), cfg, z, c15)
     assert trace.total.lower > 0.0
     c2 = intersecting_cubes(dec7, cfg.centers[0], 0.01).size
-    C1 = bubble_cube_ratio_bound(dec7, cfg, z[None, :])
+    C1 = bubble_cube_ratio_bound(_inc(dec7, cfg), cfg, z[None, :])
     alpha, d = 1.5, 2
     delta = float(cfg.deltas[0])
     dist = float(np.sqrt(((center - z) ** 2).sum()))
@@ -217,28 +221,29 @@ def test_aikawa_subconfig_ordering(disk, dec7, c15):
         disk, cfg.centers[::2], cfg.radii[::2], validate=False
     )
     z = np.array([0.0, -1.0])
-    full = aikawa_sum(dec7, cfg, z, c15)
-    sub = aikawa_sum(dec7, half, z, c15)
+    full = aikawa_sum(_inc(dec7, cfg), cfg, z, c15)
+    sub = aikawa_sum(_inc(dec7, half), half, z, c15)
     assert sub.total.upper <= full.total.upper * (1 + 1e-12)
 
 
 def test_aikawa_warns_below_collar(disk, c15):
     dec4 = decompose(disk, 4)  # coarse: collar depth ~0.44
     cfg = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
-    trace = aikawa_sum(dec4, cfg, [1.0, 0.0], c15)
+    trace = aikawa_sum(_inc(dec4, cfg), cfg, [1.0, 0.0], c15)
     assert trace.uncovered_bubbles.tolist() == [0]
     assert any("collar" in w for w in trace.warnings)
 
 
 def test_aikawa_rejects_interior_z(disk, dec7, c15):
+    cfg = BubbleConfig(disk, [[0.5, 0.0]], [0.01])
     with pytest.raises(ValueError, match="boundary"):
-        aikawa_sum(dec7, BubbleConfig(disk, [[0.5, 0.0]], [0.01]), [0.5, 0.5], c15)
+        aikawa_sum(_inc(dec7, cfg), cfg, [0.5, 0.5], c15)
 
 
 def test_wiener_single_bubble_shell_membership(disk, dec7, c15):
     # distance 0.3 from z: shell n = 1 (0.25 <= 0.3 < 0.5)
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
-    trace = wiener_dyadic_sum(dec7, cfg, [1.0, 0.0], c15, n_max=10)
+    trace = wiener_dyadic_sum(_inc(dec7, cfg), cfg, [1.0, 0.0], c15, n_max=10)
     assert trace.shells.tolist() == [1]
     assert trace.skipped_far == 0
     assert trace.total.upper > 0.0
@@ -246,10 +251,10 @@ def test_wiener_single_bubble_shell_membership(disk, dec7, c15):
 
 def test_wiener_empty_and_far(disk, dec7, c15):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = wiener_dyadic_sum(dec7, empty, [1.0, 0.0], c15)
+    trace = wiener_dyadic_sum(_inc(dec7, empty), empty, [1.0, 0.0], c15)
     assert trace.total.upper == 0.0
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
-    trace = wiener_dyadic_sum(dec7, far, [1.0, 0.0], c15)
+    trace = wiener_dyadic_sum(_inc(dec7, far), far, [1.0, 0.0], c15)
     assert trace.skipped_far == 1
     assert trace.shells.size == 0
 
@@ -259,16 +264,55 @@ def test_wiener_matches_aikawa_within_constant(disk, dec7, c15):
     for seed in range(10):
         cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=seed)
         z = np.array([1.0, 0.0])
-        a = aikawa_sum(dec7, cfg, z, c15)
-        w = wiener_dyadic_sum(dec7, cfg, z, c15)
+        a = aikawa_sum(_inc(dec7, cfg), cfg, z, c15)
+        w = wiener_dyadic_sum(_inc(dec7, cfg), cfg, z, c15)
         ratios.append(w.total.upper / a.total.upper)
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
 
 
+def _aikawa_terms_per_cube(dec, cfg, z, consts):
+    """Aikawa terms from the scalar envelopes, one intersecting_cubes call per
+    bubble: the reference the shared incidence reproduces bit for bit."""
+    from champagne.kernels import capacity_ball_envelope
+    from champagne.whitney import intersecting_cubes
+
+    cube_map = {}
+    for k in range(cfg.n):
+        for i in intersecting_cubes(dec, cfg.centers[k], float(cfg.radii[k])):
+            cube_map.setdefault(int(i), []).append(k)
+    a, d = consts.alpha, cfg.dimension
+    terms = []
+    for i in sorted(cube_map):
+        q = dec.cube(i)
+        lo, hi = q.bounds()
+        upper = sum(capacity_ball_envelope(consts, float(cfg.radii[k]), d).upper
+                    for k in cube_map[i])
+        lower = 0.0
+        for k in cube_map[i]:
+            c = cfg.centers[k]
+            rho = min(float(cfg.radii[k]), float(min((c - lo).min(), (hi - c).min())))
+            if rho > 0.0:
+                lower = max(lower, capacity_ball_envelope(consts, rho, d).lower)
+        dzq = float(np.sqrt(((z - np.clip(z, lo, hi)) ** 2).sum()))
+        w = q.dist_boundary ** (2.0 * (a - 1.0)) / dzq ** (d + a - 2.0)
+        terms.append((min(lower, upper) * w, upper * w))
+    return terms
+
+
+def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk, dec7):
+    consts = Constants(alpha=1.3, C=2.0)
+    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=5)
+    z = np.array([0.6, -0.8])
+    trace = aikawa_sum(_inc(dec7, cfg), cfg, z, consts)
+    expected = _aikawa_terms_per_cube(dec7, cfg, z, consts)
+    assert [(t.lower, t.upper) for t in trace.terms] == expected
+    assert (trace.total.lower, trace.total.upper) == tuple(map(sum, zip(*expected)))
+
+
 def test_quasi_additivity_interval_finite_and_ordered(disk, dec7, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
-    lo, hi = quasi_additivity_interval(dec7, cfg, c15)
+    lo, hi = quasi_additivity_interval(_inc(dec7, cfg), cfg, c15)
     assert 0.0 < lo <= hi < math.inf
 
 

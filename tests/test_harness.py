@@ -1,0 +1,101 @@
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from champagne import criteria, harness, whitney
+from champagne.harness import RunConfig, main
+
+SMALL = {
+    "domain": {"center": [0.0, 0.0], "radius": 1.0},
+    "constants": {"alpha": 1.3, "C": 2.0},
+    "profile": {"kind": "constant", "c": 0.1},
+    "shells": {"a": 0.5, "count": 3, "seed": 7},
+    "whitney": {"max_level": 6},
+    "criteria": {"grid": 4, "wiener_n_max": 24},
+}
+
+
+def _write_config(tmp_path, obj):
+    path = tmp_path / "run_config.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
+    # Outputs of the per-ball implementation that built the cube-bubble map
+    # once per sum; the shared incidence must reproduce them bit for bit.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    harness.cmd_criteria(RunConfig.from_json(SMALL), tmp_path)
+    assert _sha256(tmp_path / "verdicts.json") == (
+        "e184a0320eed5d2c1b2cfc060bfd49aba204cf8f42502967e091ecf89046ba0b")
+    assert _sha256(tmp_path / "wiener_trace.csv") == (
+        "ec7a0038868bb7f239ac0f7e174f1daf38eea363d2375fbbb2904d680560fc09")
+    empirical = json.loads((tmp_path / "manifest.json").read_text())["empirical"]
+    assert empirical == {
+        "c2_cubes_per_ball": 4,
+        "C1_ratio_bound": 1.900247054885672,
+        "quasi_additivity_interval": [0.00026459703520188263, 2014.2926594003247],
+    }
+
+
+def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("intersecting_cubes called")
+
+    monkeypatch.setattr(whitney, "intersecting_cubes", forbidden)
+    monkeypatch.setattr(criteria, "intersecting_cubes", forbidden)
+    harness.cmd_criteria(RunConfig.from_json(SMALL), tmp_path)
+    traces = json.loads((tmp_path / "verdicts.json").read_text())["traces"]
+    assert len(traces["aikawa_total"]) == 4
+
+
+def test_main_returns_0_on_a_valid_run(tmp_path):
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "bubbles.csv").exists()
+
+
+def test_main_returns_2_on_a_config_missing_profile(tmp_path, capsys):
+    obj = {k: v for k, v in SMALL.items() if k != "profile"}
+    cfg = _write_config(tmp_path, obj)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "profile" in capsys.readouterr().err
+
+
+def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**SMALL, "whitney": {"max_level": 1}})
+    assert main(["whitney", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert "max_level" in capsys.readouterr().err
+
+
+def test_threads_only_on_simulate_and_format_only_on_report(tmp_path):
+    cfg = _write_config(tmp_path, SMALL)
+    out = str(tmp_path / "run")
+    for argv in (["criteria", "--threads", "2"], ["generate", "--format", "csv"],
+                 ["report", "--threads", "2"]):
+        with pytest.raises(SystemExit):
+            main(argv + (["--config", cfg] if argv[0] != "report" else []) + ["--out", out])
+
+
+def test_run_config_json_round_trip():
+    obj = {
+        **SMALL,
+        "constants": {"alpha": 1.3, "C_G": 2.0, "C_M": 1.5, "C": 3.0, "C_H": 1.0, "C_1": 1.25},
+        "weight": {"kind": "power", "gamma": 0.25},
+        "sim": {"alpha": 1.3, "h": 1e-4, "boundary_eps": 1e-3, "max_steps": 500,
+                "n_traj": 10, "seed": 3},
+        "per_trajectory_csv": True,
+        "out_dir": "runs/x",
+    }
+    cfg = RunConfig.from_json(obj)
+    again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+    assert again.to_json() == cfg.to_json()
+    assert again.hash() == cfg.hash()
+    assert np.array_equal(again.domain.center, cfg.domain.center)
+    assert again.sim == cfg.sim

@@ -9,8 +9,10 @@ from champagne.kernels import (
     Envelope,
     SingularityError,
     WeightChoice,
+    capacity_ball_bounds,
     capacity_ball_envelope,
     capacity_equivalent_radii,
+    capped_green_bounds,
     capped_green_envelope,
     comparable_measure_cube,
     green_envelope,
@@ -118,6 +120,25 @@ def test_capped_green_envelope(disk, c15):
     # monotone in delta
     e2 = capped_green_envelope(disk, c15, [0.99, 0.0])
     assert e2.lower < e.lower
+
+
+def test_array_bounds_equal_the_scalar_envelopes_exactly(disk):
+    rng = np.random.default_rng(3)
+    consts = Constants(alpha=1.3, C=2.0, C_G=1.5)
+    pts = rng.uniform(-0.7, 0.7, (500, 2))
+    lower, upper = capped_green_bounds(disk, consts, pts)
+    scalar = [capped_green_envelope(disk, consts, y) for y in pts]
+    assert lower.tolist() == [e.lower for e in scalar]
+    assert upper.tolist() == [e.upper for e in scalar]
+    radii = rng.uniform(1e-6, 0.1, 500)
+    lower, upper = capacity_ball_bounds(consts, radii, 2)
+    scalar = [capacity_ball_envelope(consts, float(r), 2) for r in radii]
+    assert lower.tolist() == [e.lower for e in scalar]
+    assert upper.tolist() == [e.upper for e in scalar]
+    with pytest.raises(ValueError, match="inside"):
+        capped_green_bounds(disk, consts, [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="> 0"):
+        capacity_ball_bounds(consts, [0.1, 0.0], 2)
 
 
 def test_capacity_hand_value(c15):

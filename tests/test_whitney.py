@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from champagne import whitney
 from champagne.bubbles import ConstantProfile, generate_shell_config
 from champagne.geometry import BallDomain, dist_to_boundary
 from champagne.whitney import (
+    ball_cube_incidence,
     coverage_threshold,
     decompose,
     doubled_cube,
@@ -176,7 +178,8 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
         side = 2.0**-lev
         idx = dec6.level_indices(lev)
         boxes.append((idx * side, idx * side + side))
-    for _ in range(50):
+    centers, radii, pairs = [], [], []
+    for k in range(50):
         direction = rng.standard_normal(2)
         direction /= np.sqrt((direction**2).sum())
         x = rng.uniform(0.3, 0.9) * direction
@@ -191,6 +194,54 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
             brute.extend((offset + np.where(meets)[0]).tolist())
             offset += lo.shape[0]
         assert got.tolist() == sorted(brute)
+        centers.append(x)
+        radii.append(r)
+        pairs.extend((k, i) for i in sorted(brute))
+    assert _pairs(ball_cube_incidence(dec6, centers, radii)) == pairs
+
+
+def _pairs(inc):
+    return list(zip(inc.ball.tolist(), inc.cube.tolist()))
+
+
+def _per_ball_pairs(dec, centers, radii):
+    return [(k, int(i)) for k in range(len(radii))
+            for i in intersecting_cubes(dec, centers[k], float(radii[k]))]
+
+
+@pytest.mark.parametrize("dim,level,shells", [(2, 8, 4), (3, 4, 2)])
+def test_ball_cube_incidence_matches_per_ball_loop(dim, level, shells, monkeypatch):
+    domain = BallDomain(np.zeros(dim), 1.0)
+    config = generate_shell_config(domain, ConstantProfile(0.3), 0.5, shells, seed=2)
+    dec = decompose(domain, level)
+    expected = _per_ball_pairs(dec, config.centers, config.radii)
+    inc = ball_cube_incidence(dec, config.centers, config.radii)
+    assert inc.n_balls == config.n
+    assert _pairs(inc) == expected
+    covered = {k for k, _ in expected}
+    assert inc.uncovered().tolist() == [k for k in range(config.n) if k not in covered]
+    assert 0 < inc.uncovered().size < config.n
+    # expanding a few candidate boxes at a time gives the same pairs
+    monkeypatch.setattr(whitney, "_CANDIDATE_CHUNK", 7)
+    assert _pairs(ball_cube_incidence(dec, config.centers, config.radii)) == expected
+
+
+def test_ball_cube_incidence_empty(dec6):
+    inc = ball_cube_incidence(dec6, np.empty((0, 2)), np.empty(0))
+    assert inc.n_balls == 0
+    assert inc.ball.size == inc.cube.size == 0
+    assert max_cubes_per_ball(inc) == 0
+    assert inc.uncovered().size == 0
+
+
+def test_ball_cube_incidence_rejects_fat_ball(dec6):
+    with pytest.raises(ValueError, match="not inside"):
+        ball_cube_incidence(dec6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.4])
+
+
+def test_ball_cube_incidence_rejects_zero_radius(dec6):
+    with pytest.raises(ValueError, match="> 0"):
+        ball_cube_incidence(dec6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0])
 
 
 def test_intersecting_cubes_rejects_fat_ball(dec6):
@@ -200,7 +251,7 @@ def test_intersecting_cubes_rejects_fat_ball(dec6):
 
 def test_c2_empirical_finite(dec8, disk):
     config = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
-    c2 = max_cubes_per_ball(dec8, config)
+    c2 = max_cubes_per_ball(ball_cube_incidence(dec8, config.centers, config.radii))
     assert 1 <= c2 <= 40
 
 

@@ -9,7 +9,6 @@ analytic form.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -370,31 +369,25 @@ class BubbleConfig:
     # -- serialization ----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """One bubble per row: k, x_1..x_d, r."""
-        d = self.dimension
+        """One bubble per row: k, x_1..x_d, r, floats as ``repr``, with the
+        ``csv`` module's CRLF line ends."""
+        header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
+        rows = np.column_stack([self.centers, self.radii]).tolist()
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k"] + [f"x_{j + 1}" for j in range(d)] + ["r"])
-            for k in range(self.n):
-                w.writerow(
-                    [k]
-                    + [repr(float(c)) for c in self.centers[k]]
-                    + [repr(float(self.radii[k]))]
-                )
+            f.write(",".join(header) + "\r\n")
+            f.writelines(f"{k},{','.join(map(repr, row))}\r\n" for k, row in enumerate(rows))
 
     @classmethod
     def from_csv(cls, path, domain: BallDomain, **kw) -> "BubbleConfig":
-        centers, radii = [], []
+        """Read what ``to_csv`` wrote; a header-only file gives no bubbles."""
         with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            d = len(header) - 2
-            for row in reader:
-                centers.append([float(v) for v in row[1 : 1 + d]])
-                radii.append(float(row[1 + d]))
-        if not centers:
-            return cls(domain, np.empty((0, domain.dimension)), np.empty(0), **kw)
-        return cls(domain, np.asarray(centers), np.asarray(radii), **kw)
+            f.readline()
+            start = f.tell()
+            if not f.readline():
+                return cls(domain, np.empty((0, domain.dimension)), np.empty(0), **kw)
+            f.seek(start)
+            table = np.loadtxt(f, delimiter=",", ndmin=2)
+        return cls(domain, table[:, 1:-1].copy(), table[:, -1].copy(), **kw)
 
     def to_json(self) -> dict:
         out = {

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "BallDomain",
     "dist_to_boundary",
+    "row_norms",
     "interior_ball_point",
     "scale_domain",
 ]
@@ -92,6 +93,20 @@ def dist_to_boundary(domain: BallDomain, x, signed: bool = False):
         return d if d.ndim else float(d)
     clamped = np.maximum(d, 0.0)
     return clamped if clamped.ndim else float(clamped)
+
+
+def row_norms(x: np.ndarray, c) -> np.ndarray:
+    """|x_i - c| for each row of the (m, d) array x.
+
+    The squares are added column by column, left to right.  numpy's
+    ``sum(axis=1)`` adds a row of fewer than 8 terms in the same order, so for
+    d < 8 this equals ``np.sqrt(((x - c) ** 2).sum(axis=1))`` bit for bit,
+    without numpy's per-row reduction, which is slow on short rows.
+    """
+    sq = (x[:, 0] - c[0]) ** 2
+    for j in range(1, x.shape[1]):
+        sq += (x[:, j] - c[j]) ** 2
+    return np.sqrt(sq)
 
 
 def scale_domain(domain: BallDomain, a: float) -> BallDomain:

@@ -275,7 +275,7 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     return out / "verdicts.json"
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, threads: int = 1) -> Path:
+def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     if cfg.sim is None:
         raise ConfigError("missing field: sim")
     out.mkdir(parents=True, exist_ok=True)
@@ -283,9 +283,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, threads: int = 1) -> Path:
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     x0 = cfg.domain.center
-    estimate, outcomes = estimate_hitting(
-        x0, config, cfg.sim, threads=threads, return_outcomes=True
-    )
+    estimate, outcomes = estimate_hitting(x0, config, cfg.sim, return_outcomes=True)
     payload = {"format_version": FORMAT_VERSION, **estimate.to_json()}
     _write_json(out / "estimate.json", payload)
     if cfg.per_trajectory_csv:
@@ -362,8 +360,6 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("--config", required=True, help="JSON run configuration")
         q.add_argument("--out", required=True, help="output directory")
         q.add_argument("--seed", type=int, default=None, help="override config seed")
-        if name == "simulate":
-            q.add_argument("--threads", type=int, default=1)
     r = sub.add_parser("report")
     r.add_argument("runs", nargs="*", help="completed run directories")
     r.add_argument("--out", required=True, help="output file")
@@ -390,7 +386,7 @@ def main(argv=None) -> int:
         elif args.command == "criteria":
             cmd_criteria(cfg, out)
         elif args.command == "simulate":
-            cmd_simulate(cfg, out, threads=args.threads)
+            cmd_simulate(cfg, out)
         return 0
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -30,16 +30,26 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_SALT = np.uint64(0xA0761D6478BD642F)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_SHIFT_MANTISSA = np.uint64(11)
 
 
 def mix64(x) -> np.ndarray:
     """SplitMix64 finalizer, vectorized over uint64 arrays."""
-    x = np.asarray(x, dtype=np.uint64).copy()
-    x ^= x >> np.uint64(30)
+    return _mix64_inplace(np.array(x, dtype=np.uint64))
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """``mix64`` that overwrites its uint64 argument; each shift goes into
+    one scratch array instead of a new one."""
+    t = np.right_shift(x, _SHIFT1, out=np.empty_like(x))
+    x ^= t
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, _SHIFT2, out=t)
+    x ^= t
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, _SHIFT3, out=t)
+    x ^= t
     return x
 
 
@@ -47,15 +57,19 @@ def stream_keys(seed: int, traj_ids) -> np.ndarray:
     """Independent 64-bit keys for the given trajectory indices."""
     traj = np.asarray(traj_ids, dtype=np.uint64)
     base = mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _SEED_SALT)
-    return mix64(base + traj * _GOLD)
+    return _mix64_inplace(base + traj * _GOLD)
 
 
 def uniform01(keys, counters) -> np.ndarray:
     """Uniforms on the open interval (0, 1): one per (key, counter) pair."""
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    raw = mix64(keys + counters * _GOLD)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    raw = _mix64_inplace(keys + counters * _GOLD)
+    raw >>= _SHIFT_MANTISSA
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def slots_per_step(d: int) -> int:

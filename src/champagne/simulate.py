@@ -10,20 +10,23 @@ the proxy delta_D < boundary_eps, which biases the hitting probability
 downward (trajectories may be stopped early); runs report this.
 
 All randomness is counter-based per trajectory, so estimates are bitwise
-independent of batching and thread count, and nested configurations run with
-the same seed are coupled pathwise.
+independent of batching, and nested configurations run with the same seed are
+coupled pathwise.  Trajectories run in lockstep, and each step touches only
+the trajectories still running: their positions, distances to the centre and
+stream keys are compacted as trajectories end, and each trajectory carries
+its distance to the centre from one step to the next.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bubbles import BubbleConfig
-from .geometry import BallDomain
+from .geometry import row_norms
 from .rng import stable_vectors, stream_keys
 from .spatial import BallIndex
 
@@ -31,10 +34,6 @@ __all__ = [
     "SimParams",
     "TrajectoryOutcome",
     "HitEstimate",
-    "CounterStream",
-    "stream_for",
-    "stable_increment",
-    "step_censored",
     "run_trajectory",
     "estimate_hitting",
     "median_unit_norm",
@@ -131,44 +130,6 @@ def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
 
 
 # ---------------------------------------------------------------------------
-# counter streams and the increment/step primitives
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CounterStream:
-    """Per-trajectory stream: a fixed key plus a step cursor."""
-
-    key: np.uint64
-    step: int = 0
-
-
-def stream_for(seed: int, traj: int) -> CounterStream:
-    return CounterStream(stream_keys(seed, np.asarray([traj]))[0])
-
-
-def stable_increment(stream: CounterStream, alpha: float, d: int, h: float) -> np.ndarray:
-    """Next isotropic alpha-stable displacement over time h from the stream.
-
-    Equals h**(1/alpha) times a standardized increment, so self-similarity is
-    exact by construction.
-    """
-    if not h > 0:
-        raise ValueError("h must be > 0")
-    xi = stable_vectors(alpha, d, np.asarray([stream.key], dtype=np.uint64), stream.step)[0]
-    stream.step += 1
-    return h ** (1.0 / alpha) * xi
-
-
-def step_censored(x, xi, domain: BallDomain) -> np.ndarray:
-    """One censored step: move to x + xi if that stays in D, else stay at x."""
-    x = np.asarray(x, dtype=float)
-    if not bool(domain.contains(x)):
-        raise ValueError("x must lie inside the domain")
-    y = x + np.asarray(xi, dtype=float)
-    return y if bool(domain.contains(y)) else x
-
-
-# ---------------------------------------------------------------------------
 # adaptive scale table
 # ---------------------------------------------------------------------------
 
@@ -213,7 +174,13 @@ class _AdaptiveTable:
 def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids: np.ndarray):
     """Run trajectories traj_ids in lockstep.  Each consumes only its own
     counter stream, so results match trajectory-at-a-time execution exactly.
-    Returns (tags, steps, bubbles, finals)."""
+
+    Only running trajectories are stepped: their positions, distances to the
+    centre, stream keys and batch rows are kept in arrays that shrink as
+    trajectories end, and each carries |x - c| from its last step, so a step
+    takes one norm (of the proposal).  Finished trajectories are written to
+    the outcome arrays by row.  Returns (tags, steps, bubbles, finals).
+    """
     domain = config.domain
     d = domain.dimension
     alpha = params.alpha
@@ -222,7 +189,6 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
     eps = params.boundary_eps
     inner_radius = R - eps  # delta < eps  <=>  |x - c| > R - eps
 
-    keys = stream_keys(params.seed, traj_ids)
     x = np.tile(np.asarray(x0, dtype=float), (n, 1))
     tags = np.full(n, TIMEOUT, dtype=np.int8)
     steps = np.full(n, params.max_steps, dtype=np.int64)
@@ -244,52 +210,59 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
         params.jump_scale if params.jump_scale is not None else params.h ** (1.0 / alpha)
     )
 
-    alive = np.arange(n)
+    # state of the running trajectories only, row for row
+    live = np.arange(n)
+    keys = stream_keys(params.seed, traj_ids)
+    dist = row_norms(x, c)
     for step in range(params.max_steps):
-        if alive.size == 0:
+        if live.size == 0:
             break
-        xi = stable_vectors(alpha, d, keys[alive], step)
+        xi = stable_vectors(alpha, d, keys, step)
         if adapt is not None:
-            delta = R - np.sqrt(((x[alive] - c) ** 2).sum(axis=1))
+            delta = R - dist
             local = np.maximum(np.minimum(delta, adapt.band_min(delta)), eps)
             scale = local * scale_coeff
-            prop = x[alive] + scale[:, None] * xi
+            prop = x + scale[:, None] * xi
         else:
-            prop = x[alive] + fixed_scale * xi
-        norm = np.sqrt(((prop - c) ** 2).sum(axis=1))
+            prop = x + fixed_scale * xi
+        norm = row_norms(prop, c)
         moved = norm < R
-        newx = np.where(moved[:, None], prop, x[alive])
-        x[alive] = newx
+        x = np.where(moved[:, None], prop, x)
+        dist = np.where(moved, norm, dist)
 
-        done = np.zeros(alive.size, dtype=bool)
+        done = np.zeros(live.size, dtype=bool)
         if index is not None and moved.any():
-            rows = np.where(moved)[0]
-            got, owner = index.contains_batch(newx[rows])
+            rows = np.flatnonzero(moved)
+            got, owner = index.contains_batch(np.take(x, rows, axis=0))
             if got.any():
                 hit_rows = rows[got]
-                ids = alive[hit_rows]
+                ids = live[hit_rows]
                 tags[ids] = HIT
                 steps[ids] = step
                 bubbles[ids] = owner[got]
-                finals[ids] = newx[hit_rows]
+                finals[ids] = x[hit_rows]
                 done[hit_rows] = True
         reached = moved & (norm > inner_radius) & ~done
         if reached.any():
-            ids = alive[reached]
+            ids = live[reached]
             tags[ids] = BOUNDARY
             steps[ids] = step
-            finals[ids] = newx[reached]
-            done[reached] = True
-        alive = alive[~done]
+            finals[ids] = x[reached]
+            done |= reached
+        if done.any():
+            # compress() and take() copy rows of an (n, d) array several
+            # times faster than boolean or fancy indexing does
+            keep = ~done
+            live, keys, dist = live[keep], keys[keep], dist[keep]
+            x = x.compress(keep, axis=0)
 
-    if alive.size:
-        finals[alive] = x[alive]
+    finals[live] = x
     return tags, steps, bubbles, finals
 
 
 def run_trajectory(x0, config: BubbleConfig, params: SimParams, traj: int = 0) -> TrajectoryOutcome:
-    """Single trajectory; outcome is identical inside any batch or thread
-    layout because the stream is keyed by (seed, traj)."""
+    """Single trajectory; outcome is identical inside any batch because the
+    stream is keyed by (seed, traj)."""
     tags, steps, bubbles, finals = _run_batch(
         np.asarray(x0, dtype=float), config, params, np.asarray([traj], dtype=np.int64)
     )
@@ -312,32 +285,21 @@ def estimate_hitting(
     x0,
     config: BubbleConfig,
     params: SimParams,
-    threads: int = 1,
     batch: int = 4096,
     return_outcomes: bool = False,
 ):
     """Estimate P(hit the bubble union before the lifetime proxy).
 
-    Runs ``params.n_traj`` trajectories on independent counter streams; the
-    estimate is identical for any ``threads``/``batch`` choice.  Timeouts are
-    reported separately and never counted as hits.
+    Runs ``params.n_traj`` trajectories on independent counter streams, in
+    batches of ``batch``; the estimate is identical for any batch size.
+    Timeouts are reported separately and never counted as hits.
     """
     x0 = np.asarray(x0, dtype=float)
     n = params.n_traj
-    chunks = [
-        np.arange(i, min(i + batch, n), dtype=np.int64) for i in range(0, n, batch)
+    results = [
+        _run_batch(x0, config, params, np.arange(i, min(i + batch, n), dtype=np.int64))
+        for i in range(0, n, batch)
     ]
-
-    def work(ids):
-        return _run_batch(x0, config, params, ids)
-
-    if threads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, chunks))
-    else:
-        results = [work(ids) for ids in chunks]
 
     tags = np.concatenate([r[0] for r in results])
     steps = np.concatenate([r[1] for r in results])

@@ -4,8 +4,11 @@ Bubble radii in a champagne configuration span many orders of magnitude, so a
 single-resolution structure degrades.  Balls are bucketed by the power-of-two
 exponent of their radius; each bucket gets a KD-tree over centers plus a
 radial band, and membership tests query only buckets whose band can contain
-the point.  Power-of-two bucketing keeps every decision exactly covariant
-under dilation of the whole configuration by a power of two.
+the point.  A query first drops, in one mask, every point whose norm lies
+outside the span of all the bands (lowest band edge to highest); only the
+rest go through the per-bucket tests.  Power-of-two bucketing keeps every
+decision exactly covariant under dilation of the whole configuration by a
+power of two.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .geometry import row_norms
 
 __all__ = ["BallIndex"]
 
@@ -61,6 +66,8 @@ class BallIndex:
                     norm_hi=float(norms[ids].max()) + r_max,
                 )
             )
+        self._span_lo = min(b.norm_lo for b in self._buckets)
+        self._span_hi = max(b.norm_hi for b in self._buckets)
 
     def contains_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each query point: (hit mask, index of a containing ball or -1).
@@ -74,7 +81,17 @@ class BallIndex:
         owner = np.full(m, -1, dtype=np.int64)
         if self.n == 0 or m == 0:
             return hit, owner
-        norms = np.sqrt(((x - self.origin) ** 2).sum(axis=1))
+        norms = row_norms(x, self.origin)
+        rows = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
+        if rows.size:
+            hit[rows], owner[rows] = self._search_buckets(np.take(x, rows, axis=0), norms[rows])
+        return hit, owner
+
+    def _search_buckets(self, x: np.ndarray, norms: np.ndarray):
+        """``contains_batch`` for points x with norms |x - origin|, bucket by bucket."""
+        m = x.shape[0]
+        hit = np.zeros(m, dtype=bool)
+        owner = np.full(m, -1, dtype=np.int64)
         for b in self._buckets:
             cand = (~hit) & (norms >= b.norm_lo) & (norms <= b.norm_hi)
             if not cand.any():

@@ -7,6 +7,7 @@ from champagne.geometry import (
     BallDomain,
     dist_to_boundary,
     interior_ball_point,
+    row_norms,
     scale_domain,
 )
 
@@ -136,3 +137,12 @@ def test_domain_json_round_trip(unit_disk):
     back = BallDomain.from_json(obj)
     assert np.array_equal(back.center, unit_disk.center)
     assert back.radius == unit_disk.radius
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_norms_equal_numpy_row_sums_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    x = rng.uniform(-1, 1, (5000, d)) * 10.0 ** rng.uniform(-6, 0, (5000, d))
+    c = rng.uniform(-0.5, 0.5, d)
+    assert np.array_equal(row_norms(x, c), np.sqrt(((x - c) ** 2).sum(axis=1)))
+    assert row_norms(np.empty((0, d)), c).shape == (0,)

@@ -74,13 +74,18 @@ def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):
     assert "max_level" in capsys.readouterr().err
 
 
-def test_threads_only_on_simulate_and_format_only_on_report(tmp_path):
+def test_no_subcommand_takes_threads_and_only_report_takes_format(tmp_path, capsys):
     cfg = _write_config(tmp_path, SMALL)
     out = str(tmp_path / "run")
-    for argv in (["criteria", "--threads", "2"], ["generate", "--format", "csv"],
-                 ["report", "--threads", "2"]):
+    for argv in ([cmd, "--config", cfg, "--threads", "2"]
+                 for cmd in ("generate", "whitney", "criteria", "simulate")):
         with pytest.raises(SystemExit):
-            main(argv + (["--config", cfg] if argv[0] != "report" else []) + ["--out", out])
+            main(argv + ["--out", out])
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    for argv in (["report", "--threads", "2"], ["generate", "--config", cfg, "--format", "csv"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--out", out])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_config_json_round_trip():

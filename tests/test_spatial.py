@@ -55,12 +55,52 @@ def test_index_on_shell_config():
     idx = BallIndex(cfg.centers, cfg.radii, origin=dom.center)
     rng = np.random.default_rng(1)
     queries = rng.uniform(-1, 1, (3000, 2))
+    # half the queries near ball surfaces, so hits and near misses are common
+    k = rng.integers(0, cfg.n, 1500)
+    u = rng.standard_normal((1500, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    queries[:1500] = cfg.centers[k] + cfg.radii[k, None] * u * rng.uniform(0.9, 1.1, (1500, 1))
     hit, owner = idx.contains_batch(queries)
-    dist = np.sqrt(((queries[:, None, :] - cfg.centers[None, :5000, :]) ** 2).sum(-1))
-    # spot-check positives exactly
-    for i in np.where(hit)[0][:200]:
-        k = int(owner[i])
-        assert np.sqrt(((queries[i] - cfg.centers[k]) ** 2).sum()) <= cfg.radii[k]
+    want = [_brute_owner(cfg.centers, cfg.radii, x) for x in queries]
+    assert np.array_equal(np.where(hit, owner, -1), want)
+    assert 0 < hit.sum() < hit.size
+
+
+def test_index_points_outside_every_band():
+    dom = BallDomain(np.zeros(2), 1.0)
+    cfg = generate_shell_config(dom, ConstantProfile(0.4), 0.5, 4, seed=1)
+    idx = BallIndex(cfg.centers, cfg.radii, origin=dom.center)
+    norms = np.sqrt((cfg.centers**2).sum(axis=1))
+    lo, hi = (norms - cfg.radii).min(), (norms + cfg.radii).max()
+    # norms below, between and above the shells' bands
+    gaps = [0.0, 0.5 * lo, 0.5 * (lo + hi) + 0.5, np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)]
+    gaps += [r for r in np.linspace(lo, hi, 400)
+             if not np.any(np.abs(norms - r) <= cfg.radii)]
+    ang = np.random.default_rng(2).uniform(0, 2 * np.pi, len(gaps))
+    queries = np.asarray(gaps)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    hit, owner = idx.contains_batch(queries)
+    assert not hit.any() and np.all(owner == -1)
+    assert all(_brute_owner(cfg.centers, cfg.radii, x) == -1 for x in queries)
+
+
+def test_index_band_edges_are_closed():
+    # each point on a band edge below lies in its ball: |x| = 0.4 and 0.6 bound
+    # the band of B((0.5, 0), 0.1), and |x| = 0.625 and 0.875 that of
+    # B((0, -0.75), 0.125); 0.4 and 0.875 are also the ends of the whole span
+    idx = BallIndex(np.array([[0.5, 0.0], [0.0, -0.75]]), np.array([0.1, 0.125]))
+    queries = np.array([[0.4, 0.0], [0.6, 0.0], [0.0, -0.625], [0.0, -0.875],
+                        [np.nextafter(0.4, 0.0), 0.0], [np.nextafter(0.6, 1.0), 0.0],
+                        [0.0, np.nextafter(-0.875, -1.0)]])
+    hit, owner = idx.contains_batch(queries)
+    assert owner.tolist() == [0, 0, 1, 1, -1, -1, -1]
+    assert hit.tolist() == [True] * 4 + [False] * 3
+
+
+def test_index_empty_query():
+    idx = BallIndex(np.array([[0.5, 0.0]]), np.array([0.1]))
+    hit, owner = idx.contains_batch(np.empty((0, 2)))
+    assert hit.shape == (0,) and owner.shape == (0,)
+    assert hit.dtype == bool and owner.dtype == np.int64
 
 
 def test_single_point_lookup():

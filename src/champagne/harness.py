@@ -330,12 +330,13 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
             with open(estimate) as f:
                 est = json.load(f)
             row["p_hat"] = est.get("p_hat", "")
-            row["ci_halfwidth"] = est.get("ci_halfwidth", "")
+            row["ci_lo"] = est.get("ci_lo", "")
+            row["ci_hi"] = est.get("ci_hi", "")
             row["timeout_fraction"] = est.get("timeout_fraction", "")
         rows.append(row)
 
     fields = ["run", "profile_kind", "profile_param", "weight_kind", "a", "shells",
-              "verdict", "p_hat", "ci_halfwidth", "timeout_fraction"]
+              "verdict", "p_hat", "ci_lo", "ci_hi", "timeout_fraction"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         _write_json(out_path, {"format_version": FORMAT_VERSION, "rows": rows})

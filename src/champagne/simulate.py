@@ -96,7 +96,8 @@ class TrajectoryOutcome:
 @dataclass(frozen=True)
 class HitEstimate:
     p_hat: float
-    ci_halfwidth: float       # 95% Wilson interval
+    ci_lo: float              # 95% Wilson interval [ci_lo, ci_hi]; it is
+    ci_hi: float              # centred on the Wilson centre, not on p_hat
     n: int
     counts: dict
     timeout_fraction: float
@@ -105,7 +106,8 @@ class HitEstimate:
     def to_json(self) -> dict:
         return {
             "p_hat": self.p_hat,
-            "ci_halfwidth": self.ci_halfwidth,
+            "ci_lo": self.ci_lo,
+            "ci_hi": self.ci_hi,
             "n": self.n,
             "counts": dict(self.counts),
             "timeout_fraction": self.timeout_fraction,
@@ -274,11 +276,19 @@ def run_trajectory(x0, config: BubbleConfig, params: SimParams, traj: int = 0) -
     )
 
 
-def _wilson_halfwidth(hits: int, n: int) -> float:
+def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for ``hits`` out of ``n``.
+
+    The upper bound is taken as 1 minus the lower bound for the misses, so
+    the bounds are exactly 0 with no hits and exactly 1 with all hits.
+    """
     z = _WILSON_Z
-    p = hits / n
-    denom = 1.0 + z * z / n
-    return z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
+    z2 = z * z
+
+    def lower(k: int) -> float:
+        return (k + z2 / 2.0 - z * math.sqrt(k * (n - k) / n + z2 / 4.0)) / (n + z2)
+
+    return lower(hits), 1.0 - lower(n - hits)
 
 
 def estimate_hitting(
@@ -309,9 +319,11 @@ def estimate_hitting(
     hits = int((tags == HIT).sum())
     boundary = int((tags == BOUNDARY).sum())
     timeout = int((tags == TIMEOUT).sum())
+    ci_lo, ci_hi = _wilson_interval(hits, n)
     estimate = HitEstimate(
         p_hat=hits / n,
-        ci_halfwidth=_wilson_halfwidth(hits, n),
+        ci_lo=ci_lo,
+        ci_hi=ci_hi,
         n=n,
         counts={"hit": hits, "boundary": boundary, "timeout": timeout},
         timeout_fraction=timeout / n,

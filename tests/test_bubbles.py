@@ -308,3 +308,12 @@ def test_csv_round_trip(tmp_path, disk):
     assert np.array_equal(back.radii, cfg.radii)
     back.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_header_only_file_reads_as_no_bubbles(tmp_path, disk, recwarn):
+    p = tmp_path / "empty.csv"
+    BubbleConfig(disk, np.empty((0, 2)), np.empty(0)).to_csv(p)
+    assert p.read_bytes() == b"k,x_1,x_2,r\r\n"
+    back = BubbleConfig.from_csv(p, disk)
+    assert back.n == 0 and back.centers.shape == (0, 2)
+    assert not recwarn.list

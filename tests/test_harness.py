@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -86,6 +87,20 @@ def test_no_subcommand_takes_threads_and_only_report_takes_format(tmp_path, caps
         with pytest.raises(SystemExit):
             main(argv + ["--out", out])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_report_gives_the_wilson_interval_bounds(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    sim = {"alpha": 1.3, "max_steps": 50, "n_traj": 20, "seed": 3}
+    run = tmp_path / "run"
+    harness.cmd_simulate(RunConfig.from_json({**SMALL, "sim": sim}), run)
+    est = json.loads((run / "estimate.json").read_text())
+    assert "ci_halfwidth" not in est and est["ci_lo"] <= est["p_hat"] <= est["ci_hi"]
+    harness.cmd_report([run], tmp_path / "report.csv")
+    with open(tmp_path / "report.csv", newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    assert "ci_halfwidth" not in row
+    assert (float(row["ci_lo"]), float(row["ci_hi"])) == (est["ci_lo"], est["ci_hi"])
 
 
 def test_run_config_json_round_trip():

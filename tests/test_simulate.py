@@ -6,7 +6,13 @@ import pytest
 from champagne.bubbles import ConstantProfile, generate_shell_config
 from champagne.geometry import BallDomain
 from champagne.rng import stable_vectors, stream_keys, uniform01
-from champagne.simulate import SimParams, estimate_hitting, run_trajectory
+from champagne.simulate import (
+    _WILSON_Z,
+    SimParams,
+    _wilson_interval,
+    estimate_hitting,
+    run_trajectory,
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +133,30 @@ def test_stable_vectors_match_the_reference_bit_for_bit(d, alpha):
         assert np.array_equal(stable_vectors(alpha, d, keys, step),
                               _stable_vectors_reference(alpha, d, keys, step))
     assert np.array_equal(uniform01(keys, np.uint64(3)), _uniform01_reference(keys, np.uint64(3)))
+
+
+def test_wilson_interval_for_no_hits_and_all_hits():
+    z2 = _WILSON_Z**2
+    lo, hi = _wilson_interval(0, 100)
+    assert lo == 0.0 and hi == pytest.approx(z2 / (100 + z2), rel=1e-12)
+    assert hi == pytest.approx(0.036994, abs=1e-6)  # not the 0 +- 0.0185 of p_hat +- half-width
+    lo, hi = _wilson_interval(100, 100)
+    assert hi == 1.0 and lo == pytest.approx(100 / (100 + z2), rel=1e-12)
+
+
+def test_wilson_interval_contains_p_hat_and_mirrors():
+    n = 37
+    for hits in range(n + 1):
+        lo, hi = _wilson_interval(hits, n)
+        assert 0.0 <= lo <= hits / n <= hi <= 1.0
+        mlo, mhi = _wilson_interval(n - hits, n)
+        assert lo == pytest.approx(1.0 - mhi, abs=1e-12)
+        assert hi == pytest.approx(1.0 - mlo, abs=1e-12)
+
+
+def test_estimate_reports_the_interval_bounds(disk_config):
+    params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
+    est = estimate_hitting(disk_config.domain.center, disk_config, params)
+    out = est.to_json()
+    assert "ci_halfwidth" not in out
+    assert (out["ci_lo"], out["ci_hi"]) == _wilson_interval(est.counts["hit"], 20)

@@ -369,8 +369,7 @@ class BubbleConfig:
     # -- serialization ----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """One bubble per row: k, x_1..x_d, r, floats as ``repr``, with the
-        ``csv`` module's CRLF line ends."""
+        """One bubble per row: k, x_1..x_d, r; floats as repr, CRLF line ends."""
         header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
         rows = np.column_stack([self.centers, self.radii]).tolist()
         with open(path, "w", newline="") as f:

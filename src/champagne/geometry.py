@@ -96,13 +96,9 @@ def dist_to_boundary(domain: BallDomain, x, signed: bool = False):
 
 
 def row_norms(x: np.ndarray, c) -> np.ndarray:
-    """|x_i - c| for each row of the (m, d) array x.
-
-    The squares are added column by column, left to right.  numpy's
-    ``sum(axis=1)`` adds a row of fewer than 8 terms in the same order, so for
-    d < 8 this equals ``np.sqrt(((x - c) ** 2).sum(axis=1))`` bit for bit,
-    without numpy's per-row reduction, which is slow on short rows.
-    """
+    """|x_i - c| for each row of the (m, d) array x, adding the squares left to
+    right as numpy's ``sum(axis=1)`` does for rows of fewer than 8 terms (so
+    bit for bit the same for d < 8), but without its slow per-row reduction."""
     sq = (x[:, 0] - c[0]) ** 2
     for j in range(1, x.shape[1]):
         sq += (x[:, j] - c[j]) ** 2

@@ -30,8 +30,6 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_SALT = np.uint64(0xA0761D6478BD642F)
-_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
-_SHIFT_MANTISSA = np.uint64(11)
 
 
 def mix64(x) -> np.ndarray:
@@ -40,16 +38,13 @@ def mix64(x) -> np.ndarray:
 
 
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """``mix64`` that overwrites its uint64 argument; each shift goes into
-    one scratch array instead of a new one."""
-    t = np.right_shift(x, _SHIFT1, out=np.empty_like(x))
+    """``mix64`` that overwrites x, with one scratch array for the shifts."""
+    t = np.right_shift(x, np.uint64(30), out=np.empty_like(x))
     x ^= t
     x *= _MIX1
-    np.right_shift(x, _SHIFT2, out=t)
-    x ^= t
+    x ^= np.right_shift(x, np.uint64(27), out=t)
     x *= _MIX2
-    np.right_shift(x, _SHIFT3, out=t)
-    x ^= t
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
@@ -65,7 +60,7 @@ def uniform01(keys, counters) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
     raw = _mix64_inplace(keys + counters * _GOLD)
-    raw >>= _SHIFT_MANTISSA
+    raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u += 0.5
     u *= 2.0**-53

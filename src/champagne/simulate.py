@@ -277,11 +277,8 @@ def run_trajectory(x0, config: BubbleConfig, params: SimParams, traj: int = 0) -
 
 
 def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
-    """95% Wilson score interval for ``hits`` out of ``n``.
-
-    The upper bound is taken as 1 minus the lower bound for the misses, so
-    the bounds are exactly 0 with no hits and exactly 1 with all hits.
-    """
+    """95% Wilson score interval for ``hits`` out of ``n``; the upper bound is
+    1 minus the lower one for the misses, so the ends are exactly 0 and 1."""
     z = _WILSON_Z
     z2 = z * z
 

@@ -4,11 +4,9 @@ Bubble radii in a champagne configuration span many orders of magnitude, so a
 single-resolution structure degrades.  Balls are bucketed by the power-of-two
 exponent of their radius; each bucket gets a KD-tree over centers plus a
 radial band, and membership tests query only buckets whose band can contain
-the point.  A query first drops, in one mask, every point whose norm lies
-outside the span of all the bands (lowest band edge to highest); only the
-rest go through the per-bucket tests.  Power-of-two bucketing keeps every
-decision exactly covariant under dilation of the whole configuration by a
-power of two.
+the point, after one mask has dropped every point outside the span of all
+the bands.  Power-of-two bucketing keeps every decision exactly covariant
+under dilation of the whole configuration by a power of two.
 """
 
 from __future__ import annotations
@@ -76,22 +74,15 @@ class BallIndex:
         containing ball is unique.
         """
         x = np.asarray(x, dtype=float)
-        m = x.shape[0]
-        hit = np.zeros(m, dtype=bool)
-        owner = np.full(m, -1, dtype=np.int64)
-        if self.n == 0 or m == 0:
-            return hit, owner
+        found = np.zeros(x.shape[0], dtype=bool)
+        found_owner = np.full(x.shape[0], -1, dtype=np.int64)
+        if self.n == 0 or x.shape[0] == 0:
+            return found, found_owner
         norms = row_norms(x, self.origin)
-        rows = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
-        if rows.size:
-            hit[rows], owner[rows] = self._search_buckets(np.take(x, rows, axis=0), norms[rows])
-        return hit, owner
-
-    def _search_buckets(self, x: np.ndarray, norms: np.ndarray):
-        """``contains_batch`` for points x with norms |x - origin|, bucket by bucket."""
-        m = x.shape[0]
-        hit = np.zeros(m, dtype=bool)
-        owner = np.full(m, -1, dtype=np.int64)
+        banded = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
+        x, norms = np.take(x, banded, axis=0), norms[banded]
+        hit = np.zeros(banded.size, dtype=bool)
+        owner = np.full(banded.size, -1, dtype=np.int64)
         for b in self._buckets:
             cand = (~hit) & (norms >= b.norm_lo) & (norms <= b.norm_hi)
             if not cand.any():
@@ -111,7 +102,8 @@ class BallIndex:
                         hit[row] = True
                         owner[row] = b.ids[cand_j]
                         break
-        return hit, owner
+        found[banded], found_owner[banded] = hit, owner
+        return found, found_owner
 
     def contains(self, x) -> int | None:
         """Index of the ball containing point x, or None."""

@@ -371,10 +371,15 @@ class BubbleConfig:
     def to_csv(self, path) -> None:
         """One bubble per row: k, x_1..x_d, r; floats as repr, CRLF line ends."""
         header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
-        rows = np.column_stack([self.centers, self.radii]).tolist()
+        table = np.column_stack([self.centers, self.radii])
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + "\r\n")
-            f.writelines(f"{k},{','.join(map(repr, row))}\r\n" for k, row in enumerate(rows))
+            # a block of rows at a time: one list of Python floats for the
+            # whole table would set the peak memory of the run
+            for start in range(0, self.n, 4096):
+                rows = table[start : start + 4096].tolist()
+                f.writelines(f"{k},{','.join(map(repr, row))}\r\n"
+                             for k, row in enumerate(rows, start))
 
     @classmethod
     def from_csv(cls, path, domain: BallDomain, **kw) -> "BubbleConfig":

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -308,6 +309,18 @@ def test_csv_round_trip(tmp_path, disk):
     assert np.array_equal(back.radii, cfg.radii)
     back.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_bytes_equal_the_csv_module_writer(tmp_path, disk):
+    cfg = generate_shell_config(disk, ConstantProfile(0.1), 0.5, 4, seed=2)
+    assert cfg.n > 4096  # more than one block of rows
+    cfg.to_csv(tmp_path / "a.csv")
+    with open(tmp_path / "b.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["k", "x_1", "x_2", "r"])
+        for k in range(cfg.n):
+            w.writerow([k] + [repr(float(c)) for c in cfg.centers[k]] + [repr(float(cfg.radii[k]))])
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_csv_header_only_file_reads_as_no_bubbles(tmp_path, disk, recwarn):

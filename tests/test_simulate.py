@@ -36,8 +36,8 @@ def _digest(outcomes):
     return h.hexdigest()
 
 
-# Outcomes of the simulator that stepped every trajectory through x[alive]
-# and took two norms per step; the compacted loop must reproduce them exactly.
+# Outcomes pinned from the simulator before its step loop was compacted; every
+# rewrite of the loop must reproduce them bit for bit.
 @pytest.mark.parametrize("config_name, params, counts, digest", [
     ("disk_config", ADAPTIVE, {"hit": 45, "boundary": 2, "timeout": 253},
      "8200816ed093e946d7bafe90dbd8aba8d8b49a34e26e840d713979affc3c004e"),

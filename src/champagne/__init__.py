@@ -9,10 +9,11 @@ Two independent routes are provided and can be cross-checked:
   jump-suppression Monte-Carlo chain.
 
 The simulator is a discretization of the censored process, not an exact
-construction; see the README for the documented approximations.
+construction; the ``simulate`` module docstring and
+``harness.APPROXIMATION_NOTES`` state the approximations.
 """
 
-from .geometry import BallDomain, dist_to_boundary, interior_ball_point, scale_domain
+from .geometry import BallDomain, dist_to_boundary
 from .kernels import Constants, Envelope
 
 __version__ = "0.1.0"
@@ -22,7 +23,5 @@ __all__ = [
     "Constants",
     "Envelope",
     "dist_to_boundary",
-    "interior_ball_point",
-    "scale_domain",
     "__version__",
 ]

@@ -20,7 +20,6 @@ from .geometry import BallDomain, dist_to_boundary
 from .kernels import Constants, small_radius_threshold, unit_ball_volume
 
 __all__ = [
-    "Bubble",
     "BubbleConfig",
     "ConstantProfile",
     "PowerProfile",
@@ -34,10 +33,8 @@ __all__ = [
     "weight_from_json",
     "generate_shell_config",
     "shell_radii",
-    "count_nearby_centers",
     "separation_infimum",
     "profile_separation_infimum",
-    "check_doubling",
     "capacity_separation_report",
 ]
 
@@ -133,10 +130,6 @@ class OneWeight:
         out = np.ones_like(t)
         return out if out.ndim else float(out)
 
-    @property
-    def doubling_constant(self) -> float:
-        return 1.0
-
     def to_json(self):
         return {"kind": "one"}
 
@@ -155,10 +148,6 @@ class PowerWeight:
         t = np.asarray(t, dtype=float)
         out = (1.0 - t) ** (-self.gamma)
         return out if out.ndim else float(out)
-
-    @property
-    def doubling_constant(self) -> float:
-        return 2.0**self.gamma
 
     def to_json(self):
         return {"kind": "power", "gamma": self.gamma}
@@ -179,10 +168,6 @@ class LogWeight:
         out = (1.0 - np.log(1.0 - t)) ** self.p
         return out if out.ndim else float(out)
 
-    @property
-    def doubling_constant(self) -> float:
-        return (1.0 + math.log(2.0)) ** self.p
-
     def to_json(self):
         return {"kind": "log", "p": self.p}
 
@@ -201,35 +186,9 @@ def weight_from_json(obj: dict) -> WeightFunction:
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def check_doubling(M: WeightFunction, c: float, grid: int = 20):
-    """Verify M(1 - t/2) <= c*M(1 - t) on the geometric grid t = 2**-k.
-
-    Returns (ok, worst_ratio, t_at_worst).
-    """
-    if grid < 10:
-        raise ValueError("grid must be >= 10")
-    if c < 1.0:
-        raise ValueError("doubling constant must be >= 1")
-    t = 2.0 ** (-np.arange(1, grid + 1, dtype=float))
-    ratio = M(1.0 - t / 2.0) / M(1.0 - t)
-    k = int(np.argmax(ratio))
-    worst = float(ratio[k])
-    return worst <= c, worst, float(t[k])
-
-
 # ---------------------------------------------------------------------------
 # configurations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Bubble:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("bubble radius must be > 0")
-
 
 class BubbleConfig:
     """Finite family of pairwise disjoint closed balls strictly inside D,
@@ -237,7 +196,7 @@ class BubbleConfig:
 
     Centers and radii are stored as arrays; ``meta`` carries generation
     parameters (profile, a, shells, seed) when built by the generator, and
-    ``shell_ids`` group labels enable grouped summation.
+    ``shell_ids`` labels each bubble with its shell.
     """
 
     def __init__(
@@ -296,12 +255,6 @@ class BubbleConfig:
     @property
     def dimension(self) -> int:
         return self.domain.dimension
-
-    def bubble(self, k: int) -> Bubble:
-        return Bubble(self.centers[k].copy(), float(self.radii[k]))
-
-    def __iter__(self):
-        return (self.bubble(k) for k in range(self.n))
 
     @property
     def centers_tree(self) -> cKDTree:
@@ -392,20 +345,6 @@ class BubbleConfig:
             f.seek(start)
             table = np.loadtxt(f, delimiter=",", ndmin=2)
         return cls(domain, table[:, 1:-1].copy(), table[:, -1].copy(), **kw)
-
-    def to_json(self) -> dict:
-        out = {
-            "domain": self.domain.to_json(),
-            "bubbles": [
-                {"center": [float(c) for c in self.centers[k]], "r": float(self.radii[k])}
-                for k in range(self.n)
-            ],
-        }
-        if self.meta:
-            out["meta"] = {
-                k: (v.to_json() if hasattr(v, "to_json") else v) for k, v in self.meta.items()
-            }
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -568,30 +507,6 @@ def _coverage_parameter(a, t, spacing, counts, d) -> float:
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
-
-def count_nearby_centers(config: BubbleConfig, x, a: float, method: str = "indexed") -> int:
-    """N_a(x): number of bubble centers within distance a*(1-|x|) of x.
-
-    Strict inequality; defined on the unit ball.
-    """
-    x = np.asarray(x, dtype=float)
-    nx = float(np.sqrt((x * x).sum()))
-    if nx >= 1.0:
-        raise ValueError("x must lie inside the unit ball")
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie in (0, 1)")
-    if config.n == 0:
-        return 0
-    reach = a * (1.0 - nx)
-    if method == "bruteforce":
-        dsq = ((config.centers - x) ** 2).sum(axis=1)
-        return int((dsq < reach * reach).sum())
-    if method == "indexed":
-        idx = config.centers_tree.query_ball_point(x, reach)
-        dsq = ((config.centers[idx] - x) ** 2).sum(axis=1)
-        return int((dsq < reach * reach).sum())
-    raise ValueError(f"unknown method {method!r}")
-
 
 def _nearest_neighbor_distances(config: BubbleConfig) -> np.ndarray:
     dist, _ = config.centers_tree.query(config.centers, k=2)

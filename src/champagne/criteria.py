@@ -26,7 +26,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bubbles import (
     BubbleConfig,
@@ -61,7 +60,6 @@ __all__ = [
     "TailModel",
     "SeriesEvaluation",
     "avoidability_series",
-    "grouped_series_total",
     "classify_radial_integral",
     "classify_shell_series",
     "AikawaTrace",
@@ -193,22 +191,6 @@ def avoidability_series(config: BubbleConfig, z, alpha: float) -> SeriesEvaluati
     return SeriesEvaluation(terms, np.cumsum(terms))
 
 
-def grouped_series_total(config: BubbleConfig, z, alpha: float) -> float:
-    """Series total via per-shell grouping (falls back to one group).
-
-    Grouping sums same-scale terms together before combining, which is the
-    evaluation order used for large shell configurations.
-    """
-    z = np.asarray(z, dtype=float)
-    if config.n == 0:
-        return 0.0
-    terms = _series_terms(config, z, alpha)
-    if config.shell_ids is None:
-        return float(math.fsum(terms.tolist()))
-    groups = np.bincount(config.shell_ids, weights=terms)
-    return float(math.fsum(groups.tolist()))
-
-
 # ---------------------------------------------------------------------------
 # analytic tail classification
 # ---------------------------------------------------------------------------
@@ -289,6 +271,9 @@ def classify_radial_integral(
             {"reason": "profile or weight outside the closed-form enumeration"},
             name,
         )
+    # imported here so that loading the harness does not load scipy.integrate
+    from scipy.integrate import quad
+
     rate, log_power, const = exps
     integrand = _u_integrand(phi, weight, d, alpha)
     u0 = -math.log(1.0 - t0)

@@ -1,9 +1,9 @@
 """Two-sided comparison envelopes for the potential-theoretic kernels.
 
-No closed form exists for the Green function, Martin kernel, or capacity of
-the censored stable process; they are known only up to multiplicative
-constants.  The honest output type is therefore an interval, and every
-function here returns an :class:`Envelope`.  With all comparison constants
+No closed form exists for the Green function or the capacity of the censored
+stable process; they are known only up to multiplicative constants.  The
+honest output type is therefore an interval: an :class:`Envelope`, or a pair
+of (lower, upper) arrays for the batch forms.  With all comparison constants
 set to 1 (the default "comparison-function mode") the envelopes collapse to
 the comparison functions themselves, which is what every divergence
 classification actually consumes.
@@ -13,33 +13,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import BallDomain, dist_to_boundary
-from .whitney import WhitneyCube
 
 __all__ = [
     "Constants",
     "Envelope",
-    "WeightChoice",
     "unit_ball_volume",
-    "green_envelope",
-    "martin_envelope",
     "capped_green_envelope",
     "capped_green_bounds",
     "capacity_ball_envelope",
     "capacity_ball_bounds",
-    "EtaRadii",
-    "capacity_equivalent_radii",
     "small_radius_threshold",
-    "comparable_measure_cube",
 ]
-
-
-class SingularityError(ValueError):
-    """Kernel evaluated on its diagonal."""
 
 
 @dataclass(frozen=True)
@@ -112,101 +100,17 @@ class Envelope:
 
     __rmul__ = __mul__
 
-    def scaled(self, s: float) -> "Envelope":
-        return self * s
-
-    def squared(self) -> "Envelope":
-        return Envelope(self.lower * self.lower, self.upper * self.upper)
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     @staticmethod
     def zero() -> "Envelope":
         return Envelope(0.0, 0.0)
-
-    @staticmethod
-    def point(value: float) -> "Envelope":
-        return Envelope(value, value)
 
     def to_json(self) -> dict:
         return {"lower": self.lower, "upper": self.upper}
 
 
-@dataclass(frozen=True)
-class WeightChoice:
-    """Weight u in the comparable measure: u == 1 or the capped Green function
-    based at a fixed interior point."""
-
-    tag: str  # "one" | "green_at_base"
-    base_point: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tag not in ("one", "green_at_base"):
-            raise ValueError(f"unknown weight tag {self.tag!r}")
-        if self.tag == "green_at_base":
-            if self.base_point is None:
-                raise ValueError("green_at_base weight needs a base point")
-            object.__setattr__(self, "base_point", np.asarray(self.base_point, dtype=float))
-
-    @staticmethod
-    def one() -> "WeightChoice":
-        return WeightChoice("one")
-
-    @staticmethod
-    def green_at_base(x0) -> "WeightChoice":
-        return WeightChoice("green_at_base", np.asarray(x0, dtype=float))
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d."""
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-
-
-def green_envelope(domain: BallDomain, consts: Constants, x, y) -> Envelope:
-    """Two-sided envelope for the Green function G(x, y).
-
-    Comparison function:
-    (1 ∧ (delta(x)/|x-y|)^(a-1)) * (1 ∧ (delta(y)/|x-y|)^(a-1)) * |x-y|^(a-d).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (domain.contains(x) and domain.contains(y)):
-        raise ValueError("green_envelope requires both points inside the domain")
-    dxy = float(np.sqrt(((x - y) ** 2).sum()))
-    if dxy == 0.0:
-        raise SingularityError("Green kernel is singular on the diagonal x == y")
-    a = consts.alpha
-    d = domain.dimension
-    fx = min(1.0, (dist_to_boundary(domain, x) / dxy) ** (a - 1.0))
-    fy = min(1.0, (dist_to_boundary(domain, y) / dxy) ** (a - 1.0))
-    f = fx * fy * dxy ** (a - d)
-    return Envelope(f / consts.C_G, f * consts.C_G)
-
-
-def _check_on_boundary(domain: BallDomain, z: np.ndarray, tol: float = 1e-9) -> None:
-    dist = abs(float(np.sqrt(((z - domain.center) ** 2).sum())) - domain.radius)
-    if dist > tol:
-        raise ValueError(f"point not on the boundary sphere (off by {dist:.3e})")
-
-
-def martin_envelope(domain: BallDomain, consts: Constants, x, z) -> Envelope:
-    """Two-sided envelope for the Martin kernel at boundary point z:
-    delta(x)^(a-1) / |x-z|^(d+a-2), up to C_M."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if not domain.contains(x):
-        raise ValueError("martin_envelope requires x inside the domain")
-    _check_on_boundary(domain, z)
-    a = consts.alpha
-    d = domain.dimension
-    dxz = float(np.sqrt(((x - z) ** 2).sum()))
-    f = dist_to_boundary(domain, x) ** (a - 1.0) / dxz ** (d + a - 2.0)
-    return Envelope(f / consts.C_M, f * consts.C_M)
 
 
 def capped_green_envelope(
@@ -272,86 +176,10 @@ def capacity_ball_bounds(consts: Constants, r, d: int) -> tuple[np.ndarray, np.n
     return f / consts.C, f * consts.C
 
 
-class EtaRadii(NamedTuple):
-    lower: float
-    upper: float
-    star_lower: float
-    star_upper: float
-
-
-def capacity_equivalent_radii(consts: Constants, r: float, d: int) -> EtaRadii:
-    """Radius eta whose ball volume equals the capacity of B(x, r), bounded
-    two-sided, and eta* = max(eta, 16r) bounds.
-
-    eta in [C^(-1/d), C^(1/d)] * sigma_d^(-1/d) * r^(1 - a/d).
-    """
-    if not r > 0:
-        raise ValueError("radius must be > 0")
-    sigma_d = unit_ball_volume(d)
-    base = sigma_d ** (-1.0 / d) * r ** (1.0 - consts.alpha / d)
-    lo = consts.C ** (-1.0 / d) * base
-    hi = consts.C ** (1.0 / d) * base
-    return EtaRadii(lo, hi, max(lo, 16.0 * r), max(hi, 16.0 * r))
-
-
 def small_radius_threshold(consts: Constants, d: int) -> float:
-    """Largest r with 16r <= eta_lower(r): (16^d * C * sigma_d)^(-1/alpha)."""
-    return (16.0 ** d * consts.C * unit_ball_volume(d)) ** (-1.0 / consts.alpha)
+    """Largest r with 16r <= eta_lower(r): (16^d * C * sigma_d)^(-1/alpha).
 
-
-def _weight_envelope_values(
-    domain: BallDomain, consts: Constants, u: WeightChoice, pts: np.ndarray
-):
-    if u.tag == "one":
-        ones = np.ones(pts.shape[0])
-        return ones, ones
-    d = domain.dimension
-    c = consts.C_G * 2.0 ** (d + 1)
-    base = dist_to_boundary(domain, pts) ** (consts.alpha - 1.0)
-    return np.minimum(base / c, 1.0), np.minimum(base * c, 1.0)
-
-
-def comparable_measure_cube(
-    domain: BallDomain,
-    consts: Constants,
-    u: WeightChoice,
-    cube: WhitneyCube,
-    quad_points: int = 64,
-) -> Envelope:
-    """Envelope for the comparable-measure mass of one Whitney cube:
-    integral over Q of u(x)^2 * delta(x)^(-alpha) dx.
-
-    Tensor midpoint rule with doubling refinement until the relative change
-    drops below 1e-4 or the per-axis point budget ``quad_points`` is reached.
-    The integrand is smooth on a Whitney cube (cubes stay away from the
-    boundary), so the midpoint rule converges fast.
+    eta_lower(r) = (C * sigma_d)^(-1/d) * r^(1 - alpha/d) is the lower bound
+    on the radius of the ball whose volume equals the capacity of B(x, r).
     """
-    if quad_points < 2:
-        raise ValueError("quad_points must be >= 2")
-    lo, hi = cube.bounds()
-    far = np.maximum(hi - domain.center, domain.center - lo)
-    if not np.sqrt((far * far).sum()) < domain.radius:
-        raise ValueError("cube not inside the domain")
-    d = domain.dimension
-
-    def evaluate(n: int) -> tuple[float, float]:
-        axes = [lo[i] + (np.arange(n) + 0.5) * (hi[i] - lo[i]) / n for i in range(d)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        w = float(np.prod((hi - lo) / n))
-        dd = dist_to_boundary(domain, pts) ** (-consts.alpha)
-        ul, uu = _weight_envelope_values(domain, consts, u, pts)
-        return w * float((ul * ul * dd).sum()), w * float((uu * uu * dd).sum())
-
-    n = 2
-    lo_val, hi_val = evaluate(n)
-    while 2 * n <= quad_points:
-        n *= 2
-        new_lo, new_hi = evaluate(n)
-        done = (
-            abs(new_lo - lo_val) <= 1e-4 * max(new_lo, 1e-300)
-            and abs(new_hi - hi_val) <= 1e-4 * max(new_hi, 1e-300)
-        )
-        lo_val, hi_val = new_lo, new_hi
-        if done:
-            break
-    return Envelope(min(lo_val, hi_val), max(lo_val, hi_val))
+    return (16.0 ** d * consts.C * unit_ball_volume(d)) ** (-1.0 / consts.alpha)

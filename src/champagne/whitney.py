@@ -32,7 +32,6 @@ __all__ = [
     "WhitneyDecomposition",
     "CubeIncidence",
     "decompose",
-    "doubled_cube",
     "intersecting_cubes",
     "ball_cube_incidence",
     "coverage_threshold",
@@ -140,9 +139,6 @@ class WhitneyDecomposition:
             center=(idx + 0.5) * side,
             dist_boundary=float(self._dist[lev][row]),
         )
-
-    def __iter__(self):
-        return (self.cube(i) for i in range(self._n))
 
     def cube_arrays(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`cube` for global ids: integer indices (m, d),
@@ -312,17 +308,6 @@ def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
             f"max_level={max_level} too small: no dyadic cube fits inside the domain"
         )
     return WhitneyDecomposition(domain, max_level, level_idx, level_dist)
-
-
-def doubled_cube(domain: BallDomain, cube: WhitneyCube) -> tuple[np.ndarray, np.ndarray]:
-    """Concentric box of twice the side (lo, hi).  Asserted to stay inside D."""
-    lo, hi = cube.bounds()
-    half = cube.side / 2.0
-    lo2, hi2 = lo - half, hi + half
-    far = np.maximum(hi2 - domain.center, domain.center - lo2)
-    if not np.sqrt((far * far).sum()) < domain.radius:
-        raise RuntimeError("doubled cube escapes the domain; not a Whitney cube?")
-    return lo2, hi2
 
 
 def _candidate_window(dimension: int, delta, r):

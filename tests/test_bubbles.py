@@ -8,13 +8,8 @@ from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
     LogProfile,
-    LogWeight,
-    OneWeight,
     PowerProfile,
-    PowerWeight,
     capacity_separation_report,
-    check_doubling,
-    count_nearby_centers,
     generate_shell_config,
     profile_separation_infimum,
     separation_infimum,
@@ -54,36 +49,6 @@ def test_profiles_decreasing_in_range():
         vals = phi(grid)
         assert np.all((vals > 0) & (vals <= 1.0))
         assert np.all(np.diff(vals) <= 1e-15)
-
-
-def test_check_doubling_examples():
-    ok, worst, _ = check_doubling(OneWeight(), 1.0, grid=20)
-    assert ok and worst == pytest.approx(1.0)
-
-    # log weight: ratio (1 + log(2/t)) / (1 + log(1/t)), largest at t = 1/2
-    ok, worst, t_at = check_doubling(LogWeight(1.0), 2.0, grid=20)
-    want = (1.0 + math.log(4.0)) / (1.0 + math.log(2.0))
-    assert ok and worst == pytest.approx(want, rel=1e-12) and t_at == 0.5
-    # the supremum over all t in (0,1) is 1 + log 2, approached as t -> 1
-    assert worst <= 1.0 + math.log(2.0)
-
-    # power weight gamma=1 doubles exactly
-    ok, worst, _ = check_doubling(PowerWeight(1.0), 2.0, grid=15)
-    assert ok and worst == pytest.approx(2.0, rel=1e-12)
-    ok, _, _ = check_doubling(PowerWeight(1.0), 1.9, grid=15)
-    assert not ok
-
-
-def test_doubling_constants_attribute():
-    assert OneWeight().doubling_constant == 1.0
-    assert PowerWeight(2.0).doubling_constant == 4.0
-    ok, worst, _ = check_doubling(LogWeight(2.0), LogWeight(2.0).doubling_constant, 15)
-    assert ok
-
-
-def test_check_doubling_grid_validation():
-    with pytest.raises(ValueError):
-        check_doubling(OneWeight(), 1.0, grid=5)
 
 
 # -- config invariants ---------------------------------------------------------
@@ -173,35 +138,6 @@ def test_generator_d3(monkeypatch):
     assert cfg.dimension == 3
     assert cfg.ratio_sup < 0.5
     assert cfg.disjointness_report()["violations"] == []
-
-
-# -- N_a -------------------------------------------------------------------------
-
-def test_count_nearby_centers_empty(disk):
-    empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    assert count_nearby_centers(empty, [0.1, 0.1], 0.5) == 0
-
-
-def test_count_nearby_centers_at_a_center(disk):
-    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
-    assert count_nearby_centers(cfg, cfg.centers[0], 0.5) >= 1
-
-
-def test_count_nearby_centers_index_matches_bruteforce(disk):
-    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=1)
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        x = rng.uniform(-0.7, 0.7, 2) * rng.uniform(0, 1)
-        a = rng.uniform(0.05, 0.95)
-        assert count_nearby_centers(cfg, x, a, "indexed") == count_nearby_centers(
-            cfg, x, a, "bruteforce"
-        )
-
-
-def test_count_nearby_centers_outside(disk):
-    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 2, seed=1)
-    with pytest.raises(ValueError):
-        count_nearby_centers(cfg, [1.5, 0.0], 0.5)
 
 
 # -- separation ---------------------------------------------------------------------

@@ -21,7 +21,6 @@ from champagne.criteria import (
     classify_avoidability,
     classify_radial_integral,
     classify_shell_series,
-    grouped_series_total,
     quasi_additivity_interval,
     uniform_boundary_grid,
     wiener_dyadic_sum,
@@ -75,7 +74,6 @@ def test_series_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     ev = avoidability_series(cfg, [1.0, 0.0], 1.5)
     assert ev.total == 0.0
-    assert grouped_series_total(cfg, [1.0, 0.0], 1.5) == 0.0
 
 
 def test_series_partial_sums_monotone(disk):
@@ -84,7 +82,7 @@ def test_series_partial_sums_monotone(disk):
     assert np.all(np.diff(ev.partial_sums) >= 0)
 
 
-def test_grouped_matches_naive_direct_sum(disk):
+def test_series_total_matches_naive_direct_sum(disk):
     # oracle: plain python accumulation in config order
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 6, seed=3)
     assert cfg.n > 10_000
@@ -95,7 +93,7 @@ def test_grouped_matches_naive_direct_sum(disk):
         delta = cfg.deltas[k]
         dist = math.sqrt(((cfg.centers[k] - z) ** 2).sum())
         naive += delta * cfg.radii[k] ** 0.5 / dist**1.5
-    got = grouped_series_total(cfg, z, alpha)
+    got = avoidability_series(cfg, z, alpha).total
     assert got == pytest.approx(naive, rel=1e-9)
 
 

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import champagne
 from champagne import criteria, harness, whitney
 from champagne.harness import RunConfig, main
 
@@ -119,3 +124,14 @@ def test_run_config_json_round_trip():
     assert again.hash() == cfg.hash()
     assert np.array_equal(again.domain.center, cfg.domain.center)
     assert again.sim == cfg.sim
+
+
+def test_importing_the_harness_leaves_scipy_integrate_unloaded():
+    # only the radial-integral route needs quad; every CLI child imports the
+    # harness, so loading scipy.integrate there would cost each of them
+    src = str(Path(champagne.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, champagne.harness; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from champagne.bubbles import ConstantProfile, generate_shell_config
+from champagne.bubbles import BubbleConfig, ConstantProfile, generate_shell_config
 from champagne.geometry import BallDomain
 from champagne.rng import stable_vectors, stream_keys, uniform01
 from champagne.simulate import (
@@ -74,6 +75,28 @@ def test_outcomes_do_not_depend_on_the_batch(disk_config):
         assert one.step == steps[traj]
         assert one.bubble == (bubbles[traj] if tag == 0 else None)
         assert np.array_equal(one.final_point, finals[traj])
+
+
+@pytest.mark.parametrize("params", [ADAPTIVE, FIXED], ids=["adaptive", "fixed"])
+@pytest.mark.parametrize("s", [2.0, 0.25])
+def test_outcomes_are_covariant_under_power_of_two_dilation(disk_config, params, s):
+    # Every length the step rule, the boundary proxy and the ball index use
+    # scales by s, and multiplying by a power of two is exact, so dilating
+    # the whole run by s dilates each trajectory exactly.
+    dom = disk_config.domain
+    scaled = BubbleConfig(BallDomain(dom.center * s, dom.radius * s),
+                          disk_config.centers * s, disk_config.radii * s)
+    scaled_params = dataclasses.replace(
+        params, boundary_eps=params.boundary_eps * s,
+        jump_scale=None if params.jump_scale is None else params.jump_scale * s)
+    _, (tags, steps, bubbles, finals) = estimate_hitting(
+        dom.center, disk_config, params, return_outcomes=True)
+    _, (s_tags, s_steps, s_bubbles, s_finals) = estimate_hitting(
+        dom.center * s, scaled, scaled_params, return_outcomes=True)
+    assert np.array_equal(s_tags, tags)
+    assert np.array_equal(s_steps, steps)
+    assert np.array_equal(s_bubbles, bubbles)
+    assert np.array_equal(s_finals, finals * s)
 
 
 def test_x0_inside_a_bubble_raises(disk_config):

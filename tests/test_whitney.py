@@ -10,7 +10,6 @@ from champagne.whitney import (
     ball_cube_incidence,
     coverage_threshold,
     decompose,
-    doubled_cube,
     intersecting_cubes,
     max_cubes_per_ball,
 )
@@ -121,14 +120,6 @@ def test_locate_outside_raises(dec6):
 def test_locate_collar_not_covered(dec6, disk):
     x = np.array([1.0 - 0.25 * dec6.coverage_threshold, 0.0])
     assert dec6.locate(x) is None
-
-
-def test_doubled_cube_geometry_and_containment(dec8, disk):
-    for i in range(0, len(dec8), 37):
-        q = dec8.cube(i)
-        lo, hi = doubled_cube(disk, q)
-        assert np.allclose(hi - lo, 2 * q.side)
-        assert np.allclose((lo + hi) / 2, q.center)
 
 
 def test_doubled_overlap_multiplicity(dec8, disk):

@@ -174,10 +174,9 @@ def _manifest(cfg: RunConfig, empirical: dict | None = None) -> dict:
     }
 
 
-def _build_config(cfg: RunConfig, out: Path) -> BubbleConfig:
-    bubbles_csv = out / "bubbles.csv"
-    if bubbles_csv.exists():
-        return BubbleConfig.from_csv(bubbles_csv, cfg.domain)
+def _build_config(cfg: RunConfig) -> BubbleConfig:
+    """The run's bubbles, generated from the RunConfig alone, so that no
+    output depends on what an earlier command left in the output directory."""
     return generate_shell_config(cfg.domain, cfg.profile, cfg.shell_a, cfg.shells, cfg.seed)
 
 
@@ -187,7 +186,7 @@ def _build_config(cfg: RunConfig, out: Path) -> BubbleConfig:
 
 def cmd_generate(cfg: RunConfig, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    config = generate_shell_config(cfg.domain, cfg.profile, cfg.shell_a, cfg.shells, cfg.seed)
+    config = _build_config(cfg)
     config.to_csv(out / "bubbles.csv")
     _write_json(out / "run_config.json", cfg.to_json())
     empirical = {
@@ -216,7 +215,7 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
 
 def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    config = _build_config(cfg, out)
+    config = _build_config(cfg)
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     grid = uniform_boundary_grid(cfg.domain, cfg.grid_size)
@@ -279,7 +278,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     if cfg.sim is None:
         raise ConfigError("missing field: sim")
     out.mkdir(parents=True, exist_ok=True)
-    config = _build_config(cfg, out)
+    config = _build_config(cfg)
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     x0 = cfg.domain.center

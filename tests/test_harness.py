@@ -61,6 +61,19 @@ def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):
     assert len(traces["aikawa_total"]) == 4
 
 
+def test_outputs_do_not_depend_on_an_earlier_generate(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = RunConfig.from_json({**SMALL, "sim": {"alpha": 1.3, "max_steps": 50, "n_traj": 20,
+                                                "seed": 3}})
+    after_generate, fresh = tmp_path / "after_generate", tmp_path / "fresh"
+    harness.cmd_generate(cfg, after_generate)
+    for run in (after_generate, fresh):
+        harness.cmd_criteria(cfg, run)
+        harness.cmd_simulate(cfg, run)
+    for name in ("verdicts.json", "wiener_trace.csv", "estimate.json"):
+        assert (after_generate / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_main_returns_0_on_a_valid_run(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0

@@ -55,14 +55,6 @@ class WhitneyCube:
     center: np.ndarray
     dist_boundary: float
 
-    @property
-    def dimension(self) -> int:
-        return len(self.index)
-
-    @property
-    def diam(self) -> float:
-        return self.side * math.sqrt(self.dimension)
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.index, dtype=float) * self.side
         return lo, lo + self.side

@@ -140,6 +140,31 @@ def test_generator_d3(monkeypatch):
     assert cfg.disjointness_report()["violations"] == []
 
 
+# -- centers tree ----------------------------------------------------------------
+
+def _count_within(cfg, x, reach):
+    idx = cfg.centers_tree.query_ball_point(x, reach)
+    dsq = ((cfg.centers[idx] - x) ** 2).sum(axis=1)
+    return int((dsq < reach * reach).sum())
+
+
+def test_count_nearby_centers_at_a_center(disk):
+    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
+    x = cfg.centers[0]
+    assert _count_within(cfg, x, 0.5 * (1.0 - math.sqrt((x * x).sum()))) >= 1
+
+
+def test_count_nearby_centers_index_matches_bruteforce(disk):
+    # the KD-tree over the centers against a full scan, strict inequality
+    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=1)
+    rng = np.random.default_rng(4)
+    for _ in range(1000):
+        x = rng.uniform(-0.7, 0.7, 2) * rng.uniform(0, 1)
+        reach = rng.uniform(0.05, 0.95) * (1.0 - math.sqrt((x * x).sum()))
+        dsq = ((cfg.centers - x) ** 2).sum(axis=1)
+        assert _count_within(cfg, x, reach) == int((dsq < reach * reach).sum())
+
+
 # -- separation ---------------------------------------------------------------------
 
 def test_separation_single_bubble_infinite(disk):

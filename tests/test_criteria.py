@@ -82,8 +82,9 @@ def test_series_partial_sums_monotone(disk):
     assert np.all(np.diff(ev.partial_sums) >= 0)
 
 
-def test_series_total_matches_naive_direct_sum(disk):
-    # oracle: plain python accumulation in config order
+def test_grouped_matches_naive_direct_sum(disk):
+    # oracle: plain python accumulation in config order, against the series
+    # total that avoidability_series accumulates shell group by shell group
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 6, seed=3)
     assert cfg.n > 10_000
     z = np.array([math.cos(0.3), math.sin(0.3)])

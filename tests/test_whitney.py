@@ -122,6 +122,18 @@ def test_locate_collar_not_covered(dec6, disk):
     assert dec6.locate(x) is None
 
 
+def test_doubled_cube_geometry_and_containment(dec8, disk):
+    # the concentric box of twice the side of a Whitney cube stays inside D
+    for i in range(0, len(dec8), 37):
+        q = dec8.cube(i)
+        lo, hi = q.bounds()
+        lo2, hi2 = lo - q.side / 2, hi + q.side / 2
+        assert np.allclose(hi2 - lo2, 2 * q.side)
+        assert np.allclose((lo2 + hi2) / 2, q.center)
+        far = np.maximum(hi2 - disk.center, disk.center - lo2)
+        assert math.sqrt((far * far).sum()) < disk.radius
+
+
 def test_doubled_overlap_multiplicity(dec8, disk):
     # every point of D should be covered by a bounded number of doubled cubes
     rng = np.random.default_rng(7)

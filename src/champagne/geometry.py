@@ -75,11 +75,12 @@ def dist_to_boundary(domain: BallDomain, x, signed: bool = False):
     return clamped if clamped.ndim else float(clamped)
 
 
-def row_norms(x: np.ndarray, c) -> np.ndarray:
-    """|x_i - c| for each row of the (m, d) array x, adding the squares left to
-    right as numpy's ``sum(axis=1)`` does for rows of fewer than 8 terms (so
-    bit for bit the same for d < 8), but without its slow per-row reduction."""
-    sq = (x[:, 0] - c[0]) ** 2
+def row_norms(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|x_i - c| for each row of the (m, d) array x, where c is one point (d,)
+    or one point per row (m, d), adding the squares left to right as numpy's
+    ``sum(axis=1)`` does for rows of fewer than 8 terms (so bit for bit the
+    same for d < 8), but without its slow per-row reduction."""
+    sq = (x[:, 0] - c[..., 0]) ** 2
     for j in range(1, x.shape[1]):
-        sq += (x[:, j] - c[j]) ** 2
+        sq += (x[:, j] - c[..., j]) ** 2
     return np.sqrt(sq)

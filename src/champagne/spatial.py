@@ -1,18 +1,27 @@
 """Spatial index for point-in-ball membership over large bubble families.
 
-Bubble radii in a champagne configuration span many orders of magnitude, so a
-single-resolution structure degrades.  Balls are bucketed by the power-of-two
-exponent of their radius; each bucket gets a KD-tree over centers plus a
-radial band, and membership tests query only buckets whose band can contain
-the point, after one mask has dropped every point outside the span of all
-the bands.  Power-of-two bucketing keeps every decision exactly covariant
-under dilation of the whole configuration by a power of two.
+For disjoint closed balls B(c_k, r_k) the question "which ball holds x?" has
+a one-query answer, the power diagram (Aurenhammer, "Power diagrams:
+properties, algorithms and applications", SIAM J. Comput. 16, 1987).  If x
+lies in B(c_k, r_k), its power p_k(x) = |x - c_k|^2 - r_k^2 is <= 0, while
+for every other ball |x - c_j| >= r_j + gap, so p_j(x) >= 2*gap*r_j > 0: the
+only ball that can hold x is the one of least power.  With H the largest
+radius, lift each centre to (c_k, sqrt(H^2 - r_k^2)) in d+1 dimensions; then
+|(x, 0) - lifted c_k|^2 = p_k(x) + H^2, so the nearest lifted centre is the
+least-power ball, and a ball that holds x is within lifted distance H.  One
+KD-tree over the lifted centres finds it; the decision is then the closed
+test |x - c_k| <= r_k, with the squares added in coordinate order and then
+the square root taken, as a KD-tree over the plain centres computes it.
+
+The lift rounds the squared lifted distance by about 3 * 2^-52 * H^2, so the
+nearest computed lifted centre is the least-power ball as long as that stays
+below 2 * gap * r_min for the gaps between balls; the shell generator's gaps
+are orders of magnitude above it.  Dilating the whole configuration by a
+power of two scales the squares, their differences and the square roots
+exactly, so every decision is exactly covariant under such a dilation.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,16 +29,6 @@ from scipy.spatial import cKDTree
 from .geometry import row_norms
 
 __all__ = ["BallIndex"]
-
-
-@dataclass
-class _Bucket:
-    tree: cKDTree
-    ids: np.ndarray        # global bubble indices
-    radii: np.ndarray
-    r_max: float
-    norm_lo: float         # |center| band, widened by r_max
-    norm_hi: float
 
 
 class BallIndex:
@@ -45,27 +44,17 @@ class BallIndex:
         self.origin = (
             np.zeros(self.dimension) if origin is None else np.asarray(origin, dtype=float)
         )
-        self._buckets: list[_Bucket] = []
         if self.n == 0:
             return
-        _, exponents = np.frexp(radii)
-        norms = np.sqrt(((centers - self.origin) ** 2).sum(axis=1))
-        for e in np.unique(exponents):
-            mask = exponents == e
-            ids = np.where(mask)[0]
-            r_max = float(radii[ids].max())
-            self._buckets.append(
-                _Bucket(
-                    tree=cKDTree(centers[ids]),
-                    ids=ids,
-                    radii=radii[ids],
-                    r_max=r_max,
-                    norm_lo=float(norms[ids].min()) - r_max,
-                    norm_hi=float(norms[ids].max()) + r_max,
-                )
-            )
-        self._span_lo = min(b.norm_lo for b in self._buckets)
-        self._span_hi = max(b.norm_hi for b in self._buckets)
+        self._centers, self._radii = centers, radii
+        h = float(radii.max())
+        self._tree = cKDTree(np.column_stack([centers, np.sqrt(h * h - radii * radii)]))
+        # a hit is within lifted distance h; the margin covers the lift's rounding
+        self._bound = h * (1.0 + 2.0**-20)
+        # every ball lies in the shell span_lo <= |x - origin| <= span_hi
+        norms = row_norms(centers, self.origin)
+        self._span_lo = float((norms - radii).min())
+        self._span_hi = float((norms + radii).max())
 
     def contains_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each query point: (hit mask, index of a containing ball or -1).
@@ -74,36 +63,24 @@ class BallIndex:
         containing ball is unique.
         """
         x = np.asarray(x, dtype=float)
-        found = np.zeros(x.shape[0], dtype=bool)
-        found_owner = np.full(x.shape[0], -1, dtype=np.int64)
+        hit = np.zeros(x.shape[0], dtype=bool)
+        owner = np.full(x.shape[0], -1, dtype=np.int64)
         if self.n == 0 or x.shape[0] == 0:
-            return found, found_owner
+            return hit, owner
         norms = row_norms(x, self.origin)
-        banded = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
-        x, norms = np.take(x, banded, axis=0), norms[banded]
-        hit = np.zeros(banded.size, dtype=bool)
-        owner = np.full(banded.size, -1, dtype=np.int64)
-        for b in self._buckets:
-            cand = (~hit) & (norms >= b.norm_lo) & (norms <= b.norm_hi)
-            if not cand.any():
-                continue
-            rows = np.where(cand)[0]
-            dist, j = b.tree.query(x[rows], k=1)
-            inside = dist <= b.radii[j]
-            hit[rows[inside]] = True
-            owner[rows[inside]] = b.ids[j[inside]]
-            # a farther ball of this bucket could still contain the point;
-            # disjointness plus the 2x radius spread keeps this rare
-            unresolved = (~inside) & (dist <= 2.0 * b.r_max)
-            for row in rows[unresolved]:
-                for cand_j in b.tree.query_ball_point(x[row], b.r_max):
-                    dd = math.sqrt(((x[row] - b.tree.data[cand_j]) ** 2).sum())
-                    if dd <= b.radii[cand_j]:
-                        hit[row] = True
-                        owner[row] = b.ids[cand_j]
-                        break
-        found[banded], found_owner[banded] = hit, owner
-        return found, found_owner
+        rows = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
+        if rows.size == 0:
+            return hit, owner
+        x = np.take(x, rows, axis=0)
+        _, k = self._tree.query(
+            np.column_stack([x, np.zeros(rows.size)]), k=1, distance_upper_bound=self._bound
+        )
+        near = k < self.n
+        rows, k, x = rows[near], k[near], x[near]
+        inside = row_norms(x, self._centers[k]) <= self._radii[k]
+        hit[rows[inside]] = True
+        owner[rows[inside]] = k[inside]
+        return hit, owner
 
     def contains(self, x) -> int | None:
         """Index of the ball containing point x, or None."""

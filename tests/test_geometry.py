@@ -65,4 +65,7 @@ def test_row_norms_equal_numpy_row_sums_bit_for_bit(d):
     x = rng.uniform(-1, 1, (5000, d)) * 10.0 ** rng.uniform(-6, 0, (5000, d))
     c = rng.uniform(-0.5, 0.5, d)
     assert np.array_equal(row_norms(x, c), np.sqrt(((x - c) ** 2).sum(axis=1)))
+    # one centre per row
+    cs = rng.uniform(-0.5, 0.5, (5000, d))
+    assert np.array_equal(row_norms(x, cs), np.sqrt(((x - cs) ** 2).sum(axis=1)))
     assert row_norms(np.empty((0, d)), c).shape == (0,)

@@ -49,6 +49,80 @@ def test_index_matches_bruteforce_random_configs():
         assert (owner[i] if hit[i] else -1) == want
 
 
+def _brute_owners(centers, radii, queries):
+    """Owner of each query by a full scan: squares added in coordinate order,
+    then the square root, against every ball."""
+    owners = np.full(queries.shape[0], -1, dtype=np.int64)
+    for k in range(centers.shape[0]):
+        dist = np.sqrt(((queries - centers[k]) ** 2).sum(axis=1))
+        owners[dist <= radii[k]] = k
+    return owners
+
+
+def _multiscale_family_3d(rng, n, n_touching, gap):
+    """Disjoint balls in d=3 with radii log-uniform in [1e-6, 1e-1], and
+    n_touching balls placed ``gap`` from the surface of an earlier one."""
+    centers, radii = np.empty((0, 3)), np.empty(0)
+    touching = []
+
+    def fits(c, r):
+        dist = np.sqrt(((centers - c) ** 2).sum(axis=1))
+        return bool(np.all(dist - radii - r > 0.5 * gap))
+
+    while radii.size < n:
+        c, r = rng.uniform(-1, 1, 3), 10.0 ** rng.uniform(-6, -1)
+        if fits(c, r):
+            centers, radii = np.vstack([centers, c]), np.append(radii, r)
+    while len(touching) < n_touching:
+        k = int(rng.integers(0, radii.size))
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        r = 10.0 ** rng.uniform(-6, -1)
+        c = centers[k] + (radii[k] + r + gap) * u
+        if fits(c, r):
+            touching.append((k, radii.size, u))
+            centers, radii = np.vstack([centers, c]), np.append(radii, r)
+    return centers, radii, touching
+
+
+def test_index_matches_bruteforce_multiscale_3d_near_touching():
+    rng = np.random.default_rng(3)
+    gap = 1e-9
+    centers, radii, touching = _multiscale_family_3d(rng, 200, 100, gap)
+    assert radii.min() < 1e-5 and radii.max() > 1e-2
+    idx = BallIndex(centers, radii)
+    # on each sphere, and relatively 1e-6, 1e-9 and 1e-12 inside and outside it
+    k = rng.integers(0, radii.size, 6000)
+    u = rng.standard_normal((6000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    scale = 1.0 + rng.choice([0.0, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12], (6000, 1))
+    queries = [centers[k] + radii[k, None] * scale * u]
+    # along each near-touching line: on the first sphere, in the gap, on the
+    # second sphere, and just inside each ball
+    for j, m, v in touching:
+        for s in (-1e-12, 0.0, 0.5 * gap / radii[j], 1e-12):
+            queries.append(centers[j] + radii[j] * (1.0 + s) * v)
+        for s in (-1e-12, 0.0, 1e-12):
+            queries.append(centers[m] - radii[m] * (1.0 + s) * v)
+    queries = np.vstack(queries)
+    hit, owner = idx.contains_batch(queries)
+    want = _brute_owners(centers, radii, queries)
+    assert np.array_equal(np.where(hit, owner, -1), want)
+    assert np.array_equal(hit, want >= 0)
+    assert 0 < hit.sum() < hit.size
+
+
+def test_index_point_in_big_ball_nearer_a_tiny_ball_centre():
+    # x = (0.99, 0) lies in B(0, 1) but is nearer the tiny ball's centre
+    # (0.11 away) than the big ball's (0.99 away): the least power, not the
+    # nearest centre, picks the ball
+    idx = BallIndex(np.array([[0.0, 0.0], [1.1, 0.0]]), np.array([1.0, 0.05]))
+    queries = np.array([[0.99, 0.0], [1.0, 0.0], [1.07, 0.0], [1.02, 0.0], [1.2, 0.0]])
+    hit, owner = idx.contains_batch(queries)
+    assert owner.tolist() == [0, 0, 1, -1, -1]
+    assert hit.tolist() == [True, True, True, False, False]
+
+
 def test_index_on_shell_config():
     dom = BallDomain(np.zeros(2), 1.0)
     cfg = generate_shell_config(dom, ConstantProfile(0.4), 0.5, 4, seed=1)

@@ -391,7 +391,6 @@ def generate_shell_config(
     shells: int,
     seed: int = 0,
     jitter: bool = True,
-    spacing_factor: float = 1.0,
 ) -> BubbleConfig:
     """Bubbles on concentric shells accumulating at the unit sphere.
 
@@ -399,9 +398,7 @@ def generate_shell_config(
     radii r = (1-|x|)*phi(|x|).  The angular lattice (equal angles for d=2,
     Fibonacci lattice for d=3) is spaced by
     max(a*(1-t_i)/2, disjointness spacing), so the family is always pairwise
-    disjoint; a seeded rotation decorrelates shells.  ``spacing_factor`` > 1
-    thins every shell by that factor for deliberately sparse families (the
-    coverage certificate below then typically fails and is reported as such).
+    disjoint; a seeded rotation decorrelates shells.
 
     Exact-parameter coverage N_a >= 1 cannot hold at the critical radii
     between consecutive shells (the radial reach intervals only touch), so
@@ -413,8 +410,6 @@ def generate_shell_config(
         raise ValueError("shell generator supports d in {2, 3}")
     if float(domain.radius) != 1.0 or not np.all(domain.center == 0.0):
         raise ValueError("shell generator requires the unit ball at the origin")
-    if not spacing_factor >= 1.0:
-        raise ValueError("spacing_factor must be >= 1")
     d = domain.dimension
     t = shell_radii(a, shells)
     u = 1.0 - t
@@ -436,7 +431,7 @@ def generate_shell_config(
         # minimum pairwise chord to clear 2r
         s_cov = a * u[i] / 2.0
         s_dis = 2.0 * r[i] * 1.05 / _MIN_NN_FACTOR[d]
-        s = max(s_cov, s_dis) * spacing_factor
+        s = max(s_cov, s_dis)
         spacing[i] = s
         if d == 2:
             n_i = max(3, int(math.ceil(2.0 * math.pi * t[i] / s)))
@@ -464,7 +459,6 @@ def generate_shell_config(
         "shells": shells,
         "seed": seed,
         "jitter": jitter,
-        "spacing_factor": spacing_factor,
         "t": [float(x) for x in t],
         "coverage_a": coverage_a,
     }

@@ -252,17 +252,14 @@ def classify_radial_integral(
     weight: WeightFunction,
     d: int,
     alpha: float,
-    t0: float = 0.5,
-    eps_exponents=range(3, 13),
 ) -> DivergenceVerdict:
-    """Classify the tail integral of phi(t)^(d-a) * M(t) / (1-t) over (t0, 1).
+    """Classify the tail integral of phi(t)^(d-a) * M(t) / (1-t) over (1/2, 1).
 
     The verdict comes from the analytic reduction under u = -log(1-t); the
-    attached quadrature trace (partial integrals up to 1 - eps) is evidence
-    only.  Unsupported profile/weight types yield Inconclusive.
+    attached quadrature trace (partial integrals up to 1 - eps for
+    eps = 1e-3 .. 1e-12) is evidence only.  Unsupported profile/weight types
+    yield Inconclusive.
     """
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must lie in (0, 1)")
     exps = _tail_exponents(phi, weight, d, alpha)
     name = f"phi={type(phi).__name__}, M={type(weight).__name__}"
     if exps is None:
@@ -276,9 +273,10 @@ def classify_radial_integral(
 
     rate, log_power, const = exps
     integrand = _u_integrand(phi, weight, d, alpha)
+    t0 = 0.5
     u0 = -math.log(1.0 - t0)
     trace = []
-    for k in eps_exponents:
+    for k in range(3, 13):
         hi = -math.log(10.0 ** (-k))
         val, _ = quad(integrand, u0, hi, limit=400)
         trace.append((10.0 ** (-k), val))
@@ -295,14 +293,13 @@ def classify_shell_series(
     d: int,
     alpha: float,
     a: float,
-    n_terms: int = 48,
 ) -> DivergenceVerdict:
     """Classify the shell-sampled series sum_i phi(s_i)^(d-a) * M(s_(i+1)).
 
     The radii s_i approach 1 geometrically (1 - s_(i+1) = rho*(1 - s_i) with
     rho = (1-a)/(1+a)), so each term behaves like exp(rate*L*i) * (L*i)^p
     with L = log(1/rho); the same exponent rule as the integral route then
-    classifies divergence.  Computed terms are attached as evidence.
+    classifies divergence.  The first 48 terms are attached as evidence.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
@@ -332,7 +329,7 @@ def classify_shell_series(
         return (1.0 - np.log(gap)) ** fn.p
 
     rho = (1.0 - a) / (1.0 + a)
-    one_minus_s = 0.5 * rho ** np.arange(1, n_terms + 1, dtype=float)
+    one_minus_s = 0.5 * rho ** np.arange(1, 49, dtype=float)
     with np.errstate(over="ignore"):
         terms = from_gap(phi, one_minus_s[:-1]) ** (d - alpha) * from_gap(
             weight, one_minus_s[1:]
@@ -616,15 +613,6 @@ class AvoidabilityReport:
     separation: float
     aggregate: str                 # "unavoidable" | "avoidable-candidate" | "inconclusive"
     notes: list
-
-    def to_json(self) -> dict:
-        return {
-            "aggregate": self.aggregate,
-            "separation": self.separation,
-            "per_z": [v.to_json() for v in self.per_z],
-            "per_z_totals": [float(x) for x in self.per_z_totals],
-            "notes": list(self.notes),
-        }
 
 
 def classify_avoidability(

@@ -75,7 +75,6 @@ class RunConfig:
     grid_size: int = 32
     wiener_n_max: int = 24
     sim: SimParams | None = None
-    out_dir: str | None = None
     per_trajectory_csv: bool = False
     format_version: str = FORMAT_VERSION
 
@@ -93,8 +92,6 @@ class RunConfig:
         }
         if self.sim is not None:
             out["sim"] = self.sim.to_json()
-        if self.out_dir is not None:
-            out["out_dir"] = self.out_dir
         return out
 
     @classmethod
@@ -106,14 +103,20 @@ class RunConfig:
             if "profile" not in obj:
                 raise ConfigError("missing field: profile")
             shells = obj.get("shells", {})
+            constants = Constants.from_json(obj["constants"])
             sim = None
             if "sim" in obj:
                 sim_obj = dict(obj["sim"])
-                sim_obj.setdefault("alpha", obj["constants"]["alpha"])
+                sim_obj.setdefault("alpha", constants.alpha)
                 sim = SimParams(**sim_obj)
+                # the criteria and the simulator must decide the same process
+                if sim.alpha != constants.alpha:
+                    raise ConfigError(
+                        f"sim.alpha {sim.alpha!r} differs from constants.alpha {constants.alpha!r}"
+                    )
             return cls(
                 domain=BallDomain.from_json(obj["domain"]),
-                constants=Constants.from_json(obj["constants"]),
+                constants=constants,
                 profile=profile_from_json(obj["profile"]),
                 weight=weight_from_json(obj.get("weight", {"kind": "one"})),
                 shell_a=float(shells.get("a", 0.5)),
@@ -123,7 +126,6 @@ class RunConfig:
                 grid_size=int(obj.get("criteria", {}).get("grid", 32)),
                 wiener_n_max=int(obj.get("criteria", {}).get("wiener_n_max", 24)),
                 sim=sim,
-                out_dir=obj.get("out_dir"),
                 per_trajectory_csv=bool(obj.get("per_trajectory_csv", False)),
                 format_version=version,
             )

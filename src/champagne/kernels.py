@@ -40,15 +40,13 @@ class Constants:
 
     alpha: float
     C_G: float = 1.0
-    C_M: float = 1.0
     C: float = 1.0
-    C_H: float = 1.0
     C_1: float = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie strictly inside (1, 2)")
-        for name in ("C_G", "C_M", "C", "C_H", "C_1"):
+        for name in ("C_G", "C", "C_1"):
             if not getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -56,9 +54,7 @@ class Constants:
         return {
             "alpha": self.alpha,
             "C_G": self.C_G,
-            "C_M": self.C_M,
             "C": self.C,
-            "C_H": self.C_H,
             "C_1": self.C_1,
         }
 
@@ -104,35 +100,24 @@ class Envelope:
     def zero() -> "Envelope":
         return Envelope(0.0, 0.0)
 
-    def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper}
-
 
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d."""
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
-def capped_green_envelope(
-    domain: BallDomain,
-    consts: Constants,
-    y,
-    comparison_factor: float | None = None,
-) -> Envelope:
+def capped_green_envelope(domain: BallDomain, consts: Constants, y) -> Envelope:
     """Envelope for g(y) = G(y, x0) ∧ 1 in the near-boundary regime:
     g(y) is comparable to delta(y)^(a-1).
 
-    The single comparison factor defaults to C_G * 2**(d+1); it cancels in
-    every divergence classification, so its exact value is a reporting knob.
-    Both bounds are capped at 1 since g <= 1 by definition.
+    The single comparison factor is C_G * 2**(d+1); it cancels in every
+    divergence classification.  Both bounds are capped at 1 since g <= 1 by
+    definition.
     """
     y = np.asarray(y, dtype=float)
     if not domain.contains(y):
         raise ValueError("capped_green_envelope requires y inside the domain")
-    d = domain.dimension
-    c = consts.C_G * 2.0 ** (d + 1) if comparison_factor is None else float(comparison_factor)
-    if c < 1.0:
-        raise ValueError("comparison factor must be >= 1")
+    c = consts.C_G * 2.0 ** (domain.dimension + 1)
     base = dist_to_boundary(domain, y) ** (consts.alpha - 1.0)
     return Envelope(min(base / c, 1.0), min(base * c, 1.0))
 
@@ -156,8 +141,8 @@ def _pow_each(x, p: float) -> np.ndarray:
 def capped_green_bounds(
     domain: BallDomain, consts: Constants, y
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`capped_green_envelope` with the default comparison factor over
-    a batch of points y (n, d), as (lower, upper) arrays."""
+    """:func:`capped_green_envelope` over a batch of points y (n, d), as
+    (lower, upper) arrays."""
     y = np.asarray(y, dtype=float)
     if not np.all(domain.contains(y)):
         raise ValueError("capped_green_envelope requires y inside the domain")

@@ -87,6 +87,20 @@ def test_main_returns_2_on_a_config_missing_profile(tmp_path, capsys):
     assert "profile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"sim": {"alpha": 1.5, "max_steps": 50, "n_traj": 20}}, "differs from constants.alpha"),
+    ({"constants": {"alpha": 1.3, "C_M": 1.5}}, "C_M"),
+    ({"constants": {"alpha": 1.3, "C_H": 1.0}}, "C_H"),
+])
+def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
+    tmp_path, capsys, change, message
+):
+    cfg = _write_config(tmp_path, {**SMALL, **change})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**SMALL, "whitney": {"max_level": 1}})
     assert main(["whitney", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
@@ -124,12 +138,11 @@ def test_report_gives_the_wilson_interval_bounds(tmp_path, monkeypatch):
 def test_run_config_json_round_trip():
     obj = {
         **SMALL,
-        "constants": {"alpha": 1.3, "C_G": 2.0, "C_M": 1.5, "C": 3.0, "C_H": 1.0, "C_1": 1.25},
+        "constants": {"alpha": 1.3, "C_G": 2.0, "C": 3.0, "C_1": 1.25},
         "weight": {"kind": "power", "gamma": 0.25},
         "sim": {"alpha": 1.3, "h": 1e-4, "boundary_eps": 1e-3, "max_steps": 500,
                 "n_traj": 10, "seed": 3},
         "per_trajectory_csv": True,
-        "out_dir": "runs/x",
     }
     cfg = RunConfig.from_json(obj)
     again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))

@@ -272,10 +272,8 @@ class BubbleConfig:
         time.  Returns violations list, the minimum gap found among candidate
         pairs, and the slack used.
         """
-        violations: list[tuple[int, int]] = []
-        min_margin = math.inf
         if self.n < 2:
-            return {"violations": violations, "min_margin": min_margin, "slack": slack}
+            return {"violations": [], "min_margin": math.inf, "slack": slack}
 
         _, exponents = np.frexp(self.radii)
         norms = np.sqrt(((self.centers - self.domain.center) ** 2).sum(axis=1))
@@ -293,30 +291,26 @@ class BubbleConfig:
                 }
             )
 
-        def check_pairs(pairs_global):
-            nonlocal min_margin
-            for j, k in pairs_global:
-                dsq = float(((self.centers[j] - self.centers[k]) ** 2).sum())
-                lim = float(self.radii[j] + self.radii[k] + slack)
-                margin = math.sqrt(dsq) - (float(self.radii[j] + self.radii[k]))
-                min_margin = min(min_margin, margin)
-                if dsq <= lim * lim:
-                    violations.append((min(j, k), max(j, k)))
-
+        # candidate pairs (j, k): centres within the reach of the two buckets'
+        # largest radii plus the slack, closed at the reach
+        pairs = [np.empty((0, 2), dtype=np.int64)]
         for bi, b in enumerate(buckets):
-            pairs = b["tree"].query_pairs(2.0 * b["r_max"] + slack, output_type="ndarray")
-            if pairs.size:
-                check_pairs(zip(b["ids"][pairs[:, 0]], b["ids"][pairs[:, 1]]))
+            within = b["tree"].query_pairs(2.0 * b["r_max"] + slack, output_type="ndarray")
+            pairs.append(b["ids"][within])
             for b2 in buckets[bi + 1 :]:
                 if b["hi"] < b2["lo"] or b2["hi"] < b["lo"]:
                     continue
                 reach = b["r_max"] + b2["r_max"] + slack
-                near = b2["tree"].query_ball_point(self.centers[b["ids"]], reach)
-                for row, cands in enumerate(near):
-                    j = int(b["ids"][row])
-                    check_pairs((j, int(b2["ids"][cand])) for cand in cands)
+                near = b["tree"].sparse_distance_matrix(b2["tree"], reach, output_type="ndarray")
+                pairs.append(np.column_stack([b["ids"][near["i"]], b2["ids"][near["j"]]]))
+        j, k = np.concatenate(pairs).T
 
-        violations.sort()
+        dsq = ((self.centers[j] - self.centers[k]) ** 2).sum(axis=1)
+        rsum = self.radii[j] + self.radii[k]
+        lim = rsum + slack
+        bad = dsq <= lim * lim
+        violations = sorted(zip(np.minimum(j, k)[bad].tolist(), np.maximum(j, k)[bad].tolist()))
+        min_margin = float((np.sqrt(dsq) - rsum).min()) if j.size else math.inf
         return {"violations": violations, "min_margin": min_margin, "slack": slack}
 
     # -- serialization ----------------------------------------------------------

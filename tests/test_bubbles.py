@@ -75,6 +75,41 @@ def test_disjointness_slack_reported(disk):
     assert rep["violations"] == []
 
 
+def _disjointness_by_all_pairs(cfg, slack):
+    """Violations and least margin over every pair, one pair at a time."""
+    violations, min_margin = [], math.inf
+    for j in range(cfg.n):
+        for k in range(j + 1, cfg.n):
+            dsq = float(((cfg.centers[j] - cfg.centers[k]) ** 2).sum())
+            rsum = float(cfg.radii[j] + cfg.radii[k])
+            min_margin = min(min_margin, math.sqrt(dsq) - rsum)
+            if dsq <= (rsum + slack) ** 2:
+                violations.append((j, k))
+    return violations, min_margin
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_disjointness_report_matches_all_pairs_with_overlaps(d):
+    rng = np.random.default_rng(d)
+    centers = rng.uniform(-0.35, 0.35, (250, d))
+    radii = 10.0 ** rng.uniform(-4, -1.7, 250)
+    # partners 0, half the slack and twice the slack off the surface of a ball
+    extra_c, extra_r = [], []
+    for i, gap in enumerate([0.0, 5e-13, 2e-12, -1e-3, 0.0, 5e-13, 2e-12]):
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        r = 10.0 ** rng.uniform(-4, -2)
+        extra_c.append(centers[i] + (radii[i] + r + gap) * u)
+        extra_r.append(r)
+    cfg = BubbleConfig(BallDomain(np.zeros(d), 1.0), np.vstack([centers, extra_c]),
+                       np.concatenate([radii, extra_r]), validate=False)
+    rep = cfg.disjointness_report()
+    violations, min_margin = _disjointness_by_all_pairs(cfg, rep["slack"])
+    assert len(violations) >= 5
+    assert rep["violations"] == violations
+    assert rep["min_margin"] == min_margin
+
+
 # -- generator -----------------------------------------------------------------
 
 def test_generator_ratio_equals_phi(disk):

@@ -293,7 +293,7 @@ class BubbleConfig:
 
         # candidate pairs (j, k): centres within the reach of the two buckets'
         # largest radii plus the slack, closed at the reach
-        pairs = [np.empty((0, 2), dtype=np.int64)]
+        pairs = []
         for bi, b in enumerate(buckets):
             within = b["tree"].query_pairs(2.0 * b["r_max"] + slack, output_type="ndarray")
             pairs.append(b["ids"][within])

@@ -11,7 +11,7 @@ radius, lift each centre to (c_k, sqrt(H^2 - r_k^2)) in d+1 dimensions; then
 least-power ball, and a ball that holds x is within lifted distance H.  One
 KD-tree over the lifted centres finds it; the decision is then the closed
 test |x - c_k| <= r_k, with the squares added in coordinate order and then
-the square root taken, as a KD-tree over the plain centres computes it.
+the square root taken, the order in which scipy's KD-tree computes distances.
 
 The lift rounds the squared lifted distance by about 3 * 2^-52 * H^2, so the
 nearest computed lifted centre is the least-power ball as long as that stays
@@ -65,12 +65,10 @@ class BallIndex:
         x = np.asarray(x, dtype=float)
         hit = np.zeros(x.shape[0], dtype=bool)
         owner = np.full(x.shape[0], -1, dtype=np.int64)
-        if self.n == 0 or x.shape[0] == 0:
+        if self.n == 0:
             return hit, owner
         norms = row_norms(x, self.origin)
         rows = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
-        if rows.size == 0:
-            return hit, owner
         x = np.take(x, rows, axis=0)
         _, k = self._tree.query(
             np.column_stack([x, np.zeros(rows.size)]), k=1, distance_upper_bound=self._bound

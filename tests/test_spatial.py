@@ -49,16 +49,6 @@ def test_index_matches_bruteforce_random_configs():
         assert (owner[i] if hit[i] else -1) == want
 
 
-def _brute_owners(centers, radii, queries):
-    """Owner of each query by a full scan: squares added in coordinate order,
-    then the square root, against every ball."""
-    owners = np.full(queries.shape[0], -1, dtype=np.int64)
-    for k in range(centers.shape[0]):
-        dist = np.sqrt(((queries - centers[k]) ** 2).sum(axis=1))
-        owners[dist <= radii[k]] = k
-    return owners
-
-
 def _multiscale_family_3d(rng, n, n_touching, gap):
     """Disjoint balls in d=3 with radii log-uniform in [1e-6, 1e-1], and
     n_touching balls placed ``gap`` from the surface of an earlier one."""
@@ -97,8 +87,8 @@ def test_index_matches_bruteforce_multiscale_3d_near_touching():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     scale = 1.0 + rng.choice([0.0, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12], (6000, 1))
     queries = [centers[k] + radii[k, None] * scale * u]
-    # along each near-touching line: on the first sphere, in the gap, on the
-    # second sphere, and just inside each ball
+    # along each near-touching line: just inside, on and just outside both
+    # facing spheres, and halfway across the gap
     for j, m, v in touching:
         for s in (-1e-12, 0.0, 0.5 * gap / radii[j], 1e-12):
             queries.append(centers[j] + radii[j] * (1.0 + s) * v)
@@ -106,7 +96,7 @@ def test_index_matches_bruteforce_multiscale_3d_near_touching():
             queries.append(centers[m] - radii[m] * (1.0 + s) * v)
     queries = np.vstack(queries)
     hit, owner = idx.contains_batch(queries)
-    want = _brute_owners(centers, radii, queries)
+    want = np.array([_brute_owner(centers, radii, x) for x in queries])
     assert np.array_equal(np.where(hit, owner, -1), want)
     assert np.array_equal(hit, want >= 0)
     assert 0 < hit.sum() < hit.size

@@ -93,7 +93,8 @@ def test_disjointness_report_matches_all_pairs_with_overlaps(d):
     rng = np.random.default_rng(d)
     centers = rng.uniform(-0.35, 0.35, (250, d))
     radii = 10.0 ** rng.uniform(-4, -1.7, 250)
-    # partners 0, half the slack and twice the slack off the surface of a ball
+    # partners touching a ball, half and twice the slack off its surface, and
+    # one overlapping it by 1e-3
     extra_c, extra_r = [], []
     for i, gap in enumerate([0.0, 5e-13, 2e-12, -1e-3, 0.0, 5e-13, 2e-12]):
         u = rng.standard_normal(d)

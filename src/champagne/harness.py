@@ -2,7 +2,9 @@
 
 Subcommands: generate | whitney | criteria | simulate | report.  All outputs
 are deterministic for a fixed config and seed; manifest timestamps honor
-SOURCE_DATE_EPOCH so full runs can be byte-identical when required.
+SOURCE_DATE_EPOCH so full runs can be byte-identical when required.  Each
+subcommand writes its own ``manifest.<command>.json``, so a later command
+keeps an earlier one's record.
 
 Exit codes: 0 success, 2 invalid configuration, 3 runtime failure.
 """
@@ -48,6 +50,10 @@ __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
            "cmd_criteria", "cmd_simulate", "cmd_report"]
 
 FORMAT_VERSION = "1"
+_TOP_LEVEL_KEYS = frozenset({
+    "format_version", "domain", "constants", "profile", "weight", "shells", "whitney",
+    "criteria", "per_trajectory_csv", "sim",
+})
 
 APPROXIMATION_NOTES = [
     "simulator: Euler jump-suppression chain; convergence to the censored process is assumed",
@@ -100,6 +106,9 @@ class RunConfig:
             version = str(obj.get("format_version", FORMAT_VERSION))
             if version != FORMAT_VERSION:
                 raise ConfigError(f"unsupported format_version {version!r}")
+            unknown = sorted(set(obj) - _TOP_LEVEL_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown top-level field(s): {', '.join(unknown)}")
             if "profile" not in obj:
                 raise ConfigError("missing field: profile")
             shells = obj.get("shells", {})
@@ -162,8 +171,8 @@ def _write_json(path: Path, obj: dict) -> None:
         f.write("\n")
 
 
-def _manifest(cfg: RunConfig, empirical: dict | None = None) -> dict:
-    return {
+def _write_manifest(out: Path, command: str, cfg: RunConfig, empirical: dict | None = None):
+    _write_json(out / f"manifest.{command}.json", {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
@@ -171,7 +180,7 @@ def _manifest(cfg: RunConfig, empirical: dict | None = None) -> dict:
         "empirical": empirical or {},
         "timestamps": _timestamps(),
         "approximation_notes": APPROXIMATION_NOTES,
-    }
+    })
 
 
 def _build_config(cfg: RunConfig) -> BubbleConfig:
@@ -195,7 +204,7 @@ def cmd_generate(cfg: RunConfig, out: Path) -> Path:
         "coverage_a": config.meta.get("coverage_a"),
         "shell_t": config.meta.get("t"),
     }
-    _write_json(out / "manifest.json", _manifest(cfg, empirical))
+    _write_manifest(out, "generate", cfg, empirical)
     return out / "bubbles.csv"
 
 
@@ -209,7 +218,7 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
         "cubes_per_level": per_level,
         "coverage_threshold": dec.coverage_threshold,
     }
-    _write_json(out / "manifest.json", _manifest(cfg, empirical))
+    _write_manifest(out, "whitney", cfg, empirical)
     return out / "whitney.csv"
 
 
@@ -270,7 +279,7 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
         "traces": traces,
     }
     _write_json(out / "verdicts.json", verdicts)
-    _write_json(out / "manifest.json", _manifest(cfg, empirical))
+    _write_manifest(out, "criteria", cfg, empirical)
     return out / "verdicts.json"
 
 
@@ -296,7 +305,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
             for t in range(len(tags)):
                 w.writerow([t, _TAGS[int(tags[t])], int(steps[t]), int(bubbles[t])]
                            + [repr(float(v)) for v in finals[t]])
-    _write_json(out / "manifest.json", _manifest(cfg))
+    _write_manifest(out, "simulate", cfg)
     return out / "estimate.json"
 
 
@@ -305,9 +314,8 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
     rows = []
     for run in run_dirs:
         run = Path(run)
-        manifest = run / "manifest.json"
-        if not manifest.exists():
-            print(f"warning: {run} has no manifest.json; skipped", file=sys.stderr)
+        if not any(run.glob("manifest.*.json")):
+            print(f"warning: {run} has no manifest.<command>.json; skipped", file=sys.stderr)
             continue
         row = {"run": run.name}
         cfg_path = run / "run_config.json"

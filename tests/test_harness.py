@@ -42,7 +42,7 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
         "e184a0320eed5d2c1b2cfc060bfd49aba204cf8f42502967e091ecf89046ba0b")
     assert _sha256(tmp_path / "wiener_trace.csv") == (
         "ec7a0038868bb7f239ac0f7e174f1daf38eea363d2375fbbb2904d680560fc09")
-    empirical = json.loads((tmp_path / "manifest.json").read_text())["empirical"]
+    empirical = json.loads((tmp_path / "manifest.criteria.json").read_text())["empirical"]
     assert empirical == {
         "c2_cubes_per_ball": 4,
         "C1_ratio_bound": 1.900247054885672,
@@ -99,6 +99,34 @@ def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change", [{"critera": {"grid": 4}}, {"out_dir": "run"}])
+def test_main_returns_2_on_an_unknown_top_level_key(tmp_path, capsys, change):
+    cfg = _write_config(tmp_path, {**SMALL, **change})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"unknown top-level field(s): {next(iter(change))}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_reruns_write_the_same_bytes_and_keep_every_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = _write_config(tmp_path, {**SMALL, "per_trajectory_csv": True,
+                                   "sim": {"alpha": 1.3, "max_steps": 200, "n_traj": 50,
+                                           "seed": 3}})
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for run in runs:
+        for cmd in ("generate", "criteria", "simulate"):
+            assert main([cmd, "--config", cfg, "--out", str(run)]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    assert {"manifest.generate.json", "manifest.criteria.json",
+            "manifest.simulate.json", "trajectories.csv"} <= set(names)
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    # simulate, run last, leaves the criteria's empirical constants in place
+    empirical = json.loads((runs[0] / "manifest.criteria.json").read_text())["empirical"]
+    assert set(empirical) == {"c2_cubes_per_ball", "C1_ratio_bound", "quasi_additivity_interval"}
 
 
 def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):

@@ -173,7 +173,8 @@ class _AdaptiveTable:
 # batch engine
 # ---------------------------------------------------------------------------
 
-def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids: np.ndarray):
+def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
+               traj_ids: np.ndarray):
     """Run trajectories traj_ids in lockstep.  Each consumes only its own
     counter stream, so results match trajectory-at-a-time execution exactly.
 
@@ -181,7 +182,10 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
     centre, stream keys and batch rows are kept in arrays that shrink as
     trajectories end, and each carries |x - c| from its last step, so a step
     takes one norm (of the proposal).  Finished trajectories are written to
-    the outcome arrays by row.  Returns (tags, steps, bubbles, finals).
+    the outcome arrays by row.  Returns (tags, steps, bubbles, finals, killed,
+    suppressed): ``killed`` is each trajectory's first suppressed-proposal
+    step (``max_steps`` if it had none) and ``suppressed`` its number of
+    suppressed proposals.
     """
     domain = config.domain
     d = domain.dimension
@@ -196,6 +200,8 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
     steps = np.full(n, params.max_steps, dtype=np.int64)
     bubbles = np.full(n, -1, dtype=np.int64)
     finals = x.copy()
+    killed = np.full(n, params.max_steps, dtype=np.int64)
+    suppressed = np.zeros(n, dtype=np.int64)
 
     index = BallIndex(config.centers, config.radii, origin=c) if config.n else None
     if index is not None and index.contains(np.asarray(x0, dtype=float)) is not None:
@@ -204,7 +210,8 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
     if delta0 <= 0:
         raise ValueError("x0 must lie inside the domain")
     if delta0 < eps:
-        return np.full(n, BOUNDARY, np.int8), np.zeros(n, np.int64), bubbles, finals
+        return (np.full(n, BOUNDARY, np.int8), np.zeros(n, np.int64), bubbles, finals,
+                killed, suppressed)
 
     adapt = _AdaptiveTable(config) if params.adaptive else None
     scale_coeff = 0.25 / median_unit_norm(d, alpha)
@@ -229,6 +236,10 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
             prop = x + fixed_scale * xi
         norm = row_norms(prop, c)
         moved = norm < R
+        if not moved.all():
+            out = live[~moved]
+            killed[out] = np.minimum(killed[out], step)
+            suppressed[out] += 1
         x = np.where(moved[:, None], prop, x)
         dist = np.where(moved, norm, dist)
 
@@ -259,14 +270,15 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, params: SimParams, traj_ids
             x = x.compress(keep, axis=0)
 
     finals[live] = x
-    return tags, steps, bubbles, finals
+    return tags, steps, bubbles, finals, killed, suppressed
 
 
-def run_trajectory(x0, config: BubbleConfig, params: SimParams, traj: int = 0) -> TrajectoryOutcome:
+def run_trajectory(x0, config: BubbleConfig, phi, params: SimParams,
+                   traj: int = 0) -> TrajectoryOutcome:
     """Single trajectory; outcome is identical inside any batch because the
     stream is keyed by (seed, traj)."""
-    tags, steps, bubbles, finals = _run_batch(
-        np.asarray(x0, dtype=float), config, params, np.asarray([traj], dtype=np.int64)
+    tags, steps, bubbles, finals, _, _ = _run_batch(
+        np.asarray(x0, dtype=float), config, phi, params, np.asarray([traj], dtype=np.int64)
     )
     return TrajectoryOutcome(
         tag=_TAGS[int(tags[0])],
@@ -291,6 +303,7 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
 def estimate_hitting(
     x0,
     config: BubbleConfig,
+    phi,
     params: SimParams,
     batch: int = 4096,
     return_outcomes: bool = False,
@@ -304,7 +317,7 @@ def estimate_hitting(
     x0 = np.asarray(x0, dtype=float)
     n = params.n_traj
     results = [
-        _run_batch(x0, config, params, np.arange(i, min(i + batch, n), dtype=np.int64))
+        _run_batch(x0, config, phi, params, np.arange(i, min(i + batch, n), dtype=np.int64))
         for i in range(0, n, batch)
     ]
 

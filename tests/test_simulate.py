@@ -51,7 +51,8 @@ def _digest(outcomes):
 ])
 def test_outcomes_reproduce_pinned_digests(request, config_name, params, counts, digest):
     config = request.getfixturevalue(config_name)
-    est, outcomes = estimate_hitting(config.domain.center, config, params, return_outcomes=True)
+    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"], params,
+                                     return_outcomes=True)
     assert est.counts == counts
     assert _digest(outcomes) == digest
 
@@ -60,7 +61,8 @@ def test_outcomes_do_not_depend_on_the_batch(disk_config):
     params = SimParams(alpha=1.3, max_steps=300, n_traj=30, seed=7, adaptive=False,
                        jump_scale=0.02)
     x0 = disk_config.domain.center
-    runs = [estimate_hitting(x0, disk_config, params, batch=b, return_outcomes=True)
+    phi = disk_config.meta["phi"]
+    runs = [estimate_hitting(x0, disk_config, phi, params, batch=b, return_outcomes=True)
             for b in (1, 7, 4096)]
     for est, outcomes in runs[1:]:
         assert est == runs[0][0]
@@ -70,7 +72,7 @@ def test_outcomes_do_not_depend_on_the_batch(disk_config):
     # one trajectory of each outcome, run alone, matches its row of the batch
     for tag in (0, 1, 2):
         traj = int(np.flatnonzero(tags == tag)[0])
-        one = run_trajectory(x0, disk_config, params, traj=traj)
+        one = run_trajectory(x0, disk_config, phi, params, traj=traj)
         assert one.tag == ("hit", "boundary", "timeout")[tag]
         assert one.step == steps[traj]
         assert one.bubble == (bubbles[traj] if tag == 0 else None)
@@ -89,10 +91,11 @@ def test_outcomes_are_covariant_under_power_of_two_dilation(disk_config, params,
     scaled_params = dataclasses.replace(
         params, boundary_eps=params.boundary_eps * s,
         jump_scale=None if params.jump_scale is None else params.jump_scale * s)
+    phi = disk_config.meta["phi"]
     _, (tags, steps, bubbles, finals) = estimate_hitting(
-        dom.center, disk_config, params, return_outcomes=True)
+        dom.center, disk_config, phi, params, return_outcomes=True)
     _, (s_tags, s_steps, s_bubbles, s_finals) = estimate_hitting(
-        dom.center * s, scaled, scaled_params, return_outcomes=True)
+        dom.center * s, scaled, phi, scaled_params, return_outcomes=True)
     assert np.array_equal(s_tags, tags)
     assert np.array_equal(s_steps, steps)
     assert np.array_equal(s_bubbles, bubbles)
@@ -102,14 +105,14 @@ def test_outcomes_are_covariant_under_power_of_two_dilation(disk_config, params,
 def test_x0_inside_a_bubble_raises(disk_config):
     params = SimParams(alpha=1.5, max_steps=10, n_traj=4)
     with pytest.raises(ValueError, match="inside a bubble"):
-        estimate_hitting(disk_config.centers[0], disk_config, params)
+        estimate_hitting(disk_config.centers[0], disk_config, disk_config.meta["phi"], params)
 
 
 def test_x0_within_boundary_eps_ends_at_once(disk_config):
     params = SimParams(alpha=1.5, boundary_eps=1e-3, max_steps=10, n_traj=5)
     x0 = np.array([1.0 - 5e-4, 0.0])
     est, (tags, steps, bubbles, finals) = estimate_hitting(
-        x0, disk_config, params, return_outcomes=True)
+        x0, disk_config, disk_config.meta["phi"], params, return_outcomes=True)
     assert est.counts == {"hit": 0, "boundary": 5, "timeout": 0}
     assert np.all(steps == 0) and np.all(bubbles == -1)
     assert np.array_equal(finals, np.tile(x0, (5, 1)))
@@ -179,7 +182,7 @@ def test_wilson_interval_contains_p_hat_and_mirrors():
 
 def test_estimate_reports_the_interval_bounds(disk_config):
     params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
-    est = estimate_hitting(disk_config.domain.center, disk_config, params)
+    est = estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"], params)
     out = est.to_json()
     assert "ci_halfwidth" not in out
     assert (out["ci_lo"], out["ci_hi"]) == _wilson_interval(est.counts["hit"], 20)

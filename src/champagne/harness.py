@@ -50,13 +50,12 @@ __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
            "cmd_criteria", "cmd_simulate", "cmd_report"]
 
 FORMAT_VERSION = "1"
-_TOP_LEVEL_KEYS = frozenset({
-    "format_version", "domain", "constants", "profile", "weight", "shells", "whitney",
-    "criteria", "per_trajectory_csv", "sim",
-})
+_TOP_LEVEL_KEYS = frozenset({"format_version", "domain", "constants", "profile", "weight",
+                             "shells", "whitney", "criteria", "per_trajectory_csv", "sim"})
 
 APPROXIMATION_NOTES = [
-    "simulator: Euler jump-suppression chain; convergence to the censored process is assumed",
+    "simulator: Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
+    "change of the censored process: its discretisation bias is not corrected",
     "simulator: lifetime proxy delta_D < boundary_eps biases p_hat downward",
     "criteria: a.e.-boundary statements are proxied by a deterministic grid",
 ]

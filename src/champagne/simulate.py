@@ -1,26 +1,30 @@
 """Monte-Carlo approximation of the censored stable process and estimation of
 the bubble-hitting probability before the lifetime.
 
-The process is approximated by an Euler jump-suppression chain: at time scale
-h, propose an isotropic stable increment and suppress it if it would exit the
-domain.  This is the direct discrete analog of censoring; its convergence to
-the censored process is a documented modeling assumption, not a theorem, and
-h-refinement sweeps are the supporting evidence.  The lifetime is detected by
-the proxy delta_D < boundary_eps, which biases the hitting probability
-downward (trajectories may be stopped early); runs report this.
+An Euler jump-suppression chain proposes x + s(x)*xi, with xi a standardized
+isotropic alpha-stable vector, and suppresses a proposal that leaves
+D = B(c, R): the discrete analog of censoring.  The step is the local bubble
+scale s(x) = kappa*delta*phi(1 - delta/R), with delta = R - |x - c| and
+kappa = 0.25/median|xi|.  A jump s(x)*xi is what the stable process does in
+time s(x)**alpha, so the chain is an Euler scheme for the censored process
+time-changed by dt = s(X)**alpha.  A time change keeps the paths and hence
+every hitting probability; the one error is the chain's discretisation bias,
+which the tests measure against killed walk-on-spheres.  The lifetime proxy
+delta_D < boundary_eps biases p_hat downward; a running trajectory has
+delta >= boundary_eps, so its step is never 0.
 
-All randomness is counter-based per trajectory, so estimates are bitwise
-independent of batching, and nested configurations run with the same seed are
-coupled pathwise.  Trajectories run in lockstep, and each step touches only
-the trajectories still running: their positions, distances to the centre and
-stream keys are compacted as trajectories end, and each trajectory carries
-its distance to the centre from one step to the next.
+Randomness is counter-based per trajectory, so estimates are bitwise
+independent of batching.  The step never reads the bubbles, so nested
+configurations run with the same seed share each path until the larger one
+is hit; delta/R is scale-free, so a power-of-two dilation of the run dilates
+every trajectory exactly.  Trajectories run in lockstep, each step touches
+only those still running, and each carries |x - c| from step to step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,9 +52,8 @@ _WILSON_Z = 1.959963984540054  # 95%
 class SimParams:
     """Simulation parameters.
 
-    ``jump_scale`` overrides the h-derived spatial scale h**(1/alpha) for
-    non-adaptive runs; it exists so exact scaling couplings can be expressed
-    without round-tripping through a fractional power.
+    The step rule does not read ``h``: it is the time step of an earlier
+    fixed-step rule, kept so that run configurations that set it still load.
     """
 
     alpha: float
@@ -59,8 +62,6 @@ class SimParams:
     max_steps: int = 20_000
     n_traj: int = 1000
     seed: int = 0
-    adaptive: bool = True
-    jump_scale: float | None = None
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
@@ -73,16 +74,7 @@ class SimParams:
             raise ValueError("max_steps and n_traj must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "h": self.h,
-            "boundary_eps": self.boundary_eps,
-            "max_steps": self.max_steps,
-            "n_traj": self.n_traj,
-            "seed": self.seed,
-            "adaptive": self.adaptive,
-            "jump_scale": self.jump_scale,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -95,12 +87,17 @@ class TrajectoryOutcome:
 
 @dataclass(frozen=True)
 class HitEstimate:
+    """``[ci_lo, ci_hi]`` is the 95% Wilson interval, centred on the Wilson
+    centre, not on p_hat.  ``counts`` holds exactly the tags hit, boundary
+    and timeout; ``_diagnostics`` describes ``diagnostics``."""
+
     p_hat: float
-    ci_lo: float              # 95% Wilson interval [ci_lo, ci_hi]; it is
-    ci_hi: float              # centred on the Wilson centre, not on p_hat
+    ci_lo: float
+    ci_hi: float
     n: int
     counts: dict
     timeout_fraction: float
+    diagnostics: dict
     params: SimParams
 
     def to_json(self) -> dict:
@@ -111,9 +108,11 @@ class HitEstimate:
             "n": self.n,
             "counts": dict(self.counts),
             "timeout_fraction": self.timeout_fraction,
+            "diagnostics": dict(self.diagnostics),
             "params": self.params.to_json(),
             "approximation_notes": [
-                "Euler jump-suppression chain; convergence to the censored process is assumed",
+                "Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
+                "change of the censored process: its discretisation bias is not corrected",
                 "lifetime proxy delta_D < boundary_eps biases p_hat downward",
             ],
         }
@@ -132,44 +131,6 @@ def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive scale table
-# ---------------------------------------------------------------------------
-
-class _AdaptiveTable:
-    """Smallest bubble radius by power-of-two band of center depth.
-
-    Lookup by the exponent of delta(x); the window spans exponents +-2, i.e.
-    bubbles whose depth is within a factor ~8 of the query point's.  Built
-    from exponents only, so the table commutes exactly with power-of-two
-    dilations of the configuration.
-    """
-
-    def __init__(self, config: BubbleConfig):
-        if config.n == 0:
-            self._lo = 0
-            self._win = np.asarray([math.inf])
-            return
-        _, exps = np.frexp(config.deltas)
-        e_min, e_max = int(exps.min()), int(exps.max())
-        self._lo = e_min - 5
-        size = e_max + 5 - self._lo + 1
-        bins = np.full(size, math.inf)
-        for e in range(e_min, e_max + 1):
-            mask = exps == e
-            if mask.any():
-                bins[e - self._lo] = float(config.radii[mask].min())
-        win = np.full(size, math.inf)
-        for i in range(size):
-            win[i] = bins[max(0, i - 2) : i + 3].min()
-        self._win = win
-
-    def band_min(self, deltas: np.ndarray) -> np.ndarray:
-        _, e = np.frexp(deltas)
-        idx = np.clip(e.astype(np.int64) - self._lo, 0, self._win.shape[0] - 1)
-        return self._win[idx]
-
-
-# ---------------------------------------------------------------------------
 # batch engine
 # ---------------------------------------------------------------------------
 
@@ -181,11 +142,10 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     Only running trajectories are stepped: their positions, distances to the
     centre, stream keys and batch rows are kept in arrays that shrink as
     trajectories end, and each carries |x - c| from its last step, so a step
-    takes one norm (of the proposal).  Finished trajectories are written to
-    the outcome arrays by row.  Returns (tags, steps, bubbles, finals, killed,
-    suppressed): ``killed`` is each trajectory's first suppressed-proposal
-    step (``max_steps`` if it had none) and ``suppressed`` its number of
-    suppressed proposals.
+    takes one norm (of the proposal).  Returns per trajectory (tags, steps,
+    bubbles, finals, killed, suppressed): ``killed`` is the first
+    suppressed-proposal step (``max_steps`` if none), ``suppressed`` the
+    number of suppressed proposals.
     """
     domain = config.domain
     d = domain.dimension
@@ -213,11 +173,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         return (np.full(n, BOUNDARY, np.int8), np.zeros(n, np.int64), bubbles, finals,
                 killed, suppressed)
 
-    adapt = _AdaptiveTable(config) if params.adaptive else None
-    scale_coeff = 0.25 / median_unit_norm(d, alpha)
-    fixed_scale = (
-        params.jump_scale if params.jump_scale is not None else params.h ** (1.0 / alpha)
-    )
+    kappa = 0.25 / median_unit_norm(d, alpha)
 
     # state of the running trajectories only, row for row
     live = np.arange(n)
@@ -227,13 +183,9 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         if live.size == 0:
             break
         xi = stable_vectors(alpha, d, keys, step)
-        if adapt is not None:
-            delta = R - dist
-            local = np.maximum(np.minimum(delta, adapt.band_min(delta)), eps)
-            scale = local * scale_coeff
-            prop = x + scale[:, None] * xi
-        else:
-            prop = x + fixed_scale * xi
+        delta = R - dist
+        scale = delta * phi(1.0 - delta / R) * kappa
+        prop = x + scale[:, None] * xi
         norm = row_norms(prop, c)
         moved = norm < R
         if not moved.all():
@@ -300,6 +252,27 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
     return lower(hits), 1.0 - lower(n - hits)
 
 
+def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles,
+                 suppressed) -> dict:
+    """Hits per shell, the suppressed share of proposals, percentiles of the
+    steps per trajectory, and the number of shells whose whole delta range
+    lies below boundary_eps (reachable only by a direct jump).  The shell
+    entries are None for bubbles without shell labels."""
+    # a trajectory that ended at step s made s + 1 proposals, a timeout max_steps
+    proposals = int(steps.sum()) + int((tags != TIMEOUT).sum())
+    out = {"suppressed_fraction": int(suppressed.sum()) / proposals,
+           "hits_per_shell": None, "shells_below_boundary_eps": None}
+    for q in (50, 90, 99):
+        out[f"steps_p{q}"] = float(np.percentile(steps, q))
+    if config.shell_ids is not None and config.n:
+        sid, n_shells = config.shell_ids, int(config.shell_ids.max()) + 1
+        out["hits_per_shell"] = np.bincount(sid[bubbles[tags == HIT]], minlength=n_shells).tolist()
+        top = np.full(n_shells, -np.inf)  # largest delta over each shell
+        np.maximum.at(top, sid, config.deltas + config.radii)
+        out["shells_below_boundary_eps"] = int((top < params.boundary_eps).sum())
+    return out
+
+
 def estimate_hitting(
     x0,
     config: BubbleConfig,
@@ -321,10 +294,7 @@ def estimate_hitting(
         for i in range(0, n, batch)
     ]
 
-    tags = np.concatenate([r[0] for r in results])
-    steps = np.concatenate([r[1] for r in results])
-    bubbles = np.concatenate([r[2] for r in results])
-    finals = np.concatenate([r[3] for r in results])
+    tags, steps, bubbles, finals, _, suppressed = (np.concatenate(col) for col in zip(*results))
 
     hits = int((tags == HIT).sum())
     boundary = int((tags == BOUNDARY).sum())
@@ -337,6 +307,7 @@ def estimate_hitting(
         n=n,
         counts={"hit": hits, "boundary": boundary, "timeout": timeout},
         timeout_fraction=timeout / n,
+        diagnostics=_diagnostics(config, params, tags, steps, bubbles, suppressed),
         params=params,
     )
     if return_outcomes:

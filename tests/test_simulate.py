@@ -4,12 +4,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from champagne.bubbles import BubbleConfig, ConstantProfile, generate_shell_config
-from champagne.geometry import BallDomain
+from scipy.spatial import cKDTree
+
+from champagne.bubbles import (
+    BubbleConfig,
+    ConstantProfile,
+    PowerProfile,
+    generate_shell_config,
+)
+from champagne.geometry import BallDomain, row_norms
 from champagne.rng import stable_vectors, stream_keys, uniform01
 from champagne.simulate import (
     _WILSON_Z,
+    HIT,
     SimParams,
+    _run_batch,
     _wilson_interval,
     estimate_hitting,
     run_trajectory,
@@ -26,8 +35,7 @@ def ball_config():
     return generate_shell_config(BallDomain(np.zeros(3), 1.0), ConstantProfile(0.3), 0.5, 2, seed=3)
 
 
-ADAPTIVE = SimParams(alpha=1.5, max_steps=800, n_traj=300, seed=11)
-FIXED = SimParams(alpha=1.3, max_steps=800, n_traj=300, seed=11, adaptive=False, jump_scale=0.01)
+PARAMS = SimParams(alpha=1.5, max_steps=800, n_traj=300, seed=11)
 
 
 def _digest(outcomes):
@@ -37,29 +45,24 @@ def _digest(outcomes):
     return h.hexdigest()
 
 
-# Outcomes pinned from the simulator before its step loop was compacted; every
-# rewrite of the loop must reproduce them bit for bit.
-@pytest.mark.parametrize("config_name, params, counts, digest", [
-    ("disk_config", ADAPTIVE, {"hit": 45, "boundary": 2, "timeout": 253},
-     "8200816ed093e946d7bafe90dbd8aba8d8b49a34e26e840d713979affc3c004e"),
-    ("disk_config", FIXED, {"hit": 292, "boundary": 5, "timeout": 3},
-     "fb877072e60835c55b57bcd5b7a5aba2df6a2cbe4c819349291580fd4d71debd"),
-    ("ball_config", ADAPTIVE, {"hit": 214, "boundary": 7, "timeout": 79},
-     "a41ef17633046b84f4e534732025543eef59017f16e37dc77769355670c72c1e"),
-    ("ball_config", FIXED, {"hit": 292, "boundary": 7, "timeout": 1},
-     "fd9e05ffdc9e94ba27fa2edc7ba0105a54d69128e78c5934e03f0d5a1dbed394"),
-])
-def test_outcomes_reproduce_pinned_digests(request, config_name, params, counts, digest):
+# Outcomes pinned when the step became kappa*delta*phi(1 - delta/R); every
+# rewrite of the step loop must reproduce them bit for bit.
+@pytest.mark.parametrize("config_name, counts, digest", [
+    ("disk_config", {"hit": 227, "boundary": 2, "timeout": 71},
+     "f71bcc5709b23c1863317d9320f66b310d9bda8831b68a2cb40c4f1fcb78ca30"),
+    ("ball_config", {"hit": 291, "boundary": 8, "timeout": 1},
+     "c0ba1d2c4098f05fa451558c6ae8dac7b31460c9e34e20a26c6b6e87f6212c10"),
+], ids=["disk", "ball"])
+def test_outcomes_reproduce_pinned_digests(request, config_name, counts, digest):
     config = request.getfixturevalue(config_name)
-    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"], params,
+    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"], PARAMS,
                                      return_outcomes=True)
     assert est.counts == counts
     assert _digest(outcomes) == digest
 
 
 def test_outcomes_do_not_depend_on_the_batch(disk_config):
-    params = SimParams(alpha=1.3, max_steps=300, n_traj=30, seed=7, adaptive=False,
-                       jump_scale=0.02)
+    params = SimParams(alpha=1.3, boundary_eps=0.05, max_steps=200, n_traj=30, seed=7)
     x0 = disk_config.domain.center
     phi = disk_config.meta["phi"]
     runs = [estimate_hitting(x0, disk_config, phi, params, batch=b, return_outcomes=True)
@@ -79,27 +82,129 @@ def test_outcomes_do_not_depend_on_the_batch(disk_config):
         assert np.array_equal(one.final_point, finals[traj])
 
 
-@pytest.mark.parametrize("params", [ADAPTIVE, FIXED], ids=["adaptive", "fixed"])
 @pytest.mark.parametrize("s", [2.0, 0.25])
-def test_outcomes_are_covariant_under_power_of_two_dilation(disk_config, params, s):
+def test_outcomes_are_covariant_under_power_of_two_dilation(s):
     # Every length the step rule, the boundary proxy and the ball index use
-    # scales by s, and multiplying by a power of two is exact, so dilating
-    # the whole run by s dilates each trajectory exactly.
-    dom = disk_config.domain
+    # scales by s, delta/R does not change, and multiplying by a power of two
+    # is exact, so dilating the whole run by s dilates each trajectory exactly.
+    # A power profile makes the step depend on delta/R.
+    phi = PowerProfile(1.0)
+    config = generate_shell_config(BallDomain(np.zeros(2), 1.0), phi, 0.5, 3, seed=3)
+    dom = config.domain
     scaled = BubbleConfig(BallDomain(dom.center * s, dom.radius * s),
-                          disk_config.centers * s, disk_config.radii * s)
-    scaled_params = dataclasses.replace(
-        params, boundary_eps=params.boundary_eps * s,
-        jump_scale=None if params.jump_scale is None else params.jump_scale * s)
-    phi = disk_config.meta["phi"]
+                          config.centers * s, config.radii * s)
+    params = dataclasses.replace(PARAMS, boundary_eps=0.01)
+    scaled_params = dataclasses.replace(params, boundary_eps=params.boundary_eps * s)
     _, (tags, steps, bubbles, finals) = estimate_hitting(
-        dom.center, disk_config, phi, params, return_outcomes=True)
+        dom.center, config, phi, params, return_outcomes=True)
     _, (s_tags, s_steps, s_bubbles, s_finals) = estimate_hitting(
         dom.center * s, scaled, phi, scaled_params, return_outcomes=True)
+    assert set(tags.tolist()) == {0, 1, 2}
     assert np.array_equal(s_tags, tags)
     assert np.array_equal(s_steps, steps)
     assert np.array_equal(s_bubbles, bubbles)
     assert np.array_equal(s_finals, finals * s)
+
+
+@pytest.mark.parametrize("d, phi", [(2, ConstantProfile(0.1)), (3, ConstantProfile(0.3))],
+                         ids=["d2", "d3"])
+def test_nested_configurations_are_coupled_pathwise(d, phi):
+    # The step rule never reads the bubbles, so with the same seed the paths
+    # of shells 1-2 and of shells 1-3 coincide until the larger set is hit.
+    outer = generate_shell_config(BallDomain(np.zeros(d), 1.0), phi, 0.5, 3, seed=5)
+    keep = outer.shell_ids < 2
+    inner = BubbleConfig(outer.domain, outer.centers[keep], outer.radii[keep],
+                         shell_ids=outer.shell_ids[keep])
+    params = SimParams(alpha=1.5, max_steps=1000, n_traj=1000, seed=5)
+    x0 = outer.domain.center
+    est_in, (tags_in, steps_in, bubbles_in, finals_in) = estimate_hitting(
+        x0, inner, phi, params, return_outcomes=True)
+    est_out, (tags_out, steps_out, bubbles_out, finals_out) = estimate_hitting(
+        x0, outer, phi, params, return_outcomes=True)
+    hit_in, hit_out = tags_in == HIT, tags_out == HIT
+    assert est_out.counts["hit"] > est_in.counts["hit"] > 0
+    # every hit of the subset is a hit of the superset, no later
+    assert np.all(hit_out[hit_in])
+    assert np.all(steps_out[hit_in] <= steps_in[hit_in])
+    same_step = hit_in & (steps_out == steps_in)
+    assert np.array_equal(bubbles_out[same_step], np.flatnonzero(keep)[bubbles_in[same_step]])
+    # a path that misses the superset is the same path for the subset
+    miss = ~hit_out
+    assert np.array_equal(tags_in[miss], tags_out[miss])
+    assert np.array_equal(steps_in[miss], steps_out[miss])
+    assert np.array_equal(finals_in[miss], finals_out[miss])
+
+
+def _killed_walk_on_spheres(config, alpha, x0, n, seed):
+    """Hit indicators of the alpha-stable process killed on leaving D.
+
+    From x, the largest ball B(x, rho) that meets neither a bubble nor the
+    complement of D is left by a jump to distance rho/sqrt(beta) with
+    beta ~ Beta(alpha/2, 1 - alpha/2), in a uniform direction
+    (Blumenthal, Getoor & Ray, Trans. AMS 99, 1961).  The walk stops when it
+    lands in a bubble (a hit) or outside D (killed); there is no
+    discretisation.  The distance to the nearest bubble surface comes from
+    one KD-tree per distinct radius.
+    """
+    rng = np.random.default_rng(seed)
+    c, R = config.domain.center, config.domain.radius
+    trees = [(cKDTree(config.centers[config.radii == r]), r) for r in np.unique(config.radii)]
+    hit = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    x = np.tile(np.asarray(x0, dtype=float), (n, 1))
+    while live.size:
+        rho = R - row_norms(x, c)
+        for tree, r in trees:
+            rho = np.minimum(rho, tree.query(x)[0] - r)
+        beta = rng.beta(alpha / 2.0, 1.0 - alpha / 2.0, size=live.size)
+        u = rng.standard_normal(x.shape)
+        u /= np.sqrt((u * u).sum(axis=1))[:, None]
+        x = x + (rho / np.sqrt(beta))[:, None] * u
+        inside = np.zeros(live.size, dtype=bool)
+        for tree, r in trees:
+            inside |= tree.query(x)[0] <= r
+        hit[live[inside]] = True
+        keep = ~inside & (row_norms(x, c) < R)
+        live, x = live[keep], x[keep]
+    return hit
+
+
+def test_killed_hit_probability_matches_walk_on_spheres(disk_config):
+    # Stopped at its first suppressed proposal, the chain estimates the hit
+    # probability of the process killed on leaving D (Bogdan, Burdzy & Chen,
+    # PTRF 127, 2003), which walk-on-spheres samples exactly; the gap is the
+    # chain's discretisation bias.
+    n, alpha = 8000, 1.5
+    x0 = disk_config.domain.center
+    params = SimParams(alpha=alpha, boundary_eps=1e-9, max_steps=3000, n_traj=n, seed=1)
+    tags, steps, _, _, killed, suppressed = _run_batch(
+        x0, disk_config, disk_config.meta["phi"], params, np.arange(n))
+    assert np.all((suppressed > 0) == (killed < params.max_steps))
+    killed_hit = (tags == HIT) & (steps < killed)
+    # neither hit nor suppressed within max_steps: counted as a miss
+    undecided = int(((tags != HIT) & (killed == params.max_steps)).sum())
+    assert undecided <= 0.01 * n
+    p_chain = killed_hit.mean()
+    p_wos = _killed_walk_on_spheres(disk_config, alpha, x0, n, seed=1).mean()
+    sigma = np.sqrt(2.0 * p_wos * (1.0 - p_wos) / n)
+    assert p_chain - 3.0 * sigma <= p_wos <= p_chain + undecided / n + 3.0 * sigma
+
+
+def test_estimate_reports_simulator_diagnostics(disk_config):
+    # shell 3 of the disk has delta in [0.0167, 0.0204], below boundary_eps
+    params = SimParams(alpha=1.5, boundary_eps=0.03, max_steps=400, n_traj=200, seed=2)
+    est, (tags, steps, bubbles, _) = estimate_hitting(
+        disk_config.domain.center, disk_config, disk_config.meta["phi"], params,
+        return_outcomes=True)
+    diag = est.to_json()["diagnostics"]
+    assert set(est.counts) == {"hit", "boundary", "timeout"}
+    assert diag["shells_below_boundary_eps"] == 1
+    assert diag["hits_per_shell"] == np.bincount(
+        disk_config.shell_ids[bubbles[tags == HIT]], minlength=3).tolist()
+    assert sum(diag["hits_per_shell"]) == est.counts["hit"] > 0
+    assert 0.0 < diag["suppressed_fraction"] < 1.0
+    assert diag["steps_p50"] <= diag["steps_p90"] <= diag["steps_p99"] <= params.max_steps
+    assert diag["steps_p50"] == float(np.median(steps))
 
 
 def test_x0_inside_a_bubble_raises(disk_config):

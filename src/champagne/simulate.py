@@ -281,7 +281,8 @@ def estimate_hitting(
     batch: int = 4096,
     return_outcomes: bool = False,
 ):
-    """Estimate P(hit the bubble union before the lifetime proxy).
+    """Estimate P(hit the bubble union before the lifetime proxy); ``phi`` is
+    the radial profile that sets the step.
 
     Runs ``params.n_traj`` trajectories on independent counter streams, in
     batches of ``batch``; the estimate is identical for any batch size.

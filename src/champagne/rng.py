@@ -90,13 +90,14 @@ def positive_stable(rho: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def standard_normals(keys: np.ndarray, base_counter, d: int) -> np.ndarray:
-    """(n, d) standard normals via Box-Muller on counter slots."""
-    n = keys.shape[0]
+    """(n, d) standard normals via Box-Muller on counter slots: one row per
+    element of keys + base_counter broadcast together, in C order."""
+    n = np.broadcast(keys, base_counter).size
     pairs = (d + 1) // 2
     out = np.empty((n, 2 * pairs))
     for p in range(pairs):
-        u1 = uniform01(keys, base_counter + np.uint64(2 * p))
-        u2 = uniform01(keys, base_counter + np.uint64(2 * p + 1))
+        u1 = uniform01(keys, base_counter + np.uint64(2 * p)).ravel()
+        u2 = uniform01(keys, base_counter + np.uint64(2 * p + 1)).ravel()
         r = np.sqrt(-2.0 * np.log(u1))
         ang = 2.0 * np.pi * u2
         out[:, 2 * p] = r * np.cos(ang)
@@ -104,18 +105,23 @@ def standard_normals(keys: np.ndarray, base_counter, d: int) -> np.ndarray:
     return out[:, :d]
 
 
-def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int) -> np.ndarray:
-    """Standardized isotropic alpha-stable increments for one step.
+def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
+                   n_steps: int = 1) -> np.ndarray:
+    """Standardized isotropic alpha-stable increments for the block of steps
+    step, ..., step + n_steps - 1: (n_steps * m, d) rows for m keys, step-major,
+    so row s*m + i is the increment of keys[i] at step step + s.
 
     Characteristic function exp(-|u|^alpha); the time-h increment is
-    h**(1/alpha) times this.
+    h**(1/alpha) times this.  Each row is a function of its key and step
+    alone, so a block equals its steps drawn one at a time, bit for bit.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError("alpha must lie in (1, 2)")
     nslots = np.uint64(slots_per_step(d))
-    base = np.uint64(step) * nslots
-    u = uniform01(keys, base)
-    w = -np.log(uniform01(keys, base + np.uint64(1)))
+    # one counter base per step, a column that broadcasts against the keys
+    base = np.arange(step, step + n_steps, dtype=np.uint64)[:, None] * nslots
+    u = uniform01(keys, base).ravel()
+    w = -np.log(uniform01(keys, base + np.uint64(1)).ravel())
     s = positive_stable(alpha / 2.0, u, w)
     z = standard_normals(keys, base + np.uint64(2), d)
     return np.sqrt(2.0 * s)[:, None] * z

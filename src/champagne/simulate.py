@@ -17,8 +17,12 @@ Randomness is counter-based per trajectory, so estimates are bitwise
 independent of batching.  The step never reads the bubbles, so nested
 configurations run with the same seed share each path until the larger one
 is hit; delta/R is scale-free, so a power-of-two dilation of the run dilates
-every trajectory exactly.  Trajectories run in lockstep, each step touches
-only those still running, and each carries |x - c| from step to step.
+every trajectory exactly.  Trajectories run in lockstep, in passes of a
+block of steps over those still running: one draw of random vectors and one
+ball-index query per pass, not per step.  Blindness to the bubbles is also
+what makes this exact: a block's path is computed before the query, each
+trajectory's outcome is its first hit or boundary step, and its work past
+that step is discarded.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ from .spatial import BallIndex
 
 __all__ = [
     "SimParams",
-    "TrajectoryOutcome",
     "HitEstimate",
-    "run_trajectory",
     "estimate_hitting",
     "median_unit_norm",
 ]
@@ -46,6 +48,9 @@ __all__ = [
 HIT, BOUNDARY, TIMEOUT = 0, 1, 2
 _TAGS = {HIT: "hit", BOUNDARY: "boundary", TIMEOUT: "timeout"}
 _WILSON_Z = 1.959963984540054  # 95%
+# draws per pass of the step loop: m running trajectories take
+# max(1, _BLOCK_DRAWS // m) steps per pass
+_BLOCK_DRAWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -75,14 +80,6 @@ class SimParams:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    tag: str                  # "hit" | "boundary" | "timeout"
-    step: int                 # jump index at which the outcome was detected
-    final_point: np.ndarray
-    bubble: int | None = None
 
 
 @dataclass(frozen=True)
@@ -139,13 +136,19 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     """Run trajectories traj_ids in lockstep.  Each consumes only its own
     counter stream, so results match trajectory-at-a-time execution exactly.
 
-    Only running trajectories are stepped: their positions, distances to the
-    centre, stream keys and batch rows are kept in arrays that shrink as
-    trajectories end, and each carries |x - c| from its last step, so a step
-    takes one norm (of the proposal).  Returns per trajectory (tags, steps,
-    bubbles, finals, killed, suppressed): ``killed`` is the first
-    suppressed-proposal step (``max_steps`` if none), ``suppressed`` the
-    number of suppressed proposals.
+    A pass advances the m running trajectories K = max(1, _BLOCK_DRAWS // m)
+    steps (at most the steps left) on one block of draws, then asks the ball
+    index once about every position the block moved to.  This is exact: the
+    step never reads the bubbles, so a path through the block is the same
+    whether or not it meets one; a trajectory's outcome is its first hit or
+    boundary step in the block (a hit first at the same step), and whatever
+    it did after that step is discarded, suppressed proposals included.
+    Trajectories with an outcome leave the running arrays (positions,
+    distances to the centre, stream keys, batch rows) after the pass; each
+    carries |x - c| from its last step, so a step takes one norm.  Returns
+    per trajectory (tags, steps, bubbles, finals, killed, suppressed):
+    ``killed`` is the first suppressed-proposal step (``max_steps`` if none),
+    ``suppressed`` the number of suppressed proposals.
     """
     domain = config.domain
     d = domain.dimension
@@ -179,65 +182,62 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     live = np.arange(n)
     keys = stream_keys(params.seed, traj_ids)
     dist = row_norms(x, c)
-    for step in range(params.max_steps):
-        if live.size == 0:
-            break
-        xi = stable_vectors(alpha, d, keys, step)
-        delta = R - dist
-        scale = delta * phi(1.0 - delta / R) * kappa
-        prop = x + scale[:, None] * xi
-        norm = row_norms(prop, c)
-        moved = norm < R
-        if not moved.all():
-            out = live[~moved]
-            killed[out] = np.minimum(killed[out], step)
-            suppressed[out] += 1
-        x = np.where(moved[:, None], prop, x)
-        dist = np.where(moved, norm, dist)
+    step = 0
+    while live.size and step < params.max_steps:
+        m = live.size
+        k = min(max(1, _BLOCK_DRAWS // m), params.max_steps - step)
+        xi = stable_vectors(alpha, d, keys, step, k)
+        # the block's path: positions, proposal norms and moves, (k, m) per step
+        path = np.empty((k, m, d))
+        norms = np.empty((k, m))
+        moved = np.empty((k, m), dtype=bool)
+        for s in range(k):
+            delta = R - dist
+            scale = delta * phi(1.0 - delta / R) * kappa
+            prop = x + scale[:, None] * xi[s * m:(s + 1) * m]
+            norm = row_norms(prop, c)
+            np.less(norm, R, out=moved[s])
+            x = np.where(moved[s][:, None], prop, x)
+            dist = np.where(moved[s], norm, dist)
+            path[s], norms[s] = x, norm
 
-        done = np.zeros(live.size, dtype=bool)
-        if index is not None and moved.any():
-            rows = np.flatnonzero(moved)
-            got, owner = index.contains_batch(np.take(x, rows, axis=0))
-            if got.any():
-                hit_rows = rows[got]
-                ids = live[hit_rows]
-                tags[ids] = HIT
-                steps[ids] = step
-                bubbles[ids] = owner[got]
-                finals[ids] = x[hit_rows]
-                done[hit_rows] = True
-        reached = moved & (norm > inner_radius) & ~done
-        if reached.any():
-            ids = live[reached]
-            tags[ids] = BOUNDARY
-            steps[ids] = step
-            finals[ids] = x[reached]
-            done |= reached
-        if done.any():
+        # the first event of each row: hit, or else boundary, at a moved step
+        hit = np.zeros(k * m, dtype=bool)
+        owner = np.full(k * m, -1, dtype=np.int64)
+        rows = np.flatnonzero(moved)
+        if index is not None and rows.size:
+            hit[rows], owner[rows] = index.contains_batch(
+                np.take(path.reshape(k * m, d), rows, axis=0))
+        hit = hit.reshape(k, m)
+        event = hit | (moved & (norms > inner_radius))
+        ended = event.any(axis=0)
+        first = np.where(ended, event.argmax(axis=0), k)  # k: no event
+        cols = np.arange(m)
+
+        # suppressed proposals up to a row's event (or the block's end)
+        out = ~moved & (np.arange(k)[:, None] < first)
+        killed_rows = out.any(axis=0)
+        ids = live[killed_rows]
+        killed[ids] = np.minimum(killed[ids], step + out.argmax(axis=0)[killed_rows])
+        suppressed[live] += out.sum(axis=0)
+
+        if ended.any():
+            e_cols, e_steps = cols[ended], first[ended]
+            ids = live[ended]
+            e_hit = hit[e_steps, e_cols]
+            tags[ids] = np.where(e_hit, HIT, BOUNDARY)
+            steps[ids] = step + e_steps
+            bubbles[ids] = owner.reshape(k, m)[e_steps, e_cols]
+            finals[ids] = path[e_steps, e_cols]
             # compress() and take() copy rows of an (n, d) array several
             # times faster than boolean or fancy indexing does
-            keep = ~done
+            keep = ~ended
             live, keys, dist = live[keep], keys[keep], dist[keep]
             x = x.compress(keep, axis=0)
+        step += k
 
     finals[live] = x
     return tags, steps, bubbles, finals, killed, suppressed
-
-
-def run_trajectory(x0, config: BubbleConfig, phi, params: SimParams,
-                   traj: int = 0) -> TrajectoryOutcome:
-    """Single trajectory; outcome is identical inside any batch because the
-    stream is keyed by (seed, traj)."""
-    tags, steps, bubbles, finals, _, _ = _run_batch(
-        np.asarray(x0, dtype=float), config, phi, params, np.asarray([traj], dtype=np.int64)
-    )
-    return TrajectoryOutcome(
-        tag=_TAGS[int(tags[0])],
-        step=int(steps[0]),
-        final_point=finals[0],
-        bubble=int(bubbles[0]) if tags[0] == HIT else None,
-    )
 
 
 def _wilson_interval(hits: int, n: int) -> tuple[float, float]:

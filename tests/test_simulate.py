@@ -6,6 +6,7 @@ import pytest
 
 from scipy.spatial import cKDTree
 
+from champagne import simulate
 from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
@@ -21,8 +22,8 @@ from champagne.simulate import (
     _run_batch,
     _wilson_interval,
     estimate_hitting,
-    run_trajectory,
 )
+from champagne.spatial import BallIndex
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +72,54 @@ def test_outcomes_do_not_depend_on_the_batch(disk_config):
         assert est == runs[0][0]
         for a, b in zip(outcomes, runs[0][1]):
             assert np.array_equal(a, b)
-    tags, steps, bubbles, finals = runs[0][1]
-    # one trajectory of each outcome, run alone, matches its row of the batch
-    for tag in (0, 1, 2):
-        traj = int(np.flatnonzero(tags == tag)[0])
-        one = run_trajectory(x0, disk_config, phi, params, traj=traj)
-        assert one.tag == ("hit", "boundary", "timeout")[tag]
-        assert one.step == steps[traj]
-        assert one.bubble == (bubbles[traj] if tag == 0 else None)
-        assert np.array_equal(one.final_point, finals[traj])
+    assert set(runs[0][1][0].tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("config_name", ["disk_config", "ball_config"], ids=["disk", "ball"])
+def test_outcomes_do_not_depend_on_the_block_length(request, monkeypatch, config_name):
+    # A pass over m running trajectories takes max(1, _BLOCK_DRAWS // m) steps.
+    # One step per pass, three steps per pass at the start (more as
+    # trajectories end), and the whole run in one pass must give the same six
+    # arrays: work past a trajectory's outcome, suppressed proposals
+    # included, is discarded.
+    config = request.getfixturevalue(config_name)
+    n = PARAMS.n_traj
+    runs = []
+    for draws in (1, 3 * n, PARAMS.max_steps * n):
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
+        runs.append(_run_batch(config.domain.center, config, config.meta["phi"], PARAMS,
+                               np.arange(n)))
+    tags, _, _, _, _, suppressed = runs[0]
+    assert set(tags.tolist()) == {0, 1, 2}
+    assert suppressed.sum() > 0
+    for other in runs[1:]:
+        for a, b in zip(other, runs[0]):
+            assert np.array_equal(a, b)
+
+
+def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
+    # Counts calls, not time: a loop that draws or queries once per step
+    # makes as many calls as the longest trajectory takes steps.
+    calls = {"draw": 0, "query": 0}
+    contains_batch = BallIndex.contains_batch
+
+    def draw(*args, **kwargs):
+        calls["draw"] += 1
+        return stable_vectors(*args, **kwargs)
+
+    def query(self, x):
+        calls["query"] += 1
+        return contains_batch(self, x)
+
+    monkeypatch.setattr(simulate, "stable_vectors", draw)
+    monkeypatch.setattr(BallIndex, "contains_batch", query)
+    _, (_, steps, _, _) = estimate_hitting(disk_config.domain.center, disk_config,
+                                           disk_config.meta["phi"], PARAMS,
+                                           return_outcomes=True)
+    lockstep_steps = int(steps.max())
+    assert lockstep_steps == PARAMS.max_steps
+    assert calls["draw"] <= lockstep_steps / 20
+    assert calls["query"] <= lockstep_steps / 20 + 1  # +1: the check on x0
 
 
 @pytest.mark.parametrize("s", [2.0, 0.25])
@@ -202,6 +242,8 @@ def test_estimate_reports_simulator_diagnostics(disk_config):
     assert diag["hits_per_shell"] == np.bincount(
         disk_config.shell_ids[bubbles[tags == HIT]], minlength=3).tolist()
     assert sum(diag["hits_per_shell"]) == est.counts["hit"] > 0
+    # a landing in a shell-3 bubble is also within boundary_eps: the hit wins
+    assert diag["hits_per_shell"][2] > 0
     assert 0.0 < diag["suppressed_fraction"] < 1.0
     assert diag["steps_p50"] <= diag["steps_p90"] <= diag["steps_p99"] <= params.max_steps
     assert diag["steps_p50"] == float(np.median(steps))
@@ -263,6 +305,13 @@ def test_stable_vectors_match_the_reference_bit_for_bit(d, alpha):
     for step in (0, 1, 4_999):
         assert np.array_equal(stable_vectors(alpha, d, keys, step),
                               _stable_vectors_reference(alpha, d, keys, step))
+    # a block of steps is its steps drawn one at a time, step-major
+    m, first, k = 2_000, 4_997, 3
+    block = stable_vectors(alpha, d, keys[:m], first, k)
+    assert block.shape == (k * m, d)
+    for s in range(k):
+        assert np.array_equal(block[s * m:(s + 1) * m],
+                              _stable_vectors_reference(alpha, d, keys[:m], first + s))
     assert np.array_equal(uniform01(keys, np.uint64(3)), _uniform01_reference(keys, np.uint64(3)))
 
 

@@ -123,7 +123,7 @@ def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
     value is a deterministic constant of the build.
     """
     keys = stream_keys(0x5CA1AB1E, np.arange(n))
-    xi = stable_vectors(alpha, d, keys, step=0)
+    xi = stable_vectors(alpha, d, keys, step=0, n_steps=1)
     return float(np.median(np.sqrt((xi * xi).sum(axis=1))))
 
 
@@ -208,11 +208,10 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         if index is not None and rows.size:
             hit[rows], owner[rows] = index.contains_batch(
                 np.take(path.reshape(k * m, d), rows, axis=0))
-        hit = hit.reshape(k, m)
+        hit, owner = hit.reshape(k, m), owner.reshape(k, m)
         event = hit | (moved & (norms > inner_radius))
         ended = event.any(axis=0)
         first = np.where(ended, event.argmax(axis=0), k)  # k: no event
-        cols = np.arange(m)
 
         # suppressed proposals up to a row's event (or the block's end)
         out = ~moved & (np.arange(k)[:, None] < first)
@@ -222,12 +221,12 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         suppressed[live] += out.sum(axis=0)
 
         if ended.any():
-            e_cols, e_steps = cols[ended], first[ended]
+            e_cols, e_steps = np.flatnonzero(ended), first[ended]
             ids = live[ended]
             e_hit = hit[e_steps, e_cols]
             tags[ids] = np.where(e_hit, HIT, BOUNDARY)
             steps[ids] = step + e_steps
-            bubbles[ids] = owner.reshape(k, m)[e_steps, e_cols]
+            bubbles[ids] = owner[e_steps, e_cols]
             finals[ids] = path[e_steps, e_cols]
             # compress() and take() copy rows of an (n, d) array several
             # times faster than boolean or fancy indexing does

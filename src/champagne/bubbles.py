@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import BallDomain, dist_to_boundary
 from .kernels import Constants, small_radius_threshold, unit_ball_volume
+from .spatial import DISJOINTNESS_SLACK, BallIndex
 
 __all__ = [
     "BubbleConfig",
@@ -37,8 +38,6 @@ __all__ = [
     "profile_separation_infimum",
     "capacity_separation_report",
 ]
-
-DISJOINTNESS_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,6 @@ class BubbleConfig:
         self.radii = radii
         self.shell_ids = None if shell_ids is None else np.asarray(shell_ids, dtype=np.int64)
         self.meta = dict(meta) if meta else {}
-        self._tree = None
 
         if self.n:
             if not np.all(radii > 0):
@@ -256,55 +254,36 @@ class BubbleConfig:
     def dimension(self) -> int:
         return self.domain.dimension
 
-    @property
-    def centers_tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.centers)
-        return self._tree
+    @cached_property
+    def index(self) -> BallIndex:
+        """The one ``BallIndex`` over these bubbles, built on first use."""
+        return BallIndex(self.centers, self.radii, origin=self.domain.center)
+
+    @cached_property
+    def centers_tree(self):
+        """A ``scipy.spatial.cKDTree`` over the centres, built on first use.
+        Only the separation predicates need it, so scipy loads only then."""
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.centers)
 
     # -- disjointness ---------------------------------------------------------
 
-    def disjointness_report(self, slack: float = DISJOINTNESS_SLACK) -> dict:
+    def disjointness_report(self) -> dict:
         """Exact pairwise disjointness via squared-distance comparisons.
 
-        Balls are bucketed by radius scale; only radially overlapping buckets
-        are cross-checked, so shell configurations validate in near-linear
-        time.  Returns violations list, the minimum gap found among candidate
-        pairs, and the slack used.
+        The candidate pairs are ``index.near_pairs()``: every pair whose
+        centres lie within r_max,a + r_max,b + slack of each other, with
+        r_max,a and r_max,b the largest radii of the two bubbles' radius
+        classes, which holds every pair that can violate.  A pair (j, k)
+        violates when |c_j - c_k|^2 <= (r_j + r_k + slack)^2.  Returns the
+        violations as sorted (j, k) with j < k, the least gap
+        |c_j - c_k| - r_j - r_k among the candidate pairs, and the slack.
         """
+        slack = DISJOINTNESS_SLACK
         if self.n < 2:
             return {"violations": [], "min_margin": math.inf, "slack": slack}
-
-        _, exponents = np.frexp(self.radii)
-        norms = np.sqrt(((self.centers - self.domain.center) ** 2).sum(axis=1))
-        buckets = []
-        for e in np.unique(exponents):
-            ids = np.where(exponents == e)[0]
-            r_max = float(self.radii[ids].max())
-            buckets.append(
-                {
-                    "ids": ids,
-                    "tree": cKDTree(self.centers[ids]),
-                    "r_max": r_max,
-                    "lo": float(norms[ids].min()) - 2.0 * r_max,
-                    "hi": float(norms[ids].max()) + 2.0 * r_max,
-                }
-            )
-
-        # candidate pairs (j, k): centres within the reach of the two buckets'
-        # largest radii plus the slack, closed at the reach
-        pairs = []
-        for bi, b in enumerate(buckets):
-            within = b["tree"].query_pairs(2.0 * b["r_max"] + slack, output_type="ndarray")
-            pairs.append(b["ids"][within])
-            for b2 in buckets[bi + 1 :]:
-                if b["hi"] < b2["lo"] or b2["hi"] < b["lo"]:
-                    continue
-                reach = b["r_max"] + b2["r_max"] + slack
-                near = b["tree"].sparse_distance_matrix(b2["tree"], reach, output_type="ndarray")
-                pairs.append(np.column_stack([b["ids"][near["i"]], b2["ids"][near["j"]]]))
-        j, k = np.concatenate(pairs).T
-
+        j, k = self.index.near_pairs()
         dsq = ((self.centers[j] - self.centers[k]) ** 2).sum(axis=1)
         rsum = self.radii[j] + self.radii[k]
         lim = rsum + slack

@@ -36,7 +36,6 @@ import numpy as np
 from .bubbles import BubbleConfig
 from .geometry import row_norms
 from .rng import stable_vectors, stream_keys
-from .spatial import BallIndex
 
 __all__ = [
     "SimParams",
@@ -166,8 +165,8 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     killed = np.full(n, params.max_steps, dtype=np.int64)
     suppressed = np.zeros(n, dtype=np.int64)
 
-    index = BallIndex(config.centers, config.radii, origin=c) if config.n else None
-    if index is not None and index.contains(np.asarray(x0, dtype=float)) is not None:
+    index = config.index
+    if index.contains(np.asarray(x0, dtype=float)) is not None:
         raise ValueError("x0 lies inside a bubble")
     delta0 = R - float(np.sqrt(((np.asarray(x0, dtype=float) - c) ** 2).sum()))
     if delta0 <= 0:
@@ -205,7 +204,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         hit = np.zeros(k * m, dtype=bool)
         owner = np.full(k * m, -1, dtype=np.int64)
         rows = np.flatnonzero(moved)
-        if index is not None and rows.size:
+        if rows.size:
             hit[rows], owner[rows] = index.contains_batch(
                 np.take(path.reshape(k * m, d), rows, axis=0))
         hit, owner = hit.reshape(k, m), owner.reshape(k, m)

@@ -1,38 +1,126 @@
-"""Spatial index for point-in-ball membership over large bubble families.
+"""Spatial index over a fixed family of disjoint closed balls: which ball
+holds a point, and which pairs of balls are near enough to need a
+disjointness check.
 
-For disjoint closed balls B(c_k, r_k) the question "which ball holds x?" has
-a one-query answer, the power diagram (Aurenhammer, "Power diagrams:
-properties, algorithms and applications", SIAM J. Comput. 16, 1987).  If x
-lies in B(c_k, r_k), its power p_k(x) = |x - c_k|^2 - r_k^2 is <= 0, while
-for every other ball |x - c_j| >= r_j + gap, so p_j(x) >= 2*gap*r_j > 0: the
-only ball that can hold x is the one of least power.  With H the largest
-radius, lift each centre to (c_k, sqrt(H^2 - r_k^2)) in d+1 dimensions; then
-|(x, 0) - lifted c_k|^2 = p_k(x) + H^2, so the nearest lifted centre is the
-least-power ball, and a ball that holds x is within lifted distance H.  One
-KD-tree over the lifted centres finds it; the decision is then the closed
-test |x - c_k| <= r_k, with the squares added in coordinate order and then
-the square root taken, the order in which scipy's KD-tree computes distances.
+The balls are split into radius classes, one per binary exponent of the
+radius (``np.frexp``), so the radii of a class differ by less than a factor
+of two.  Each class has a uniform grid whose cell side h is a power of two
+with h >= 2*r_max + DISJOINTNESS_SLACK, r_max the class's largest radius.  A
+point x lies in the cell floor(x/h) (one integer per axis); the class keeps
+its balls sorted by the int64 key of their centre's cell, and a lookup
+searches the 3^d cells around the query's cell.
 
-The lift rounds the squared lifted distance by about 3 * 2^-52 * H^2, so the
-nearest computed lifted centre is the least-power ball as long as that stays
-below 2 * gap * r_min for the gaps between balls; the shell generator's gaps
-are orders of magnitude above it.  Dilating the whole configuration by a
-power of two scales the squares, their differences and the square roots
-exactly, so every decision is exactly covariant under such a dilation.
+The lookup is exact.  h is a power of two, so x/h is exact and so is its
+floor: a cell is computed without rounding.  A ball of the class that holds
+x has |x_j - c_j| <= r_max < h on every axis, so the cell of its centre is
+at most one away from the cell of x on each axis, and the lookup finds it.
+Two balls of classes a and b, b the class of the larger radii, whose centres
+lie within the reach r_max,a + r_max,b + DISJOINTNESS_SLACK <= h_b of each
+other are found the same way, by looking up the centre of the a-ball in b's
+grid.  A class whose cell range would overflow int64 keys doubles h until
+it fits; a ball within one cell of the old side is within one cell of the
+new, so that only adds candidates.  The grid only proposes candidates.  The
+decision is the closed test |x - c_k| <= r_k, with the squares added in
+coordinate order and then the square root taken (``geometry.row_norms``), so
+no answer depends on the grid.  Dilating the whole configuration by a power
+of two scales every coordinate, radius and square root exactly, so every
+decision is exactly covariant under such a dilation.
+
+Before any lookup a query must lie in the radial span of all balls about the
+origin, and then in the radial band of a class, lo <= |x - origin| <= hi.
+The span and the bands are widened outward by 2^-40 of the coordinates'
+scale, far more than the rounding of the norms, so a point that passes the
+closed test for a ball is never turned away by its band.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import row_norms
 
 __all__ = ["BallIndex"]
 
+# two balls are reported as a near pair when their gap is at most this
+DISJOINTNESS_SLACK = 1e-12
+# outward widening of the radial span and bands, relative to the coordinates
+_BAND_PAD = 2.0**-40
+# balls looked up at a time by near_pairs, which bounds its working memory
+_PAIR_BLOCK = 1 << 16
+
+
+def _power_of_two_at_least(v: float) -> float:
+    m, e = math.frexp(v)
+    return math.ldexp(1.0, e - 1 if m == 0.5 else e)
+
+
+class _Grid:
+    """One radius class: its balls' ids and centres, in the order of the int64
+    key of their cell."""
+
+    def __init__(self, ids, centers, r_max, band):
+        c = centers[ids]
+        h = _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
+        while True:
+            first, last = np.floor(c.min(axis=0) / h), np.floor(c.max(axis=0) / h)
+            # cells per axis, with an empty one on either side; keys run up to
+            # their product, and cell indices stay exact in float
+            extent = [int(e) for e in last - first + 3.0]
+            if math.prod(extent) < 2**63 and max(extent) <= 2**53:
+                break
+            h *= 2.0
+        self.h, self.r_max, self.band = h, r_max, band
+        # centres sit in cells 1..top on each axis, so every neighbour cell
+        # has a key of its own in 0..top+1
+        self.base = first - 1.0
+        self.top = last - first + 1.0
+        self.stride = np.array([math.prod(extent[j + 1:]) for j in range(len(extent))],
+                               dtype=np.int64)
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=c.shape[1])))
+        # ascending; a key difference is >= 0 exactly when its offset is
+        # lexicographically >= 0
+        self.deltas = offsets @ self.stride
+        keys = self.cell_keys(c)
+        del c  # one copy of the class's centres at a time
+        order = np.argsort(keys, kind="stable")
+        self.ids, keys = ids[order], keys[order]
+        self.centers = centers[self.ids]
+        # the occupied cells, ascending, then a key above every cell's; the
+        # balls of cells[i] are ids[starts[i]:starts[i + 1]]
+        begin = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.cells = np.append(keys[begin], np.iinfo(np.int64).max)
+        self.starts = np.append(begin, keys.size)
+
+    def cell_keys(self, x: np.ndarray) -> np.ndarray:
+        """Key of each point's cell; points outside the grid are moved to
+        its edge, whose neighbours include every cell that theirs has."""
+        keys = np.zeros(x.shape[0], dtype=np.int64)
+        for j, stride in enumerate(self.stride):  # a column at a time, to save memory
+            cell = np.floor(x[:, j] / self.h)
+            cell -= self.base[j]
+            np.clip(cell, 1.0, self.top[j], out=cell)
+            keys += cell.astype(np.int64) * stride
+        return keys
+
+    def candidates(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, p) for every ball whose cell key equals keys[i], p its position
+        in ``ids`` and ``centers``."""
+        at = np.searchsorted(self.cells, keys)
+        rows = np.flatnonzero(self.cells[at] == keys)
+        at = at[rows]
+        start = self.starts[at]
+        count = self.starts[at + 1] - start
+        rows = np.repeat(rows, count)
+        first = np.repeat(start - np.cumsum(count) + count, count)
+        return rows, first + np.arange(rows.size)
+
 
 class BallIndex:
-    """Point-in-ball queries against a fixed family of disjoint closed balls."""
+    """Point-in-ball queries and near pairs over a fixed family of disjoint
+    closed balls."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray, origin=None):
         centers = np.asarray(centers, dtype=float)
@@ -44,17 +132,23 @@ class BallIndex:
         self.origin = (
             np.zeros(self.dimension) if origin is None else np.asarray(origin, dtype=float)
         )
+        self._grids = []
         if self.n == 0:
             return
-        self._centers, self._radii = centers, radii
-        h = float(radii.max())
-        self._tree = cKDTree(np.column_stack([centers, np.sqrt(h * h - radii * radii)]))
-        # a hit is within lifted distance h; the margin covers the lift's rounding
-        self._bound = h * (1.0 + 2.0**-20)
-        # every ball lies in the shell span_lo <= |x - origin| <= span_hi
+        self._radii = radii
         norms = row_norms(centers, self.origin)
-        self._span_lo = float((norms - radii).min())
-        self._span_hi = float((norms + radii).max())
+        lo, hi = norms - radii, norms + radii
+        pad = _BAND_PAD * (float(hi.max()) + float(np.abs(self.origin).max()))
+        self._span = (float(lo.min()) - pad, float(hi.max()) + pad)
+        _, exponents = np.frexp(radii)
+        order = np.argsort(exponents, kind="stable")
+        classes = np.split(order, np.flatnonzero(np.diff(exponents[order])) + 1)
+        # in ascending order of radius
+        self._grids = [
+            _Grid(ids, centers, float(radii[ids].max()),
+                  (float(lo[ids].min()) - pad, float(hi[ids].max()) + pad))
+            for ids in classes
+        ]
 
     def contains_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each query point: (hit mask, index of a containing ball or -1).
@@ -68,19 +162,53 @@ class BallIndex:
         if self.n == 0:
             return hit, owner
         norms = row_norms(x, self.origin)
-        rows = np.flatnonzero((norms >= self._span_lo) & (norms <= self._span_hi))
-        x = np.take(x, rows, axis=0)
-        _, k = self._tree.query(
-            np.column_stack([x, np.zeros(rows.size)]), k=1, distance_upper_bound=self._bound
-        )
-        near = k < self.n
-        rows, k, x = rows[near], k[near], x[near]
-        inside = row_norms(x, self._centers[k]) <= self._radii[k]
-        hit[rows[inside]] = True
-        owner[rows[inside]] = k[inside]
+        rows = np.flatnonzero((norms >= self._span[0]) & (norms <= self._span[1]))
+        norms = norms[rows]
+        for g in self._grids:
+            sel = rows[(norms >= g.band[0]) & (norms <= g.band[1])]
+            if not sel.size:
+                continue
+            pts = np.take(x, sel, axis=0)
+            q, p = g.candidates((g.cell_keys(pts)[:, None] + g.deltas).ravel())
+            q //= g.deltas.size
+            k = g.ids[p]
+            inside = row_norms(pts[q], g.centers[p]) <= self._radii[k]
+            hit[sel[q[inside]]] = True
+            owner[sel[q[inside]]] = k[inside]
         return hit, owner
 
     def contains(self, x) -> int | None:
         """Index of the ball containing point x, or None."""
         got, owner = self.contains_batch(np.asarray(x, dtype=float)[None, :])
         return int(owner[0]) if got[0] else None
+
+    def near_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair (j, k) of balls, once, whose centres lie within
+        r_max,a + r_max,b + DISJOINTNESS_SLACK of each other, with a and b the
+        radius classes of j and k.
+
+        The pairs are gathered for a block of balls and one neighbour offset
+        at a time, and filtered to the reach as they come, so memory beyond
+        the result stays bounded.
+        """
+        js, ks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for i, a in enumerate(self._grids):
+            norms = row_norms(a.centers, self.origin)
+            for b in self._grids[i:]:
+                reach = a.r_max + b.r_max + DISJOINTNESS_SLACK
+                near = np.flatnonzero((norms >= b.band[0] - reach) & (norms <= b.band[1] + reach))
+                # within a class, each unordered pair once: offsets >= 0, and
+                # the earlier ball first within a cell
+                deltas = b.deltas[b.deltas >= 0] if b is a else b.deltas
+                for start in range(0, near.size, _PAIR_BLOCK):
+                    rows = near[start:start + _PAIR_BLOCK]
+                    keys = b.cell_keys(a.centers[rows])
+                    for delta in deltas:
+                        q, p = b.candidates(keys + delta)
+                        q = rows[q]
+                        keep = row_norms(a.centers[q], b.centers[p]) <= reach
+                        if b is a and delta == 0:
+                            keep &= q < p
+                        js.append(a.ids[q[keep]])
+                        ks.append(b.ids[p[keep]])
+        return np.concatenate(js), np.concatenate(ks)

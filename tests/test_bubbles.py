@@ -88,9 +88,7 @@ def _disjointness_by_all_pairs(cfg, slack):
     return violations, min_margin
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_disjointness_report_matches_all_pairs_with_overlaps(d):
-    rng = np.random.default_rng(d)
+def _overlapping_family(rng, d):
     centers = rng.uniform(-0.35, 0.35, (250, d))
     radii = 10.0 ** rng.uniform(-4, -1.7, 250)
     # partners touching a ball, half and twice the slack off its surface, and
@@ -102,13 +100,42 @@ def test_disjointness_report_matches_all_pairs_with_overlaps(d):
         r = 10.0 ** rng.uniform(-4, -2)
         extra_c.append(centers[i] + (radii[i] + r + gap) * u)
         extra_r.append(r)
-    cfg = BubbleConfig(BallDomain(np.zeros(d), 1.0), np.vstack([centers, extra_c]),
-                       np.concatenate([radii, extra_r]), validate=False)
-    rep = cfg.disjointness_report()
-    violations, min_margin = _disjointness_by_all_pairs(cfg, rep["slack"])
-    assert len(violations) >= 5
-    assert rep["violations"] == violations
-    assert rep["min_margin"] == min_margin
+    return np.vstack([centers, extra_c]), np.concatenate([radii, extra_r])
+
+
+def _dense_multiclass_family(rng, d):
+    # radii over five binary classes, packed so that balls of every class overlap
+    n = 400
+    return rng.uniform(-0.1, 0.1, (n, d)), 2.0 ** rng.uniform(-10, -5, n)
+
+
+def _touching_powers_of_two_family(rng, d):
+    # radii 2^-4 .. 2^-9; each ball sits along an axis from an earlier ball of
+    # another class, touching it, or half or twice the slack off its surface
+    centers, radii = [np.zeros(d)], [2.0**-4]
+    for i in range(60):
+        k = int(rng.integers(0, len(radii)))
+        r = 2.0 ** -int(rng.choice([e for e in range(4, 10) if 2.0**-e != radii[k]]))
+        axis = np.zeros(d)
+        axis[rng.integers(0, d)] = rng.choice([-1.0, 1.0])
+        gap = [0.0, 5e-13, 2e-12][i % 3]
+        centers.append(centers[k] + (radii[k] + r + gap) * axis)
+        radii.append(r)
+    return np.vstack(centers), np.asarray(radii)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_disjointness_report_matches_all_pairs_with_overlaps(d):
+    rng = np.random.default_rng(d)
+    for family in (_overlapping_family, _dense_multiclass_family,
+                   _touching_powers_of_two_family):
+        centers, radii = family(rng, d)
+        cfg = BubbleConfig(BallDomain(np.zeros(d), 1.0), centers, radii, validate=False)
+        rep = cfg.disjointness_report()
+        violations, min_margin = _disjointness_by_all_pairs(cfg, rep["slack"])
+        assert len(violations) >= 5
+        assert rep["violations"] == violations
+        assert rep["min_margin"] == min_margin
 
 
 # -- generator -----------------------------------------------------------------

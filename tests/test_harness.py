@@ -180,12 +180,28 @@ def test_run_config_json_round_trip():
     assert again.sim == cfg.sim
 
 
-def test_importing_the_harness_leaves_scipy_integrate_unloaded():
-    # only the radial-integral route needs quad; every CLI child imports the
-    # harness, so loading scipy.integrate there would cost each of them
+def test_generate_and_simulate_leave_scipy_unloaded(tmp_path):
+    # every CLI child imports the harness, and generate and simulate need no
+    # scipy, so loading it would cost each of them its import time; criteria
+    # does load it (quad, and the KD-tree of the separation infimum), which
+    # shows that the check can fail
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, champagne.harness; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    obj = {**SMALL, "sim": {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200,
+                            "n_traj": 20, "seed": 3}}
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from champagne import harness\n"
+        "cfg, out = harness.RunConfig.from_json(json.loads(sys.argv[1])), Path(sys.argv[2])\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "seen = [scipy_loaded()]\n"
+        "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_criteria):\n"
+        "    cmd(cfg, out)\n"
+        "    seen.append(scipy_loaded())\n"
+        "print(seen)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(obj), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[False, False, False, True]"

@@ -20,22 +20,33 @@ def test_empty_index():
     assert not hit.any() and np.all(owner == -1)
 
 
+def _disjoint_balls(rng, n, draw):
+    """n balls from draw(rng) -> (centre, radius), each kept only if it clears
+    every earlier one by 1e-9."""
+    centers, radii = [], []
+    while len(centers) < n:
+        c, r = draw(rng)
+        if all(np.sqrt(((c - c2) ** 2).sum()) > r + r2 + 1e-9
+               for c2, r2 in zip(centers, radii)):
+            centers.append(c)
+            radii.append(r)
+    return np.asarray(centers), np.asarray(radii)
+
+
+def _dyadic_ball(rng):
+    # r = 2^-e, whose cell side is 4r; the centre lies on the grid of r/8,
+    # within 7 steps of a multiple of 4r on both axes, so the ball straddles
+    # a cell edge on each axis
+    r = 2.0 ** -int(rng.integers(5, 9))
+    m = rng.integers(-int(0.2 / r), int(0.2 / r) + 1, 2)
+    return (32 * m + rng.integers(-7, 8, 2)) * (r / 8), r
+
+
 def test_index_matches_bruteforce_random_configs():
     rng = np.random.default_rng(0)
     # disjoint balls with radii spanning several scales
-    centers, radii = [], []
-    while len(centers) < 300:
-        c = rng.uniform(-1, 1, 2)
-        r = 10.0 ** rng.uniform(-4, -1)
-        ok = all(
-            np.sqrt(((c - c2) ** 2).sum()) > r + r2 + 1e-9
-            for c2, r2 in zip(centers, radii)
-        )
-        if ok:
-            centers.append(c)
-            radii.append(r)
-    centers = np.asarray(centers)
-    radii = np.asarray(radii)
+    centers, radii = _disjoint_balls(
+        rng, 300, lambda g: (g.uniform(-1, 1, 2), 10.0 ** g.uniform(-4, -1)))
     idx = BallIndex(centers, radii)
     queries = rng.uniform(-1.1, 1.1, (5000, 2))
     # bias half the queries to ball surfaces where resolution matters
@@ -48,10 +59,25 @@ def test_index_matches_bruteforce_random_configs():
         want = _brute_owner(centers, radii, x)
         assert (owner[i] if hit[i] else -1) == want
 
+    # radii that are powers of two, and queries on the grid of r/8 around each
+    # ball: on its sphere, and on the cell edges x_j = m*4r that cross it
+    centers, radii = _disjoint_balls(rng, 60, _dyadic_ball)
+    steps = np.arange(-9, 10)
+    grid = np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
+    queries = (centers[:, None, :] + grid * (radii[:, None, None] / 8)).reshape(-1, 2)
+    hit, owner = BallIndex(centers, radii).contains_batch(queries)
+    want = np.array([_brute_owner(centers, radii, x) for x in queries])
+    assert np.array_equal(np.where(hit, owner, -1), want)
+    assert np.array_equal(hit, want >= 0)
+    on_edge = np.any(queries % (4 * radii.repeat(grid.shape[0]))[:, None] == 0, axis=1)
+    assert hit[on_edge].sum() > 100
 
-def _multiscale_family_3d(rng, n, n_touching, gap):
-    """Disjoint balls in d=3 with radii log-uniform in [1e-6, 1e-1], and
-    n_touching balls placed ``gap`` from the surface of an earlier one."""
+
+def _multiscale_family_3d(rng, n, n_touching, gap, n_tiny):
+    """Disjoint balls in d=3 with radii log-uniform in [1e-6, 1e-1],
+    n_touching balls placed ``gap`` from the surface of an earlier one, and
+    n_tiny balls with radii in [2^-40, 2^-39) anywhere in [-1, 1]^3: a class
+    whose grid of side 2^-38 would need 2^117 cells, so it must coarsen."""
     centers, radii = np.empty((0, 3)), np.empty(0)
     touching = []
 
@@ -72,14 +98,18 @@ def _multiscale_family_3d(rng, n, n_touching, gap):
         if fits(c, r):
             touching.append((k, radii.size, u))
             centers, radii = np.vstack([centers, c]), np.append(radii, r)
+    while radii.size < n + n_touching + n_tiny:
+        c, r = rng.uniform(-1, 1, 3), 2.0**-40 * rng.uniform(1, 2)
+        if fits(c, r):
+            centers, radii = np.vstack([centers, c]), np.append(radii, r)
     return centers, radii, touching
 
 
 def test_index_matches_bruteforce_multiscale_3d_near_touching():
     rng = np.random.default_rng(3)
     gap = 1e-9
-    centers, radii, touching = _multiscale_family_3d(rng, 200, 100, gap)
-    assert radii.min() < 1e-5 and radii.max() > 1e-2
+    centers, radii, touching = _multiscale_family_3d(rng, 200, 100, gap, 60)
+    assert radii.min() < 2.0**-39 and radii.max() > 1e-2
     idx = BallIndex(centers, radii)
     # on each sphere, and relatively 1e-6, 1e-9 and 1e-12 inside and outside it
     k = rng.integers(0, radii.size, 6000)
@@ -100,12 +130,13 @@ def test_index_matches_bruteforce_multiscale_3d_near_touching():
     assert np.array_equal(np.where(hit, owner, -1), want)
     assert np.array_equal(hit, want >= 0)
     assert 0 < hit.sum() < hit.size
+    assert hit[radii[owner] < 2.0**-39].sum() > 100
 
 
 def test_index_point_in_big_ball_nearer_a_tiny_ball_centre():
     # x = (0.99, 0) lies in B(0, 1) but is nearer the tiny ball's centre
-    # (0.11 away) than the big ball's (0.99 away): the least power, not the
-    # nearest centre, picks the ball
+    # (0.11 away) than the big ball's (0.99 away): the nearest centre does
+    # not pick the ball
     idx = BallIndex(np.array([[0.0, 0.0], [1.1, 0.0]]), np.array([1.0, 0.05]))
     queries = np.array([[0.99, 0.0], [1.0, 0.0], [1.07, 0.0], [1.02, 0.0], [1.2, 0.0]])
     hit, owner = idx.contains_batch(queries)
@@ -158,6 +189,14 @@ def test_index_band_edges_are_closed():
     hit, owner = idx.contains_batch(queries)
     assert owner.tolist() == [0, 0, 1, 1, -1, -1, -1]
     assert hit.tolist() == [True] * 4 + [False] * 3
+    # x passes the closed test |x - c| <= r, but its computed norm is one ulp
+    # below the computed band edge |c| - r
+    c = np.array([0.28777166851821784, 0.5705821893238687])
+    r = 0.1529762651285294
+    x = np.array([0.21888396915109098, 0.43399440594417377])
+    assert np.sqrt(((x - c) ** 2).sum()) <= r
+    assert np.sqrt((x**2).sum()) < np.sqrt((c**2).sum()) - r
+    assert BallIndex(c[None, :], np.array([r])).contains(x) == 0
 
 
 def test_index_empty_query():

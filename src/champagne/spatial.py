@@ -58,8 +58,8 @@ def _power_of_two_at_least(v: float) -> float:
 
 
 class _Grid:
-    """One radius class: its balls' ids and centres, in the order of the int64
-    key of their cell."""
+    """One radius class: its balls' ids, in the order of the int64 key of
+    their cell."""
 
     def __init__(self, ids, centers, r_max, band):
         c = centers[ids]
@@ -84,10 +84,8 @@ class _Grid:
         # lexicographically >= 0
         self.deltas = offsets @ self.stride
         keys = self.cell_keys(c)
-        del c  # one copy of the class's centres at a time
         order = np.argsort(keys, kind="stable")
         self.ids, keys = ids[order], keys[order]
-        self.centers = centers[self.ids]
         # the occupied cells, ascending, then a key above every cell's; the
         # balls of cells[i] are ids[starts[i]:starts[i + 1]]
         begin = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -107,7 +105,7 @@ class _Grid:
 
     def candidates(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, p) for every ball whose cell key equals keys[i], p its position
-        in ``ids`` and ``centers``."""
+        in ``ids``."""
         at = np.searchsorted(self.cells, keys)
         rows = np.flatnonzero(self.cells[at] == keys)
         at = at[rows]
@@ -135,7 +133,7 @@ class BallIndex:
         self._grids = []
         if self.n == 0:
             return
-        self._radii = radii
+        self._centers, self._radii = centers, radii
         norms = row_norms(centers, self.origin)
         lo, hi = norms - radii, norms + radii
         pad = _BAND_PAD * (float(hi.max()) + float(np.abs(self.origin).max()))
@@ -172,7 +170,7 @@ class BallIndex:
             q, p = g.candidates((g.cell_keys(pts)[:, None] + g.deltas).ravel())
             q //= g.deltas.size
             k = g.ids[p]
-            inside = row_norms(pts[q], g.centers[p]) <= self._radii[k]
+            inside = row_norms(pts[q], self._centers[k]) <= self._radii[k]
             hit[sel[q[inside]]] = True
             owner[sel[q[inside]]] = k[inside]
         return hit, owner
@@ -193,8 +191,11 @@ class BallIndex:
         """
         js, ks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for i, a in enumerate(self._grids):
-            norms = row_norms(a.centers, self.origin)
+            # centres in key order, so that the lookups read memory in order
+            centers = self._centers[a.ids]
+            norms = row_norms(centers, self.origin)
             for b in self._grids[i:]:
+                other = centers if b is a else self._centers[b.ids]
                 reach = a.r_max + b.r_max + DISJOINTNESS_SLACK
                 near = np.flatnonzero((norms >= b.band[0] - reach) & (norms <= b.band[1] + reach))
                 # within a class, each unordered pair once: offsets >= 0, and
@@ -202,11 +203,11 @@ class BallIndex:
                 deltas = b.deltas[b.deltas >= 0] if b is a else b.deltas
                 for start in range(0, near.size, _PAIR_BLOCK):
                     rows = near[start:start + _PAIR_BLOCK]
-                    keys = b.cell_keys(a.centers[rows])
+                    keys = b.cell_keys(centers[rows])
                     for delta in deltas:
                         q, p = b.candidates(keys + delta)
                         q = rows[q]
-                        keep = row_norms(a.centers[q], b.centers[p]) <= reach
+                        keep = row_norms(centers[q], other[p]) <= reach
                         if b is a and delta == 0:
                             keep &= q < p
                         js.append(a.ids[q[keep]])

@@ -84,6 +84,7 @@ class _Grid:
         # lexicographically >= 0
         self.deltas = offsets @ self.stride
         keys = self.cell_keys(c)
+        del c  # before the sort's arrays, to lower the peak
         order = np.argsort(keys, kind="stable")
         self.ids, keys = ids[order], keys[order]
         # the occupied cells, ascending, then a key above every cell's; the
@@ -106,9 +107,14 @@ class _Grid:
     def candidates(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, p) for every ball whose cell key equals keys[i], p its position
         in ``ids``."""
-        at = np.searchsorted(self.cells, keys)
-        rows = np.flatnonzero(self.cells[at] == keys)
-        at = at[rows]
+        # search only the cells between the least and the greatest key, which
+        # keeps a block of nearby keys in cache; the window ends at a cell
+        # >= every key, so every search lands inside it
+        lo, hi = np.searchsorted(self.cells, [keys.min(), keys.max()])
+        window = self.cells[lo:hi + 1]
+        at = np.searchsorted(window, keys)
+        rows = np.flatnonzero(window[at] == keys)
+        at = at[rows] + lo
         start = self.starts[at]
         count = self.starts[at + 1] - start
         rows = np.repeat(rows, count)
@@ -134,19 +140,19 @@ class BallIndex:
         if self.n == 0:
             return
         self._centers, self._radii = centers, radii
-        norms = row_norms(centers, self.origin)
-        lo, hi = norms - radii, norms + radii
-        pad = _BAND_PAD * (float(hi.max()) + float(np.abs(self.origin).max()))
-        self._span = (float(lo.min()) - pad, float(hi.max()) + pad)
         _, exponents = np.frexp(radii)
         order = np.argsort(exponents, kind="stable")
-        classes = np.split(order, np.flatnonzero(np.diff(exponents[order])) + 1)
         # in ascending order of radius
-        self._grids = [
-            _Grid(ids, centers, float(radii[ids].max()),
-                  (float(lo[ids].min()) - pad, float(hi[ids].max()) + pad))
-            for ids in classes
-        ]
+        classes = np.split(order, np.flatnonzero(np.diff(exponents[order])) + 1)
+        norms = row_norms(centers, self.origin)
+        bands = [(float((norms[ids] - radii[ids]).min()), float((norms[ids] + radii[ids]).max()))
+                 for ids in classes]
+        del norms
+        span = (min(b[0] for b in bands), max(b[1] for b in bands))
+        pad = _BAND_PAD * (span[1] + float(np.abs(self.origin).max()))
+        self._span = (span[0] - pad, span[1] + pad)
+        self._grids = [_Grid(ids, centers, float(radii[ids].max()), (lo - pad, hi + pad))
+                       for ids, (lo, hi) in zip(classes, bands)]
 
     def contains_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each query point: (hit mask, index of a containing ball or -1).

@@ -44,7 +44,7 @@ from .geometry import row_norms
 
 __all__ = ["BallIndex"]
 
-# two balls are reported as a near pair when their gap is at most this
+# the disjointness check counts two balls as overlapping when their gap is at most this
 DISJOINTNESS_SLACK = 1e-12
 # outward widening of the radial span and bands, relative to the coordinates
 _BAND_PAD = 2.0**-40

@@ -77,7 +77,7 @@ def _multiscale_family_3d(rng, n, n_touching, gap, n_tiny):
     """Disjoint balls in d=3 with radii log-uniform in [1e-6, 1e-1],
     n_touching balls placed ``gap`` from the surface of an earlier one, and
     n_tiny balls with radii in [2^-40, 2^-39) anywhere in [-1, 1]^3: a class
-    whose grid of side 2^-38 would need 2^117 cells, so it must coarsen."""
+    whose grid at that scale would need over 2^110 cells, so it must coarsen."""
     centers, radii = np.empty((0, 3)), np.empty(0)
     touching = []
 

@@ -23,11 +23,25 @@ ball-index query per pass, not per step.  Blindness to the bubbles is also
 what makes this exact: a block's path is computed before the query, each
 trajectory's outcome is its first hit or boundary step, and its work past
 that step is discarded.
+
+The counter streams also make every trajectory a function of its own id
+alone, so the ids can be split between processes without changing a bit.
+``estimate_hitting`` splits them into one contiguous block per CPU this
+process may use, runs block 0 itself and each other block in a worker
+forked after the ball index is built, and concatenates the blocks in id
+order.  Workers are forked, not threads, because a draw is dominated by
+Kanter's sines and Box-Muller's sines and cosines, and two threads sharing
+the interpreter lock ran no faster than one; and forked, not spawned by
+``multiprocessing``, so that they inherit the configuration and its index
+instead of unpickling them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -147,7 +161,8 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     carries |x - c| from its last step, so a step takes one norm.  Returns
     per trajectory (tags, steps, bubbles, finals, killed, suppressed):
     ``killed`` is the first suppressed-proposal step (``max_steps`` if none),
-    ``suppressed`` the number of suppressed proposals.
+    ``suppressed`` the number of suppressed proposals.  x0 must lie in D
+    outside every bubble; ``estimate_hitting`` checks it.
     """
     domain = config.domain
     d = domain.dimension
@@ -166,12 +181,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     suppressed = np.zeros(n, dtype=np.int64)
 
     index = config.index
-    if index.contains(np.asarray(x0, dtype=float)) is not None:
-        raise ValueError("x0 lies inside a bubble")
-    delta0 = R - float(np.sqrt(((np.asarray(x0, dtype=float) - c) ** 2).sum()))
-    if delta0 <= 0:
-        raise ValueError("x0 must lie inside the domain")
-    if delta0 < eps:
+    if R - float(np.sqrt(((np.asarray(x0, dtype=float) - c) ** 2).sum())) < eps:
         return (np.full(n, BOUNDARY, np.int8), np.zeros(n, np.int64), bubbles, finals,
                 killed, suppressed)
 
@@ -271,6 +281,78 @@ def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles,
     return out
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on, or 1 where ``os.fork`` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_block(x0, config, phi, params, lo: int, hi: int, batch: int) -> list:
+    """Trajectories lo..hi-1 in batches of ``batch``: the six arrays of
+    ``_run_batch``, concatenated."""
+    results = [_run_batch(x0, config, phi, params,
+                          np.arange(i, min(i + batch, hi), dtype=np.int64))
+               for i in range(lo, hi, batch)]
+    return [np.concatenate(col) for col in zip(*results)]
+
+
+def _run_forked(x0, config, phi, params, batch: int) -> list:
+    """``_run_block`` over all trajectories, split into one contiguous block
+    per CPU.  Block 0 runs here; each other block runs in a forked worker,
+    which inherits the configuration and its index, pickles its six arrays
+    back over a pipe and ends with ``os._exit``, so it neither flushes
+    inherited buffers nor runs exit hooks.  A worker's exception is raised
+    here as a RuntimeError with its message; on any exception the workers
+    still running are killed, and every worker is reaped.
+    """
+    n = params.n_traj
+    w = min(n, _worker_count())
+    bounds = [n * i // w for i in range(w + 1)]
+    workers = []  # (pid, read end of its pipe, lo, hi) of the workers not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = (True, _run_block(x0, config, phi, params, lo, hi, batch))
+                    except BaseException as exc:  # reported to the parent, which raises it
+                        out = (False, f"{type(exc).__name__}: {exc}")
+                    with open(wr, "wb") as f:
+                        pickle.dump(out, f, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            workers.append((pid, open(r, "rb"), lo, hi))
+        blocks = [_run_block(x0, config, phi, params, 0, bounds[1], batch)]
+        while workers:
+            pid, pipe, lo, hi = workers[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            where = f"simulation worker for trajectories {lo}..{hi - 1}"
+            if code != 0:
+                raise RuntimeError(f"{where} exited with status {code}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise RuntimeError(f"{where} failed: {value}")
+            blocks.append(value)
+    finally:
+        for pid, pipe, _, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [np.concatenate(col) for col in zip(*blocks)]
+
+
 def estimate_hitting(
     x0,
     config: BubbleConfig,
@@ -283,17 +365,24 @@ def estimate_hitting(
     the radial profile that sets the step.
 
     Runs ``params.n_traj`` trajectories on independent counter streams, in
-    batches of ``batch``; the estimate is identical for any batch size.
-    Timeouts are reported separately and never counted as hits.
+    batches of ``batch``, split into one contiguous block of trajectory ids
+    per CPU that this process may use: block 0 runs in this process, each
+    other block in a forked worker.  A trajectory consumes only its own
+    counter stream, so it is a function of its id alone, and the estimate and
+    outcomes are identical for any batch size and any number of workers.
+    x0 is checked, the ball index built and the stable-norm constant drawn
+    before forking, so workers inherit them.  Timeouts are reported
+    separately and never counted as hits.
     """
     x0 = np.asarray(x0, dtype=float)
+    dom = config.domain
+    if config.index.contains(x0) is not None:
+        raise ValueError("x0 lies inside a bubble")
+    if dom.radius - float(np.sqrt(((x0 - dom.center) ** 2).sum())) <= 0:
+        raise ValueError("x0 must lie inside the domain")
+    median_unit_norm(dom.dimension, params.alpha)
     n = params.n_traj
-    results = [
-        _run_batch(x0, config, phi, params, np.arange(i, min(i + batch, n), dtype=np.int64))
-        for i in range(0, n, batch)
-    ]
-
-    tags, steps, bubbles, finals, _, suppressed = (np.concatenate(col) for col in zip(*results))
+    tags, steps, bubbles, finals, _, suppressed = _run_forked(x0, config, phi, params, batch)
 
     hits = int((tags == HIT).sum())
     boundary = int((tags == BOUNDARY).sum())

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from champagne.bubbles import (
     generate_shell_config,
 )
 from champagne.geometry import BallDomain, row_norms
+from champagne.harness import main
 from champagne.rng import stable_vectors, stream_keys, uniform01
 from champagne.simulate import (
     _WILSON_Z,
@@ -62,12 +65,26 @@ def test_outcomes_reproduce_pinned_digests(request, config_name, counts, digest)
     assert _digest(outcomes) == digest
 
 
-def test_outcomes_do_not_depend_on_the_batch(disk_config):
+def test_outcomes_do_not_depend_on_the_batch(disk_config, monkeypatch):
+    # Nor on the number of forked workers: each runs a contiguous block of ids.
     params = SimParams(alpha=1.3, boundary_eps=0.05, max_steps=200, n_traj=30, seed=7)
     x0 = disk_config.domain.center
     phi = disk_config.meta["phi"]
-    runs = [estimate_hitting(x0, disk_config, phi, params, batch=b, return_outcomes=True)
-            for b in (1, 7, 4096)]
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
+        forks.clear()
+        runs += [estimate_hitting(x0, disk_config, phi, params, batch=b, return_outcomes=True)
+                 for b in (1, 7, 4096)]
+        assert len(forks) == 3 * (workers - 1)
     for est, outcomes in runs[1:]:
         assert est == runs[0][0]
         for a, b in zip(outcomes, runs[0][1]):
@@ -113,6 +130,8 @@ def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
 
     monkeypatch.setattr(simulate, "stable_vectors", draw)
     monkeypatch.setattr(BallIndex, "contains_batch", query)
+    # the counters live in this process: a forked worker's calls never reach them
+    monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
     _, (_, steps, _, _) = estimate_hitting(disk_config.domain.center, disk_config,
                                            disk_config.meta["phi"], PARAMS,
                                            return_outcomes=True)
@@ -247,6 +266,42 @@ def test_estimate_reports_simulator_diagnostics(disk_config):
     assert 0.0 < diag["suppressed_fraction"] < 1.0
     assert diag["steps_p50"] <= diag["steps_p90"] <= diag["steps_p99"] <= params.max_steps
     assert diag["steps_p50"] == float(np.median(steps))
+
+
+@pytest.mark.parametrize("first_failing, error", [(10, RuntimeError), (0, ArithmeticError)],
+                         ids=["worker", "parent"])
+def test_a_block_failure_raises_here_and_leaves_no_child(disk_config, monkeypatch, tmp_path,
+                                                         capsys, first_failing, error):
+    # Trajectories 0..9 run in this process, 10..19 in the forked worker; the
+    # failing block's exception reaches the caller with its message, and the
+    # worker is reaped (killed first, when this process's block fails).
+    run_batch = simulate._run_batch
+
+    def failing(x0, config, phi, params, traj_ids):
+        if traj_ids[0] >= first_failing:
+            raise ArithmeticError("block failed on purpose")
+        return run_batch(x0, config, phi, params, traj_ids)
+
+    monkeypatch.setattr(simulate, "_run_batch", failing)
+    monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
+    params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
+    with pytest.raises(error, match="block failed on purpose"):
+        estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"], params)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    cfg = tmp_path / "run_config.json"
+    cfg.write_text(json.dumps({
+        "domain": {"center": [0.0, 0.0], "radius": 1.0},
+        "constants": {"alpha": 1.5},
+        "profile": {"kind": "constant", "c": 0.1},
+        "shells": {"a": 0.5, "count": 3, "seed": 3},
+        "sim": {"alpha": 1.5, "max_steps": 50, "n_traj": 20, "seed": 1},
+    }))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    assert "block failed on purpose" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_x0_inside_a_bubble_raises(disk_config):

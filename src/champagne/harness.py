@@ -224,6 +224,7 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
 def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
+    vars(config).pop("index", None)  # validation built it; no criterion queries it
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     grid = uniform_boundary_grid(cfg.domain, cfg.grid_size)

@@ -305,7 +305,8 @@ def _run_forked(x0, config, phi, params, batch: int) -> list:
     back over a pipe and ends with ``os._exit``, so it neither flushes
     inherited buffers nor runs exit hooks.  A worker's exception is raised
     here as a RuntimeError with its message; on any exception the workers
-    still running are killed, and every worker is reaped.
+    still running are killed, and every worker is reaped.  As with any fork,
+    no other thread of the caller may hold a lock that a worker then needs.
     """
     n = params.n_traj
     w = min(n, _worker_count())

@@ -307,18 +307,6 @@ class BubbleConfig:
                 f.writelines(f"{k},{','.join(map(repr, row))}\r\n"
                              for k, row in enumerate(rows, start))
 
-    @classmethod
-    def from_csv(cls, path, domain: BallDomain, **kw) -> "BubbleConfig":
-        """Read what ``to_csv`` wrote; a header-only file gives no bubbles."""
-        with open(path, newline="") as f:
-            f.readline()
-            start = f.tell()
-            if not f.readline():
-                return cls(domain, np.empty((0, domain.dimension)), np.empty(0), **kw)
-            f.seek(start)
-            table = np.loadtxt(f, delimiter=",", ndmin=2)
-        return cls(domain, table[:, 1:-1].copy(), table[:, -1].copy(), **kw)
-
 
 # ---------------------------------------------------------------------------
 # shell generator

@@ -15,7 +15,7 @@ Their z-independent factors (each cube's Cap(A ∩ Q) envelope and capped
 Green value) are computed once and reused for every boundary point.  Sums
 add left to right in a fixed order (cubes ascending for Aikawa, in order of
 first appearance among the pairs otherwise), so totals match a plain loop
-over the scalar envelopes bit for bit.
+over the bubbles and cubes, one scalar envelope at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -395,16 +395,14 @@ def _total(terms: np.ndarray) -> float:
 
 class _CubeFactors(NamedTuple):
     """The z-independent factors of the criteria sums over one incidence.
-    Cube arrays follow ``cubes`` (ascending ids); pair arrays follow the
-    incidence's pairs."""
+    Cube arrays follow the incidence's cube numbers; pair arrays follow its
+    pairs, whose cube numbers are ``inc.cube``."""
 
-    cubes: np.ndarray
     lo: np.ndarray            # (m, d) cube boxes
     hi: np.ndarray
     dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
     g_lower: np.ndarray       # capped Green envelope at the cube center
     g_upper: np.ndarray
-    pair_pos: np.ndarray      # cube position of each pair
     pair_lower: np.ndarray
     pair_upper: np.ndarray
     first_order: np.ndarray   # cube positions in order of first appearance
@@ -431,24 +429,21 @@ def _build_cube_factors(
     the cube contributes min(r, distance of the center to the cube faces).
     """
     d = config.dimension
-    cubes, pair_pos = np.unique(inc.cube, return_inverse=True)
-    idx, side, dist = inc.dec.cube_arrays(cubes)
-    lo = idx * side[:, None]
-    hi = lo + side[:, None]
-    g_lower, g_upper = capped_green_bounds(inc.dec.domain, consts, (idx + 0.5) * side[:, None])
+    lo, hi = inc.boxes()
+    g_lower, g_upper = capped_green_bounds(inc.domain, consts, 0.5 * (lo + hi))
     radii = config.radii[inc.ball]
     _, pair_upper = capacity_ball_bounds(consts, radii, d)
     c = config.centers[inc.ball]
-    face = np.minimum((c - lo[pair_pos]).min(axis=1), (hi[pair_pos] - c).min(axis=1))
+    face = np.minimum((c - lo[inc.cube]).min(axis=1), (hi[inc.cube] - c).min(axis=1))
     rho = np.minimum(radii, face)
     pair_lower = np.zeros(rho.size)
     inside = rho > 0.0
     pair_lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
-    first_order, cap_lower, cap_upper = _cap_bounds(pair_pos, pair_lower, pair_upper)
+    first_order, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
     by_pos = np.argsort(first_order)
     return _CubeFactors(
-        cubes, lo, hi, _pow_each(dist, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
-        pair_pos, pair_lower, pair_upper, first_order, cap_lower[by_pos], cap_upper[by_pos],
+        lo, hi, _pow_each(inc.dist_boundary, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
+        pair_lower, pair_upper, first_order, cap_lower[by_pos], cap_upper[by_pos],
     )
 
 
@@ -460,17 +455,12 @@ def _green_weighted_total(f: _CubeFactors, pos, cap_lower, cap_upper) -> Envelop
 
 @dataclass(frozen=True)
 class AikawaTrace:
-    cube_ids: np.ndarray
+    cube_ids: np.ndarray     # the incidence's cube numbers, ascending
     term_lower: np.ndarray   # per cube, following cube_ids
     term_upper: np.ndarray
     total: Envelope
     uncovered_bubbles: np.ndarray
     warnings: list
-
-    @property
-    def terms(self) -> list:
-        pairs = zip(self.term_lower.tolist(), self.term_upper.tolist())
-        return [Envelope(lo, hi) for lo, hi in pairs]
 
 
 def aikawa_sum(
@@ -481,12 +471,12 @@ def aikawa_sum(
     sum_j dist(Q_j, boundary)^(2(a-1)) / dist(z, Q_j)^(d+a-2) * Cap(A ∩ Q_j)
 
     evaluated as an envelope over the cubes of ``inc``, the cube-bubble
-    incidence of ``config``.  Bubbles too deep for the decomposition's
-    coverage are reported, not silently dropped.
+    incidence of ``config``.  Bubbles below the incidence's coverage collar
+    are reported, not silently dropped.
     """
     _check_incidence(inc, config)
     z = np.asarray(z, dtype=float)
-    dom = inc.dec.domain
+    dom = inc.domain
     dist_z = abs(float(np.sqrt(((z - dom.center) ** 2).sum())) - dom.radius)
     if dist_z > 1e-9:
         raise ValueError("z must lie on the boundary sphere")
@@ -512,7 +502,7 @@ def aikawa_sum(
     w = f.dist_weight / _pow_each(dzq, d + a - 2.0)
     lower, upper = f.cap_lower * w, f.cap_upper * w
     total = Envelope(_total(lower), _total(upper))
-    return AikawaTrace(f.cubes, lower, upper, total, uncovered, warnings)
+    return AikawaTrace(np.arange(lower.size), lower, upper, total, uncovered, warnings)
 
 
 @dataclass(frozen=True)
@@ -544,7 +534,7 @@ def wiener_dyadic_sum(
 
     Bubbles are assigned to shells by center distance; each shell takes its
     pairs from ``inc``, the cube-bubble incidence of ``config``.  Shells
-    reaching below the decomposition's coverage collar are flagged as
+    reaching below the incidence's coverage collar are flagged as
     truncated.
     """
     if n_max < 1:
@@ -568,14 +558,14 @@ def wiener_dyadic_sum(
         for n in shells:
             keep = pair_shell == n
             pos, cap_lower, cap_upper = _cap_bounds(
-                f.pair_pos[keep], f.pair_lower[keep], f.pair_upper[keep]
+                inc.cube[keep], f.pair_lower[keep], f.pair_upper[keep]
             )
             acc = _green_weighted_total(f, pos, cap_lower, cap_upper)
             terms.append(acc * 2.0 ** (int(n) * (d + a - 2.0)))
         lone = np.flatnonzero(member & (inc.cubes_per_ball() == 0))
         uncovered = lone[np.argsort(shell_n[lone], kind="stable")]
     total = sum(terms, Envelope.zero())
-    collar = inc.dec.coverage_threshold
+    collar = inc.coverage_threshold
     truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * collar] if shells.size else shells
     return WienerTrace(shells, terms, total, truncated, skipped_far, uncovered)
 
@@ -594,7 +584,7 @@ def quasi_additivity_interval(
     f = _cube_factors(inc, config, consts)
     pos = f.first_order
     num = _green_weighted_total(f, pos, f.cap_lower[pos], f.cap_upper[pos])
-    gl, gu = capped_green_bounds(inc.dec.domain, consts, config.centers)
+    gl, gu = capped_green_bounds(inc.domain, consts, config.centers)
     cl, cu = capacity_ball_bounds(consts, config.radii, config.dimension)
     den = Envelope(_total(gl * gl * cl), _total(gu * gu * cu))
     if den.lower == 0.0 or num.lower == 0.0:

@@ -235,7 +235,8 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     empirical = {}
     traces = {}
     if config.n:
-        inc = ball_cube_incidence(dec, config.centers, config.radii)
+        inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
+                                  config.centers, config.radii)
         empirical["c2_cubes_per_ball"] = max_cubes_per_ball(inc)
         empirical["C1_ratio_bound"] = bubble_cube_ratio_bound(inc, config, grid.points)
         qa = quasi_additivity_interval(inc, config, cfg.constants)

@@ -22,9 +22,7 @@ __all__ = [
     "Constants",
     "Envelope",
     "unit_ball_volume",
-    "capped_green_envelope",
     "capped_green_bounds",
-    "capacity_ball_envelope",
     "capacity_ball_bounds",
     "small_radius_threshold",
 ]
@@ -106,34 +104,9 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
-def capped_green_envelope(domain: BallDomain, consts: Constants, y) -> Envelope:
-    """Envelope for g(y) = G(y, x0) ∧ 1 in the near-boundary regime:
-    g(y) is comparable to delta(y)^(a-1).
-
-    The single comparison factor is C_G * 2**(d+1); it cancels in every
-    divergence classification.  Both bounds are capped at 1 since g <= 1 by
-    definition.
-    """
-    y = np.asarray(y, dtype=float)
-    if not domain.contains(y):
-        raise ValueError("capped_green_envelope requires y inside the domain")
-    c = consts.C_G * 2.0 ** (domain.dimension + 1)
-    base = dist_to_boundary(domain, y) ** (consts.alpha - 1.0)
-    return Envelope(min(base / c, 1.0), min(base * c, 1.0))
-
-
-def capacity_ball_envelope(consts: Constants, r: float, d: int) -> Envelope:
-    """Envelope [C^-1 r^(d-a), C r^(d-a)] for the capacity of a ball of
-    radius r well inside the domain (caller attests B(x, 2r) ⊂ D)."""
-    if not r > 0:
-        raise ValueError("radius must be > 0")
-    f = r ** (d - consts.alpha)
-    return Envelope(f / consts.C, f * consts.C)
-
-
 def _pow_each(x, p: float) -> np.ndarray:
-    """x**p element by element through the C library pow, as the scalar
-    envelopes compute it.  numpy's vectorized power can differ from it in the
+    """x**p element by element through the C library pow, as Python's float
+    power computes it.  numpy's vectorized power can differ from it in the
     last bit, which would change the criteria outputs."""
     return np.array([v ** p for v in np.asarray(x, dtype=float).tolist()], dtype=float)
 
@@ -141,19 +114,26 @@ def _pow_each(x, p: float) -> np.ndarray:
 def capped_green_bounds(
     domain: BallDomain, consts: Constants, y
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`capped_green_envelope` over a batch of points y (n, d), as
-    (lower, upper) arrays."""
+    """Envelope for g(y) = G(y, x0) ∧ 1 in the near-boundary regime, where
+    g(y) is comparable to delta(y)^(a-1), over points y (n, d) inside the
+    domain, as (lower, upper) arrays.
+
+    The single comparison factor is C_G * 2**(d+1); it cancels in every
+    divergence classification.  Both bounds are capped at 1 since g <= 1 by
+    definition.
+    """
     y = np.asarray(y, dtype=float)
     if not np.all(domain.contains(y)):
-        raise ValueError("capped_green_envelope requires y inside the domain")
+        raise ValueError("capped_green_bounds requires y inside the domain")
     c = consts.C_G * 2.0 ** (domain.dimension + 1)
     base = _pow_each(dist_to_boundary(domain, y), consts.alpha - 1.0)
     return np.minimum(base / c, 1.0), np.minimum(base * c, 1.0)
 
 
 def capacity_ball_bounds(consts: Constants, r, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`capacity_ball_envelope` over an array of radii, as (lower,
-    upper) arrays."""
+    """Envelope [C^-1 r^(d-a), C r^(d-a)] for the capacity of each ball of
+    radius r well inside the domain (caller attests B(x, 2r) ⊂ D), as
+    (lower, upper) arrays."""
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0):
         raise ValueError("radius must be > 0")

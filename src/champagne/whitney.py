@@ -1,20 +1,33 @@
-"""Dyadic Whitney decomposition of a ball domain.
+"""Dyadic Whitney cubes of a ball domain, decided in closed form.
 
-Cubes are half-open dyadic boxes prod_i [k_i*s, (k_i+1)*s) with s = 2**-level.
-A cube is emitted iff it satisfies diam(Q) <= dist(Q, boundary) while its
-dyadic parent does not, which makes the emitted family the unique maximal one;
-the classical upper bound dist <= 4*diam then holds and is asserted rather
-than assumed.  dist(Q, boundary) is computed in closed form for balls.
+A cube is the half-open dyadic box prod_i [k_i*s, (k_i+1)*s) with
+s = 2**-level, and is named by its (level, integer index k).  For a box Q
+let maxd(Q) be the largest distance of its closed box from the centre and
+
+    ok(Q) = [maxd(Q) < R and diam(Q) <= R - maxd(Q)],
+
+where R - maxd(Q) is dist(Q, boundary) for a box inside the ball.  ok only
+gets stronger down the dyadic tree: if a cube satisfies it, so do all its
+descendants.  So Q is a Whitney cube exactly when ok(Q) holds and ok fails
+for its dyadic parent (:func:`whitney`); no decomposition has to be built
+or searched to decide it.  The family is the unique maximal one, the
+classical upper bound dist <= 4*diam then holds, and :func:`decompose`
+asserts it rather than assuming it.  The coarsest level looked at is the
+finest one whose cubes are too big for ok (side*sqrt(d) > R); it is
+negative when R >= sqrt(d).
 
 Refinement stops at ``max_level``; the uncovered boundary collar
 {delta_D < 5*sqrt(d)*2**-max_level} is explicit, and criteria built on top
 must treat it via tail estimates.
 
+:func:`decompose` lists every cube, for the CSV export.
 :func:`ball_cube_incidence` lists, for a whole family of balls at once, every
 (ball, cube) pair where the closed ball meets the closed cube box, sorted by
-ball and then by cube.  Balls with no pair lie in the collar.  The criteria
-sums over one configuration all share that one incidence;
-:func:`intersecting_cubes` is the per-ball reference it is tested against.
+ball and then by cube.  It numbers its cubes by rank in (level,
+lexicographic index) order, the order :func:`decompose` lists them in.
+Balls with no pair lie in the collar.  The criteria sums over one
+configuration all share that one incidence; :func:`intersecting_cubes` is
+the per-ball reference it is tested against.
 """
 
 from __future__ import annotations
@@ -28,9 +41,9 @@ import numpy as np
 from .geometry import BallDomain
 
 __all__ = [
-    "WhitneyCube",
     "WhitneyDecomposition",
     "CubeIncidence",
+    "whitney",
     "decompose",
     "intersecting_cubes",
     "ball_cube_incidence",
@@ -45,32 +58,15 @@ _MAX_CANDIDATES_PER_LEVEL = 4_000_000
 _CANDIDATE_CHUNK = 1 << 17
 
 
-@dataclass(frozen=True)
-class WhitneyCube:
-    """One dyadic cube: level, integer multi-index, side 2**-level."""
-
-    level: int
-    index: tuple
-    side: float
-    center: np.ndarray
-    dist_boundary: float
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.index, dtype=float) * self.side
-        return lo, lo + self.side
-
-
 def coverage_threshold(dimension: int, max_level: int) -> float:
     """Depth of the uncovered boundary collar: 5*sqrt(d)*2**-max_level."""
     return 5.0 * math.sqrt(dimension) * 2.0 ** (-max_level)
 
 
 class WhitneyDecomposition:
-    """Immutable result of :func:`decompose`.
-
-    Cubes are stored per level as integer index arrays in canonical
-    (level, lexicographic index) order; ``WhitneyCube`` views are built on
-    demand.  Safe to share across threads.
+    """Immutable result of :func:`decompose`: the cubes per level as integer
+    index arrays in canonical (level, lexicographic index) order, with their
+    dist(Q, boundary).  Safe to share across threads.
     """
 
     def __init__(self, domain: BallDomain, max_level: int, level_idx: dict, level_dist: dict):
@@ -79,13 +75,7 @@ class WhitneyDecomposition:
         self._idx = level_idx          # level -> (n_l, d) int64, lexsorted
         self._dist = level_dist        # level -> (n_l,) float64
         self.levels = sorted(level_idx)
-        self._start = {}
-        n = 0
-        for lev in self.levels:
-            self._start[lev] = n
-            n += self._idx[lev].shape[0]
-        self._n = n
-        self._lookup = {}              # level -> (mins, dims, sorted packed keys)
+        self._n = sum(idx.shape[0] for idx in level_idx.values())
 
     def __len__(self) -> int:
         return self._n
@@ -107,112 +97,6 @@ class WhitneyDecomposition:
     def level_centers(self, level: int) -> np.ndarray:
         side = 2.0 ** (-level)
         return (self._idx[level] + 0.5) * side
-
-    def _locate_global(self, level: int, rows: np.ndarray) -> np.ndarray:
-        return self._start[level] + rows
-
-    def _level_of_global(self, i: int) -> tuple[int, int]:
-        for lev in reversed(self.levels):
-            if i >= self._start[lev]:
-                return lev, i - self._start[lev]
-        raise IndexError(i)
-
-    def cube(self, i: int) -> WhitneyCube:
-        """Cube view for a global cube id (canonical order)."""
-        if not 0 <= i < self._n:
-            raise IndexError(f"cube id {i} out of range")
-        lev, row = self._level_of_global(i)
-        side = 2.0 ** (-lev)
-        idx = self._idx[lev][row]
-        return WhitneyCube(
-            level=lev,
-            index=tuple(int(k) for k in idx),
-            side=side,
-            center=(idx + 0.5) * side,
-            dist_boundary=float(self._dist[lev][row]),
-        )
-
-    def cube_arrays(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`cube` for global ids: integer indices (m, d),
-        sides (m,) and dist_boundary (m,)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        idx = np.empty((ids.size, self.dimension), dtype=np.int64)
-        side = np.empty(ids.size)
-        dist = np.empty(ids.size)
-        for lev in self.levels:
-            start = self._start[lev]
-            sel = (ids >= start) & (ids < start + self._idx[lev].shape[0])
-            rows = ids[sel] - start
-            idx[sel] = self._idx[lev][rows]
-            side[sel] = 2.0 ** (-lev)
-            dist[sel] = self._dist[lev][rows]
-        return idx, side, dist
-
-    # -- packed-key lookup ---------------------------------------------------
-
-    def _keys(self, level: int):
-        cached = self._lookup.get(level)
-        if cached is None:
-            idx = self._idx[level]
-            if idx.shape[0] == 0:
-                cached = (None, None, None)
-            else:
-                mins = idx.min(axis=0)
-                dims = idx.max(axis=0) - mins + 1
-                keys = np.ravel_multi_index((idx - mins).T, dims)
-                # idx is lexsorted, so keys are already ascending
-                cached = (mins, dims, keys)
-            self._lookup[level] = cached
-        return cached
-
-    def _find_rows(self, level: int, query_idx: np.ndarray) -> np.ndarray:
-        """Rows of query_idx present at the level; -1 where absent."""
-        mins, dims, keys = self._keys(level)
-        out = np.full(query_idx.shape[0], -1, dtype=np.int64)
-        if keys is None:
-            return out
-        shifted = query_idx - mins
-        ok = np.all((shifted >= 0) & (shifted < dims), axis=1)
-        if not ok.any():
-            return out
-        qk = np.ravel_multi_index(shifted[ok].T, dims)
-        pos = np.searchsorted(keys, qk)
-        pos = np.minimum(pos, keys.shape[0] - 1)
-        hit = keys[pos] == qk
-        rows = np.where(ok)[0][hit]
-        out[rows] = pos[hit]
-        return out
-
-    # -- queries ---------------------------------------------------------------
-
-    def locate(self, x) -> int | None:
-        """Global id of the cube whose half-open box contains x, else None.
-
-        None means x lies in the uncovered boundary collar.  Raises if x is
-        outside the domain.
-        """
-        x = np.asarray(x, dtype=float)
-        got = self.locate_batch(x[None, :])
-        val = int(got[0])
-        return None if val < 0 else val
-
-    def locate_batch(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`locate`; returns -1 where not covered."""
-        x = np.asarray(x, dtype=float)
-        if not bool(np.all(self.domain.contains(x))):
-            raise ValueError("point outside the domain")
-        out = np.full(x.shape[0], -1, dtype=np.int64)
-        pending = np.arange(x.shape[0])
-        for lev in self.levels:
-            if pending.size == 0:
-                break
-            side = 2.0 ** (-lev)
-            k = np.floor(x[pending] / side).astype(np.int64)
-            rows = self._find_rows(lev, k)
-            hit = rows >= 0
-            out[pending[hit]] = self._locate_global(lev, rows[hit])
-            pending = pending[~hit]
-        return out
 
     def to_csv(self, path) -> None:
         """Export as CSV: level, index components, center coords, side, dist_boundary."""
@@ -237,22 +121,67 @@ class WhitneyDecomposition:
                     )
 
 
-def _box_dists_to_center(idx: np.ndarray, side: float, center: np.ndarray):
-    """Max and min of |y - center| over each closed box idx*side + [0, side]^d."""
+def _max_dist(idx: np.ndarray, side: float, center: np.ndarray) -> np.ndarray:
+    """Largest |y - center| over each closed box idx*side + [0, side]^d."""
     lo = idx * side
-    hi = lo + side
-    far = np.maximum(hi - center, center - lo)
-    maxd = np.sqrt((far * far).sum(axis=1))
-    near = np.maximum(np.maximum(lo - center, center - hi), 0.0)
-    mind = np.sqrt((near * near).sum(axis=1))
-    return maxd, mind
+    far = np.maximum(lo + side - center, center - lo)
+    return np.sqrt((far * far).sum(axis=1))
+
+
+def _ok(domain: BallDomain, side: float, idx: np.ndarray):
+    """ok(Q) for the boxes idx of the given side, and their R - maxd(Q)."""
+    maxd = _max_dist(idx, side, domain.center)
+    dist = domain.radius - maxd
+    return (maxd < domain.radius) & (side * math.sqrt(domain.dimension) <= dist), dist
+
+
+def whitney(domain: BallDomain, level: int, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Which boxes of ``level`` with integer indices idx (n, d) are Whitney
+    cubes of the domain, and each box's R - maxd(Q), its dist(Q, boundary)
+    when it is one.
+
+    A box is a Whitney cube when ok holds for it and fails for its dyadic
+    parent.  Cutting the family off at a ``max_level`` is the caller's part.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    side = 2.0 ** (-level)
+    ok, dist = _ok(domain, side, idx)
+    parent_ok, _ = _ok(domain, 2.0 * side, idx // 2)
+    return ok & ~parent_ok, dist
+
+
+def _meets(boxes: np.ndarray, side: float, x: np.ndarray, r) -> np.ndarray:
+    """Whether each closed box meets the closed ball B(x, r): the nearest
+    point of the box to x lies within r."""
+    lo = boxes * side
+    near = np.maximum(np.maximum(lo - x, x - (lo + side)), 0.0)
+    return (near * near).sum(axis=1) <= r * r
+
+
+def _top_level(domain: BallDomain) -> int:
+    """The finest level whose cubes are too big for ok: side*sqrt(d) > R."""
+    sqd = math.sqrt(domain.dimension)
+    level = math.floor(math.log2(sqd / domain.radius))
+    while 2.0 ** (-level) * sqd <= domain.radius:
+        level -= 1
+    while 2.0 ** (-(level + 1)) * sqd > domain.radius:
+        level += 1
+    return level
+
+
+def _box_range(kmin: np.ndarray, kmax: np.ndarray) -> np.ndarray:
+    """Every integer index in the box [kmin, kmax], in lexicographic order."""
+    axes = [np.arange(a, b + 1) for a, b in zip(kmin, kmax)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
-    """Whitney decomposition down to dyadic level ``max_level``.
+    """Every Whitney cube down to dyadic level ``max_level``.
 
-    Every emitted cube satisfies diam <= dist(Q, boundary) <= 4*diam and is
-    maximal (its parent fails the lower bound).  Raises if no cube fits.
+    Descends the dyadic tree from :func:`_top_level`, keeping the boxes that
+    :func:`whitney` accepts and refining the others that meet the ball.
+    Every emitted cube satisfies diam <= dist(Q, boundary) <= 4*diam.
+    Raises if no cube fits.
     """
     if max_level < 2:
         raise ValueError("max_level must be >= 2")
@@ -261,38 +190,32 @@ def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
     c = domain.center
     R = domain.radius
 
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(2)] * d), indexing="ij"), axis=-1
-    ).reshape(-1, d)
-
-    lo0 = np.floor(c - R).astype(np.int64)
-    hi0 = np.floor(c + R).astype(np.int64)
-    cand = np.stack(
-        np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(lo0, hi0)], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, d)
+    offsets = _box_range(np.zeros(d, dtype=np.int64), np.ones(d, dtype=np.int64))
+    top = _top_level(domain)
+    side = 2.0 ** (-top)
+    cand = _box_range(np.floor((c - R) / side).astype(np.int64),
+                      np.floor((c + R) / side).astype(np.int64))
 
     level_idx, level_dist = {}, {}
-    for level in range(max_level + 1):
+    for level in range(top, max_level + 1):
         if cand.shape[0] == 0:
             break
         side = 2.0 ** (-level)
-        maxd, mind = _box_dists_to_center(cand, side, c)
-        inside = maxd < R
-        dist = R - maxd
-        ok = inside & (side * sqd <= dist)
-        if ok.any():
-            emitted = cand[ok]
+        member, dist = whitney(domain, level, cand)
+        if member.any():
+            emitted = cand[member]
             order = np.lexsort(emitted.T[::-1])
             level_idx[level] = emitted[order]
-            level_dist[level] = dist[ok][order]
+            level_dist[level] = dist[member][order]
             # classical upper bound, guaranteed by maximality
             if not np.all(level_dist[level] <= 4.0 * side * sqd):
                 raise RuntimeError("Whitney upper bound dist <= 4*diam violated")
         if level == max_level:
             break
-        refine = (~ok) & (mind < R)
-        children = cand[refine]
+        # a candidate's parent failed ok, so a candidate that is not a
+        # Whitney cube fails ok too: refine it where it meets the ball
+        rest = cand[~member]
+        children = rest[_meets(rest, side, c, R)]
         cand = (children[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, d)
 
     if not level_idx:
@@ -309,69 +232,75 @@ def _candidate_window(dimension: int, delta, r):
     return (delta - r) / (10.0 * sqd), 2.0 * (delta + r) / sqd
 
 
-def _candidate_levels(dec: WhitneyDecomposition, delta: float, r: float):
-    lo_side, hi_side = _candidate_window(dec.dimension, delta, r)
-    for lev in dec.levels:
-        side = 2.0 ** (-lev)
-        if lo_side <= side <= hi_side:
-            yield lev, side
+def _check_balls(domain: BallDomain, x: np.ndarray, r) -> np.ndarray:
+    """delta_D of each center; raises unless 0 < r < delta_D/2."""
+    domain._check_dim(x)
+    delta = domain.radius - np.sqrt(((x - domain.center) ** 2).sum(axis=-1))
+    if not np.all(r > 0):
+        raise ValueError("ball radius must be > 0")
+    if not np.all(r < delta / 2):
+        raise ValueError("ball not inside D: require radius < dist_to_boundary(center)/2")
+    return delta
 
 
-def intersecting_cubes(dec: WhitneyDecomposition, center, radius: float) -> np.ndarray:
-    """Global ids of cubes whose closed box meets the closed ball, ascending.
+def intersecting_cubes(domain: BallDomain, max_level: int, center, radius: float) -> np.ndarray:
+    """Whitney cubes down to ``max_level`` whose closed box meets the closed
+    ball, as rows (level, k_1..k_d) in ascending (level, index) order.
 
     Requires the ball to sit well inside the domain: radius < delta_D(center)/2.
     """
     x = np.asarray(center, dtype=float)
-    dec.domain._check_dim(x)
-    delta = dec.domain.radius - float(np.sqrt(((x - dec.domain.center) ** 2).sum()))
-    if not radius > 0:
-        raise ValueError("ball radius must be > 0")
-    if not radius < delta / 2:
-        raise ValueError("ball not inside D: require radius < dist_to_boundary(center)/2")
-
-    found = []
-    for lev, side in _candidate_levels(dec, delta, radius):
+    delta = float(_check_balls(domain, x, radius))
+    lo_side, hi_side = _candidate_window(domain.dimension, delta, radius)
+    found = [np.empty((0, domain.dimension + 1), dtype=np.int64)]
+    for lev in range(_top_level(domain), max_level + 1):
+        side = 2.0 ** (-lev)
+        if not lo_side <= side <= hi_side:
+            continue
         kmin = np.floor((x - radius) / side).astype(np.int64)
         kmax = np.floor((x + radius) / side).astype(np.int64)
-        count = int(np.prod(kmax - kmin + 1))
-        if count > _MAX_CANDIDATES_PER_LEVEL:
+        if int(np.prod(kmax - kmin + 1)) > _MAX_CANDIDATES_PER_LEVEL:
             raise RuntimeError("candidate enumeration unexpectedly large")
-        grid = np.stack(
-            np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(kmin, kmax)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, dec.dimension)
-        rows = dec._find_rows(lev, grid)
-        hit = rows >= 0
-        if not hit.any():
-            continue
-        boxes = grid[hit]
-        lo = boxes * side
-        near = np.maximum(np.maximum(lo - x, x - (lo + side)), 0.0)
-        meets = (near * near).sum(axis=1) <= radius * radius
-        if meets.any():
-            found.append(dec._locate_global(lev, rows[hit][meets]))
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(found))
+        grid = _box_range(kmin, kmax)
+        boxes = grid[whitney(domain, lev, grid)[0]]
+        boxes = boxes[_meets(boxes, side, x, radius)]
+        found.append(np.column_stack([np.full(boxes.shape[0], lev, dtype=np.int64), boxes]))
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True, eq=False)
 class CubeIncidence:
     """Every (ball, cube) pair of a ball family where the closed ball meets
-    the closed box of a cube of ``dec``, sorted by ball and then by cube.
+    the closed box of a Whitney cube of ``domain`` down to ``max_level``,
+    sorted by ball and then by cube.
 
+    The cubes are those that meet some ball, numbered by rank in (level,
+    lexicographic index) order; the per-cube arrays follow that order.
     Balls with no pair lie in the uncovered boundary collar.  Built once per
     configuration by :func:`ball_cube_incidence` and shared by every
     criteria sum over it.
     """
 
-    dec: WhitneyDecomposition
+    domain: BallDomain
+    max_level: int
     n_balls: int
-    ball: np.ndarray   # (m,) int64 ball index
-    cube: np.ndarray   # (m,) int64 global cube id
+    ball: np.ndarray            # (m,) int64 ball index
+    cube: np.ndarray            # (m,) int64 cube number
+    level: np.ndarray           # (n,) int64 per cube
+    index: np.ndarray           # (n, d) int64 per cube
+    dist_boundary: np.ndarray   # (n,) float64 per cube
     # values that users derive from the pairs once and reuse, by their own keys
     derived: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def coverage_threshold(self) -> float:
+        return coverage_threshold(self.domain.dimension, self.max_level)
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Corners lo, hi (n, d) of each cube's closed box."""
+        side = np.ldexp(1.0, -self.level)[:, None]
+        lo = self.index * side
+        return lo, lo + side
 
     def cubes_per_ball(self) -> np.ndarray:
         return np.bincount(self.ball, minlength=self.n_balls)
@@ -381,30 +310,39 @@ class CubeIncidence:
         return np.flatnonzero(self.cubes_per_ball() == 0)
 
 
-def ball_cube_incidence(dec: WhitneyDecomposition, centers, radii) -> CubeIncidence:
-    """All (ball, cube) pairs where a closed ball meets a closed cube box.
+def _distinct_rows(idx: np.ndarray):
+    """The distinct rows of idx in lexicographic order, the position of the
+    first occurrence of each, and the rank of every row among them."""
+    order = np.lexsort(idx.T[::-1])
+    rows = idx[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rank = np.empty(rows.shape[0], dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rows[new], order[new], rank
+
+
+def ball_cube_incidence(domain: BallDomain, max_level: int, centers, radii) -> CubeIncidence:
+    """All (ball, cube) pairs where a closed ball meets the closed box of a
+    Whitney cube down to ``max_level``.
 
     Equals a loop of :func:`intersecting_cubes` over the balls, with the same
     checks, but runs level by level over all balls at once: each ball whose
-    candidate window includes the level has its box range expanded, looked
-    up and kept where the nearest point of the box lies in the ball.
+    candidate window includes the level has its box range expanded, tested
+    with :func:`whitney` and kept where the nearest point of the box lies in
+    the ball.
     """
     x = np.asarray(centers, dtype=float)
     r = np.asarray(radii, dtype=float)
-    empty = np.empty(0, dtype=np.int64)
-    if r.size == 0:
-        return CubeIncidence(dec, 0, empty, empty)
-    dec.domain._check_dim(x)
-    d = dec.dimension
-    delta = dec.domain.radius - np.sqrt(((x - dec.domain.center) ** 2).sum(axis=1))
-    if not np.all(r > 0):
-        raise ValueError("ball radius must be > 0")
-    if not np.all(r < delta / 2):
-        raise ValueError("ball not inside D: require radius < dist_to_boundary(center)/2")
-
+    d = domain.dimension
+    if r.size:
+        delta = _check_balls(domain, x, r)
+    else:
+        x, delta = np.empty((0, d)), np.empty(0)
     lo_side, hi_side = _candidate_window(d, delta, r)
-    balls, cubes = [], []
-    for lev in dec.levels:
+    balls, cubes, levels, index, dists = [], [], [], [], []
+    n_cubes = 0
+    for lev in range(_top_level(domain), max_level + 1):
         side = 2.0 ** (-lev)
         sel = np.flatnonzero((lo_side <= side) & (side <= hi_side))
         if sel.size == 0:
@@ -415,6 +353,7 @@ def ball_cube_incidence(dec: WhitneyDecomposition, centers, radii) -> CubeIncide
         if counts.max() > _MAX_CANDIDATES_PER_LEVEL:
             raise RuntimeError("candidate enumeration unexpectedly large")
         step = max(1, _CANDIDATE_CHUNK // int(counts.max()))
+        lev_balls, lev_boxes, lev_dists = [], [], []
         for start in range(0, sel.size, step):
             part = slice(start, min(start + step, sel.size))
             owner = np.repeat(np.arange(part.start, part.stop), counts[part])
@@ -424,19 +363,29 @@ def ball_cube_incidence(dec: WhitneyDecomposition, centers, radii) -> CubeIncide
             for j in reversed(range(d)):   # C order, as meshgrid(indexing="ij")
                 boxes[:, j] = kmin[owner, j] + offset % dims[owner, j]
                 offset //= dims[owner, j]
-            rows = dec._find_rows(lev, boxes)
-            hit = rows >= 0
-            owner, boxes, rows = sel[owner[hit]], boxes[hit], rows[hit]
-            lo = boxes * side
-            xb, rb = x[owner], r[owner]
-            near = np.maximum(np.maximum(lo - xb, xb - (lo + side)), 0.0)
-            meets = (near * near).sum(axis=1) <= rb * rb
-            balls.append(owner[meets])
-            cubes.append(dec._locate_global(lev, rows[meets]))
-    ball = np.concatenate(balls) if balls else empty
-    cube = np.concatenate(cubes) if cubes else empty
+            member, dist = whitney(domain, lev, boxes)
+            owner, boxes, dist = sel[owner[member]], boxes[member], dist[member]
+            meets = _meets(boxes, side, x[owner], r[owner])
+            lev_balls.append(owner[meets])
+            lev_boxes.append(boxes[meets])
+            lev_dists.append(dist[meets])
+        rows, first, rank = _distinct_rows(np.concatenate(lev_boxes))
+        balls.extend(lev_balls)
+        cubes.append(n_cubes + rank)
+        levels.append(np.full(rows.shape[0], lev, dtype=np.int64))
+        index.append(rows)
+        dists.append(np.concatenate(lev_dists)[first])
+        n_cubes += rows.shape[0]
+    empty = np.empty(0, dtype=np.int64)
+    ball = np.concatenate([empty, *balls])
+    cube = np.concatenate([empty, *cubes])
     order = np.lexsort((cube, ball))
-    return CubeIncidence(dec, int(r.size), ball[order], cube[order])
+    return CubeIncidence(
+        domain, int(max_level), int(r.size), ball[order], cube[order],
+        np.concatenate([empty, *levels]),
+        np.concatenate([np.empty((0, d), dtype=np.int64), *index]),
+        np.concatenate([np.empty(0), *dists]),
+    )
 
 
 def max_cubes_per_ball(inc: CubeIncidence) -> int:
@@ -455,10 +404,9 @@ def bubble_cube_ratio_bound(inc: CubeIncidence, config, boundary_points) -> floa
     z = np.asarray(boundary_points, dtype=float)
     if inc.ball.size == 0:
         return 1.0
-    dom = inc.dec.domain
-    idx, side, dist = inc.dec.cube_arrays(inc.cube)
-    lo = idx * side[:, None]
-    hi = lo + side[:, None]
+    dom = inc.domain
+    lo, hi = inc.boxes()
+    lo, hi, dist = lo[inc.cube], hi[inc.cube], inc.dist_boundary[inc.cube]
     centers = config.centers[inc.ball]
     delta = dom.radius - np.sqrt(((centers - dom.center) ** 2).sum(axis=1))
     r1 = dist / delta

@@ -27,7 +27,7 @@ from champagne.criteria import (
 )
 from champagne.geometry import BallDomain
 from champagne.kernels import Constants
-from champagne.whitney import ball_cube_incidence, decompose
+from champagne.whitney import ball_cube_incidence, intersecting_cubes, whitney
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +40,8 @@ def c15():
     return Constants(alpha=1.5)
 
 
-@pytest.fixture(scope="module")
-def dec7(disk):
-    return decompose(disk, 7)
-
-
-def _inc(dec, cfg):
-    return ball_cube_incidence(dec, cfg.centers, cfg.radii)
+def _inc(max_level, cfg):
+    return ball_cube_incidence(cfg.domain, max_level, cfg.centers, cfg.radii)
 
 
 # -- boundary grids --------------------------------------------------------------
@@ -182,24 +177,27 @@ def test_shell_series_agrees_with_integral(phi, weight):
 
 # -- whitney sums ---------------------------------------------------------------------
 
-def test_aikawa_empty_config(disk, dec7, c15):
+def test_aikawa_empty_config(disk, c15):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = aikawa_sum(_inc(dec7, cfg), cfg, [1.0, 0.0], c15)
+    trace = aikawa_sum(_inc(7, cfg), cfg, [1.0, 0.0], c15)
     assert trace.total.lower == trace.total.upper == 0.0
     assert trace.uncovered_bubbles.size == 0
 
 
-def test_aikawa_single_bubble_hand_bound(disk, dec7, c15):
-    from champagne.whitney import bubble_cube_ratio_bound, intersecting_cubes
+def test_aikawa_single_bubble_hand_bound(disk, c15):
+    from champagne.whitney import bubble_cube_ratio_bound
 
     # center the bubble inside a cube so the lower envelope is positive
-    center = dec7.cube(dec7.locate([0.53, 0.01])).center
+    x = np.array([0.53, 0.01])
+    level = next(lev for lev in range(8) if whitney(
+        disk, lev, np.floor(x / 2.0**-lev).astype(np.int64)[None, :])[0][0])
+    center = (np.floor(x / 2.0**-level) + 0.5) * 2.0**-level
     cfg = BubbleConfig(disk, [center], [0.01])
     z = np.array([-1.0, 0.0])
-    trace = aikawa_sum(_inc(dec7, cfg), cfg, z, c15)
+    trace = aikawa_sum(_inc(7, cfg), cfg, z, c15)
     assert trace.total.lower > 0.0
-    c2 = intersecting_cubes(dec7, cfg.centers[0], 0.01).size
-    C1 = bubble_cube_ratio_bound(_inc(dec7, cfg), cfg, z[None, :])
+    c2 = intersecting_cubes(disk, 7, cfg.centers[0], 0.01).shape[0]
+    C1 = bubble_cube_ratio_bound(_inc(7, cfg), cfg, z[None, :])
     alpha, d = 1.5, 2
     delta = float(cfg.deltas[0])
     dist = float(np.sqrt(((center - z) ** 2).sum()))
@@ -214,104 +212,106 @@ def test_aikawa_single_bubble_hand_bound(disk, dec7, c15):
     assert trace.total.upper <= hand * (1 + 1e-9)
 
 
-def test_aikawa_subconfig_ordering(disk, dec7, c15):
+def test_aikawa_subconfig_ordering(disk, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=4)
     half = BubbleConfig(
         disk, cfg.centers[::2], cfg.radii[::2], validate=False
     )
     z = np.array([0.0, -1.0])
-    full = aikawa_sum(_inc(dec7, cfg), cfg, z, c15)
-    sub = aikawa_sum(_inc(dec7, half), half, z, c15)
+    full = aikawa_sum(_inc(7, cfg), cfg, z, c15)
+    sub = aikawa_sum(_inc(7, half), half, z, c15)
     assert sub.total.upper <= full.total.upper * (1 + 1e-12)
 
 
 def test_aikawa_warns_below_collar(disk, c15):
-    dec4 = decompose(disk, 4)  # coarse: collar depth ~0.44
     cfg = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
-    trace = aikawa_sum(_inc(dec4, cfg), cfg, [1.0, 0.0], c15)
+    # coarse: collar depth ~0.44
+    trace = aikawa_sum(_inc(4, cfg), cfg, [1.0, 0.0], c15)
     assert trace.uncovered_bubbles.tolist() == [0]
     assert any("collar" in w for w in trace.warnings)
 
 
-def test_aikawa_rejects_interior_z(disk, dec7, c15):
+def test_aikawa_rejects_interior_z(disk, c15):
     cfg = BubbleConfig(disk, [[0.5, 0.0]], [0.01])
     with pytest.raises(ValueError, match="boundary"):
-        aikawa_sum(_inc(dec7, cfg), cfg, [0.5, 0.5], c15)
+        aikawa_sum(_inc(7, cfg), cfg, [0.5, 0.5], c15)
 
 
-def test_wiener_single_bubble_shell_membership(disk, dec7, c15):
+def test_wiener_single_bubble_shell_membership(disk, c15):
     # distance 0.3 from z: shell n = 1 (0.25 <= 0.3 < 0.5)
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
-    trace = wiener_dyadic_sum(_inc(dec7, cfg), cfg, [1.0, 0.0], c15, n_max=10)
+    trace = wiener_dyadic_sum(_inc(7, cfg), cfg, [1.0, 0.0], c15, n_max=10)
     assert trace.shells.tolist() == [1]
     assert trace.skipped_far == 0
     assert trace.total.upper > 0.0
 
 
-def test_wiener_empty_and_far(disk, dec7, c15):
+def test_wiener_empty_and_far(disk, c15):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = wiener_dyadic_sum(_inc(dec7, empty), empty, [1.0, 0.0], c15)
+    trace = wiener_dyadic_sum(_inc(7, empty), empty, [1.0, 0.0], c15)
     assert trace.total.upper == 0.0
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
-    trace = wiener_dyadic_sum(_inc(dec7, far), far, [1.0, 0.0], c15)
+    trace = wiener_dyadic_sum(_inc(7, far), far, [1.0, 0.0], c15)
     assert trace.skipped_far == 1
     assert trace.shells.size == 0
 
 
-def test_wiener_matches_aikawa_within_constant(disk, dec7, c15):
+def test_wiener_matches_aikawa_within_constant(disk, c15):
     ratios = []
     for seed in range(10):
         cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=seed)
         z = np.array([1.0, 0.0])
-        a = aikawa_sum(_inc(dec7, cfg), cfg, z, c15)
-        w = wiener_dyadic_sum(_inc(dec7, cfg), cfg, z, c15)
+        a = aikawa_sum(_inc(7, cfg), cfg, z, c15)
+        w = wiener_dyadic_sum(_inc(7, cfg), cfg, z, c15)
         ratios.append(w.total.upper / a.total.upper)
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
 
 
-def _aikawa_terms_per_cube(dec, cfg, z, consts):
-    """Aikawa terms from the scalar envelopes, one intersecting_cubes call per
+def _aikawa_terms_per_cube(max_level, cfg, z, consts):
+    """Aikawa terms from scalar envelopes, one intersecting_cubes call per
     bubble: the reference the shared incidence reproduces bit for bit."""
-    from champagne.kernels import capacity_ball_envelope
-    from champagne.whitney import intersecting_cubes
-
     cube_map = {}
     for k in range(cfg.n):
-        for i in intersecting_cubes(dec, cfg.centers[k], float(cfg.radii[k])):
-            cube_map.setdefault(int(i), []).append(k)
+        for row in intersecting_cubes(cfg.domain, max_level, cfg.centers[k],
+                                      float(cfg.radii[k])).tolist():
+            cube_map.setdefault(tuple(row), []).append(k)
     a, d = consts.alpha, cfg.dimension
     terms = []
-    for i in sorted(cube_map):
-        q = dec.cube(i)
-        lo, hi = q.bounds()
-        upper = sum(capacity_ball_envelope(consts, float(cfg.radii[k]), d).upper
-                    for k in cube_map[i])
+    for key in sorted(cube_map):   # (level, index) order
+        level, idx = key[0], np.asarray(key[1:])
+        side = 2.0**-level
+        lo = idx * side
+        hi = lo + side
+        dist_boundary = float(whitney(cfg.domain, level, idx[None, :])[1][0])
+        # capacity envelope of a ball: [r^(d-a)/C, C r^(d-a)]
+        upper = sum(float(cfg.radii[k]) ** (d - a) * consts.C for k in cube_map[key])
         lower = 0.0
-        for k in cube_map[i]:
+        for k in cube_map[key]:
             c = cfg.centers[k]
             rho = min(float(cfg.radii[k]), float(min((c - lo).min(), (hi - c).min())))
             if rho > 0.0:
-                lower = max(lower, capacity_ball_envelope(consts, rho, d).lower)
+                lower = max(lower, rho ** (d - a) / consts.C)
         dzq = float(np.sqrt(((z - np.clip(z, lo, hi)) ** 2).sum()))
-        w = q.dist_boundary ** (2.0 * (a - 1.0)) / dzq ** (d + a - 2.0)
+        w = dist_boundary ** (2.0 * (a - 1.0)) / dzq ** (d + a - 2.0)
         terms.append((min(lower, upper) * w, upper * w))
     return terms
 
 
-def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk, dec7):
+def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk):
     consts = Constants(alpha=1.3, C=2.0)
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=5)
     z = np.array([0.6, -0.8])
-    trace = aikawa_sum(_inc(dec7, cfg), cfg, z, consts)
-    expected = _aikawa_terms_per_cube(dec7, cfg, z, consts)
-    assert [(t.lower, t.upper) for t in trace.terms] == expected
+    trace = aikawa_sum(_inc(7, cfg), cfg, z, consts)
+    expected = _aikawa_terms_per_cube(7, cfg, z, consts)
+    assert list(zip(trace.term_lower.tolist(), trace.term_upper.tolist())) == expected
+    assert trace.cube_ids.tolist() == list(range(len(expected)))
     assert (trace.total.lower, trace.total.upper) == tuple(map(sum, zip(*expected)))
 
 
-def test_quasi_additivity_interval_finite_and_ordered(disk, dec7, c15):
+def test_quasi_additivity_interval_finite_and_ordered(disk, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
-    lo, hi = quasi_additivity_interval(_inc(dec7, cfg), cfg, c15)
+    lo, hi = quasi_additivity_interval(_inc(7, cfg), cfg, c15)
     assert 0.0 < lo <= hi < math.inf
 
 

@@ -33,21 +33,47 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# a d=3 case: 2 shells, with shell 1 above the collar and shell 2 below it
+D3 = {
+    **SMALL,
+    "domain": {"center": [0.0, 0.0, 0.0], "radius": 1.0},
+    "profile": {"kind": "constant", "c": 0.3},
+    "shells": {"a": 0.5, "count": 2, "seed": 7},
+    "whitney": {"max_level": 5},
+}
+
+
+def _assert_criteria_outputs(tmp_path, monkeypatch, obj, verdicts, wiener_trace, empirical):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    harness.cmd_criteria(RunConfig.from_json(obj), tmp_path)
+    assert _sha256(tmp_path / "verdicts.json") == verdicts
+    assert _sha256(tmp_path / "wiener_trace.csv") == wiener_trace
+    manifest = json.loads((tmp_path / "manifest.criteria.json").read_text())
+    assert manifest["empirical"] == empirical
+
+
 def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # Outputs of the per-ball implementation that built the cube-bubble map
-    # once per sum; the shared incidence must reproduce them bit for bit.
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    harness.cmd_criteria(RunConfig.from_json(SMALL), tmp_path)
-    assert _sha256(tmp_path / "verdicts.json") == (
-        "e184a0320eed5d2c1b2cfc060bfd49aba204cf8f42502967e091ecf89046ba0b")
-    assert _sha256(tmp_path / "wiener_trace.csv") == (
-        "ec7a0038868bb7f239ac0f7e174f1daf38eea363d2375fbbb2904d680560fc09")
-    empirical = json.loads((tmp_path / "manifest.criteria.json").read_text())["empirical"]
-    assert empirical == {
-        "c2_cubes_per_ball": 4,
-        "C1_ratio_bound": 1.900247054885672,
-        "quasi_additivity_interval": [0.00026459703520188263, 2014.2926594003247],
-    }
+    # once per sum; the closed-form incidence must reproduce them bit for bit.
+    _assert_criteria_outputs(
+        tmp_path, monkeypatch, SMALL,
+        "e184a0320eed5d2c1b2cfc060bfd49aba204cf8f42502967e091ecf89046ba0b",
+        "ec7a0038868bb7f239ac0f7e174f1daf38eea363d2375fbbb2904d680560fc09",
+        {"c2_cubes_per_ball": 4,
+         "C1_ratio_bound": 1.900247054885672,
+         "quasi_additivity_interval": [0.00026459703520188263, 2014.2926594003247]})
+
+
+def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
+    # Outputs of the incidence that looked each box up in the decomposition;
+    # the closed-form incidence must reproduce them bit for bit.
+    _assert_criteria_outputs(
+        tmp_path, monkeypatch, D3,
+        "874cef7853b885bc77daf4d0a3d5e659b34ce9845ac7ab22e466a0dd2647daa5",
+        "e7051ff5b4fe0b474050a7c479151141add7e0a695dde4b7dd980598b568edbf",
+        {"c2_cubes_per_ball": 39,
+         "C1_ratio_bound": 2.5194139682429655,
+         "quasi_additivity_interval": [5.7554751880337886e-06, 48252.98795006506]})
 
 
 def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):

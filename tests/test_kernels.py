@@ -3,17 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from champagne.geometry import BallDomain
+from champagne.geometry import BallDomain, dist_to_boundary
 from champagne.kernels import (
     Constants,
     Envelope,
     capacity_ball_bounds,
-    capacity_ball_envelope,
     capped_green_bounds,
-    capped_green_envelope,
     small_radius_threshold,
     unit_ball_volume,
 )
+
+
+def capped_green_envelope(domain, consts, y):
+    """Scalar oracle for capped_green_bounds: g(y) ~ delta(y)^(a-1) within
+    the factor C_G * 2**(d+1), both bounds capped at 1."""
+    c = consts.C_G * 2.0 ** (domain.dimension + 1)
+    base = dist_to_boundary(domain, np.asarray(y, dtype=float)) ** (consts.alpha - 1.0)
+    return min(base / c, 1.0), min(base * c, 1.0)
+
+
+def capacity_ball_envelope(consts, r, d):
+    """Scalar oracle for capacity_ball_bounds: [r^(d-a)/C, C r^(d-a)]."""
+    f = r ** (d - consts.alpha)
+    return f / consts.C, f * consts.C
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +62,13 @@ def test_envelope_invariants_and_arithmetic():
 
 
 def test_capped_green_envelope(disk, c15):
-    e = capped_green_envelope(disk, c15, [0.9, 0.0])
+    lower, upper = capped_green_bounds(disk, c15, [[0.9, 0.0], [0.99, 0.0]])
     base = 0.1**0.5
     c = 1.0 * 2.0**3
-    assert e.lower == pytest.approx(base / c)
-    assert e.upper == pytest.approx(min(base * c, 1.0))
+    assert lower[0] == pytest.approx(base / c)
+    assert upper[0] == pytest.approx(min(base * c, 1.0))
     # monotone in delta
-    e2 = capped_green_envelope(disk, c15, [0.99, 0.0])
-    assert e2.lower < e.lower
+    assert lower[1] < lower[0]
 
 
 def test_array_bounds_equal_the_scalar_envelopes_exactly(disk):
@@ -66,37 +77,32 @@ def test_array_bounds_equal_the_scalar_envelopes_exactly(disk):
     pts = rng.uniform(-0.7, 0.7, (500, 2))
     lower, upper = capped_green_bounds(disk, consts, pts)
     scalar = [capped_green_envelope(disk, consts, y) for y in pts]
-    assert lower.tolist() == [e.lower for e in scalar]
-    assert upper.tolist() == [e.upper for e in scalar]
+    assert list(zip(lower.tolist(), upper.tolist())) == scalar
     radii = rng.uniform(1e-6, 0.1, 500)
     lower, upper = capacity_ball_bounds(consts, radii, 2)
     scalar = [capacity_ball_envelope(consts, float(r), 2) for r in radii]
-    assert lower.tolist() == [e.lower for e in scalar]
-    assert upper.tolist() == [e.upper for e in scalar]
-    with pytest.raises(ValueError, match="inside"):
+    assert list(zip(lower.tolist(), upper.tolist())) == scalar
+    with pytest.raises(ValueError, match="capped_green_bounds requires y inside"):
         capped_green_bounds(disk, consts, [[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="> 0"):
         capacity_ball_bounds(consts, [0.1, 0.0], 2)
 
 
 def test_capacity_hand_value(c15):
-    e = capacity_ball_envelope(c15, 0.25, 2)
-    assert e.lower == pytest.approx(0.5) and e.upper == pytest.approx(0.5)
-    e = capacity_ball_envelope(Constants(alpha=1.5, C=2.0), 1.0, 2)
-    assert (e.lower, e.upper) == (0.5, 2.0)
+    lower, upper = capacity_ball_bounds(c15, [0.25], 2)
+    assert lower[0] == pytest.approx(0.5) and upper[0] == pytest.approx(0.5)
+    lower, upper = capacity_ball_bounds(Constants(alpha=1.5, C=2.0), [1.0], 2)
+    assert (lower[0], upper[0]) == (0.5, 2.0)
 
 
 def test_capacity_power_law_scaling(c15):
     rng = np.random.default_rng(1)
     d = 2
-    for _ in range(1000):
-        r = rng.uniform(1e-6, 1e-1)
-        s = rng.uniform(1e-3, 1e3)
-        a = capacity_ball_envelope(c15, r * s, d)
-        b = capacity_ball_envelope(c15, r, d)
-        factor = s ** (d - c15.alpha)
-        assert abs(a.lower - factor * b.lower) <= 1e-12 * max(a.lower, factor * b.lower)
-        assert abs(a.upper - factor * b.upper) <= 1e-12 * max(a.upper, factor * b.upper)
+    r = rng.uniform(1e-6, 1e-1, 1000)
+    s = rng.uniform(1e-3, 1e3, 1000)
+    factor = s ** (d - c15.alpha)
+    for a, b in zip(capacity_ball_bounds(c15, r * s, d), capacity_ball_bounds(c15, r, d)):
+        assert np.all(np.abs(a - factor * b) <= 1e-12 * np.maximum(a, factor * b))
 
 
 def test_small_radius_threshold_matches_eta_crossover(c15):

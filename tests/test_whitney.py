@@ -12,6 +12,7 @@ from champagne.whitney import (
     decompose,
     intersecting_cubes,
     max_cubes_per_ball,
+    whitney as is_whitney,
 )
 
 
@@ -91,47 +92,91 @@ def test_total_volume_matches_disk(dec8):
     assert total >= area - 3 * collar
 
 
-def test_coverage_invariant(dec6, disk):
+def _grid(kmin, kmax):
+    """Every integer index in the box [kmin, kmax], in lexicographic order."""
+    axes = [np.arange(a, b + 1) for a, b in zip(kmin, kmax)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _brute_ok(domain, level, idx):
+    """ok(Q) and R - maxd(Q) with maxd taken over the 2^d corners of each box."""
+    d = domain.dimension
+    side = 2.0**-level
+    maxd = np.zeros(idx.shape[0])
+    for corner in _grid(np.zeros(d, dtype=int), np.ones(d, dtype=int)):
+        y = (idx + corner) * side
+        maxd = np.maximum(maxd, np.sqrt(((y - domain.center) ** 2).sum(axis=1)))
+    dist = domain.radius - maxd
+    return (maxd < domain.radius) & (side * math.sqrt(d) <= dist), dist
+
+
+def _cube_at(domain, max_level, x):
+    """(level, index) of the Whitney cube whose half-open box holds x."""
+    for level in range(whitney._top_level(domain), max_level + 1):
+        idx = np.floor(np.asarray(x) / 2.0**-level).astype(np.int64)
+        if is_whitney(domain, level, idx[None, :])[0][0]:
+            return level, idx
+    raise AssertionError("x lies in no cube")
+
+
+# off-centre domains, each with a max_level that keeps the full grid small
+CLOSED_FORM_CASES = [
+    (2, 1.0, 7), (2, 2.5, 6), (2, 8.0, 4), (2, 13.0, 3),
+    (3, 1.0, 4), (3, 2.5, 3), (3, 8.0, 2), (3, 13.0, 2),
+]
+
+
+@pytest.mark.parametrize("dim,radius,max_level", CLOSED_FORM_CASES)
+def test_closed_form_membership_gives_exactly_the_decomposition(dim, radius, max_level):
+    center = np.array([0.3125, -0.171, 0.05])[:dim] * radius
+    domain = BallDomain(center, radius)
+    dec = decompose(domain, max_level)   # R >= 8 used to raise here
+    sqd = math.sqrt(dim)
+    top = whitney._top_level(domain)
+    assert 2.0**-top * sqd > radius >= 2.0 ** -(top + 1) * sqd
+    assert dec.levels[0] > top
+    for level in range(top - 1, max_level + 1):
+        side = 2.0**-level
+        grid = _grid(np.floor((center - radius) / side).astype(np.int64),
+                     np.floor((center + radius) / side).astype(np.int64))
+        ok, dist = _brute_ok(domain, level, grid)
+        brute = ok & ~_brute_ok(domain, level - 1, grid // 2)[0]
+        member, got = is_whitney(domain, level, grid)
+        assert np.array_equal(member, brute)
+        assert np.array_equal(got, dist)
+        if level in dec.levels:
+            assert np.array_equal(grid[brute], dec.level_indices(level))
+            assert np.array_equal(dist[brute], dec.level_dists(level))
+        else:
+            assert not brute.any()
+
+
+def test_coverage_invariant(disk):
+    # every point above the collar lies in exactly one Whitney cube; a
+    # point in the collar lies in none
     rng = np.random.default_rng(5)
     thr = coverage_threshold(2, 6)
     pts = rng.uniform(-1, 1, (40000, 2))
     pts = pts[dist_to_boundary(disk, pts) >= thr]
-    got = dec6.locate_batch(pts)
-    assert np.all(got >= 0)
-
-
-def test_locate_center_and_determinism(dec6, disk):
-    i = dec6.locate(disk.center)
-    assert i is not None
-    assert dec6.cube(i).dist_boundary >= 0.25
-    # two points in the same dyadic box agree
-    q = dec6.cube(i)
-    lo, hi = q.bounds()
-    a = dec6.locate(lo + 0.25 * (hi - lo))
-    b = dec6.locate(lo + 0.75 * (hi - lo))
-    assert a == b == i
-
-
-def test_locate_outside_raises(dec6):
-    with pytest.raises(ValueError):
-        dec6.locate([2.0, 0.0])
-
-
-def test_locate_collar_not_covered(dec6, disk):
-    x = np.array([1.0 - 0.25 * dec6.coverage_threshold, 0.0])
-    assert dec6.locate(x) is None
+    pts = np.vstack([pts, [1.0 - 0.25 * thr, 0.0]])
+    counts = np.zeros(pts.shape[0], dtype=int)
+    for level in range(whitney._top_level(disk), 7):
+        counts += is_whitney(disk, level, np.floor(pts / 2.0**-level).astype(np.int64))[0]
+    assert np.all(counts[:-1] == 1)
+    assert counts[-1] == 0
 
 
 def test_doubled_cube_geometry_and_containment(dec8, disk):
     # the concentric box of twice the side of a Whitney cube stays inside D
-    for i in range(0, len(dec8), 37):
-        q = dec8.cube(i)
-        lo, hi = q.bounds()
-        lo2, hi2 = lo - q.side / 2, hi + q.side / 2
-        assert np.allclose(hi2 - lo2, 2 * q.side)
-        assert np.allclose((lo2 + hi2) / 2, q.center)
+    for lev in dec8.levels:
+        side = 2.0**-lev
+        lo = dec8.level_indices(lev) * side
+        hi = lo + side
+        lo2, hi2 = lo - side / 2, hi + side / 2
+        assert np.allclose(hi2 - lo2, 2 * side)
+        assert np.allclose((lo2 + hi2) / 2, dec8.level_centers(lev))
         far = np.maximum(hi2 - disk.center, disk.center - lo2)
-        assert math.sqrt((far * far).sum()) < disk.radius
+        assert np.all(np.sqrt((far * far).sum(axis=1)) < disk.radius)
 
 
 def test_doubled_overlap_multiplicity(dec8, disk):
@@ -142,15 +187,11 @@ def test_doubled_overlap_multiplicity(dec8, disk):
     counts = np.zeros(pts.shape[0], dtype=int)
     for lev in dec8.levels:
         side = 2.0**-lev
-        idx = dec8.level_indices(lev)
-        lo = idx * side - side / 2
-        hi = lo + 2 * side
         # candidate boxes per level via dyadic shifts of the containing index
         base = np.floor(pts / side).astype(np.int64)
         for shift in np.ndindex(3, 3):
             cand = base + (np.asarray(shift) - 1)
-            rows = dec8._find_rows(lev, cand)
-            ok = rows >= 0
+            ok = is_whitney(disk, lev, cand)[0]
             if not ok.any():
                 continue
             clo = cand[ok] * side - side / 2
@@ -160,18 +201,18 @@ def test_doubled_overlap_multiplicity(dec8, disk):
     assert counts.min() >= 1
 
 
-def test_intersecting_cubes_tiny_ball(dec6):
-    q = dec6.cube(dec6.locate([0.0, 0.0]))
-    ids = intersecting_cubes(dec6, q.center, q.side / 10)
-    assert ids.size == 1
-    assert dec6.cube(int(ids[0])).index == q.index
+def test_intersecting_cubes_tiny_ball(disk):
+    level, idx = _cube_at(disk, 6, [0.0, 0.0])
+    side = 2.0**-level
+    rows = intersecting_cubes(disk, 6, (idx + 0.5) * side, side / 10)
+    assert rows.tolist() == [[level, *idx.tolist()]]
 
 
-def test_intersecting_cubes_at_corner(dec6):
-    q = dec6.cube(dec6.locate([0.0, 0.0]))
-    lo, hi = q.bounds()
-    ids = intersecting_cubes(dec6, lo, q.side / 100)
-    assert 2 <= ids.size <= 4
+def test_intersecting_cubes_at_corner(disk):
+    level, idx = _cube_at(disk, 6, [0.0, 0.0])
+    side = 2.0**-level
+    rows = intersecting_cubes(disk, 6, idx * side, side / 100)
+    assert 2 <= rows.shape[0] <= 4
 
 
 def test_intersecting_cubes_matches_bruteforce(dec6, disk):
@@ -180,7 +221,8 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
     for lev in dec6.levels:
         side = 2.0**-lev
         idx = dec6.level_indices(lev)
-        boxes.append((idx * side, idx * side + side))
+        rows = np.column_stack([np.full(idx.shape[0], lev), idx])
+        boxes.append((idx * side, idx * side + side, rows))
     centers, radii, pairs = [], [], []
     for k in range(50):
         direction = rng.standard_normal(2)
@@ -188,73 +230,86 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
         x = rng.uniform(0.3, 0.9) * direction
         delta = dist_to_boundary(disk, x)
         r = rng.uniform(0.05, 0.45) * delta
-        got = intersecting_cubes(dec6, x, r)
+        got = intersecting_cubes(disk, 6, x, r)
         brute = []
-        offset = 0
-        for lo, hi in boxes:
+        for lo, hi, rows in boxes:
             near = np.maximum(np.maximum(lo - x, x - hi), 0.0)
             meets = (near**2).sum(axis=1) <= r * r
-            brute.extend((offset + np.where(meets)[0]).tolist())
-            offset += lo.shape[0]
-        assert got.tolist() == sorted(brute)
+            brute.extend(map(tuple, rows[meets].tolist()))
+        assert list(map(tuple, got.tolist())) == sorted(brute)
         centers.append(x)
         radii.append(r)
-        pairs.extend((k, i) for i in sorted(brute))
-    assert _pairs(ball_cube_incidence(dec6, centers, radii)) == pairs
+        pairs.extend((k, q) for q in sorted(brute))
+    assert _pairs(ball_cube_incidence(disk, 6, centers, radii)) == pairs
 
 
 def _pairs(inc):
-    return list(zip(inc.ball.tolist(), inc.cube.tolist()))
+    """The incidence's pairs as (ball, (level, k_1..k_d))."""
+    rows = np.column_stack([inc.level, inc.index])[inc.cube]
+    return list(zip(inc.ball.tolist(), map(tuple, rows.tolist())))
 
 
-def _per_ball_pairs(dec, centers, radii):
-    return [(k, int(i)) for k in range(len(radii))
-            for i in intersecting_cubes(dec, centers[k], float(radii[k]))]
+def _per_ball_pairs(domain, max_level, centers, radii):
+    return [(k, tuple(row)) for k in range(len(radii))
+            for row in intersecting_cubes(domain, max_level, centers[k], float(radii[k])).tolist()]
 
 
 @pytest.mark.parametrize("dim,level,shells", [(2, 8, 4), (3, 4, 2)])
 def test_ball_cube_incidence_matches_per_ball_loop(dim, level, shells, monkeypatch):
     domain = BallDomain(np.zeros(dim), 1.0)
     config = generate_shell_config(domain, ConstantProfile(0.3), 0.5, shells, seed=2)
-    dec = decompose(domain, level)
-    expected = _per_ball_pairs(dec, config.centers, config.radii)
-    inc = ball_cube_incidence(dec, config.centers, config.radii)
+    expected = _per_ball_pairs(domain, level, config.centers, config.radii)
+    inc = ball_cube_incidence(domain, level, config.centers, config.radii)
     assert inc.n_balls == config.n
     assert _pairs(inc) == expected
     covered = {k for k, _ in expected}
     assert inc.uncovered().tolist() == [k for k in range(config.n) if k not in covered]
     assert 0 < inc.uncovered().size < config.n
+    # cubes are numbered in (level, index) order, each with its own
+    # dist(Q, boundary), and each meets some ball
+    rows = list(map(tuple, np.column_stack([inc.level, inc.index]).tolist()))
+    assert rows == sorted(set(rows))
+    assert np.array_equal(np.unique(inc.cube), np.arange(len(rows)))
+    dec = decompose(domain, level)
+    for lev in np.unique(inc.level):
+        at = inc.level == lev
+        member, dist = is_whitney(domain, int(lev), inc.index[at])
+        assert member.all() and np.array_equal(dist, inc.dist_boundary[at])
+        known = {tuple(k): v for k, v in zip(dec.level_indices(lev).tolist(),
+                                             dec.level_dists(lev).tolist())}
+        assert [known[tuple(k)] for k in inc.index[at].tolist()] == inc.dist_boundary[at].tolist()
     # expanding a few candidate boxes at a time gives the same pairs
     monkeypatch.setattr(whitney, "_CANDIDATE_CHUNK", 7)
-    assert _pairs(ball_cube_incidence(dec, config.centers, config.radii)) == expected
+    assert _pairs(ball_cube_incidence(domain, level, config.centers, config.radii)) == expected
 
 
-def test_ball_cube_incidence_empty(dec6):
-    inc = ball_cube_incidence(dec6, np.empty((0, 2)), np.empty(0))
+def test_ball_cube_incidence_empty(disk):
+    inc = ball_cube_incidence(disk, 6, np.empty((0, 2)), np.empty(0))
     assert inc.n_balls == 0
-    assert inc.ball.size == inc.cube.size == 0
+    assert inc.ball.size == inc.cube.size == inc.level.size == 0
+    assert inc.index.shape == (0, 2)
     assert max_cubes_per_ball(inc) == 0
     assert inc.uncovered().size == 0
 
 
-def test_ball_cube_incidence_rejects_fat_ball(dec6):
+def test_ball_cube_incidence_rejects_fat_ball(disk):
     with pytest.raises(ValueError, match="not inside"):
-        ball_cube_incidence(dec6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.4])
+        ball_cube_incidence(disk, 6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.4])
 
 
-def test_ball_cube_incidence_rejects_zero_radius(dec6):
+def test_ball_cube_incidence_rejects_zero_radius(disk):
     with pytest.raises(ValueError, match="> 0"):
-        ball_cube_incidence(dec6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0])
+        ball_cube_incidence(disk, 6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0])
 
 
-def test_intersecting_cubes_rejects_fat_ball(dec6):
+def test_intersecting_cubes_rejects_fat_ball(disk):
     with pytest.raises(ValueError, match="not inside"):
-        intersecting_cubes(dec6, np.array([0.5, 0.0]), 0.4)
+        intersecting_cubes(disk, 6, np.array([0.5, 0.0]), 0.4)
 
 
-def test_c2_empirical_finite(dec8, disk):
+def test_c2_empirical_finite(disk):
     config = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
-    c2 = max_cubes_per_ball(ball_cube_incidence(dec8, config.centers, config.radii))
+    c2 = max_cubes_per_ball(ball_cube_incidence(disk, 8, config.centers, config.radii))
     assert 1 <= c2 <= 40
 
 

@@ -4,7 +4,7 @@ avoidable or unavoidable for the censored alpha-stable process (alpha in (1,2)).
 Two independent routes are provided and can be cross-checked:
 
 * ``criteria`` evaluates capacity-based divergence criteria (boundary series,
-  radial integral, Whitney/Wiener/Aikawa sums) with two-sided envelopes;
+  shell series, Whitney/Wiener/Aikawa sums) with two-sided envelopes;
 * ``simulate`` estimates the hitting probability of the bubble union by a
   jump-suppression Monte-Carlo chain.
 

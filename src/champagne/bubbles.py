@@ -195,7 +195,9 @@ class BubbleConfig:
 
     Centers and radii are stored as arrays; ``meta`` carries generation
     parameters (profile, a, shells, seed) when built by the generator, and
-    ``shell_ids`` labels each bubble with its shell.
+    ``shell_ids`` labels each bubble with its shell.  ``index`` answers
+    every spatial query: point membership, the disjointness check's
+    candidate pairs and the separation predicates' nearest centres.
     """
 
     def __init__(
@@ -258,14 +260,6 @@ class BubbleConfig:
     def index(self) -> BallIndex:
         """The one ``BallIndex`` over these bubbles, built on first use."""
         return BallIndex(self.centers, self.radii, origin=self.domain.center)
-
-    @cached_property
-    def centers_tree(self):
-        """A ``scipy.spatial.cKDTree`` over the centres, built on first use.
-        Only the separation predicates need it, so scipy loads only then."""
-        from scipy.spatial import cKDTree
-
-        return cKDTree(self.centers)
 
     # -- disjointness ---------------------------------------------------------
 
@@ -463,23 +457,17 @@ def _coverage_parameter(a, t, spacing, counts, d) -> float:
 # predicates
 # ---------------------------------------------------------------------------
 
-def _nearest_neighbor_distances(config: BubbleConfig) -> np.ndarray:
-    dist, _ = config.centers_tree.query(config.centers, k=2)
-    return dist[:, 1]
-
-
 def separation_infimum(config: BubbleConfig, alpha: float) -> float:
     """inf over j != k of |x_j - x_k| / (r_k^(1-alpha/d) * delta(x_k)^(alpha/d)).
 
     +inf for a single bubble.  The denominator depends on k only, so the
-    infimum reduces to nearest-neighbor distances.
+    infimum reduces to each centre's distance to the nearest other centre,
+    which ``config.index`` gives exactly (``BallIndex.nearest_center_distances``).
     """
     if config.n == 0:
         raise ValueError("need at least one bubble")
-    if config.n == 1:
-        return math.inf
     d = config.dimension
-    nn = _nearest_neighbor_distances(config)
+    nn = config.index.nearest_center_distances()  # inf for a single bubble
     denom = config.radii ** (1.0 - alpha / d) * config.deltas ** (alpha / d)
     return float((nn / denom).min())
 
@@ -488,6 +476,7 @@ def profile_separation_infimum(config: BubbleConfig, phi: RadialProfile, alpha: 
     """inf over m != n of |x_m - x_n| / (phi(|x_n|)^(1-alpha/d) * (1-|x_n|)).
 
     Requires the unit ball and radii consistent with r = (1-|x|)*phi(|x|).
+    The distances are the index's, as in :func:`separation_infimum`.
     """
     if config.n == 0:
         raise ValueError("need at least one bubble")
@@ -502,10 +491,8 @@ def profile_separation_infimum(config: BubbleConfig, phi: RadialProfile, alpha: 
             f"radii inconsistent with profile: bubble {k} has r={config.radii[k]!r}, "
             f"profile gives {expected[k]!r}"
         )
-    if config.n == 1:
-        return math.inf
     d = config.dimension
-    nn = _nearest_neighbor_distances(config)
+    nn = config.index.nearest_center_distances()
     denom = phi(norms) ** (1.0 - alpha / d) * (1.0 - norms)
     return float((nn / denom).min())
 
@@ -527,6 +514,7 @@ def capacity_separation_report(config: BubbleConfig, consts: Constants) -> Capac
     (i)   r_k <= (16^d * C * sigma_d)^(-1/alpha) for all k;
     (ii)  |x_j - x_k| / r_k^(1-alpha/d) >= 2 * C^(1/d) * sigma_d^(-1/d);
     plus the stronger delta-weighted threshold 32 * C^(2/d) * C_1^(2*alpha/d).
+    The minima over j != k come from the index's nearest-centre distances.
     """
     d = config.dimension
     alpha = consts.alpha
@@ -538,14 +526,11 @@ def capacity_separation_report(config: BubbleConfig, consts: Constants) -> Capac
     if config.n == 0:
         return CapacitySeparationReport(True, True, True, {"r_max": 0.0})
     r_max = float(config.radii.max())
-    if config.n == 1:
-        eta_min = strong_min = math.inf
-    else:
-        nn = _nearest_neighbor_distances(config)
-        eta_min = float((nn / config.radii ** (1.0 - alpha / d)).min())
-        strong_min = float(
-            (nn / (config.radii ** (1.0 - alpha / d) * config.deltas ** (alpha / d))).min()
-        )
+    nn = config.index.nearest_center_distances()
+    eta_min = float((nn / config.radii ** (1.0 - alpha / d)).min())
+    strong_min = float(
+        (nn / (config.radii ** (1.0 - alpha / d) * config.deltas ** (alpha / d))).min()
+    )
     return CapacitySeparationReport(
         small_radius_ok=r_max <= r_thresh,
         eta_separation_ok=eta_min >= eta_thresh,

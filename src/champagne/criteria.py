@@ -60,7 +60,6 @@ __all__ = [
     "TailModel",
     "SeriesEvaluation",
     "avoidability_series",
-    "classify_radial_integral",
     "classify_shell_series",
     "AikawaTrace",
     "aikawa_sum",
@@ -228,65 +227,6 @@ def _classify_exponents(rate: float, log_power: float) -> Verdict:
     return Verdict.DIVERGENT if log_power >= -1.0 else Verdict.CONVERGENT
 
 
-def _u_integrand(phi: RadialProfile, weight: WeightFunction, d: int, alpha: float):
-    """Exact tail integrand in the u variable, avoiding 1 - exp(-u) loss."""
-    def phi_u(u):
-        if isinstance(phi, ConstantProfile):
-            return phi.c
-        if isinstance(phi, PowerProfile):
-            return np.exp(-phi.beta * u)
-        return (1.0 + u) ** (-phi.p)
-
-    def m_u(u):
-        if isinstance(weight, OneWeight):
-            return 1.0
-        if isinstance(weight, PowerWeight):
-            return np.exp(weight.gamma * u)
-        return (1.0 + u) ** weight.p
-
-    return lambda u: phi_u(u) ** (d - alpha) * m_u(u)
-
-
-def classify_radial_integral(
-    phi: RadialProfile,
-    weight: WeightFunction,
-    d: int,
-    alpha: float,
-) -> DivergenceVerdict:
-    """Classify the tail integral of phi(t)^(d-a) * M(t) / (1-t) over (1/2, 1).
-
-    The verdict comes from the analytic reduction under u = -log(1-t); the
-    attached quadrature trace (partial integrals up to 1 - eps for
-    eps = 1e-3 .. 1e-12) is evidence only.  Unsupported profile/weight types
-    yield Inconclusive.
-    """
-    exps = _tail_exponents(phi, weight, d, alpha)
-    name = f"phi={type(phi).__name__}, M={type(weight).__name__}"
-    if exps is None:
-        return DivergenceVerdict(
-            Verdict.INCONCLUSIVE,
-            {"reason": "profile or weight outside the closed-form enumeration"},
-            name,
-        )
-    # imported here so that loading the harness does not load scipy.integrate
-    from scipy.integrate import quad
-
-    rate, log_power, const = exps
-    integrand = _u_integrand(phi, weight, d, alpha)
-    t0 = 0.5
-    u0 = -math.log(1.0 - t0)
-    trace = []
-    for k in range(3, 13):
-        hi = -math.log(10.0 ** (-k))
-        val, _ = quad(integrand, u0, hi, limit=400)
-        trace.append((10.0 ** (-k), val))
-    return DivergenceVerdict(
-        _classify_exponents(rate, log_power),
-        {"rate": rate, "log_power": log_power, "const": const, "quadrature": trace, "t0": t0},
-        name,
-    )
-
-
 def classify_shell_series(
     phi: RadialProfile,
     weight: WeightFunction,
@@ -298,7 +238,7 @@ def classify_shell_series(
 
     The radii s_i approach 1 geometrically (1 - s_(i+1) = rho*(1 - s_i) with
     rho = (1-a)/(1+a)), so each term behaves like exp(rate*L*i) * (L*i)^p
-    with L = log(1/rho); the same exponent rule as the integral route then
+    with L = log(1/rho); the exponent rule of the tail integral then
     classifies divergence.  The first 48 terms are attached as evidence.
     """
     if not 0.0 < a < 1.0:
@@ -613,12 +553,12 @@ def classify_avoidability(
 ) -> AvoidabilityReport:
     """Verdict per boundary grid point plus an aggregate.
 
-    With a tail model the per-z verdict comes from the analytic reduction
-    (shell-series route when the config carries shell metadata, else the
-    radial integral); without one it is Inconclusive with partial-sum
-    diagnostics.  Aggregate "unavoidable" requires divergence at every grid
-    point and a positive separation infimum; "avoidable-candidate" requires
-    convergence on the grid; mixed verdicts are inconclusive.
+    With a tail model and shell metadata (``meta["a"]``) the per-z verdict
+    comes from the analytic shell-series reduction; otherwise it is
+    Inconclusive with partial-sum diagnostics, and a note says why.
+    Aggregate "unavoidable" requires divergence at every grid point and a
+    positive separation infimum; "avoidable-candidate" requires convergence
+    on the grid; mixed verdicts are inconclusive.
     """
     notes = [
         "a.e.-boundary statements are proxied by a deterministic grid",
@@ -632,33 +572,23 @@ def classify_avoidability(
             [verdict] * grid.n, np.zeros(grid.n), math.inf, "avoidable-candidate", notes
         )
 
-    analytic = None
-    if tail_model is not None:
-        if "a" in config.meta:
-            analytic = classify_shell_series(
-                tail_model.phi, tail_model.weight, d, alpha, float(config.meta["a"])
-            )
-        else:
-            analytic = classify_radial_integral(tail_model.phi, tail_model.weight, d, alpha)
+    if tail_model is not None and "a" in config.meta:
+        analytic = classify_shell_series(
+            tail_model.phi, tail_model.weight, d, alpha, float(config.meta["a"])
+        )
         notes.append(f"analytic route: {analytic.tail_model}")
     else:
-        notes.append("no tail model given: truncated sums cannot decide divergence")
+        reason = "no tail model given" if tail_model is None else "no shell metadata (meta['a'])"
+        notes.append(f"{reason}: truncated sums cannot decide divergence")
+        analytic = DivergenceVerdict(Verdict.INCONCLUSIVE, {}, "truncated series")
 
     per_z = []
     totals = np.empty(grid.n)
     for i in range(grid.n):
         ev = avoidability_series(config, grid.points[i], alpha)
         totals[i] = ev.total
-        if analytic is not None:
-            per_z.append(
-                DivergenceVerdict(analytic.tag, {"partial_sum": ev.total}, analytic.tail_model)
-            )
-        else:
-            per_z.append(
-                DivergenceVerdict(
-                    Verdict.INCONCLUSIVE, {"partial_sum": ev.total}, "truncated series"
-                )
-            )
+        per_z.append(
+            DivergenceVerdict(analytic.tag, {"partial_sum": ev.total}, analytic.tail_model))
 
     separation = separation_infimum(config, alpha)
     tags = {v.tag for v in per_z}

@@ -224,12 +224,12 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
 def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
-    vars(config).pop("index", None)  # validation built it; no criterion queries it
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     grid = uniform_boundary_grid(cfg.domain, cfg.grid_size)
     tail = TailModel(cfg.profile, cfg.weight)
     report = classify_avoidability(config, cfg.constants, grid, tail)
+    vars(config).pop("index", None)  # the separation infimum was its last use
 
     dec = decompose(cfg.domain, cfg.whitney_max_level)
     empirical = {}

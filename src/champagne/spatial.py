@@ -1,6 +1,6 @@
 """Spatial index over a fixed family of disjoint closed balls: which ball
-holds a point, and which pairs of balls are near enough to need a
-disjointness check.
+holds a point, which pairs of balls are near enough to need a disjointness
+check, and how far each ball's centre is from the nearest other centre.
 
 The balls are split into radius classes, one per binary exponent of the
 radius (``np.frexp``), so the radii of a class differ by less than a factor
@@ -31,6 +31,20 @@ origin, and then in the radial band of a class, lo <= |x - origin| <= hi.
 The span and the bands are widened outward by 2^-40 of the coordinates'
 scale, far more than the rounding of the norms, so a point that passes the
 closed test for a ball is never turned away by its band.
+
+The nearest-centre query is exact too: it returns the same float as
+|c_j - c_k| taken by ``row_norms`` and minimised over k != j.  A class is
+searched in rounds of the 3^d cells around each query centre, on grids whose
+side H is a power of two and doubles from round to round, so every key is
+exact.  The cells hold every centre within H of the query on each axis; a
+centre outside them is more than H away on some axis, so its computed
+distance is >= H, and a query is finished once its best is <= H.  A round
+skips a cell whose distance to the query, computed with the same roundings
+from the exact cell faces, exceeds the query's best: no centre in it
+computes nearer.  A query searches another class only if its radial gap to
+the class's band is below its best, the band's widening covering the
+rounding of the gap.  The rounds end once the grid is at most two cells
+wide, when one round sees the whole class.
 """
 
 from __future__ import annotations
@@ -50,6 +64,8 @@ DISJOINTNESS_SLACK = 1e-12
 _BAND_PAD = 2.0**-40
 # balls looked up at a time by near_pairs, which bounds its working memory
 _PAIR_BLOCK = 1 << 16
+# balls searched for their nearest centres at a time: a round's memory bound
+_NEAREST_BLOCK = 1 << 13
 
 
 def _power_of_two_at_least(v: float) -> float:
@@ -61,9 +77,9 @@ class _Grid:
     """One radius class: its balls' ids, in the order of the int64 key of
     their cell."""
 
-    def __init__(self, ids, centers, r_max, band):
+    def __init__(self, ids, centers, r_max, band, h=None):
         c = centers[ids]
-        h = _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
+        h = h or _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
         while True:
             first, last = np.floor(c.min(axis=0) / h), np.floor(c.max(axis=0) / h)
             # cells per axis, with an empty one on either side; keys run up to
@@ -79,10 +95,10 @@ class _Grid:
         self.top = last - first + 1.0
         self.stride = np.array([math.prod(extent[j + 1:]) for j in range(len(extent))],
                                dtype=np.int64)
-        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=c.shape[1])))
+        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=c.shape[1])))
         # ascending; a key difference is >= 0 exactly when its offset is
         # lexicographically >= 0
-        self.deltas = offsets @ self.stride
+        self.deltas = self.offsets @ self.stride
         keys = self.cell_keys(c)
         del c  # before the sort's arrays, to lower the peak
         order = np.argsort(keys, kind="stable")
@@ -219,3 +235,72 @@ class BallIndex:
                         js.append(a.ids[q[keep]])
                         ks.append(b.ids[p[keep]])
         return np.concatenate(js), np.concatenate(ks)
+
+    def nearest_center_distances(self) -> np.ndarray:
+        """For each ball, the distance from its centre to the nearest centre
+        of another ball, or inf when there is no other ball.
+
+        A class is searched by a sample of its balls, then by all of them
+        from a grid of about the sample's median best (finer rounds would
+        seldom finish a ball), and then from that grid by the other classes'
+        balls whose radial gap to its band is below their best so far.
+        """
+        best = np.full(self.n, np.inf)
+        grids = []
+        for g in self._grids:
+            sample = g.ids[::64]  # spread over the class: ids are in cell order
+            self._lower_to_nearest(g, sample, best)
+            spacing = np.sort(best[sample])[sample.size // 2]  # inf for a class of one ball
+            if g.h < spacing < math.inf:
+                g = _Grid(g.ids, self._centers, g.r_max, g.band, _power_of_two_at_least(spacing))
+            self._lower_to_nearest(g, g.ids, best)
+            grids.append(g)
+        if len(grids) < 2:
+            return best
+        norms = row_norms(self._centers, self.origin)
+        for g in grids:
+            rows = np.maximum(g.band[0] - norms, norms - g.band[1]) < best
+            rows[g.ids] = False
+            self._lower_to_nearest(g, np.flatnonzero(rows), best)
+        return best
+
+    def _lower_to_nearest(self, g: _Grid, rows: np.ndarray, best: np.ndarray) -> None:
+        """Lower best[rows] to each row's distance to the nearest other
+        centre of g's class, in the rounds that the module docstring gives."""
+        # own cell first, corners last: what the near cells find rules out far ones
+        order = np.argsort(np.count_nonzero(g.offsets, axis=1), kind="stable")
+        while rows.size:
+            x = np.take(self._centers, rows, axis=0)
+            keys = g.cell_keys(x)
+            # in key order, so that the lookups read memory in order
+            sort = np.argsort(keys, kind="stable")
+            rows, keys, x = rows[sort], keys[sort], x[sort]
+            for start in range(0, rows.size, _NEAREST_BLOCK):
+                r, kb, xb = (v[start:start + _NEAREST_BLOCK] for v in (rows, keys, x))
+                # per axis, the exact lower faces of the cells -1..2 from each
+                # centre's (clipped) cell less the centre; then its gap to cells -1, 0, 1
+                face = (np.clip(np.floor(xb / g.h) - g.base, 1.0, g.top) + g.base
+                        + np.arange(-1.0, 3.0)[:, None, None]) * g.h - xb
+                slab = np.maximum(np.maximum(face[:-1], -face[1:]), 0.0)
+                del face
+                near = best[r]
+                for offset, delta in zip(g.offsets[order], g.deltas[order]):
+                    box = slab[offset[0] + 1, :, 0] ** 2
+                    for j in range(1, offset.size):
+                        box += slab[offset[j] + 1, :, j] ** 2
+                    sel = np.flatnonzero(np.sqrt(box) <= near)
+                    q, p = g.candidates(kb[sel] + delta) if sel.size else (sel, sel)
+                    if not q.size:
+                        continue
+                    q, k = sel[q], g.ids[p]
+                    dist = row_norms(np.take(xb, q, axis=0), np.take(self._centers, k, axis=0))
+                    dist[k == r[q]] = np.inf
+                    # q is ascending, so each row's candidates are one run
+                    first = np.flatnonzero(np.diff(q, prepend=-1))
+                    q = q[first]
+                    near[q] = np.minimum(near[q], np.minimum.reduceat(dist, first))
+                best[r] = near
+            if np.all(g.top <= 2.0):
+                return
+            rows = rows[best[rows] > g.h]
+            g = _Grid(g.ids, self._centers, g.r_max, g.band, 2.0 * g.h)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from champagne.bubbles import (
     BubbleConfig,
@@ -182,7 +183,7 @@ def test_generator_coverage_at_reported_parameter(disk):
     dirs = rng.standard_normal((n, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = radii[:, None] * dirs
-    nearest, _ = cfg.centers_tree.query(pts, k=1)
+    nearest, _ = cKDTree(cfg.centers).query(pts, k=1)
     assert np.all(nearest < ca * (1.0 - radii))
 
 
@@ -203,29 +204,30 @@ def test_generator_d3(monkeypatch):
     assert cfg.disjointness_report()["violations"] == []
 
 
-# -- centers tree ----------------------------------------------------------------
+# -- counts of nearby centres ------------------------------------------------------
 
-def _count_within(cfg, x, reach):
-    idx = cfg.centers_tree.query_ball_point(x, reach)
-    dsq = ((cfg.centers[idx] - x) ** 2).sum(axis=1)
+def _count_within(tree, x, reach):
+    idx = tree.query_ball_point(x, reach)
+    dsq = ((tree.data[idx] - x) ** 2).sum(axis=1)
     return int((dsq < reach * reach).sum())
 
 
 def test_count_nearby_centers_at_a_center(disk):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
     x = cfg.centers[0]
-    assert _count_within(cfg, x, 0.5 * (1.0 - math.sqrt((x * x).sum()))) >= 1
+    assert _count_within(cKDTree(cfg.centers), x, 0.5 * (1.0 - math.sqrt((x * x).sum()))) >= 1
 
 
 def test_count_nearby_centers_index_matches_bruteforce(disk):
-    # the KD-tree over the centers against a full scan, strict inequality
+    # a KD-tree over the centers against a full scan, strict inequality
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=1)
     rng = np.random.default_rng(4)
+    tree = cKDTree(cfg.centers)
     for _ in range(1000):
         x = rng.uniform(-0.7, 0.7, 2) * rng.uniform(0, 1)
         reach = rng.uniform(0.05, 0.95) * (1.0 - math.sqrt((x * x).sum()))
         dsq = ((cfg.centers - x) ** 2).sum(axis=1)
-        assert _count_within(cfg, x, reach) == int((dsq < reach * reach).sum())
+        assert _count_within(tree, x, reach) == int((dsq < reach * reach).sum())
 
 
 # -- separation ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from champagne.bubbles import (
     BubbleConfig,
@@ -12,14 +13,17 @@ from champagne.bubbles import (
     PowerProfile,
     PowerWeight,
     generate_shell_config,
+    separation_infimum,
 )
 from champagne.criteria import (
+    DivergenceVerdict,
     TailModel,
     Verdict,
+    _classify_exponents,
+    _tail_exponents,
     aikawa_sum,
     avoidability_series,
     classify_avoidability,
-    classify_radial_integral,
     classify_shell_series,
     quasi_additivity_interval,
     uniform_boundary_grid,
@@ -95,16 +99,52 @@ def test_grouped_matches_naive_direct_sum(disk):
 
 # -- analytic classification --------------------------------------------------------
 
+def _u_integrand(phi, weight, d, alpha):
+    """The tail integrand phi(t)^(d-a) * M(t) / (1-t) in u = -log(1-t),
+    which avoids the loss in 1 - exp(-u)."""
+    def phi_u(u):
+        if isinstance(phi, ConstantProfile):
+            return phi.c
+        if isinstance(phi, PowerProfile):
+            return np.exp(-phi.beta * u)
+        return (1.0 + u) ** (-phi.p)
+
+    def m_u(u):
+        if isinstance(weight, OneWeight):
+            return 1.0
+        if isinstance(weight, PowerWeight):
+            return np.exp(weight.gamma * u)
+        return (1.0 + u) ** weight.p
+
+    return lambda u: phi_u(u) ** (d - alpha) * m_u(u)
+
+
+def classify_radial_integral(phi, weight, d, alpha):
+    """Oracle: the tail integral of phi(t)^(d-a) * M(t) / (1-t) over
+    (1/2, 1), classified by the analytic reduction under u = -log(1-t), with
+    the partial integrals up to 1 - eps for eps = 1e-3 .. 1e-12 as evidence."""
+    rate, log_power, const = _tail_exponents(phi, weight, d, alpha)
+    integrand = _u_integrand(phi, weight, d, alpha)
+    t0 = 0.5
+    u0 = -math.log(1.0 - t0)
+    trace = [(10.0 ** (-k), quad(integrand, u0, -math.log(10.0 ** (-k)), limit=400)[0])
+             for k in range(3, 13)]
+    return DivergenceVerdict(
+        _classify_exponents(rate, log_power),
+        {"rate": rate, "log_power": log_power, "const": const, "quadrature": trace, "t0": t0},
+        f"phi={type(phi).__name__}, M={type(weight).__name__}",
+    )
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 def test_canonical_profiles_classified(d, alpha):
     one = OneWeight()
-    v = classify_radial_integral(ConstantProfile(0.35), one, d, alpha)
-    assert v.tag == Verdict.DIVERGENT
-    v = classify_radial_integral(PowerProfile(0.8), one, d, alpha)
-    assert v.tag == Verdict.CONVERGENT
-    v = classify_radial_integral(LogProfile(1.0 / (d - alpha)), one, d, alpha)
-    assert v.tag == Verdict.DIVERGENT
+    for phi, tag in ((ConstantProfile(0.35), Verdict.DIVERGENT),
+                     (PowerProfile(0.8), Verdict.CONVERGENT),
+                     (LogProfile(1.0 / (d - alpha)), Verdict.DIVERGENT)):
+        assert classify_radial_integral(phi, one, d, alpha).tag == tag
+        assert classify_shell_series(phi, one, d, alpha, 0.5).tag == tag
 
 
 def test_quadrature_trace_monotone_and_loglog_growth():
@@ -127,26 +167,16 @@ def test_convergent_quadrature_plateaus():
 
 
 def test_weight_shifts_the_verdict():
-    # (1-t)^0.8 alone converges; a strong power weight restores divergence
+    # (1-t)^0.8 alone converges; a strong power weight restores divergence;
+    # borderline log cases are decided by the log-power rule: (1+u)^-1 still
+    # diverges, (1+u)^-2 converges
     d, alpha = 2, 1.5
-    assert (
-        classify_radial_integral(PowerProfile(0.8), OneWeight(), d, alpha).tag
-        == Verdict.CONVERGENT
-    )
-    assert (
-        classify_radial_integral(PowerProfile(0.8), PowerWeight(1.0), d, alpha).tag
-        == Verdict.DIVERGENT
-    )
-    # borderline log cases decided by the log-power rule:
-    # (1+u)^-1 still diverges, (1+u)^-2 converges
-    assert (
-        classify_radial_integral(LogProfile(4.0), LogWeight(1.0), d, alpha).tag
-        == Verdict.DIVERGENT
-    )
-    assert (
-        classify_radial_integral(LogProfile(6.0), LogWeight(1.0), d, alpha).tag
-        == Verdict.CONVERGENT
-    )
+    for phi, weight, tag in ((PowerProfile(0.8), OneWeight(), Verdict.CONVERGENT),
+                             (PowerProfile(0.8), PowerWeight(1.0), Verdict.DIVERGENT),
+                             (LogProfile(4.0), LogWeight(1.0), Verdict.DIVERGENT),
+                             (LogProfile(6.0), LogWeight(1.0), Verdict.CONVERGENT)):
+        assert classify_shell_series(phi, weight, d, alpha, 0.5).tag == tag
+        assert classify_radial_integral(phi, weight, d, alpha).tag == tag
 
 
 PAIRS = [
@@ -349,6 +379,18 @@ def test_classify_without_tail_model_is_inconclusive(disk, c15):
     assert report.aggregate == "inconclusive"
     assert all(v.tag == Verdict.INCONCLUSIVE for v in report.per_z)
     assert np.all(report.per_z_totals > 0)
+
+
+def test_classify_without_shell_metadata_is_inconclusive(disk, c15):
+    # a tail model alone decides nothing: the analytic route is the shell series
+    shells = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
+    cfg = BubbleConfig(disk, shells.centers, shells.radii)
+    grid = uniform_boundary_grid(disk, 8)
+    report = classify_avoidability(cfg, c15, grid, TailModel(ConstantProfile(0.3)))
+    assert report.aggregate == "inconclusive"
+    assert all(v.tag == Verdict.INCONCLUSIVE for v in report.per_z)
+    assert "no shell metadata (meta['a']): truncated sums cannot decide divergence" in report.notes
+    assert report.separation == separation_infimum(shells, c15.alpha) > 0.0
 
 
 def test_classify_rotation_symmetric_verdicts(disk, c15):

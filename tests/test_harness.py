@@ -206,11 +206,10 @@ def test_run_config_json_round_trip():
     assert again.sim == cfg.sim
 
 
-def test_generate_and_simulate_leave_scipy_unloaded(tmp_path):
-    # every CLI child imports the harness, and generate and simulate need no
-    # scipy, so loading it would cost each of them its import time; criteria
-    # does load it (quad, and the KD-tree of the separation infimum), which
-    # shows that the check can fail
+def test_no_subcommand_loads_scipy(tmp_path):
+    # every CLI child imports the harness, and none of generate, simulate
+    # and criteria needs scipy, so loading it would cost each its import
+    # time; importing scipy.spatial afterwards shows that the check can fail
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     obj = {**SMALL, "sim": {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200,
@@ -226,8 +225,37 @@ def test_generate_and_simulate_leave_scipy_unloaded(tmp_path):
         "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_criteria):\n"
         "    cmd(cfg, out)\n"
         "    seen.append(scipy_loaded())\n"
-        "print(seen)\n"
+        "import scipy.spatial\n"
+        "print(seen, scipy_loaded())\n"
     )
     out = subprocess.run([sys.executable, "-c", code, json.dumps(obj), str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[False, False, False, True]"
+    assert out.stdout.strip() == "[False, False, False, False] True"
+
+
+def test_the_cli_runs_with_scipy_blocked(tmp_path):
+    # the declared dependencies suffice: with scipy unimportable, generate ->
+    # criteria -> simulate exit 0 and write the bytes of an unblocked run
+    src = str(Path(champagne.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "SOURCE_DATE_EPOCH": "1700000000"}
+    cfg = _write_config(tmp_path, {**SMALL, "sim": {"alpha": 1.3, "boundary_eps": 1e-3,
+                                                    "max_steps": 200, "n_traj": 20,
+                                                    "seed": 3}})
+    code = ("import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['scipy'] = None\n"
+            "from champagne.harness import main\n"
+            "sys.exit(main(sys.argv[2:]))\n")
+    runs = {}
+    for mode in ("blocked", "unblocked"):
+        runs[mode] = tmp_path / mode
+        for cmd in ("generate", "criteria", "simulate"):
+            out = subprocess.run(
+                [sys.executable, "-c", code, mode, cmd, "--config", cfg, "--out", str(runs[mode])],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, (mode, cmd, out.stderr)
+    names = sorted(p.name for p in runs["blocked"].iterdir())
+    assert {"verdicts.json", "wiener_trace.csv", "estimate.json"} <= set(names)
+    assert names == sorted(p.name for p in runs["unblocked"].iterdir())
+    for name in names:
+        assert (runs["blocked"] / name).read_bytes() == (runs["unblocked"] / name).read_bytes()

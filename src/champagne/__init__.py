@@ -4,7 +4,7 @@ avoidable or unavoidable for the censored alpha-stable process (alpha in (1,2)).
 Two independent routes are provided and can be cross-checked:
 
 * ``criteria`` evaluates capacity-based divergence criteria (boundary series,
-  shell series, Whitney/Wiener/Aikawa sums) with two-sided envelopes;
+  shell series, Whitney/Wiener/Aikawa sums) as two-sided (lower, upper) bounds;
 * ``simulate`` estimates the hitting probability of the bubble union by a
   jump-suppression Monte-Carlo chain.
 
@@ -14,14 +14,13 @@ construction; the ``simulate`` module docstring and
 """
 
 from .geometry import BallDomain, dist_to_boundary
-from .kernels import Constants, Envelope
+from .kernels import Constants
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BallDomain",
     "Constants",
-    "Envelope",
     "dist_to_boundary",
     "__version__",
 ]

@@ -11,11 +11,13 @@ The Whitney-based sums (Aikawa, Wiener, quasi-additivity) all take the
 configuration's cube-bubble incidence (:func:`whitney.ball_cube_incidence`):
 its (bubble, cube) pairs sorted by bubble and then by cube, built once and
 shared by every sum.  Bubbles with no pair lie below the coverage collar.
-Their z-independent factors (each cube's Cap(A ∩ Q) envelope and capped
-Green value) are computed once and reused for every boundary point.  Sums
-add left to right in a fixed order (cubes ascending for Aikawa, in order of
-first appearance among the pairs otherwise), so totals match a plain loop
-over the bubbles and cubes, one scalar envelope at a time, bit for bit.
+Their z-independent factors (each cube's Cap(A ∩ Q) bounds and capped
+Green value) are computed once and reused for every boundary point.  Every
+quantity is a (lower, upper) pair of floats or of arrays, checked by
+:func:`kernels.check_bounds`.  Sums add left to right in a fixed order
+(cubes ascending for Aikawa, in order of first appearance among the pairs
+otherwise), so totals match a plain loop over the bubbles and cubes, one
+scalar (lower, upper) pair at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ from .bubbles import (
     PowerWeight,
     RadialProfile,
     WeightFunction,
+    _fibonacci_sphere,
     separation_infimum,
 )
 from .geometry import BallDomain
 from .kernels import (
     Constants,
-    Envelope,
     _pow_each,
     capacity_ball_bounds,
     capped_green_bounds,
+    check_bounds,
     small_radius_threshold,
 )
 # intersecting_cubes is the per-ball reference for the incidence; it stays
@@ -53,11 +56,9 @@ from .kernels import (
 from .whitney import CubeIncidence, intersecting_cubes  # noqa: F401
 
 __all__ = [
-    "BoundaryGrid",
     "uniform_boundary_grid",
     "Verdict",
     "DivergenceVerdict",
-    "TailModel",
     "SeriesEvaluation",
     "avoidability_series",
     "classify_shell_series",
@@ -75,43 +76,18 @@ __all__ = [
 # boundary grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryGrid:
-    """Quadrature points z_i on the boundary sphere with weights summing to
-    its surface measure."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError("points/weights length mismatch")
-
-    @property
-    def n(self) -> int:
-        return int(self.points.shape[0])
-
-
-def _sphere_area(d: int, radius: float) -> float:
-    return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2) * radius ** (d - 1)
-
-
-def uniform_boundary_grid(domain: BallDomain, n: int) -> BoundaryGrid:
-    """Equal-weight grid: uniform angles (d=2) or a Fibonacci lattice (d=3)."""
+def uniform_boundary_grid(domain: BallDomain, n: int) -> np.ndarray:
+    """Grid points (n, d) on the boundary sphere: uniform angles (d=2) or a
+    Fibonacci lattice (d=3)."""
     if n < 1:
         raise ValueError("grid size must be >= 1")
     d = domain.dimension
     if d == 2:
         ang = 2.0 * math.pi * np.arange(n) / n
-        pts = domain.center + domain.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    elif d == 3:
-        from .bubbles import _fibonacci_sphere
-
-        pts = domain.center + domain.radius * _fibonacci_sphere(n)
-    else:
-        raise ValueError("boundary grids support d in {2, 3}")
-    w = np.full(n, _sphere_area(d, domain.radius) / n)
-    return BoundaryGrid(pts, w)
+        return domain.center + domain.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if d == 3:
+        return domain.center + domain.radius * _fibonacci_sphere(n)
+    raise ValueError("boundary grids support d in {2, 3}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +119,6 @@ class DivergenceVerdict:
             return v
 
         return {"tag": self.tag.value, "tail_model": self.tail_model, "evidence": clean(self.evidence)}
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Closed-form radial profile and weight describing the configuration's
-    tail, enabling analytic divergence classification."""
-
-    phi: RadialProfile
-    weight: WeightFunction = OneWeight()
 
 
 # ---------------------------------------------------------------------------
@@ -296,36 +263,19 @@ def _check_incidence(inc: CubeIncidence, config: BubbleConfig) -> None:
         raise ValueError("the incidence was built for another configuration")
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each segment values[s:s+c], added left to right as a Python
-    loop would (np.add.reduceat adds long segments pairwise)."""
-    out = values[starts]
-    for j in range(1, int(counts.max(initial=1))):
-        more = counts > j
-        out[more] += values[starts[more] + j]
-    return out
-
-
 def _cap_bounds(pos: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """Cap(A ∩ Q) bounds per cube from its pairs: the upper bound adds the
     meeting bubbles' capacities (subadditivity); the lower bound is the
     largest pair lower bound.  ``pos`` is each pair's cube position; cubes
     come out in order of first appearance, the order a dict filled pair by
-    pair keeps, with each cube's pairs summed in their given order.  Returns
-    (cube positions, lower, upper)."""
-    if pos.size == 0:
-        return pos, np.empty(0), np.empty(0)
+    pair keeps.  bincount adds each cube's pairs in their given order, as
+    that dict fill does.  Returns (cube positions, lower, upper)."""
     uniq, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+    up = np.bincount(inverse, weights=upper, minlength=uniq.size)
+    lo = np.zeros(uniq.size)  # pair lower bounds are >= 0
+    np.maximum.at(lo, inverse, lower)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    group = rank[inverse]
-    perm = np.argsort(group, kind="stable")
-    counts = np.bincount(group)
-    starts = np.cumsum(counts) - counts
-    up = _segment_sums(upper[perm], starts, counts)
-    lo = np.maximum.reduceat(lower[perm], starts)
-    return uniq[order], np.minimum(lo, up), up
+    return uniq[order], np.minimum(lo, up)[order], up[order]
 
 
 def _total(terms: np.ndarray) -> float:
@@ -341,12 +291,12 @@ class _CubeFactors(NamedTuple):
     lo: np.ndarray            # (m, d) cube boxes
     hi: np.ndarray
     dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
-    g_lower: np.ndarray       # capped Green envelope at the cube center
+    g_lower: np.ndarray       # capped Green bounds at the cube center
     g_upper: np.ndarray
     pair_lower: np.ndarray
     pair_upper: np.ndarray
     first_order: np.ndarray   # cube positions in order of first appearance
-    cap_lower: np.ndarray     # Cap(A ∩ Q) envelope over all bubbles
+    cap_lower: np.ndarray     # Cap(A ∩ Q) bounds over all bubbles
     cap_upper: np.ndarray
 
 
@@ -387,10 +337,10 @@ def _build_cube_factors(
     )
 
 
-def _green_weighted_total(f: _CubeFactors, pos, cap_lower, cap_upper) -> Envelope:
+def _green_weighted_total(f: _CubeFactors, pos, cap_lower, cap_upper) -> tuple[float, float]:
     """sum_Q g(Q)^2 * Cap(A ∩ Q) over the cubes at ``pos``, in that order."""
     gl, gu = f.g_lower[pos], f.g_upper[pos]
-    return Envelope(_total(gl * gl * cap_lower), _total(gu * gu * cap_upper))
+    return _total(gl * gl * cap_lower), _total(gu * gu * cap_upper)
 
 
 @dataclass(frozen=True)
@@ -398,7 +348,7 @@ class AikawaTrace:
     cube_ids: np.ndarray     # the incidence's cube numbers, ascending
     term_lower: np.ndarray   # per cube, following cube_ids
     term_upper: np.ndarray
-    total: Envelope
+    total: tuple[float, float]
     uncovered_bubbles: np.ndarray
     warnings: list
 
@@ -410,9 +360,9 @@ def aikawa_sum(
 
     sum_j dist(Q_j, boundary)^(2(a-1)) / dist(z, Q_j)^(d+a-2) * Cap(A ∩ Q_j)
 
-    evaluated as an envelope over the cubes of ``inc``, the cube-bubble
-    incidence of ``config``.  Bubbles below the incidence's coverage collar
-    are reported, not silently dropped.
+    evaluated as (lower, upper) bounds over the cubes of ``inc``, the
+    cube-bubble incidence of ``config``.  Bubbles below the incidence's
+    coverage collar are reported, not silently dropped.
     """
     _check_incidence(inc, config)
     z = np.asarray(z, dtype=float)
@@ -441,25 +391,19 @@ def aikawa_sum(
     dzq = np.sqrt(((z - nearest) ** 2).sum(axis=1))
     w = f.dist_weight / _pow_each(dzq, d + a - 2.0)
     lower, upper = f.cap_lower * w, f.cap_upper * w
-    total = Envelope(_total(lower), _total(upper))
+    check_bounds(lower, upper)
+    total = _total(lower), _total(upper)
+    check_bounds(*total)
     return AikawaTrace(np.arange(lower.size), lower, upper, total, uncovered, warnings)
 
 
 @dataclass(frozen=True)
 class WienerTrace:
     shells: np.ndarray              # dyadic shell indices n, ascending
-    terms: list                     # Envelope per shell
-    total: Envelope
+    term_lower: np.ndarray          # per shell, following shells
+    term_upper: np.ndarray
+    total: tuple[float, float]
     truncated_shells: np.ndarray    # shells overlapping the coverage collar
-    skipped_far: int                # bubbles with |x - z| >= 1/2
-    uncovered_bubbles: np.ndarray
-
-    def cumulative(self) -> list:
-        out, acc = [], Envelope.zero()
-        for t in self.terms:
-            acc = acc + t
-            out.append(acc)
-        return out
 
 
 def wiener_dyadic_sum(
@@ -470,12 +414,12 @@ def wiener_dyadic_sum(
     n_max: int = 30,
 ) -> WienerTrace:
     """Dyadic-shell thinness sum at z: per shell n the contribution
-    2^(n(d+a-2)) * sum_j g(x_j)^2 * Cap(E_n ∩ Q_j) as an envelope.
+    2^(n(d+a-2)) * sum_j g(x_j)^2 * Cap(E_n ∩ Q_j) as (lower, upper) bounds.
 
-    Bubbles are assigned to shells by center distance; each shell takes its
-    pairs from ``inc``, the cube-bubble incidence of ``config``.  Shells
-    reaching below the incidence's coverage collar are flagged as
-    truncated.
+    Bubbles are assigned to shells by center distance; bubbles at distance
+    >= 1/2 from z are in no shell.  Each shell takes its pairs from ``inc``,
+    the cube-bubble incidence of ``config``.  Shells reaching below the
+    incidence's coverage collar are flagged as truncated.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -483,40 +427,37 @@ def wiener_dyadic_sum(
     z = np.asarray(z, dtype=float)
     a = consts.alpha
     d = config.dimension
-    skipped_far = 0
     shells = np.empty(0, dtype=np.int64)
-    terms = []
-    uncovered = np.empty(0, dtype=np.int64)
+    terms = np.zeros((0, 2))
     if config.n:
         dist = np.sqrt(((config.centers - z) ** 2).sum(axis=1))
         shell_n = np.ceil(-np.log2(dist)).astype(int) - 1
-        skipped_far = int((shell_n < 1).sum())
-        member = (shell_n >= 1) & (shell_n <= n_max)
-        shells = np.unique(shell_n[member]).astype(np.int64)
+        shells = np.unique(shell_n[(shell_n >= 1) & (shell_n <= n_max)]).astype(np.int64)
         f = _cube_factors(inc, config, consts)
         pair_shell = shell_n[inc.ball]
-        for n in shells:
+        terms = np.zeros((shells.size, 2))
+        for j, n in enumerate(shells.tolist()):
             keep = pair_shell == n
             pos, cap_lower, cap_upper = _cap_bounds(
                 inc.cube[keep], f.pair_lower[keep], f.pair_upper[keep]
             )
-            acc = _green_weighted_total(f, pos, cap_lower, cap_upper)
-            terms.append(acc * 2.0 ** (int(n) * (d + a - 2.0)))
-        lone = np.flatnonzero(member & (inc.cubes_per_ball() == 0))
-        uncovered = lone[np.argsort(shell_n[lone], kind="stable")]
-    total = sum(terms, Envelope.zero())
-    collar = inc.coverage_threshold
-    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * collar] if shells.size else shells
-    return WienerTrace(shells, terms, total, truncated, skipped_far, uncovered)
+            terms[j] = _green_weighted_total(f, pos, cap_lower, cap_upper)
+            terms[j] *= 2.0 ** (n * (d + a - 2.0))
+    lower, upper = terms.T
+    check_bounds(lower, upper)
+    total = _total(lower), _total(upper)
+    check_bounds(*total)
+    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * inc.coverage_threshold]
+    return WienerTrace(shells, lower, upper, total, truncated)
 
 
 def quasi_additivity_interval(
     inc: CubeIncidence, config: BubbleConfig, consts: Constants
 ) -> tuple[float, float]:
     """Ratio interval for sum_j gamma_g(A ∩ Q_j) versus the per-bubble energy
-    sum, both as envelopes: the surrogate for capacity quasi-additivity over
-    the Whitney cubes of ``inc``, the cube-bubble incidence of ``config``.
-    Reported, not asserted against any constant.
+    sum, both as (lower, upper) bounds: the surrogate for capacity
+    quasi-additivity over the Whitney cubes of ``inc``, the cube-bubble
+    incidence of ``config``.  Reported, not asserted against any constant.
     """
     if config.n == 0:
         raise ValueError("quasi-additivity ratio needs a nonempty configuration")
@@ -526,10 +467,12 @@ def quasi_additivity_interval(
     num = _green_weighted_total(f, pos, f.cap_lower[pos], f.cap_upper[pos])
     gl, gu = capped_green_bounds(inc.domain, consts, config.centers)
     cl, cu = capacity_ball_bounds(consts, config.radii, config.dimension)
-    den = Envelope(_total(gl * gl * cl), _total(gu * gu * cu))
-    if den.lower == 0.0 or num.lower == 0.0:
-        raise ValueError("degenerate envelopes; decomposition too shallow for this config")
-    return num.lower / den.upper, num.upper / den.lower
+    den = _total(gl * gl * cl), _total(gu * gu * cu)
+    if den[0] == 0.0 or num[0] == 0.0:
+        raise ValueError("degenerate bounds; decomposition too shallow for this config")
+    ratio = num[0] / den[1], num[1] / den[0]
+    check_bounds(*ratio)
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +481,8 @@ def quasi_additivity_interval(
 
 @dataclass(frozen=True)
 class AvoidabilityReport:
-    per_z: list                    # DivergenceVerdict per grid point
-    per_z_totals: np.ndarray       # final partial sum of the boundary series
+    verdict: DivergenceVerdict     # the same at every grid point
+    per_z_totals: np.ndarray       # final partial sum of the boundary series per grid point
     separation: float
     aggregate: str                 # "unavoidable" | "avoidable-candidate" | "inconclusive"
     notes: list
@@ -548,56 +491,49 @@ class AvoidabilityReport:
 def classify_avoidability(
     config: BubbleConfig,
     consts: Constants,
-    grid: BoundaryGrid,
-    tail_model: TailModel | None = None,
+    points,
+    phi: RadialProfile | None = None,
+    weight: WeightFunction = OneWeight(),
 ) -> AvoidabilityReport:
-    """Verdict per boundary grid point plus an aggregate.
+    """One verdict for the boundary grid ``points`` (n, d), the boundary
+    series total at each point, and an aggregate.
 
-    With a tail model and shell metadata (``meta["a"]``) the per-z verdict
-    comes from the analytic shell-series reduction; otherwise it is
-    Inconclusive with partial-sum diagnostics, and a note says why.
-    Aggregate "unavoidable" requires divergence at every grid point and a
-    positive separation infimum; "avoidable-candidate" requires convergence
-    on the grid; mixed verdicts are inconclusive.
+    With a radial profile ``phi`` (and tail weight ``weight``) describing the
+    configuration's tail, and shell metadata (``meta["a"]``), the verdict
+    comes from the analytic shell-series reduction, which does not depend on
+    the grid point; otherwise it is Inconclusive with the series totals as
+    diagnostics, and a note says why.  Aggregate "unavoidable" requires a
+    divergent verdict and a positive separation infimum; "avoidable-candidate"
+    requires a convergent one; anything else is inconclusive.
     """
     notes = [
         "a.e.-boundary statements are proxied by a deterministic grid",
     ]
-    d = config.dimension
+    points = np.asarray(points, dtype=float)
     alpha = consts.alpha
 
     if config.n == 0:
         verdict = DivergenceVerdict(Verdict.CONVERGENT, {"reason": "empty configuration"}, "empty")
         return AvoidabilityReport(
-            [verdict] * grid.n, np.zeros(grid.n), math.inf, "avoidable-candidate", notes
+            verdict, np.zeros(len(points)), math.inf, "avoidable-candidate", notes
         )
 
-    if tail_model is not None and "a" in config.meta:
-        analytic = classify_shell_series(
-            tail_model.phi, tail_model.weight, d, alpha, float(config.meta["a"])
+    if phi is not None and "a" in config.meta:
+        verdict = classify_shell_series(
+            phi, weight, config.dimension, alpha, float(config.meta["a"])
         )
-        notes.append(f"analytic route: {analytic.tail_model}")
+        notes.append(f"analytic route: {verdict.tail_model}")
     else:
-        reason = "no tail model given" if tail_model is None else "no shell metadata (meta['a'])"
+        reason = "no tail model given" if phi is None else "no shell metadata (meta['a'])"
         notes.append(f"{reason}: truncated sums cannot decide divergence")
-        analytic = DivergenceVerdict(Verdict.INCONCLUSIVE, {}, "truncated series")
+        verdict = DivergenceVerdict(Verdict.INCONCLUSIVE, {}, "truncated series")
 
-    per_z = []
-    totals = np.empty(grid.n)
-    for i in range(grid.n):
-        ev = avoidability_series(config, grid.points[i], alpha)
-        totals[i] = ev.total
-        per_z.append(
-            DivergenceVerdict(analytic.tag, {"partial_sum": ev.total}, analytic.tail_model))
-
+    totals = np.array([avoidability_series(config, z, alpha).total for z in points])
     separation = separation_infimum(config, alpha)
-    tags = {v.tag for v in per_z}
-    if tags == {Verdict.DIVERGENT} and separation > 0.0:
+    if verdict.tag == Verdict.DIVERGENT and separation > 0.0:
         aggregate = "unavoidable"
-    elif tags == {Verdict.CONVERGENT}:
+    elif verdict.tag == Verdict.CONVERGENT:
         aggregate = "avoidable-candidate"
     else:
         aggregate = "inconclusive"
-        if len(tags) > 1:
-            notes.append("mixed per-z verdicts: discretization artifact, reported as inconclusive")
-    return AvoidabilityReport(per_z, totals, separation, aggregate, notes)
+    return AvoidabilityReport(verdict, totals, separation, aggregate, notes)

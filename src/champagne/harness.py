@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bubbles import (
     BubbleConfig,
@@ -29,7 +31,6 @@ from .bubbles import (
     weight_from_json,
 )
 from .criteria import (
-    TailModel,
     aikawa_sum,
     classify_avoidability,
     quasi_additivity_interval,
@@ -226,9 +227,8 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     config = _build_config(cfg)
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
-    grid = uniform_boundary_grid(cfg.domain, cfg.grid_size)
-    tail = TailModel(cfg.profile, cfg.weight)
-    report = classify_avoidability(config, cfg.constants, grid, tail)
+    points = uniform_boundary_grid(cfg.domain, cfg.grid_size)
+    report = classify_avoidability(config, cfg.constants, points, cfg.profile, cfg.weight)
     vars(config).pop("index", None)  # the separation infimum was its last use
 
     dec = decompose(cfg.domain, cfg.whitney_max_level)
@@ -238,13 +238,13 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
         inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
                                   config.centers, config.radii)
         empirical["c2_cubes_per_ball"] = max_cubes_per_ball(inc)
-        empirical["C1_ratio_bound"] = bubble_cube_ratio_bound(inc, config, grid.points)
+        empirical["C1_ratio_bound"] = bubble_cube_ratio_bound(inc, config, points)
         qa = quasi_additivity_interval(inc, config, cfg.constants)
         empirical["quasi_additivity_interval"] = [qa[0], qa[1]]
         results = [
             (i, aikawa_sum(inc, config, z, cfg.constants),
              wiener_dyadic_sum(inc, config, z, cfg.constants, cfg.wiener_n_max))
-            for i, z in enumerate(grid.points)
+            for i, z in enumerate(points)
         ]
 
         with open(out / "wiener_trace.csv", "w", newline="") as f:
@@ -252,13 +252,16 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
             w.writerow(["z_index", "shell_n", "term_lower", "term_upper",
                         "cum_lower", "cum_upper", "truncated"])
             for i, _, wie in results:
-                cums = wie.cumulative()
-                truncated = set(int(t) for t in wie.truncated_shells)
-                for sh, term, cum in zip(wie.shells, wie.terms, cums):
-                    w.writerow([i, int(sh), repr(term.lower), repr(term.upper),
-                                repr(cum.lower), repr(cum.upper), int(int(sh) in truncated)])
+                truncated = set(wie.truncated_shells.tolist())
+                # np.cumsum adds in order, so each cumulative bound is a running total
+                for sh, lo, hi, cum_lo, cum_hi in zip(
+                    wie.shells.tolist(), wie.term_lower.tolist(), wie.term_upper.tolist(),
+                    np.cumsum(wie.term_lower).tolist(), np.cumsum(wie.term_upper).tolist(),
+                ):
+                    w.writerow([i, sh, repr(lo), repr(hi), repr(cum_lo), repr(cum_hi),
+                                int(sh in truncated)])
         traces["aikawa_total"] = [
-            {"z_index": i, "lower": aik.total.lower, "upper": aik.total.upper,
+            {"z_index": i, "lower": aik.total[0], "upper": aik.total[1],
              "n_cubes": int(aik.cube_ids.size), "warnings": aik.warnings}
             for i, aik, _ in results
         ]
@@ -268,8 +271,8 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
         "aggregate": report.aggregate,
         "separation": report.separation,
         "per_z": [
-            {"z": [float(v) for v in grid.points[i]], **report.per_z[i].to_json()}
-            for i in range(grid.n)
+            {"z": z, **report.verdict.to_json(), "evidence": {"partial_sum": total}}
+            for z, total in zip(points.tolist(), report.per_z_totals.tolist())
         ],
         "notes": report.notes,
         "whitney": {

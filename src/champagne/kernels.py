@@ -1,12 +1,12 @@
-"""Two-sided comparison envelopes for the potential-theoretic kernels.
+"""Two-sided comparison bounds for the potential-theoretic kernels.
 
 No closed form exists for the Green function or the capacity of the censored
 stable process; they are known only up to multiplicative constants.  The
-honest output type is therefore an interval: an :class:`Envelope`, or a pair
-of (lower, upper) arrays for the batch forms.  With all comparison constants
-set to 1 (the default "comparison-function mode") the envelopes collapse to
-the comparison functions themselves, which is what every divergence
-classification actually consumes.
+honest output type is therefore an interval, given as a (lower, upper) pair
+of floats or of arrays.  With all comparison constants set to 1 (the default
+"comparison-function mode") the two bounds collapse to the comparison
+functions themselves, which is what every divergence classification actually
+consumes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .geometry import BallDomain, dist_to_boundary
 
 __all__ = [
     "Constants",
-    "Envelope",
+    "check_bounds",
     "unit_ball_volume",
     "capped_green_bounds",
     "capacity_ball_bounds",
@@ -61,42 +61,16 @@ class Constants:
         return cls(**{k: float(v) for k, v in obj.items()})
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Interval [lower, upper] for a quantity known up to two-sided constants."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper):
-            raise ValueError("envelope bounds must not be NaN")
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError(f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
-
-    def __add__(self, other):
-        if isinstance(other, Envelope):
-            return Envelope(self.lower + other.lower, self.upper + other.upper)
-        if other == 0:  # sum() support
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Envelope):
-            # both envelopes are nonnegative by invariant
-            return Envelope(self.lower * other.lower, self.upper * other.upper)
-        s = float(other)
-        if s < 0:
-            raise ValueError("scalar factors must be nonnegative")
-        return Envelope(self.lower * s, self.upper * s)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def zero() -> "Envelope":
-        return Envelope(0.0, 0.0)
+def check_bounds(lower, upper) -> None:
+    """Raise ValueError unless 0 <= lower <= upper holds elementwise with no
+    NaN, for floats or arrays of (lower, upper) bounds."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("bounds must not be NaN")
+    bad = ~((0.0 <= lower) & (lower <= upper))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"need 0 <= lower <= upper, got [{lower.flat[i]}, {upper.flat[i]}]")
 
 
 def unit_ball_volume(d: int) -> float:
@@ -114,7 +88,7 @@ def _pow_each(x, p: float) -> np.ndarray:
 def capped_green_bounds(
     domain: BallDomain, consts: Constants, y
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope for g(y) = G(y, x0) ∧ 1 in the near-boundary regime, where
+    """Bounds for g(y) = G(y, x0) ∧ 1 in the near-boundary regime, where
     g(y) is comparable to delta(y)^(a-1), over points y (n, d) inside the
     domain, as (lower, upper) arrays.
 
@@ -131,7 +105,7 @@ def capped_green_bounds(
 
 
 def capacity_ball_bounds(consts: Constants, r, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope [C^-1 r^(d-a), C r^(d-a)] for the capacity of each ball of
+    """Bounds [C^-1 r^(d-a), C r^(d-a)] for the capacity of each ball of
     radius r well inside the domain (caller attests B(x, 2r) ⊂ D), as
     (lower, upper) arrays."""
     r = np.asarray(r, dtype=float)

@@ -1,9 +1,10 @@
 """Counter-based random streams and isotropic stable increment sampling.
 
 Every random number is a pure function of (seed, trajectory, step, slot), so
-trajectories are reproducible independently of batching, thread count, or
-evaluation order.  The generator is the SplitMix64 finalizer applied to a
-Weyl sequence, one independent key per trajectory.
+trajectories are reproducible independently of batching, of how they are
+split between worker processes, and of evaluation order.  The generator is
+the SplitMix64 finalizer applied to a Weyl sequence, one independent key per
+trajectory.
 
 Isotropic alpha-stable vectors are sampled by Gaussian subordination: a
 positive (alpha/2)-stable variable S (Kanter's method) times independent

@@ -289,17 +289,8 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_block(x0, config, phi, params, lo: int, hi: int, batch: int) -> list:
-    """Trajectories lo..hi-1 in batches of ``batch``: the six arrays of
-    ``_run_batch``, concatenated."""
-    results = [_run_batch(x0, config, phi, params,
-                          np.arange(i, min(i + batch, hi), dtype=np.int64))
-               for i in range(lo, hi, batch)]
-    return [np.concatenate(col) for col in zip(*results)]
-
-
-def _run_forked(x0, config, phi, params, batch: int) -> list:
-    """``_run_block`` over all trajectories, split into one contiguous block
+def _run_forked(x0, config, phi, params) -> list:
+    """``_run_batch`` over all trajectories, split into one contiguous block
     per CPU.  Block 0 runs here; each other block runs in a forked worker,
     which inherits the configuration and its index, pickles its six arrays
     back over a pipe and ends with ``os._exit``, so it neither flushes
@@ -321,7 +312,8 @@ def _run_forked(x0, config, phi, params, batch: int) -> list:
                 try:
                     os.close(r)
                     try:
-                        out = (True, _run_block(x0, config, phi, params, lo, hi, batch))
+                        out = (True, _run_batch(x0, config, phi, params,
+                                                np.arange(lo, hi, dtype=np.int64)))
                     except BaseException as exc:  # reported to the parent, which raises it
                         out = (False, f"{type(exc).__name__}: {exc}")
                     with open(wr, "wb") as f:
@@ -331,7 +323,7 @@ def _run_forked(x0, config, phi, params, batch: int) -> list:
                     os._exit(code)
             os.close(wr)
             workers.append((pid, open(r, "rb"), lo, hi))
-        blocks = [_run_block(x0, config, phi, params, 0, bounds[1], batch)]
+        blocks = [_run_batch(x0, config, phi, params, np.arange(bounds[1], dtype=np.int64))]
         while workers:
             pid, pipe, lo, hi = workers[0]
             with pipe:
@@ -360,18 +352,17 @@ def estimate_hitting(
     config: BubbleConfig,
     phi,
     params: SimParams,
-    batch: int = 4096,
     return_outcomes: bool = False,
 ):
     """Estimate P(hit the bubble union before the lifetime proxy); ``phi`` is
     the radial profile that sets the step.
 
-    Runs ``params.n_traj`` trajectories on independent counter streams, in
-    batches of ``batch``, split into one contiguous block of trajectory ids
-    per CPU that this process may use: block 0 runs in this process, each
-    other block in a forked worker.  A trajectory consumes only its own
-    counter stream, so it is a function of its id alone, and the estimate and
-    outcomes are identical for any batch size and any number of workers.
+    Runs ``params.n_traj`` trajectories on independent counter streams,
+    split into one contiguous block of trajectory ids per CPU that this
+    process may use: block 0 runs in this process, each other block in a
+    forked worker, each block as one lockstep batch.  A trajectory consumes
+    only its own counter stream, so it is a function of its id alone, and the
+    estimate and outcomes are identical for any number of workers.
     x0 is checked, the ball index built and the stable-norm constant drawn
     before forking, so workers inherit them.  Timeouts are reported
     separately and never counted as hits.
@@ -384,7 +375,7 @@ def estimate_hitting(
         raise ValueError("x0 must lie inside the domain")
     median_unit_norm(dom.dimension, params.alpha)
     n = params.n_traj
-    tags, steps, bubbles, finals, _, suppressed = _run_forked(x0, config, phi, params, batch)
+    tags, steps, bubbles, finals, _, suppressed = _run_forked(x0, config, phi, params)
 
     hits = int((tags == HIT).sum())
     boundary = int((tags == BOUNDARY).sum())

@@ -66,7 +66,7 @@ def coverage_threshold(dimension: int, max_level: int) -> float:
 class WhitneyDecomposition:
     """Immutable result of :func:`decompose`: the cubes per level as integer
     index arrays in canonical (level, lexicographic index) order, with their
-    dist(Q, boundary).  Safe to share across threads.
+    dist(Q, boundary).
     """
 
     def __init__(self, domain: BallDomain, max_level: int, level_idx: dict, level_dist: dict):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from champagne.bubbles import (
 )
 from champagne.criteria import (
     DivergenceVerdict,
-    TailModel,
     Verdict,
+    _cap_bounds,
     _classify_exponents,
     _tail_exponents,
     aikawa_sum,
@@ -30,6 +31,7 @@ from champagne.criteria import (
     wiener_dyadic_sum,
 )
 from champagne.geometry import BallDomain
+from champagne.harness import RunConfig, cmd_criteria
 from champagne.kernels import Constants
 from champagne.whitney import ball_cube_incidence, intersecting_cubes, whitney
 
@@ -50,13 +52,11 @@ def _inc(max_level, cfg):
 
 # -- boundary grids --------------------------------------------------------------
 
-def test_boundary_grid_weights_sum_to_surface_measure():
-    g2 = uniform_boundary_grid(BallDomain(np.zeros(2), 1.0), 64)
-    assert float(g2.weights.sum()) == pytest.approx(2 * math.pi, rel=1e-6)
-    g3 = uniform_boundary_grid(BallDomain(np.zeros(3), 1.0), 128)
-    assert float(g3.weights.sum()) == pytest.approx(4 * math.pi, rel=1e-6)
-    norms = np.sqrt((g3.points**2).sum(axis=1))
-    assert np.allclose(norms, 1.0, atol=1e-12)
+def test_boundary_grid_points_lie_on_the_sphere():
+    for d, n in ((2, 64), (3, 128)):
+        points = uniform_boundary_grid(BallDomain(np.zeros(d), 1.0), n)
+        assert points.shape == (n, d)
+        assert np.allclose(np.sqrt((points**2).sum(axis=1)), 1.0, atol=1e-12)
 
 
 # -- series ---------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_shell_series_agrees_with_integral(phi, weight):
 def test_aikawa_empty_config(disk, c15):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     trace = aikawa_sum(_inc(7, cfg), cfg, [1.0, 0.0], c15)
-    assert trace.total.lower == trace.total.upper == 0.0
+    assert trace.total == (0.0, 0.0)
     assert trace.uncovered_bubbles.size == 0
 
 
@@ -225,7 +225,7 @@ def test_aikawa_single_bubble_hand_bound(disk, c15):
     cfg = BubbleConfig(disk, [center], [0.01])
     z = np.array([-1.0, 0.0])
     trace = aikawa_sum(_inc(7, cfg), cfg, z, c15)
-    assert trace.total.lower > 0.0
+    assert trace.total[0] > 0.0
     c2 = intersecting_cubes(disk, 7, cfg.centers[0], 0.01).shape[0]
     C1 = bubble_cube_ratio_bound(_inc(7, cfg), cfg, z[None, :])
     alpha, d = 1.5, 2
@@ -239,7 +239,7 @@ def test_aikawa_single_bubble_hand_bound(disk, c15):
         * delta ** (2 * alpha - 2)
         / dist ** (d + alpha - 2)
     )
-    assert trace.total.upper <= hand * (1 + 1e-9)
+    assert trace.total[1] <= hand * (1 + 1e-9)
 
 
 def test_aikawa_subconfig_ordering(disk, c15):
@@ -250,7 +250,7 @@ def test_aikawa_subconfig_ordering(disk, c15):
     z = np.array([0.0, -1.0])
     full = aikawa_sum(_inc(7, cfg), cfg, z, c15)
     sub = aikawa_sum(_inc(7, half), half, z, c15)
-    assert sub.total.upper <= full.total.upper * (1 + 1e-12)
+    assert sub.total[1] <= full.total[1] * (1 + 1e-12)
 
 
 def test_aikawa_warns_below_collar(disk, c15):
@@ -272,18 +272,18 @@ def test_wiener_single_bubble_shell_membership(disk, c15):
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
     trace = wiener_dyadic_sum(_inc(7, cfg), cfg, [1.0, 0.0], c15, n_max=10)
     assert trace.shells.tolist() == [1]
-    assert trace.skipped_far == 0
-    assert trace.total.upper > 0.0
+    assert trace.total[1] > 0.0
 
 
 def test_wiener_empty_and_far(disk, c15):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     trace = wiener_dyadic_sum(_inc(7, empty), empty, [1.0, 0.0], c15)
-    assert trace.total.upper == 0.0
+    assert trace.total == (0.0, 0.0)
+    # at distance 1.5 >= 1/2 from z the bubble falls in no shell
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
     trace = wiener_dyadic_sum(_inc(7, far), far, [1.0, 0.0], c15)
-    assert trace.skipped_far == 1
     assert trace.shells.size == 0
+    assert trace.total == (0.0, 0.0)
 
 
 def test_wiener_matches_aikawa_within_constant(disk, c15):
@@ -293,9 +293,33 @@ def test_wiener_matches_aikawa_within_constant(disk, c15):
         z = np.array([1.0, 0.0])
         a = aikawa_sum(_inc(7, cfg), cfg, z, c15)
         w = wiener_dyadic_sum(_inc(7, cfg), cfg, z, c15)
-        ratios.append(w.total.upper / a.total.upper)
+        ratios.append(w.total[1] / a.total[1])
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
+
+
+def _cap_bounds_by_dict(pos, lower, upper):
+    """Reference for _cap_bounds: a dict filled pair by pair, whose keys keep
+    the order of first appearance."""
+    caps = {}
+    for p, lo, up in zip(pos.tolist(), lower.tolist(), upper.tolist()):
+        caps[p] = (max(caps[p][0], lo), caps[p][1] + up) if p in caps else (lo, up)
+    return caps
+
+
+def test_cap_bounds_match_a_dict_filled_pair_by_pair():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = int(rng.integers(0, 80))
+        pos = rng.integers(0, 15, n)
+        # magnitudes over eight decades, so that the order of addition shows
+        upper = 10.0 ** rng.uniform(-8.0, 0.0, n)
+        lower = np.where(rng.uniform(size=n) < 0.3, 0.0, upper * rng.uniform(0.0, 2.0, n))
+        got_pos, got_lower, got_upper = _cap_bounds(pos, lower, upper)
+        want = _cap_bounds_by_dict(pos, lower, upper)
+        assert got_pos.tolist() == list(want)
+        assert got_upper.tolist() == [up for _, up in want.values()]
+        assert got_lower.tolist() == [min(lo, up) for lo, up in want.values()]
 
 
 def _aikawa_terms_per_cube(max_level, cfg, z, consts):
@@ -336,7 +360,7 @@ def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk):
     expected = _aikawa_terms_per_cube(7, cfg, z, consts)
     assert list(zip(trace.term_lower.tolist(), trace.term_upper.tolist())) == expected
     assert trace.cube_ids.tolist() == list(range(len(expected)))
-    assert (trace.total.lower, trace.total.upper) == tuple(map(sum, zip(*expected)))
+    assert trace.total == tuple(map(sum, zip(*expected)))
 
 
 def test_quasi_additivity_interval_finite_and_ordered(disk, c15):
@@ -350,9 +374,9 @@ def test_quasi_additivity_interval_finite_and_ordered(disk, c15):
 def test_classify_dense_shell_config_unavoidable(disk, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=0)
     grid = uniform_boundary_grid(disk, 16)
-    report = classify_avoidability(cfg, c15, grid, TailModel(ConstantProfile(0.3)))
+    report = classify_avoidability(cfg, c15, grid, ConstantProfile(0.3))
     assert report.aggregate == "unavoidable"
-    assert all(v.tag == Verdict.DIVERGENT for v in report.per_z)
+    assert report.verdict.tag == Verdict.DIVERGENT
     assert report.separation > 0.0
 
 
@@ -360,24 +384,25 @@ def test_classify_thin_profile_avoidable_candidate(disk, c15):
     phi = PowerProfile(0.5)
     cfg = generate_shell_config(disk, phi, 0.5, 4, seed=0)
     grid = uniform_boundary_grid(disk, 16)
-    report = classify_avoidability(cfg, c15, grid, TailModel(phi))
+    report = classify_avoidability(cfg, c15, grid, phi)
     assert report.aggregate == "avoidable-candidate"
-    assert all(v.tag == Verdict.CONVERGENT for v in report.per_z)
+    assert report.verdict.tag == Verdict.CONVERGENT
 
 
 def test_classify_empty_config(disk, c15):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     grid = uniform_boundary_grid(disk, 8)
-    report = classify_avoidability(cfg, c15, grid, None)
+    report = classify_avoidability(cfg, c15, grid)
     assert report.aggregate == "avoidable-candidate"
 
 
 def test_classify_without_tail_model_is_inconclusive(disk, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
     grid = uniform_boundary_grid(disk, 8)
-    report = classify_avoidability(cfg, c15, grid, None)
+    report = classify_avoidability(cfg, c15, grid)
     assert report.aggregate == "inconclusive"
-    assert all(v.tag == Verdict.INCONCLUSIVE for v in report.per_z)
+    assert report.verdict.tag == Verdict.INCONCLUSIVE
+    assert "no tail model given: truncated sums cannot decide divergence" in report.notes
     assert np.all(report.per_z_totals > 0)
 
 
@@ -386,16 +411,33 @@ def test_classify_without_shell_metadata_is_inconclusive(disk, c15):
     shells = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
     cfg = BubbleConfig(disk, shells.centers, shells.radii)
     grid = uniform_boundary_grid(disk, 8)
-    report = classify_avoidability(cfg, c15, grid, TailModel(ConstantProfile(0.3)))
+    report = classify_avoidability(cfg, c15, grid, ConstantProfile(0.3))
     assert report.aggregate == "inconclusive"
-    assert all(v.tag == Verdict.INCONCLUSIVE for v in report.per_z)
+    assert report.verdict.tag == Verdict.INCONCLUSIVE
     assert "no shell metadata (meta['a']): truncated sums cannot decide divergence" in report.notes
     assert report.separation == separation_infimum(shells, c15.alpha) > 0.0
 
 
-def test_classify_rotation_symmetric_verdicts(disk, c15):
-    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=0, jitter=False)
-    grid = uniform_boundary_grid(disk, 32)
-    report = classify_avoidability(cfg, c15, grid, TailModel(ConstantProfile(0.3)))
-    tags = {v.tag for v in report.per_z}
-    assert len(tags) == 1
+def test_classify_rotation_symmetric_verdicts(tmp_path):
+    # The analytic verdict does not depend on the boundary point, so
+    # verdicts.json carries the report's one verdict at every grid point,
+    # each with its own boundary series total.
+    cfg = RunConfig.from_json({
+        "domain": {"center": [0.0, 0.0], "radius": 1.0},
+        "constants": {"alpha": 1.5},
+        "profile": {"kind": "constant", "c": 0.3},
+        "shells": {"a": 0.5, "count": 3, "seed": 0},
+        "whitney": {"max_level": 6},
+        "criteria": {"grid": 32},
+    })
+    cmd_criteria(cfg, tmp_path)
+    per_z = json.loads((tmp_path / "verdicts.json").read_text())["per_z"]
+    config = generate_shell_config(cfg.domain, cfg.profile, 0.5, 3, seed=0)
+    points = uniform_boundary_grid(cfg.domain, 32)
+    report = classify_avoidability(config, cfg.constants, points, cfg.profile)
+    assert report.verdict.tag == Verdict.DIVERGENT
+    assert [entry["z"] for entry in per_z] == points.tolist()
+    assert {(entry["tag"], entry["tail_model"]) for entry in per_z} == {
+        (report.verdict.tag.value, report.verdict.tail_model)}
+    assert [entry["evidence"] for entry in per_z] == [
+        {"partial_sum": avoidability_series(config, z, 1.5).total} for z in points]

@@ -155,6 +155,22 @@ def test_cli_reruns_write_the_same_bytes_and_keep_every_manifest(tmp_path, monke
     assert set(empirical) == {"c2_cubes_per_ball", "C1_ratio_bound", "quasi_additivity_interval"}
 
 
+def test_whitney_writes_every_cube_and_reruns_byte_identically(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = _write_config(tmp_path, SMALL)
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for run in runs:
+        assert main(["whitney", "--config", cfg, "--out", str(run)]) == 0
+    empirical = json.loads((runs[0] / "manifest.whitney.json").read_text())["empirical"]
+    with open(runs[0] / "whitney.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == empirical["n_cubes"] > 0
+    assert sum(empirical["cubes_per_level"].values()) == empirical["n_cubes"]
+    assert empirical["coverage_threshold"] == 5.0 * np.sqrt(2) * 2.0 ** -6
+    for name in ("whitney.csv", "manifest.whitney.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**SMALL, "whitney": {"max_level": 1}})
     assert main(["whitney", "--config", cfg, "--out", str(tmp_path / "run")]) == 3

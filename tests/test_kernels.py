@@ -6,9 +6,9 @@ import pytest
 from champagne.geometry import BallDomain, dist_to_boundary
 from champagne.kernels import (
     Constants,
-    Envelope,
     capacity_ball_bounds,
     capped_green_bounds,
+    check_bounds,
     small_radius_threshold,
     unit_ball_volume,
 )
@@ -47,18 +47,15 @@ def test_constants_validation():
         Constants(alpha=1.5, C_G=0.5)
 
 
-def test_envelope_invariants_and_arithmetic():
-    with pytest.raises(ValueError):
-        Envelope(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Envelope(-1.0, 1.0)
-    e = Envelope(1.0, 2.0) + Envelope(0.5, 0.75)
-    assert (e.lower, e.upper) == (1.5, 2.75)
-    e = Envelope(1.0, 2.0) * 3.0
-    assert (e.lower, e.upper) == (3.0, 6.0)
-    e = Envelope(1.0, 2.0) * Envelope(3.0, 4.0)
-    assert (e.lower, e.upper) == (3.0, 8.0)
-    assert sum([Envelope(1, 1), Envelope(2, 3)]).upper == 4.0
+def test_check_bounds_rejects_nan_negative_and_crossed_bounds():
+    for lower, upper in ((math.nan, 1.0), (0.5, math.nan), (-1.0, 1.0), (2.0, 1.0),
+                         ([0.0, 1.0, 0.5], [1.0, 2.0, 0.25])):
+        with pytest.raises(ValueError):
+            check_bounds(lower, upper)
+    check_bounds(0.0, 0.0)
+    check_bounds(1.0, math.inf)
+    check_bounds(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+    check_bounds(np.empty(0), np.empty(0))
 
 
 def test_capped_green_envelope(disk, c15):

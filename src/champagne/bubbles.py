@@ -5,6 +5,12 @@ Radial profiles and weight functions are closed-form enumerations rather than
 arbitrary callables: divergence of an improper integral cannot be decided
 from finitely many samples of a black box, so the criteria module needs the
 analytic form.
+
+The shell generator writes each lattice straight into the rows of the
+centres, _LATTICE_BLOCK rows at a time, so that beside the arrays a
+configuration keeps (centres, radii, shell ids, distances to the boundary
+and, from validation on, its ball index) it holds one block of lattice rows
+and a few columns of n values.  ``to_csv`` formats _CSV_BLOCK rows at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import BallDomain, dist_to_boundary
+from .geometry import BallDomain, row_norms
 from .kernels import Constants, small_radius_threshold, unit_ball_volume
 from .spatial import DISJOINTNESS_SLACK, BallIndex
 
@@ -189,6 +195,10 @@ def weight_from_json(obj: dict) -> WeightFunction:
 # configurations
 # ---------------------------------------------------------------------------
 
+# rows of bubbles.csv formatted at a time
+_CSV_BLOCK = 1 << 10
+
+
 class BubbleConfig:
     """Finite family of pairwise disjoint closed balls strictly inside D,
     with sup_k r_k/delta_D(x_k) < 1/2.
@@ -224,7 +234,10 @@ class BubbleConfig:
         if self.n:
             if not np.all(radii > 0):
                 raise ValueError("bubble radii must be > 0")
-            delta = dist_to_boundary(domain, centers)
+            # R - |x - c| as dist_to_boundary takes it, bit for bit (d < 8),
+            # without its (n, d) temporaries
+            delta = row_norms(centers, domain.center)
+            np.subtract(domain.radius, delta, out=delta)
             if not np.all(delta > radii):
                 k = int(np.argmin(delta - radii))
                 raise ValueError(f"bubble {k} is not strictly inside the domain")
@@ -289,17 +302,23 @@ class BubbleConfig:
     # -- serialization ----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """One bubble per row: k, x_1..x_d, r; floats as repr, CRLF line ends."""
+        """One bubble per row: k, x_1..x_d, r; floats as repr, CRLF line ends.
+
+        Rows are formatted _CSV_BLOCK at a time, which bounds the Python
+        objects alive at once, and each block formats each of its distinct
+        radii once (a shell configuration has one radius per shell).
+        """
         header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
-        table = np.column_stack([self.centers, self.radii])
         with open(path, "w", newline="") as f:
             f.write(",".join(header) + "\r\n")
-            # a block of rows at a time: one list of Python floats for the
-            # whole table would set the peak memory of the run
-            for start in range(0, self.n, 4096):
-                rows = table[start : start + 4096].tolist()
-                f.writelines(f"{k},{','.join(map(repr, row))}\r\n"
-                             for k, row in enumerate(rows, start))
+            for start in range(0, self.n, _CSV_BLOCK):
+                stop = min(self.n, start + _CSV_BLOCK)
+                radii, which = np.unique(self.radii[start:stop], return_inverse=True)
+                r_text = [repr(r) for r in radii.tolist()]
+                f.writelines(f"{k},{','.join(map(repr, row))},{r_text[j]}\r\n"
+                             for k, row, j in zip(range(start, stop),
+                                                  self.centers[start:stop].tolist(),
+                                                  which.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +336,9 @@ def shell_radii(a: float, shells: int) -> np.ndarray:
     return 1.0 - 0.5 * q**i
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    k = np.arange(n, dtype=float)
+def _fibonacci_sphere(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Points lo..hi - 1 (all n by default) of the n-point Fibonacci lattice."""
+    k = np.arange(lo, n if hi is None else hi, dtype=float)
     z = 1.0 - (2.0 * k + 1.0) / n
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     phi = 2.0 * math.pi * k / golden
@@ -337,6 +357,8 @@ def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
 # stable in N); d=2 chords are enforced exactly instead
 _MIN_NN_FACTOR = {2: 0.99, 3: 0.85}
 _COVER_FACTOR = {3: 0.80}
+# lattice rows computed at a time, which bounds the generator's working memory
+_LATTICE_BLOCK = 1 << 13
 
 
 def generate_shell_config(
@@ -377,8 +399,6 @@ def generate_shell_config(
         )
     r = u * phi_vals
 
-    rng = np.random.default_rng(seed)
-    centers, radii, sids = [], [], []
     spacing = np.empty(shells)
     counts = np.empty(shells, dtype=np.int64)
     for i in range(shells):
@@ -393,19 +413,34 @@ def generate_shell_config(
             # exact chord check: adjacent centers must clear the two radii
             while n_i > 1 and 2.0 * t[i] * math.sin(math.pi / n_i) <= 2.0 * r[i] * 1.02:
                 n_i -= 1
-            offset = rng.uniform(0.0, 2.0 * math.pi) if jitter else 0.0
-            ang = offset + 2.0 * math.pi * np.arange(n_i) / n_i
-            pts = t[i] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
         else:
             n_i = max(4, int(math.ceil(4.0 * math.pi * t[i] ** 2 / (s * s))))
-            pts = _fibonacci_sphere(n_i)
-            if jitter:
-                pts = pts @ _random_rotation(rng, 3).T
-            pts = t[i] * pts
         counts[i] = n_i
-        centers.append(pts)
-        radii.append(np.full(n_i, r[i]))
-        sids.append(np.full(n_i, i, dtype=np.int64))
+
+    # each lattice is written into its rows _LATTICE_BLOCK rows at a time; the
+    # counts do not depend on the draws, so the draws still come shell by shell
+    rng = np.random.default_rng(seed)
+    shell_ids = np.repeat(np.arange(shells, dtype=np.int64), counts)
+    centers = np.empty((shell_ids.size, d))
+    first = 0
+    for i, n_i in enumerate(counts.tolist()):
+        if d == 2:
+            offset = rng.uniform(0.0, 2.0 * math.pi) if jitter else 0.0
+        elif jitter:
+            rot = _random_rotation(rng, 3).T
+        for lo in range(0, n_i, _LATTICE_BLOCK):
+            hi = min(n_i, lo + _LATTICE_BLOCK)
+            out = centers[first + lo:first + hi]
+            if d == 2:
+                ang = offset + 2.0 * math.pi * np.arange(lo, hi) / n_i
+                out[:, 0] = np.cos(ang)
+                out[:, 1] = np.sin(ang)
+            elif jitter:
+                np.matmul(_fibonacci_sphere(n_i, lo, hi), rot, out=out)
+            else:
+                out[:] = _fibonacci_sphere(n_i, lo, hi)
+            out *= t[i]
+        first += n_i
 
     coverage_a = _coverage_parameter(a, t, spacing, counts, d)
     meta = {
@@ -417,13 +452,7 @@ def generate_shell_config(
         "t": [float(x) for x in t],
         "coverage_a": coverage_a,
     }
-    return BubbleConfig(
-        domain,
-        np.concatenate(centers),
-        np.concatenate(radii),
-        shell_ids=np.concatenate(sids),
-        meta=meta,
-    )
+    return BubbleConfig(domain, centers, r[shell_ids], shell_ids=shell_ids, meta=meta)
 
 
 def _coverage_parameter(a, t, spacing, counts, d) -> float:

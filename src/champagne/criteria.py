@@ -298,6 +298,8 @@ class _CubeFactors(NamedTuple):
     first_order: np.ndarray   # cube positions in order of first appearance
     cap_lower: np.ndarray     # Cap(A ∩ Q) bounds over all bubbles
     cap_upper: np.ndarray
+    uncovered: np.ndarray     # bubbles that meet no cube, ascending
+    warnings: tuple           # the hypotheses the sums cannot certify
 
 
 def _cube_factors(inc: CubeIncidence, config: BubbleConfig, consts: Constants) -> _CubeFactors:
@@ -331,9 +333,24 @@ def _build_cube_factors(
     pair_lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
     first_order, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
     by_pos = np.argsort(first_order)
+    warnings = []
+    r_thresh = small_radius_threshold(consts, d)
+    n_big = int((config.radii > r_thresh).sum()) if config.n else 0
+    if n_big:
+        warnings.append(
+            f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
+            "capacity quasi-additivity hypotheses are not certified"
+        )
+    uncovered = inc.uncovered()
+    if uncovered.size:
+        warnings.append(
+            f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
+            "their contribution needs a tail estimate"
+        )
     return _CubeFactors(
         lo, hi, _pow_each(inc.dist_boundary, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
         pair_lower, pair_upper, first_order, cap_lower[by_pos], cap_upper[by_pos],
+        uncovered, tuple(warnings),
     )
 
 
@@ -372,20 +389,6 @@ def aikawa_sum(
         raise ValueError("z must lie on the boundary sphere")
     a = consts.alpha
     d = config.dimension
-    warnings = []
-    r_thresh = small_radius_threshold(consts, d)
-    n_big = int((config.radii > r_thresh).sum()) if config.n else 0
-    if n_big:
-        warnings.append(
-            f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
-            "capacity quasi-additivity hypotheses are not certified"
-        )
-    uncovered = inc.uncovered()
-    if uncovered.size:
-        warnings.append(
-            f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
-            "their contribution needs a tail estimate"
-        )
     f = _cube_factors(inc, config, consts)
     nearest = np.clip(z, f.lo, f.hi)
     dzq = np.sqrt(((z - nearest) ** 2).sum(axis=1))
@@ -394,7 +397,7 @@ def aikawa_sum(
     check_bounds(lower, upper)
     total = _total(lower), _total(upper)
     check_bounds(*total)
-    return AikawaTrace(np.arange(lower.size), lower, upper, total, uncovered, warnings)
+    return AikawaTrace(np.arange(lower.size), lower, upper, total, f.uncovered, list(f.warnings))
 
 
 @dataclass(frozen=True)

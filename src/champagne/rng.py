@@ -82,12 +82,17 @@ def positive_stable(rho: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     theta = np.pi * u
-    a = (
-        np.sin(rho * theta) ** (rho / (1.0 - rho))
-        * np.sin((1.0 - rho) * theta)
-        / np.sin(theta) ** (1.0 / (1.0 - rho))
-    )
-    return (a / w) ** ((1.0 - rho) / rho)
+    # in place, in the order of (sin(rho theta)**(rho/(1-rho)) * sin((1-rho) theta)
+    # / sin(theta)**(1/(1-rho)) / w)**((1-rho)/rho)
+    a = np.sin(rho * theta) ** (rho / (1.0 - rho))
+    a *= np.sin((1.0 - rho) * theta)
+    theta = np.sin(theta, out=theta)
+    theta **= 1.0 / (1.0 - rho)
+    a /= theta
+    del theta
+    a /= w
+    a **= (1.0 - rho) / rho
+    return a
 
 
 def standard_normals(keys: np.ndarray, base_counter, d: int) -> np.ndarray:
@@ -97,12 +102,17 @@ def standard_normals(keys: np.ndarray, base_counter, d: int) -> np.ndarray:
     pairs = (d + 1) // 2
     out = np.empty((n, 2 * pairs))
     for p in range(pairs):
-        u1 = uniform01(keys, base_counter + np.uint64(2 * p)).ravel()
-        u2 = uniform01(keys, base_counter + np.uint64(2 * p + 1)).ravel()
-        r = np.sqrt(-2.0 * np.log(u1))
-        ang = 2.0 * np.pi * u2
-        out[:, 2 * p] = r * np.cos(ang)
-        out[:, 2 * p + 1] = r * np.sin(ang)
+        r = uniform01(keys, base_counter + np.uint64(2 * p)).ravel()
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        ang = uniform01(keys, base_counter + np.uint64(2 * p + 1)).ravel()
+        ang *= 2.0 * np.pi
+        out[:, 2 * p] = np.cos(ang)
+        out[:, 2 * p] *= r
+        np.sin(ang, out=ang)
+        ang *= r
+        out[:, 2 * p + 1] = ang
     return out[:, :d]
 
 
@@ -121,8 +131,13 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
     nslots = np.uint64(slots_per_step(d))
     # one counter base per step, a column that broadcasts against the keys
     base = np.arange(step, step + n_steps, dtype=np.uint64)[:, None] * nslots
-    u = uniform01(keys, base).ravel()
-    w = -np.log(uniform01(keys, base + np.uint64(1)).ravel())
-    s = positive_stable(alpha / 2.0, u, w)
+    w = uniform01(keys, base + np.uint64(1)).ravel()
+    np.log(w, out=w)
+    np.negative(w, out=w)
+    s = positive_stable(alpha / 2.0, uniform01(keys, base).ravel(), w)
+    del w
+    s *= 2.0
+    np.sqrt(s, out=s)
     z = standard_normals(keys, base + np.uint64(2), d)
-    return np.sqrt(2.0 * s)[:, None] * z
+    z *= s[:, None]
+    return z

@@ -34,6 +34,11 @@ Kanter's sines and Box-Muller's sines and cosines, and two threads sharing
 the interpreter lock ran no faster than one; and forked, not spawned by
 ``multiprocessing``, so that they inherit the configuration and its index
 instead of unpickling them.
+
+Beside its outcome arrays, a pass holds the temporaries of at most
+_BLOCK_DRAWS rows: the block's draws, path and ball-index query (which
+``spatial`` splits further).  ``median_unit_norm`` draws _MEDIAN_BLOCK
+vectors at a time and keeps only their norms.
 """
 
 from __future__ import annotations
@@ -62,7 +67,9 @@ _TAGS = {HIT: "hit", BOUNDARY: "boundary", TIMEOUT: "timeout"}
 _WILSON_Z = 1.959963984540054  # 95%
 # draws per pass of the step loop: m running trajectories take
 # max(1, _BLOCK_DRAWS // m) steps per pass
-_BLOCK_DRAWS = 1 << 14
+_BLOCK_DRAWS = 1 << 13
+# stable vectors drawn at a time by median_unit_norm
+_MEDIAN_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -132,11 +139,16 @@ def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
     """Median of |X| for a standardized isotropic stable vector.
 
     Estimated once per (d, alpha) from a fixed internal counter stream, so the
-    value is a deterministic constant of the build.
+    value is a deterministic constant of the build.  The vectors are drawn
+    _MEDIAN_BLOCK at a time; only their norms are kept.
     """
-    keys = stream_keys(0x5CA1AB1E, np.arange(n))
-    xi = stable_vectors(alpha, d, keys, step=0, n_steps=1)
-    return float(np.median(np.sqrt((xi * xi).sum(axis=1))))
+    norms = np.empty(n)
+    for start in range(0, n, _MEDIAN_BLOCK):
+        stop = min(n, start + _MEDIAN_BLOCK)
+        keys = stream_keys(0x5CA1AB1E, np.arange(start, stop))
+        xi = stable_vectors(alpha, d, keys, step=0, n_steps=1)
+        norms[start:stop] = np.sqrt((xi * xi).sum(axis=1))
+    return float(np.median(norms, overwrite_input=True))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +207,21 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         m = live.size
         k = min(max(1, _BLOCK_DRAWS // m), params.max_steps - step)
         xi = stable_vectors(alpha, d, keys, step, k)
-        # the block's path: positions, proposal norms and moves, (k, m) per step
+        # the block's path: positions, moves and boundary steps, (k, m) per step
         path = np.empty((k, m, d))
-        norms = np.empty((k, m))
         moved = np.empty((k, m), dtype=bool)
+        beyond = np.empty((k, m), dtype=bool)
         for s in range(k):
             delta = R - dist
             scale = delta * phi(1.0 - delta / R) * kappa
             prop = x + scale[:, None] * xi[s * m:(s + 1) * m]
             norm = row_norms(prop, c)
             np.less(norm, R, out=moved[s])
+            np.greater(norm, inner_radius, out=beyond[s])
             x = np.where(moved[s][:, None], prop, x)
             dist = np.where(moved[s], norm, dist)
-            path[s], norms[s] = x, norm
+            path[s] = x
+        del xi
 
         # the first event of each row: hit, or else boundary, at a moved step
         hit = np.zeros(k * m, dtype=bool)
@@ -217,7 +231,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
             hit[rows], owner[rows] = index.contains_batch(
                 np.take(path.reshape(k * m, d), rows, axis=0))
         hit, owner = hit.reshape(k, m), owner.reshape(k, m)
-        event = hit | (moved & (norms > inner_radius))
+        event = hit | (moved & beyond)
         ended = event.any(axis=0)
         first = np.where(ended, event.argmax(axis=0), k)  # k: no event
 

@@ -45,6 +45,16 @@ computes nearer.  A query searches another class only if its radial gap to
 the class's band is below its best, the band's widening covering the
 rounding of the gap.  The rounds end once the grid is at most two cells
 wide, when one round sees the whole class.
+
+Memory.  The index keeps, per class, its balls' ids in key order, its
+occupied cells and where each cell's balls start, and reads the centres and
+radii it was given without copying them.  Every pass over balls or queries
+takes a fixed block of rows at a time, which bounds its temporaries: the
+index build _INDEX_BLOCK balls (bands, boxes, cell keys), ``contains_batch``
+_QUERY_BLOCK query points, ``near_pairs`` _PAIR_BLOCK balls and a
+nearest-centre round _NEAREST_BLOCK balls.  Sorting a class by cell key
+still takes two columns of the class's size, its keys and their order.  No
+block size changes a result.
 """
 
 from __future__ import annotations
@@ -62,8 +72,12 @@ __all__ = ["BallIndex"]
 DISJOINTNESS_SLACK = 1e-12
 # outward widening of the radial span and bands, relative to the coordinates
 _BAND_PAD = 2.0**-40
-# balls looked up at a time by near_pairs, which bounds its working memory
-_PAIR_BLOCK = 1 << 16
+# balls whose bands, boxes and cell keys are computed at a time while indexing
+_INDEX_BLOCK = 1 << 13
+# query points looked up at a time by contains_batch
+_QUERY_BLOCK = 1 << 12
+# balls looked up at a time by near_pairs
+_PAIR_BLOCK = 1 << 13
 # balls searched for their nearest centres at a time: a round's memory bound
 _NEAREST_BLOCK = 1 << 13
 
@@ -73,15 +87,25 @@ def _power_of_two_at_least(v: float) -> float:
     return math.ldexp(1.0, e - 1 if m == 0.5 else e)
 
 
+def _blocks(a: np.ndarray, size: int):
+    """Consecutive slices of a, each of at most size elements."""
+    return (a[start:start + size] for start in range(0, a.size, size))
+
+
 class _Grid:
     """One radius class: its balls' ids, in the order of the int64 key of
     their cell."""
 
     def __init__(self, ids, centers, r_max, band, h=None):
-        c = centers[ids]
+        lo = np.full(centers.shape[1], np.inf)
+        hi = np.full(centers.shape[1], -np.inf)
+        for rows in _blocks(ids, _INDEX_BLOCK):
+            c = np.take(centers, rows, axis=0)
+            np.minimum(lo, c.min(axis=0), out=lo)
+            np.maximum(hi, c.max(axis=0), out=hi)
         h = h or _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
         while True:
-            first, last = np.floor(c.min(axis=0) / h), np.floor(c.max(axis=0) / h)
+            first, last = np.floor(lo / h), np.floor(hi / h)
             # cells per axis, with an empty one on either side; keys run up to
             # their product, and cell indices stay exact in float
             extent = [int(e) for e in last - first + 3.0]
@@ -95,17 +119,16 @@ class _Grid:
         self.top = last - first + 1.0
         self.stride = np.array([math.prod(extent[j + 1:]) for j in range(len(extent))],
                                dtype=np.int64)
-        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=c.shape[1])))
+        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=centers.shape[1])))
         # ascending; a key difference is >= 0 exactly when its offset is
         # lexicographically >= 0
         self.deltas = self.offsets @ self.stride
-        keys = self.cell_keys(c)
-        del c  # before the sort's arrays, to lower the peak
-        order = np.argsort(keys, kind="stable")
-        self.ids, keys = ids[order], keys[order]
+        keys = self.keys_of(centers, ids)
+        self.ids = ids[np.argsort(keys, kind="stable")]
+        keys.sort()
         # the occupied cells, ascending, then a key above every cell's; the
         # balls of cells[i] are ids[starts[i]:starts[i + 1]]
-        begin = np.flatnonzero(np.diff(keys, prepend=-1))
+        begin = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.cells = np.append(keys[begin], np.iinfo(np.int64).max)
         self.starts = np.append(begin, keys.size)
 
@@ -118,6 +141,14 @@ class _Grid:
             cell -= self.base[j]
             np.clip(cell, 1.0, self.top[j], out=cell)
             keys += cell.astype(np.int64) * stride
+        return keys
+
+    def keys_of(self, centers: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """``cell_keys(centers[ids])``, gathering _INDEX_BLOCK rows at a time."""
+        keys = np.empty(ids.size, dtype=np.int64)
+        for start in range(0, ids.size, _INDEX_BLOCK):
+            rows = ids[start:start + _INDEX_BLOCK]
+            keys[start:start + rows.size] = self.cell_keys(np.take(centers, rows, axis=0))
         return keys
 
     def candidates(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,19 +187,29 @@ class BallIndex:
         if self.n == 0:
             return
         self._centers, self._radii = centers, radii
-        _, exponents = np.frexp(radii)
+        exponents = np.frexp(radii)[1]
         order = np.argsort(exponents, kind="stable")
         # in ascending order of radius
         classes = np.split(order, np.flatnonzero(np.diff(exponents[order])) + 1)
-        norms = row_norms(centers, self.origin)
-        bands = [(float((norms[ids] - radii[ids]).min()), float((norms[ids] + radii[ids]).max()))
-                 for ids in classes]
-        del norms
-        span = (min(b[0] for b in bands), max(b[1] for b in bands))
+        del exponents
+        bounds = [self._class_bounds(ids) for ids in classes]
+        span = (min(b[0] for b in bounds), max(b[1] for b in bounds))
         pad = _BAND_PAD * (span[1] + float(np.abs(self.origin).max()))
         self._span = (span[0] - pad, span[1] + pad)
-        self._grids = [_Grid(ids, centers, float(radii[ids].max()), (lo - pad, hi + pad))
-                       for ids, (lo, hi) in zip(classes, bands)]
+        self._grids = [_Grid(ids, centers, r_max, (lo - pad, hi + pad))
+                       for ids, (lo, hi, r_max) in zip(classes, bounds)]
+
+    def _class_bounds(self, ids: np.ndarray) -> tuple[float, float, float]:
+        """(min |c - origin| - r, max |c - origin| + r, max r) over the balls
+        ids, taken _INDEX_BLOCK balls at a time."""
+        lo, hi, r_max = math.inf, -math.inf, 0.0
+        for rows in _blocks(ids, _INDEX_BLOCK):
+            norms = row_norms(np.take(self._centers, rows, axis=0), self.origin)
+            r = np.take(self._radii, rows)
+            lo = min(lo, float((norms - r).min()))
+            hi = max(hi, float((norms + r).max()))
+            r_max = max(r_max, float(r.max()))
+        return lo, hi, r_max
 
     def contains_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each query point: (hit mask, index of a containing ball or -1).
@@ -185,16 +226,14 @@ class BallIndex:
         rows = np.flatnonzero((norms >= self._span[0]) & (norms <= self._span[1]))
         norms = norms[rows]
         for g in self._grids:
-            sel = rows[(norms >= g.band[0]) & (norms <= g.band[1])]
-            if not sel.size:
-                continue
-            pts = np.take(x, sel, axis=0)
-            q, p = g.candidates((g.cell_keys(pts)[:, None] + g.deltas).ravel())
-            q //= g.deltas.size
-            k = g.ids[p]
-            inside = row_norms(pts[q], self._centers[k]) <= self._radii[k]
-            hit[sel[q[inside]]] = True
-            owner[sel[q[inside]]] = k[inside]
+            for sel in _blocks(rows[(norms >= g.band[0]) & (norms <= g.band[1])], _QUERY_BLOCK):
+                pts = np.take(x, sel, axis=0)
+                q, p = g.candidates((g.cell_keys(pts)[:, None] + g.deltas).ravel())
+                q //= g.deltas.size
+                k = g.ids[p]
+                inside = row_norms(pts[q], self._centers[k]) <= self._radii[k]
+                hit[sel[q[inside]]] = True
+                owner[sel[q[inside]]] = k[inside]
         return hit, owner
 
     def contains(self, x) -> int | None:
@@ -207,29 +246,32 @@ class BallIndex:
         r_max,a + r_max,b + DISJOINTNESS_SLACK of each other, with a and b the
         radius classes of j and k.
 
-        The pairs are gathered for a block of balls and one neighbour offset
+        The pairs are gathered for _PAIR_BLOCK balls and one neighbour offset
         at a time, and filtered to the reach as they come, so memory beyond
         the result stays bounded.
         """
         js, ks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for i, a in enumerate(self._grids):
-            # centres in key order, so that the lookups read memory in order
-            centers = self._centers[a.ids]
-            norms = row_norms(centers, self.origin)
             for b in self._grids[i:]:
-                other = centers if b is a else self._centers[b.ids]
                 reach = a.r_max + b.r_max + DISJOINTNESS_SLACK
-                near = np.flatnonzero((norms >= b.band[0] - reach) & (norms <= b.band[1] + reach))
                 # within a class, each unordered pair once: offsets >= 0, and
                 # the earlier ball first within a cell
                 deltas = b.deltas[b.deltas >= 0] if b is a else b.deltas
-                for start in range(0, near.size, _PAIR_BLOCK):
-                    rows = near[start:start + _PAIR_BLOCK]
-                    keys = b.cell_keys(centers[rows])
+                # a's balls in key order, so that the lookups read memory in order
+                for start in range(0, a.ids.size, _PAIR_BLOCK):
+                    x = np.take(self._centers, a.ids[start:start + _PAIR_BLOCK], axis=0)
+                    norms = row_norms(x, self.origin)
+                    rows = np.flatnonzero((norms >= b.band[0] - reach)
+                                          & (norms <= b.band[1] + reach))
+                    if not rows.size:
+                        continue
+                    x = np.take(x, rows, axis=0)
+                    rows += start
+                    keys = b.cell_keys(x)
                     for delta in deltas:
                         q, p = b.candidates(keys + delta)
+                        keep = row_norms(x[q], self._centers[b.ids[p]]) <= reach
                         q = rows[q]
-                        keep = row_norms(centers[q], other[p]) <= reach
                         if b is a and delta == 0:
                             keep &= q < p
                         js.append(a.ids[q[keep]])
@@ -270,13 +312,13 @@ class BallIndex:
         # own cell first, corners last: what the near cells find rules out far ones
         order = np.argsort(np.count_nonzero(g.offsets, axis=1), kind="stable")
         while rows.size:
-            x = np.take(self._centers, rows, axis=0)
-            keys = g.cell_keys(x)
+            keys = g.keys_of(self._centers, rows)
             # in key order, so that the lookups read memory in order
             sort = np.argsort(keys, kind="stable")
-            rows, keys, x = rows[sort], keys[sort], x[sort]
+            rows, keys = rows[sort], keys[sort]
             for start in range(0, rows.size, _NEAREST_BLOCK):
-                r, kb, xb = (v[start:start + _NEAREST_BLOCK] for v in (rows, keys, x))
+                r, kb = rows[start:start + _NEAREST_BLOCK], keys[start:start + _NEAREST_BLOCK]
+                xb = np.take(self._centers, r, axis=0)
                 # per axis, the exact lower faces of the cells -1..2 from each
                 # centre's (clipped) cell less the centre; then its gap to cells -1, 0, 1
                 face = (np.clip(np.floor(xb / g.h) - g.base, 1.0, g.top) + g.base

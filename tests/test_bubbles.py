@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -170,6 +171,22 @@ def test_generator_determinism_and_jitter(disk):
     c = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=6)
     assert np.array_equal(a.centers, b.centers)
     assert not np.array_equal(a.centers, c.centers)
+
+
+# The generator's arrays and coverage parameter for the W2 disk and a d=3
+# ball; every rewrite of the generator must reproduce them bit for bit.
+@pytest.mark.parametrize("d, c, shells, digest", [
+    (2, 0.1, 6, "61b016bc9341547e5df2ce01e93392d39d4377b22b05c0475c477d0eccc446d1"),
+    (3, 0.3, 3, "0db41287032b8a55ebb3ee9d3ebfc5a3a4c5b66fc3184be0de2628980947a7a4"),
+], ids=["disk", "ball"])
+def test_generator_reproduces_pinned_digests(d, c, shells, digest):
+    cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(c), 0.5, shells,
+                                seed=35)
+    h = hashlib.sha256()
+    for a in (cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(float(cfg.meta["coverage_a"]).hex().encode())
+    assert h.hexdigest() == digest
 
 
 def test_generator_coverage_at_reported_parameter(disk):

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import champagne
-from champagne import criteria, harness, whitney
+from champagne import criteria, harness, simulate, whitney
 from champagne.harness import RunConfig, main
 
 SMALL = {
@@ -98,6 +99,35 @@ def test_outputs_do_not_depend_on_an_earlier_generate(tmp_path, monkeypatch):
         harness.cmd_simulate(cfg, run)
     for name in ("verdicts.json", "wiener_trace.csv", "estimate.json"):
         assert (after_generate / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+# the roadmap's W2 bubbles: the unit disk, 6 shells, 54,743 bubbles
+W2 = {**SMALL, "constants": {"alpha": 1.5}, "shells": {"a": 0.5, "count": 6, "seed": 35}}
+MiB = 2**20
+
+
+def test_stage_start_up_holds_little_beyond_what_it_keeps():
+    # tracemalloc counts numpy's buffers, so these bounds do not depend on the
+    # host's allocator.  W2's configuration keeps its centres, radii, shell ids,
+    # distances to the boundary and ball index (3.2 MiB); the build needs
+    # besides only blocks of rows and a few columns of n values (1.2 MiB).
+    # The stable-norm median keeps nothing and holds its 2^16 norms (0.5 MiB)
+    # and one block of draws (0.8 MiB in all).
+    harness._build_config(RunConfig.from_json(SMALL))  # first-use imports and caches
+    simulate.median_unit_norm.__wrapped__(2, 1.5, 16)
+    tracemalloc.start()
+    try:
+        config = harness._build_config(RunConfig.from_json(W2))
+        assert config.index is not None
+        kept, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        simulate.median_unit_norm.__wrapped__(2, 1.5)
+        after, median_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert config.n == 54_743
+    assert build_peak - kept < 2 * MiB
+    assert median_peak - after < 1.5 * MiB
 
 
 def test_main_returns_0_on_a_valid_run(tmp_path):

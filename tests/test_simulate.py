@@ -25,6 +25,7 @@ from champagne.simulate import (
     _run_batch,
     _wilson_interval,
     estimate_hitting,
+    median_unit_norm,
 )
 from champagne.spatial import BallIndex
 
@@ -111,6 +112,14 @@ def test_outcomes_do_not_depend_on_the_block_length(request, monkeypatch, config
     for other in runs[1:]:
         for a, b in zip(other, runs[0]):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_median_unit_norm_does_not_depend_on_its_block(monkeypatch, d):
+    want = median_unit_norm.__wrapped__(d, 1.5)
+    for block in (1000, 1 << 16):
+        monkeypatch.setattr(simulate, "_MEDIAN_BLOCK", block)
+        assert median_unit_norm.__wrapped__(d, 1.5) == want
 
 
 def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from champagne import bubbles, spatial
 from champagne.bubbles import ConstantProfile, generate_shell_config
 from champagne.geometry import BallDomain
 from champagne.spatial import BallIndex
@@ -277,3 +278,41 @@ def test_nearest_center_distance_without_another_ball():
     one = BallIndex(np.array([[0.5, 0.0]]), np.array([0.1]))
     assert one.nearest_center_distances().tolist() == [math.inf]
     assert BallIndex(np.empty((0, 2)), np.empty(0)).nearest_center_distances().shape == (0,)
+
+
+@pytest.mark.parametrize("d, c, shells", [(2, 0.1, 4), (3, 0.3, 2)])
+def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
+    # Each pass over lattice rows, balls or queries takes a fixed block of rows
+    # at a time.  Blocks of 97 rows, which end inside shells and cells, must
+    # give what the default blocks give.
+    rng = np.random.default_rng(d)
+    # overlapping balls of a few radius classes, so that near pairs abound
+    centers = rng.uniform(-1.0, 1.0, (3000, d))
+    radii = rng.choice([0.01, 0.03, 0.07], 3000) * rng.uniform(0.75, 1.0, 3000)
+
+    def run(name):
+        cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(c), 0.5,
+                                    shells, seed=5)
+        k = rng.integers(0, cfg.n, 4000)
+        u = rng.standard_normal((4000, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        queries = cfg.centers[k] + cfg.radii[k, None] * u * rng.uniform(0.5, 1.5, (4000, 1))
+        cfg.to_csv(tmp_path / name)
+        j, k = BallIndex(centers, radii).near_pairs()
+        return [cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas,
+                cfg.index.contains_batch(queries)[1], cfg.index.nearest_center_distances(),
+                np.unique(np.stack([j, k], axis=1), axis=0), (tmp_path / name).read_bytes()]
+
+    state = rng.bit_generator.state
+    want = run("default.csv")
+    for module, name in [(bubbles, "_LATTICE_BLOCK"), (bubbles, "_CSV_BLOCK"),
+                         (spatial, "_INDEX_BLOCK"), (spatial, "_QUERY_BLOCK"),
+                         (spatial, "_PAIR_BLOCK"), (spatial, "_NEAREST_BLOCK")]:
+        assert getattr(module, name) > 97
+        monkeypatch.setattr(module, name, 97)
+    rng.bit_generator.state = state
+    got = run("blocked.csv")
+    assert want[0].shape[0] > 97 * 20 and want[6].shape[0] > 1000
+    assert (want[4] >= 0).sum() > 1000
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)

@@ -52,9 +52,9 @@ radii it was given without copying them.  Every pass over balls or queries
 takes a fixed block of rows at a time, which bounds its temporaries: the
 index build _INDEX_BLOCK balls (bands, boxes, cell keys), ``contains_batch``
 _QUERY_BLOCK query points, ``near_pairs`` _PAIR_BLOCK balls and a
-nearest-centre round _NEAREST_BLOCK balls.  Sorting a class by cell key
-still takes two columns of the class's size, its keys and their order.  No
-block size changes a result.
+nearest-centre round _NEAREST_BLOCK balls.  What remains is a few columns
+of n values: a class's cell keys and their sort order, and the norms of a
+batch of queries.  No block size changes a result.
 """
 
 from __future__ import annotations

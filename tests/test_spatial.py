@@ -298,10 +298,10 @@ def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         queries = cfg.centers[k] + cfg.radii[k, None] * u * rng.uniform(0.5, 1.5, (4000, 1))
         cfg.to_csv(tmp_path / name)
-        j, k = BallIndex(centers, radii).near_pairs()
+        pairs = np.stack(BallIndex(centers, radii).near_pairs(), axis=1)
         return [cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas,
                 cfg.index.contains_batch(queries)[1], cfg.index.nearest_center_distances(),
-                np.unique(np.stack([j, k], axis=1), axis=0), (tmp_path / name).read_bytes()]
+                np.unique(pairs, axis=0), (tmp_path / name).read_bytes()]
 
     state = rng.bit_generator.state
     want = run("default.csv")

@@ -7,17 +7,35 @@ partial sums as diagnostics.  "sigma-a.e. boundary point" is operationalized
 as every point of a deterministic boundary grid plus the rotation-symmetry
 property of shell configurations; reports state this proxy.
 
-The Whitney-based sums (Aikawa, Wiener, quasi-additivity) all take the
-configuration's cube-bubble incidence (:func:`whitney.ball_cube_incidence`):
-its (bubble, cube) pairs sorted by bubble and then by cube, built once and
-shared by every sum.  Bubbles with no pair lie below the coverage collar.
-Their z-independent factors (each cube's Cap(A ∩ Q) bounds and capped
-Green value) are computed once and reused for every boundary point.  Every
+The Whitney-based sums (Aikawa, Wiener, quasi-additivity) all run over the
+configuration's cube-bubble incidence (:class:`whitney.CubeIncidence`), whose
+(bubble, cube) pairs come one level at a time, sorted by bubble and then by
+cube.  Bubbles with no pair lie below the coverage collar.
+:func:`whitney_sums` makes one pass over the levels for every boundary point
+of a grid at once: each level's z-independent factors (each cube's
+Cap(A ∩ Q) bounds and capped Green value) are computed once and used for
+every point, and the level is dropped before the next is built.  Every
 quantity is a (lower, upper) pair of floats or of arrays, checked by
-:func:`kernels.check_bounds`.  Sums add left to right in a fixed order
-(cubes ascending for Aikawa, in order of first appearance among the pairs
-otherwise), so totals match a plain loop over the bubbles and cubes, one
-scalar (lower, upper) pair at a time, bit for bit.
+:func:`kernels.check_bounds`.  Sums add left to right in a fixed order, so
+totals match a plain loop over the bubbles and cubes, one scalar (lower,
+upper) pair at a time, bit for bit.  The Aikawa sum adds its cubes in
+ascending cube number, which is level order, so each point carries a
+running total from level to level.  The Wiener and quasi-additivity sums
+add their cubes in order of first appearance among the pairs: by the
+lowest bubble id among a cube's pairs (in the shell, for Wiener), then by
+cube number.  They keep one term per cube with that key and add the terms
+after the last level.
+
+Memory.  Beyond the level in hand, the pass keeps a running total per
+point for Aikawa, one term per cube for the quasi-additivity numerator,
+one term per (shell, cube) near each point for Wiener, and one count per
+bubble for c2.  Every pass over bubbles, pairs or cubes takes _ROW_BLOCK
+rows at a time, which bounds its temporaries: the Wiener shells and the
+quasi-additivity denominator over the bubbles, the pair and cube factors
+of a level, and the boundary series totals of
+:func:`classify_avoidability`.  ``kernels._pow_each`` raises
+``kernels._POW_BLOCK`` values at a time.  ``whitney`` bounds the building
+of a level (_BALL_BLOCK, _CANDIDATE_CHUNK).  No block size changes a result.
 """
 
 from __future__ import annotations
@@ -53,7 +71,7 @@ from .kernels import (
 )
 # intersecting_cubes is the per-ball reference for the incidence; it stays
 # importable from here
-from .whitney import CubeIncidence, intersecting_cubes  # noqa: F401
+from .whitney import CubeIncidence, LevelPairs, intersecting_cubes  # noqa: F401
 
 __all__ = [
     "uniform_boundary_grid",
@@ -67,9 +85,14 @@ __all__ = [
     "WienerTrace",
     "wiener_dyadic_sum",
     "quasi_additivity_interval",
+    "WhitneySums",
+    "whitney_sums",
     "AvoidabilityReport",
     "classify_avoidability",
 ]
+
+# rows of bubbles, pairs or cubes that a pass takes at a time
+_ROW_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +158,26 @@ class SeriesEvaluation:
         return float(self.partial_sums[-1]) if self.partial_sums.size else 0.0
 
 
-def _series_terms(config: BubbleConfig, z: np.ndarray, alpha: float) -> np.ndarray:
+def _series_terms(config: BubbleConfig, z: np.ndarray, alpha: float,
+                  rows: slice = slice(None)) -> np.ndarray:
     d = config.dimension
-    dist = np.sqrt(((config.centers - z) ** 2).sum(axis=1))
-    if config.n and float(dist.min()) == 0.0:
+    dist = np.sqrt(((config.centers[rows] - z) ** 2).sum(axis=1))
+    if dist.size and float(dist.min()) == 0.0:
         raise ValueError("a bubble center coincides with the boundary point z")
     return (
-        config.deltas ** (2.0 * alpha - 2.0)
-        * config.radii ** (d - alpha)
+        config.deltas[rows] ** (2.0 * alpha - 2.0)
+        * config.radii[rows] ** (d - alpha)
         / dist ** (d + alpha - 2.0)
     )
+
+
+def _series_total(config: BubbleConfig, z: np.ndarray, alpha: float) -> float:
+    """``avoidability_series(config, z, alpha).total``, _ROW_BLOCK bubbles
+    at a time."""
+    total = 0.0
+    for b in _blocks(config.n):
+        total = _running_total(total, _series_terms(config, z, alpha, b))
+    return total
 
 
 def avoidability_series(config: BubbleConfig, z, alpha: float) -> SeriesEvaluation:
@@ -263,141 +296,103 @@ def _check_incidence(inc: CubeIncidence, config: BubbleConfig) -> None:
         raise ValueError("the incidence was built for another configuration")
 
 
-def _cap_bounds(pos: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    """Cap(A ∩ Q) bounds per cube from its pairs: the upper bound adds the
-    meeting bubbles' capacities (subadditivity); the lower bound is the
-    largest pair lower bound.  ``pos`` is each pair's cube position; cubes
-    come out in order of first appearance, the order a dict filled pair by
-    pair keeps.  bincount adds each cube's pairs in their given order, as
-    that dict fill does.  Returns (cube positions, lower, upper)."""
-    uniq, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
-    up = np.bincount(inverse, weights=upper, minlength=uniq.size)
-    lo = np.zeros(uniq.size)  # pair lower bounds are >= 0
-    np.maximum.at(lo, inverse, lower)
-    order = np.argsort(first)
-    return uniq[order], np.minimum(lo, up)[order], up[order]
+def _blocks(n: int):
+    """Slices of at most _ROW_BLOCK rows that cover range(n) in order."""
+    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
 
 
-def _total(terms: np.ndarray) -> float:
-    """Sum in sequence, like the loop ``acc = acc + t`` (np.sum is pairwise)."""
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+def _running_total(acc: float, terms: np.ndarray) -> float:
+    """acc + t_1 + t_2 + ... added left to right, like the loop
+    ``acc = acc + t`` (np.sum adds pairwise)."""
+    if terms.size == 0:
+        return acc
+    return float(np.cumsum(np.concatenate(([acc], terms)))[-1])
 
 
-class _CubeFactors(NamedTuple):
-    """The z-independent factors of the criteria sums over one incidence.
-    Cube arrays follow the incidence's cube numbers; pair arrays follow its
-    pairs, whose cube numbers are ``inc.cube``."""
+def _shell(dist: np.ndarray) -> np.ndarray:
+    """The dyadic shell n of each distance: 2^-(n+1) <= dist < 2^-n."""
+    return np.ceil(-np.log2(dist)).astype(int) - 1
 
-    lo: np.ndarray            # (m, d) cube boxes
-    hi: np.ndarray
+
+def _pair_bounds(lv: LevelPairs, config: BubbleConfig, consts: Constants, rows):
+    """Capacity bounds of the pairs at ``rows`` of one level.  The upper
+    bound is the bubble's; the lower bound comes from the largest ball
+    inscribed in the bubble-cube intersection: a bubble whose center lies
+    strictly inside the cube contributes min(r, distance of the center to
+    the cube faces)."""
+    d = config.dimension
+    side = 2.0 ** (-lv.level)
+    ball = lv.ball[rows]
+    radii = config.radii[ball]
+    upper = capacity_ball_bounds(consts, radii, d)[1]
+    c = config.centers[ball]
+    lo = lv.index[lv.cube[rows]] * side
+    hi = lo + side
+    rho = np.minimum(radii, np.minimum((c - lo).min(axis=1), (hi - c).min(axis=1)))
+    lower = np.zeros(rho.size)
+    inside = rho > 0.0
+    lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
+    return lower, upper
+
+
+def _green_bounds(lv: LevelPairs, inc: CubeIncidence, consts: Constants, cubes):
+    """Capped Green bounds at the centers of one level's cubes ``cubes``."""
+    side = 2.0 ** (-lv.level)
+    lo = lv.index[cubes] * side
+    hi = lo + side
+    return capped_green_bounds(inc.domain, consts, 0.5 * (lo + hi))
+
+
+def _add_cap_bounds(cap_lower, cap_upper, groups, lower, upper) -> None:
+    """Add pairs, with their (lower, upper) bounds, to the Cap(A ∩ Q) bounds
+    of their cubes ``groups``, in the order given: the upper bound adds the
+    meeting bubbles' capacities (subadditivity), the lower bound keeps the
+    largest pair lower bound.  Start from zeros, and cap the lower bounds
+    by the upper ones after the last pair."""
+    np.add.at(cap_upper, groups, upper)
+    np.maximum.at(cap_lower, groups, lower)
+
+
+class _Level(NamedTuple):
+    """The factors of one level's sums that do not depend on the boundary
+    point, per cube of the level."""
+
     dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
-    g_lower: np.ndarray       # capped Green bounds at the cube center
-    g_upper: np.ndarray
-    pair_lower: np.ndarray
-    pair_upper: np.ndarray
-    first_order: np.ndarray   # cube positions in order of first appearance
     cap_lower: np.ndarray     # Cap(A ∩ Q) bounds over all bubbles
     cap_upper: np.ndarray
-    uncovered: np.ndarray     # bubbles that meet no cube, ascending
-    warnings: tuple           # the hypotheses the sums cannot certify
+    qa_terms: tuple           # (lowest bubble id among the pairs, g^2 Cap lower, upper)
 
 
-def _cube_factors(inc: CubeIncidence, config: BubbleConfig, consts: Constants) -> _CubeFactors:
-    """Factors shared by every boundary point, computed on first use and kept
-    in the incidence for these constants."""
-    key = ("criteria", config, consts)
-    if key not in inc.derived:
-        inc.derived[key] = _build_cube_factors(inc, config, consts)
-    return inc.derived[key]
-
-
-def _build_cube_factors(
-    inc: CubeIncidence, config: BubbleConfig, consts: Constants
-) -> _CubeFactors:
-    """Per-cube and per-pair factors of the criteria sums.
-
-    The lower bound of a pair comes from the largest ball inscribed in the
-    bubble-cube intersection: a bubble whose center lies strictly inside
-    the cube contributes min(r, distance of the center to the cube faces).
-    """
-    d = config.dimension
-    lo, hi = inc.boxes()
-    g_lower, g_upper = capped_green_bounds(inc.domain, consts, 0.5 * (lo + hi))
-    radii = config.radii[inc.ball]
-    _, pair_upper = capacity_ball_bounds(consts, radii, d)
-    c = config.centers[inc.ball]
-    face = np.minimum((c - lo[inc.cube]).min(axis=1), (hi[inc.cube] - c).min(axis=1))
-    rho = np.minimum(radii, face)
-    pair_lower = np.zeros(rho.size)
-    inside = rho > 0.0
-    pair_lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
-    first_order, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
-    by_pos = np.argsort(first_order)
-    warnings = []
-    r_thresh = small_radius_threshold(consts, d)
-    n_big = int((config.radii > r_thresh).sum()) if config.n else 0
-    if n_big:
-        warnings.append(
-            f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
-            "capacity quasi-additivity hypotheses are not certified"
-        )
-    uncovered = inc.uncovered()
-    if uncovered.size:
-        warnings.append(
-            f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
-            "their contribution needs a tail estimate"
-        )
-    return _CubeFactors(
-        lo, hi, _pow_each(inc.dist_boundary, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
-        pair_lower, pair_upper, first_order, cap_lower[by_pos], cap_upper[by_pos],
-        uncovered, tuple(warnings),
-    )
-
-
-def _green_weighted_total(f: _CubeFactors, pos, cap_lower, cap_upper) -> tuple[float, float]:
-    """sum_Q g(Q)^2 * Cap(A ∩ Q) over the cubes at ``pos``, in that order."""
-    gl, gu = f.g_lower[pos], f.g_upper[pos]
-    return _total(gl * gl * cap_lower), _total(gu * gu * cap_upper)
+def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
+                   consts: Constants) -> _Level:
+    """The factors of one level's sums, a block of pairs or cubes at a time."""
+    k = lv.dist.size
+    cap_lower, cap_upper = np.zeros(k), np.zeros(k)
+    for b in _blocks(lv.ball.size):
+        _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], *_pair_bounds(lv, config, consts, b))
+    np.minimum(cap_lower, cap_upper, out=cap_lower)
+    first_ball = np.full(k, config.n, dtype=np.int64)
+    np.minimum.at(first_ball, lv.cube, lv.ball)
+    qa_lower, qa_upper = np.empty(k), np.empty(k)
+    for b in _blocks(k):
+        gl, gu = _green_bounds(lv, inc, consts, b)
+        qa_lower[b] = gl * gl * cap_lower[b]
+        qa_upper[b] = gu * gu * cap_upper[b]
+    return _Level(_pow_each(lv.dist, 2.0 * (consts.alpha - 1.0)), cap_lower, cap_upper,
+                  (first_ball, qa_lower, qa_upper))
 
 
 @dataclass(frozen=True)
 class AikawaTrace:
-    cube_ids: np.ndarray     # the incidence's cube numbers, ascending
-    term_lower: np.ndarray   # per cube, following cube_ids
-    term_upper: np.ndarray
+    n_cubes: int             # cubes summed: every cube that meets a bubble
     total: tuple[float, float]
     uncovered_bubbles: np.ndarray
     warnings: list
 
-
-def aikawa_sum(
-    inc: CubeIncidence, config: BubbleConfig, z, consts: Constants
-) -> AikawaTrace:
-    """Cube-indexed thinness sum at boundary point z:
-
-    sum_j dist(Q_j, boundary)^(2(a-1)) / dist(z, Q_j)^(d+a-2) * Cap(A ∩ Q_j)
-
-    evaluated as (lower, upper) bounds over the cubes of ``inc``, the
-    cube-bubble incidence of ``config``.  Bubbles below the incidence's
-    coverage collar are reported, not silently dropped.
-    """
-    _check_incidence(inc, config)
-    z = np.asarray(z, dtype=float)
-    dom = inc.domain
-    dist_z = abs(float(np.sqrt(((z - dom.center) ** 2).sum())) - dom.radius)
-    if dist_z > 1e-9:
-        raise ValueError("z must lie on the boundary sphere")
-    a = consts.alpha
-    d = config.dimension
-    f = _cube_factors(inc, config, consts)
-    nearest = np.clip(z, f.lo, f.hi)
-    dzq = np.sqrt(((z - nearest) ** 2).sum(axis=1))
-    w = f.dist_weight / _pow_each(dzq, d + a - 2.0)
-    lower, upper = f.cap_lower * w, f.cap_upper * w
-    check_bounds(lower, upper)
-    total = _total(lower), _total(upper)
-    check_bounds(*total)
-    return AikawaTrace(np.arange(lower.size), lower, upper, total, f.uncovered, list(f.warnings))
+    @property
+    def cube_ids(self) -> np.ndarray:
+        """The cubes summed, numbered in (level, lexicographic index) order."""
+        return np.arange(self.n_cubes)
 
 
 @dataclass(frozen=True)
@@ -409,6 +404,215 @@ class WienerTrace:
     truncated_shells: np.ndarray    # shells overlapping the coverage collar
 
 
+@dataclass(frozen=True)
+class WhitneySums:
+    """The Whitney-based sums of one configuration at every boundary point
+    of a grid, from one pass over its incidence."""
+
+    aikawa: list                       # AikawaTrace per boundary point
+    wiener: list                       # WienerTrace per boundary point
+    qa_numerator: tuple[float, float]  # sum_Q g(Q)^2 * Cap(A ∩ Q)
+    qa_denominator: tuple[float, float]  # sum_k g(x_k)^2 * Cap(B_k)
+    max_cubes_per_ball: int            # c2: the most cubes one bubble meets
+    ratio_bound: float                 # C1: see whitney_sums
+
+    def quasi_additivity(self) -> tuple[float, float]:
+        """Ratio interval of the numerator to the denominator: the surrogate
+        for capacity quasi-additivity over the Whitney cubes.  Reported, not
+        asserted against any constant."""
+        num, den = self.qa_numerator, self.qa_denominator
+        if den[0] == 0.0 or num[0] == 0.0:
+            raise ValueError("degenerate bounds; decomposition too shallow for this config")
+        ratio = num[0] / den[1], num[1] / den[0]
+        check_bounds(*ratio)
+        return ratio
+
+
+def whitney_sums(
+    inc: CubeIncidence,
+    config: BubbleConfig,
+    points,
+    consts: Constants,
+    n_max: int = 30,
+) -> WhitneySums:
+    """Aikawa and Wiener sums at each boundary point of ``points`` (n, d),
+    the quasi-additivity numerator and denominator, and the c2 and C1
+    reports, from one pass over ``inc``, the cube-bubble incidence of
+    ``config``, level by level.
+
+    Aikawa at z: sum_j dist(Q_j, boundary)^(2(a-1)) / dist(z, Q_j)^(d+a-2)
+    * Cap(A ∩ Q_j) over the cubes, in cube order.
+
+    Wiener at z: per dyadic shell n the contribution 2^(n(d+a-2)) *
+    sum_j g(x_j)^2 * Cap(E_n ∩ Q_j), with the bubbles assigned to shells by
+    center distance; bubbles at distance >= 1/2 from z are in no shell, and
+    shells reaching below the coverage collar are flagged as truncated.
+
+    C1 is the smallest C >= 1 such that, for every bubble and cube that
+    meet, dist(Q, boundary)/delta_D(x_k) and, at every boundary point z,
+    dist(z, Q)/|x_k - z| lie in [1/C, C].  Bubbles below the collar are
+    reported in every Aikawa trace, not silently dropped.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    _check_incidence(inc, config)
+    d = config.dimension
+    a = consts.alpha
+    dom = inc.domain
+    points = np.asarray(points, dtype=float).reshape(-1, d)
+    for z in points:
+        if abs(float(np.sqrt(((z - dom.center) ** 2).sum())) - dom.radius) > 1e-9:
+            raise ValueError("z must lie on the boundary sphere")
+    n_points = len(points)
+
+    # the bubbles: each point's Wiener shells, the quasi-additivity
+    # denominator and the bubbles above the small-radius threshold
+    present = np.zeros((n_points, n_max + 1), dtype=bool)
+    den = (0.0, 0.0)
+    r_thresh = small_radius_threshold(consts, d)
+    n_big = 0
+    for b in _blocks(config.n):
+        c, r = config.centers[b], config.radii[b]
+        gl, gu = capped_green_bounds(dom, consts, c)
+        cl, cu = capacity_ball_bounds(consts, r, d)
+        den = _running_total(den[0], gl * gl * cl), _running_total(den[1], gu * gu * cu)
+        n_big += int((r > r_thresh).sum())
+        for j, z in enumerate(points):
+            shell = _shell(np.sqrt(((c - z) ** 2).sum(axis=1)))
+            present[j, shell[(shell >= 1) & (shell <= n_max)]] = True
+
+    # the pairs, a level at a time: cubes are numbered on from level to level
+    aik = np.zeros((n_points, 2))
+    wiener_parts = [[] for _ in range(n_points)]
+    qa_parts = []
+    cubes_per_ball = np.zeros(config.n, dtype=np.int64)
+    worst = 1.0
+    n_cubes = 0
+    w_exp = d + a - 2.0
+    for lv in inc.levels():
+        f = _level_factors(lv, inc, config, consts)
+        side = 2.0 ** (-lv.level)
+        k = lv.dist.size
+        qa_parts.append(f.qa_terms)
+        balls, counts = np.unique(lv.ball, return_counts=True)
+        cubes_per_ball[balls] += counts
+        for b in _blocks(lv.ball.size):
+            r1 = lv.dist[lv.cube[b]] / config.deltas[lv.ball[b]]
+            worst = max(worst, float(r1.max()), float((1.0 / r1).max()))
+        for j, z in enumerate(points):
+            dzq = np.empty(k)
+            for b in _blocks(k):
+                lo = lv.index[b] * side
+                dzq[b] = np.sqrt(((z - np.clip(z, lo, lo + side)) ** 2).sum(axis=1))
+                w = f.dist_weight[b] / _pow_each(dzq[b], w_exp)
+                lower, upper = f.cap_lower[b] * w, f.cap_upper[b] * w
+                check_bounds(lower, upper)
+                aik[j] = _running_total(aik[j, 0], lower), _running_total(aik[j, 1], upper)
+            pos, shells = [], []
+            for b in _blocks(lv.ball.size):
+                dist = np.sqrt(((config.centers[lv.ball[b]] - z) ** 2).sum(axis=1))
+                r2 = dzq[lv.cube[b]] / dist
+                worst = max(worst, float(r2.max()), float((1.0 / r2).max()))
+                shell = _shell(dist)
+                keep = np.flatnonzero((shell >= 1) & (shell <= n_max))
+                pos.append(b.start + keep)
+                shells.append(shell[keep])
+            pos, shells = np.concatenate(pos), np.concatenate(shells)
+            if pos.size:
+                wiener_parts[j].append(
+                    _shell_terms(lv, inc, config, consts, pos, shells, n_cubes))
+        n_cubes += k
+        del lv, f
+
+    uncovered = np.flatnonzero(cubes_per_ball == 0)
+    warnings = []
+    if n_big:
+        warnings.append(
+            f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
+            "capacity quasi-additivity hypotheses are not certified"
+        )
+    if uncovered.size:
+        warnings.append(
+            f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
+            "their contribution needs a tail estimate"
+        )
+    aikawa = []
+    for lower, upper in aik.tolist():
+        check_bounds(lower, upper)
+        aikawa.append(AikawaTrace(n_cubes, (lower, upper), uncovered, list(warnings)))
+    wiener = [
+        _wiener_trace(parts, np.flatnonzero(shells), inc, d, a)
+        for parts, shells in zip(wiener_parts, present)
+    ]
+    return WhitneySums(aikawa, wiener, _first_appearance_total(qa_parts), den,
+                       int(cubes_per_ball.max(initial=0)), worst)
+
+
+def _shell_terms(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
+                 consts: Constants, pos: np.ndarray, shells: np.ndarray, n_before: int):
+    """One term per (shell, cube) of one level's pairs at ``pos``, which fall
+    in ``shells``: g^2 * Cap(E_n ∩ Q) bounds over those pairs, added in
+    pair order, with the shell, the lowest bubble id among the pairs and
+    the cube's number."""
+    k = lv.dist.size
+    key, first, inverse = np.unique(shells * k + lv.cube[pos], return_index=True,
+                                    return_inverse=True)
+    lower, upper = np.zeros(key.size), np.zeros(key.size)
+    _add_cap_bounds(lower, upper, inverse, *_pair_bounds(lv, config, consts, pos))
+    np.minimum(lower, upper, out=lower)
+    cube = key % k
+    gl, gu = _green_bounds(lv, inc, consts, cube)
+    return key // k, lv.ball[pos[first]], n_before + cube, gl * gl * lower, gu * gu * upper
+
+
+def _first_appearance_total(parts) -> tuple[float, float]:
+    """Totals of terms (lower, upper) given with the lowest bubble id among
+    their cube's pairs, in cube order, added in order of first appearance
+    among the pairs sorted by bubble and then by cube: by bubble id, ties
+    kept in cube order."""
+    if not parts:
+        return 0.0, 0.0
+    first, lower, upper = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(first, kind="stable")
+    del first
+    total = (0.0, 0.0)
+    for b in _blocks(order.size):
+        at = order[b]
+        total = _running_total(total[0], lower[at]), _running_total(total[1], upper[at])
+    return total
+
+
+def _wiener_trace(parts, shells: np.ndarray, inc: CubeIncidence, d: int, a: float) -> WienerTrace:
+    """A point's Wiener trace from its (shell, first bubble, cube, lower,
+    upper) terms and its shells: each shell's terms in order of first
+    appearance, scaled by 2^(n(d+a-2))."""
+    terms = np.zeros((shells.size, 2))
+    if parts:
+        shell, first, cube, lower, upper = (np.concatenate(col) for col in zip(*parts))
+        order = np.lexsort((cube, first, shell))
+        shell, lower, upper = shell[order], lower[order], upper[order]
+        stops = np.searchsorted(shell, shells, side="right")
+        starts = np.searchsorted(shell, shells, side="left")
+        for j, (n, lo, hi) in enumerate(zip(shells.tolist(), starts.tolist(), stops.tolist())):
+            terms[j] = _running_total(0.0, lower[lo:hi]), _running_total(0.0, upper[lo:hi])
+            terms[j] *= 2.0 ** (n * (d + a - 2.0))
+    lower, upper = terms.T
+    check_bounds(lower, upper)
+    total = _running_total(0.0, lower), _running_total(0.0, upper)
+    check_bounds(*total)
+    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * inc.coverage_threshold]
+    return WienerTrace(shells, lower, upper, total, truncated)
+
+
+def aikawa_sum(
+    inc: CubeIncidence, config: BubbleConfig, z, consts: Constants
+) -> AikawaTrace:
+    """Cube-indexed thinness sum at the boundary point z (see
+    :func:`whitney_sums`) as (lower, upper) bounds over the cubes of
+    ``inc``, the cube-bubble incidence of ``config``."""
+    return whitney_sums(inc, config, [z], consts).aikawa[0]
+
+
 def wiener_dyadic_sum(
     inc: CubeIncidence,
     config: BubbleConfig,
@@ -416,66 +620,21 @@ def wiener_dyadic_sum(
     consts: Constants,
     n_max: int = 30,
 ) -> WienerTrace:
-    """Dyadic-shell thinness sum at z: per shell n the contribution
-    2^(n(d+a-2)) * sum_j g(x_j)^2 * Cap(E_n ∩ Q_j) as (lower, upper) bounds.
-
-    Bubbles are assigned to shells by center distance; bubbles at distance
-    >= 1/2 from z are in no shell.  Each shell takes its pairs from ``inc``,
-    the cube-bubble incidence of ``config``.  Shells reaching below the
-    incidence's coverage collar are flagged as truncated.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _check_incidence(inc, config)
-    z = np.asarray(z, dtype=float)
-    a = consts.alpha
-    d = config.dimension
-    shells = np.empty(0, dtype=np.int64)
-    terms = np.zeros((0, 2))
-    if config.n:
-        dist = np.sqrt(((config.centers - z) ** 2).sum(axis=1))
-        shell_n = np.ceil(-np.log2(dist)).astype(int) - 1
-        shells = np.unique(shell_n[(shell_n >= 1) & (shell_n <= n_max)]).astype(np.int64)
-        f = _cube_factors(inc, config, consts)
-        pair_shell = shell_n[inc.ball]
-        terms = np.zeros((shells.size, 2))
-        for j, n in enumerate(shells.tolist()):
-            keep = pair_shell == n
-            pos, cap_lower, cap_upper = _cap_bounds(
-                inc.cube[keep], f.pair_lower[keep], f.pair_upper[keep]
-            )
-            terms[j] = _green_weighted_total(f, pos, cap_lower, cap_upper)
-            terms[j] *= 2.0 ** (n * (d + a - 2.0))
-    lower, upper = terms.T
-    check_bounds(lower, upper)
-    total = _total(lower), _total(upper)
-    check_bounds(*total)
-    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * inc.coverage_threshold]
-    return WienerTrace(shells, lower, upper, total, truncated)
+    """Dyadic-shell thinness sum at the boundary point z (see
+    :func:`whitney_sums`) over shells 1..n_max, as (lower, upper) bounds
+    per shell."""
+    return whitney_sums(inc, config, [z], consts, n_max).wiener[0]
 
 
 def quasi_additivity_interval(
     inc: CubeIncidence, config: BubbleConfig, consts: Constants
 ) -> tuple[float, float]:
     """Ratio interval for sum_j gamma_g(A ∩ Q_j) versus the per-bubble energy
-    sum, both as (lower, upper) bounds: the surrogate for capacity
-    quasi-additivity over the Whitney cubes of ``inc``, the cube-bubble
-    incidence of ``config``.  Reported, not asserted against any constant.
-    """
+    sum (:meth:`WhitneySums.quasi_additivity`) over the Whitney cubes of
+    ``inc``, the cube-bubble incidence of ``config``."""
     if config.n == 0:
         raise ValueError("quasi-additivity ratio needs a nonempty configuration")
-    _check_incidence(inc, config)
-    f = _cube_factors(inc, config, consts)
-    pos = f.first_order
-    num = _green_weighted_total(f, pos, f.cap_lower[pos], f.cap_upper[pos])
-    gl, gu = capped_green_bounds(inc.domain, consts, config.centers)
-    cl, cu = capacity_ball_bounds(consts, config.radii, config.dimension)
-    den = _total(gl * gl * cl), _total(gu * gu * cu)
-    if den[0] == 0.0 or num[0] == 0.0:
-        raise ValueError("degenerate bounds; decomposition too shallow for this config")
-    ratio = num[0] / den[1], num[1] / den[0]
-    check_bounds(*ratio)
-    return ratio
+    return whitney_sums(inc, config, [], consts).quasi_additivity()
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +690,7 @@ def classify_avoidability(
         notes.append(f"{reason}: truncated sums cannot decide divergence")
         verdict = DivergenceVerdict(Verdict.INCONCLUSIVE, {}, "truncated series")
 
-    totals = np.array([avoidability_series(config, z, alpha).total for z in points])
+    totals = np.array([_series_total(config, z, alpha) for z in points])
     separation = separation_infimum(config, alpha)
     if verdict.tag == Verdict.DIVERGENT and separation > 0.0:
         aggregate = "unavoidable"

@@ -30,22 +30,14 @@ from .bubbles import (
     profile_from_json,
     weight_from_json,
 )
-from .criteria import (
-    aikawa_sum,
-    classify_avoidability,
-    quasi_additivity_interval,
-    uniform_boundary_grid,
-    wiener_dyadic_sum,
-)
+from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
+# cmd_criteria sums every grid point in one pass; the per-point Aikawa sum
+# stays importable from here, as it was when cmd_criteria called it
+from .criteria import aikawa_sum  # noqa: F401
 from .geometry import BallDomain
 from .kernels import Constants
 from .simulate import SimParams, estimate_hitting
-from .whitney import (
-    ball_cube_incidence,
-    bubble_cube_ratio_bound,
-    decompose,
-    max_cubes_per_ball,
-)
+from .whitney import ball_cube_incidence, coverage_threshold, cube_counts, decompose
 
 __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
            "cmd_criteria", "cmd_simulate", "cmd_report"]
@@ -231,27 +223,23 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     report = classify_avoidability(config, cfg.constants, points, cfg.profile, cfg.weight)
     vars(config).pop("index", None)  # the separation infimum was its last use
 
-    dec = decompose(cfg.domain, cfg.whitney_max_level)
+    n_cubes = sum(cube_counts(cfg.domain, cfg.whitney_max_level).values())
     empirical = {}
     traces = {}
     if config.n:
         inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
                                   config.centers, config.radii)
-        empirical["c2_cubes_per_ball"] = max_cubes_per_ball(inc)
-        empirical["C1_ratio_bound"] = bubble_cube_ratio_bound(inc, config, points)
-        qa = quasi_additivity_interval(inc, config, cfg.constants)
+        sums = whitney_sums(inc, config, points, cfg.constants, cfg.wiener_n_max)
+        empirical["c2_cubes_per_ball"] = sums.max_cubes_per_ball
+        empirical["C1_ratio_bound"] = sums.ratio_bound
+        qa = sums.quasi_additivity()
         empirical["quasi_additivity_interval"] = [qa[0], qa[1]]
-        results = [
-            (i, aikawa_sum(inc, config, z, cfg.constants),
-             wiener_dyadic_sum(inc, config, z, cfg.constants, cfg.wiener_n_max))
-            for i, z in enumerate(points)
-        ]
 
         with open(out / "wiener_trace.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["z_index", "shell_n", "term_lower", "term_upper",
                         "cum_lower", "cum_upper", "truncated"])
-            for i, _, wie in results:
+            for i, wie in enumerate(sums.wiener):
                 truncated = set(wie.truncated_shells.tolist())
                 # np.cumsum adds in order, so each cumulative bound is a running total
                 for sh, lo, hi, cum_lo, cum_hi in zip(
@@ -262,8 +250,8 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
                                 int(sh in truncated)])
         traces["aikawa_total"] = [
             {"z_index": i, "lower": aik.total[0], "upper": aik.total[1],
-             "n_cubes": int(aik.cube_ids.size), "warnings": aik.warnings}
-            for i, aik, _ in results
+             "n_cubes": aik.n_cubes, "warnings": aik.warnings}
+            for i, aik in enumerate(sums.aikawa)
         ]
 
     verdicts = {
@@ -276,9 +264,10 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
         ],
         "notes": report.notes,
         "whitney": {
-            "n_cubes": len(dec),
-            "max_level": dec.max_level,
-            "coverage_threshold": dec.coverage_threshold,
+            "n_cubes": n_cubes,
+            "max_level": cfg.whitney_max_level,
+            "coverage_threshold": coverage_threshold(cfg.domain.dimension,
+                                                     cfg.whitney_max_level),
         },
         "traces": traces,
     }

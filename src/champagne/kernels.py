@@ -7,6 +7,9 @@ of floats or of arrays.  With all comparison constants set to 1 (the default
 "comparison-function mode") the two bounds collapse to the comparison
 functions themselves, which is what every divergence classification actually
 consumes.
+
+Memory.  The powers go through Python floats _POW_BLOCK values at a time, so
+beside its result a call holds one block of them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ __all__ = [
     "capacity_ball_bounds",
     "small_radius_threshold",
 ]
+
+# values that _pow_each raises at a time through Python floats
+_POW_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,12 @@ def _pow_each(x, p: float) -> np.ndarray:
     """x**p element by element through the C library pow, as Python's float
     power computes it.  numpy's vectorized power can differ from it in the
     last bit, which would change the criteria outputs."""
-    return np.array([v ** p for v in np.asarray(x, dtype=float).tolist()], dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat, dst = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _POW_BLOCK):
+        dst[start:start + _POW_BLOCK] = [v ** p for v in flat[start:start + _POW_BLOCK].tolist()]
+    return out
 
 
 def capped_green_bounds(

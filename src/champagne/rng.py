@@ -1,10 +1,17 @@
 """Counter-based random streams and isotropic stable increment sampling.
 
-Every random number is a pure function of (seed, trajectory, step, slot), so
-trajectories are reproducible independently of batching, of how they are
-split between worker processes, and of evaluation order.  The generator is
-the SplitMix64 finalizer applied to a Weyl sequence, one independent key per
-trajectory.
+Every uniform is a pure function of (seed, trajectory, step, slot).  The
+generator is the SplitMix64 finalizer applied to a Weyl sequence, one
+independent key per trajectory.  The floats made from the uniforms also
+depend on numpy's SIMD dispatch: np.log and the power operator run numpy's
+own vectorised loops, chosen when numpy loads for the CPU's instruction
+sets, and these need not round like the C library.  On an AVX-512 host,
+np.log and np.power differ from it by one unit in the last place for about
+0.3 % and 5 % of uniform float64 inputs in (0, 1).  So on one host, with
+one numpy build, a draw is a function of (seed, trajectory, step, slot)
+alone, and trajectories are reproducible independently of batching, of how
+they are split between worker processes, and of evaluation order; another
+CPU or numpy build may change the last bits of a draw.
 
 Isotropic alpha-stable vectors are sampled by Gaussian subordination: a
 positive (alpha/2)-stable variable S (Kanter's method) times independent

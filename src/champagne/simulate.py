@@ -14,7 +14,8 @@ delta_D < boundary_eps biases p_hat downward; a running trajectory has
 delta >= boundary_eps, so its step is never 0.
 
 Randomness is counter-based per trajectory, so estimates are bitwise
-independent of batching.  The step never reads the bubbles, so nested
+independent of batching.  Bitwise on one host: the draws also depend on
+which of numpy's SIMD loops the CPU selects (see ``rng``).  The step never reads the bubbles, so nested
 configurations run with the same seed share each path until the larger one
 is hit; delta/R is scale-free, so a power-of-two dilation of the run dilates
 every trajectory exactly.  Trajectories run in lockstep, in passes of a
@@ -25,7 +26,8 @@ trajectory's outcome is its first hit or boundary step, and its work past
 that step is discarded.
 
 The counter streams also make every trajectory a function of its own id
-alone, so the ids can be split between processes without changing a bit.
+alone (and of the host's numpy loops), so the ids can be split between
+processes without changing a bit.
 ``estimate_hitting`` splits them into one contiguous block per CPU this
 process may use, runs block 0 itself and each other block in a worker
 forked after the ball index is built, and concatenates the blocks in id
@@ -148,7 +150,37 @@ def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
         keys = stream_keys(0x5CA1AB1E, np.arange(start, stop))
         xi = stable_vectors(alpha, d, keys, step=0, n_steps=1)
         norms[start:stop] = np.sqrt((xi * xi).sum(axis=1))
-    return float(np.median(norms, overwrite_input=True))
+    return _median(norms)
+
+
+# np.median and np.percentile give these values, but import numpy.ma on
+# first use (0.4 MiB of resident memory in every simulate process)
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a float array, which it reorders: the middle value, or
+    the mean of the two middle values; NaN if any value is NaN."""
+    n = a.size
+    h = n // 2
+    kth = [h - 1, h] if n % 2 == 0 else [h]
+    a.partition(kth + [-1])   # -1 brings a NaN, the largest, to the end
+    if np.isnan(a[-1]):
+        return float(a[-1])
+    return float((a[h - 1] + a[h]) / 2.0) if n % 2 == 0 else float(a[h])
+
+
+def _percentile(a: np.ndarray, q: float) -> float:
+    """np.percentile(a, q) of an integer array with numpy's default linear
+    method: the value at the virtual index (n - 1) * q / 100 of the sorted
+    array, interpolated between its neighbours as numpy's _lerp does."""
+    n = a.size
+    at = (n - 1) * (q / 100)
+    lo = min(math.floor(at), n - 1)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(a, [lo, hi])
+    below, above = part[lo], part[hi]
+    t = at - lo
+    diff = above - below
+    return float(above - diff * (1 - t)) if t >= 0.5 else float(below + diff * t)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +205,9 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     per trajectory (tags, steps, bubbles, finals, killed, suppressed):
     ``killed`` is the first suppressed-proposal step (``max_steps`` if none),
     ``suppressed`` the number of suppressed proposals.  x0 must lie in D
-    outside every bubble; ``estimate_hitting`` checks it.
+    outside every bubble; ``estimate_hitting`` checks it.  Raises
+    FloatingPointError as soon as a pass draws a non-finite increment, which
+    Kanter's sampler gives for alpha near 2 (about 1.5 % of rows at 1.99).
     """
     domain = config.domain
     d = domain.dimension
@@ -207,6 +241,11 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         m = live.size
         k = min(max(1, _BLOCK_DRAWS // m), params.max_steps - step)
         xi = stable_vectors(alpha, d, keys, step, k)
+        if not np.isfinite(xi).all():
+            # such a proposal would fail norm < R and pass for a suppressed one
+            raise FloatingPointError(
+                f"alpha={alpha}: a stable increment drawn for steps {step}..{step + k - 1} "
+                "is not finite, so the estimate would be biased")
         # the block's path: positions, moves and boundary steps, (k, m) per step
         path = np.empty((k, m, d))
         moved = np.empty((k, m), dtype=bool)
@@ -284,7 +323,7 @@ def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles,
     out = {"suppressed_fraction": int(suppressed.sum()) / proposals,
            "hits_per_shell": None, "shells_below_boundary_eps": None}
     for q in (50, 90, 99):
-        out[f"steps_p{q}"] = float(np.percentile(steps, q))
+        out[f"steps_p{q}"] = _percentile(steps, q)
     if config.shell_ids is not None and config.n:
         sid, n_shells = config.shell_ids, int(config.shell_ids.max()) + 1
         out["hits_per_shell"] = np.bincount(sid[bubbles[tags == HIT]], minlength=n_shells).tolist()
@@ -375,8 +414,9 @@ def estimate_hitting(
     split into one contiguous block of trajectory ids per CPU that this
     process may use: block 0 runs in this process, each other block in a
     forked worker, each block as one lockstep batch.  A trajectory consumes
-    only its own counter stream, so it is a function of its id alone, and the
-    estimate and outcomes are identical for any number of workers.
+    only its own counter stream, so on a given host it is a function of its
+    id alone, and the estimate and outcomes are identical for any number of
+    workers.
     x0 is checked, the ball index built and the stable-norm constant drawn
     before forking, so workers inherit them.  Timeouts are reported
     separately and never counted as hits.

@@ -20,21 +20,33 @@ Refinement stops at ``max_level``; the uncovered boundary collar
 {delta_D < 5*sqrt(d)*2**-max_level} is explicit, and criteria built on top
 must treat it via tail estimates.
 
-:func:`decompose` lists every cube, for the CSV export.
-:func:`ball_cube_incidence` lists, for a whole family of balls at once, every
-(ball, cube) pair where the closed ball meets the closed cube box, sorted by
-ball and then by cube.  It numbers its cubes by rank in (level,
-lexicographic index) order, the order :func:`decompose` lists them in.
-Balls with no pair lie in the collar.  The criteria sums over one
-configuration all share that one incidence; :func:`intersecting_cubes` is
-the per-ball reference it is tested against.
+:func:`decompose` lists every cube, for the CSV export, and
+:func:`cube_counts` counts them per level.  Both walk the dyadic tree depth
+first.  :func:`ball_cube_incidence` describes, for a whole family of balls
+at once, every (ball, cube) pair where the closed ball meets the closed
+cube box; :meth:`CubeIncidence.levels` lists those pairs one level at a
+time, coarsest first, sorted by ball and then by cube, so that a caller
+can consume each level and drop it before the next is built.  A level
+ranks its cubes in lexicographic index order; numbering the cubes of
+successive levels one after the other gives the (level, lexicographic
+index) order that :func:`decompose` lists them in.  Balls with no pair lie
+in the collar.  :func:`intersecting_cubes` is the per-ball reference the
+incidence is tested against.
+
+Memory.  :func:`cube_counts` keeps only counts, and the incidence never
+holds more than one level's pairs.  The walk tests _CANDIDATE_CHUNK boxes at a time and keeps, per level of its depth,
+the children of one batch, at most 2^d * _CANDIDATE_CHUNK boxes.  The
+incidence computes the candidate windows of _BALL_BLOCK balls at a time
+and expands _CANDIDATE_CHUNK candidate boxes at a time; what it holds
+beyond one batch is the pairs of the level being built.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,19 +55,21 @@ from .geometry import BallDomain
 __all__ = [
     "WhitneyDecomposition",
     "CubeIncidence",
+    "LevelPairs",
     "whitney",
     "decompose",
+    "cube_counts",
     "intersecting_cubes",
     "ball_cube_incidence",
     "coverage_threshold",
-    "max_cubes_per_ball",
-    "bubble_cube_ratio_bound",
 ]
 
 # enumeration guard for degenerate queries
 _MAX_CANDIDATES_PER_LEVEL = 4_000_000
-# candidate boxes per batch in ball_cube_incidence (bounds its memory)
-_CANDIDATE_CHUNK = 1 << 17
+# candidate boxes tested at a time, by the walk and by the incidence
+_CANDIDATE_CHUNK = 1 << 12
+# balls whose candidate windows the incidence computes at a time
+_BALL_BLOCK = 1 << 13
 
 
 def coverage_threshold(dimension: int, max_level: int) -> float:
@@ -175,13 +189,14 @@ def _box_range(kmin: np.ndarray, kmax: np.ndarray) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
-    """Every Whitney cube down to dyadic level ``max_level``.
+def _walk(domain: BallDomain, max_level: int):
+    """Every Whitney cube down to dyadic level ``max_level``, as batches
+    (level, indices, dists) in depth-first order.
 
     Descends the dyadic tree from :func:`_top_level`, keeping the boxes that
-    :func:`whitney` accepts and refining the others that meet the ball.
-    Every emitted cube satisfies diam <= dist(Q, boundary) <= 4*diam.
-    Raises if no cube fits.
+    :func:`whitney` accepts and refining the others that meet the ball, one
+    batch of at most _CANDIDATE_CHUNK boxes at a time.  Every emitted cube
+    satisfies diam <= dist(Q, boundary) <= 4*diam.  Raises if no cube fits.
     """
     if max_level < 2:
         raise ValueError("max_level must be >= 2")
@@ -193,36 +208,60 @@ def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
     offsets = _box_range(np.zeros(d, dtype=np.int64), np.ones(d, dtype=np.int64))
     top = _top_level(domain)
     side = 2.0 ** (-top)
-    cand = _box_range(np.floor((c - R) / side).astype(np.int64),
-                      np.floor((c + R) / side).astype(np.int64))
-
-    level_idx, level_dist = {}, {}
-    for level in range(top, max_level + 1):
-        if cand.shape[0] == 0:
-            break
+    stack = [(top, _box_range(np.floor((c - R) / side).astype(np.int64),
+                              np.floor((c + R) / side).astype(np.int64)))]
+    if top > max_level:
+        stack = []
+    found = False
+    while stack:
+        level, cand = stack.pop()
         side = 2.0 ** (-level)
         member, dist = whitney(domain, level, cand)
         if member.any():
-            emitted = cand[member]
-            order = np.lexsort(emitted.T[::-1])
-            level_idx[level] = emitted[order]
-            level_dist[level] = dist[member][order]
+            dist = dist[member]
             # classical upper bound, guaranteed by maximality
-            if not np.all(level_dist[level] <= 4.0 * side * sqd):
+            if not np.all(dist <= 4.0 * side * sqd):
                 raise RuntimeError("Whitney upper bound dist <= 4*diam violated")
+            found = True
+            yield level, cand[member], dist
         if level == max_level:
-            break
+            continue
         # a candidate's parent failed ok, so a candidate that is not a
         # Whitney cube fails ok too: refine it where it meets the ball
         rest = cand[~member]
         children = rest[_meets(rest, side, c, R)]
-        cand = (children[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, d)
-
-    if not level_idx:
+        children = (children[:, None, :] * 2 + offsets[None, :, :]).reshape(-1, d)
+        stack.extend((level + 1, children[i:i + _CANDIDATE_CHUNK])
+                     for i in range(0, children.shape[0], _CANDIDATE_CHUNK))
+    if not found:
         raise ValueError(
             f"max_level={max_level} too small: no dyadic cube fits inside the domain"
         )
+
+
+def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
+    """Every Whitney cube down to dyadic level ``max_level``, each level in
+    lexicographic index order.  Raises if no cube fits."""
+    batches = {}
+    for level, idx, dist in _walk(domain, max_level):
+        batches.setdefault(level, []).append((idx, dist))
+    level_idx, level_dist = {}, {}
+    for level in sorted(batches):
+        idx = np.concatenate([b[0] for b in batches[level]])
+        order = np.lexsort(idx.T[::-1])
+        level_idx[level] = idx[order]
+        level_dist[level] = np.concatenate([b[1] for b in batches[level]])[order]
     return WhitneyDecomposition(domain, max_level, level_idx, level_dist)
+
+
+def cube_counts(domain: BallDomain, max_level: int) -> dict:
+    """How many Whitney cubes each level down to ``max_level`` has, for the
+    levels that have any, without holding the cubes.  Raises if no cube
+    fits."""
+    counts = {}
+    for level, idx, _ in _walk(domain, max_level):
+        counts[level] = counts.get(level, 0) + idx.shape[0]
+    return dict(sorted(counts.items()))
 
 
 def _candidate_window(dimension: int, delta, r):
@@ -232,10 +271,15 @@ def _candidate_window(dimension: int, delta, r):
     return (delta - r) / (10.0 * sqd), 2.0 * (delta + r) / sqd
 
 
+def _delta(domain: BallDomain, x: np.ndarray) -> np.ndarray:
+    """delta_D of each center."""
+    return domain.radius - np.sqrt(((x - domain.center) ** 2).sum(axis=-1))
+
+
 def _check_balls(domain: BallDomain, x: np.ndarray, r) -> np.ndarray:
     """delta_D of each center; raises unless 0 < r < delta_D/2."""
     domain._check_dim(x)
-    delta = domain.radius - np.sqrt(((x - domain.center) ** 2).sum(axis=-1))
+    delta = _delta(domain, x)
     if not np.all(r > 0):
         raise ValueError("ball radius must be > 0")
     if not np.all(r < delta / 2):
@@ -268,94 +312,93 @@ def intersecting_cubes(domain: BallDomain, max_level: int, center, radius: float
     return np.concatenate(found)
 
 
+class LevelPairs(NamedTuple):
+    """One level's (ball, cube) pairs, sorted by ball and then by cube."""
+
+    level: int
+    ball: np.ndarray    # (m,) int64 ball index per pair
+    cube: np.ndarray    # (m,) int64 per pair: its cube's rank among this level's cubes
+    index: np.ndarray   # (k, d) int64 the level's cubes that meet some ball, lexsorted
+    dist: np.ndarray    # (k,) float64 dist(Q, boundary) per cube
+
+
 @dataclass(frozen=True, eq=False)
 class CubeIncidence:
     """Every (ball, cube) pair of a ball family where the closed ball meets
-    the closed box of a Whitney cube of ``domain`` down to ``max_level``,
-    sorted by ball and then by cube.
+    the closed box of a Whitney cube of ``domain`` down to ``max_level``.
 
-    The cubes are those that meet some ball, numbered by rank in (level,
-    lexicographic index) order; the per-cube arrays follow that order.
-    Balls with no pair lie in the uncovered boundary collar.  Built once per
-    configuration by :func:`ball_cube_incidence` and shared by every
-    criteria sum over it.
+    The pairs are not stored: :meth:`levels` builds them one level at a
+    time.  The balls are checked by :func:`ball_cube_incidence`, which
+    makes the incidence; ``centers`` and ``radii`` are read, never copied.
     """
 
     domain: BallDomain
     max_level: int
-    n_balls: int
-    ball: np.ndarray            # (m,) int64 ball index
-    cube: np.ndarray            # (m,) int64 cube number
-    level: np.ndarray           # (n,) int64 per cube
-    index: np.ndarray           # (n, d) int64 per cube
-    dist_boundary: np.ndarray   # (n,) float64 per cube
-    # values that users derive from the pairs once and reuse, by their own keys
-    derived: dict = field(default_factory=dict, repr=False)
+    centers: np.ndarray   # (n, d)
+    radii: np.ndarray     # (n,)
+
+    @property
+    def n_balls(self) -> int:
+        return int(self.radii.shape[0])
 
     @property
     def coverage_threshold(self) -> float:
         return coverage_threshold(self.domain.dimension, self.max_level)
 
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corners lo, hi (n, d) of each cube's closed box."""
-        side = np.ldexp(1.0, -self.level)[:, None]
-        lo = self.index * side
-        return lo, lo + side
+    def levels(self) -> Iterator[LevelPairs]:
+        """The pairs of each level that has any, coarsest level first.
 
-    def cubes_per_ball(self) -> np.ndarray:
-        return np.bincount(self.ball, minlength=self.n_balls)
+        Equals a loop of :func:`intersecting_cubes` over the balls, split by
+        level: each ball whose candidate window includes the level has its
+        box range expanded, tested with :func:`whitney` and kept where the
+        nearest point of the box lies in the ball.
+        """
+        for lev in range(_top_level(self.domain), self.max_level + 1):
+            pairs = self._level(lev)
+            if pairs is not None:
+                yield pairs
+                del pairs   # the caller's reference is then the last
 
-    def uncovered(self) -> np.ndarray:
-        """Balls that meet no cube (they lie in the collar), ascending."""
-        return np.flatnonzero(self.cubes_per_ball() == 0)
-
-
-def _distinct_rows(idx: np.ndarray):
-    """The distinct rows of idx in lexicographic order, the position of the
-    first occurrence of each, and the rank of every row among them."""
-    order = np.lexsort(idx.T[::-1])
-    rows = idx[order]
-    new = np.ones(rows.shape[0], dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rank = np.empty(rows.shape[0], dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rows[new], order[new], rank
-
-
-def ball_cube_incidence(domain: BallDomain, max_level: int, centers, radii) -> CubeIncidence:
-    """All (ball, cube) pairs where a closed ball meets the closed box of a
-    Whitney cube down to ``max_level``.
-
-    Equals a loop of :func:`intersecting_cubes` over the balls, with the same
-    checks, but runs level by level over all balls at once: each ball whose
-    candidate window includes the level has its box range expanded, tested
-    with :func:`whitney` and kept where the nearest point of the box lies in
-    the ball.
-    """
-    x = np.asarray(centers, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    d = domain.dimension
-    if r.size:
-        delta = _check_balls(domain, x, r)
-    else:
-        x, delta = np.empty((0, d)), np.empty(0)
-    lo_side, hi_side = _candidate_window(d, delta, r)
-    balls, cubes, levels, index, dists = [], [], [], [], []
-    n_cubes = 0
-    for lev in range(_top_level(domain), max_level + 1):
+    def _level(self, lev: int) -> LevelPairs | None:
+        """The pairs of level ``lev``, or None if it has none."""
+        grid = _LevelGrid(self.domain, lev)
+        parts = [part for start in range(0, self.n_balls, _BALL_BLOCK)
+                 for part in self._expand(lev, start, grid)]
+        if not parts:
+            return None
+        balls, keys = zip(*parts)
+        del parts
+        keys, rank = _distinct(np.concatenate(keys))
+        index = grid.index(keys)
+        del keys
         side = 2.0 ** (-lev)
+        dist = np.empty(index.shape[0])
+        for start in range(0, dist.size, _CANDIDATE_CHUNK):
+            block = index[start:start + _CANDIDATE_CHUNK]
+            dist[start:start + _CANDIDATE_CHUNK] = (
+                self.domain.radius - _max_dist(block, side, self.domain.center))
+        return LevelPairs(lev, np.concatenate(balls), rank, index, dist)
+
+    def _expand(self, lev: int, start: int, grid: "_LevelGrid"):
+        """The pairs at level ``lev`` of the balls start..start+_BALL_BLOCK-1,
+        as (balls, cube keys) batches in ball order, each ball's cubes in
+        lexicographic order."""
+        d = self.domain.dimension
+        side = 2.0 ** (-lev)
+        x = self.centers[start:start + _BALL_BLOCK]
+        r = self.radii[start:start + _BALL_BLOCK]
+        lo_side, hi_side = _candidate_window(d, _delta(self.domain, x), r)
         sel = np.flatnonzero((lo_side <= side) & (side <= hi_side))
         if sel.size == 0:
-            continue
+            return
         kmin = np.floor((x[sel] - r[sel, None]) / side).astype(np.int64)
         dims = np.floor((x[sel] + r[sel, None]) / side).astype(np.int64) - kmin + 1
         counts = dims.prod(axis=1)
         if counts.max() > _MAX_CANDIDATES_PER_LEVEL:
             raise RuntimeError("candidate enumeration unexpectedly large")
         step = max(1, _CANDIDATE_CHUNK // int(counts.max()))
-        lev_balls, lev_boxes, lev_dists = [], [], []
-        for start in range(0, sel.size, step):
-            part = slice(start, min(start + step, sel.size))
+        for lo in range(0, sel.size, step):
+            part = slice(lo, min(lo + step, sel.size))
             owner = np.repeat(np.arange(part.start, part.stop), counts[part])
             offset = np.arange(owner.size) - np.repeat(
                 np.cumsum(counts[part]) - counts[part], counts[part])
@@ -363,58 +406,65 @@ def ball_cube_incidence(domain: BallDomain, max_level: int, centers, radii) -> C
             for j in reversed(range(d)):   # C order, as meshgrid(indexing="ij")
                 boxes[:, j] = kmin[owner, j] + offset % dims[owner, j]
                 offset //= dims[owner, j]
-            member, dist = whitney(domain, lev, boxes)
-            owner, boxes, dist = sel[owner[member]], boxes[member], dist[member]
+            member = whitney(self.domain, lev, boxes)[0]
+            owner, boxes = sel[owner[member]], boxes[member]
             meets = _meets(boxes, side, x[owner], r[owner])
-            lev_balls.append(owner[meets])
-            lev_boxes.append(boxes[meets])
-            lev_dists.append(dist[meets])
-        rows, first, rank = _distinct_rows(np.concatenate(lev_boxes))
-        balls.extend(lev_balls)
-        cubes.append(n_cubes + rank)
-        levels.append(np.full(rows.shape[0], lev, dtype=np.int64))
-        index.append(rows)
-        dists.append(np.concatenate(lev_dists)[first])
-        n_cubes += rows.shape[0]
-    empty = np.empty(0, dtype=np.int64)
-    ball = np.concatenate([empty, *balls])
-    cube = np.concatenate([empty, *cubes])
-    order = np.lexsort((cube, ball))
-    return CubeIncidence(
-        domain, int(max_level), int(r.size), ball[order], cube[order],
-        np.concatenate([empty, *levels]),
-        np.concatenate([np.empty((0, d), dtype=np.int64), *index]),
-        np.concatenate([np.empty(0), *dists]),
-    )
+            if meets.any():
+                yield start + owner[meets], grid.keys(boxes[meets])
 
 
-def max_cubes_per_ball(inc: CubeIncidence) -> int:
-    """Empirical bound on how many cubes one bubble can meet (c2 report)."""
-    return int(inc.cubes_per_ball().max(initial=0))
+def _distinct(keys: np.ndarray):
+    """The distinct values of keys in increasing order, and the rank of
+    every key among them (np.unique holds several times more memory)."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    rank = np.empty(order.size, dtype=np.int64)
+    new = np.cumsum(new)
+    new -= 1
+    rank[order] = new
+    return keys, rank
 
 
-def bubble_cube_ratio_bound(inc: CubeIncidence, config, boundary_points) -> float:
-    """Empirical two-sided comparison constant for bubble/cube geometry.
+class _LevelGrid:
+    """Integer keys of the boxes of one level that lie in the domain's
+    bounding box, increasing in lexicographic index order."""
 
-    For every bubble meeting a cube, measures dist(Q, boundary)/delta_D(x_k)
-    and, over the given boundary points z, dist(z, Q)/|x_k - z|; returns the
-    smallest C >= 1 with all ratios in [1/C, C].  ``inc`` is the incidence
-    of ``config``.
-    """
-    z = np.asarray(boundary_points, dtype=float)
-    if inc.ball.size == 0:
-        return 1.0
-    dom = inc.domain
-    lo, hi = inc.boxes()
-    lo, hi, dist = lo[inc.cube], hi[inc.cube], inc.dist_boundary[inc.cube]
-    centers = config.centers[inc.ball]
-    delta = dom.radius - np.sqrt(((centers - dom.center) ** 2).sum(axis=1))
-    r1 = dist / delta
-    worst = max(1.0, float(r1.max()), float((1.0 / r1).max()))
-    for zj in z:   # one boundary point at a time keeps the arrays pairs x d
-        dist_z_center = np.sqrt(((zj - centers) ** 2).sum(axis=1))
-        nearest = np.clip(zj, lo, hi)
-        dist_z_cube = np.sqrt(((zj - nearest) ** 2).sum(axis=1))
-        r2 = dist_z_cube / dist_z_center
-        worst = max(worst, float(r2.max()), float((1.0 / r2).max()))
-    return worst
+    def __init__(self, domain: BallDomain, level: int):
+        side = 2.0 ** (-level)
+        self.origin = np.floor((domain.center - domain.radius) / side).astype(np.int64)
+        self.shape = np.floor((domain.center + domain.radius) / side).astype(np.int64) \
+            - self.origin + 1
+        if math.prod(self.shape.tolist()) >= 2**63:
+            raise RuntimeError(f"level {level} is too fine for int64 cube keys")
+
+    def keys(self, idx: np.ndarray) -> np.ndarray:
+        key = idx[:, 0] - self.origin[0]
+        for j in range(1, idx.shape[1]):
+            key *= self.shape[j]
+            key += idx[:, j] - self.origin[j]
+        return key
+
+    def index(self, keys: np.ndarray) -> np.ndarray:
+        idx = np.empty((keys.size, self.shape.size), dtype=np.int64)
+        rest = keys.copy()
+        for j in reversed(range(self.shape.size)):
+            idx[:, j] = rest % self.shape[j] + self.origin[j]
+            rest //= self.shape[j]
+        return idx
+
+
+def ball_cube_incidence(domain: BallDomain, max_level: int, centers, radii) -> CubeIncidence:
+    """The incidence of the balls (centers, radii) with the Whitney cubes of
+    ``domain`` down to ``max_level``, after the checks of
+    :func:`intersecting_cubes` on every ball, _BALL_BLOCK balls at a time."""
+    x = np.asarray(centers, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    if r.size == 0:
+        x = np.empty((0, domain.dimension))
+    for start in range(0, r.size, _BALL_BLOCK):
+        _check_balls(domain, x[start:start + _BALL_BLOCK], r[start:start + _BALL_BLOCK])
+    return CubeIncidence(domain, int(max_level), x, r)

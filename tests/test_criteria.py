@@ -16,10 +16,12 @@ from champagne.bubbles import (
     generate_shell_config,
     separation_infimum,
 )
+import incidence_oracle as oracle
+from champagne import criteria, kernels, whitney as whitney_module
 from champagne.criteria import (
     DivergenceVerdict,
     Verdict,
-    _cap_bounds,
+    _add_cap_bounds,
     _classify_exponents,
     _tail_exponents,
     aikawa_sum,
@@ -28,6 +30,7 @@ from champagne.criteria import (
     classify_shell_series,
     quasi_additivity_interval,
     uniform_boundary_grid,
+    whitney_sums,
     wiener_dyadic_sum,
 )
 from champagne.geometry import BallDomain
@@ -215,8 +218,6 @@ def test_aikawa_empty_config(disk, c15):
 
 
 def test_aikawa_single_bubble_hand_bound(disk, c15):
-    from champagne.whitney import bubble_cube_ratio_bound
-
     # center the bubble inside a cube so the lower envelope is positive
     x = np.array([0.53, 0.01])
     level = next(lev for lev in range(8) if whitney(
@@ -227,7 +228,7 @@ def test_aikawa_single_bubble_hand_bound(disk, c15):
     trace = aikawa_sum(_inc(7, cfg), cfg, z, c15)
     assert trace.total[0] > 0.0
     c2 = intersecting_cubes(disk, 7, cfg.centers[0], 0.01).shape[0]
-    C1 = bubble_cube_ratio_bound(_inc(7, cfg), cfg, z[None, :])
+    C1 = whitney_sums(_inc(7, cfg), cfg, z[None, :], c15).ratio_bound
     alpha, d = 1.5, 2
     delta = float(cfg.deltas[0])
     dist = float(np.sqrt(((center - z) ** 2).sum()))
@@ -299,8 +300,7 @@ def test_wiener_matches_aikawa_within_constant(disk, c15):
 
 
 def _cap_bounds_by_dict(pos, lower, upper):
-    """Reference for _cap_bounds: a dict filled pair by pair, whose keys keep
-    the order of first appearance."""
+    """Reference for the Cap(A ∩ Q) bounds: a dict filled pair by pair."""
     caps = {}
     for p, lo, up in zip(pos.tolist(), lower.tolist(), upper.tolist()):
         caps[p] = (max(caps[p][0], lo), caps[p][1] + up) if p in caps else (lo, up)
@@ -315,11 +315,16 @@ def test_cap_bounds_match_a_dict_filled_pair_by_pair():
         # magnitudes over eight decades, so that the order of addition shows
         upper = 10.0 ** rng.uniform(-8.0, 0.0, n)
         lower = np.where(rng.uniform(size=n) < 0.3, 0.0, upper * rng.uniform(0.0, 2.0, n))
-        got_pos, got_lower, got_upper = _cap_bounds(pos, lower, upper)
+        # the pairs come in blocks, as a level's do
+        cap_lower, cap_upper = np.zeros(15), np.zeros(15)
+        cuts = np.sort(rng.integers(0, n + 1, 3))
+        for b in np.split(np.arange(n), cuts):
+            _add_cap_bounds(cap_lower, cap_upper, pos[b], lower[b], upper[b])
+        np.minimum(cap_lower, cap_upper, out=cap_lower)
         want = _cap_bounds_by_dict(pos, lower, upper)
-        assert got_pos.tolist() == list(want)
-        assert got_upper.tolist() == [up for _, up in want.values()]
-        assert got_lower.tolist() == [min(lo, up) for lo, up in want.values()]
+        assert sorted(want) == np.flatnonzero(np.bincount(pos, minlength=15)).tolist()
+        assert [cap_upper[p] for p in want] == [up for _, up in want.values()]
+        assert [cap_lower[p] for p in want] == [min(lo, up) for lo, up in want.values()]
 
 
 def _aikawa_terms_per_cube(max_level, cfg, z, consts):
@@ -356,11 +361,105 @@ def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk):
     consts = Constants(alpha=1.3, C=2.0)
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=5)
     z = np.array([0.6, -0.8])
-    trace = aikawa_sum(_inc(7, cfg), cfg, z, consts)
     expected = _aikawa_terms_per_cube(7, cfg, z, consts)
-    assert list(zip(trace.term_lower.tolist(), trace.term_upper.tolist())) == expected
+    # the in-memory oracle's terms, cube by cube, and the streamed total
+    terms = oracle.aikawa_sum(oracle.ball_cube_incidence(disk, 7, cfg.centers, cfg.radii),
+                              cfg, z, consts)
+    assert list(zip(terms.term_lower.tolist(), terms.term_upper.tolist())) == expected
+    trace = aikawa_sum(_inc(7, cfg), cfg, z, consts)
     assert trace.cube_ids.tolist() == list(range(len(expected)))
     assert trace.total == tuple(map(sum, zip(*expected)))
+
+
+def _oracle_sums(max_level, cfg, points, consts, n_max):
+    inc = oracle.ball_cube_incidence(cfg.domain, max_level, cfg.centers, cfg.radii)
+    return (
+        [oracle.aikawa_sum(inc, cfg, z, consts) for z in points],
+        [oracle.wiener_dyadic_sum(inc, cfg, z, consts, n_max) for z in points],
+        oracle.quasi_additivity_interval(inc, cfg, consts),
+        oracle.max_cubes_per_ball(inc),
+        oracle.bubble_cube_ratio_bound(inc, cfg, points),
+    )
+
+
+def _assert_sums_equal(sums, want):
+    aikawa, wiener, qa, c2, c1 = want
+    for got, ref in zip(sums.aikawa, aikawa, strict=True):
+        assert got.total == ref.total
+        assert got.n_cubes == ref.cube_ids.size
+        assert np.array_equal(got.uncovered_bubbles, ref.uncovered_bubbles)
+        assert got.warnings == ref.warnings
+    for got, ref in zip(sums.wiener, wiener, strict=True):
+        assert got.shells.tolist() == ref.shells.tolist()
+        assert got.term_lower.tolist() == ref.term_lower.tolist()
+        assert got.term_upper.tolist() == ref.term_upper.tolist()
+        assert got.total == ref.total
+        assert got.truncated_shells.tolist() == ref.truncated_shells.tolist()
+    assert sums.quasi_additivity() == qa
+    assert sums.max_cubes_per_ball == c2
+    assert sums.ratio_bound == c1
+
+
+# W2 (the unit disk, 6 shells) and a d=3 family with 3 shells, 5 and 8
+# boundary points: the streamed sums must equal the in-memory oracle bit for bit
+STREAM_CASES = [
+    (2, ConstantProfile(0.1), 6, 35, 8, 1.5, 8),
+    (3, ConstantProfile(0.3), 3, 35, 6, 1.5, 5),
+]
+
+
+@pytest.mark.parametrize("d,phi,shells,seed,max_level,alpha,grid", STREAM_CASES,
+                         ids=["w2", "d3-3-shells"])
+def test_streamed_sums_equal_the_in_memory_oracle(d, phi, shells, seed, max_level, alpha, grid):
+    domain = BallDomain(np.zeros(d), 1.0)
+    cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
+    consts = Constants(alpha=alpha, C=2.0)
+    points = uniform_boundary_grid(domain, grid)
+    sums = whitney_sums(_inc(max_level, cfg), cfg, points, consts, n_max=24)
+    assert sum(s.shells.size for s in sums.wiener) > grid
+    assert 0 < sums.aikawa[0].uncovered_bubbles.size < cfg.n
+    _assert_sums_equal(sums, _oracle_sums(max_level, cfg, points, consts, 24))
+
+
+# smaller grids and a coarser d=3 family: with blocks of 97 rows every
+# pass still runs over many blocks
+BLOCK_CASES = [
+    (2, ConstantProfile(0.1), 6, 35, 8, 1.5, 4),
+    (3, ConstantProfile(0.3), 3, 35, 5, 1.5, 3),
+]
+
+
+def _block_case_results(d, phi, shells, seed, max_level, alpha, grid):
+    domain = BallDomain(np.zeros(d), 1.0)
+    cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
+    consts = Constants(alpha=alpha, C=2.0)
+    points = uniform_boundary_grid(domain, grid)
+    sums = whitney_sums(_inc(max_level, cfg), cfg, points, consts, n_max=24)
+    report = classify_avoidability(cfg, consts, points, phi)
+    return sums, report.per_z_totals.tolist(), whitney_module.cube_counts(domain, max_level)
+
+
+@pytest.fixture(scope="module")
+def default_block_results():
+    return [_block_case_results(*case) for case in BLOCK_CASES]
+
+
+@pytest.mark.parametrize("module,name", [
+    (criteria, "_ROW_BLOCK"),
+    (whitney_module, "_BALL_BLOCK"),
+    (whitney_module, "_CANDIDATE_CHUNK"),
+    (kernels, "_POW_BLOCK"),
+])
+def test_block_sizes_change_no_result(module, name, monkeypatch, default_block_results):
+    # every pass over bubbles, pairs, cubes, candidate boxes or powers, cut
+    # into blocks of 97 rows, gives the same floats
+    monkeypatch.setattr(module, name, 97)
+    for case, (want, want_totals, want_counts) in zip(BLOCK_CASES, default_block_results):
+        sums, totals, counts = _block_case_results(*case)
+        assert totals == want_totals
+        assert counts == want_counts
+        _assert_sums_equal(sums, (want.aikawa, want.wiener, want.quasi_additivity(),
+                                  want.max_cubes_per_ball, want.ratio_bound))
 
 
 def test_quasi_additivity_interval_finite_and_ordered(disk, c15):

@@ -130,6 +130,36 @@ def test_stage_start_up_holds_little_beyond_what_it_keeps():
     assert median_peak - after < 1.5 * MiB
 
 
+def test_criteria_sums_hold_little_beyond_the_configuration():
+    # The Whitney half of the criteria stage on W2 at the benchmark's
+    # max_level 8: cube counts, the incidence and every sum at 4 grid points.
+    # It holds one level's pairs, blocks of rows, one count per bubble and
+    # the ids of the 52,013 bubbles below the collar (1.6 MiB by tracemalloc);
+    # holding the whole incidence and passing over it once per point took 5.2.
+    def sums(obj):
+        cfg = RunConfig.from_json(obj)
+        config = harness._build_config(cfg)
+        points = criteria.uniform_boundary_grid(cfg.domain, cfg.grid_size)
+        tracemalloc.start()
+        try:
+            counts = whitney.cube_counts(cfg.domain, cfg.whitney_max_level)
+            inc = whitney.ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
+                                              config.centers, config.radii)
+            out = criteria.whitney_sums(inc, config, points, cfg.constants, cfg.wiener_n_max)
+            out.quasi_additivity()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return config, counts, out, peak
+
+    sums(SMALL)  # first-use imports and caches
+    config, counts, out, peak = sums({**W2, "whitney": {"max_level": 8}})
+    assert config.n == 54_743
+    assert sum(counts.values()) == 6_324
+    assert out.aikawa[0].uncovered_bubbles.size == 52_013
+    assert peak < 2.5 * MiB
+
+
 def test_main_returns_0_on_a_valid_run(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
@@ -255,7 +285,10 @@ def test_run_config_json_round_trip():
 def test_no_subcommand_loads_scipy(tmp_path):
     # every CLI child imports the harness, and none of generate, simulate
     # and criteria needs scipy, so loading it would cost each its import
-    # time; importing scipy.spatial afterwards shows that the check can fail
+    # time; nor numpy.ma, which np.median, np.percentile and a plain
+    # np.unique import on first use (0.4 MiB of resident memory); loading
+    # scipy.spatial, which imports both, afterwards shows that the check can
+    # fail
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     obj = {**SMALL, "sim": {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200,
@@ -265,18 +298,19 @@ def test_no_subcommand_loads_scipy(tmp_path):
         "from pathlib import Path\n"
         "from champagne import harness\n"
         "cfg, out = harness.RunConfig.from_json(json.loads(sys.argv[1])), Path(sys.argv[2])\n"
-        "def scipy_loaded():\n"
-        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-        "seen = [scipy_loaded()]\n"
+        "def loaded():\n"
+        "    return (any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
+        "            'numpy.ma' in sys.modules)\n"
+        "seen = [loaded()]\n"
         "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_criteria):\n"
         "    cmd(cfg, out)\n"
-        "    seen.append(scipy_loaded())\n"
+        "    seen.append(loaded())\n"
         "import scipy.spatial\n"
-        "print(seen, scipy_loaded())\n"
+        "print(seen, loaded())\n"
     )
     out = subprocess.run([sys.executable, "-c", code, json.dumps(obj), str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[False, False, False, False] True"
+    assert out.stdout.strip() == "[" + ", ".join(["(False, False)"] * 4) + "] (True, True)"
 
 
 def test_the_cli_runs_with_scipy_blocked(tmp_path):

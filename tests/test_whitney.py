@@ -9,9 +9,9 @@ from champagne.geometry import BallDomain, dist_to_boundary
 from champagne.whitney import (
     ball_cube_incidence,
     coverage_threshold,
+    cube_counts,
     decompose,
     intersecting_cubes,
-    max_cubes_per_ball,
     whitney as is_whitney,
 )
 
@@ -149,6 +149,8 @@ def test_closed_form_membership_gives_exactly_the_decomposition(dim, radius, max
             assert np.array_equal(dist[brute], dec.level_dists(level))
         else:
             assert not brute.any()
+    assert cube_counts(domain, max_level) == {
+        lev: dec.level_indices(lev).shape[0] for lev in dec.levels}
 
 
 def test_coverage_invariant(disk):
@@ -244,9 +246,15 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
 
 
 def _pairs(inc):
-    """The incidence's pairs as (ball, (level, k_1..k_d))."""
-    rows = np.column_stack([inc.level, inc.index])[inc.cube]
-    return list(zip(inc.ball.tolist(), map(tuple, rows.tolist())))
+    """The incidence's pairs as (ball, (level, k_1..k_d)), sorted by ball and
+    then by cube, after checking that each level lists its own pairs sorted
+    by ball and then by cube."""
+    pairs = []
+    for lv in inc.levels():
+        assert np.array_equal(np.lexsort((lv.cube, lv.ball)), np.arange(lv.ball.size))
+        rows = np.column_stack([np.full(lv.index.shape[0], lv.level), lv.index])[lv.cube]
+        pairs.extend(zip(lv.ball.tolist(), map(tuple, rows.tolist())))
+    return sorted(pairs)
 
 
 def _per_ball_pairs(domain, max_level, centers, radii):
@@ -263,33 +271,32 @@ def test_ball_cube_incidence_matches_per_ball_loop(dim, level, shells, monkeypat
     assert inc.n_balls == config.n
     assert _pairs(inc) == expected
     covered = {k for k, _ in expected}
-    assert inc.uncovered().tolist() == [k for k in range(config.n) if k not in covered]
-    assert 0 < inc.uncovered().size < config.n
-    # cubes are numbered in (level, index) order, each with its own
+    assert 0 < len(covered) < config.n
+    # each level ranks its cubes in index order, each with its own
     # dist(Q, boundary), and each meets some ball
-    rows = list(map(tuple, np.column_stack([inc.level, inc.index]).tolist()))
-    assert rows == sorted(set(rows))
-    assert np.array_equal(np.unique(inc.cube), np.arange(len(rows)))
     dec = decompose(domain, level)
-    for lev in np.unique(inc.level):
-        at = inc.level == lev
-        member, dist = is_whitney(domain, int(lev), inc.index[at])
-        assert member.all() and np.array_equal(dist, inc.dist_boundary[at])
-        known = {tuple(k): v for k, v in zip(dec.level_indices(lev).tolist(),
-                                             dec.level_dists(lev).tolist())}
-        assert [known[tuple(k)] for k in inc.index[at].tolist()] == inc.dist_boundary[at].tolist()
-    # expanding a few candidate boxes at a time gives the same pairs
+    levels = [lv.level for lv in inc.levels()]
+    assert levels == sorted(set(levels))
+    for lv in inc.levels():
+        rows = list(map(tuple, lv.index.tolist()))
+        assert rows == sorted(set(rows))
+        assert np.array_equal(np.unique(lv.cube), np.arange(len(rows)))
+        member, dist = is_whitney(domain, lv.level, lv.index)
+        assert member.all() and np.array_equal(dist, lv.dist)
+        known = {tuple(k): v for k, v in zip(dec.level_indices(lv.level).tolist(),
+                                             dec.level_dists(lv.level).tolist())}
+        assert [known[row] for row in rows] == lv.dist.tolist()
+    # expanding a few candidate boxes, or windows of a few balls, at a time
+    # gives the same pairs
     monkeypatch.setattr(whitney, "_CANDIDATE_CHUNK", 7)
+    monkeypatch.setattr(whitney, "_BALL_BLOCK", 5)
     assert _pairs(ball_cube_incidence(domain, level, config.centers, config.radii)) == expected
 
 
 def test_ball_cube_incidence_empty(disk):
     inc = ball_cube_incidence(disk, 6, np.empty((0, 2)), np.empty(0))
     assert inc.n_balls == 0
-    assert inc.ball.size == inc.cube.size == inc.level.size == 0
-    assert inc.index.shape == (0, 2)
-    assert max_cubes_per_ball(inc) == 0
-    assert inc.uncovered().size == 0
+    assert list(inc.levels()) == []
 
 
 def test_ball_cube_incidence_rejects_fat_ball(disk):
@@ -309,7 +316,8 @@ def test_intersecting_cubes_rejects_fat_ball(disk):
 
 def test_c2_empirical_finite(disk):
     config = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
-    c2 = max_cubes_per_ball(ball_cube_incidence(disk, 8, config.centers, config.radii))
+    pairs = _pairs(ball_cube_incidence(disk, 8, config.centers, config.radii))
+    c2 = max(np.bincount([k for k, _ in pairs]))
     assert 1 <= c2 <= 40
 
 
@@ -319,6 +327,8 @@ def test_decompose_rejects_bad_level(disk):
     tiny = BallDomain(np.zeros(2), 1e-3)
     with pytest.raises(ValueError, match="no dyadic cube"):
         decompose(tiny, 2)
+    with pytest.raises(ValueError, match="no dyadic cube"):
+        cube_counts(tiny, 2)
 
 
 def test_csv_export(tmp_path, dec6):

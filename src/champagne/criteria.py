@@ -522,7 +522,7 @@ def whitney_sums(
                 wiener_parts[j].append(
                     _shell_terms(lv, inc, config, consts, pos, shells, n_cubes))
         n_cubes += k
-        del lv, f
+        del lv, f   # before the next level is built
 
     uncovered = np.flatnonzero(cubes_per_ball == 0)
     warnings = []

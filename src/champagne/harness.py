@@ -30,10 +30,8 @@ from .bubbles import (
     profile_from_json,
     weight_from_json,
 )
+from .criteria import aikawa_sum  # noqa: F401  (re-exported: the per-point sum)
 from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
-# cmd_criteria sums every grid point in one pass; the per-point Aikawa sum
-# stays importable from here, as it was when cmd_criteria called it
-from .criteria import aikawa_sum  # noqa: F401
 from .geometry import BallDomain
 from .kernels import Constants
 from .simulate import SimParams, estimate_hitting

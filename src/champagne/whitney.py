@@ -209,9 +209,8 @@ def _walk(domain: BallDomain, max_level: int):
     top = _top_level(domain)
     side = 2.0 ** (-top)
     stack = [(top, _box_range(np.floor((c - R) / side).astype(np.int64),
-                              np.floor((c + R) / side).astype(np.int64)))]
-    if top > max_level:
-        stack = []
+                              np.floor((c + R) / side).astype(np.int64)))
+             ] if top <= max_level else []
     found = False
     while stack:
         level, cand = stack.pop()

@@ -34,11 +34,14 @@ in the collar.  :func:`intersecting_cubes` is the per-ball reference the
 incidence is tested against.
 
 Memory.  :func:`cube_counts` keeps only counts, and the incidence never
-holds more than one level's pairs.  The walk tests _CANDIDATE_CHUNK boxes at a time and keeps, per level of its depth,
-the children of one batch, at most 2^d * _CANDIDATE_CHUNK boxes.  The
-incidence computes the candidate windows of _BALL_BLOCK balls at a time
-and expands _CANDIDATE_CHUNK candidate boxes at a time; what it holds
-beyond one batch is the pairs of the level being built.
+holds more than one level's pairs.  The walk tests _CANDIDATE_CHUNK boxes
+at a time and keeps, per level of its depth, the children of one batch, at
+most 2^d * _CANDIDATE_CHUNK boxes.  The incidence computes the candidate
+windows of _BALL_BLOCK balls at a time and expands _CANDIDATE_CHUNK
+candidate boxes at a time.  It keeps each pair of the level being built as
+a ball id and an int64 cube key, ranks the keys, and then holds per pair a
+ball id and a cube rank and per cube its index and dist(Q, boundary), the
+latter computed _CANDIDATE_CHUNK cubes at a time.
 """
 
 from __future__ import annotations

@@ -353,7 +353,7 @@ def test_first_appearance_total_adds_in_the_order_of_a_loop_over_the_pairs():
 
 def _aikawa_terms_per_cube(max_level, cfg, z, consts):
     """Aikawa terms from scalar envelopes, one intersecting_cubes call per
-    bubble: the reference the shared incidence reproduces bit for bit."""
+    bubble: the reference the incidence reproduces bit for bit."""
     cube_map = {}
     for k in range(cfg.n):
         for row in intersecting_cubes(cfg.domain, max_level, cfg.centers[k],

@@ -15,15 +15,16 @@ delta >= boundary_eps, so its step is never 0.
 
 Randomness is counter-based per trajectory, so estimates are bitwise
 independent of batching.  Bitwise on one host: the draws also depend on
-which of numpy's SIMD loops the CPU selects (see ``rng``).  The step never reads the bubbles, so nested
-configurations run with the same seed share each path until the larger one
-is hit; delta/R is scale-free, so a power-of-two dilation of the run dilates
-every trajectory exactly.  Trajectories run in lockstep, in passes of a
-block of steps over those still running: one draw of random vectors and one
-ball-index query per pass, not per step.  Blindness to the bubbles is also
-what makes this exact: a block's path is computed before the query, each
-trajectory's outcome is its first hit or boundary step, and its work past
-that step is discarded.
+which of numpy's SIMD loops the CPU selects (see ``rng``).  The step never
+reads the bubbles, so nested configurations run with the same seed share
+each path until the larger one is hit; delta/R is scale-free, so a
+power-of-two dilation of the run dilates every trajectory exactly.
+Trajectories run in lockstep, in passes of a block of steps over those
+still running: one draw of random vectors and one ball-index query per
+pass, not per step.  Blindness to the bubbles is also what makes this
+exact: a block's path is computed before the query, each trajectory's
+outcome is its first hit or boundary step, and its work past that step is
+discarded.
 
 The counter streams also make every trajectory a function of its own id
 alone (and of the host's numpy loops), so the ids can be split between
@@ -155,7 +156,6 @@ def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
 
 # np.median and np.percentile give these values, but import numpy.ma on
 # first use (0.4 MiB of resident memory in every simulate process)
-
 def _median(a: np.ndarray) -> float:
     """np.median of a float array, which it reorders: the middle value, or
     the mean of the two middle values; NaN if any value is NaN."""
@@ -174,7 +174,7 @@ def _percentile(a: np.ndarray, q: float) -> float:
     array, interpolated between its neighbours as numpy's _lerp does."""
     n = a.size
     at = (n - 1) * (q / 100)
-    lo = min(math.floor(at), n - 1)
+    lo = math.floor(at)
     hi = min(lo + 1, n - 1)
     part = np.partition(a, [lo, hi])
     below, above = part[lo], part[hi]

@@ -24,6 +24,7 @@ import numpy as np
 
 from .geometry import BallDomain, row_norms
 from .kernels import Constants, small_radius_threshold, unit_ball_volume
+from .rng import PCG64Stream
 from .spatial import DISJOINTNESS_SLACK, BallIndex
 
 __all__ = [
@@ -377,6 +378,14 @@ def generate_shell_config(
     max(a*(1-t_i)/2, disjointness spacing), so the family is always pairwise
     disjoint; a seeded rotation decorrelates shells.
 
+    The rotations are drawn from ``np.random.default_rng(seed)``, one shell
+    after another.  For d=2 each is one ``uniform(0, 2*pi)`` offset, drawn
+    from :class:`rng.PCG64Stream`, which reproduces that stream without
+    importing ``numpy.random``.  For d=3 each is a 3x3 matrix of numpy's
+    ziggurat normals, which the stream does not reproduce, so d=3 still
+    imports ``numpy.random`` and, through it, OpenSSL's libcrypto.  The seed
+    must be a non-negative int (ValueError otherwise).
+
     Exact-parameter coverage N_a >= 1 cannot hold at the critical radii
     between consecutive shells (the radial reach intervals only touch), so
     the generator records ``coverage_a`` in ``meta``: a widened parameter for
@@ -419,13 +428,15 @@ def generate_shell_config(
 
     # each lattice is written into its rows _LATTICE_BLOCK rows at a time; the
     # counts do not depend on the draws, so the draws still come shell by shell
-    rng = np.random.default_rng(seed)
+    stream = PCG64Stream(seed)  # also checks the seed for d=3
+    if d == 3 and jitter:
+        rng = np.random.default_rng(seed)
     shell_ids = np.repeat(np.arange(shells, dtype=np.int64), counts)
     centers = np.empty((shell_ids.size, d))
     first = 0
     for i, n_i in enumerate(counts.tolist()):
         if d == 2:
-            offset = rng.uniform(0.0, 2.0 * math.pi) if jitter else 0.0
+            offset = stream.uniform(0.0, 2.0 * math.pi) if jitter else 0.0
         elif jitter:
             rot = _random_rotation(rng, 3).T
         for lo in range(0, n_i, _LATTICE_BLOCK):

@@ -77,8 +77,6 @@ __all__ = [
     "uniform_boundary_grid",
     "Verdict",
     "DivergenceVerdict",
-    "SeriesEvaluation",
-    "avoidability_series",
     "classify_shell_series",
     "AikawaTrace",
     "aikawa_sum",
@@ -148,16 +146,6 @@ class DivergenceVerdict:
 # boundary series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
-    terms: np.ndarray
-    partial_sums: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1]) if self.partial_sums.size else 0.0
-
-
 def _series_terms(config: BubbleConfig, z: np.ndarray, alpha: float,
                   rows: slice = slice(None)) -> np.ndarray:
     d = config.dimension
@@ -172,22 +160,13 @@ def _series_terms(config: BubbleConfig, z: np.ndarray, alpha: float,
 
 
 def _series_total(config: BubbleConfig, z: np.ndarray, alpha: float) -> float:
-    """``avoidability_series(config, z, alpha).total``, _ROW_BLOCK bubbles
-    at a time."""
+    """The boundary series at z: the per-bubble terms
+    delta^(2a-2) * r^(d-a) / |x-z|^(d+a-2) added left to right in config
+    order, _ROW_BLOCK bubbles at a time."""
     total = 0.0
     for b in _blocks(config.n):
         total = _running_total(total, _series_terms(config, z, alpha, b))
     return total
-
-
-def avoidability_series(config: BubbleConfig, z, alpha: float) -> SeriesEvaluation:
-    """Per-bubble terms delta^(2a-2) * r^(d-a) / |x-z|^(d+a-2) in config
-    order, with monotone partial sums."""
-    z = np.asarray(z, dtype=float)
-    if config.n == 0:
-        return SeriesEvaluation(np.empty(0), np.empty(0))
-    terms = _series_terms(config, z, alpha)
-    return SeriesEvaluation(terms, np.cumsum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +73,16 @@ class RunConfig:
     per_trajectory_csv: bool = False
     format_version: str = FORMAT_VERSION
 
+    def __post_init__(self):
+        # the shells block, checked here so that a bad value exits 2 rather
+        # than failing later in the generator
+        if not 0.0 < self.shell_a < 1.0:
+            raise ConfigError(f"shells.a must lie in (0, 1), got {self.shell_a!r}")
+        if self.shells < 1:
+            raise ConfigError(f"shells.count must be >= 1, got {self.shells!r}")
+        if self.seed < 0:
+            raise ConfigError(f"shells.seed must be a non-negative integer, got {self.seed!r}")
+
     def to_json(self) -> dict:
         out = {
             "format_version": self.format_version,
@@ -119,8 +128,8 @@ class RunConfig:
                 profile=profile_from_json(obj["profile"]),
                 weight=weight_from_json(obj.get("weight", {"kind": "one"})),
                 shell_a=float(shells.get("a", 0.5)),
-                shells=int(shells.get("count", 4)),
-                seed=int(shells.get("seed", 0)),
+                shells=_integer(shells.get("count", 4), "shells.count"),
+                seed=_integer(shells.get("seed", 0), "shells.seed"),
                 whitney_max_level=int(obj.get("whitney", {}).get("max_level", 8)),
                 grid_size=int(obj.get("criteria", {}).get("grid", 32)),
                 wiener_n_max=int(obj.get("criteria", {}).get("wiener_n_max", 24)),
@@ -137,7 +146,14 @@ class RunConfig:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        """SHA-256 of the canonical bytes, in hex: the manifests' ``config_hash``.
+
+        It is a fingerprint, not a security use, so it is computed by
+        :func:`_sha256_hex` rather than ``hashlib``, whose import maps
+        OpenSSL's libcrypto into every CLI stage (≈3.6 MiB of resident
+        memory) for one short hash.
+        """
+        return _sha256_hex(self.canonical_bytes())
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -147,6 +163,57 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(obj)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a fraction, a string or a bool is a ConfigError rather
+    than being truncated or parsed."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+_SHA256_K = (
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+)
+_SHA256_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
+_M32 = 0xFFFFFFFF
+
+
+def _rotr(x: int, n: int) -> int:
+    return (x >> n | x << (32 - n)) & _M32
+
+
+def _sha256_hex(data: bytes) -> str:
+    """FIPS 180-4 SHA-256 of data as a hex string, what
+    ``hashlib.sha256(data).hexdigest()`` gives."""
+    msg = (data + b"\x80" + bytes((55 - len(data)) % 64)
+           + (8 * len(data)).to_bytes(8, "big"))
+    h = list(_SHA256_H0)
+    for off in range(0, len(msg), 64):
+        w = [int.from_bytes(msg[off + 4 * t:off + 4 * t + 4], "big") for t in range(16)]
+        for t in range(16, 64):
+            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
+            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
+            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _M32)
+        a, b, c, d, e, f, g, hh = h
+        for t in range(64):
+            t1 = (hh + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25))
+                  + (e & f ^ ~e & g) + _SHA256_K[t] + w[t])
+            t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, hh = (t1 + t2) & _M32, a, b, c, (d + t1) & _M32, e, f, g
+        h = [(x + y) & _M32 for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
+    return "".join(f"{x:08x}" for x in h)
 
 
 def _timestamps() -> dict:
@@ -375,7 +442,7 @@ def main(argv=None) -> int:
             return 0
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg = replace(cfg, seed=args.seed)
             if cfg.sim is not None:
                 cfg.sim = SimParams(**{**cfg.sim.to_json(), "seed": args.seed})
         out = Path(args.out)

@@ -18,6 +18,18 @@ positive (alpha/2)-stable variable S (Kanter's method) times independent
 normals, giving the characteristic function exp(-|u|^alpha).  Increments over
 time h are then h^(1/alpha) times a standardized increment, which makes the
 self-similar scaling law exact by construction.
+
+:class:`PCG64Stream` is a second, unrelated stream: numpy's
+``np.random.default_rng(seed)`` reproduced bit for bit in Python ints, for
+the shell generator's one uniform per d=2 shell.  It takes SeedSequence's
+hashmix pool of the seed's 32-bit words, ``generate_state(4, uint64)``
+from that pool, then PCG64: the 128-bit LCG with XSL-RR output (O'Neill,
+"PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905), stepped before
+each output, and ``(u64 >> 11) * 2**-53`` for a double.  It exists so that
+no CLI stage on a d=2 configuration imports ``numpy.random``, which costs
+each process ≈2 MiB of resident memory and, through ``secrets`` and
+``hmac``, maps OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ __all__ = [
     "standard_normals",
     "stable_vectors",
     "slots_per_step",
+    "PCG64Stream",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -148,3 +161,99 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
     z = standard_normals(keys, base + np.uint64(2), d)
     z *= s[:, None]
     return z
+
+
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+_M128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants (bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+class PCG64Stream:
+    """The stream of ``np.random.default_rng(seed)``, bit for bit, without
+    ``numpy.random``: ``uniform(lo, hi)`` returns what the Generator's
+    scalar ``uniform(lo, hi)`` would, draw for draw.
+
+    The seed must be a non-negative int; numpy would take None as a request
+    for OS entropy, which makes a run irreproducible, so it is refused too.
+    """
+
+    def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        state = _generate_state(_seed_pool(int(seed)))
+        self._inc = ((state[2] << 64 | state[3]) << 1 | 1) & _M128
+        self._state = 0
+        self._step()
+        self._state = (self._state + (state[0] << 64 | state[1])) & _M128
+        self._step()
+
+    def _step(self) -> None:
+        self._state = (self._state * _PCG_MULT + self._inc) & _M128
+
+    def next_uint64(self) -> int:
+        """Step the LCG, then apply the XSL-RR output function."""
+        self._step()
+        s = self._state
+        x = (s >> 64) ^ (s & _M64)
+        rot = s >> 122
+        return ((x >> rot) | (x << (-rot & 63))) & _M64
+
+    def next_double(self) -> float:
+        """A double in [0, 1) on the 2**-53 grid."""
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.next_double()
+
+
+def _hashmix(init: int, mult: int):
+    """numpy's SeedSequence ``hashmix`` of one 32-bit word, with the hash
+    constant it carries from call to call, starting at init."""
+    hash_const = init
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _seed_pool(seed: int) -> list:
+    """``SeedSequence(seed).pool``: the seed's little-endian 32-bit words
+    (one word for 0) hashed into four, then every word mixed into every other."""
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list) -> list:
+    """``SeedSequence.generate_state(4, np.uint64)``: eight hashed 32-bit
+    words, cycling through the pool, paired low word first."""
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
+    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]

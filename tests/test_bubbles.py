@@ -213,6 +213,17 @@ def test_generator_rejects_bad_inputs(disk):
         generate_shell_config(BallDomain(np.zeros(2), 2.0), ConstantProfile(0.3), 0.5, 2)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [None, -1])
+def test_generator_refuses_a_seed_that_is_not_a_non_negative_int(d, seed):
+    # np.random.default_rng(None) would draw OS entropy; the check holds
+    # without jitter too, where no draw is made
+    for jitter in (True, False):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(0.3), 0.5, 2,
+                                  seed=seed, jitter=jitter)
+
+
 def test_generator_d3(monkeypatch):
     ball = BallDomain(np.zeros(3), 1.0)
     cfg = generate_shell_config(ball, ConstantProfile(0.3), 0.5, 2, seed=3)

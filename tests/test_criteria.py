@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from champagne.criteria import (
     _add_cap_bounds,
     _classify_exponents,
     _first_appearance_total,
+    _series_total,
     _tail_exponents,
     aikawa_sum,
-    avoidability_series,
     classify_avoidability,
     classify_shell_series,
     quasi_additivity_interval,
@@ -65,18 +66,40 @@ def test_boundary_grid_points_lie_on_the_sphere():
 
 # -- series ---------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SeriesEvaluation:
+    terms: np.ndarray
+    partial_sums: np.ndarray
+
+    @property
+    def total(self) -> float:
+        return float(self.partial_sums[-1]) if self.partial_sums.size else 0.0
+
+
+def avoidability_series(config, z, alpha):
+    """Oracle for ``criteria._series_total``: every per-bubble term
+    delta^(2a-2) * r^(d-a) / |x-z|^(d+a-2) at once, in config order, with
+    np.cumsum's left-to-right partial sums."""
+    z = np.asarray(z, dtype=float)
+    d = config.dimension
+    dist = np.sqrt(((config.centers - z) ** 2).sum(axis=1))
+    terms = (config.deltas ** (2.0 * alpha - 2.0) * config.radii ** (d - alpha)
+             / dist ** (d + alpha - 2.0))
+    return SeriesEvaluation(terms, np.cumsum(terms))
+
+
 def test_series_single_bubble_hand_value(disk):
     cfg = BubbleConfig(disk, [[0.9, 0.0]], [0.01])
     ev = avoidability_series(cfg, [1.0, 0.0], 1.5)
     # 0.1^1 * 0.01^0.5 / 0.1^1.5
     assert ev.terms[0] == pytest.approx(0.31622776601683794, rel=1e-12)
-    assert ev.total == pytest.approx(ev.terms[0])
+    assert _series_total(cfg, np.array([1.0, 0.0]), 1.5) == ev.total == ev.terms[0]
 
 
 def test_series_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    ev = avoidability_series(cfg, [1.0, 0.0], 1.5)
-    assert ev.total == 0.0
+    assert avoidability_series(cfg, [1.0, 0.0], 1.5).total == 0.0
+    assert _series_total(cfg, np.array([1.0, 0.0]), 1.5) == 0.0
 
 
 def test_series_partial_sums_monotone(disk):
@@ -85,9 +108,21 @@ def test_series_partial_sums_monotone(disk):
     assert np.all(np.diff(ev.partial_sums) >= 0)
 
 
+def test_blocked_series_total_equals_the_oracle_bit_for_bit(disk, monkeypatch):
+    # _series_total adds _ROW_BLOCK terms at a time; with blocks of 1,000 the
+    # 6-shell configuration takes 11 of them, and the running total must
+    # still equal the oracle's one cumsum over all terms
+    monkeypatch.setattr(criteria, "_ROW_BLOCK", 1000)
+    cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 6, seed=3)
+    assert cfg.n > 10_000
+    for ang in (0.0, 0.3, 2.0):
+        z = np.array([math.cos(ang), math.sin(ang)])
+        assert _series_total(cfg, z, 1.5) == avoidability_series(cfg, z, 1.5).total
+
+
 def test_grouped_matches_naive_direct_sum(disk):
     # oracle: plain python accumulation in config order, against the series
-    # total that avoidability_series accumulates shell group by shell group
+    # total that _series_total accumulates block by block
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 6, seed=3)
     assert cfg.n > 10_000
     z = np.array([math.cos(0.3), math.sin(0.3)])
@@ -97,7 +132,7 @@ def test_grouped_matches_naive_direct_sum(disk):
         delta = cfg.deltas[k]
         dist = math.sqrt(((cfg.centers[k] - z) ** 2).sum())
         naive += delta * cfg.radii[k] ** 0.5 / dist**1.5
-    got = avoidability_series(cfg, z, alpha).total
+    got = _series_total(cfg, z, alpha)
     assert got == pytest.approx(naive, rel=1e-9)
 
 

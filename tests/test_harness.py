@@ -12,7 +12,7 @@ import pytest
 
 import champagne
 from champagne import criteria, harness, simulate, whitney
-from champagne.harness import RunConfig, main
+from champagne.harness import RunConfig, _sha256_hex, main
 
 SMALL = {
     "domain": {"center": [0.0, 0.0], "radius": 1.0},
@@ -187,6 +187,21 @@ def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("shells, argv, message", [
+    ({"seed": -1}, [], "shells.seed must be a non-negative integer, got -1"),
+    ({}, ["--seed", "-1"], "shells.seed must be a non-negative integer, got -1"),
+    ({"count": 0}, [], "shells.count must be >= 1, got 0"),
+    ({"a": 1.5}, [], "shells.a must lie in (0, 1), got 1.5"),
+    ({"count": 2.7}, [], "shells.count must be an integer, got 2.7"),
+    ({"seed": "7"}, [], "shells.seed must be an integer, got '7'"),
+])
+def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, argv, message):
+    cfg = _write_config(tmp_path, {**SMALL, "shells": {**SMALL["shells"], **shells}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("change", [{"critera": {"grid": 4}}, {"out_dir": "run"}])
 def test_main_returns_2_on_an_unknown_top_level_key(tmp_path, capsys, change):
     cfg = _write_config(tmp_path, {**SMALL, **change})
@@ -282,13 +297,15 @@ def test_run_config_json_round_trip():
     assert again.sim == cfg.sim
 
 
-def test_no_subcommand_loads_scipy(tmp_path):
+def test_no_subcommand_loads_scipy_numpy_ma_numpy_random_or_hashlib(tmp_path):
     # every CLI child imports the harness, and none of generate, simulate
     # and criteria needs scipy, so loading it would cost each its import
     # time; nor numpy.ma, which np.median, np.percentile and a plain
-    # np.unique import on first use (0.4 MiB of resident memory); loading
-    # scipy.spatial, which imports both, afterwards shows that the check can
-    # fail
+    # np.unique import on first use (0.4 MiB of resident memory); nor, on a
+    # d=2 configuration, numpy.random or OpenSSL's _hashlib (together
+    # ≈5.6 MiB), whose one draw per shell and one config hash champagne
+    # reproduces; loading scipy.spatial, which imports all four, afterwards
+    # shows that the check can fail
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     obj = {**SMALL, "sim": {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200,
@@ -300,7 +317,7 @@ def test_no_subcommand_loads_scipy(tmp_path):
         "cfg, out = harness.RunConfig.from_json(json.loads(sys.argv[1])), Path(sys.argv[2])\n"
         "def loaded():\n"
         "    return (any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
-        "            'numpy.ma' in sys.modules)\n"
+        "            *(m in sys.modules for m in ('numpy.ma', 'numpy.random', '_hashlib')))\n"
         "seen = [loaded()]\n"
         "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_criteria):\n"
         "    cmd(cfg, out)\n"
@@ -310,7 +327,8 @@ def test_no_subcommand_loads_scipy(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code, json.dumps(obj), str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[" + ", ".join(["(False, False)"] * 4) + "] (True, True)"
+    assert out.stdout.strip() == ("[" + ", ".join(["(False, False, False, False)"] * 4)
+                                  + "] (True, True, True, True)")
 
 
 def test_the_cli_runs_with_scipy_blocked(tmp_path):
@@ -339,3 +357,15 @@ def test_the_cli_runs_with_scipy_blocked(tmp_path):
     assert names == sorted(p.name for p in runs["unblocked"].iterdir())
     for name in names:
         assert (runs["blocked"] / name).read_bytes() == (runs["unblocked"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("lengths", [range(0, 151), range(151, 301), [1000, 4096, 10_000]])
+def test_config_hash_is_hashlib_sha256(lengths):
+    # every padding case of one and two blocks (55, 56 and 64 bytes are the
+    # edges), then many blocks
+    rng = np.random.default_rng(15)
+    for n in lengths:
+        data = rng.bytes(n)
+        assert _sha256_hex(data) == hashlib.sha256(data).hexdigest(), n
+    cfg = RunConfig.from_json(SMALL)
+    assert cfg.hash() == hashlib.sha256(cfg.canonical_bytes()).hexdigest()

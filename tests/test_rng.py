@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from champagne.rng import (
+    PCG64Stream,
     mix64,
     positive_stable,
     slots_per_step,
@@ -117,3 +118,26 @@ def test_invalid_alpha_rejected():
         stable_vectors(2.5, 2, keys, step=0)
     with pytest.raises(ValueError):
         positive_stable(1.2, np.array([0.5]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("seeds", [range(0, 1000), range(1000, 2000),
+                                   [2**32 - 1, 2**32, 2**64 - 1, 10**30, 2**128 + 5]])
+def test_pcg64_stream_draws_what_default_rng_draws(seeds):
+    # seeds of one to four 32-bit words, and one of five, more than the
+    # SeedSequence pool holds, which takes the pool's last mixing loop
+    for seed in seeds:
+        gen, stream = np.random.default_rng(seed), PCG64Stream(seed)
+        for _ in range(8):
+            assert stream.uniform(0.0, 2.0 * math.pi) == gen.uniform(0.0, 2.0 * math.pi), seed
+        assert stream.next_uint64() == int(gen.bit_generator.random_raw()), seed
+
+
+@pytest.mark.parametrize("seed", [-1, None, 1.5, "7", True, np.int64(-3)])
+def test_pcg64_stream_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    # default_rng(None) would draw OS entropy and make the bubbles irreproducible
+    with pytest.raises(ValueError, match="non-negative integer"):
+        PCG64Stream(seed)
+
+
+def test_pcg64_stream_takes_a_numpy_integer_seed():
+    assert PCG64Stream(np.uint32(9)).next_uint64() == PCG64Stream(9).next_uint64()

@@ -6,11 +6,16 @@ arbitrary callables: divergence of an improper integral cannot be decided
 from finitely many samples of a black box, so the criteria module needs the
 analytic form.
 
-The shell generator writes each lattice straight into the rows of the
-centres, _LATTICE_BLOCK rows at a time, so that beside the arrays a
-configuration keeps (centres, radii, shell ids, distances to the boundary
-and, from validation on, its ball index) it holds one block of lattice rows
-and a few columns of n values.  ``to_csv`` formats _CSV_BLOCK rows at a time.
+Memory.  A configuration keeps per bubble its centre (8d bytes), its radius
+and its distance to the boundary (8 bytes each) and its shell label (int32,
+widened to int64 by each read of ``shell_ids``): 36 bytes a bubble in d=2
+and 44 in d=3.  From validation on it also keeps its ball index, 13.7 bytes
+a bubble on the W2 disk (see ``spatial``).  Beyond these arrays, every pass
+holds one block of rows: the shell generator writes each lattice straight
+into the rows of the centres _LATTICE_BLOCK rows at a time; the distances to
+the boundary, the radius-ratio check and the separation ratios take
+_ROW_BLOCK bubbles at a time; and ``to_csv`` formats _CSV_BLOCK rows at a
+time.  No block size changes a result.
 """
 
 from __future__ import annotations
@@ -198,6 +203,14 @@ def weight_from_json(obj: dict) -> WeightFunction:
 
 # rows of bubbles.csv formatted at a time
 _CSV_BLOCK = 1 << 10
+# bubbles whose distances to the boundary, radius ratios and separation
+# ratios are computed at a time
+_ROW_BLOCK = 1 << 13
+
+
+def _row_blocks(n: int):
+    """Slices of at most _ROW_BLOCK rows that cover range(n) in order."""
+    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
 
 
 class BubbleConfig:
@@ -229,29 +242,29 @@ class BubbleConfig:
         self.domain = domain
         self.centers = centers
         self.radii = radii
-        self.shell_ids = None if shell_ids is None else np.asarray(shell_ids, dtype=np.int64)
+        self._shell_ids = None if shell_ids is None else np.asarray(shell_ids, dtype=np.int32)
         self.meta = dict(meta) if meta else {}
 
+        self.deltas = np.empty(self.n)
+        self.ratio_sup = 0.0
         if self.n:
             if not np.all(radii > 0):
                 raise ValueError("bubble radii must be > 0")
             # R - |x - c| as dist_to_boundary takes it, bit for bit (d < 8),
             # without its (n, d) temporaries
-            delta = row_norms(centers, domain.center)
-            np.subtract(domain.radius, delta, out=delta)
-            if not np.all(delta > radii):
+            for b in _row_blocks(self.n):
+                np.subtract(domain.radius, row_norms(centers[b], domain.center),
+                            out=self.deltas[b])
+            delta = self.deltas
+            if not all(np.all(delta[b] > radii[b]) for b in _row_blocks(self.n)):
                 k = int(np.argmin(delta - radii))
                 raise ValueError(f"bubble {k} is not strictly inside the domain")
-            self.deltas = delta
-            self.ratio_sup = float((radii / delta).max())
+            self.ratio_sup = max(float((radii[b] / delta[b]).max()) for b in _row_blocks(self.n))
             if not self.ratio_sup < 0.5:
                 k = int(np.argmax(radii / delta))
                 raise ValueError(
                     f"ratio_sup violated: bubble {k} has r/delta = {radii[k] / delta[k]:.6g} >= 1/2"
                 )
-        else:
-            self.deltas = np.empty(0)
-            self.ratio_sup = 0.0
 
         if validate and self.n > 1:
             report = self.disjointness_report()
@@ -269,6 +282,12 @@ class BubbleConfig:
     @property
     def dimension(self) -> int:
         return self.domain.dimension
+
+    @property
+    def shell_ids(self) -> np.ndarray | None:
+        """Each bubble's shell as int64, widened on each call from the int32
+        labels that the configuration keeps."""
+        return None if self._shell_ids is None else self._shell_ids.astype(np.int64)
 
     @cached_property
     def index(self) -> BallIndex:
@@ -337,6 +356,19 @@ def shell_radii(a: float, shells: int) -> np.ndarray:
     return 1.0 - 0.5 * q**i
 
 
+def _shell_phi(phi: RadialProfile, t: np.ndarray) -> np.ndarray:
+    """phi at the shell radii t; ValueError if a value is >= 1/2, which no
+    bubble of radius (1 - t)*phi(t) centred at radius t can satisfy."""
+    phi_vals = np.asarray(phi(t), dtype=float)
+    bad = np.where(phi_vals >= 0.5)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"shell {i + 1}: phi(t)={phi_vals[i]:.6g} >= 1/2 violates the ratio constraint"
+        )
+    return phi_vals
+
+
 def _fibonacci_sphere(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Points lo..hi - 1 (all n by default) of the n-point Fibonacci lattice."""
     k = np.arange(lo, n if hi is None else hi, dtype=float)
@@ -399,14 +431,7 @@ def generate_shell_config(
     d = domain.dimension
     t = shell_radii(a, shells)
     u = 1.0 - t
-    phi_vals = np.asarray(phi(t), dtype=float)
-    bad = np.where(phi_vals >= 0.5)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"shell {i + 1}: phi(t)={phi_vals[i]:.6g} >= 1/2 violates the ratio constraint"
-        )
-    r = u * phi_vals
+    r = u * _shell_phi(phi, t)
 
     spacing = np.empty(shells)
     counts = np.empty(shells, dtype=np.int64)
@@ -431,7 +456,7 @@ def generate_shell_config(
     stream = PCG64Stream(seed)  # also checks the seed for d=3
     if d == 3 and jitter:
         rng = np.random.default_rng(seed)
-    shell_ids = np.repeat(np.arange(shells, dtype=np.int64), counts)
+    shell_ids = np.repeat(np.arange(shells, dtype=np.int32), counts)
     centers = np.empty((shell_ids.size, d))
     first = 0
     for i, n_i in enumerate(counts.tolist()):
@@ -508,8 +533,11 @@ def separation_infimum(config: BubbleConfig, alpha: float) -> float:
         raise ValueError("need at least one bubble")
     d = config.dimension
     nn = config.index.nearest_center_distances()  # inf for a single bubble
-    denom = config.radii ** (1.0 - alpha / d) * config.deltas ** (alpha / d)
-    return float((nn / denom).min())
+    least = math.inf
+    for b in _row_blocks(config.n):
+        denom = config.radii[b] ** (1.0 - alpha / d) * config.deltas[b] ** (alpha / d)
+        least = min(least, float((nn[b] / denom).min()))
+    return least
 
 
 def profile_separation_infimum(config: BubbleConfig, phi: RadialProfile, alpha: float) -> float:

@@ -26,16 +26,20 @@ lowest bubble id among a cube's pairs (in the shell, for Wiener), then by
 cube number.  They keep one term per cube with that key and add the terms
 after the last level.
 
-Memory.  Beyond the level in hand, the pass keeps a running total per
-point for Aikawa, one term per cube for the quasi-additivity numerator,
-one term per (shell, cube) near each point for Wiener, and one count per
-bubble for c2.  Every pass over bubbles, pairs or cubes takes _ROW_BLOCK
-rows at a time, which bounds its temporaries: the Wiener shells and the
-quasi-additivity denominator over the bubbles, the pair and cube factors
-of a level, and the boundary series totals of
-:func:`classify_avoidability`.  ``kernels._pow_each`` raises
+Memory.  Beyond the level in hand (8 bytes a pair, see ``whitney``), the
+pass keeps a running total per point for Aikawa, one term per cube for the
+quasi-additivity numerator (an int32 first bubble and two floats, 20
+bytes), one term per (shell, cube) near each point for Wiener (an int64
+shell and cube number, an int32 first bubble and two floats, 36 bytes),
+and one int32 count per bubble for c2.  A level's factors hold 44 bytes a
+cube: five floats and an int32 first bubble.  Every pass over bubbles,
+pairs or cubes takes _ROW_BLOCK rows at a time, which bounds its
+temporaries: the Wiener shells and the quasi-additivity denominator over
+the bubbles, the pair and cube factors of a level, and the boundary series
+totals of :func:`classify_avoidability`.  ``kernels._pow_each`` raises
 ``kernels._POW_BLOCK`` values at a time.  ``whitney`` bounds the building
-of a level (_BALL_BLOCK, _CANDIDATE_CHUNK).  No block size changes a result.
+of a level (_BALL_BLOCK, _CANDIDATE_CHUNK).  No block size changes a
+result.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ __all__ = [
 ]
 
 # rows of bubbles, pairs or cubes that a pass takes at a time
-_ROW_BLOCK = 1 << 14
+_ROW_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +354,7 @@ def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
     for b in _blocks(lv.ball.size):
         _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], *_pair_bounds(lv, config, consts, b))
     np.minimum(cap_lower, cap_upper, out=cap_lower)
-    first_ball = np.full(k, config.n, dtype=np.int64)
+    first_ball = np.full(k, config.n, dtype=np.int32)
     np.minimum.at(first_ball, lv.cube, lv.ball)
     qa_lower, qa_upper = np.empty(k), np.empty(k)
     for b in _blocks(k):
@@ -464,7 +468,7 @@ def whitney_sums(
     aik = np.zeros((n_points, 2))
     wiener_parts = [[] for _ in range(n_points)]
     qa_parts = []
-    cubes_per_ball = np.zeros(config.n, dtype=np.int64)
+    cubes_per_ball = np.zeros(config.n, dtype=np.int32)
     worst = 1.0
     n_cubes = 0
     w_exp = d + a - 2.0
@@ -534,8 +538,9 @@ def _shell_terms(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
     pair order, with the shell, the lowest bubble id among the pairs and
     the cube's number."""
     k = lv.dist.size
-    key, first, inverse = np.unique(shells * k + lv.cube[pos], return_index=True,
-                                    return_inverse=True)
+    # shells * k can pass 2^31, so the key is formed in int64
+    key, first, inverse = np.unique(shells.astype(np.int64, copy=False) * k + lv.cube[pos],
+                                    return_index=True, return_inverse=True)
     lower, upper = np.zeros(key.size), np.zeros(key.size)
     _add_cap_bounds(lower, upper, inverse, *_pair_bounds(lv, config, consts, pos))
     np.minimum(lower, upper, out=lower)

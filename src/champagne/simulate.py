@@ -324,8 +324,9 @@ def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles,
            "hits_per_shell": None, "shells_below_boundary_eps": None}
     for q in (50, 90, 99):
         out[f"steps_p{q}"] = _percentile(steps, q)
-    if config.shell_ids is not None and config.n:
-        sid, n_shells = config.shell_ids, int(config.shell_ids.max()) + 1
+    sid = config.shell_ids
+    if sid is not None and config.n:
+        n_shells = int(sid.max()) + 1
         out["hits_per_shell"] = np.bincount(sid[bubbles[tags == HIT]], minlength=n_shells).tolist()
         top = np.full(n_shells, -np.inf)  # largest delta over each shell
         np.maximum.at(top, sid, config.deltas + config.radii)

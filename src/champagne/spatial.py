@@ -44,17 +44,29 @@ from the exact cell faces, exceeds the query's best: no centre in it
 computes nearer.  A query searches another class only if its radial gap to
 the class's band is below its best, the band's widening covering the
 rounding of the gap.  The rounds end once the grid is at most two cells
-wide, when one round sees the whole class.
+wide, when one round sees the whole class.  The first round of a class may
+start from any side at least its own, and starts from the power of two at
+least its extent over its count, so that a sparse class of tiny balls skips
+the rounds finer than its spacing.
 
-Memory.  The index keeps, per class, its balls' ids in key order, its
-occupied cells and where each cell's balls start, and reads the centres and
-radii it was given without copying them.  Every pass over balls or queries
-takes a fixed block of rows at a time, which bounds its temporaries: the
-index build _INDEX_BLOCK balls (bands, boxes, cell keys), ``contains_batch``
-_QUERY_BLOCK query points, ``near_pairs`` _PAIR_BLOCK balls and a
-nearest-centre round _NEAREST_BLOCK balls.  What remains is a few columns
-of n values: a class's cell keys and their sort order, and the norms of a
-batch of queries.  No block size changes a result.
+Memory.  Per radius class the index keeps its balls' ids in key order as
+int32 (so it refuses 2^31 balls or more), the int64 keys of its occupied
+cells and the int32 start of each cell's run of ids: 4 bytes a ball and 12
+bytes an occupied cell, 13.7 bytes a ball on the W2 disk, whose occupied
+cells hold 1.24 balls on average.  It reads the centres and radii it was
+given without copying them.  Every pass over balls or queries takes a fixed
+block of rows at a time, which bounds its temporaries: the index build
+_INDEX_BLOCK balls (radius exponents, bands, boxes, cell keys),
+``contains_batch`` _QUERY_BLOCK query points, ``near_pairs`` _PAIR_BLOCK
+balls and a nearest-centre round _NEAREST_BLOCK balls.  Beyond the blocks,
+building a class's grid holds its cell keys and their sort order (16 bytes a
+ball of the class), and the nearest-centre query holds one float per ball
+(its result) and one grid besides the index's: a class's grid of the round
+in hand, which is dropped before the next is built.  A round takes the
+class's own balls in the key order of its grid, so it sorts nothing; queries
+from a sample or from other classes, usually few, are sorted by key each
+round, so that the lookups read memory in order.  No block size changes a
+result.
 """
 
 from __future__ import annotations
@@ -77,9 +89,9 @@ _INDEX_BLOCK = 1 << 13
 # query points looked up at a time by contains_batch
 _QUERY_BLOCK = 1 << 12
 # balls looked up at a time by near_pairs
-_PAIR_BLOCK = 1 << 13
+_PAIR_BLOCK = 1 << 12
 # balls searched for their nearest centres at a time: a round's memory bound
-_NEAREST_BLOCK = 1 << 13
+_NEAREST_BLOCK = 1 << 11
 
 
 def _power_of_two_at_least(v: float) -> float:
@@ -93,17 +105,16 @@ def _blocks(a: np.ndarray, size: int):
 
 
 class _Grid:
-    """One radius class: its balls' ids, in the order of the int64 key of
-    their cell."""
+    """One radius class: its balls' int32 ids, in the order of the int64 key
+    of their cell."""
 
-    def __init__(self, ids, centers, r_max, band, h=None):
+    def __init__(self, ids, centers, r_max, band, h):
         lo = np.full(centers.shape[1], np.inf)
         hi = np.full(centers.shape[1], -np.inf)
         for rows in _blocks(ids, _INDEX_BLOCK):
             c = np.take(centers, rows, axis=0)
             np.minimum(lo, c.min(axis=0), out=lo)
             np.maximum(hi, c.max(axis=0), out=hi)
-        h = h or _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
         while True:
             first, last = np.floor(lo / h), np.floor(hi / h)
             # cells per axis, with an empty one on either side; keys run up to
@@ -124,13 +135,23 @@ class _Grid:
         # lexicographically >= 0
         self.deltas = self.offsets @ self.stride
         keys = self.keys_of(centers, ids)
-        self.ids = ids[np.argsort(keys, kind="stable")]
+        order = np.argsort(keys, kind="stable")
+        self.ids = ids[order]
+        del order
         keys.sort()
         # the occupied cells, ascending, then a key above every cell's; the
         # balls of cells[i] are ids[starts[i]:starts[i + 1]]
-        begin = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.cells = np.append(keys[begin], np.iinfo(np.int64).max)
-        self.starts = np.append(begin, keys.size)
+        new = np.empty(keys.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        n_cells = int(np.count_nonzero(new))
+        self.cells = np.empty(n_cells + 1, dtype=np.int64)
+        np.compress(new, keys, out=self.cells[:-1])
+        self.cells[-1] = np.iinfo(np.int64).max
+        del keys
+        self.starts = np.empty(n_cells + 1, dtype=np.int32)
+        self.starts[:-1] = np.flatnonzero(new)
+        self.starts[-1] = ids.size
 
     def cell_keys(self, x: np.ndarray) -> np.ndarray:
         """Key of each point's cell; points outside the grid are moved to
@@ -179,6 +200,8 @@ class BallIndex:
         if centers.ndim != 2 or centers.shape[0] != radii.shape[0]:
             raise ValueError("centers must be (n, d) with matching radii")
         self.n = centers.shape[0]
+        if self.n >= 2**31:
+            raise ValueError(f"{self.n} balls: the index numbers them with int32 ids")
         self.dimension = centers.shape[1] if self.n else 0
         self.origin = (
             np.zeros(self.dimension) if origin is None else np.asarray(origin, dtype=float)
@@ -187,17 +210,23 @@ class BallIndex:
         if self.n == 0:
             return
         self._centers, self._radii = centers, radii
-        exponents = np.frexp(radii)[1]
+        exponents = np.empty(self.n, dtype=np.intc)
+        for start in range(0, self.n, _INDEX_BLOCK):
+            exponents[start:start + _INDEX_BLOCK] = np.frexp(radii[start:start + _INDEX_BLOCK])[1]
         order = np.argsort(exponents, kind="stable")
         # in ascending order of radius
-        classes = np.split(order, np.flatnonzero(np.diff(exponents[order])) + 1)
+        cuts = np.flatnonzero(np.diff(exponents[order])) + 1
         del exponents
+        classes = np.split(order.astype(np.int32), cuts)
+        del order
         bounds = [self._class_bounds(ids) for ids in classes]
         span = (min(b[0] for b in bounds), max(b[1] for b in bounds))
         pad = _BAND_PAD * (span[1] + float(np.abs(self.origin).max()))
         self._span = (span[0] - pad, span[1] + pad)
-        self._grids = [_Grid(ids, centers, r_max, (lo - pad, hi + pad))
-                       for ids, (lo, hi, r_max) in zip(classes, bounds)]
+        for i, (lo, hi, r_max) in enumerate(bounds):
+            h = _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
+            self._grids.append(_Grid(classes[i], centers, r_max, (lo - pad, hi + pad), h))
+            classes[i] = None   # the grid keeps the ids in key order
 
     def _class_bounds(self, ids: np.ndarray) -> tuple[float, float, float]:
         """(min |c - origin| - r, max |c - origin| + r, max r) over the balls
@@ -282,67 +311,110 @@ class BallIndex:
         """For each ball, the distance from its centre to the nearest centre
         of another ball, or inf when there is no other ball.
 
-        A class is searched by a sample of its balls, then by all of them
-        from a grid of about the sample's median best (finer rounds would
-        seldom finish a ball), and then from that grid by the other classes'
+        A class is searched by a sample of its balls from a grid of about
+        its extent over its count, or of its own side if that is larger (a
+        sparse class of tiny balls skips the rounds finer than its
+        spacing); then by all of them from a grid of about the sample's
+        median best (finer rounds would seldom finish a ball); and, once
+        every class is done, from that grid again by the other classes'
         balls whose radial gap to its band is below their best so far.
         """
         best = np.full(self.n, np.inf)
-        grids = []
+        sides = []
         for g in self._grids:
+            h = max(g.h, _power_of_two_at_least(g.h * float(g.top.max()) / g.ids.size))
             sample = g.ids[::64]  # spread over the class: ids are in cell order
-            self._lower_to_nearest(g, sample, best)
+            self._lower_to_nearest(g, h, sample, best)
             spacing = np.sort(best[sample])[sample.size // 2]  # inf for a class of one ball
-            if g.h < spacing < math.inf:
-                g = _Grid(g.ids, self._centers, g.r_max, g.band, _power_of_two_at_least(spacing))
-            self._lower_to_nearest(g, g.ids, best)
-            grids.append(g)
-        if len(grids) < 2:
+            if h < spacing < math.inf:
+                h = _power_of_two_at_least(spacing)
+            self._lower_to_nearest(g, h, None, best)
+            sides.append(h)
+        if len(self._grids) < 2:
             return best
-        norms = row_norms(self._centers, self.origin)
-        for g in grids:
-            rows = np.maximum(g.band[0] - norms, norms - g.band[1]) < best
-            rows[g.ids] = False
-            self._lower_to_nearest(g, np.flatnonzero(rows), best)
+        for g, h, rows in zip(self._grids, sides, self._across(best)):
+            if rows.size:
+                self._lower_to_nearest(g, h, rows, best)
         return best
 
-    def _lower_to_nearest(self, g: _Grid, rows: np.ndarray, best: np.ndarray) -> None:
+    def _across(self, best: np.ndarray) -> list:
+        """For each class, the other classes' balls whose radial gap to its
+        band is below their best, taken _NEAREST_BLOCK balls at a time."""
+        exponents = [math.frexp(g.r_max)[1] for g in self._grids]
+        parts = [[] for _ in self._grids]
+        for start in range(0, self.n, _NEAREST_BLOCK):
+            stop = min(self.n, start + _NEAREST_BLOCK)
+            norms = row_norms(self._centers[start:stop], self.origin)
+            near = best[start:stop]
+            own = np.frexp(self._radii[start:stop])[1]
+            for g, e, part in zip(self._grids, exponents, parts):
+                rows = (np.maximum(g.band[0] - norms, norms - g.band[1]) < near) & (own != e)
+                part.append(start + np.flatnonzero(rows))
+        return [np.concatenate(part) for part in parts]
+
+    def _lower_to_nearest(self, base: _Grid, h: float, rows, best: np.ndarray) -> None:
         """Lower best[rows] to each row's distance to the nearest other
-        centre of g's class, in the rounds that the module docstring gives."""
+        centre of base's class, in the rounds that the module docstring
+        gives, the first on a grid of side h >= base.h.  rows None stands
+        for the whole class, which each round's grid holds in key order;
+        other rows are sorted by key each round."""
         # own cell first, corners last: what the near cells find rules out far ones
-        order = np.argsort(np.count_nonzero(g.offsets, axis=1), kind="stable")
-        while rows.size:
-            keys = g.keys_of(self._centers, rows)
-            # in key order, so that the lookups read memory in order
-            sort = np.argsort(keys, kind="stable")
-            rows, keys = rows[sort], keys[sort]
-            for start in range(0, rows.size, _NEAREST_BLOCK):
-                r, kb = rows[start:start + _NEAREST_BLOCK], keys[start:start + _NEAREST_BLOCK]
-                xb = np.take(self._centers, r, axis=0)
-                # per axis, the exact lower faces of the cells -1..2 from each
-                # centre's (clipped) cell less the centre; then its gap to cells -1, 0, 1
-                face = (np.clip(np.floor(xb / g.h) - g.base, 1.0, g.top) + g.base
-                        + np.arange(-1.0, 3.0)[:, None, None]) * g.h - xb
-                slab = np.maximum(np.maximum(face[:-1], -face[1:]), 0.0)
-                del face
-                near = best[r]
-                for offset, delta in zip(g.offsets[order], g.deltas[order]):
-                    box = slab[offset[0] + 1, :, 0] ** 2
-                    for j in range(1, offset.size):
-                        box += slab[offset[j] + 1, :, j] ** 2
-                    sel = np.flatnonzero(np.sqrt(box) <= near)
-                    q, p = g.candidates(kb[sel] + delta) if sel.size else (sel, sel)
-                    if not q.size:
-                        continue
-                    q, k = sel[q], g.ids[p]
-                    dist = row_norms(np.take(xb, q, axis=0), np.take(self._centers, k, axis=0))
-                    dist[k == r[q]] = np.inf
-                    # q is ascending, so each row's candidates are one run
-                    first = np.flatnonzero(np.diff(q, prepend=-1))
-                    q = q[first]
-                    near[q] = np.minimum(near[q], np.minimum.reduceat(dist, first))
-                best[r] = near
-            if np.all(g.top <= 2.0):
+        order = np.argsort(np.count_nonzero(base.offsets, axis=1), kind="stable")
+        g = base
+        done = -math.inf   # the side of the last round: a row whose best is <= it is finished
+        while True:
+            if h > g.h:
+                g = None   # free the last round's grid before this one is built
+                g = _Grid(base.ids, self._centers, base.r_max, base.band, h)
+            if rows is not None:
+                # in key order, so that the lookups read memory in order
+                rows = rows[best[rows] > done]
+                rows = rows[np.argsort(g.keys_of(self._centers, rows), kind="stable")]
+            more = False
+            for r in _blocks(g.ids if rows is None else rows, _NEAREST_BLOCK):
+                r = r[best[r] > done]
+                if r.size:
+                    self._search_cells(g, r, best, order)
+                    more = more or bool((best[r] > g.h).any())
+            if not more or np.all(g.top <= 2.0):
                 return
-            rows = rows[best[rows] > g.h]
-            g = _Grid(g.ids, self._centers, g.r_max, g.band, 2.0 * g.h)
+            done, h = g.h, 2.0 * g.h
+
+    def _search_cells(self, g: _Grid, r: np.ndarray, best: np.ndarray, order) -> None:
+        """Lower best[r] to the distance from each centre of r to the
+        nearest other centre of g's class in the 3^d cells around its own,
+        visiting the cells in ``order`` and skipping a cell farther than
+        the row's best."""
+        xb = np.take(self._centers, r, axis=0)
+        keys = g.cell_keys(xb)
+        # per axis, the exact lower faces of the cells -1..2 from each
+        # centre's (clipped) cell less the centre; then the square of its
+        # gap to cells -1, 0, 1
+        gap2 = np.empty((3, xb.shape[1], r.size))
+        for j in range(xb.shape[1]):
+            cell = np.floor(xb[:, j] / g.h)
+            cell -= g.base[j]
+            np.clip(cell, 1.0, g.top[j], out=cell)
+            cell += g.base[j]
+            face = [(cell + k) * g.h - xb[:, j] for k in (-1.0, 0.0, 1.0, 2.0)]
+            for i in range(3):
+                gap = np.maximum(face[i], -face[i + 1])
+                np.maximum(gap, 0.0, out=gap)
+                np.square(gap, out=gap2[i, j])
+        near = best[r]
+        for offset, delta in zip(g.offsets[order], g.deltas[order]):
+            box = gap2[offset[0] + 1, 0].copy()
+            for j in range(1, offset.size):
+                box += gap2[offset[j] + 1, j]
+            sel = np.flatnonzero(np.sqrt(box) <= near)
+            q, p = g.candidates(keys[sel] + delta) if sel.size else (sel, sel)
+            if not q.size:
+                continue
+            q, k = sel[q], g.ids[p]
+            dist = row_norms(np.take(xb, q, axis=0), np.take(self._centers, k, axis=0))
+            dist[k == r[q]] = np.inf
+            # q is ascending, so each row's candidates are one run
+            first = np.flatnonzero(np.diff(q, prepend=-1))
+            q = q[first]
+            near[q] = np.minimum(near[q], np.minimum.reduceat(dist, first))
+        best[r] = near

@@ -39,9 +39,12 @@ at a time and keeps, per level of its depth, the children of one batch, at
 most 2^d * _CANDIDATE_CHUNK boxes.  The incidence computes the candidate
 windows of _BALL_BLOCK balls at a time and expands _CANDIDATE_CHUNK
 candidate boxes at a time.  It keeps each pair of the level being built as
-a ball id and an int64 cube key, ranks the keys, and then holds per pair a
-ball id and a cube rank and per cube its index and dist(Q, boundary), the
-latter computed _CANDIDATE_CHUNK cubes at a time.
+an int32 ball id and an int64 cube key (12 bytes), ranks the keys (their
+sort order and the sorted keys, 16 bytes a pair more while it ranks), and
+then holds per pair an int32 ball id and an int32 cube rank (8 bytes) and
+per cube its int64 index and float64 dist(Q, boundary) (8d + 8 bytes), the
+latter computed _CANDIDATE_CHUNK cubes at a time.  Keys and products that
+can pass 2^31 are formed in int64.
 """
 
 from __future__ import annotations
@@ -318,8 +321,8 @@ class LevelPairs(NamedTuple):
     """One level's (ball, cube) pairs, sorted by ball and then by cube."""
 
     level: int
-    ball: np.ndarray    # (m,) int64 ball index per pair
-    cube: np.ndarray    # (m,) int64 per pair: its cube's rank among this level's cubes
+    ball: np.ndarray    # (m,) int32 ball index per pair
+    cube: np.ndarray    # (m,) int32 per pair: its cube's rank among this level's cubes
     index: np.ndarray   # (k, d) int64 the level's cubes that meet some ball, lexsorted
     dist: np.ndarray    # (k,) float64 dist(Q, boundary) per cube
 
@@ -412,20 +415,20 @@ class CubeIncidence:
             owner, boxes = sel[owner[member]], boxes[member]
             meets = _meets(boxes, side, x[owner], r[owner])
             if meets.any():
-                yield start + owner[meets], grid.keys(boxes[meets])
+                yield (start + owner[meets]).astype(np.int32), grid.keys(boxes[meets])
 
 
 def _distinct(keys: np.ndarray):
-    """The distinct values of keys in increasing order, and the rank of
-    every key among them (np.unique holds several times more memory)."""
+    """The distinct values of keys in increasing order, and the int32 rank
+    of every key among them (np.unique holds several times more memory)."""
     order = np.argsort(keys)
     keys = keys[order]
     new = np.empty(keys.size, dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     keys = keys[new]
-    rank = np.empty(order.size, dtype=np.int64)
-    new = np.cumsum(new)
+    rank = np.empty(order.size, dtype=np.int32)
+    new = np.cumsum(new, dtype=np.int32)
     new -= 1
     rank[order] = new
     return keys, rank

@@ -248,6 +248,32 @@ def test_separation_hand_value(disk):
     assert got == pytest.approx(1.58114, rel=1e-5)
 
 
+@pytest.fixture(scope="module")
+def w2(disk):
+    """The W2 disk of the benchmark: 6 shells of phi = 0.1 at seed 35."""
+    return generate_shell_config(disk, ConstantProfile(0.1), 0.5, 6, seed=35)
+
+
+def test_separation_of_w2_seed_35_is_pinned(w2):
+    assert w2.n == 54_743
+    assert separation_infimum(w2, 1.5) == 0.4433373579584102
+
+
+def test_bytes_per_bubble_of_w2(w2):
+    # what a configuration keeps for each bubble: centres, radii, int32
+    # shell labels and distances to the boundary, 36 bytes; and its index,
+    # per radius class the int32 ids, the int64 keys of the occupied cells
+    # and the int32 starts of their runs, 13.7 bytes on W2
+    kept = [a for a in vars(w2).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in kept) == 36 * w2.n
+    grids = w2.index._grids
+    for g in grids:
+        assert (g.ids.dtype, g.cells.dtype, g.starts.dtype) == (np.int32, np.int64, np.int32)
+    index = sum(g.ids.nbytes + g.cells.nbytes + g.starts.nbytes for g in grids)
+    assert index / w2.n < 14.0
+    assert w2.shell_ids.dtype == np.int64
+
+
 def test_separation_matches_quadratic_oracle(disk):
     rng = np.random.default_rng(8)
     pts, radii = [], []

@@ -211,6 +211,80 @@ def test_index_empty_query():
     assert hit.dtype == bool and owner.dtype == np.int64
 
 
+def test_index_refuses_two_to_the_31_balls():
+    # broadcast views, so that no row of the 2^31 balls is allocated
+    centers = np.broadcast_to(np.zeros(2), (2**31, 2))
+    radii = np.broadcast_to(np.ones(1), (2**31,))
+    with pytest.raises(ValueError, match="int32 ids"):
+        BallIndex(centers, radii)
+
+
+def _kd_owner(tree, centers, radii, queries):
+    """The ball holding each query, or -1: the KD-tree's balls within the
+    largest radius of it, decided by the closed test |x - c| <= r."""
+    owner = np.full(queries.shape[0], -1)
+    for i, near in enumerate(tree.query_ball_point(queries, radii.max() * (1 + 1e-9))):
+        for k in near:
+            if np.sqrt(((queries[i] - centers[k]) ** 2).sum()) <= radii[k]:
+                owner[i] = k
+    return owner
+
+
+def _kd_near_pairs(tree, centers, radii):
+    """Every unordered pair whose centres lie within r_max,a + r_max,b +
+    DISJOINTNESS_SLACK, a and b the radius classes of its balls, from the
+    KD-tree's pairs within the largest such reach."""
+    classes = np.frexp(radii)[1]
+    r_max = {e: radii[classes == e].max() for e in np.unique(classes).tolist()}
+    reach = 2 * max(r_max.values()) + spatial.DISJOINTNESS_SLACK
+    pairs = tree.query_pairs(reach * (1 + 1e-9), output_type="ndarray")
+    j, k = pairs.T
+    lim = np.array([r_max[a] + r_max[b] + spatial.DISJOINTNESS_SLACK
+                    for a, b in zip(classes[j].tolist(), classes[k].tolist())])
+    keep = np.sqrt(((centers[j] - centers[k]) ** 2).sum(axis=1)) <= lim
+    return {(a, b) for a, b in np.sort(pairs[keep], axis=1).tolist()}
+
+
+def _shell_family(d, c, shells):
+    cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(c), 0.5, shells,
+                                seed=35)
+    return cfg.centers, cfg.radii
+
+
+@pytest.mark.parametrize("family",
+                         ["random", "multiscale", "dyadic", "disk", "ball", "overlapping"])
+def test_queries_and_near_pairs_equal_the_kd_tree(family):
+    rng = np.random.default_rng(7)
+    centers, radii = {
+        "random": lambda: _disjoint_balls(
+            rng, 300, lambda g: (g.uniform(-1, 1, 2), 10.0 ** g.uniform(-4, -1))),
+        "multiscale": lambda: _multiscale_family_3d(rng, 200, 100, 1e-9, 60)[:2],
+        "dyadic": lambda: _disjoint_balls(rng, 60, _dyadic_ball),
+        "disk": lambda: _shell_family(2, 0.4, 4),
+        "ball": lambda: _shell_family(3, 0.3, 2),
+        # near pairs abound
+        "overlapping": lambda: (rng.uniform(-1, 1, (3000, 2)),
+                                rng.choice([0.01, 0.03], 3000) * rng.uniform(0.75, 1, 3000)),
+    }[family]()
+    idx, tree = BallIndex(centers, radii), cKDTree(centers)
+    d = centers.shape[1]
+    k = rng.integers(0, radii.size, 4000)
+    u = rng.standard_normal((4000, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    queries = centers[k] + radii[k, None] * u * rng.uniform(0.5, 1.5, (4000, 1))
+    hit, owner = idx.contains_batch(queries)
+    assert owner.dtype == np.int64
+    if family != "overlapping":   # a point in two balls has either as its owner
+        want = _kd_owner(tree, centers, radii, queries)
+        assert np.array_equal(np.where(hit, owner, -1), want)
+        assert 0 < hit.sum() < hit.size
+    j, k = idx.near_pairs()
+    assert j.dtype == k.dtype == np.int64
+    got = np.sort(np.stack([j, k], axis=1), axis=1)
+    assert np.unique(got, axis=0).shape[0] == got.shape[0]   # each pair once
+    assert set(map(tuple, got.tolist())) == _kd_near_pairs(tree, centers, radii)
+
+
 def test_single_point_lookup():
     idx = BallIndex(np.array([[0.5, 0.0]]), np.array([0.1]))
     assert idx.contains([0.55, 0.0]) == 0
@@ -301,13 +375,15 @@ def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
         pairs = np.stack(BallIndex(centers, radii).near_pairs(), axis=1)
         return [cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas,
                 cfg.index.contains_batch(queries)[1], cfg.index.nearest_center_distances(),
-                np.unique(pairs, axis=0), (tmp_path / name).read_bytes()]
+                np.unique(pairs, axis=0), (tmp_path / name).read_bytes(),
+                bubbles.separation_infimum(cfg, 1.5)]
 
     state = rng.bit_generator.state
     want = run("default.csv")
     for module, name in [(bubbles, "_LATTICE_BLOCK"), (bubbles, "_CSV_BLOCK"),
-                         (spatial, "_INDEX_BLOCK"), (spatial, "_QUERY_BLOCK"),
-                         (spatial, "_PAIR_BLOCK"), (spatial, "_NEAREST_BLOCK")]:
+                         (bubbles, "_ROW_BLOCK"), (spatial, "_INDEX_BLOCK"),
+                         (spatial, "_QUERY_BLOCK"), (spatial, "_PAIR_BLOCK"),
+                         (spatial, "_NEAREST_BLOCK")]:
         assert getattr(module, name) > 97
         monkeypatch.setattr(module, name, 97)
     rng.bit_generator.state = state

@@ -25,8 +25,10 @@ import numpy as np
 from . import __version__
 from .bubbles import (
     BubbleConfig,
+    _shell_phi,
     generate_shell_config,
     profile_from_json,
+    shell_radii,
     weight_from_json,
 )
 from .criteria import aikawa_sum  # noqa: F401  (re-exported: the per-point sum)
@@ -82,6 +84,10 @@ class RunConfig:
             raise ConfigError(f"shells.count must be >= 1, got {self.shells!r}")
         if self.seed < 0:
             raise ConfigError(f"shells.seed must be a non-negative integer, got {self.seed!r}")
+        try:
+            _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_json(self) -> dict:
         out = {

@@ -202,6 +202,18 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("profile, message", [
+    ({"kind": "constant", "c": 0.6}, "shell 1: phi(t)=0.6 >= 1/2"),
+    ({"kind": "log", "p": 0.2}, "shell 1: phi(t)=0.814"),
+])
+def test_main_returns_2_on_a_profile_of_half_or_more_at_a_shell(tmp_path, capsys, profile,
+                                                                message):
+    cfg = _write_config(tmp_path, {**SMALL, "profile": profile})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("change", [{"critera": {"grid": 4}}, {"out_dir": "run"}])
 def test_main_returns_2_on_an_unknown_top_level_key(tmp_path, capsys, change):
     cfg = _write_config(tmp_path, {**SMALL, **change})

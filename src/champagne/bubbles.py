@@ -1,5 +1,5 @@
 """Bubble configurations: champagne families of disjoint closed balls
-accumulating at the boundary, their generators and separation predicates.
+accumulating at the boundary, their generator and separation infimum.
 
 Radial profiles and weight functions are closed-form enumerations rather than
 arbitrary callables: divergence of an improper integral cannot be decided
@@ -21,14 +21,13 @@ time.  No block size changes a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .geometry import BallDomain, row_norms
-from .kernels import Constants, small_radius_threshold, unit_ball_volume
 from .rng import PCG64Stream
 from .spatial import DISJOINTNESS_SLACK, BallIndex
 
@@ -47,8 +46,6 @@ __all__ = [
     "generate_shell_config",
     "shell_radii",
     "separation_infimum",
-    "profile_separation_infimum",
-    "capacity_separation_report",
 ]
 
 
@@ -221,7 +218,7 @@ class BubbleConfig:
     parameters (profile, a, shells, seed) when built by the generator, and
     ``shell_ids`` labels each bubble with its shell.  ``index`` answers
     every spatial query: point membership, the disjointness check's
-    candidate pairs and the separation predicates' nearest centres.
+    candidate pairs and the separation infimum's nearest centres.
     """
 
     def __init__(
@@ -400,7 +397,6 @@ def generate_shell_config(
     a: float,
     shells: int,
     seed: int = 0,
-    jitter: bool = True,
 ) -> BubbleConfig:
     """Bubbles on concentric shells accumulating at the unit sphere.
 
@@ -454,15 +450,15 @@ def generate_shell_config(
     # each lattice is written into its rows _LATTICE_BLOCK rows at a time; the
     # counts do not depend on the draws, so the draws still come shell by shell
     stream = PCG64Stream(seed)  # also checks the seed for d=3
-    if d == 3 and jitter:
+    if d == 3:
         rng = np.random.default_rng(seed)
     shell_ids = np.repeat(np.arange(shells, dtype=np.int32), counts)
     centers = np.empty((shell_ids.size, d))
     first = 0
     for i, n_i in enumerate(counts.tolist()):
         if d == 2:
-            offset = stream.uniform(0.0, 2.0 * math.pi) if jitter else 0.0
-        elif jitter:
+            offset = stream.uniform(0.0, 2.0 * math.pi)
+        else:
             rot = _random_rotation(rng, 3).T
         for lo in range(0, n_i, _LATTICE_BLOCK):
             hi = min(n_i, lo + _LATTICE_BLOCK)
@@ -471,10 +467,8 @@ def generate_shell_config(
                 ang = offset + 2.0 * math.pi * np.arange(lo, hi) / n_i
                 out[:, 0] = np.cos(ang)
                 out[:, 1] = np.sin(ang)
-            elif jitter:
-                np.matmul(_fibonacci_sphere(n_i, lo, hi), rot, out=out)
             else:
-                out[:] = _fibonacci_sphere(n_i, lo, hi)
+                np.matmul(_fibonacci_sphere(n_i, lo, hi), rot, out=out)
             out *= t[i]
         first += n_i
 
@@ -484,7 +478,6 @@ def generate_shell_config(
         "a": a,
         "shells": shells,
         "seed": seed,
-        "jitter": jitter,
         "t": [float(x) for x in t],
         "coverage_a": coverage_a,
     }
@@ -519,7 +512,7 @@ def _coverage_parameter(a, t, spacing, counts, d) -> float:
 
 
 # ---------------------------------------------------------------------------
-# predicates
+# separation
 # ---------------------------------------------------------------------------
 
 def separation_infimum(config: BubbleConfig, alpha: float) -> float:
@@ -539,76 +532,3 @@ def separation_infimum(config: BubbleConfig, alpha: float) -> float:
         least = min(least, float((nn[b] / denom).min()))
     return least
 
-
-def profile_separation_infimum(config: BubbleConfig, phi: RadialProfile, alpha: float) -> float:
-    """inf over m != n of |x_m - x_n| / (phi(|x_n|)^(1-alpha/d) * (1-|x_n|)).
-
-    Requires the unit ball and radii consistent with r = (1-|x|)*phi(|x|).
-    The distances are the index's, as in :func:`separation_infimum`.
-    """
-    if config.n == 0:
-        raise ValueError("need at least one bubble")
-    if float(config.domain.radius) != 1.0 or not np.all(config.domain.center == 0.0):
-        raise ValueError("profile separation is defined on the unit ball")
-    norms = np.sqrt((config.centers**2).sum(axis=1))
-    expected = (1.0 - norms) * phi(norms)
-    err = np.abs(expected - config.radii)
-    if config.n and float(err.max()) > 1e-9 * max(1.0, float(config.radii.max())):
-        k = int(np.argmax(err))
-        raise ValueError(
-            f"radii inconsistent with profile: bubble {k} has r={config.radii[k]!r}, "
-            f"profile gives {expected[k]!r}"
-        )
-    d = config.dimension
-    nn = config.index.nearest_center_distances()
-    denom = phi(norms) ** (1.0 - alpha / d) * (1.0 - norms)
-    return float((nn / denom).min())
-
-
-@dataclass(frozen=True)
-class CapacitySeparationReport:
-    """Checkable hypotheses under which disjoint-family capacity sums are
-    comparable to the capacity of the union."""
-
-    small_radius_ok: bool
-    eta_separation_ok: bool
-    strong_separation_ok: bool
-    margins: dict = field(default_factory=dict)
-
-
-def capacity_separation_report(config: BubbleConfig, consts: Constants) -> CapacitySeparationReport:
-    """Evaluate the small-radius and separation hypotheses exactly.
-
-    (i)   r_k <= (16^d * C * sigma_d)^(-1/alpha) for all k;
-    (ii)  |x_j - x_k| / r_k^(1-alpha/d) >= 2 * C^(1/d) * sigma_d^(-1/d);
-    plus the stronger delta-weighted threshold 32 * C^(2/d) * C_1^(2*alpha/d).
-    The minima over j != k come from the index's nearest-centre distances.
-    """
-    d = config.dimension
-    alpha = consts.alpha
-    sigma_d = unit_ball_volume(d)
-    r_thresh = small_radius_threshold(consts, d)
-    eta_thresh = 2.0 * consts.C ** (1.0 / d) * sigma_d ** (-1.0 / d)
-    strong_thresh = 32.0 * consts.C ** (2.0 / d) * consts.C_1 ** (2.0 * alpha / d)
-
-    if config.n == 0:
-        return CapacitySeparationReport(True, True, True, {"r_max": 0.0})
-    r_max = float(config.radii.max())
-    nn = config.index.nearest_center_distances()
-    eta_min = float((nn / config.radii ** (1.0 - alpha / d)).min())
-    strong_min = float(
-        (nn / (config.radii ** (1.0 - alpha / d) * config.deltas ** (alpha / d))).min()
-    )
-    return CapacitySeparationReport(
-        small_radius_ok=r_max <= r_thresh,
-        eta_separation_ok=eta_min >= eta_thresh,
-        strong_separation_ok=strong_min >= strong_thresh,
-        margins={
-            "r_max": r_max,
-            "r_threshold": r_thresh,
-            "eta_ratio_min": eta_min,
-            "eta_threshold": eta_thresh,
-            "strong_ratio_min": strong_min,
-            "strong_threshold": strong_thresh,
-        },
-    )

@@ -2,8 +2,8 @@
 
 Divergence is never claimed from truncated numerics: a Divergent/Convergent
 verdict requires the analytic tail reduction available for the closed-form
-profile/weight enumeration, otherwise the verdict is Inconclusive and carries
-partial sums as diagnostics.  "sigma-a.e. boundary point" is operationalized
+profile/weight enumeration, otherwise the verdict is Inconclusive and the
+boundary series totals are the diagnostics.  "sigma-a.e. boundary point" is operationalized
 as every point of a deterministic boundary grid plus the rotation-symmetry
 property of shell configurations; reports state this proxy.
 
@@ -85,8 +85,6 @@ __all__ = [
     "AikawaTrace",
     "aikawa_sum",
     "WienerTrace",
-    "wiener_dyadic_sum",
-    "quasi_additivity_interval",
     "WhitneySums",
     "whitney_sums",
     "AvoidabilityReport",
@@ -132,18 +130,7 @@ class DivergenceVerdict:
     tail_model: str = ""
 
     def to_json(self) -> dict:
-        def clean(v):
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (np.floating, float)):
-                return float(v)
-            if isinstance(v, (np.integer, int)):
-                return int(v)
-            return v
-
-        return {"tag": self.tag.value, "tail_model": self.tail_model, "evidence": clean(self.evidence)}
+        return {"tag": self.tag.value, "tail_model": self.tail_model, "evidence": self.evidence}
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +167,16 @@ def _series_total(config: BubbleConfig, z: np.ndarray, alpha: float) -> float:
 def _tail_exponents(phi: RadialProfile, weight: WeightFunction, d: int, alpha: float):
     """Exponents of the tail integrand in the variable u = -log(1-t):
 
-    phi(t)^(d-a) * M(t) = const * exp(rate*u) * (1+u)^log_power.
+    phi(t)^(d-a) * M(t) = const * exp(rate*u) * (1+u)^log_power,
+
+    returned as (rate, log_power); None outside the closed-form enumeration.
     """
     if isinstance(phi, ConstantProfile):
-        rate_p, logpow_p, const = 0.0, 0.0, phi.c ** (d - alpha)
+        rate_p, logpow_p = 0.0, 0.0
     elif isinstance(phi, PowerProfile):
-        rate_p, logpow_p, const = -phi.beta * (d - alpha), 0.0, 1.0
+        rate_p, logpow_p = -phi.beta * (d - alpha), 0.0
     elif isinstance(phi, LogProfile):
-        rate_p, logpow_p, const = 0.0, -phi.p * (d - alpha), 1.0
+        rate_p, logpow_p = 0.0, -phi.p * (d - alpha)
     else:
         return None
     if isinstance(weight, OneWeight):
@@ -198,7 +187,7 @@ def _tail_exponents(phi: RadialProfile, weight: WeightFunction, d: int, alpha: f
         rate_w, logpow_w = 0.0, weight.p
     else:
         return None
-    return rate_p + rate_w, logpow_p + logpow_w, const
+    return rate_p + rate_w, logpow_p + logpow_w
 
 
 def _classify_exponents(rate: float, log_power: float) -> Verdict:
@@ -222,7 +211,8 @@ def classify_shell_series(
     The radii s_i approach 1 geometrically (1 - s_(i+1) = rho*(1 - s_i) with
     rho = (1-a)/(1+a)), so each term behaves like exp(rate*L*i) * (L*i)^p
     with L = log(1/rho); the exponent rule of the tail integral then
-    classifies divergence.  The first 48 terms are attached as evidence.
+    classifies divergence.  The evidence is rate, log_power and
+    step_log = L.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
@@ -234,37 +224,14 @@ def classify_shell_series(
             {"reason": "profile or weight outside the closed-form enumeration"},
             name,
         )
-    rate, log_power, _ = exps
-
-    def from_gap(fn, gap):
-        # evaluate phi/M at t = 1 - gap without forming 1 - gap (which rounds
-        # to 1 for deep shells)
-        if isinstance(fn, ConstantProfile):
-            return np.full_like(gap, fn.c)
-        if isinstance(fn, PowerProfile):
-            return gap**fn.beta
-        if isinstance(fn, LogProfile):
-            return (1.0 - np.log(gap)) ** (-fn.p)
-        if isinstance(fn, OneWeight):
-            return np.ones_like(gap)
-        if isinstance(fn, PowerWeight):
-            return gap**-fn.gamma
-        return (1.0 - np.log(gap)) ** fn.p
-
+    rate, log_power = exps
     rho = (1.0 - a) / (1.0 + a)
-    one_minus_s = 0.5 * rho ** np.arange(1, 49, dtype=float)
-    with np.errstate(over="ignore"):
-        terms = from_gap(phi, one_minus_s[:-1]) ** (d - alpha) * from_gap(
-            weight, one_minus_s[1:]
-        )
-    terms = np.minimum(terms, 1e300)
     return DivergenceVerdict(
         _classify_exponents(rate, log_power),
         {
             "rate": rate,
             "log_power": log_power,
             "step_log": math.log(1.0 / rho),
-            "partial_sums": np.cumsum(terms).tolist(),
         },
         name,
     )
@@ -595,30 +562,6 @@ def aikawa_sum(
     :func:`whitney_sums`) as (lower, upper) bounds over the cubes of
     ``inc``, the cube-bubble incidence of ``config``."""
     return whitney_sums(inc, config, [z], consts).aikawa[0]
-
-
-def wiener_dyadic_sum(
-    inc: CubeIncidence,
-    config: BubbleConfig,
-    z,
-    consts: Constants,
-    n_max: int = 30,
-) -> WienerTrace:
-    """Dyadic-shell thinness sum at the boundary point z (see
-    :func:`whitney_sums`) over shells 1..n_max, as (lower, upper) bounds
-    per shell."""
-    return whitney_sums(inc, config, [z], consts, n_max).wiener[0]
-
-
-def quasi_additivity_interval(
-    inc: CubeIncidence, config: BubbleConfig, consts: Constants
-) -> tuple[float, float]:
-    """Ratio interval for sum_j gamma_g(A ∩ Q_j) versus the per-bubble energy
-    sum (:meth:`WhitneySums.quasi_additivity`) over the Whitney cubes of
-    ``inc``, the cube-bubble incidence of ``config``."""
-    if config.n == 0:
-        raise ValueError("quasi-additivity ratio needs a nonempty configuration")
-    return whitney_sums(inc, config, [], consts).quasi_additivity()
 
 
 # ---------------------------------------------------------------------------

@@ -59,18 +59,14 @@ class BallDomain:
         return cls(np.asarray(obj["center"], dtype=float), float(obj["radius"]))
 
 
-def dist_to_boundary(domain: BallDomain, x, signed: bool = False):
-    """Distance delta_D(x) from x to the boundary sphere.
-
-    Clamps to 0 outside the domain by default; with ``signed=True`` returns
-    radius - |x - center| (negative outside).  Vectorizes over a leading batch
-    axis.  1-Lipschitz in x.
+def dist_to_boundary(domain: BallDomain, x):
+    """Distance delta_D(x) from x to the boundary sphere, clamped to 0
+    outside the domain.  Vectorizes over a leading batch axis.  1-Lipschitz
+    in x.
     """
     x = np.asarray(x, dtype=float)
     domain._check_dim(x)
     d = domain.radius - np.sqrt(((x - domain.center) ** 2).sum(axis=-1))
-    if signed:
-        return d if d.ndim else float(d)
     clamped = np.maximum(d, 0.0)
     return clamped if clamped.ndim else float(clamped)
 

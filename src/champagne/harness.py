@@ -355,8 +355,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     x0 = cfg.domain.center
-    estimate, outcomes = estimate_hitting(x0, config, cfg.profile, cfg.sim,
-                                         return_outcomes=True)
+    estimate, outcomes = estimate_hitting(x0, config, cfg.profile, cfg.sim)
     payload = {"format_version": FORMAT_VERSION, **estimate.to_json()}
     _write_json(out / "estimate.json", payload)
     if cfg.per_trajectory_csv:

@@ -401,15 +401,11 @@ def _run_forked(x0, config, phi, params) -> list:
     return [np.concatenate(col) for col in zip(*blocks)]
 
 
-def estimate_hitting(
-    x0,
-    config: BubbleConfig,
-    phi,
-    params: SimParams,
-    return_outcomes: bool = False,
-):
+def estimate_hitting(x0, config: BubbleConfig, phi, params: SimParams):
     """Estimate P(hit the bubble union before the lifetime proxy); ``phi`` is
-    the radial profile that sets the step.
+    the radial profile that sets the step.  Returns the ``HitEstimate`` and
+    the per-trajectory outcomes (tags, steps, bubbles, finals), in
+    trajectory id order.
 
     Runs ``params.n_traj`` trajectories on independent counter streams,
     split into one contiguous block of trajectory ids per CPU that this
@@ -446,6 +442,4 @@ def estimate_hitting(
         diagnostics=_diagnostics(config, params, tags, steps, bubbles, suppressed),
         params=params,
     )
-    if return_outcomes:
-        return estimate, (tags, steps, bubbles, finals)
-    return estimate
+    return estimate, (tags, steps, bubbles, finals)

@@ -11,14 +11,11 @@ from champagne.bubbles import (
     ConstantProfile,
     LogProfile,
     PowerProfile,
-    capacity_separation_report,
     generate_shell_config,
-    profile_separation_infimum,
     separation_infimum,
     shell_radii,
 )
 from champagne.geometry import BallDomain
-from champagne.kernels import Constants
 
 
 @pytest.fixture(scope="module")
@@ -216,12 +213,10 @@ def test_generator_rejects_bad_inputs(disk):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("seed", [None, -1])
 def test_generator_refuses_a_seed_that_is_not_a_non_negative_int(d, seed):
-    # np.random.default_rng(None) would draw OS entropy; the check holds
-    # without jitter too, where no draw is made
-    for jitter in (True, False):
-        with pytest.raises(ValueError, match="non-negative integer"):
-            generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(0.3), 0.5, 2,
-                                  seed=seed, jitter=jitter)
+    # np.random.default_rng(None) would draw OS entropy
+    with pytest.raises(ValueError, match="non-negative integer"):
+        generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(0.3), 0.5, 2,
+                              seed=seed)
 
 
 def test_generator_d3(monkeypatch):
@@ -298,57 +293,6 @@ def test_separation_matches_quadratic_oracle(disk):
             den = cfg.radii[k] ** (1 - alpha / d) * cfg.deltas[k] ** (alpha / d)
             best = min(best, num / den)
     assert got == best
-
-
-def test_profile_separation_plateau(disk):
-    phi = ConstantProfile(0.3)
-    vals = []
-    for shells in range(2, 7):
-        cfg = generate_shell_config(disk, phi, 0.5, shells, seed=1, jitter=False)
-        vals.append(profile_separation_infimum(cfg, phi, 1.5))
-    vals = np.asarray(vals)
-    assert np.all(vals > 0)
-    assert vals.max() / vals.min() < 1.25    # stabilizes as shells grow
-
-
-def test_profile_separation_checks_radii(disk):
-    cfg = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
-    with pytest.raises(ValueError, match="inconsistent"):
-        profile_separation_infimum(cfg, ConstantProfile(0.3), 1.5)
-
-
-# -- capacity separation hypotheses ----------------------------------------------
-
-def test_capacity_separation_two_tiny_bubbles():
-    dom = BallDomain(np.zeros(2), 1.0)
-    consts = Constants(alpha=1.5)
-    cfg = BubbleConfig(dom, [[0.5, 0.0], [-0.5, 0.0]], [0.001, 0.001])
-    rep = capacity_separation_report(cfg, consts)
-    assert rep.small_radius_ok
-    assert rep.eta_separation_ok
-    assert rep.margins["r_threshold"] == pytest.approx((256 * math.pi) ** (-2 / 3), rel=1e-12)
-    assert rep.margins["eta_threshold"] == pytest.approx(2 / math.sqrt(math.pi), rel=1e-12)
-    assert rep.margins["strong_threshold"] == pytest.approx(32.0)
-
-
-def test_capacity_separation_fat_bubble_fails_small_radius():
-    dom = BallDomain(np.zeros(2), 2.0)
-    cfg = BubbleConfig(dom, [[0.0, 0.0]], [0.5])
-    rep = capacity_separation_report(cfg, Constants(alpha=1.5))
-    assert not rep.small_radius_ok
-
-
-def test_capacity_separation_margins_shrink_with_scale():
-    dom = BallDomain(np.zeros(2), 1.0)
-    consts = Constants(alpha=1.5)
-    ratios = []
-    for scale in (1.0, 2.0, 4.0):
-        cfg = BubbleConfig(
-            dom, [[0.5, 0.0], [-0.5, 0.0]], [0.001 * scale, 0.001 * scale]
-        )
-        rep = capacity_separation_report(cfg, consts)
-        ratios.append(rep.margins["eta_ratio_min"])
-    assert ratios[0] > ratios[1] > ratios[2]
 
 
 # -- serialization ------------------------------------------------------------------

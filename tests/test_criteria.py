@@ -30,10 +30,8 @@ from champagne.criteria import (
     aikawa_sum,
     classify_avoidability,
     classify_shell_series,
-    quasi_additivity_interval,
     uniform_boundary_grid,
     whitney_sums,
-    wiener_dyadic_sum,
 )
 from champagne.geometry import BallDomain
 from champagne.harness import RunConfig, cmd_criteria
@@ -162,7 +160,7 @@ def classify_radial_integral(phi, weight, d, alpha):
     """Oracle: the tail integral of phi(t)^(d-a) * M(t) / (1-t) over
     (1/2, 1), classified by the analytic reduction under u = -log(1-t), with
     the partial integrals up to 1 - eps for eps = 1e-3 .. 1e-12 as evidence."""
-    rate, log_power, const = _tail_exponents(phi, weight, d, alpha)
+    rate, log_power = _tail_exponents(phi, weight, d, alpha)
     integrand = _u_integrand(phi, weight, d, alpha)
     t0 = 0.5
     u0 = -math.log(1.0 - t0)
@@ -170,7 +168,7 @@ def classify_radial_integral(phi, weight, d, alpha):
              for k in range(3, 13)]
     return DivergenceVerdict(
         _classify_exponents(rate, log_power),
-        {"rate": rate, "log_power": log_power, "const": const, "quadrature": trace, "t0": t0},
+        {"rate": rate, "log_power": log_power, "quadrature": trace, "t0": t0},
         f"phi={type(phi).__name__}, M={type(weight).__name__}",
     )
 
@@ -291,11 +289,18 @@ def test_aikawa_subconfig_ordering(disk, c15):
 
 
 def test_aikawa_warns_below_collar(disk, c15):
-    cfg = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
     # coarse: collar depth ~0.44
-    trace = aikawa_sum(_inc(4, cfg), cfg, [1.0, 0.0], c15)
-    assert trace.uncovered_bubbles.tolist() == [0]
-    assert any("collar" in w for w in trace.warnings)
+    below = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
+    # a fat bubble above the small-radius threshold (256 pi)^(-2/3) = 0.01156
+    fat = BubbleConfig(BallDomain(np.zeros(2), 2.0), [[0.0, 0.0]], [0.5])
+    for cfg, z, uncovered, warning in (
+        (below, [1.0, 0.0], [0], "bubbles lie below the Whitney coverage collar"),
+        (fat, [2.0, 0.0], [], "bubbles exceed the small-radius threshold 0.01156"),
+    ):
+        trace = whitney_sums(_inc(4, cfg), cfg, [z], c15).aikawa[0]
+        assert trace.uncovered_bubbles.tolist() == uncovered
+        assert [w for w in trace.warnings if warning in w] != []
+        assert len(trace.warnings) == 1
 
 
 def test_aikawa_rejects_interior_z(disk, c15):
@@ -307,18 +312,18 @@ def test_aikawa_rejects_interior_z(disk, c15):
 def test_wiener_single_bubble_shell_membership(disk, c15):
     # distance 0.3 from z: shell n = 1 (0.25 <= 0.3 < 0.5)
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
-    trace = wiener_dyadic_sum(_inc(7, cfg), cfg, [1.0, 0.0], c15, n_max=10)
+    trace = whitney_sums(_inc(7, cfg), cfg, [[1.0, 0.0]], c15, n_max=10).wiener[0]
     assert trace.shells.tolist() == [1]
     assert trace.total[1] > 0.0
 
 
 def test_wiener_empty_and_far(disk, c15):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = wiener_dyadic_sum(_inc(7, empty), empty, [1.0, 0.0], c15)
+    trace = whitney_sums(_inc(7, empty), empty, [[1.0, 0.0]], c15).wiener[0]
     assert trace.total == (0.0, 0.0)
     # at distance 1.5 >= 1/2 from z the bubble falls in no shell
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
-    trace = wiener_dyadic_sum(_inc(7, far), far, [1.0, 0.0], c15)
+    trace = whitney_sums(_inc(7, far), far, [[1.0, 0.0]], c15).wiener[0]
     assert trace.shells.size == 0
     assert trace.total == (0.0, 0.0)
 
@@ -328,9 +333,8 @@ def test_wiener_matches_aikawa_within_constant(disk, c15):
     for seed in range(10):
         cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=seed)
         z = np.array([1.0, 0.0])
-        a = aikawa_sum(_inc(7, cfg), cfg, z, c15)
-        w = wiener_dyadic_sum(_inc(7, cfg), cfg, z, c15)
-        ratios.append(w.total[1] / a.total[1])
+        sums = whitney_sums(_inc(7, cfg), cfg, [z], c15)
+        ratios.append(sums.wiener[0].total[1] / sums.aikawa[0].total[1])
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
 
@@ -523,7 +527,7 @@ def test_block_sizes_change_no_result(module, name, monkeypatch, default_block_r
 
 def test_quasi_additivity_interval_finite_and_ordered(disk, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
-    lo, hi = quasi_additivity_interval(_inc(7, cfg), cfg, c15)
+    lo, hi = whitney_sums(_inc(7, cfg), cfg, [], c15).quasi_additivity()
     assert 0.0 < lo <= hi < math.inf
 
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ MODULES = ["champagne"] + [
     f"champagne.{m.name}" for m in pkgutil.iter_modules(champagne.__path__)
     if m.name != "__main__"
 ]
+SRC = Path(champagne.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -18,3 +21,48 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _defined_names(stmt) -> set:
+    """The names that a top-level statement defines: a function, a class or
+    the targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _referenced_names(node) -> set:
+    """Every name that code under ``node`` reads: bare names, attributes and
+    the names that an import binds (an alias counts as a use)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    # a public name whose only caller is its own test is dead code: each name
+    # in a module's __all__ must be used by the package's code somewhere
+    # other than the statement that defines it
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    uses = []   # (module, names the statement defines, names it reads)
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            uses.append((module, _defined_names(stmt), _referenced_names(stmt)))
+    unused = []
+    for module, tree in trees.items():
+        exported = next((ast.literal_eval(stmt.value) for stmt in tree.body
+                         if "__all__" in _defined_names(stmt)), [])
+        for name in exported:
+            if not any(name in reads and not (where == module and name in defines)
+                       for where, defines, reads in uses):
+                unused.append(f"{module}.{name}")
+    assert unused == []

@@ -15,9 +15,9 @@ def test_dist_to_boundary_examples(unit_disk):
     assert dist_to_boundary(unit_disk, [1.0, 0.0]) == 0.0
 
 
-def test_dist_clamps_outside_and_signed(unit_disk):
+def test_dist_clamps_to_zero_outside(unit_disk):
     assert dist_to_boundary(unit_disk, [2.0, 0.0]) == 0.0
-    assert dist_to_boundary(unit_disk, [2.0, 0.0], signed=True) == -1.0
+    assert dist_to_boundary(unit_disk, [[2.0, 0.0], [0.0, -3.0]]).tolist() == [0.0, 0.0]
 
 
 def test_dist_dimension_mismatch(unit_disk):

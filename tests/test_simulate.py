@@ -62,8 +62,7 @@ def _digest(outcomes):
 ], ids=["disk", "ball"])
 def test_outcomes_reproduce_pinned_digests(request, config_name, counts, digest):
     config = request.getfixturevalue(config_name)
-    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"], PARAMS,
-                                     return_outcomes=True)
+    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"], PARAMS)
     assert est.counts == counts
     assert _digest(outcomes) == digest
 
@@ -85,7 +84,7 @@ def test_outcomes_do_not_depend_on_the_worker_count(disk_config, monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
         forks.clear()
-        runs.append(estimate_hitting(x0, disk_config, phi, params, return_outcomes=True))
+        runs.append(estimate_hitting(x0, disk_config, phi, params))
         assert len(forks) == workers - 1
     for est, outcomes in runs[1:]:
         assert est == runs[0][0]
@@ -143,8 +142,7 @@ def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
     # the counters live in this process: a forked worker's calls never reach them
     monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
     _, (_, steps, _, _) = estimate_hitting(disk_config.domain.center, disk_config,
-                                           disk_config.meta["phi"], PARAMS,
-                                           return_outcomes=True)
+                                           disk_config.meta["phi"], PARAMS)
     lockstep_steps = int(steps.max())
     assert lockstep_steps == PARAMS.max_steps
     assert calls["draw"] <= lockstep_steps / 20
@@ -165,9 +163,9 @@ def test_outcomes_are_covariant_under_power_of_two_dilation(s):
     params = dataclasses.replace(PARAMS, boundary_eps=0.01)
     scaled_params = dataclasses.replace(params, boundary_eps=params.boundary_eps * s)
     _, (tags, steps, bubbles, finals) = estimate_hitting(
-        dom.center, config, phi, params, return_outcomes=True)
+        dom.center, config, phi, params)
     _, (s_tags, s_steps, s_bubbles, s_finals) = estimate_hitting(
-        dom.center * s, scaled, phi, scaled_params, return_outcomes=True)
+        dom.center * s, scaled, phi, scaled_params)
     assert set(tags.tolist()) == {0, 1, 2}
     assert np.array_equal(s_tags, tags)
     assert np.array_equal(s_steps, steps)
@@ -187,9 +185,9 @@ def test_nested_configurations_are_coupled_pathwise(d, phi):
     params = SimParams(alpha=1.5, max_steps=1000, n_traj=1000, seed=5)
     x0 = outer.domain.center
     est_in, (tags_in, steps_in, bubbles_in, finals_in) = estimate_hitting(
-        x0, inner, phi, params, return_outcomes=True)
+        x0, inner, phi, params)
     est_out, (tags_out, steps_out, bubbles_out, finals_out) = estimate_hitting(
-        x0, outer, phi, params, return_outcomes=True)
+        x0, outer, phi, params)
     hit_in, hit_out = tags_in == HIT, tags_out == HIT
     assert est_out.counts["hit"] > est_in.counts["hit"] > 0
     # every hit of the subset is a hit of the superset, no later
@@ -263,8 +261,7 @@ def test_estimate_reports_simulator_diagnostics(disk_config):
     # shell 3 of the disk has delta in [0.0167, 0.0204], below boundary_eps
     params = SimParams(alpha=1.5, boundary_eps=0.03, max_steps=400, n_traj=200, seed=2)
     est, (tags, steps, bubbles, _) = estimate_hitting(
-        disk_config.domain.center, disk_config, disk_config.meta["phi"], params,
-        return_outcomes=True)
+        disk_config.domain.center, disk_config, disk_config.meta["phi"], params)
     diag = est.to_json()["diagnostics"]
     assert set(est.counts) == {"hit", "boundary", "timeout"}
     assert diag["shells_below_boundary_eps"] == 1
@@ -365,7 +362,7 @@ def test_x0_within_boundary_eps_ends_at_once(disk_config):
     params = SimParams(alpha=1.5, boundary_eps=1e-3, max_steps=10, n_traj=5)
     x0 = np.array([1.0 - 5e-4, 0.0])
     est, (tags, steps, bubbles, finals) = estimate_hitting(
-        x0, disk_config, disk_config.meta["phi"], params, return_outcomes=True)
+        x0, disk_config, disk_config.meta["phi"], params)
     assert est.counts == {"hit": 0, "boundary": 5, "timeout": 0}
     assert np.all(steps == 0) and np.all(bubbles == -1)
     assert np.array_equal(finals, np.tile(x0, (5, 1)))
@@ -442,7 +439,8 @@ def test_wilson_interval_contains_p_hat_and_mirrors():
 
 def test_estimate_reports_the_interval_bounds(disk_config):
     params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
-    est = estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"], params)
+    est, _ = estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"],
+                              params)
     out = est.to_json()
     assert "ci_halfwidth" not in out
     assert (out["ci_lo"], out["ci_hi"]) == _wilson_interval(est.counts["hit"], 20)

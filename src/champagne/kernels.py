@@ -45,12 +45,11 @@ class Constants:
     alpha: float
     C_G: float = 1.0
     C: float = 1.0
-    C_1: float = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie strictly inside (1, 2)")
-        for name in ("C_G", "C", "C_1"):
+        for name in ("C_G", "C"):
             if not getattr(self, name) >= 1.0:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -59,7 +58,6 @@ class Constants:
             "alpha": self.alpha,
             "C_G": self.C_G,
             "C": self.C,
-            "C_1": self.C_1,
         }
 
     @classmethod

@@ -177,6 +177,7 @@ def test_main_returns_2_on_a_config_missing_profile(tmp_path, capsys):
     ({"sim": {"alpha": 1.5, "max_steps": 50, "n_traj": 20}}, "differs from constants.alpha"),
     ({"constants": {"alpha": 1.3, "C_M": 1.5}}, "C_M"),
     ({"constants": {"alpha": 1.3, "C_H": 1.0}}, "C_H"),
+    ({"constants": {"alpha": 1.3, "C_1": 1.25}}, "C_1"),
 ])
 def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
     tmp_path, capsys, change, message
@@ -295,7 +296,7 @@ def test_report_gives_the_wilson_interval_bounds(tmp_path, monkeypatch):
 def test_run_config_json_round_trip():
     obj = {
         **SMALL,
-        "constants": {"alpha": 1.3, "C_G": 2.0, "C": 3.0, "C_1": 1.25},
+        "constants": {"alpha": 1.3, "C_G": 2.0, "C": 3.0},
         "weight": {"kind": "power", "gamma": 0.25},
         "sim": {"alpha": 1.3, "h": 1e-4, "boundary_eps": 1e-3, "max_steps": 500,
                 "n_traj": 10, "seed": 3},

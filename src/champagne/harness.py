@@ -44,6 +44,9 @@ __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
 FORMAT_VERSION = "1"
 _TOP_LEVEL_KEYS = frozenset({"format_version", "domain", "constants", "profile", "weight",
                              "shells", "whitney", "criteria", "per_trajectory_csv", "sim"})
+_SECTION_KEYS = {"shells": frozenset({"a", "count", "seed"}),
+                 "whitney": frozenset({"max_level"}),
+                 "criteria": frozenset({"grid", "wiener_n_max"})}
 
 APPROXIMATION_NOTES = [
     "simulator: Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
@@ -84,6 +87,12 @@ class RunConfig:
             raise ConfigError(f"shells.count must be >= 1, got {self.shells!r}")
         if self.seed < 0:
             raise ConfigError(f"shells.seed must be a non-negative integer, got {self.seed!r}")
+        if self.whitney_max_level < 2:
+            raise ConfigError(f"whitney.max_level must be >= 2, got {self.whitney_max_level!r}")
+        if self.grid_size < 1:
+            raise ConfigError(f"criteria.grid must be >= 1, got {self.grid_size!r}")
+        if self.wiener_n_max < 1:
+            raise ConfigError(f"criteria.wiener_n_max must be >= 1, got {self.wiener_n_max!r}")
         try:
             _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))
         except ValueError as exc:
@@ -116,12 +125,19 @@ class RunConfig:
                 raise ConfigError(f"unknown top-level field(s): {', '.join(unknown)}")
             if "profile" not in obj:
                 raise ConfigError("missing field: profile")
-            shells = obj.get("shells", {})
+            shells, whitney, criteria = (_section(obj, name) for name in _SECTION_KEYS)
+            per_trajectory_csv = obj.get("per_trajectory_csv", False)
+            if not isinstance(per_trajectory_csv, bool):
+                raise ConfigError(
+                    f"per_trajectory_csv must be true or false, got {per_trajectory_csv!r}")
             constants = Constants.from_json(obj["constants"])
             sim = None
             if "sim" in obj:
                 sim_obj = dict(obj["sim"])
                 sim_obj.setdefault("alpha", constants.alpha)
+                for key in ("max_steps", "n_traj", "seed"):
+                    if key in sim_obj:
+                        sim_obj[key] = _integer(sim_obj[key], f"sim.{key}")
                 sim = SimParams(**sim_obj)
                 # the criteria and the simulator must decide the same process
                 if sim.alpha != constants.alpha:
@@ -136,11 +152,11 @@ class RunConfig:
                 shell_a=float(shells.get("a", 0.5)),
                 shells=_integer(shells.get("count", 4), "shells.count"),
                 seed=_integer(shells.get("seed", 0), "shells.seed"),
-                whitney_max_level=int(obj.get("whitney", {}).get("max_level", 8)),
-                grid_size=int(obj.get("criteria", {}).get("grid", 32)),
-                wiener_n_max=int(obj.get("criteria", {}).get("wiener_n_max", 24)),
+                whitney_max_level=_integer(whitney.get("max_level", 8), "whitney.max_level"),
+                grid_size=_integer(criteria.get("grid", 32), "criteria.grid"),
+                wiener_n_max=_integer(criteria.get("wiener_n_max", 24), "criteria.wiener_n_max"),
                 sim=sim,
-                per_trajectory_csv=bool(obj.get("per_trajectory_csv", False)),
+                per_trajectory_csv=per_trajectory_csv,
                 format_version=version,
             )
         except ConfigError:
@@ -169,6 +185,16 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(obj)
+
+
+def _section(obj: dict, name: str) -> dict:
+    """The config's ``name`` block (empty if absent); a key that the block
+    does not define is a ConfigError rather than being ignored."""
+    section = obj.get(name, {})
+    unknown = sorted(set(section) - _SECTION_KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown field(s) in {name}: {', '.join(unknown)}")
+    return section
 
 
 def _integer(value, name: str) -> int:

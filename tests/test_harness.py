@@ -195,10 +195,35 @@ def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
     ({"a": 1.5}, [], "shells.a must lie in (0, 1), got 1.5"),
     ({"count": 2.7}, [], "shells.count must be an integer, got 2.7"),
     ({"seed": "7"}, [], "shells.seed must be an integer, got '7'"),
+    ({"cout": 3}, [], "unknown field(s) in shells: cout"),
 ])
 def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, argv, message):
     cfg = _write_config(tmp_path, {**SMALL, "shells": {**SMALL["shells"], **shells}})
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"whitney": {"max_levle": 6}}, "unknown field(s) in whitney: max_levle"),
+    ({"criteria": {"gird": 4}}, "unknown field(s) in criteria: gird"),
+    ({"whitney": {"max_level": 1}}, "whitney.max_level must be >= 2, got 1"),
+    ({"whitney": {"max_level": 6.5}}, "whitney.max_level must be an integer, got 6.5"),
+    ({"criteria": {"grid": 0}}, "criteria.grid must be >= 1, got 0"),
+    ({"criteria": {"grid": 4.7}}, "criteria.grid must be an integer, got 4.7"),
+    ({"criteria": {"grid": 4, "wiener_n_max": 0}}, "criteria.wiener_n_max must be >= 1, got 0"),
+    ({"criteria": {"grid": 4, "wiener_n_max": "24"}},
+     "criteria.wiener_n_max must be an integer, got '24'"),
+    ({"sim": {"alpha": 1.3, "n_traj": 20.5}}, "sim.n_traj must be an integer, got 20.5"),
+    ({"sim": {"alpha": 1.3, "max_steps": 50.5}}, "sim.max_steps must be an integer, got 50.5"),
+    ({"sim": {"alpha": 1.3, "seed": 1.5}}, "sim.seed must be an integer, got 1.5"),
+    ({"per_trajectory_csv": "false"}, "per_trajectory_csv must be true or false, got 'false'"),
+    ({"per_trajectory_csv": 1}, "per_trajectory_csv must be true or false, got 1"),
+])
+def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
+                                                                         change, message):
+    cfg = _write_config(tmp_path, {**SMALL, **change})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
@@ -260,9 +285,13 @@ def test_whitney_writes_every_cube_and_reruns_byte_identically(tmp_path, monkeyp
 
 
 def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {**SMALL, "whitney": {"max_level": 1}})
-    assert main(["whitney", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
-    assert "max_level" in capsys.readouterr().err
+    # Kanter's sampler draws non-finite increments at alpha = 1.99, which the
+    # simulator refuses rather than counting them as suppressed proposals
+    cfg = _write_config(tmp_path, {**SMALL, "constants": {"alpha": 1.99},
+                                   "sim": {"max_steps": 50, "n_traj": 20, "seed": 3}})
+    with pytest.warns(RuntimeWarning):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert "is not finite" in capsys.readouterr().err
 
 
 def test_no_subcommand_takes_threads_and_only_report_takes_format(tmp_path, capsys):

@@ -3,9 +3,9 @@
 Divergence is never claimed from truncated numerics: a Divergent/Convergent
 verdict requires the analytic tail reduction available for the closed-form
 profile/weight enumeration, otherwise the verdict is Inconclusive and the
-boundary series totals are the diagnostics.  "sigma-a.e. boundary point" is operationalized
-as every point of a deterministic boundary grid plus the rotation-symmetry
-property of shell configurations; reports state this proxy.
+boundary series totals are the diagnostics.  "sigma-a.e. boundary point" is
+operationalized as every point of a deterministic boundary grid plus the
+rotation-symmetry property of shell configurations; reports state this proxy.
 
 The Whitney-based sums (Aikawa, Wiener, quasi-additivity) all run over the
 configuration's cube-bubble incidence (:class:`whitney.CubeIncidence`), whose

@@ -188,9 +188,12 @@ class RunConfig:
 
 
 def _section(obj: dict, name: str) -> dict:
-    """The config's ``name`` block (empty if absent); a key that the block
-    does not define is a ConfigError rather than being ignored."""
+    """The config's ``name`` block (empty if absent); a block that is not a
+    JSON object, or a key that the block does not define, is a ConfigError
+    rather than being ignored."""
     section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object, got {section!r}")
     unknown = sorted(set(section) - _SECTION_KEYS[name])
     if unknown:
         raise ConfigError(f"unknown field(s) in {name}: {', '.join(unknown)}")

@@ -207,6 +207,7 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
 @pytest.mark.parametrize("change, message", [
     ({"whitney": {"max_levle": 6}}, "unknown field(s) in whitney: max_levle"),
     ({"criteria": {"gird": 4}}, "unknown field(s) in criteria: gird"),
+    ({"whitney": ["max_level"]}, "whitney must be an object, got ['max_level']"),
     ({"whitney": {"max_level": 1}}, "whitney.max_level must be >= 2, got 1"),
     ({"whitney": {"max_level": 6.5}}, "whitney.max_level must be an integer, got 6.5"),
     ({"criteria": {"grid": 0}}, "criteria.grid must be >= 1, got 0"),

@@ -22,6 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
+# CPython's built-in SHA-256, which hashlib falls back to without OpenSSL;
+# importing hashlib itself maps OpenSSL's libcrypto (3.4 MiB of resident memory)
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from . import __version__
 from .bubbles import (
     BubbleConfig,
@@ -85,8 +95,9 @@ class RunConfig:
             raise ConfigError(f"shells.a must lie in (0, 1), got {self.shell_a!r}")
         if self.shells < 1:
             raise ConfigError(f"shells.count must be >= 1, got {self.shells!r}")
-        if self.seed < 0:
-            raise ConfigError(f"shells.seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed, "shells.seed")
+        if self.sim is not None:
+            _check_seed(self.sim.seed, "sim.seed")
         if self.whitney_max_level < 2:
             raise ConfigError(f"whitney.max_level must be >= 2, got {self.whitney_max_level!r}")
         if self.grid_size < 1:
@@ -130,10 +141,10 @@ class RunConfig:
             if not isinstance(per_trajectory_csv, bool):
                 raise ConfigError(
                     f"per_trajectory_csv must be true or false, got {per_trajectory_csv!r}")
-            constants = Constants.from_json(obj["constants"])
+            constants = Constants.from_json(_object(obj["constants"], "constants"))
             sim = None
             if "sim" in obj:
-                sim_obj = dict(obj["sim"])
+                sim_obj = dict(_object(obj["sim"], "sim"))
                 sim_obj.setdefault("alpha", constants.alpha)
                 for key in ("max_steps", "n_traj", "seed"):
                     if key in sim_obj:
@@ -147,8 +158,8 @@ class RunConfig:
             return cls(
                 domain=BallDomain.from_json(obj["domain"]),
                 constants=constants,
-                profile=profile_from_json(obj["profile"]),
-                weight=weight_from_json(obj.get("weight", {"kind": "one"})),
+                profile=profile_from_json(_object(obj["profile"], "profile")),
+                weight=weight_from_json(_object(obj.get("weight", {"kind": "one"}), "weight")),
                 shell_a=float(shells.get("a", 0.5)),
                 shells=_integer(shells.get("count", 4), "shells.count"),
                 seed=_integer(shells.get("seed", 0), "shells.seed"),
@@ -170,10 +181,9 @@ class RunConfig:
     def hash(self) -> str:
         """SHA-256 of the canonical bytes, in hex: the manifests' ``config_hash``.
 
-        It is a fingerprint, not a security use, so it is computed by
-        :func:`_sha256_hex` rather than ``hashlib``, whose import maps
-        OpenSSL's libcrypto into every CLI stage (≈3.6 MiB of resident
-        memory) for one short hash.
+        It is a fingerprint, not a security use, so it comes from CPython's
+        built-in SHA-256 module rather than ``hashlib``, whose import maps
+        OpenSSL's libcrypto into every CLI stage for one short hash.
         """
         return _sha256_hex(self.canonical_bytes())
 
@@ -187,13 +197,18 @@ class RunConfig:
         return cls.from_json(obj)
 
 
+def _object(block, name: str) -> dict:
+    """The config block ``name``; one that is not a JSON object is a ConfigError."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {block!r}")
+    return block
+
+
 def _section(obj: dict, name: str) -> dict:
     """The config's ``name`` block (empty if absent); a block that is not a
     JSON object, or a key that the block does not define, is a ConfigError
     rather than being ignored."""
-    section = obj.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object, got {section!r}")
+    section = _object(obj.get(name, {}), name)
     unknown = sorted(set(section) - _SECTION_KEYS[name])
     if unknown:
         raise ConfigError(f"unknown field(s) in {name}: {', '.join(unknown)}")
@@ -210,45 +225,18 @@ def _integer(value, name: str) -> int:
     return value
 
 
-_SHA256_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-)
-_SHA256_H0 = (0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19)
-_M32 = 0xFFFFFFFF
-
-
-def _rotr(x: int, n: int) -> int:
-    return (x >> n | x << (32 - n)) & _M32
+def _check_seed(seed: int, name: str) -> None:
+    """A ConfigError unless seed lies in [0, 2**64), the seeds that the
+    counter streams tell apart."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}; "
+                          "seeds lie in [0, 2**64)")
 
 
 def _sha256_hex(data: bytes) -> str:
-    """FIPS 180-4 SHA-256 of data as a hex string, what
-    ``hashlib.sha256(data).hexdigest()`` gives."""
-    msg = (data + b"\x80" + bytes((55 - len(data)) % 64)
-           + (8 * len(data)).to_bytes(8, "big"))
-    h = list(_SHA256_H0)
-    for off in range(0, len(msg), 64):
-        w = [int.from_bytes(msg[off + 4 * t:off + 4 * t + 4], "big") for t in range(16)]
-        for t in range(16, 64):
-            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
-            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _M32)
-        a, b, c, d, e, f, g, hh = h
-        for t in range(64):
-            t1 = (hh + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25))
-                  + (e & f ^ ~e & g) + _SHA256_K[t] + w[t])
-            t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + (a & b ^ a & c ^ b & c)
-            a, b, c, d, e, f, g, hh = (t1 + t2) & _M32, a, b, c, (d + t1) & _M32, e, f, g
-        h = [(x + y) & _M32 for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
-    return "".join(f"{x:08x}" for x in h)
+    """SHA-256 of data as a hex string, what ``hashlib.sha256(data).hexdigest()``
+    gives."""
+    return _sha256(data).hexdigest()
 
 
 def _timestamps() -> dict:
@@ -476,9 +464,8 @@ def main(argv=None) -> int:
             return 0
         cfg = RunConfig.load(args.config)
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-            if cfg.sim is not None:
-                cfg.sim = SimParams(**{**cfg.sim.to_json(), "seed": args.seed})
+            sim = None if cfg.sim is None else replace(cfg.sim, seed=args.seed)
+            cfg = replace(cfg, seed=args.seed, sim=sim)
         out = Path(args.out)
         if args.command == "generate":
             cmd_generate(cfg, out)

@@ -70,9 +70,15 @@ def _mix64_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(seed: int, traj_ids) -> np.ndarray:
-    """Independent 64-bit keys for the given trajectory indices."""
+    """Independent 64-bit keys for the given trajectory indices.
+
+    The seed must be an int in [0, 2**64) (ValueError otherwise): reduced
+    to 64 bits, a seed outside that range would run the streams of one in it.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a non-negative integer below 2**64, got {seed!r}")
     traj = np.asarray(traj_ids, dtype=np.uint64)
-    base = mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _SEED_SALT)
+    base = mix64(np.uint64(seed) ^ _SEED_SALT)
     return _mix64_inplace(base + traj * _GOLD)
 
 

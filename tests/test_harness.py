@@ -191,6 +191,8 @@ def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
 @pytest.mark.parametrize("shells, argv, message", [
     ({"seed": -1}, [], "shells.seed must be a non-negative integer, got -1"),
     ({}, ["--seed", "-1"], "shells.seed must be a non-negative integer, got -1"),
+    ({"seed": 2**64}, [], f"shells.seed must be a non-negative integer, got {2**64}"),
+    ({}, ["--seed", str(2**64)], f"shells.seed must be a non-negative integer, got {2**64}"),
     ({"count": 0}, [], "shells.count must be >= 1, got 0"),
     ({"a": 1.5}, [], "shells.a must lie in (0, 1), got 1.5"),
     ({"count": 2.7}, [], "shells.count must be an integer, got 2.7"),
@@ -218,6 +220,12 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     ({"sim": {"alpha": 1.3, "n_traj": 20.5}}, "sim.n_traj must be an integer, got 20.5"),
     ({"sim": {"alpha": 1.3, "max_steps": 50.5}}, "sim.max_steps must be an integer, got 50.5"),
     ({"sim": {"alpha": 1.3, "seed": 1.5}}, "sim.seed must be an integer, got 1.5"),
+    ({"sim": {"alpha": 1.3, "seed": -1}}, "sim.seed must be a non-negative integer, got -1"),
+    ({"sim": {"alpha": 1.3, "seed": 2**64}},
+     f"sim.seed must be a non-negative integer, got {2**64}"),
+    ({"constants": [1.5]}, "constants must be an object, got [1.5]"),
+    ({"profile": ["constant"]}, "profile must be an object, got ['constant']"),
+    ({"weight": ["one"]}, "weight must be an object, got ['one']"),
     ({"per_trajectory_csv": "false"}, "per_trajectory_csv must be true or false, got 'false'"),
     ({"per_trajectory_csv": 1}, "per_trajectory_csv must be true or false, got 1"),
 ])

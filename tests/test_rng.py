@@ -120,6 +120,18 @@ def test_invalid_alpha_rejected():
         positive_stable(1.2, np.array([0.5]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, None, 1.5, "7", True, np.int64(-3)])
+def test_stream_keys_refuses_a_seed_outside_0_to_2_64(seed):
+    # reduced to 64 bits, -1 would run the streams of 2**64 - 1
+    with pytest.raises(ValueError, match="non-negative integer below 2"):
+        stream_keys(seed, np.arange(4))
+
+
+def test_stream_keys_takes_every_seed_below_2_64():
+    for seed in (0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert stream_keys(seed, np.arange(4)).shape == (4,)
+
+
 @pytest.mark.parametrize("seeds", [range(0, 1000), range(1000, 2000),
                                    [2**32 - 1, 2**32, 2**64 - 1, 10**30, 2**128 + 5]])
 def test_pcg64_stream_draws_what_default_rng_draws(seeds):

@@ -22,9 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-# CPython's built-in SHA-256, which hashlib falls back to without OpenSSL;
-# importing hashlib itself maps OpenSSL's libcrypto (3.4 MiB of resident memory)
-try:
+try:  # CPython's built-in SHA-256, which hashlib falls back to without OpenSSL
     from _sha2 import sha256 as _sha256  # Python >= 3.12
 except ImportError:
     try:
@@ -95,9 +93,10 @@ class RunConfig:
             raise ConfigError(f"shells.a must lie in (0, 1), got {self.shell_a!r}")
         if self.shells < 1:
             raise ConfigError(f"shells.count must be >= 1, got {self.shells!r}")
-        _check_seed(self.seed, "shells.seed")
-        if self.sim is not None:
-            _check_seed(self.sim.seed, "sim.seed")
+        for name, seed in (("shells.seed", self.seed), ("sim.seed", getattr(self.sim, "seed", 0))):
+            if not 0 <= seed < 2**64:
+                raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}; "
+                                  "seeds lie in [0, 2**64)")
         if self.whitney_max_level < 2:
             raise ConfigError(f"whitney.max_level must be >= 2, got {self.whitney_max_level!r}")
         if self.grid_size < 1:
@@ -179,12 +178,9 @@ class RunConfig:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
     def hash(self) -> str:
-        """SHA-256 of the canonical bytes, in hex: the manifests' ``config_hash``.
-
-        It is a fingerprint, not a security use, so it comes from CPython's
-        built-in SHA-256 module rather than ``hashlib``, whose import maps
-        OpenSSL's libcrypto into every CLI stage for one short hash.
-        """
+        """SHA-256 of the canonical bytes in hex, the manifests' ``config_hash``,
+        from CPython's built-in module: importing ``hashlib`` would map
+        OpenSSL's libcrypto (3.4 MiB of resident memory) into every CLI stage."""
         return _sha256_hex(self.canonical_bytes())
 
     @classmethod
@@ -225,17 +221,8 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _check_seed(seed: int, name: str) -> None:
-    """A ConfigError unless seed lies in [0, 2**64), the seeds that the
-    counter streams tell apart."""
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}; "
-                          "seeds lie in [0, 2**64)")
-
-
 def _sha256_hex(data: bytes) -> str:
-    """SHA-256 of data as a hex string, what ``hashlib.sha256(data).hexdigest()``
-    gives."""
+    """``hashlib.sha256(data).hexdigest()``, without importing hashlib."""
     return _sha256(data).hexdigest()
 
 

@@ -1,5 +1,7 @@
 """Bubble configurations: champagne families of disjoint closed balls
-accumulating at the boundary, their generator and separation infimum.
+accumulating at the boundary, their generator and separation infimum.  The
+generator's one random choice, a rotation per shell, comes from the counter
+streams of ``rng``, and no BLAS routine computes a centre.
 
 Radial profiles and weight functions are closed-form enumerations rather than
 arbitrary callables: divergence of an improper integral cannot be decided
@@ -28,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .geometry import BallDomain, row_norms
-from .rng import PCG64Stream
+from .rng import stream_keys, uniform01
 from .spatial import DISJOINTNESS_SLACK, BallIndex
 
 __all__ = [
@@ -376,10 +378,15 @@ def _fibonacci_sphere(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
-    m = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(m)
-    return q * np.sign(np.diag(r))
+def _shoemake_rotation(u1: float, u2: float, u3: float) -> tuple:
+    """Rows of the rotation of Shoemake's unit quaternion from three uniforms,
+    uniform on SO(3) ("Uniform random rotations", Graphics Gems III, 1992)."""
+    a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
+    x, y = a * math.sin(2.0 * math.pi * u2), a * math.cos(2.0 * math.pi * u2)
+    z, w = b * math.sin(2.0 * math.pi * u3), b * math.cos(2.0 * math.pi * u3)
+    return ((1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)),
+            (2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)),
+            (2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)))
 
 
 # lattice factors relative to the mean spacing: the Fibonacci lattice has
@@ -389,6 +396,7 @@ _MIN_NN_FACTOR = {2: 0.99, 3: 0.85}
 _COVER_FACTOR = {3: 0.80}
 # lattice rows computed at a time, which bounds the generator's working memory
 _LATTICE_BLOCK = 1 << 13
+_SHELL_STREAMS = 2**63
 
 
 def generate_shell_config(
@@ -406,13 +414,13 @@ def generate_shell_config(
     max(a*(1-t_i)/2, disjointness spacing), so the family is always pairwise
     disjoint; a seeded rotation decorrelates shells.
 
-    The rotations are drawn from ``np.random.default_rng(seed)``, one shell
-    after another.  For d=2 each is one ``uniform(0, 2*pi)`` offset, drawn
-    from :class:`rng.PCG64Stream`, which reproduces that stream without
-    importing ``numpy.random``.  For d=3 each is a 3x3 matrix of numpy's
-    ziggurat normals, which the stream does not reproduce, so d=3 still
-    imports ``numpy.random`` and, through it, OpenSSL's libcrypto.  The seed
-    must be a non-negative int (ValueError otherwise).
+    Shell i takes three uniforms u from the counter stream of trajectory id
+    2**63 + i under seed (``rng.stream_keys``, ``rng.uniform01``).  For d=2
+    its rotation is the angle offset 2*pi*u[0]; for d=3 it is the matrix R
+    of Shoemake's uniform quaternion of u, computed with scalar ``math``,
+    and each lattice row p becomes p @ R, computed column by column with
+    numpy's multiply and add, which round the same on every host.  The
+    seed must be an int in [0, 2**64) (ValueError otherwise).
 
     Exact-parameter coverage N_a >= 1 cannot hold at the critical radii
     between consecutive shells (the radial reach intervals only touch), so
@@ -447,28 +455,25 @@ def generate_shell_config(
             n_i = max(4, int(math.ceil(4.0 * math.pi * t[i] ** 2 / (s * s))))
         counts[i] = n_i
 
-    # each lattice is written into its rows _LATTICE_BLOCK rows at a time; the
-    # counts do not depend on the draws, so the draws still come shell by shell
-    stream = PCG64Stream(seed)  # also checks the seed for d=3
-    if d == 3:
-        rng = np.random.default_rng(seed)
+    keys = stream_keys(seed, _SHELL_STREAMS + np.arange(shells, dtype=np.uint64))
+    uniforms = uniform01(keys[:, None], np.arange(3, dtype=np.uint64)).tolist()
     shell_ids = np.repeat(np.arange(shells, dtype=np.int32), counts)
     centers = np.empty((shell_ids.size, d))
     first = 0
     for i, n_i in enumerate(counts.tolist()):
-        if d == 2:
-            offset = stream.uniform(0.0, 2.0 * math.pi)
-        else:
-            rot = _random_rotation(rng, 3).T
         for lo in range(0, n_i, _LATTICE_BLOCK):
             hi = min(n_i, lo + _LATTICE_BLOCK)
             out = centers[first + lo:first + hi]
             if d == 2:
-                ang = offset + 2.0 * math.pi * np.arange(lo, hi) / n_i
+                ang = 2.0 * math.pi * uniforms[i][0] + 2.0 * math.pi * np.arange(lo, hi) / n_i
                 out[:, 0] = np.cos(ang)
                 out[:, 1] = np.sin(ang)
             else:
-                np.matmul(_fibonacci_sphere(n_i, lo, hi), rot, out=out)
+                # the rows p @ rot, as multiply-adds rather than a BLAS matmul
+                rot = _shoemake_rotation(*uniforms[i])
+                p = _fibonacci_sphere(n_i, lo, hi)
+                for j in range(3):
+                    out[:, j] = p[:, 0] * rot[0][j] + p[:, 1] * rot[1][j] + p[:, 2] * rot[2][j]
             out *= t[i]
         first += n_i
 

@@ -58,11 +58,11 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # once per sum; the closed-form incidence must reproduce them bit for bit.
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "e184a0320eed5d2c1b2cfc060bfd49aba204cf8f42502967e091ecf89046ba0b",
-        "ec7a0038868bb7f239ac0f7e174f1daf38eea363d2375fbbb2904d680560fc09",
+        "de8e1cf8681775a8e4ddee7220da112dcbacff7cbbaeec3766f15eb7568ce32a",
+        "301f365661eaec5a1a2c0079419e37c42eacbb08f1102235c7b6af23e990dd18",
         {"c2_cubes_per_ball": 4,
-         "C1_ratio_bound": 1.900247054885672,
-         "quasi_additivity_interval": [0.00026459703520188263, 2014.2926594003247]})
+         "C1_ratio_bound": 1.900247054885668,
+         "quasi_additivity_interval": [0.0002641658426157842, 1996.068536337412]})
 
 
 def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
@@ -70,11 +70,11 @@ def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # the closed-form incidence must reproduce them bit for bit.
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "874cef7853b885bc77daf4d0a3d5e659b34ce9845ac7ab22e466a0dd2647daa5",
-        "e7051ff5b4fe0b474050a7c479151141add7e0a695dde4b7dd980598b568edbf",
-        {"c2_cubes_per_ball": 39,
-         "C1_ratio_bound": 2.5194139682429655,
-         "quasi_additivity_interval": [5.7554751880337886e-06, 48252.98795006506]})
+        "4b6316944d2b2ff54ced65fb7b88ed2a5880274d1a91e594243eae72f4bfdf60",
+        "af5f31dbe66c2d8c503ac416377a894745233d03d8433652a073f2cbe596a8eb",
+        {"c2_cubes_per_ball": 38,
+         "C1_ratio_bound": 2.5394803189929083,
+         "quasi_additivity_interval": [5.5314466870389675e-06, 48350.36079238019]})
 
 
 def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):
@@ -134,7 +134,7 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
     # The Whitney half of the criteria stage on W2 at the benchmark's
     # max_level 8: cube counts, the incidence and every sum at 4 grid points.
     # It holds one level's pairs, blocks of rows, one count per bubble and
-    # the ids of the 52,013 bubbles below the collar (1.6 MiB by tracemalloc);
+    # the ids of the 52,012 bubbles below the collar (1.6 MiB by tracemalloc);
     # holding the whole incidence and passing over it once per point took 5.2.
     def sums(obj):
         cfg = RunConfig.from_json(obj)
@@ -156,7 +156,7 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
     config, counts, out, peak = sums({**W2, "whitney": {"max_level": 8}})
     assert config.n == 54_743
     assert sum(counts.values()) == 6_324
-    assert out.aikawa[0].uncovered_bubbles.size == 52_013
+    assert out.aikawa[0].uncovered_bubbles.size == 52_012
     assert peak < 2.5 * MiB
 
 
@@ -191,13 +191,13 @@ def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
 @pytest.mark.parametrize("shells, argv, message", [
     ({"seed": -1}, [], "shells.seed must be a non-negative integer, got -1"),
     ({}, ["--seed", "-1"], "shells.seed must be a non-negative integer, got -1"),
-    ({"seed": 2**64}, [], f"shells.seed must be a non-negative integer, got {2**64}"),
-    ({}, ["--seed", str(2**64)], f"shells.seed must be a non-negative integer, got {2**64}"),
     ({"count": 0}, [], "shells.count must be >= 1, got 0"),
     ({"a": 1.5}, [], "shells.a must lie in (0, 1), got 1.5"),
     ({"count": 2.7}, [], "shells.count must be an integer, got 2.7"),
     ({"seed": "7"}, [], "shells.seed must be an integer, got '7'"),
     ({"cout": 3}, [], "unknown field(s) in shells: cout"),
+    ({"seed": 2**64}, [], f"shells.seed must be a non-negative integer, got {2**64}"),
+    ({}, ["--seed", str(2**64)], f"shells.seed must be a non-negative integer, got {2**64}"),
 ])
 def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, argv, message):
     cfg = _write_config(tmp_path, {**SMALL, "shells": {**SMALL["shells"], **shells}})
@@ -220,14 +220,14 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     ({"sim": {"alpha": 1.3, "n_traj": 20.5}}, "sim.n_traj must be an integer, got 20.5"),
     ({"sim": {"alpha": 1.3, "max_steps": 50.5}}, "sim.max_steps must be an integer, got 50.5"),
     ({"sim": {"alpha": 1.3, "seed": 1.5}}, "sim.seed must be an integer, got 1.5"),
+    ({"per_trajectory_csv": "false"}, "per_trajectory_csv must be true or false, got 'false'"),
+    ({"per_trajectory_csv": 1}, "per_trajectory_csv must be true or false, got 1"),
     ({"sim": {"alpha": 1.3, "seed": -1}}, "sim.seed must be a non-negative integer, got -1"),
     ({"sim": {"alpha": 1.3, "seed": 2**64}},
      f"sim.seed must be a non-negative integer, got {2**64}"),
     ({"constants": [1.5]}, "constants must be an object, got [1.5]"),
     ({"profile": ["constant"]}, "profile must be an object, got ['constant']"),
     ({"weight": ["one"]}, "weight must be an object, got ['one']"),
-    ({"per_trajectory_csv": "false"}, "per_trajectory_csv must be true or false, got 'false'"),
-    ({"per_trajectory_csv": 1}, "per_trajectory_csv must be true or false, got 1"),
 ])
 def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
                                                                          change, message):
@@ -352,15 +352,14 @@ def test_no_subcommand_loads_scipy_numpy_ma_numpy_random_or_hashlib(tmp_path):
     # every CLI child imports the harness, and none of generate, simulate
     # and criteria needs scipy, so loading it would cost each its import
     # time; nor numpy.ma, which np.median, np.percentile and a plain
-    # np.unique import on first use (0.4 MiB of resident memory); nor, on a
-    # d=2 configuration, numpy.random or OpenSSL's _hashlib (together
-    # ≈5.6 MiB), whose one draw per shell and one config hash champagne
-    # reproduces; loading scipy.spatial, which imports all four, afterwards
-    # shows that the check can fail
+    # np.unique import on first use (0.4 MiB of resident memory); nor, in
+    # d=2 or d=3, numpy.random or OpenSSL's _hashlib (together ≈5.6 MiB):
+    # the shell rotations come from the counter streams and the config hash
+    # from the built-in SHA-256; loading scipy.spatial, which imports all
+    # four, afterwards shows that the check can fail
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    obj = {**SMALL, "sim": {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200,
-                            "n_traj": 20, "seed": 3}}
+    sim = {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200, "n_traj": 20, "seed": 3}
     code = (
         "import json, sys\n"
         "from pathlib import Path\n"
@@ -376,10 +375,12 @@ def test_no_subcommand_loads_scipy_numpy_ma_numpy_random_or_hashlib(tmp_path):
         "import scipy.spatial\n"
         "print(seen, loaded())\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(obj), str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == ("[" + ", ".join(["(False, False, False, False)"] * 4)
-                                  + "] (True, True, True, True)")
+    for name, obj in (("d2", SMALL), ("d3", D3)):
+        out = subprocess.run([sys.executable, "-c", code, json.dumps({**obj, "sim": sim}),
+                              str(tmp_path / name)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == ("[" + ", ".join(["(False, False, False, False)"] * 4)
+                                      + "] (True, True, True, True)"), name
 
 
 def test_the_cli_runs_with_scipy_blocked(tmp_path):
@@ -408,6 +409,31 @@ def test_the_cli_runs_with_scipy_blocked(tmp_path):
     assert names == sorted(p.name for p in runs["unblocked"].iterdir())
     for name in names:
         assert (runs["blocked"] / name).read_bytes() == (runs["unblocked"] / name).read_bytes()
+
+
+def test_d3_outputs_do_not_depend_on_openblas_or_numpy_simd(tmp_path):
+    # generate -> criteria on D3 in child processes: natively, with
+    # OpenBLAS's Nehalem kernels, and with numpy's AVX2 and AVX-512 loops
+    # switched off.  No output may depend on OpenBLAS.  Under the SIMD switch
+    # only bubbles.csv must match: the boundary series takes numpy's power
+    # operator, whose SIMD loops need not round like its scalar one.
+    src = str(Path(champagne.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "SOURCE_DATE_EPOCH": "1700000000"}
+    cfg = _write_config(tmp_path, D3)
+    hosts = {"native": {}, "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+             "no_simd": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}}
+    for host, extra in hosts.items():
+        for cmd in ("generate", "criteria"):
+            out = subprocess.run(
+                [sys.executable, "-m", "champagne", cmd, "--config", cfg,
+                 "--out", str(tmp_path / host)],
+                env={**env, **extra}, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, (host, cmd, out.stderr)
+    for name in ("bubbles.csv", "verdicts.json", "wiener_trace.csv"):
+        native = (tmp_path / "native" / name).read_bytes()
+        assert (tmp_path / "nehalem" / name).read_bytes() == native, name
+    native = (tmp_path / "native" / "bubbles.csv").read_bytes()
+    assert (tmp_path / "no_simd" / "bubbles.csv").read_bytes() == native
 
 
 @pytest.mark.parametrize("lengths", [range(0, 151), range(151, 301), [1000, 4096, 10_000]])

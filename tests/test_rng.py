@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from champagne.rng import (
-    PCG64Stream,
     mix64,
     positive_stable,
     slots_per_step,
@@ -120,7 +119,7 @@ def test_invalid_alpha_rejected():
         positive_stable(1.2, np.array([0.5]), np.array([1.0]))
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, None, 1.5, "7", True, np.int64(-3)])
+@pytest.mark.parametrize("seed", [-1, None, 1.5, "7", True, np.int64(-3), 2**64])
 def test_stream_keys_refuses_a_seed_outside_0_to_2_64(seed):
     # reduced to 64 bits, -1 would run the streams of 2**64 - 1
     with pytest.raises(ValueError, match="non-negative integer below 2"):
@@ -130,26 +129,3 @@ def test_stream_keys_refuses_a_seed_outside_0_to_2_64(seed):
 def test_stream_keys_takes_every_seed_below_2_64():
     for seed in (0, 2**63, 2**64 - 1, np.uint64(2**64 - 1)):
         assert stream_keys(seed, np.arange(4)).shape == (4,)
-
-
-@pytest.mark.parametrize("seeds", [range(0, 1000), range(1000, 2000),
-                                   [2**32 - 1, 2**32, 2**64 - 1, 10**30, 2**128 + 5]])
-def test_pcg64_stream_draws_what_default_rng_draws(seeds):
-    # seeds of one to four 32-bit words, and one of five, more than the
-    # SeedSequence pool holds, which takes the pool's last mixing loop
-    for seed in seeds:
-        gen, stream = np.random.default_rng(seed), PCG64Stream(seed)
-        for _ in range(8):
-            assert stream.uniform(0.0, 2.0 * math.pi) == gen.uniform(0.0, 2.0 * math.pi), seed
-        assert stream.next_uint64() == int(gen.bit_generator.random_raw()), seed
-
-
-@pytest.mark.parametrize("seed", [-1, None, 1.5, "7", True, np.int64(-3)])
-def test_pcg64_stream_refuses_a_seed_that_is_not_a_non_negative_int(seed):
-    # default_rng(None) would draw OS entropy and make the bubbles irreproducible
-    with pytest.raises(ValueError, match="non-negative integer"):
-        PCG64Stream(seed)
-
-
-def test_pcg64_stream_takes_a_numpy_integer_seed():
-    assert PCG64Stream(np.uint32(9)).next_uint64() == PCG64Stream(9).next_uint64()

@@ -8,7 +8,7 @@ import pytest
 
 from scipy.spatial import cKDTree
 
-from champagne import simulate
+from champagne import bubbles, rng, simulate
 from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
@@ -55,10 +55,10 @@ def _digest(outcomes):
 # Outcomes pinned when the step became kappa*delta*phi(1 - delta/R); every
 # rewrite of the step loop must reproduce them bit for bit.
 @pytest.mark.parametrize("config_name, counts, digest", [
-    ("disk_config", {"hit": 227, "boundary": 2, "timeout": 71},
-     "f71bcc5709b23c1863317d9320f66b310d9bda8831b68a2cb40c4f1fcb78ca30"),
-    ("ball_config", {"hit": 291, "boundary": 8, "timeout": 1},
-     "c0ba1d2c4098f05fa451558c6ae8dac7b31460c9e34e20a26c6b6e87f6212c10"),
+    ("disk_config", {"hit": 228, "boundary": 2, "timeout": 70},
+     "821db88ef5804d12b980ffa100b7f154e71e25760fa136cdad62fedfa044b121"),
+    ("ball_config", {"hit": 292, "boundary": 7, "timeout": 1},
+     "9220f32b5a481c18aa34ad43288c6f7886b0ff6b03abee5c854b49900c1c3460"),
 ], ids=["disk", "ball"])
 def test_outcomes_reproduce_pinned_digests(request, config_name, counts, digest):
     config = request.getfixturevalue(config_name)
@@ -91,6 +91,32 @@ def test_outcomes_do_not_depend_on_the_worker_count(disk_config, monkeypatch):
         for a, b in zip(outcomes, runs[0][1]):
             assert np.array_equal(a, b)
     assert set(runs[0][1][0].tolist()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_no_generator_draw_shares_a_key_with_a_simulator_draw(monkeypatch, d):
+    # under one seed the shells draw from trajectory ids 2**63 + i and the
+    # simulator from ids below n_traj, so no (key, counter) pair is drawn twice
+    params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=3)
+    median_unit_norm(d, params.alpha)  # cached, so its own stream is not recorded
+    drawn = set()
+
+    def recording_uniform01(keys, counters):
+        k, c = np.broadcast_arrays(np.asarray(keys, np.uint64), np.asarray(counters, np.uint64))
+        drawn.update(zip(k.ravel().tolist(), c.ravel().tolist()))
+        return uniform01(keys, counters)
+
+    monkeypatch.setattr(rng, "uniform01", recording_uniform01)
+    monkeypatch.setattr(bubbles, "uniform01", recording_uniform01)
+    monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+    config = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(0.3), 0.5, 2,
+                                   seed=params.seed)
+    generated = set(drawn)
+    drawn.clear()
+    estimate_hitting(config.domain.center, config, config.meta["phi"], params)
+    assert len(generated) == 6 and len(drawn) > 1000
+    assert generated.isdisjoint(drawn)
+    assert {k for k, _ in generated}.isdisjoint(k for k, _ in drawn)
 
 
 @pytest.mark.parametrize("config_name", ["disk_config", "ball_config"], ids=["disk", "ball"])

@@ -6,7 +6,9 @@ streams of ``rng``, and no BLAS routine computes a centre.
 Radial profiles and weight functions are closed-form enumerations rather than
 arbitrary callables: divergence of an improper integral cannot be decided
 from finitely many samples of a black box, so the criteria module needs the
-analytic form.
+analytic form.  The enumeration lives here: one class per family under the
+bases ``RadialProfile`` and ``WeightFunction`` declares its JSON kind and
+parameter, its formula and its tail exponents.
 
 Memory.  A configuration keeps per bubble its centre (8d bytes), its radius
 and its distance to the boundary (8 bytes each) and its shell label (int32,
@@ -23,9 +25,9 @@ time.  No block size changes a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,8 +45,6 @@ __all__ = [
     "PowerWeight",
     "LogWeight",
     "WeightFunction",
-    "profile_from_json",
-    "weight_from_json",
     "generate_shell_config",
     "shell_radii",
     "separation_infimum",
@@ -52,148 +52,155 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# radial profiles phi: decreasing (0,1) -> (0,1), closed form
+# closed-form families: radial profiles phi and weight functions M
 # ---------------------------------------------------------------------------
 
+class _Family:
+    """One closed-form family, a frozen dataclass of at most one field: its
+    JSON ``kind``, its parameter ``param`` (or None) with values in (0,
+    ``upper``), its formula ``_at`` on float arrays, and ``tail(d, alpha)``,
+    the exponents (rate, log_power) of its factor of the tail integrand
+    phi(t)^(d-a) * M(t) = const * exp(rate*u) * (1+u)^log_power in
+    u = -log(1-t), (0, 0) if bounded above and away from 0.  Each base
+    lists its families by kind in ``kinds``."""
+
+    kinds: ClassVar[dict]
+    block: ClassVar[str]   # the run configuration's block for the base
+    kind: ClassVar[str]
+    param: ClassVar[str | None] = None
+    upper: ClassVar[float] = math.inf
+
+    def __post_init__(self):
+        if self.param and not 0.0 < getattr(self, self.param) < self.upper:
+            raise ValueError(f"{self.block}.{self.param} must lie in (0, {self.upper:g}), "
+                             f"got {getattr(self, self.param)!r}")
+
+    def __call__(self, t):
+        out = self._at(np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
+
+    def tail(self, d, alpha):
+        return 0.0, 0.0
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The family of ``obj["kind"]`` with its parameter; ValueError, naming
+        the block and the key, for an unknown kind, an unknown key or a
+        missing parameter."""
+        kind = obj.get("kind")
+        family = cls.kinds.get(kind) if isinstance(kind, str) else None
+        if family is None:
+            raise ValueError(f"{cls.block}.kind must be one of {', '.join(cls.kinds)}, "
+                             f"got {kind!r}")
+        unknown = sorted(set(obj) - {"kind", family.param})
+        if unknown:
+            raise ValueError(f"unknown field(s) in {cls.block}: {', '.join(unknown)}")
+        if family.param is None:
+            return family()
+        if family.param not in obj:
+            raise ValueError(f"missing field: {cls.block}.{family.param}")
+        return family(float(obj[family.param]))
+
+
+class RadialProfile(_Family):
+    """A radial profile phi: decreasing (0,1) -> (0,1)."""
+
+    block = "profile"
+
+
+class WeightFunction(_Family):
+    """A weight function M: increasing [0,1) -> [1,inf) with the
+    halving-doubling property M(1 - t/2) <= c * M(1 - t)."""
+
+    block = "weight"
+
+
 @dataclass(frozen=True)
-class ConstantProfile:
+class ConstantProfile(RadialProfile):
     """phi(t) = c with c in (0, 1)."""
 
+    kind, param, upper = "constant", "c", 1.0
     c: float
 
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ValueError("constant profile value must lie in (0, 1)")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full_like(t, self.c)
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {"kind": "constant", "c": self.c}
+    def _at(self, t):
+        out = np.empty_like(t)
+        out.fill(self.c)
+        return out
 
 
 @dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(RadialProfile):
     """phi(t) = (1-t)**beta with beta > 0."""
 
+    kind, param = "power", "beta"
     beta: float
 
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("power profile exponent must be > 0")
+    def _at(self, t):
+        out = 1.0 - t
+        out **= self.beta
+        return out
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - t) ** self.beta
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {"kind": "power", "beta": self.beta}
+    def tail(self, d, alpha):
+        return -self.beta * (d - alpha), 0.0
 
 
 @dataclass(frozen=True)
-class LogProfile:
+class LogProfile(RadialProfile):
     """phi(t) = log(e/(1-t))**(-p) with p > 0."""
 
+    kind, param = "log", "p"
     p: float
 
-    def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("log profile exponent must be > 0")
+    def _at(self, t):
+        return (1.0 - np.log(1.0 - t)) ** (-self.p)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - np.log(1.0 - t)) ** (-self.p)
-        return out if out.ndim else float(out)
+    def tail(self, d, alpha):
+        return 0.0, -self.p * (d - alpha)
 
-    def to_json(self):
-        return {"kind": "log", "p": self.p}
-
-
-RadialProfile = Union[ConstantProfile, PowerProfile, LogProfile]
-
-
-def profile_from_json(obj: dict) -> RadialProfile:
-    kind = obj.get("kind")
-    if kind == "constant":
-        return ConstantProfile(float(obj["c"]))
-    if kind == "power":
-        return PowerProfile(float(obj["beta"]))
-    if kind == "log":
-        return LogProfile(float(obj["p"]))
-    raise ValueError(f"unknown profile kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# weight functions M: increasing [0,1) -> [1,inf) with the halving-doubling
-# property M(1 - t/2) <= c * M(1 - t)
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OneWeight:
+class OneWeight(WeightFunction):
     """M == 1; doubling constant 1."""
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        return out if out.ndim else float(out)
+    kind = "one"
 
-    def to_json(self):
-        return {"kind": "one"}
+    def _at(self, t):
+        return np.ones_like(t)
 
 
 @dataclass(frozen=True)
-class PowerWeight:
+class PowerWeight(WeightFunction):
     """M(t) = (1-t)**(-gamma), gamma > 0; doubling constant 2**gamma."""
 
+    kind, param = "power", "gamma"
     gamma: float
 
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("power weight exponent must be > 0")
+    def _at(self, t):
+        return (1.0 - t) ** (-self.gamma)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - t) ** (-self.gamma)
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {"kind": "power", "gamma": self.gamma}
+    def tail(self, d, alpha):
+        return self.gamma, 0.0
 
 
 @dataclass(frozen=True)
-class LogWeight:
+class LogWeight(WeightFunction):
     """M(t) = log(e/(1-t))**p, p > 0; doubling constant (1+log 2)**p."""
 
+    kind, param = "log", "p"
     p: float
 
-    def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("log weight exponent must be > 0")
+    def _at(self, t):
+        return (1.0 - np.log(1.0 - t)) ** self.p
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - np.log(1.0 - t)) ** self.p
-        return out if out.ndim else float(out)
-
-    def to_json(self):
-        return {"kind": "log", "p": self.p}
+    def tail(self, d, alpha):
+        return 0.0, self.p
 
 
-WeightFunction = Union[OneWeight, PowerWeight, LogWeight]
-
-
-def weight_from_json(obj: dict) -> WeightFunction:
-    kind = obj.get("kind")
-    if kind == "one":
-        return OneWeight()
-    if kind == "power":
-        return PowerWeight(float(obj["gamma"]))
-    if kind == "log":
-        return LogWeight(float(obj["p"]))
-    raise ValueError(f"unknown weight kind {kind!r}")
+RadialProfile.kinds = {f.kind: f for f in (ConstantProfile, PowerProfile, LogProfile)}
+WeightFunction.kinds = {f.kind: f for f in (OneWeight, PowerWeight, LogWeight)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Divergence is never claimed from truncated numerics: a Divergent/Convergent
 verdict requires the analytic tail reduction available for the closed-form
 profile/weight enumeration, otherwise the verdict is Inconclusive and the
-boundary series totals are the diagnostics.  "sigma-a.e. boundary point" is
+boundary series totals are the diagnostics.  The enumeration lives in
+``bubbles``: each family declares its tail exponents there, and
+:func:`classify_shell_series` adds them.  "sigma-a.e. boundary point" is
 operationalized as every point of a deterministic boundary grid plus the
 rotation-symmetry property of shell configurations; reports state this proxy.
 
@@ -53,12 +55,7 @@ import numpy as np
 
 from .bubbles import (
     BubbleConfig,
-    ConstantProfile,
-    LogProfile,
-    LogWeight,
     OneWeight,
-    PowerProfile,
-    PowerWeight,
     RadialProfile,
     WeightFunction,
     _fibonacci_sphere,
@@ -164,32 +161,6 @@ def _series_total(config: BubbleConfig, z: np.ndarray, alpha: float) -> float:
 # analytic tail classification
 # ---------------------------------------------------------------------------
 
-def _tail_exponents(phi: RadialProfile, weight: WeightFunction, d: int, alpha: float):
-    """Exponents of the tail integrand in the variable u = -log(1-t):
-
-    phi(t)^(d-a) * M(t) = const * exp(rate*u) * (1+u)^log_power,
-
-    returned as (rate, log_power); None outside the closed-form enumeration.
-    """
-    if isinstance(phi, ConstantProfile):
-        rate_p, logpow_p = 0.0, 0.0
-    elif isinstance(phi, PowerProfile):
-        rate_p, logpow_p = -phi.beta * (d - alpha), 0.0
-    elif isinstance(phi, LogProfile):
-        rate_p, logpow_p = 0.0, -phi.p * (d - alpha)
-    else:
-        return None
-    if isinstance(weight, OneWeight):
-        rate_w, logpow_w = 0.0, 0.0
-    elif isinstance(weight, PowerWeight):
-        rate_w, logpow_w = weight.gamma, 0.0
-    elif isinstance(weight, LogWeight):
-        rate_w, logpow_w = 0.0, weight.p
-    else:
-        return None
-    return rate_p + rate_w, logpow_p + logpow_w
-
-
 def _classify_exponents(rate: float, log_power: float) -> Verdict:
     # integral of exp(rate*u) * (1+u)^log_power du over an infinite tail
     if rate > 0.0:
@@ -208,33 +179,26 @@ def classify_shell_series(
 ) -> DivergenceVerdict:
     """Classify the shell-sampled series sum_i phi(s_i)^(d-a) * M(s_(i+1)).
 
-    The radii s_i approach 1 geometrically (1 - s_(i+1) = rho*(1 - s_i) with
-    rho = (1-a)/(1+a)), so each term behaves like exp(rate*L*i) * (L*i)^p
-    with L = log(1/rho); the exponent rule of the tail integral then
-    classifies divergence.  The evidence is rate, log_power and
-    step_log = L.
+    The tail integrand phi(t)^(d-a) * M(t) is const * exp(rate*u) *
+    (1+u)^log_power in u = -log(1-t), the sums of the two families'
+    exponents (``tail`` in ``bubbles``).  The radii s_i approach 1
+    geometrically (1 - s_(i+1) = rho*(1 - s_i) with rho = (1-a)/(1+a)), so
+    each term behaves like exp(rate*L*i) * (L*i)^p with L = log(1/rho); the
+    exponent rule of the tail integral then classifies divergence.  The
+    evidence is rate, log_power and step_log = L; a profile or weight
+    outside the families is Inconclusive.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    exps = _tail_exponents(phi, weight, d, alpha)
     name = f"shell series: phi={type(phi).__name__}, M={type(weight).__name__}, a={a}"
-    if exps is None:
-        return DivergenceVerdict(
-            Verdict.INCONCLUSIVE,
-            {"reason": "profile or weight outside the closed-form enumeration"},
-            name,
-        )
-    rate, log_power = exps
+    if not (hasattr(phi, "tail") and hasattr(weight, "tail")):
+        return DivergenceVerdict(Verdict.INCONCLUSIVE, {
+            "reason": "profile or weight outside the closed-form enumeration"}, name)
+    (rate_p, log_power_p), (rate_w, log_power_w) = phi.tail(d, alpha), weight.tail(d, alpha)
+    rate, log_power = rate_p + rate_w, log_power_p + log_power_w
     rho = (1.0 - a) / (1.0 + a)
-    return DivergenceVerdict(
-        _classify_exponents(rate, log_power),
-        {
-            "rate": rate,
-            "log_power": log_power,
-            "step_log": math.log(1.0 / rho),
-        },
-        name,
-    )
+    evidence = {"rate": rate, "log_power": log_power, "step_log": math.log(1.0 / rho)}
+    return DivergenceVerdict(_classify_exponents(rate, log_power), evidence, name)
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,18 @@ except ImportError:
 from . import __version__
 from .bubbles import (
     BubbleConfig,
+    RadialProfile,
+    WeightFunction,
     _shell_phi,
     generate_shell_config,
-    profile_from_json,
     shell_radii,
-    weight_from_json,
 )
 from .criteria import aikawa_sum  # noqa: F401  (re-exported: the per-point sum)
 from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
 from .geometry import BallDomain
 from .kernels import Constants
+from .rng import draws_finitely
+from .simulate import APPROXIMATION_NOTES as SIM_NOTES
 from .simulate import SimParams, estimate_hitting
 from .whitney import ball_cube_incidence, coverage_threshold, cube_counts, decompose
 
@@ -54,14 +56,11 @@ _TOP_LEVEL_KEYS = frozenset({"format_version", "domain", "constants", "profile",
                              "shells", "whitney", "criteria", "per_trajectory_csv", "sim"})
 _SECTION_KEYS = {"shells": frozenset({"a", "count", "seed"}),
                  "whitney": frozenset({"max_level"}),
-                 "criteria": frozenset({"grid", "wiener_n_max"})}
+                 "criteria": frozenset({"grid", "wiener_n_max"}),
+                 "domain": frozenset({"center", "radius"})}
 
-APPROXIMATION_NOTES = [
-    "simulator: Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
-    "change of the censored process: its discretisation bias is not corrected",
-    "simulator: lifetime proxy delta_D < boundary_eps biases p_hat downward",
-    "criteria: a.e.-boundary statements are proxied by a deterministic grid",
-]
+APPROXIMATION_NOTES = [f"simulator: {note}" for note in SIM_NOTES] + [
+    "criteria: a.e.-boundary statements are proxied by a deterministic grid"]
 
 
 class ConfigError(ValueError):
@@ -103,6 +102,8 @@ class RunConfig:
             raise ConfigError(f"criteria.grid must be >= 1, got {self.grid_size!r}")
         if self.wiener_n_max < 1:
             raise ConfigError(f"criteria.wiener_n_max must be >= 1, got {self.wiener_n_max!r}")
+        if self.sim is not None and not draws_finitely(self.sim.alpha):
+            raise ConfigError(f"sim.alpha {self.sim.alpha!r} is too close to 2 for finite draws")
         try:
             _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))
         except ValueError as exc:
@@ -133,9 +134,10 @@ class RunConfig:
             unknown = sorted(set(obj) - _TOP_LEVEL_KEYS)
             if unknown:
                 raise ConfigError(f"unknown top-level field(s): {', '.join(unknown)}")
-            if "profile" not in obj:
-                raise ConfigError("missing field: profile")
-            shells, whitney, criteria = (_section(obj, name) for name in _SECTION_KEYS)
+            for name in ("domain", "profile"):
+                if name not in obj:
+                    raise ConfigError(f"missing field: {name}")
+            shells, whitney, criteria, domain = (_section(obj, name) for name in _SECTION_KEYS)
             per_trajectory_csv = obj.get("per_trajectory_csv", False)
             if not isinstance(per_trajectory_csv, bool):
                 raise ConfigError(
@@ -155,10 +157,11 @@ class RunConfig:
                         f"sim.alpha {sim.alpha!r} differs from constants.alpha {constants.alpha!r}"
                     )
             return cls(
-                domain=BallDomain.from_json(obj["domain"]),
+                domain=BallDomain.from_json(domain),
                 constants=constants,
-                profile=profile_from_json(_object(obj["profile"], "profile")),
-                weight=weight_from_json(_object(obj.get("weight", {"kind": "one"}), "weight")),
+                profile=RadialProfile.from_json(_object(obj["profile"], "profile")),
+                weight=WeightFunction.from_json(_object(obj.get("weight", {"kind": "one"}),
+                                                        "weight")),
                 shell_a=float(shells.get("a", 0.5)),
                 shells=_integer(shells.get("count", 4), "shells.count"),
                 seed=_integer(shells.get("seed", 0), "shells.seed"),
@@ -391,8 +394,9 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
             with open(cfg_path) as f:
                 cfg_obj = json.load(f)
             prof = cfg_obj.get("profile", {})
+            family = RadialProfile.kinds.get(prof.get("kind"))
             row["profile_kind"] = prof.get("kind", "")
-            row["profile_param"] = prof.get("c", prof.get("beta", prof.get("p", "")))
+            row["profile_param"] = prof.get(family.param, "") if family else ""
             row["weight_kind"] = cfg_obj.get("weight", {}).get("kind", "")
             row["a"] = cfg_obj.get("shells", {}).get("a", "")
             row["shells"] = cfg_obj.get("shells", {}).get("count", "")

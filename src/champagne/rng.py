@@ -23,6 +23,10 @@ The shell generator draws from the same streams, under shells.seed: shell
 i takes counters 0, 1 and 2 of trajectory id 2**63 + i.  The simulator's
 trajectory ids lie below n_traj, so no generator key is a simulator key for
 the same seed.  The seed of every stream lies in [0, 2**64).
+
+The uniforms lie in [2**-54, 1 - 2**-53], so w = -log u > 0.  Kanter's S
+still overflows at u near 1 and w near 0 for alpha above about 1.9012,
+which ``draws_finitely`` detects.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ __all__ = [
     "standard_normals",
     "stable_vectors",
     "slots_per_step",
+    "draws_finitely",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_SALT = np.uint64(0xA0761D6478BD642F)
+_EXTREME_U = (2.0**-54, 1.0 - 2.0**-53)   # the least and greatest uniforms
 
 
 def mix64(x) -> np.ndarray:
@@ -72,15 +78,18 @@ def stream_keys(seed: int, traj_ids) -> np.ndarray:
 
 
 def uniform01(keys, counters) -> np.ndarray:
-    """Uniforms on the open interval (0, 1): one per (key, counter) pair."""
+    """Uniforms in [2**-54, 1 - 2**-53], one per (key, counter) pair: (r + 1/2)
+    * 2**-53 rounded to nearest for the top 53 bits r of the mixed counter,
+    except that r = 2**53 - 1, which this rounds up to 1, gives 1 - 2**-53."""
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    raw = _mix64_inplace(keys + counters * _GOLD)
+    raw = _mix64_inplace(np.asarray(keys + counters * _GOLD))  # 0-d stays an array
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
-    return u
+    np.minimum(u, _EXTREME_U[1], out=u)
+    return u[()]  # a scalar for scalar inputs
 
 
 def slots_per_step(d: int) -> int:
@@ -156,3 +165,16 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
     z = standard_normals(keys, base + np.uint64(2), d)
     z *= s[:, None]
     return z
+
+
+def draws_finitely(alpha: float) -> bool:
+    """Whether every increment ``stable_vectors`` draws at alpha is finite:
+    whether 2 S is, for Kanter's S at the extreme uniforms of ``uniform01``
+    as u and as the uniform behind w = -log u (S grows as u -> 1 and w -> 0,
+    and its powers underflow as u -> 0)."""
+    u = np.array(_EXTREME_U * 2)
+    w = -np.log(np.repeat(_EXTREME_U, 2))
+    with np.errstate(all="ignore"):
+        s = positive_stable(alpha / 2.0, u, w)
+        s *= 2.0
+    return bool(np.isfinite(s).all())

@@ -73,6 +73,12 @@ _WILSON_Z = 1.959963984540054  # 95%
 _BLOCK_DRAWS = 1 << 13
 # stable vectors drawn at a time by median_unit_norm
 _MEDIAN_BLOCK = 1 << 12
+# in every estimate.json, and with a "simulator: " prefix in every manifest
+APPROXIMATION_NOTES = [
+    "Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
+    "change of the censored process: its discretisation bias is not corrected",
+    "lifetime proxy delta_D < boundary_eps biases p_hat downward",
+]
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,7 @@ class HitEstimate:
             "timeout_fraction": self.timeout_fraction,
             "diagnostics": dict(self.diagnostics),
             "params": self.params.to_json(),
-            "approximation_notes": [
-                "Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
-                "change of the censored process: its discretisation bias is not corrected",
-                "lifetime proxy delta_D < boundary_eps biases p_hat downward",
-            ],
+            "approximation_notes": list(APPROXIMATION_NOTES),
         }
 
 

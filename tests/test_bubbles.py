@@ -10,7 +10,12 @@ from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
     LogProfile,
+    LogWeight,
+    OneWeight,
     PowerProfile,
+    PowerWeight,
+    RadialProfile,
+    WeightFunction,
     generate_shell_config,
     separation_infimum,
     shell_radii,
@@ -48,6 +53,30 @@ def test_profiles_decreasing_in_range():
         vals = phi(grid)
         assert np.all((vals > 0) & (vals <= 1.0))
         assert np.all(np.diff(vals) <= 1e-15)
+
+
+@pytest.mark.parametrize("base, obj, family", [
+    (RadialProfile, {"kind": "constant", "c": 0.25}, ConstantProfile(0.25)),
+    (RadialProfile, {"kind": "power", "beta": 1.5}, PowerProfile(1.5)),
+    (RadialProfile, {"kind": "log", "p": 2.0}, LogProfile(2.0)),
+    (WeightFunction, {"kind": "one"}, OneWeight()),
+    (WeightFunction, {"kind": "power", "gamma": 0.5}, PowerWeight(0.5)),
+    (WeightFunction, {"kind": "log", "p": 3.0}, LogWeight(3.0)),
+])
+def test_every_family_round_trips_through_json(base, obj, family):
+    assert base.from_json(obj) == family
+    assert family.to_json() == obj and list(family.to_json()) == list(obj)
+    assert type(family(0.5)) is float and family(np.full((2, 3), 0.5)).shape == (2, 3)
+
+
+@pytest.mark.parametrize("family, value, message", [
+    (ConstantProfile, 1.0, "profile.c must lie in (0, 1), got 1.0"),
+    (PowerProfile, 0.0, "profile.beta must lie in (0, inf), got 0.0"),
+    (LogWeight, float("nan"), "weight.p must lie in (0, inf), got nan"),
+])
+def test_family_parameter_outside_its_range_is_refused(family, value, message):
+    with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        family(value)
 
 
 # -- config invariants ---------------------------------------------------------

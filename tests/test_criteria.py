@@ -26,7 +26,6 @@ from champagne.criteria import (
     _classify_exponents,
     _first_appearance_total,
     _series_total,
-    _tail_exponents,
     aikawa_sum,
     classify_avoidability,
     classify_shell_series,
@@ -138,30 +137,31 @@ def test_grouped_matches_naive_direct_sum(disk):
 
 def _u_integrand(phi, weight, d, alpha):
     """The tail integrand phi(t)^(d-a) * M(t) / (1-t) in u = -log(1-t),
-    which avoids the loss in 1 - exp(-u)."""
-    def phi_u(u):
-        if isinstance(phi, ConstantProfile):
-            return phi.c
-        if isinstance(phi, PowerProfile):
-            return np.exp(-phi.beta * u)
-        return (1.0 + u) ** (-phi.p)
+    which avoids the loss in 1 - exp(-u), with its exponents (rate,
+    log_power): integrand = const * exp(rate*u) * (1+u)^log_power.  Written
+    out per family here, independently of the families' own ``tail``."""
+    if isinstance(phi, ConstantProfile):
+        phi_u, rate_p, log_p = (lambda u: phi.c), 0.0, 0.0
+    elif isinstance(phi, PowerProfile):
+        phi_u, rate_p, log_p = (lambda u: np.exp(-phi.beta * u)), -phi.beta * (d - alpha), 0.0
+    else:
+        phi_u, rate_p, log_p = (lambda u: (1.0 + u) ** (-phi.p)), 0.0, -phi.p * (d - alpha)
 
-    def m_u(u):
-        if isinstance(weight, OneWeight):
-            return 1.0
-        if isinstance(weight, PowerWeight):
-            return np.exp(weight.gamma * u)
-        return (1.0 + u) ** weight.p
+    if isinstance(weight, OneWeight):
+        m_u, rate_w, log_w = (lambda u: 1.0), 0.0, 0.0
+    elif isinstance(weight, PowerWeight):
+        m_u, rate_w, log_w = (lambda u: np.exp(weight.gamma * u)), weight.gamma, 0.0
+    else:
+        m_u, rate_w, log_w = (lambda u: (1.0 + u) ** weight.p), 0.0, weight.p
 
-    return lambda u: phi_u(u) ** (d - alpha) * m_u(u)
+    return (lambda u: phi_u(u) ** (d - alpha) * m_u(u)), rate_p + rate_w, log_p + log_w
 
 
 def classify_radial_integral(phi, weight, d, alpha):
     """Oracle: the tail integral of phi(t)^(d-a) * M(t) / (1-t) over
     (1/2, 1), classified by the analytic reduction under u = -log(1-t), with
     the partial integrals up to 1 - eps for eps = 1e-3 .. 1e-12 as evidence."""
-    rate, log_power = _tail_exponents(phi, weight, d, alpha)
-    integrand = _u_integrand(phi, weight, d, alpha)
+    integrand, rate, log_power = _u_integrand(phi, weight, d, alpha)
     t0 = 0.5
     u0 = -math.log(1.0 - t0)
     trace = [(10.0 ** (-k), quad(integrand, u0, -math.log(10.0 ** (-k)), limit=400)[0])
@@ -216,6 +216,16 @@ def test_weight_shifts_the_verdict():
         assert classify_radial_integral(phi, weight, d, alpha).tag == tag
 
 
+@pytest.mark.parametrize("phi, weight", [
+    (lambda t: 0.3, OneWeight()),
+    (ConstantProfile(0.3), lambda t: 1.0),
+])
+def test_shell_series_outside_the_families_is_inconclusive(phi, weight):
+    v = classify_shell_series(phi, weight, 2, 1.5, 0.5)
+    assert v.tag == Verdict.INCONCLUSIVE
+    assert v.evidence == {"reason": "profile or weight outside the closed-form enumeration"}
+
+
 PAIRS = [
     (ConstantProfile(0.2), OneWeight()),
     (ConstantProfile(0.4), OneWeight()),
@@ -240,6 +250,8 @@ def test_shell_series_agrees_with_integral(phi, weight):
             s = classify_shell_series(phi, weight, d, alpha, a)
             i = classify_radial_integral(phi, weight, d, alpha)
             assert s.tag == i.tag
+            assert [s.evidence[k] for k in ("rate", "log_power")] == [
+                i.evidence[k] for k in ("rate", "log_power")]
 
 
 # -- whitney sums ---------------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     ({"constants": [1.5]}, "constants must be an object, got [1.5]"),
     ({"profile": ["constant"]}, "profile must be an object, got ['constant']"),
     ({"weight": ["one"]}, "weight must be an object, got ['one']"),
+    ({"profile": {"kind": "constant", "c": 0.1, "beta": 3.0}}, "unknown field(s) in profile: beta"),
+    ({"profile": {"kind": "power"}}, "missing field: profile.beta"),
+    ({"profile": {"kind": "cubic", "c": 0.1}},
+     "profile.kind must be one of constant, power, log, got 'cubic'"),
+    ({"weight": {"kind": "one", "gamma": 1.0}}, "unknown field(s) in weight: gamma"),
+    ({"weight": {"kind": "log"}}, "missing field: weight.p"),
+    ({"domain": {"center": [0.0, 0.0], "radius": 1.0, "radus": 2.0}},
+     "unknown field(s) in domain: radus"),
+    # just above the alpha where Kanter's sampler stops drawing finitely (1.90122)
+    ({"constants": {"alpha": 1.90123}, "sim": {"max_steps": 50, "n_traj": 20}},
+     "sim.alpha 1.90123 is too close to 2"),
+    ({"constants": {"alpha": 1.99}, "sim": {"max_steps": 50, "n_traj": 20}},
+     "sim.alpha 1.99 is too close to 2"),
 ])
 def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
                                                                          change, message):
@@ -247,6 +260,18 @@ def test_main_returns_2_on_a_profile_of_half_or_more_at_a_shell(tmp_path, capsys
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_main_runs_just_below_the_sim_alpha_limit_and_near_2_without_sim(tmp_path, capsys):
+    # the sim block takes alpha up to where Kanter's sampler stops drawing
+    # finitely (1.90122); a config without one keeps every alpha in (1, 2)
+    sim = {"max_steps": 50, "n_traj": 20, "seed": 3}
+    cfg = _write_config(tmp_path, {**SMALL, "constants": {"alpha": 1.90122}, "sim": sim})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+    assert json.loads((tmp_path / "sim" / "estimate.json").read_text())["n"] == 20
+    cfg = _write_config(tmp_path, {**SMALL, "constants": {"alpha": 1.99}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("change", [{"critera": {"grid": 4}}, {"out_dir": "run"}])
@@ -294,13 +319,11 @@ def test_whitney_writes_every_cube_and_reruns_byte_identically(tmp_path, monkeyp
 
 
 def test_main_returns_3_on_a_runtime_failure(tmp_path, capsys):
-    # Kanter's sampler draws non-finite increments at alpha = 1.99, which the
-    # simulator refuses rather than counting them as suppressed proposals
-    cfg = _write_config(tmp_path, {**SMALL, "constants": {"alpha": 1.99},
-                                   "sim": {"max_steps": 50, "n_traj": 20, "seed": 3}})
-    with pytest.warns(RuntimeWarning):
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
-    assert "is not finite" in capsys.readouterr().err
+    # a valid config, but the output directory cannot be made: a file is there
+    cfg = _write_config(tmp_path, {**SMALL, "sim": {"max_steps": 50, "n_traj": 20, "seed": 3}})
+    (tmp_path / "run").write_text("")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert "File exists" in capsys.readouterr().err
 
 
 def test_no_subcommand_takes_threads_and_only_report_takes_format(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from champagne.rng import (
+    draws_finitely,
     mix64,
     positive_stable,
     slots_per_step,
@@ -28,6 +29,53 @@ def test_uniform01_range_and_mean():
     assert np.all((u > 0.0) & (u < 1.0))
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.002
+
+
+_M64 = 2**64 - 1
+_GOLD = 0x9E3779B97F4A7C15
+
+
+def _unmix64(z: int) -> int:
+    """The x with mix64(x) == z: each xor-shift and odd multiply of the
+    SplitMix64 finalizer undone in reverse order."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & _M64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _M64
+    z ^= (z >> 30) ^ (z >> 60)
+    return z
+
+
+@pytest.mark.parametrize("top, want", [(2**53 - 1, 1.0 - 2.0**-53), (2**53 - 2, 1.0 - 2.0**-52),
+                                       (0, 2.0**-54)])
+def test_uniform01_stays_below_1_at_the_greatest_raw_value(top, want):
+    # a key whose counter 0 mixes to the given top 53 bits; (2**53 - 1) + 1/2
+    # rounds to 2**53, which would make u = 1 and w = -log u = -0.0
+    key = _unmix64(top << 11 | 0x7FF)
+    assert int(mix64(np.uint64(key))) >> 11 == top
+    u = uniform01(np.uint64(key), np.uint64(0))
+    assert u == want and 0.0 < u < 1.0
+    # drawn as the w slot (counter 1) of step 0, it gives a finite increment
+    xi = stable_vectors(1.5, 2, np.array([(key - _GOLD) % 2**64], dtype=np.uint64), 0)
+    assert np.isfinite(xi).all()
+
+
+def test_draws_finitely_up_to_the_alpha_where_kanters_sampler_overflows():
+    # S at u = 1 - 2**-53 and w = -log(1 - 2**-53) overflows between these two
+    # alphas (at about 1.9012263); 2**20 uniforms at either end of (0, 1) give
+    # no other failure
+    below, above = 1.90122, 1.90123
+    assert draws_finitely(below) and not draws_finitely(above)
+    assert all(draws_finitely(a) for a in (1.0001, 1.5, 1.9))
+    assert not any(draws_finitely(a) for a in (1.902, 1.95, 1.99))
+    k = np.arange(1, 2**20, dtype=float)
+    u = np.concatenate([1.0 - k * 2.0**-53, (k - 0.5) * 2.0**-53])
+    for w in (-math.log(1.0 - 2.0**-53), -math.log(2.0**-54)):
+        with np.errstate(all="ignore"):
+            s = positive_stable(below / 2.0, u.copy(), np.full(u.size, w))
+            assert np.isfinite(2.0 * s).all()
+            s = positive_stable(above / 2.0, u.copy(), np.full(u.size, w))
+            assert np.isfinite(2.0 * s).sum() == u.size - (w < 1.0)
 
 
 def test_streams_differ_by_seed_and_traj():

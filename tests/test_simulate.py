@@ -119,22 +119,27 @@ def test_no_generator_draw_shares_a_key_with_a_simulator_draw(monkeypatch, d):
     assert {k for k, _ in generated}.isdisjoint(k for k, _ in drawn)
 
 
-@pytest.mark.parametrize("config_name", ["disk_config", "ball_config"], ids=["disk", "ball"])
-def test_outcomes_do_not_depend_on_the_block_length(request, monkeypatch, config_name):
+# the ball case stops at 250 steps, so that many of its 600 trajectories time out
+@pytest.mark.parametrize("config_name, params", [
+    ("disk_config", PARAMS),
+    ("ball_config", dataclasses.replace(PARAMS, max_steps=250, n_traj=600)),
+], ids=["disk", "ball"])
+def test_outcomes_do_not_depend_on_the_block_length(request, monkeypatch, config_name, params):
     # A pass over m running trajectories takes max(1, _BLOCK_DRAWS // m) steps.
     # One step per pass, three steps per pass at the start (more as
     # trajectories end), and the whole run in one pass must give the same six
     # arrays: work past a trajectory's outcome, suppressed proposals
     # included, is discarded.
     config = request.getfixturevalue(config_name)
-    n = PARAMS.n_traj
+    n = params.n_traj
     runs = []
-    for draws in (1, 3 * n, PARAMS.max_steps * n):
+    for draws in (1, 3 * n, params.max_steps * n):
         monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
-        runs.append(_run_batch(config.domain.center, config, config.meta["phi"], PARAMS,
+        runs.append(_run_batch(config.domain.center, config, config.meta["phi"], params,
                                np.arange(n)))
     tags, _, _, _, _, suppressed = runs[0]
-    assert set(tags.tolist()) == {0, 1, 2}
+    counts = np.bincount(tags, minlength=3)
+    assert counts.min() > 0 and counts[simulate.TIMEOUT] >= 30
     assert suppressed.sum() > 0
     for other in runs[1:]:
         for a, b in zip(other, runs[0]):
@@ -357,25 +362,16 @@ def test_median_and_percentile_equal_numpys_bit_for_bit():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_alpha_near_two_raises_on_a_non_finite_draw(disk_config, tmp_path, capsys):
+def test_alpha_near_two_raises_on_a_non_finite_draw(disk_config):
     # Kanter's sampler returns inf or NaN for about 1.5 % of rows at 1.99; such
-    # a proposal used to count as suppressed and bias the estimate silently
+    # a proposal used to count as suppressed and bias the estimate silently.
+    # A run configuration refuses this alpha (exit 2, tests/test_harness.py).
     params = SimParams(alpha=1.99, max_steps=50, n_traj=40, seed=1)
     keys = stream_keys(params.seed, np.arange(params.n_traj))
     assert not np.isfinite(stable_vectors(1.99, 2, keys, 0, 50)).all()
     with pytest.raises(FloatingPointError, match="not finite"):
         _run_batch(disk_config.domain.center, disk_config, disk_config.meta["phi"], params,
                    np.arange(params.n_traj))
-    cfg = tmp_path / "run_config.json"
-    cfg.write_text(json.dumps({
-        "domain": {"center": [0.0, 0.0], "radius": 1.0},
-        "constants": {"alpha": 1.99},
-        "profile": {"kind": "constant", "c": 0.1},
-        "shells": {"a": 0.5, "count": 3, "seed": 3},
-        "sim": {"alpha": 1.99, "max_steps": 50, "n_traj": 40, "seed": 1},
-    }))
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
-    assert "not finite" in capsys.readouterr().err
 
 
 def test_x0_inside_a_bubble_raises(disk_config):

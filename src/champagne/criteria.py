@@ -534,7 +534,7 @@ def aikawa_sum(
 
 @dataclass(frozen=True)
 class AvoidabilityReport:
-    verdict: DivergenceVerdict     # the same at every grid point
+    verdict: DivergenceVerdict     # one for the whole grid
     per_z_totals: np.ndarray       # final partial sum of the boundary series per grid point
     separation: float
     aggregate: str                 # "unavoidable" | "avoidable-candidate" | "inconclusive"

@@ -336,10 +336,9 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
         "format_version": FORMAT_VERSION,
         "aggregate": report.aggregate,
         "separation": report.separation,
-        "per_z": [
-            {"z": z, **report.verdict.to_json(), "evidence": {"partial_sum": total}}
-            for z, total in zip(points.tolist(), report.per_z_totals.tolist())
-        ],
+        "verdict": report.verdict.to_json(),
+        "per_z": [{"z": z, "partial_sum": total}
+                  for z, total in zip(points.tolist(), report.per_z_totals.tolist())],
         "notes": report.notes,
         "whitney": {
             "n_cubes": n_cubes,

@@ -594,8 +594,8 @@ def test_classify_without_shell_metadata_is_inconclusive(disk, c15):
 
 def test_classify_rotation_symmetric_verdicts(tmp_path):
     # The analytic verdict does not depend on the boundary point, so
-    # verdicts.json carries the report's one verdict at every grid point,
-    # each with its own boundary series total.
+    # verdicts.json carries the report's one verdict, with its evidence, once,
+    # and each grid point its own boundary series total.
     cfg = RunConfig.from_json({
         "domain": {"center": [0.0, 0.0], "radius": 1.0},
         "constants": {"alpha": 1.5},
@@ -605,13 +605,15 @@ def test_classify_rotation_symmetric_verdicts(tmp_path):
         "criteria": {"grid": 32},
     })
     cmd_criteria(cfg, tmp_path)
-    per_z = json.loads((tmp_path / "verdicts.json").read_text())["per_z"]
+    verdicts = json.loads((tmp_path / "verdicts.json").read_text())
+    per_z = verdicts["per_z"]
     config = generate_shell_config(cfg.domain, cfg.profile, 0.5, 3, seed=0)
     points = uniform_boundary_grid(cfg.domain, 32)
     report = classify_avoidability(config, cfg.constants, points, cfg.profile)
     assert report.verdict.tag == Verdict.DIVERGENT
+    assert verdicts["verdict"] == report.verdict.to_json()
+    assert set(verdicts["verdict"]["evidence"]) == {"rate", "log_power", "step_log"}
     assert [entry["z"] for entry in per_z] == points.tolist()
-    assert {(entry["tag"], entry["tail_model"]) for entry in per_z} == {
-        (report.verdict.tag.value, report.verdict.tail_model)}
-    assert [entry["evidence"] for entry in per_z] == [
-        {"partial_sum": avoidability_series(config, z, 1.5).total} for z in points]
+    assert [entry["partial_sum"] for entry in per_z] == [
+        avoidability_series(config, z, 1.5).total for z in points]
+    assert all(set(entry) == {"z", "partial_sum"} for entry in per_z)

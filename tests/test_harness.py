@@ -55,10 +55,11 @@ def _assert_criteria_outputs(tmp_path, monkeypatch, obj, verdicts, wiener_trace,
 
 def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # Outputs of the per-ball implementation that built the cube-bubble map
-    # once per sum; the closed-form incidence must reproduce them bit for bit.
+    # once per sum; the closed-form incidence must reproduce them bit for bit
+    # (verdicts.json re-pinned when it came to state its one verdict once).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "de8e1cf8681775a8e4ddee7220da112dcbacff7cbbaeec3766f15eb7568ce32a",
+        "9f31d354381282d1350919eff07a1e3d060b63b53b9c9113761f60156b0bb443",
         "301f365661eaec5a1a2c0079419e37c42eacbb08f1102235c7b6af23e990dd18",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
@@ -67,10 +68,11 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
 
 def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # Outputs of the incidence that looked each box up in the decomposition;
-    # the closed-form incidence must reproduce them bit for bit.
+    # the closed-form incidence must reproduce them bit for bit
+    # (verdicts.json re-pinned when it came to state its one verdict once).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "4b6316944d2b2ff54ced65fb7b88ed2a5880274d1a91e594243eae72f4bfdf60",
+        "0d41119c2bcfca42848781323d8d45ca71762f1f1ca9e8e76e143ff5fb33fd4a",
         "af5f31dbe66c2d8c503ac416377a894745233d03d8433652a073f2cbe596a8eb",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,

@@ -44,8 +44,7 @@ from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
 from .geometry import BallDomain
 from .kernels import Constants
 from .rng import draws_finitely
-from .simulate import APPROXIMATION_NOTES as SIM_NOTES
-from .simulate import SimParams, estimate_hitting
+from .simulate import APPROXIMATION_NOTES as SIM_NOTES, SimParams, estimate_hitting
 from .whitney import ball_cube_incidence, coverage_threshold, cube_counts, decompose
 
 __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",

@@ -236,6 +236,8 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
      "profile.kind must be one of constant, power, log, got 'cubic'"),
     ({"weight": {"kind": "one", "gamma": 1.0}}, "unknown field(s) in weight: gamma"),
     ({"weight": {"kind": "log"}}, "missing field: weight.p"),
+    ({"profile": {"kind": "power", "beta": 0.0}}, "profile.beta must lie in (0, inf), got 0.0"),
+    ({"weight": {"kind": "log", "p": -1.0}}, "weight.p must lie in (0, inf), got -1.0"),
     ({"domain": {"center": [0.0, 0.0], "radius": 1.0, "radus": 2.0}},
      "unknown field(s) in domain: radus"),
     # just above the alpha where Kanter's sampler stops drawing finitely (1.90122)

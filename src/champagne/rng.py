@@ -24,9 +24,9 @@ i takes counters 0, 1 and 2 of trajectory id 2**63 + i.  The simulator's
 trajectory ids lie below n_traj, so no generator key is a simulator key for
 the same seed.  The seed of every stream lies in [0, 2**64).
 
-The uniforms lie in [2**-54, 1 - 2**-53], so w = -log u > 0.  Kanter's S
-still overflows at u near 1 and w near 0 for alpha above about 1.9012,
-which ``draws_finitely`` detects.
+The uniforms lie in [2**-54, 1 - 2**-53], so w = -log u > 0.  Kanter's
+sampler still overflows at u near 1 and w near 0 (in A/w, before the power
+that makes S) for alpha above about 1.9012, which ``draws_finitely`` detects.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
 def draws_finitely(alpha: float) -> bool:
     """Whether every increment ``stable_vectors`` draws at alpha is finite:
     whether 2 S is, for Kanter's S at the extreme uniforms of ``uniform01``
-    as u and as the uniform behind w = -log u (S grows as u -> 1 and w -> 0,
-    and its powers underflow as u -> 0)."""
+    as u and as the uniform behind w = -log u (its A/w grows as u -> 1 and
+    w -> 0, and the powers in A underflow as u -> 0)."""
     u = np.array(_EXTREME_U * 2)
     w = -np.log(np.repeat(_EXTREME_U, 2))
     with np.errstate(all="ignore"):

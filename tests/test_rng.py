@@ -61,7 +61,7 @@ def test_uniform01_stays_below_1_at_the_greatest_raw_value(top, want):
 
 
 def test_draws_finitely_up_to_the_alpha_where_kanters_sampler_overflows():
-    # S at u = 1 - 2**-53 and w = -log(1 - 2**-53) overflows between these two
+    # A/w at u = 1 - 2**-53, w = -log(1 - 2**-53) overflows between these two
     # alphas (at about 1.9012263); 2**20 uniforms at either end of (0, 1) give
     # no other failure
     below, above = 1.90122, 1.90123

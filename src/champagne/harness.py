@@ -43,7 +43,6 @@ from .criteria import aikawa_sum  # noqa: F401  (re-exported: the per-point sum)
 from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
 from .geometry import BallDomain
 from .kernels import Constants
-from .rng import draws_finitely
 from .simulate import APPROXIMATION_NOTES as SIM_NOTES, SimParams, estimate_hitting
 from .whitney import ball_cube_incidence, coverage_threshold, cube_counts, decompose
 
@@ -101,8 +100,6 @@ class RunConfig:
             raise ConfigError(f"criteria.grid must be >= 1, got {self.grid_size!r}")
         if self.wiener_n_max < 1:
             raise ConfigError(f"criteria.wiener_n_max must be >= 1, got {self.wiener_n_max!r}")
-        if self.sim is not None and not draws_finitely(self.sim.alpha):
-            raise ConfigError(f"sim.alpha {self.sim.alpha!r} is too close to 2 for finite draws")
         try:
             _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))
         except ValueError as exc:

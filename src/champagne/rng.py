@@ -24,9 +24,10 @@ i takes counters 0, 1 and 2 of trajectory id 2**63 + i.  The simulator's
 trajectory ids lie below n_traj, so no generator key is a simulator key for
 the same seed.  The seed of every stream lies in [0, 2**64).
 
-The uniforms lie in [2**-54, 1 - 2**-53], so w = -log u > 0.  Kanter's
-sampler still overflows at u near 1 and w near 0 (in A/w, before the power
-that makes S) for alpha above about 1.9012, which ``draws_finitely`` detects.
+The uniforms lie in [2**-54, 1 - 2**-53], so w = -log u > 0, and every
+alpha in (1, 2) draws finitely: Kanter's S raises each of its factors to
+its own power before they are multiplied (see ``positive_stable``), so no
+intermediate overflows or underflows at the extreme uniforms.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ __all__ = [
     "standard_normals",
     "stable_vectors",
     "slots_per_step",
-    "draws_finitely",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_SALT = np.uint64(0xA0761D6478BD642F)
-_EXTREME_U = (2.0**-54, 1.0 - 2.0**-53)   # the least and greatest uniforms
+_LAST_U = 1.0 - 2.0**-53   # the greatest uniform
 
 
 def mix64(x) -> np.ndarray:
@@ -88,7 +88,7 @@ def uniform01(keys, counters) -> np.ndarray:
     u = raw.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
-    np.minimum(u, _EXTREME_U[1], out=u)
+    np.minimum(u, _LAST_U, out=u)
     return u[()]  # a scalar for scalar inputs
 
 
@@ -101,22 +101,29 @@ def positive_stable(rho: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Kanter sampler for the positive rho-stable law, rho in (0, 1).
 
     With u ~ U(0,1) and w ~ Exp(1) the output S satisfies
-    E[exp(-lam*S)] = exp(-lam**rho).
+    E[exp(-lam*S)] = exp(-lam**rho).  With theta = pi*u and q = (1-rho)/rho,
+    S = sin(rho theta) * sin((1-rho) theta)**q / sin(theta)**(1/rho) / w**q,
+    each factor raised to its own power before the product: Kanter's A/w
+    raised to the power q, but without A/w, which overflows at u near 1 and
+    w near 0 for rho near 1 although S does not.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    q = (1.0 - rho) / rho
     theta = np.pi * u
-    # in place, in the order of (sin(rho theta)**(rho/(1-rho)) * sin((1-rho) theta)
-    # / sin(theta)**(1/(1-rho)) / w)**((1-rho)/rho)
-    a = np.sin(rho * theta) ** (rho / (1.0 - rho))
-    a *= np.sin((1.0 - rho) * theta)
-    theta = np.sin(theta, out=theta)
-    theta **= 1.0 / (1.0 - rho)
-    a /= theta
+    s = rho * theta
+    np.sin(s, out=s)
+    t = (1.0 - rho) * theta
+    np.sin(t, out=t)
+    t **= q
+    s *= t
+    np.sin(theta, out=theta)
+    theta **= 1.0 / rho
+    s /= theta
     del theta
-    a /= w
-    a **= (1.0 - rho) / rho
-    return a
+    np.power(w, q, out=t)
+    s /= t
+    return s
 
 
 def standard_normals(keys: np.ndarray, base_counter, d: int) -> np.ndarray:
@@ -166,15 +173,3 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
     z *= s[:, None]
     return z
 
-
-def draws_finitely(alpha: float) -> bool:
-    """Whether every increment ``stable_vectors`` draws at alpha is finite:
-    whether 2 S is, for Kanter's S at the extreme uniforms of ``uniform01``
-    as u and as the uniform behind w = -log u (its A/w grows as u -> 1 and
-    w -> 0, and the powers in A underflow as u -> 0)."""
-    u = np.array(_EXTREME_U * 2)
-    w = -np.log(np.repeat(_EXTREME_U, 2))
-    with np.errstate(all="ignore"):
-        s = positive_stable(alpha / 2.0, u, w)
-        s *= 2.0
-    return bool(np.isfinite(s).all())

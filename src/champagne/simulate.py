@@ -208,8 +208,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     ``killed`` is the first suppressed-proposal step (``max_steps`` if none),
     ``suppressed`` the number of suppressed proposals.  x0 must lie in D
     outside every bubble; ``estimate_hitting`` checks it.  Raises
-    FloatingPointError as soon as a pass draws a non-finite increment, which
-    Kanter's sampler gives for alpha near 2 (about 1.5 % of rows at 1.99).
+    FloatingPointError as soon as a pass draws a non-finite increment.
     """
     domain = config.domain
     d = domain.dimension

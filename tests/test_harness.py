@@ -240,11 +240,6 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     ({"weight": {"kind": "log", "p": -1.0}}, "weight.p must lie in (0, inf), got -1.0"),
     ({"domain": {"center": [0.0, 0.0], "radius": 1.0, "radus": 2.0}},
      "unknown field(s) in domain: radus"),
-    # just above the alpha where Kanter's sampler stops drawing finitely (1.90122)
-    ({"constants": {"alpha": 1.90123}, "sim": {"max_steps": 50, "n_traj": 20}},
-     "sim.alpha 1.90123 is too close to 2"),
-    ({"constants": {"alpha": 1.99}, "sim": {"max_steps": 50, "n_traj": 20}},
-     "sim.alpha 1.99 is too close to 2"),
 ])
 def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
                                                                          change, message):
@@ -266,15 +261,13 @@ def test_main_returns_2_on_a_profile_of_half_or_more_at_a_shell(tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
-def test_main_runs_just_below_the_sim_alpha_limit_and_near_2_without_sim(tmp_path, capsys):
-    # the sim block takes alpha up to where Kanter's sampler stops drawing
-    # finitely (1.90122); a config without one keeps every alpha in (1, 2)
+def test_main_simulates_at_alpha_1_99_in_d2_and_d3(tmp_path, capsys):
+    # every alpha in (1, 2) draws finitely, so the sim block takes alpha near 2
     sim = {"max_steps": 50, "n_traj": 20, "seed": 3}
-    cfg = _write_config(tmp_path, {**SMALL, "constants": {"alpha": 1.90122}, "sim": sim})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
-    assert json.loads((tmp_path / "sim" / "estimate.json").read_text())["n"] == 20
-    cfg = _write_config(tmp_path, {**SMALL, "constants": {"alpha": 1.99}})
-    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+    for name, obj in (("d2", SMALL), ("d3", D3)):
+        cfg = _write_config(tmp_path, {**obj, "constants": {"alpha": 1.99}, "sim": sim})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert json.loads((tmp_path / name / "estimate.json").read_text())["n"] == 20
     assert capsys.readouterr().err == ""
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from champagne.rng import (
-    draws_finitely,
     mix64,
     positive_stable,
     slots_per_step,
@@ -60,22 +59,22 @@ def test_uniform01_stays_below_1_at_the_greatest_raw_value(top, want):
     assert np.isfinite(xi).all()
 
 
-def test_draws_finitely_up_to_the_alpha_where_kanters_sampler_overflows():
-    # A/w at u = 1 - 2**-53, w = -log(1 - 2**-53) overflows between these two
-    # alphas (at about 1.9012263); 2**20 uniforms at either end of (0, 1) give
-    # no other failure
-    below, above = 1.90122, 1.90123
-    assert draws_finitely(below) and not draws_finitely(above)
-    assert all(draws_finitely(a) for a in (1.0001, 1.5, 1.9))
-    assert not any(draws_finitely(a) for a in (1.902, 1.95, 1.99))
-    k = np.arange(1, 2**20, dtype=float)
+def test_positive_stable_is_finite_and_positive_at_the_extreme_uniforms():
+    # Formed before its power, Kanter's A/w overflowed at u = 1 - 2**-53,
+    # w = -log(1 - 2**-53) for alpha above about 1.9012; each factor of S now
+    # takes its own power first, so every alpha in (1, 2) draws finitely
+    ext = np.array([2.0**-54, 1.0 - 2.0**-53])   # uniform01's least and greatest
+    u, w = np.repeat(ext, 2), -np.log(np.tile(ext, 2))
+    for alpha in [*(1.0 + 0.0005 * np.arange(1, 2000)), 1.9999, 1.99999]:
+        s = positive_stable(alpha / 2.0, u, w)
+        assert np.isfinite(2.0 * s).all() and (s > 0.0).all(), alpha
+    # and 2**16 uniforms at either end of (0, 1), at either extreme w
+    k = np.arange(1, 2**16, dtype=float)
     u = np.concatenate([1.0 - k * 2.0**-53, (k - 0.5) * 2.0**-53])
-    for w in (-math.log(1.0 - 2.0**-53), -math.log(2.0**-54)):
-        with np.errstate(all="ignore"):
-            s = positive_stable(below / 2.0, u.copy(), np.full(u.size, w))
-            assert np.isfinite(2.0 * s).all()
-            s = positive_stable(above / 2.0, u.copy(), np.full(u.size, w))
-            assert np.isfinite(2.0 * s).sum() == u.size - (w < 1.0)
+    for alpha in (1.0001, 1.5, 1.99, 1.99999):
+        for w in -np.log(ext):
+            s = positive_stable(alpha / 2.0, u, np.full(u.size, w))
+            assert np.isfinite(2.0 * s).all() and (s > 0.0).all(), (alpha, w)
 
 
 def test_streams_differ_by_seed_and_traj():
@@ -92,7 +91,7 @@ def test_positive_stable_laplace_transform():
     keys = stream_keys(7, np.arange(n))
     u = uniform01(keys, np.uint64(0))
     w = -np.log(uniform01(keys, np.uint64(1)))
-    for rho in (0.6, 0.75, 0.9):
+    for rho in (0.6, 0.75, 0.9, 0.95, 0.995):
         s = positive_stable(rho, u, w)
         for lam in (0.5, 1.0, 3.0):
             emp = float(np.exp(-lam * s).mean())
@@ -116,7 +115,7 @@ def test_positive_stable_matches_scipy_quantiles():
 def test_stable_vector_characteristic_function():
     n = 200_000
     keys = stream_keys(3, np.arange(n))
-    for alpha in (1.2, 1.5, 1.8):
+    for alpha in (1.2, 1.5, 1.8, 1.99):
         xi = stable_vectors(alpha, 2, keys, step=0)
         for freq in (0.5, 1.0, 2.0):
             emp = float(np.cos(freq * xi[:, 0]).mean())

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import BallDomain, row_norms
+from .geometry import BallDomain, _number, row_norms
 from .rng import stream_keys, uniform01
 from .spatial import DISJOINTNESS_SLACK, BallIndex
 
@@ -88,8 +88,8 @@ class _Family:
     @classmethod
     def from_json(cls, obj: dict):
         """The family of ``obj["kind"]`` with its parameter; ValueError, naming
-        the block and the key, for an unknown kind, an unknown key or a
-        missing parameter."""
+        the block and the key, for an unknown kind, an unknown key, or a
+        parameter that is missing or not a number."""
         kind = obj.get("kind")
         family = cls.kinds.get(kind) if isinstance(kind, str) else None
         if family is None:
@@ -102,7 +102,7 @@ class _Family:
             return family()
         if family.param not in obj:
             raise ValueError(f"missing field: {cls.block}.{family.param}")
-        return family(float(obj[family.param]))
+        return family(float(_number(obj[family.param], f"{cls.block}.{family.param}")))
 
 
 class RadialProfile(_Family):
@@ -362,6 +362,15 @@ def shell_radii(a: float, shells: int) -> np.ndarray:
     return 1.0 - 0.5 * q**i
 
 
+def _check_shell_domain(domain: BallDomain) -> None:
+    """ValueError unless the shell generator can build in domain: the unit
+    ball at the origin in d=2 or d=3."""
+    if domain.dimension not in (2, 3):
+        raise ValueError("shell generator supports d in {2, 3}")
+    if float(domain.radius) != 1.0 or not np.all(domain.center == 0.0):
+        raise ValueError("shell generator requires the unit ball at the origin")
+
+
 def _shell_phi(phi: RadialProfile, t: np.ndarray) -> np.ndarray:
     """phi at the shell radii t; ValueError if a value is >= 1/2, which no
     bubble of radius (1 - t)*phi(t) centred at radius t can satisfy."""
@@ -435,10 +444,7 @@ def generate_shell_config(
     which N_coverage_a(x) >= 1 holds on t_1 <= |x| <= t_shells, provided it
     came out below 1; values >= 1 mean no coverage certificate.
     """
-    if domain.dimension not in (2, 3):
-        raise ValueError("shell generator supports d in {2, 3}")
-    if float(domain.radius) != 1.0 or not np.all(domain.center == 0.0):
-        raise ValueError("shell generator requires the unit ball at the origin")
+    _check_shell_domain(domain)
     d = domain.dimension
     t = shell_radii(a, shells)
     u = 1.0 - t

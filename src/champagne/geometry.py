@@ -56,7 +56,20 @@ class BallDomain:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BallDomain":
-        return cls(np.asarray(obj["center"], dtype=float), float(obj["radius"]))
+        center = obj["center"]
+        if not isinstance(center, list):
+            raise ValueError(f"domain.center must be a list of numbers, got {center!r}")
+        return cls(np.array([_number(c, "domain.center") for c in center], dtype=float),
+                   float(_number(obj["radius"], "domain.radius")))
+
+
+def _number(value, name: str):
+    """value, if it is a JSON number: an int or a float, not a bool.  Anything
+    else, a string included, is a ValueError naming the config key ``name``
+    rather than being parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def dist_to_boundary(domain: BallDomain, x):

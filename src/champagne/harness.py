@@ -35,13 +35,14 @@ from .bubbles import (
     BubbleConfig,
     RadialProfile,
     WeightFunction,
+    _check_shell_domain,
     _shell_phi,
     generate_shell_config,
     shell_radii,
 )
 from .criteria import aikawa_sum  # noqa: F401  (re-exported: the per-point sum)
 from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
-from .geometry import BallDomain
+from .geometry import BallDomain, _number
 from .kernels import Constants
 from .simulate import APPROXIMATION_NOTES as SIM_NOTES, SimParams, estimate_hitting
 from .whitney import ball_cube_incidence, coverage_threshold, cube_counts, decompose
@@ -55,7 +56,11 @@ _TOP_LEVEL_KEYS = frozenset({"format_version", "domain", "constants", "profile",
 _SECTION_KEYS = {"shells": frozenset({"a", "count", "seed"}),
                  "whitney": frozenset({"max_level"}),
                  "criteria": frozenset({"grid", "wiener_n_max"}),
-                 "domain": frozenset({"center", "radius"})}
+                 "domain": frozenset({"center", "radius"}),
+                 "constants": frozenset({"alpha", "C_G", "C"}),
+                 "sim": frozenset({"alpha", "h", "boundary_eps", "max_steps", "n_traj", "seed"})}
+# the keys of a block that have no default
+_REQUIRED_KEYS = {"domain": ("center", "radius"), "constants": ("alpha",)}
 
 APPROXIMATION_NOTES = [f"simulator: {note}" for note in SIM_NOTES] + [
     "criteria: a.e.-boundary statements are proxied by a deterministic grid"]
@@ -101,6 +106,7 @@ class RunConfig:
         if self.wiener_n_max < 1:
             raise ConfigError(f"criteria.wiener_n_max must be >= 1, got {self.wiener_n_max!r}")
         try:
+            _check_shell_domain(self.domain)
             _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -130,19 +136,22 @@ class RunConfig:
             unknown = sorted(set(obj) - _TOP_LEVEL_KEYS)
             if unknown:
                 raise ConfigError(f"unknown top-level field(s): {', '.join(unknown)}")
-            for name in ("domain", "profile"):
+            for name in ("domain", "constants", "profile"):
                 if name not in obj:
                     raise ConfigError(f"missing field: {name}")
-            shells, whitney, criteria, domain = (_section(obj, name) for name in _SECTION_KEYS)
+            shells, whitney, criteria, domain, constants, sim_obj = (
+                _section(obj, name) for name in _SECTION_KEYS)
             per_trajectory_csv = obj.get("per_trajectory_csv", False)
             if not isinstance(per_trajectory_csv, bool):
                 raise ConfigError(
                     f"per_trajectory_csv must be true or false, got {per_trajectory_csv!r}")
-            constants = Constants.from_json(_object(obj["constants"], "constants"))
+            constants = Constants.from_json(constants)
             sim = None
             if "sim" in obj:
-                sim_obj = dict(_object(obj["sim"], "sim"))
-                sim_obj.setdefault("alpha", constants.alpha)
+                sim_obj = {"alpha": constants.alpha, **sim_obj}
+                for key in ("alpha", "h", "boundary_eps"):
+                    if key in sim_obj:
+                        _number(sim_obj[key], f"sim.{key}")
                 for key in ("max_steps", "n_traj", "seed"):
                     if key in sim_obj:
                         sim_obj[key] = _integer(sim_obj[key], f"sim.{key}")
@@ -158,7 +167,7 @@ class RunConfig:
                 profile=RadialProfile.from_json(_object(obj["profile"], "profile")),
                 weight=WeightFunction.from_json(_object(obj.get("weight", {"kind": "one"}),
                                                         "weight")),
-                shell_a=float(shells.get("a", 0.5)),
+                shell_a=float(_number(shells.get("a", 0.5), "shells.a")),
                 shells=_integer(shells.get("count", 4), "shells.count"),
                 seed=_integer(shells.get("seed", 0), "shells.seed"),
                 whitney_max_level=_integer(whitney.get("max_level", 8), "whitney.max_level"),
@@ -201,12 +210,15 @@ def _object(block, name: str) -> dict:
 
 def _section(obj: dict, name: str) -> dict:
     """The config's ``name`` block (empty if absent); a block that is not a
-    JSON object, or a key that the block does not define, is a ConfigError
-    rather than being ignored."""
+    JSON object, a key that the block does not define, or a missing key
+    that has no default is a ConfigError rather than being ignored."""
     section = _object(obj.get(name, {}), name)
     unknown = sorted(set(section) - _SECTION_KEYS[name])
     if unknown:
         raise ConfigError(f"unknown field(s) in {name}: {', '.join(unknown)}")
+    for key in _REQUIRED_KEYS.get(name, ()):
+        if key not in section:
+            raise ConfigError(f"missing field: {name}.{key}")
     return section
 
 

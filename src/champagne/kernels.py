@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallDomain, dist_to_boundary
+from .geometry import BallDomain, _number, dist_to_boundary
 
 __all__ = [
     "Constants",
@@ -62,7 +62,7 @@ class Constants:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Constants":
-        return cls(**{k: float(v) for k, v in obj.items()})
+        return cls(**{k: float(_number(v, f"constants.{k}")) for k, v in obj.items()})
 
 
 def check_bounds(lower, upper) -> None:

@@ -200,6 +200,8 @@ def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
     ({"cout": 3}, [], "unknown field(s) in shells: cout"),
     ({"seed": 2**64}, [], f"shells.seed must be a non-negative integer, got {2**64}"),
     ({}, ["--seed", str(2**64)], f"shells.seed must be a non-negative integer, got {2**64}"),
+    ({"a": "0.5"}, [], "shells.a must be a number, got '0.5'"),
+    ({"a": True}, [], "shells.a must be a number, got True"),
 ])
 def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, argv, message):
     cfg = _write_config(tmp_path, {**SMALL, "shells": {**SMALL["shells"], **shells}})
@@ -240,6 +242,23 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     ({"weight": {"kind": "log", "p": -1.0}}, "weight.p must lie in (0, inf), got -1.0"),
     ({"domain": {"center": [0.0, 0.0], "radius": 1.0, "radus": 2.0}},
      "unknown field(s) in domain: radus"),
+    ({"domain": {"radius": 1.0}}, "missing field: domain.center"),
+    ({"constants": {}}, "missing field: constants.alpha"),
+    ({"constants": {"alpha": 1.3, "C_1": 1.25}}, "unknown field(s) in constants: C_1"),
+    ({"profile": {"kind": "constant", "c": "0.1"}}, "profile.c must be a number, got '0.1'"),
+    ({"constants": {"alpha": "1.3"}}, "constants.alpha must be a number, got '1.3'"),
+    ({"domain": {"center": [0.0, 0.0], "radius": "1.0"}},
+     "domain.radius must be a number, got '1.0'"),
+    ({"domain": {"center": [0.0, "0"], "radius": 1.0}}, "domain.center must be a number, got '0'"),
+    ({"domain": {"center": "0", "radius": 1.0}}, "domain.center must be a list of numbers"),
+    # the shell generator builds only in the unit ball at the origin, d=2 or 3
+    ({"domain": {"center": [0.0, 0.0], "radius": 2.0}}, "requires the unit ball at the origin"),
+    ({"domain": {"center": [0.5, 0.0], "radius": 1.0}}, "requires the unit ball at the origin"),
+    ({"domain": {"center": [0.0] * 4, "radius": 1.0}}, "shell generator supports d in {2, 3}"),
+    ({"sim": {"alpha": 1.3, "boundary_eps": "0.001"}},
+     "sim.boundary_eps must be a number, got '0.001'"),
+    ({"sim": {"alpha": True}}, "sim.alpha must be a number, got True"),
+    ({"sim": {"alpha": 1.3, "max_step": 50}}, "unknown field(s) in sim: max_step"),
 ])
 def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
                                                                          change, message):

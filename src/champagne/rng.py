@@ -102,10 +102,10 @@ def positive_stable(rho: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     With u ~ U(0,1) and w ~ Exp(1) the output S satisfies
     E[exp(-lam*S)] = exp(-lam**rho).  With theta = pi*u and q = (1-rho)/rho,
-    S = sin(rho theta) * sin((1-rho) theta)**q / sin(theta)**(1/rho) / w**q,
-    each factor raised to its own power before the product: Kanter's A/w
-    raised to the power q, but without A/w, which overflows at u near 1 and
-    w near 0 for rho near 1 although S does not.
+    S = sin(rho theta) * sin((1-rho) theta)**q / sin(theta)**(1/rho) / w**q:
+    Kanter's (A/w)**q with the power taken factor by factor, because A/w
+    itself overflows at u near 1 and w near 0 for rho near 1, where S is
+    finite.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")

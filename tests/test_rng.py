@@ -60,9 +60,9 @@ def test_uniform01_stays_below_1_at_the_greatest_raw_value(top, want):
 
 
 def test_positive_stable_is_finite_and_positive_at_the_extreme_uniforms():
-    # Formed before its power, Kanter's A/w overflowed at u = 1 - 2**-53,
-    # w = -log(1 - 2**-53) for alpha above about 1.9012; each factor of S now
-    # takes its own power first, so every alpha in (1, 2) draws finitely
+    # Kanter's A/w overflows at u = 1 - 2**-53, w = -log(1 - 2**-53) for alpha
+    # above about 1.9012 if it is formed before its power; with each factor
+    # of S raised to its own power, every alpha in (1, 2) draws finitely
     ext = np.array([2.0**-54, 1.0 - 2.0**-53])   # uniform01's least and greatest
     u, w = np.repeat(ext, 2), -np.log(np.tile(ext, 2))
     for alpha in [*(1.0 + 0.0005 * np.arange(1, 2000)), 1.9999, 1.99999]:

@@ -105,6 +105,13 @@ class RunConfig:
             raise ConfigError(f"criteria.grid must be >= 1, got {self.grid_size!r}")
         if self.wiener_n_max < 1:
             raise ConfigError(f"criteria.wiener_n_max must be >= 1, got {self.wiener_n_max!r}")
+        if self.wiener_n_max > 1074:
+            raise ConfigError(f"criteria.wiener_n_max must be <= 1074, got {self.wiener_n_max!r}; "
+                              "no float64 distance lies in a deeper dyadic shell")
+        # the paths start at the centre, at distance domain.radius from the boundary
+        if self.sim is not None and self.sim.boundary_eps >= self.domain.radius:
+            raise ConfigError(f"sim.boundary_eps must be < domain.radius {self.domain.radius!r}, "
+                              f"got {self.sim.boundary_eps!r}")
         try:
             _check_shell_domain(self.domain)
             _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))

@@ -259,6 +259,12 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
      "sim.boundary_eps must be a number, got '0.001'"),
     ({"sim": {"alpha": True}}, "sim.alpha must be a number, got True"),
     ({"sim": {"alpha": 1.3, "max_step": 50}}, "unknown field(s) in sim: max_step"),
+    # refused before anything is allocated: the Wiener sums keep n_max + 1
+    # shells per point
+    ({"criteria": {"grid": 4, "wiener_n_max": 1075}},
+     "criteria.wiener_n_max must be <= 1074, got 1075"),
+    # the paths start at the centre, so every one would end at step 0
+    ({"sim": {"alpha": 1.3, "boundary_eps": 1.0}}, "sim.boundary_eps must be < domain.radius 1.0"),
 ])
 def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
                                                                          change, message):

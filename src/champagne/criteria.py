@@ -15,33 +15,29 @@ configuration's cube-bubble incidence (:class:`whitney.CubeIncidence`), whose
 cube.  Bubbles with no pair lie below the coverage collar.
 :func:`whitney_sums` makes one pass over the levels for every boundary point
 of a grid at once: each level's z-independent factors (each cube's
-Cap(A ∩ Q) bounds and capped Green value) are computed once and used for
-every point, and the level is dropped before the next is built.  Every
+Cap(A ∩ Q) bounds and boundary-distance weight) are computed once and used
+for every point, and the level is dropped before the next is built.  Every
 quantity is a (lower, upper) pair of floats or of arrays, checked by
-:func:`kernels.check_bounds`.  Sums add left to right in a fixed order, so
-totals match a plain loop over the bubbles and cubes, one scalar (lower,
-upper) pair at a time, bit for bit.  The Aikawa sum adds its cubes in
-ascending cube number, which is level order, so each point carries a
-running total from level to level.  The Wiener and quasi-additivity sums
-add their cubes in order of first appearance among the pairs: by the
-lowest bubble id among a cube's pairs (in the shell, for Wiener), then by
-cube number.  They keep one term per cube with that key and add the terms
-after the last level.
+:func:`kernels.check_bounds`.  Every Whitney sum adds its cubes in one
+order, ascending cube number, which is level order and then lexicographic
+order, as a running (lower, upper) total carried from level to level: one
+per point for Aikawa, one per (point, dyadic shell) for Wiener and one for
+the quasi-additivity numerator.  Sums add left to right, so totals match a
+plain loop over the cubes, one scalar (lower, upper) pair at a time, bit for
+bit.
 
 Memory.  Beyond the level in hand (8 bytes a pair, see ``whitney``), the
-pass keeps a running total per point for Aikawa, one term per cube for the
-quasi-additivity numerator (an int32 first bubble and two floats, 20
-bytes), one term per (shell, cube) near each point for Wiener (an int64
-shell and cube number, an int32 first bubble and two floats, 36 bytes),
-and one int32 count per bubble for c2.  A level's factors hold 44 bytes a
-cube: five floats and an int32 first bubble.  Every pass over bubbles,
-pairs or cubes takes _ROW_BLOCK rows at a time, which bounds its
-temporaries: the Wiener shells and the quasi-additivity denominator over
-the bubbles, the pair and cube factors of a level, and the boundary series
-totals of :func:`classify_avoidability`.  ``kernels._pow_each`` raises
-``kernels._POW_BLOCK`` values at a time.  ``whitney`` bounds the building
-of a level (_BALL_BLOCK, _CANDIDATE_CHUNK).  No block size changes a
-result.
+pass keeps two floats per point for Aikawa, two per (point, shell) for
+Wiener and two for the quasi-additivity numerator, one flag per (point,
+shell) for the shells that hold a bubble, and one int32 count per bubble
+for c2; no per-cube term outlives its level.  A level's factors hold three
+floats a cube.  Every pass over bubbles, pairs or cubes takes _ROW_BLOCK
+rows at a time, which bounds its temporaries: the Wiener shells and the
+quasi-additivity denominator over the bubbles, the pair and cube factors of
+a level, and the boundary series totals of :func:`classify_avoidability`.
+``kernels._pow_each`` raises ``kernels._POW_BLOCK`` values at a time.
+``whitney`` bounds the building of a level (_BALL_BLOCK,
+_CANDIDATE_CHUNK).  No block size changes a result.
 """
 
 from __future__ import annotations
@@ -274,26 +270,16 @@ class _Level(NamedTuple):
     dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
     cap_lower: np.ndarray     # Cap(A ∩ Q) bounds over all bubbles
     cap_upper: np.ndarray
-    qa_terms: tuple           # (lowest bubble id among the pairs, g^2 Cap lower, upper)
 
 
-def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
-                   consts: Constants) -> _Level:
-    """The factors of one level's sums, a block of pairs or cubes at a time."""
+def _level_factors(lv: LevelPairs, config: BubbleConfig, consts: Constants) -> _Level:
+    """The factors of one level's sums, a block of pairs at a time."""
     k = lv.dist.size
     cap_lower, cap_upper = np.zeros(k), np.zeros(k)
     for b in _blocks(lv.ball.size):
         _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], *_pair_bounds(lv, config, consts, b))
     np.minimum(cap_lower, cap_upper, out=cap_lower)
-    first_ball = np.full(k, config.n, dtype=np.int32)
-    np.minimum.at(first_ball, lv.cube, lv.ball)
-    qa_lower, qa_upper = np.empty(k), np.empty(k)
-    for b in _blocks(k):
-        gl, gu = _green_bounds(lv, inc, consts, b)
-        qa_lower[b] = gl * gl * cap_lower[b]
-        qa_upper[b] = gu * gu * cap_upper[b]
-    return _Level(_pow_each(lv.dist, 2.0 * (consts.alpha - 1.0)), cap_lower, cap_upper,
-                  (first_ball, qa_lower, qa_upper))
+    return _Level(_pow_each(lv.dist, 2.0 * (consts.alpha - 1.0)), cap_lower, cap_upper)
 
 
 @dataclass(frozen=True)
@@ -354,13 +340,20 @@ def whitney_sums(
     reports, from one pass over ``inc``, the cube-bubble incidence of
     ``config``, level by level.
 
+    Every sum runs over the cubes Q_j in cube order (level, then
+    lexicographic index), as a running total from level to level.
+
     Aikawa at z: sum_j dist(Q_j, boundary)^(2(a-1)) / dist(z, Q_j)^(d+a-2)
-    * Cap(A ∩ Q_j) over the cubes, in cube order.
+    * Cap(A ∩ Q_j).
 
     Wiener at z: per dyadic shell n the contribution 2^(n(d+a-2)) *
     sum_j g(x_j)^2 * Cap(E_n ∩ Q_j), with the bubbles assigned to shells by
-    center distance; bubbles at distance >= 1/2 from z are in no shell, and
-    shells reaching below the coverage collar are flagged as truncated.
+    center distance; the scale is applied after the last level.  Bubbles
+    at distance >= 1/2 from z are in no shell, and shells reaching below
+    the coverage collar are flagged as truncated.
+
+    Quasi-additivity numerator: sum_j g(x_j)^2 * Cap(A ∩ Q_j), with x_j the
+    center of Q_j.
 
     C1 is the smallest C >= 1 such that, for every bubble and cube that
     meet, dist(Q, boundary)/delta_D(x_k) and, at every boundary point z,
@@ -395,19 +388,22 @@ def whitney_sums(
             shell = _shell(np.sqrt(((c - z) ** 2).sum(axis=1)))
             present[j, shell[(shell >= 1) & (shell <= n_max)]] = True
 
-    # the pairs, a level at a time: cubes are numbered on from level to level
+    # the pairs, a level at a time, with running (lower, upper) totals
     aik = np.zeros((n_points, 2))
-    wiener_parts = [[] for _ in range(n_points)]
-    qa_parts = []
+    wiener_totals = np.zeros((n_points, n_max + 1, 2))
+    qa = (0.0, 0.0)
     cubes_per_ball = np.zeros(config.n, dtype=np.int32)
     worst = 1.0
     n_cubes = 0
     w_exp = d + a - 2.0
     for lv in inc.levels():
-        f = _level_factors(lv, inc, config, consts)
+        f = _level_factors(lv, config, consts)
         side = 2.0 ** (-lv.level)
         k = lv.dist.size
-        qa_parts.append(f.qa_terms)
+        for b in _blocks(k):
+            gl, gu = _green_bounds(lv, inc, consts, b)
+            qa = (_running_total(qa[0], gl * gl * f.cap_lower[b]),
+                  _running_total(qa[1], gu * gu * f.cap_upper[b]))
         balls, counts = np.unique(lv.ball, return_counts=True)
         cubes_per_ball[balls] += counts
         for b in _blocks(lv.ball.size):
@@ -433,8 +429,8 @@ def whitney_sums(
                 shells.append(shell[keep])
             pos, shells = np.concatenate(pos), np.concatenate(shells)
             if pos.size:
-                wiener_parts[j].append(
-                    _shell_terms(lv, inc, config, consts, pos, shells, n_cubes))
+                _add_shell_terms(wiener_totals[j], *_shell_terms(lv, inc, config, consts,
+                                                                 pos, shells))
         n_cubes += k
         del lv, f   # before the next level is built
 
@@ -455,62 +451,45 @@ def whitney_sums(
         check_bounds(lower, upper)
         aikawa.append(AikawaTrace(n_cubes, (lower, upper), uncovered, list(warnings)))
     wiener = [
-        _wiener_trace(parts, np.flatnonzero(shells), inc, d, a)
-        for parts, shells in zip(wiener_parts, present)
+        _wiener_trace(totals, np.flatnonzero(shells), inc, d, a)
+        for totals, shells in zip(wiener_totals, present)
     ]
-    return WhitneySums(aikawa, wiener, _first_appearance_total(qa_parts), den,
-                       int(cubes_per_ball.max(initial=0)), worst)
+    return WhitneySums(aikawa, wiener, qa, den, int(cubes_per_ball.max(initial=0)), worst)
 
 
 def _shell_terms(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
-                 consts: Constants, pos: np.ndarray, shells: np.ndarray, n_before: int):
+                 consts: Constants, pos: np.ndarray, shells: np.ndarray):
     """One term per (shell, cube) of one level's pairs at ``pos``, which fall
-    in ``shells``: g^2 * Cap(E_n ∩ Q) bounds over those pairs, added in
-    pair order, with the shell, the lowest bubble id among the pairs and
-    the cube's number."""
+    in ``shells``: the shell and the g^2 * Cap(E_n ∩ Q) bounds over those
+    pairs, added in pair order, sorted by shell and then by cube."""
     k = lv.dist.size
     # shells * k can pass 2^31, so the key is formed in int64
-    key, first, inverse = np.unique(shells.astype(np.int64, copy=False) * k + lv.cube[pos],
-                                    return_index=True, return_inverse=True)
+    key, inverse = np.unique(shells.astype(np.int64, copy=False) * k + lv.cube[pos],
+                             return_inverse=True)
     lower, upper = np.zeros(key.size), np.zeros(key.size)
     _add_cap_bounds(lower, upper, inverse, *_pair_bounds(lv, config, consts, pos))
     np.minimum(lower, upper, out=lower)
-    cube = key % k
-    gl, gu = _green_bounds(lv, inc, consts, cube)
-    return key // k, lv.ball[pos[first]], n_before + cube, gl * gl * lower, gu * gu * upper
+    gl, gu = _green_bounds(lv, inc, consts, key % k)
+    return key // k, gl * gl * lower, gu * gu * upper
 
 
-def _first_appearance_total(parts) -> tuple[float, float]:
-    """Totals of terms (lower, upper) given with the lowest bubble id among
-    their cube's pairs, in cube order, added in order of first appearance
-    among the pairs sorted by bubble and then by cube: by bubble id, ties
-    kept in cube order."""
-    if not parts:
-        return 0.0, 0.0
-    first, lower, upper = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(first, kind="stable")
-    del first
-    total = (0.0, 0.0)
-    for b in _blocks(order.size):
-        at = order[b]
-        total = _running_total(total[0], lower[at]), _running_total(total[1], upper[at])
-    return total
+def _add_shell_terms(totals: np.ndarray, shell: np.ndarray, lower: np.ndarray,
+                     upper: np.ndarray) -> None:
+    """Add terms sorted by shell to the running (lower, upper) totals
+    ``totals[n]`` of their shells n, each shell's run left to right."""
+    shells, starts = np.unique(shell, return_index=True)
+    for n, lo, up in zip(shells.tolist(), np.split(lower, starts[1:]),
+                         np.split(upper, starts[1:])):
+        totals[n] = _running_total(totals[n, 0], lo), _running_total(totals[n, 1], up)
 
 
-def _wiener_trace(parts, shells: np.ndarray, inc: CubeIncidence, d: int, a: float) -> WienerTrace:
-    """A point's Wiener trace from its (shell, first bubble, cube, lower,
-    upper) terms and its shells: each shell's terms in order of first
-    appearance, scaled by 2^(n(d+a-2))."""
-    terms = np.zeros((shells.size, 2))
-    if parts:
-        shell, first, cube, lower, upper = (np.concatenate(col) for col in zip(*parts))
-        order = np.lexsort((cube, first, shell))
-        shell, lower, upper = shell[order], lower[order], upper[order]
-        stops = np.searchsorted(shell, shells, side="right")
-        starts = np.searchsorted(shell, shells, side="left")
-        for j, (n, lo, hi) in enumerate(zip(shells.tolist(), starts.tolist(), stops.tolist())):
-            terms[j] = _running_total(0.0, lower[lo:hi]), _running_total(0.0, upper[lo:hi])
-            terms[j] *= 2.0 ** (n * (d + a - 2.0))
+def _wiener_trace(totals: np.ndarray, shells: np.ndarray, inc: CubeIncidence, d: int,
+                  a: float) -> WienerTrace:
+    """A point's Wiener trace from its running (lower, upper) totals per
+    shell and its shells: each shell's total scaled by 2^(n(d+a-2))."""
+    terms = totals[shells]
+    for j, n in enumerate(shells.tolist()):
+        terms[j] *= 2.0 ** (n * (d + a - 2.0))
     lower, upper = terms.T
     check_bounds(lower, upper)
     total = _running_total(0.0, lower), _running_total(0.0, upper)

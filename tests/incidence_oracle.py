@@ -5,8 +5,7 @@ oracle the stream must reproduce bit for bit.
 ``ball_cube_incidence`` builds every (ball, cube) pair at once, sorted by
 ball and then by cube, with the cubes numbered by rank in (level,
 lexicographic index) order.  The sums run once per boundary point over all
-pairs: the Aikawa sum adds its cubes in cube order, the Wiener and
-quasi-additivity sums in order of first appearance among the pairs.
+pairs, and each adds its cubes in cube order.
 """
 
 from __future__ import annotations
@@ -154,13 +153,12 @@ def bubble_cube_ratio_bound(inc, config, boundary_points) -> float:
 
 
 def _cap_bounds(pos, lower, upper):
-    """Cap(A ∩ Q) bounds per cube, cubes in order of first appearance."""
-    uniq, first, inverse = np.unique(pos, return_index=True, return_inverse=True)
+    """Cap(A ∩ Q) bounds per cube, cubes ascending."""
+    uniq, inverse = np.unique(pos, return_inverse=True)
     up = np.bincount(inverse, weights=upper, minlength=uniq.size)
     lo = np.zeros(uniq.size)
     np.maximum.at(lo, inverse, lower)
-    order = np.argsort(first)
-    return uniq[order], np.minimum(lo, up)[order], up[order]
+    return uniq, np.minimum(lo, up), up
 
 
 def _total(terms) -> float:
@@ -175,7 +173,6 @@ class CubeFactors(NamedTuple):
     g_upper: np.ndarray
     pair_lower: np.ndarray
     pair_upper: np.ndarray
-    first_order: np.ndarray
     cap_lower: np.ndarray
     cap_upper: np.ndarray
     uncovered: np.ndarray
@@ -194,8 +191,8 @@ def cube_factors(inc, config, consts) -> CubeFactors:
     pair_lower = np.zeros(rho.size)
     inside = rho > 0.0
     pair_lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
-    first_order, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
-    by_pos = np.argsort(first_order)
+    # every cube meets a bubble, so the cubes come out as 0, 1, ..., n - 1
+    _, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
     warnings = []
     r_thresh = small_radius_threshold(consts, d)
     n_big = int((config.radii > r_thresh).sum()) if config.n else 0
@@ -212,7 +209,7 @@ def cube_factors(inc, config, consts) -> CubeFactors:
         )
     return CubeFactors(
         lo, hi, _pow_each(inc.dist_boundary, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
-        pair_lower, pair_upper, first_order, cap_lower[by_pos], cap_upper[by_pos],
+        pair_lower, pair_upper, cap_lower, cap_upper,
         uncovered, tuple(warnings),
     )
 
@@ -280,8 +277,7 @@ def wiener_dyadic_sum(inc, config, z, consts, n_max=30) -> WienerTrace:
 
 def quasi_additivity_interval(inc, config, consts):
     f = cube_factors(inc, config, consts)
-    pos = f.first_order
-    num = _green_weighted_total(f, pos, f.cap_lower[pos], f.cap_upper[pos])
+    num = _green_weighted_total(f, slice(None), f.cap_lower, f.cap_upper)
     gl, gu = capped_green_bounds(inc.domain, consts, config.centers)
     cl, cu = capacity_ball_bounds(consts, config.radii, config.dimension)
     den = _total(gl * gl * cl), _total(gu * gu * cu)

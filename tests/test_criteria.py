@@ -24,7 +24,6 @@ from champagne.criteria import (
     Verdict,
     _add_cap_bounds,
     _classify_exponents,
-    _first_appearance_total,
     _series_total,
     aikawa_sum,
     classify_avoidability,
@@ -377,29 +376,6 @@ def test_cap_bounds_match_a_dict_filled_pair_by_pair():
         assert sorted(want) == np.flatnonzero(np.bincount(pos, minlength=15)).tolist()
         assert [cap_upper[p] for p in want] == [up for _, up in want.values()]
         assert [cap_lower[p] for p in want] == [min(lo, up) for lo, up in want.values()]
-
-
-def test_first_appearance_total_adds_in_the_order_of_a_loop_over_the_pairs():
-    # cubes numbered level by level; each cube's term is added where its first
-    # pair comes among the pairs sorted by bubble and then by cube
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        n_cubes = int(rng.integers(1, 40))
-        pairs = sorted({(int(rng.integers(0, 12)), c) for c in range(n_cubes)}
-                       | {(int(rng.integers(0, 12)), int(rng.integers(0, n_cubes)))
-                          for _ in range(int(rng.integers(0, 60)))})
-        lower = 10.0 ** rng.uniform(-8.0, 0.0, n_cubes)
-        upper = lower * 10.0 ** rng.uniform(0.0, 2.0, n_cubes)
-        first = {}
-        for ball, cube in pairs:
-            first.setdefault(cube, ball)
-        want = (0.0, 0.0)
-        for cube in first:   # dict order: order of first appearance
-            want = want[0] + lower[cube], want[1] + upper[cube]
-        first_ball = np.array([first[c] for c in range(n_cubes)])
-        cuts = np.sort(rng.integers(0, n_cubes + 1, 2))
-        parts = [(first_ball[b], lower[b], upper[b]) for b in np.split(np.arange(n_cubes), cuts)]
-        assert _first_appearance_total(parts) == want
 
 
 def _aikawa_terms_per_cube(max_level, cfg, z, consts):

@@ -56,27 +56,32 @@ def _assert_criteria_outputs(tmp_path, monkeypatch, obj, verdicts, wiener_trace,
 def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # Outputs of the per-ball implementation that built the cube-bubble map
     # once per sum; the closed-form incidence must reproduce them bit for bit
-    # (verdicts.json re-pinned when it came to state its one verdict once).
+    # (verdicts.json re-pinned when it came to state its one verdict once;
+    # wiener_trace.csv and the quasi-additivity interval re-pinned when the
+    # Wiener and quasi-additivity sums came to add their cubes in cube order,
+    # which moved their last bits).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
         "9f31d354381282d1350919eff07a1e3d060b63b53b9c9113761f60156b0bb443",
-        "301f365661eaec5a1a2c0079419e37c42eacbb08f1102235c7b6af23e990dd18",
+        "50126af7f32eeda9663304bfad3ac066027fd454d4f213155db7a6b13427bbc0",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
-         "quasi_additivity_interval": [0.0002641658426157842, 1996.068536337412]})
+         "quasi_additivity_interval": [0.00026416584261578386, 1996.0685363374084]})
 
 
 def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # Outputs of the incidence that looked each box up in the decomposition;
     # the closed-form incidence must reproduce them bit for bit
-    # (verdicts.json re-pinned when it came to state its one verdict once).
+    # (verdicts.json re-pinned when it came to state its one verdict once;
+    # wiener_trace.csv and the quasi-additivity interval re-pinned when the
+    # Wiener and quasi-additivity sums came to add their cubes in cube order).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
         "0d41119c2bcfca42848781323d8d45ca71762f1f1ca9e8e76e143ff5fb33fd4a",
-        "af5f31dbe66c2d8c503ac416377a894745233d03d8433652a073f2cbe596a8eb",
+        "16e9a0695da830f0d9bddc8a679a30156db54f8589f778db6119dad2e63a7a5a",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,
-         "quasi_additivity_interval": [5.5314466870389675e-06, 48350.36079238019]})
+         "quasi_additivity_interval": [5.531446687038971e-06, 48350.36079237825]})
 
 
 def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):
@@ -136,8 +141,11 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
     # The Whitney half of the criteria stage on W2 at the benchmark's
     # max_level 8: cube counts, the incidence and every sum at 4 grid points.
     # It holds one level's pairs, blocks of rows, one count per bubble and
-    # the ids of the 52,012 bubbles below the collar (1.6 MiB by tracemalloc);
+    # the ids of the 52,012 bubbles below the collar (1.3 MiB by tracemalloc);
     # holding the whole incidence and passing over it once per point took 5.2.
+    # The sums keep running totals and no per-cube term, so 32 grid points
+    # peak within 0.1 MiB of 4 (keeping each point's Wiener terms per cube
+    # until the last level went 1.43 -> 1.78 MiB).
     def sums(obj):
         cfg = RunConfig.from_json(obj)
         config = harness._build_config(cfg)
@@ -155,11 +163,14 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
         return config, counts, out, peak
 
     sums(SMALL)  # first-use imports and caches
-    config, counts, out, peak = sums({**W2, "whitney": {"max_level": 8}})
+    w2 = {**W2, "whitney": {"max_level": 8}}
+    config, counts, out, peak = sums(w2)
     assert config.n == 54_743
     assert sum(counts.values()) == 6_324
     assert out.aikawa[0].uncovered_bubbles.size == 52_012
     assert peak < 2.5 * MiB
+    *_, peak_32 = sums({**w2, "criteria": {"grid": 32, "wiener_n_max": 24}})
+    assert abs(peak_32 - peak) < 0.1 * MiB
 
 
 def test_main_returns_0_on_a_valid_run(tmp_path):

@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import BallDomain, _number, row_norms
+from .geometry import BallDomain, _csv_lines, _number, row_norms
 from .rng import stream_keys, uniform01
 from .spatial import DISJOINTNESS_SLACK, BallIndex
 
@@ -330,21 +330,21 @@ class BubbleConfig:
     def to_csv(self, path) -> None:
         """One bubble per row: k, x_1..x_d, r; floats as repr, CRLF line ends.
 
-        Rows are formatted _CSV_BLOCK at a time, which bounds the Python
+        Rows are formatted _CSV_BLOCK at a time, a column at a time from
+        ``tolist()`` (``geometry._csv_lines``), which bounds the Python
         objects alive at once, and each block formats each of its distinct
         radii once (a shell configuration has one radius per shell).
         """
         header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
         with open(path, "w", newline="") as f:
-            f.write(",".join(header) + "\r\n")
+            f.write(_csv_lines([name] for name in header))
             for start in range(0, self.n, _CSV_BLOCK):
                 stop = min(self.n, start + _CSV_BLOCK)
                 radii, which = np.unique(self.radii[start:stop], return_inverse=True)
                 r_text = [repr(r) for r in radii.tolist()]
-                f.writelines(f"{k},{','.join(map(repr, row))},{r_text[j]}\r\n"
-                             for k, row, j in zip(range(start, stop),
-                                                  self.centers[start:stop].tolist(),
-                                                  which.tolist()))
+                f.write(_csv_lines([map(str, range(start, stop)),
+                                    *(map(repr, x) for x in self.centers[start:stop].T.tolist()),
+                                    map(r_text.__getitem__, which.tolist())]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ Memory.  Beyond the level in hand (8 bytes a pair, see ``whitney``), the
 pass keeps two floats per point for Aikawa, two per (point, shell) for
 Wiener and two for the quasi-additivity numerator, one flag per (point,
 shell) for the shells that hold a bubble, and one int32 count per bubble
-for c2; no per-cube term outlives its level.  A level's factors hold three
-floats a cube.  Every pass over bubbles, pairs or cubes takes _ROW_BLOCK
+for c2; no per-cube term outlives its level.  A level's factors hold five
+floats a cube and two a pair (16 bytes a pair beside the level's 8), so
+that every point's Wiener terms reuse the capacity and Green bounds of its
+pairs and cubes.  Every pass over bubbles, pairs or cubes takes _ROW_BLOCK
 rows at a time, which bounds its temporaries: the Wiener shells and the
 quasi-additivity denominator over the bubbles, the pair and cube factors of
 a level, and the boundary series totals of :func:`classify_avoidability`.
@@ -265,21 +267,33 @@ def _add_cap_bounds(cap_lower, cap_upper, groups, lower, upper) -> None:
 
 class _Level(NamedTuple):
     """The factors of one level's sums that do not depend on the boundary
-    point, per cube of the level."""
+    point: per cube of the level, and per pair for the pairs' capacity
+    bounds, which each point's Wiener terms add over its own pairs."""
 
     dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
     cap_lower: np.ndarray     # Cap(A ∩ Q) bounds over all bubbles
     cap_upper: np.ndarray
+    green_lower: np.ndarray   # capped Green bounds at the cube's center
+    green_upper: np.ndarray
+    pair_lower: np.ndarray    # per pair: _pair_bounds
+    pair_upper: np.ndarray
 
 
-def _level_factors(lv: LevelPairs, config: BubbleConfig, consts: Constants) -> _Level:
-    """The factors of one level's sums, a block of pairs at a time."""
-    k = lv.dist.size
+def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
+                   consts: Constants) -> _Level:
+    """The factors of one level's sums, a block of pairs or cubes at a time."""
+    k, m = lv.dist.size, lv.ball.size
     cap_lower, cap_upper = np.zeros(k), np.zeros(k)
-    for b in _blocks(lv.ball.size):
-        _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], *_pair_bounds(lv, config, consts, b))
+    pair_lower, pair_upper = np.empty(m), np.empty(m)
+    for b in _blocks(m):
+        pair_lower[b], pair_upper[b] = _pair_bounds(lv, config, consts, b)
+        _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], pair_lower[b], pair_upper[b])
     np.minimum(cap_lower, cap_upper, out=cap_lower)
-    return _Level(_pow_each(lv.dist, 2.0 * (consts.alpha - 1.0)), cap_lower, cap_upper)
+    green_lower, green_upper = np.empty(k), np.empty(k)
+    for b in _blocks(k):
+        green_lower[b], green_upper[b] = _green_bounds(lv, inc, consts, b)
+    return _Level(_pow_each(lv.dist, 2.0 * (consts.alpha - 1.0)), cap_lower, cap_upper,
+                  green_lower, green_upper, pair_lower, pair_upper)
 
 
 @dataclass(frozen=True)
@@ -397,11 +411,11 @@ def whitney_sums(
     n_cubes = 0
     w_exp = d + a - 2.0
     for lv in inc.levels():
-        f = _level_factors(lv, config, consts)
+        f = _level_factors(lv, inc, config, consts)
         side = 2.0 ** (-lv.level)
         k = lv.dist.size
         for b in _blocks(k):
-            gl, gu = _green_bounds(lv, inc, consts, b)
+            gl, gu = f.green_lower[b], f.green_upper[b]
             qa = (_running_total(qa[0], gl * gl * f.cap_lower[b]),
                   _running_total(qa[1], gu * gu * f.cap_upper[b]))
         balls, counts = np.unique(lv.ball, return_counts=True)
@@ -429,8 +443,7 @@ def whitney_sums(
                 shells.append(shell[keep])
             pos, shells = np.concatenate(pos), np.concatenate(shells)
             if pos.size:
-                _add_shell_terms(wiener_totals[j], *_shell_terms(lv, inc, config, consts,
-                                                                 pos, shells))
+                _add_shell_terms(wiener_totals[j], *_shell_terms(lv, f, pos, shells))
         n_cubes += k
         del lv, f   # before the next level is built
 
@@ -457,19 +470,21 @@ def whitney_sums(
     return WhitneySums(aikawa, wiener, qa, den, int(cubes_per_ball.max(initial=0)), worst)
 
 
-def _shell_terms(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
-                 consts: Constants, pos: np.ndarray, shells: np.ndarray):
+def _shell_terms(lv: LevelPairs, f: _Level, pos: np.ndarray, shells: np.ndarray):
     """One term per (shell, cube) of one level's pairs at ``pos``, which fall
     in ``shells``: the shell and the g^2 * Cap(E_n ∩ Q) bounds over those
-    pairs, added in pair order, sorted by shell and then by cube."""
+    pairs, added in pair order, sorted by shell and then by cube.  The pair
+    and Green bounds come from the level's factors ``f``; both are
+    elementwise, so they equal bounds computed for these pairs alone."""
     k = lv.dist.size
     # shells * k can pass 2^31, so the key is formed in int64
     key, inverse = np.unique(shells.astype(np.int64, copy=False) * k + lv.cube[pos],
                              return_inverse=True)
     lower, upper = np.zeros(key.size), np.zeros(key.size)
-    _add_cap_bounds(lower, upper, inverse, *_pair_bounds(lv, config, consts, pos))
+    _add_cap_bounds(lower, upper, inverse, f.pair_lower[pos], f.pair_upper[pos])
     np.minimum(lower, upper, out=lower)
-    gl, gu = _green_bounds(lv, inc, consts, key % k)
+    cubes = key % k
+    gl, gu = f.green_lower[cubes], f.green_upper[cubes]
     return key // k, gl * gl * lower, gu * gu * upper
 
 

@@ -93,3 +93,14 @@ def row_norms(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     for j in range(1, x.shape[1]):
         sq += (x[:, j] - c[..., j]) ** 2
     return np.sqrt(sq)
+
+
+def _csv_lines(columns) -> str:
+    """The CSV text of the rows that ``columns`` form, each column an iterable
+    of field strings that need no quoting, one per row: fields joined by
+    commas and each row ended by CRLF, as ``csv.writer`` writes them.  It is
+    built with ``zip``, ``map`` and ``str.join``, so no Python code runs per
+    row or per field; the empty string if there is no row."""
+    lines = list(map(",".join, zip(*columns)))
+    lines.append("")
+    return "\r\n".join(lines)

@@ -7,6 +7,17 @@ subcommand writes its own ``manifest.<command>.json``, so a later command
 keeps an earlier one's record.
 
 Exit codes: 0 success, 2 invalid configuration, 3 runtime failure.
+
+Every CLI stage is its own process, so it pays for each module it imports
+(and, without cached bytecode, compiles).  Importing this module loads what
+reading and checking a RunConfig and building the bubbles need (``geometry``,
+``kernels``, ``rng``, ``spatial``, ``bubbles``) and ``simulate``, which
+defines the ``sim`` block.  ``generate`` and ``simulate`` load nothing more.
+``whitney`` loads the ``whitney`` module inside ``cmd_whitney``, and
+``criteria`` loads ``criteria`` and ``whitney`` inside ``cmd_criteria``:
+together about 1,050 lines that the other stages never run.  The name
+``aikawa_sum`` is re-exported from ``criteria`` on first use (module
+``__getattr__``).
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ except ImportError:
 
 from . import __version__
 from .bubbles import (
+    _CSV_BLOCK,
     BubbleConfig,
     RadialProfile,
     WeightFunction,
@@ -40,12 +52,10 @@ from .bubbles import (
     generate_shell_config,
     shell_radii,
 )
-from .criteria import aikawa_sum  # noqa: F401  (re-exported: the per-point sum)
-from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
-from .geometry import BallDomain, _number
+from .geometry import BallDomain, _csv_lines, _number
 from .kernels import Constants
-from .simulate import APPROXIMATION_NOTES as SIM_NOTES, SimParams, estimate_hitting
-from .whitney import ball_cube_incidence, coverage_threshold, cube_counts, decompose
+from .simulate import _TAGS, SimParams, _forked, estimate_hitting
+from .simulate import APPROXIMATION_NOTES as SIM_NOTES
 
 __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
            "cmd_criteria", "cmd_simulate", "cmd_report"]
@@ -268,6 +278,16 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, empirical: dict | N
     })
 
 
+def __getattr__(name: str):
+    # aikawa_sum, the per-point sum, is re-exported from criteria, which is
+    # imported only here and by the commands that run it
+    if name == "aikawa_sum":
+        from .criteria import aikawa_sum
+
+        return aikawa_sum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _build_config(cfg: RunConfig) -> BubbleConfig:
     """The run's bubbles, generated from the RunConfig alone, so that no
     output depends on what an earlier command left in the output directory."""
@@ -294,6 +314,8 @@ def cmd_generate(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
+    from .whitney import decompose
+
     out.mkdir(parents=True, exist_ok=True)
     dec = decompose(cfg.domain, cfg.whitney_max_level)
     dec.to_csv(out / "whitney.csv")
@@ -308,21 +330,39 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
+    """The boundary series, the verdict and the separation infimum
+    (``classify_avoidability``) run in a forked worker (``simulate._forked``)
+    while this process builds the cube-bubble incidence and runs the
+    Whitney sums; with one CPU they run here, one after the other."""
+    from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
+    from .whitney import ball_cube_incidence, coverage_threshold, cube_counts
+
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
     if not (out / "bubbles.csv").exists():
         config.to_csv(out / "bubbles.csv")
     points = uniform_boundary_grid(cfg.domain, cfg.grid_size)
-    report = classify_avoidability(config, cfg.constants, points, cfg.profile, cfg.weight)
-    vars(config).pop("index", None)  # the separation infimum was its last use
+
+    def boundary_part():
+        return classify_avoidability(config, cfg.constants, points, cfg.profile, cfg.weight)
+
+    def whitney_part():
+        # the separation infimum, in the worker or already run here, is the
+        # index's last use
+        vars(config).pop("index", None)
+        if not config.n:
+            return None
+        inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
+                                  config.centers, config.radii)
+        return whitney_sums(inc, config, points, cfg.constants, cfg.wiener_n_max)
+
+    sums, report = _forked(whitney_part, [
+        ("criteria worker for the boundary series and separation", boundary_part)])
 
     n_cubes = sum(cube_counts(cfg.domain, cfg.whitney_max_level).values())
     empirical = {}
     traces = {}
-    if config.n:
-        inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
-                                  config.centers, config.radii)
-        sums = whitney_sums(inc, config, points, cfg.constants, cfg.wiener_n_max)
+    if sums is not None:
         empirical["c2_cubes_per_ball"] = sums.max_cubes_per_ball
         empirical["C1_ratio_bound"] = sums.ratio_bound
         qa = sums.quasi_additivity()
@@ -380,18 +420,26 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     payload = {"format_version": FORMAT_VERSION, **estimate.to_json()}
     _write_json(out / "estimate.json", payload)
     if cfg.per_trajectory_csv:
-        tags, steps, bubbles, finals = outcomes
-        from .simulate import _TAGS
-
-        with open(out / "trajectories.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["traj", "outcome", "steps", "bubble"]
-                       + [f"x_{j + 1}" for j in range(cfg.domain.dimension)])
-            for t in range(len(tags)):
-                w.writerow([t, _TAGS[int(tags[t])], int(steps[t]), int(bubbles[t])]
-                           + [repr(float(v)) for v in finals[t]])
+        _write_trajectories(out / "trajectories.csv", *outcomes)
     _write_manifest(out, "simulate", cfg)
     return out / "estimate.json"
+
+
+def _write_trajectories(path: Path, tags, steps, bubbles, finals) -> None:
+    """One trajectory per row: traj, outcome, steps, bubble, x_1..x_d; floats
+    as repr, CRLF line ends; _CSV_BLOCK rows at a time, a column at a time
+    (``geometry._csv_lines``)."""
+    header = ["traj", "outcome", "steps", "bubble"] + [f"x_{j + 1}"
+                                                       for j in range(finals.shape[1])]
+    with open(path, "w", newline="") as f:
+        f.write(_csv_lines([name] for name in header))
+        for start in range(0, len(tags), _CSV_BLOCK):
+            b = slice(start, min(len(tags), start + _CSV_BLOCK))
+            f.write(_csv_lines([map(str, range(b.start, b.stop)),
+                                map(_TAGS.__getitem__, tags[b].tolist()),
+                                map(str, steps[b].tolist()),
+                                map(str, bubbles[b].tolist()),
+                                *(map(repr, x) for x in finals[b].T.tolist())]))
 
 
 def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:

@@ -36,7 +36,9 @@ order.  Workers are forked, not threads, because a draw is dominated by
 Kanter's sines and Box-Muller's sines and cosines, and two threads sharing
 the interpreter lock ran no faster than one; and forked, not spawned by
 ``multiprocessing``, so that they inherit the configuration and its index
-instead of unpickling them.
+instead of unpickling them.  ``_forked`` does the forking, the pipes and the
+reaping, for these blocks and for the two halves of ``harness``'s criteria
+stage, with one set of failure rules.
 
 Beside its outcome arrays, a pass holds the temporaries of at most
 _BLOCK_DRAWS rows: the block's draws, path and ball-index query (which
@@ -344,22 +346,25 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_forked(x0, config, phi, params) -> list:
-    """``_run_batch`` over all trajectories, split into one contiguous block
-    per CPU.  Block 0 runs here; each other block runs in a forked worker,
-    which inherits the configuration and its index, pickles its six arrays
-    back over a pipe and ends with ``os._exit``, so it neither flushes
-    inherited buffers nor runs exit hooks.  A worker's exception is raised
-    here as a RuntimeError with its message; on any exception the workers
-    still running are killed, and every worker is reaped.  As with any fork,
-    no other thread of the caller may hold a lock that a worker then needs.
+def _forked(here, elsewhere) -> list:
+    """``[here(), *(task() for _, task in elsewhere)]``, with each of
+    ``elsewhere``'s (name, task) pairs run in a forked worker while ``here``
+    runs in this process.  A worker inherits everything its task reads
+    instead of unpickling it, pickles the result back over a pipe and ends
+    with ``os._exit``, so it neither flushes inherited buffers nor runs exit
+    hooks.  A worker's exception is raised here as a RuntimeError that
+    names the worker and carries its message; on any exception the workers
+    still running are killed, and every worker is reaped.  As with any
+    fork, no other thread of the caller may hold a lock that a worker then
+    needs.  With fewer than two CPUs (``_worker_count``) nothing is forked:
+    the tasks of ``elsewhere`` run here, in order, and then ``here``.
     """
-    n = params.n_traj
-    w = min(n, _worker_count())
-    bounds = [n * i // w for i in range(w + 1)]
-    workers = []  # (pid, read end of its pipe, lo, hi) of the workers not yet reaped
+    if _worker_count() < 2:
+        rest = [task() for _, task in elsewhere]
+        return [here(), *rest]
+    workers = []  # (pid, read end of its pipe, name) of the workers not yet reaped
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        for name, task in elsewhere:
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -367,8 +372,7 @@ def _run_forked(x0, config, phi, params) -> list:
                 try:
                     os.close(r)
                     try:
-                        out = (True, _run_batch(x0, config, phi, params,
-                                                np.arange(lo, hi, dtype=np.int64)))
+                        out = (True, task())
                     except BaseException as exc:  # reported to the parent, which raises it
                         out = (False, f"{type(exc).__name__}: {exc}")
                     with open(wr, "wb") as f:
@@ -377,28 +381,44 @@ def _run_forked(x0, config, phi, params) -> list:
                 finally:
                     os._exit(code)
             os.close(wr)
-            workers.append((pid, open(r, "rb"), lo, hi))
-        blocks = [_run_batch(x0, config, phi, params, np.arange(bounds[1], dtype=np.int64))]
+            workers.append((pid, open(r, "rb"), name))
+        results = [here()]
         while workers:
-            pid, pipe, lo, hi = workers[0]
+            pid, pipe, name = workers[0]
             with pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[0]
-            where = f"simulation worker for trajectories {lo}..{hi - 1}"
             if code != 0:
-                raise RuntimeError(f"{where} exited with status {code}")
+                raise RuntimeError(f"{name} exited with status {code}")
             ok, value = pickle.loads(data)
             if not ok:
-                raise RuntimeError(f"{where} failed: {value}")
-            blocks.append(value)
+                raise RuntimeError(f"{name} failed: {value}")
+            results.append(value)
     finally:
-        for pid, pipe, _, _ in workers:  # left only by an exception
+        for pid, pipe, _ in workers:  # left only by an exception
             import signal  # here, not at the top: importing it adds ≈2 ms to every start
 
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    return results
+
+
+def _run_forked(x0, config, phi, params) -> list:
+    """``_run_batch`` over all trajectories, split into one contiguous block
+    per CPU: block 0 runs here and each other block in a worker forked by
+    ``_forked``, which inherits the configuration and its index."""
+    n = params.n_traj
+    w = min(n, _worker_count())
+    bounds = [n * i // w for i in range(w + 1)]
+
+    def block(lo, hi):
+        return lambda: _run_batch(x0, config, phi, params, np.arange(lo, hi, dtype=np.int64))
+
+    blocks = _forked(block(0, bounds[1]),
+                     [(f"simulation worker for trajectories {lo}..{hi - 1}", block(lo, hi))
+                      for lo, hi in zip(bounds[1:-1], bounds[2:])])
     return [np.concatenate(col) for col in zip(*blocks)]
 
 

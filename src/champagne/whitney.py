@@ -49,14 +49,13 @@ can pass 2^31 are formed in int64.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import BallDomain
+from .geometry import BallDomain, _csv_lines
 
 __all__ = [
     "WhitneyDecomposition",
@@ -119,26 +118,27 @@ class WhitneyDecomposition:
         return (self._idx[level] + 0.5) * side
 
     def to_csv(self, path) -> None:
-        """Export as CSV: level, index components, center coords, side, dist_boundary."""
+        """Export as CSV: level, index components, center coords, side,
+        dist_boundary; floats as repr, CRLF line ends.  Rows are formatted
+        _CANDIDATE_CHUNK cubes at a time, a column at a time from
+        ``tolist()`` (``geometry._csv_lines``)."""
         d = self.dimension
+        header = (["level"] + [f"i_{j}" for j in range(d)] + [f"c_{j}" for j in range(d)]
+                  + ["side", "dist_boundary"])
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["level"]
-                + [f"i_{j}" for j in range(d)]
-                + [f"c_{j}" for j in range(d)]
-                + ["side", "dist_boundary"]
-            )
+            f.write(_csv_lines([name] for name in header))
             for lev in self.levels:
                 side = 2.0 ** (-lev)
-                centers = self.level_centers(lev)
-                for idx, ctr, dist in zip(self._idx[lev], centers, self._dist[lev]):
-                    w.writerow(
-                        [lev]
-                        + [int(k) for k in idx]
-                        + [repr(float(c)) for c in ctr]
-                        + [repr(side), repr(float(dist))]
-                    )
+                for start in range(0, self._idx[lev].shape[0], _CANDIDATE_CHUNK):
+                    idx = self._idx[lev][start:start + _CANDIDATE_CHUNK]
+                    n = idx.shape[0]
+                    f.write(_csv_lines([
+                        [str(lev)] * n,
+                        *(map(str, k) for k in idx.T.tolist()),
+                        *(map(repr, c) for c in ((idx + 0.5) * side).T.tolist()),
+                        [repr(side)] * n,
+                        map(repr, self._dist[lev][start:start + n].tolist()),
+                    ]))
 
 
 def _max_dist(idx: np.ndarray, side: float, center: np.ndarray) -> np.ndarray:

@@ -439,6 +439,84 @@ def test_no_subcommand_loads_scipy_numpy_ma_numpy_random_or_hashlib(tmp_path):
                                       + "] (True, True, True, True)"), name
 
 
+def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_path):
+    # generate and simulate run neither the criteria nor the Whitney cubes,
+    # so they neither compile nor import those modules; harness's re-export
+    # of aikawa_sum still resolves, to the criteria's own function
+    src = str(Path(champagne.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    sim = {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200, "n_traj": 20, "seed": 3}
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import champagne.harness as harness\n"
+        "cfg, out = harness.RunConfig.from_json(json.loads(sys.argv[1])), Path(sys.argv[2])\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('champagne.criteria', 'champagne.whitney')]\n"
+        "seen = [loaded()]\n"
+        "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_whitney,\n"
+        "            harness.cmd_criteria):\n"
+        "    cmd(cfg, out)\n"
+        "    seen.append(loaded())\n"
+        "from champagne import criteria\n"
+        "print(json.dumps([seen, harness.aikawa_sum is criteria.aikawa_sum]))\n"
+    )
+    for name, obj in (("d2", SMALL), ("d3", D3)):
+        out = subprocess.run([sys.executable, "-c", code, json.dumps({**obj, "sim": sim}),
+                              str(tmp_path / name)],
+                             env=env, capture_output=True, text=True, check=True, timeout=120)
+        seen, same = json.loads(out.stdout)
+        assert seen == [[False, False], [False, False], [False, False], [False, True],
+                        [True, True]], name
+        assert same, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        harness.no_such_name
+
+
+@pytest.mark.parametrize("failing", ["classify_avoidability", "whitney_sums"],
+                         ids=["worker", "parent"])
+def test_a_criteria_half_failure_raises_here_and_leaves_no_child(tmp_path, monkeypatch,
+                                                                  capsys, failing):
+    # The boundary series and separation run in a forked worker while this
+    # process runs the Whitney sums; either half's exception ends main with
+    # exit 3 and its message, and the worker is reaped (killed first, when
+    # this process's half fails).
+    def fail(*args, **kwargs):
+        raise ArithmeticError("criteria half failed on purpose")
+
+    monkeypatch.setattr(criteria, failing, fail)
+    monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["criteria", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert "criteria half failed on purpose" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_criteria_writes_the_same_bytes_with_one_cpu_and_no_fork(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
+        forks.clear()
+        runs[workers] = tmp_path / f"workers_{workers}"
+        harness.cmd_criteria(RunConfig.from_json(SMALL), runs[workers])
+        assert len(forks) == workers - 1
+    names = sorted(p.name for p in runs[1].iterdir())
+    assert "wiener_trace.csv" in names
+    assert names == sorted(p.name for p in runs[2].iterdir())
+    for name in names:
+        assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes(), name
+
+
 def test_the_cli_runs_with_scipy_blocked(tmp_path):
     # the declared dependencies suffice: with scipy unimportable, generate ->
     # criteria -> simulate exit 0 and write the bytes of an unblocked run

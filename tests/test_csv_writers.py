@@ -2,9 +2,10 @@
 
 ``bubbles.csv``, ``trajectories.csv`` and ``whitney.csv`` are built a column
 at a time with ``map``/``zip``/``str.join`` (``geometry._csv_lines``).  The
-oracles below are the per-row writers they replaced, kept verbatim: an
-f-string per bubble row, and ``csv.writer`` over numpy scalars per
-trajectory and per cube.  Every case must match them byte for byte.
+oracles below are the per-row writers they replaced, with the same
+formatting: an f-string per bubble row, and ``csv.writer`` over numpy
+scalars per trajectory and per cube.  Every case must match them byte for
+byte.
 """
 
 import csv

@@ -2,35 +2,57 @@
 
 Every uniform is a pure function of (seed, trajectory, step, slot).  The
 generator is the SplitMix64 finalizer applied to a Weyl sequence, one
-independent key per trajectory.  The floats made from the uniforms also
-depend on numpy's SIMD dispatch: np.log and the power operator run numpy's
-own vectorised loops, chosen when numpy loads for the CPU's instruction
-sets, and these need not round like the C library.  On an AVX-512 host,
-np.log and np.power differ from it by one unit in the last place for about
-0.3 % and 5 % of uniform float64 inputs in (0, 1).  So on one host, with
-one numpy build, a draw is a function of (seed, trajectory, step, slot)
-alone, and trajectories are reproducible independently of batching, of how
-they are split between worker processes, and of evaluation order; another
-CPU or numpy build may change the last bits of a draw.
-
-Isotropic alpha-stable vectors are sampled by Gaussian subordination: a
-positive (alpha/2)-stable variable S (Kanter's method) times independent
-normals, giving the characteristic function exp(-|u|^alpha).  Increments over
-time h are then h^(1/alpha) times a standardized increment, which makes the
-self-similar scaling law exact by construction.
+independent key per trajectory.  The uniforms lie in [2**-54, 1 - 2**-53].
 
 The shell generator draws from the same streams, under shells.seed: shell
 i takes counters 0, 1 and 2 of trajectory id 2**63 + i.  The simulator's
 trajectory ids lie below n_traj, so no generator key is a simulator key for
 the same seed.  The seed of every stream lies in [0, 2**64).
 
-The uniforms lie in [2**-54, 1 - 2**-53], so w = -log u > 0, and every
-alpha in (1, 2) draws finitely: Kanter's S raises each of its factors to
-its own power before they are multiplied (see ``positive_stable``), so no
-intermediate overflows or underflows at the extreme uniforms.
+Isotropic alpha-stable increments, with characteristic function
+exp(-|u|^alpha), are drawn as xi = R * Theta: a radius R = |xi| from its
+law and an independent uniform direction Theta.  A step takes d slots
+(``slots_per_step``): slot 0 gives R, slot 1 the direction in d=2, and
+slots 1 and 2 in d=3.
+
+R comes from one uniform u by inverting a table of its distribution
+function F, built once per (d, alpha) by ``radial_law``.  The table holds
+log R as a piecewise cubic in x = log(u)/d - log(1 - u)/alpha.  Beyond its
+ends log R continues with slope 1 in x: below, the small-r law
+F = c0 r^d, and above, the Pareto tail 1 - F = C r^-alpha with
+C = 2^alpha Gamma((d+alpha)/2) / (Gamma(d/2) Gamma(1 - alpha/2)).  So every
+u in (0, 1), the extreme uniforms included, gives a finite positive R, and
+|F(R) - u| < 1e-8 (tests/test_stable_law.py).  The table's R at u = 1/2 is
+the median of |xi|, from which the simulator takes its step constant.
+
+F itself comes from the subordination xi = sqrt(2S) Z, with S positive
+(alpha/2)-stable and Z standard normal, so R^2/4 = S * (|Z|^2 / 2).  The
+Mellin transforms of both factors are ratios of Gamma functions, so
+T = log(R^2/4) has the characteristic function
+Gamma(d/2 + it) Gamma(1 - 2it/alpha) / (Gamma(d/2) Gamma(1 - it)), and
+F and its density are single Fourier integrals of it (Gil-Pelaez), summed
+with the midpoint rule on a uniform grid of log r.
+
+The direction takes sin and cos on a quarter turn only, then rotates by
+whole quarter turns, which is exact: in d=2 the angle is 2 pi v; in d=3
+the height 1 - 2w is uniform on [-1, 1] (Archimedes) and the azimuth is
+drawn as in d=2.
+
+What still depends on the host: np.log and np.exp, in the draw and in the
+table's build, run numpy's own SIMD loops, chosen when numpy loads for the
+CPU's instruction sets, and these need not round like the C library (on an
+AVX-512 host np.log differs from it for about 0.4 % of inputs in (0, 1)).
+np.sin and np.cos of float64 call the C library.  So on one host, with one
+numpy build, a draw is a function of (seed, trajectory, step, slot) alone,
+and trajectories are reproducible independently of batching, of how they
+are split between worker processes, and of evaluation order; another CPU
+or numpy build may change the last bits of a draw.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +60,7 @@ __all__ = [
     "mix64",
     "stream_keys",
     "uniform01",
-    "positive_stable",
-    "standard_normals",
+    "radial_law",
     "stable_vectors",
     "slots_per_step",
 ]
@@ -92,59 +113,166 @@ def uniform01(keys, counters) -> np.ndarray:
     return u[()]  # a scalar for scalar inputs
 
 
+
+
 def slots_per_step(d: int) -> int:
-    """Draws consumed per step: 2 for the subordinator, 2 per normal pair."""
-    return 2 + 2 * ((d + 1) // 2)
+    """Uniforms consumed per step: one for the radius, d - 1 for the direction."""
+    return d
 
 
-def positive_stable(rho: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Kanter sampler for the positive rho-stable law, rho in (0, 1).
+# the table of the radial law: it starts where F = 1e-7 under the small-r
+# law and ends where 1 - F = 1e-8 under the Pareto tail, where those laws
+# hold to 1e-12 and better; each end has half a unit of log r to spare
+_F_LO, _TAIL_HI, _SPARE = 1e-7, 1e-8, 0.5
+# spacing in log r of the exact values of F, and in x of the cubic pieces;
+# both set the interpolation error, which is largest near alpha = 2
+_LOG_R_STEP = _X_STEP = 0.015
+# rows of the Fourier sum per block, which holds complex arrays of
+# _ROWS x 2 x (130-290) values
+_ROWS = 16
+# Stirling's series for log Gamma: B_2k / (2k (2k - 1)), k = 1..7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
-    With u ~ U(0,1) and w ~ Exp(1) the output S satisfies
-    E[exp(-lam*S)] = exp(-lam**rho).  With theta = pi*u and q = (1-rho)/rho,
-    S = sin(rho theta) * sin((1-rho) theta)**q / sin(theta)**(1/rho) / w**q:
-    Kanter's (A/w)**q with the power taken factor by factor, because A/w
-    itself overflows at u near 1 and w near 0 for rho near 1, where S is
-    finite.
+
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma of complex z with Re z > 0, up to multiples of 2 pi i:
+    Stirling's series at z + 8, carried back by Gamma(z + 1) = z Gamma(z)."""
+    w = z.copy()
+    back = np.zeros_like(z)
+    for _ in range(8):
+        back += np.log(w)
+        w += 1.0
+    inv = 1.0 / w
+    inv2 = inv * inv
+    series = np.zeros_like(z)
+    for c in reversed(_STIRLING):
+        series *= inv2
+        series += c
+    return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series * inv - back
+
+
+def _radial_cdf(d: int, alpha: float, log_r0: float, n: int):
+    """F(r) and r F'(r) of R = |xi| at log r = log_r0 + k * _LOG_R_STEP, k < n.
+
+    T = log(R^2/4) has the characteristic function phi(t) =
+    Gamma(d/2 + it) Gamma(1 - it/rho) / (Gamma(d/2) Gamma(1 - it)), rho =
+    alpha/2, so P(T <= tau) = 1/2 - (1/pi) int_0^inf Im(e^(-it tau) phi(t))/t dt
+    and its density is (1/pi) int_0^inf Re(e^(-it tau) phi(t)) dt.  Both are
+    midpoint sums over t.  |phi(t)| falls like e^(-pi t/alpha), so the sums
+    stop where it is below e^-34; a step h replaces the law by its
+    wrap-around at period 4 pi/h in tau, so h is chosen to put the grid and
+    15 units of tau on either side inside one half period.  The grid's rows
+    are summed _ROWS at a time: the block starting at tau_s takes
+    e^(-it (tau_s + j step)) = e^(-it j step) e^(-it tau_s).
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    q = (1.0 - rho) / rho
-    theta = np.pi * u
-    s = rho * theta
-    np.sin(s, out=s)
-    t = (1.0 - rho) * theta
-    np.sin(t, out=t)
-    t **= q
-    s *= t
-    np.sin(theta, out=theta)
-    theta **= 1.0 / rho
-    s /= theta
-    del theta
-    np.power(w, q, out=t)
-    s /= t
-    return s
+    step = 2.0 * _LOG_R_STEP
+    tau0 = 2.0 * log_r0 - math.log(4.0)
+    h = 2.0 * math.pi / (step * n + 30.0)
+    t = (np.arange(int(34.0 * alpha / (math.pi * h)) + 1) + 0.5) * h
+    m = t.size
+    lg = _log_gamma(np.concatenate([d / 2.0 + 1j * t, 1.0 - 2j / alpha * t, 1.0 - 1j * t]))
+    phi = np.exp(lg[:m] + lg[m:2 * m] - lg[2 * m:] - math.lgamma(d / 2.0))
+    # the CDF's weights phi/t and the density's phi, one row each
+    weights = np.stack([phi / t, phi])
+    rows = np.exp(np.outer(np.arange(_ROWS) * step, -1j * t))[:, None, :]
+    sums = np.empty((n, 2), dtype=complex)
+    for start in range(0, n, _ROWS):
+        k = min(_ROWS, n - start)
+        shifted = weights * np.exp((tau0 + start * step) * -1j * t)
+        sums[start:start + k] = (rows[:k] * shifted).sum(axis=2)
+    cdf = 0.5 - (h / math.pi) * sums[:, 0].imag
+    dens = (2.0 * h / math.pi) * sums[:, 1].real   # dF/dlog r = 2 dF/dT
+    return cdf, dens
 
 
-def standard_normals(keys: np.ndarray, base_counter, d: int) -> np.ndarray:
-    """(n, d) standard normals via Box-Muller on counter slots: one row per
-    element of keys + base_counter broadcast together, in C order."""
-    n = np.broadcast(keys, base_counter).size
-    pairs = (d + 1) // 2
-    out = np.empty((n, 2 * pairs))
-    for p in range(pairs):
-        r = uniform01(keys, base_counter + np.uint64(2 * p)).ravel()
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        ang = uniform01(keys, base_counter + np.uint64(2 * p + 1)).ravel()
-        ang *= 2.0 * np.pi
-        out[:, 2 * p] = np.cos(ang)
-        out[:, 2 * p] *= r
-        np.sin(ang, out=ang)
-        ang *= r
-        out[:, 2 * p + 1] = ang
-    return out[:, :d]
+def _hermite(x: np.ndarray, y: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """(4, n - 1) coefficients of the cubic on each [x_j, x_j+1] that takes
+    the values y and slopes dy/dx at both ends, in t = (x - x_j)/(x_j+1 - x_j):
+    y = c0 + t (c1 + t (c2 + t c3))."""
+    dx = np.diff(x)
+    dy = np.diff(y)
+    m0, m1 = slope[:-1] * dx, slope[1:] * dx
+    return np.stack([y[:-1], m0, 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy])
+
+
+class RadialLaw:
+    """The law of R = |xi| for a standardized isotropic alpha-stable xi in
+    R^d, tabulated for inverse-CDF sampling (see the module docstring)."""
+
+    def __init__(self, d: int, alpha: float):
+        log2 = math.log(2.0)
+        # F ~ c0 r^d at 0, and 1 - F ~ C r^-alpha at infinity
+        log_c0 = ((1 - d) * log2 + math.lgamma(d / alpha) - math.log(alpha)
+                  - math.lgamma(d / 2.0) - math.lgamma(d / 2.0 + 1.0))
+        log_tail = (alpha * log2 + math.lgamma((d + alpha) / 2.0) - math.lgamma(d / 2.0)
+                    - math.lgamma(1.0 - alpha / 2.0))
+        lo = (math.log(_F_LO) - log_c0) / d - _SPARE
+        hi = (log_tail - math.log(_TAIL_HI)) / alpha + _SPARE
+        n = int((hi - lo) / _LOG_R_STEP) + 1
+        log_r = lo + _LOG_R_STEP * np.arange(n)
+        cdf, dens = _radial_cdf(d, alpha, lo, n)
+        upper = 1.0 - cdf
+        if not (cdf[0] > 0.0 and upper[-1] > 0.0 and (np.diff(cdf) > 0.0).all()):
+            raise FloatingPointError(f"d={d}, alpha={alpha}: the tabulated CDF is not increasing")
+        # x(F) and dlog r/dx at the exact values, then the cubic through them
+        x = np.log(cdf) / d - np.log(upper) / alpha
+        exact = _hermite(x, log_r, 1.0 / (dens * (1.0 / (d * cdf) + 1.0 / (alpha * upper))))
+        # log R and dlog R/dx on a uniform grid of x, the cubic's values there
+        pieces = int((x[-1] - x[0]) / _X_STEP)
+        grid = x[0] + _X_STEP * np.arange(pieces + 1)
+        j = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, n - 2)
+        width = x[j + 1] - x[j]
+        t = (grid - x[j]) / width
+        c0, c1, c2, c3 = exact[:, j]
+        value = c0 + t * (c1 + t * (c2 + t * c3))
+        slope = (c1 + t * (2.0 * c2 + 3.0 * t * c3)) / width
+        # the ends take the small-r and tail laws' constants exactly
+        value[0], value[-1] = grid[0] - log_c0 / d, grid[-1] + log_tail / alpha
+        slope[0] = slope[-1] = 1.0
+        self.d, self.alpha = d, alpha
+        self._x0, self._x1, self._pieces = float(grid[0]), float(grid[-1]), pieces
+        self._coef = _hermite(grid, value, slope)
+        self.median = float(self.radii(np.array([0.5]))[0])
+
+    def radii(self, u: np.ndarray) -> np.ndarray:
+        """R for each uniform of the float array u, which this overwrites and
+        returns: log R is the table's cubic at x(u), with x clamped to the
+        table and slope 1 beyond its ends."""
+        x = np.subtract(1.0, u)
+        np.log(x, out=x)
+        x *= -1.0 / self.alpha
+        np.log(u, out=u)
+        u *= 1.0 / self.d
+        u += x                                    # x(u)
+        np.clip(u, self._x0, self._x1, out=x)
+        u -= x                                    # 0 on the table
+        x -= self._x0
+        x *= 1.0 / _X_STEP
+        i = x.astype(np.intp)
+        np.minimum(i, self._pieces - 1, out=i)    # x1 ends the last piece
+        x -= i                                    # t in [0, 1]
+        c0, c1, c2, c3 = self._coef
+        y = c3.take(i)
+        for c in (c2, c1, c0):
+            y *= x
+            y += c.take(i)
+        u += y
+        return np.exp(u, out=u)
+
+
+@lru_cache(maxsize=None)
+def radial_law(d: int, alpha: float) -> RadialLaw:
+    """The tabulated law of |xi| for the increments of ``stable_vectors``,
+    built once per (d, alpha) and kept."""
+    if not (1.0 < alpha < 2.0):
+        raise ValueError("alpha must lie in (1, 2)")
+    if d not in (2, 3):
+        raise ValueError("stable vectors are drawn in d=2 or d=3")
+    return RadialLaw(d, alpha)
+
+
+# i**k: the rotation by k quarter turns of a point of the plane as a complex number
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
@@ -156,20 +284,40 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
     Characteristic function exp(-|u|^alpha); the time-h increment is
     h**(1/alpha) times this.  Each row is a function of its key and step
     alone, so a block equals its steps drawn one at a time, bit for bit.
+    d is 2 or 3.
     """
-    if not (1.0 < alpha < 2.0):
-        raise ValueError("alpha must lie in (1, 2)")
+    law = radial_law(d, alpha)
     nslots = np.uint64(slots_per_step(d))
     # one counter base per step, a column that broadcasts against the keys
     base = np.arange(step, step + n_steps, dtype=np.uint64)[:, None] * nslots
-    w = uniform01(keys, base + np.uint64(1)).ravel()
-    np.log(w, out=w)
-    np.negative(w, out=w)
-    s = positive_stable(alpha / 2.0, uniform01(keys, base).ravel(), w)
-    del w
-    s *= 2.0
-    np.sqrt(s, out=s)
-    z = standard_normals(keys, base + np.uint64(2), d)
-    z *= s[:, None]
-    return z
-
+    r = law.radii(uniform01(keys, base).ravel())
+    out = np.empty((r.size, d))
+    if d == 3:
+        # the height 1 - 2w, and 2 sqrt(w (1 - w)), the radius of its circle
+        w = uniform01(keys, base + np.uint64(1)).ravel()
+        np.multiply(w, -2.0, out=out[:, 2])
+        out[:, 2] += 1.0
+        out[:, 2] *= r
+        r *= 2.0
+        np.subtract(1.0, w, out=out[:, 0])
+        w *= out[:, 0]
+        np.sqrt(w, out=w)
+        r *= w
+        del w
+    # the angle 2 pi v: sin and cos of the fraction of its last quarter
+    # turn, then one complex product by r i**k for its k whole quarter
+    # turns, whose parts are r times 0 or +-1, so the rotation is exact
+    v = uniform01(keys, base + np.uint64(d - 1)).ravel()
+    v *= 4.0
+    k = v.astype(np.intp)
+    v -= k
+    v *= 0.5 * np.pi
+    np.cos(v, out=out[:, 0])
+    np.sin(v, out=out[:, 1])
+    del v
+    turn = _QUARTER_TURNS.take(k)
+    del k
+    turn.real *= r
+    turn.imag *= r
+    out[:, :2].view(np.complex128)[:, 0] *= turn
+    return out

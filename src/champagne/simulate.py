@@ -5,7 +5,9 @@ An Euler jump-suppression chain proposes x + s(x)*xi, with xi a standardized
 isotropic alpha-stable vector, and suppresses a proposal that leaves
 D = B(c, R): the discrete analog of censoring.  The step is the local bubble
 scale s(x) = kappa*delta*phi(1 - delta/R), with delta = R - |x - c| and
-kappa = 0.25/median|xi|.  A jump s(x)*xi is what the stable process does in
+kappa = 0.25/median|xi|.  The median is exact: it is the radius that the
+table of |xi|'s law (``rng.radial_law``) gives at u = 1/2, to within 1e-8
+in probability.  A jump s(x)*xi is what the stable process does in
 time s(x)**alpha, so the chain is an Euler scheme for the censored process
 time-changed by dt = s(X)**alpha.  A time change keeps the paths and hence
 every hitting probability; the one error is the chain's discretisation bias,
@@ -14,11 +16,14 @@ delta_D < boundary_eps biases p_hat downward; a running trajectory has
 delta >= boundary_eps, so its step is never 0.
 
 Randomness is counter-based per trajectory, so estimates are bitwise
-independent of batching.  Bitwise on one host: the draws also depend on
-which of numpy's SIMD loops the CPU selects (see ``rng``).  The step never
-reads the bubbles, so nested configurations run with the same seed share
-each path until the larger one is hit; delta/R is scale-free, so a
-power-of-two dilation of the run dilates every trajectory exactly.
+independent of batching.  A step takes d uniforms (``rng.slots_per_step``):
+one for |xi|, read from the table by interpolation, and d - 1 for its
+direction.  Bitwise on one host: the draws, and the table and kappa, also
+depend on which of numpy's SIMD loops the CPU selects for np.log and np.exp
+(see ``rng``).  The step never reads the bubbles, so nested configurations
+run with the same seed share each path until the larger one is hit;
+delta/R is scale-free, so a power-of-two dilation of the run dilates every
+trajectory exactly.
 Trajectories run in lockstep, in passes of a block of steps over those
 still running: one draw of random vectors and one ball-index query per
 pass, not per step.  Blindness to the bubbles is also what makes this
@@ -31,19 +36,19 @@ alone (and of the host's numpy loops), so the ids can be split between
 processes without changing a bit.
 ``estimate_hitting`` splits them into one contiguous block per CPU this
 process may use, runs block 0 itself and each other block in a worker
-forked after the ball index is built, and concatenates the blocks in id
-order.  Workers are forked, not threads, because a draw is dominated by
-Kanter's sines and Box-Muller's sines and cosines, and two threads sharing
-the interpreter lock ran no faster than one; and forked, not spawned by
-``multiprocessing``, so that they inherit the configuration and its index
-instead of unpickling them.  ``_forked`` does the forking, the pipes and the
-reaping, for these blocks and for the two halves of ``harness``'s criteria
-stage, with one set of failure rules.
+forked after the ball index and the table of |xi|'s law are built, and
+concatenates the blocks in id order.  Workers are forked, not threads,
+because two threads sharing the interpreter lock ran no faster than one;
+and forked, not spawned by ``multiprocessing``, so that they inherit the
+configuration, its index and the table instead of rebuilding them.
+``_forked`` does the forking, the pipes and the reaping, for these blocks
+and for the two halves of ``harness``'s criteria stage, with one set of
+failure rules.
 
 Beside its outcome arrays, a pass holds the temporaries of at most
 _BLOCK_DRAWS rows: the block's draws, path and ball-index query (which
-``spatial`` splits further).  ``median_unit_norm`` draws _MEDIAN_BLOCK
-vectors at a time and keeps only their norms.
+``spatial`` splits further).  The table holds about 1,500 cubic pieces
+(50 KiB) per (d, alpha).
 """
 
 from __future__ import annotations
@@ -52,19 +57,17 @@ import math
 import os
 import pickle
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .bubbles import BubbleConfig
 from .geometry import row_norms
-from .rng import stable_vectors, stream_keys
+from .rng import radial_law, stable_vectors, stream_keys
 
 __all__ = [
     "SimParams",
     "HitEstimate",
     "estimate_hitting",
-    "median_unit_norm",
 ]
 
 HIT, BOUNDARY, TIMEOUT = 0, 1, 2
@@ -73,13 +76,14 @@ _WILSON_Z = 1.959963984540054  # 95%
 # draws per pass of the step loop: m running trajectories take
 # max(1, _BLOCK_DRAWS // m) steps per pass
 _BLOCK_DRAWS = 1 << 13
-# stable vectors drawn at a time by median_unit_norm
-_MEDIAN_BLOCK = 1 << 12
 # in every estimate.json, and with a "simulator: " prefix in every manifest
 APPROXIMATION_NOTES = [
     "Euler jump-suppression chain with step kappa*delta*phi(1 - delta/R), a time "
     "change of the censored process: its discretisation bias is not corrected",
     "lifetime proxy delta_D < boundary_eps biases p_hat downward",
+    "stable increments: |xi| is drawn by inverting a table of its distribution "
+    "function F, with |F(|xi|) - u| < 1e-8 for the uniform u; kappa's median is "
+    "the table's",
 ]
 
 
@@ -141,37 +145,8 @@ class HitEstimate:
         }
 
 
-@lru_cache(maxsize=None)
-def median_unit_norm(d: int, alpha: float, n: int = 1 << 16) -> float:
-    """Median of |X| for a standardized isotropic stable vector.
-
-    Estimated once per (d, alpha) from a fixed internal counter stream, so the
-    value is a deterministic constant of the build.  The vectors are drawn
-    _MEDIAN_BLOCK at a time; only their norms are kept.
-    """
-    norms = np.empty(n)
-    for start in range(0, n, _MEDIAN_BLOCK):
-        stop = min(n, start + _MEDIAN_BLOCK)
-        keys = stream_keys(0x5CA1AB1E, np.arange(start, stop))
-        xi = stable_vectors(alpha, d, keys, step=0, n_steps=1)
-        norms[start:stop] = np.sqrt((xi * xi).sum(axis=1))
-    return _median(norms)
-
-
-# np.median and np.percentile give these values, but import numpy.ma on
-# first use (0.4 MiB of resident memory in every simulate process)
-def _median(a: np.ndarray) -> float:
-    """np.median of a float array, which it reorders: the middle value, or
-    the mean of the two middle values; NaN if any value is NaN."""
-    n = a.size
-    h = n // 2
-    kth = [h - 1, h] if n % 2 == 0 else [h]
-    a.partition(kth + [-1])   # -1 brings a NaN, the largest, to the end
-    if np.isnan(a[-1]):
-        return float(a[-1])
-    return float((a[h - 1] + a[h]) / 2.0) if n % 2 == 0 else float(a[h])
-
-
+# np.percentile gives this value, but imports numpy.ma on first use (0.4 MiB
+# of resident memory in every simulate process)
 def _percentile(a: np.ndarray, q: float) -> float:
     """np.percentile(a, q) of an integer array with numpy's default linear
     method: the value at the virtual index (n - 1) * q / 100 of the sorted
@@ -233,7 +208,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
         return (np.full(n, BOUNDARY, np.int8), np.zeros(n, np.int64), bubbles, finals,
                 killed, suppressed)
 
-    kappa = 0.25 / median_unit_norm(d, alpha)
+    kappa = 0.25 / radial_law(d, alpha).median
 
     # state of the running trajectories only, row for row
     live = np.arange(n)
@@ -318,13 +293,16 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
 def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles,
                  suppressed) -> dict:
     """Hits per shell, the suppressed share of proposals, percentiles of the
-    steps per trajectory, and the number of shells whose whole delta range
-    lies below boundary_eps (reachable only by a direct jump).  The shell
-    entries are None for bubbles without shell labels."""
+    steps per trajectory, and the shells whose whole delta range lies below
+    boundary_eps (reachable only by a direct jump): their number and, under
+    ``shells_below_boundary_eps_list``, their numbers i = 1, 2, ... of the
+    shell radii t_i.  The shell entries are None for bubbles without shell
+    labels."""
     # a trajectory that ended at step s made s + 1 proposals, a timeout max_steps
     proposals = int(steps.sum()) + int((tags != TIMEOUT).sum())
     out = {"suppressed_fraction": int(suppressed.sum()) / proposals,
-           "hits_per_shell": None, "shells_below_boundary_eps": None}
+           "hits_per_shell": None, "shells_below_boundary_eps": None,
+           "shells_below_boundary_eps_list": None}
     for q in (50, 90, 99):
         out[f"steps_p{q}"] = _percentile(steps, q)
     sid = config.shell_ids
@@ -333,7 +311,9 @@ def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles,
         out["hits_per_shell"] = np.bincount(sid[bubbles[tags == HIT]], minlength=n_shells).tolist()
         top = np.full(n_shells, -np.inf)  # largest delta over each shell
         np.maximum.at(top, sid, config.deltas + config.radii)
-        out["shells_below_boundary_eps"] = int((top < params.boundary_eps).sum())
+        below = np.flatnonzero(top < params.boundary_eps)
+        out["shells_below_boundary_eps"] = int(below.size)
+        out["shells_below_boundary_eps_list"] = (below + 1).tolist()
     return out
 
 
@@ -435,7 +415,7 @@ def estimate_hitting(x0, config: BubbleConfig, phi, params: SimParams):
     only its own counter stream, so on a given host it is a function of its
     id alone, and the estimate and outcomes are identical for any number of
     workers.
-    x0 is checked, the ball index built and the stable-norm constant drawn
+    x0 is checked, and the ball index and the table of |xi|'s law built,
     before forking, so workers inherit them.  Timeouts are reported
     separately and never counted as hits.
     """
@@ -445,7 +425,7 @@ def estimate_hitting(x0, config: BubbleConfig, phi, params: SimParams):
         raise ValueError("x0 lies inside a bubble")
     if dom.radius - float(np.sqrt(((x0 - dom.center) ** 2).sum())) <= 0:
         raise ValueError("x0 must lie inside the domain")
-    median_unit_norm(dom.dimension, params.alpha)
+    radial_law(dom.dimension, params.alpha)
     n = params.n_traj
     tags, steps, bubbles, finals, _, suppressed = _run_forked(x0, config, phi, params)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import champagne
-from champagne import criteria, harness, simulate, whitney
+from champagne import criteria, harness, rng, simulate, whitney
 from champagne.harness import RunConfig, _sha256_hex, main
 
 SMALL = {
@@ -118,23 +118,25 @@ def test_stage_start_up_holds_little_beyond_what_it_keeps():
     # host's allocator.  W2's configuration keeps its centres, radii, shell ids,
     # distances to the boundary and ball index (3.2 MiB); the build needs
     # besides only blocks of rows and a few columns of n values (1.2 MiB).
-    # The stable-norm median keeps nothing and holds its 2^16 norms (0.5 MiB)
-    # and one block of draws (0.8 MiB in all).
+    # The table of |xi|'s law keeps about 1,500 cubic pieces (50 KiB) and
+    # holds blocks of its Fourier sums and a few columns of 1,500 values;
+    # the 2^16 draws of the sampled median it replaced held 0.8 MiB.
     harness._build_config(RunConfig.from_json(SMALL))  # first-use imports and caches
-    simulate.median_unit_norm.__wrapped__(2, 1.5, 16)
+    rng.radial_law.__wrapped__(2, 1.3)
     tracemalloc.start()
     try:
         config = harness._build_config(RunConfig.from_json(W2))
         assert config.index is not None
         kept, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        simulate.median_unit_norm.__wrapped__(2, 1.5)
-        after, median_peak = tracemalloc.get_traced_memory()
+        law = rng.radial_law.__wrapped__(2, 1.5)
+        table_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert config.n == 54_743
     assert build_peak - kept < 2 * MiB
-    assert median_peak - after < 1.5 * MiB
+    assert law.median > 0.0
+    assert table_peak - kept < 0.5 * MiB
 
 
 def test_criteria_sums_hold_little_beyond_the_configuration():
@@ -411,8 +413,10 @@ def test_no_subcommand_loads_scipy_numpy_ma_numpy_random_or_hashlib(tmp_path):
     # np.unique import on first use (0.4 MiB of resident memory); nor, in
     # d=2 or d=3, numpy.random or OpenSSL's _hashlib (together ≈5.6 MiB):
     # the shell rotations come from the counter streams and the config hash
-    # from the built-in SHA-256; loading scipy.spatial, which imports all
-    # four, afterwards shows that the check can fail
+    # from the built-in SHA-256; nor numpy.polynomial (5.6 ms to import),
+    # since the table of |xi|'s law needs no quadrature nodes; loading
+    # scipy.spatial and numpy.polynomial afterwards shows that the check can
+    # fail
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     sim = {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200, "n_traj": 20, "seed": 3}
@@ -423,20 +427,45 @@ def test_no_subcommand_loads_scipy_numpy_ma_numpy_random_or_hashlib(tmp_path):
         "cfg, out = harness.RunConfig.from_json(json.loads(sys.argv[1])), Path(sys.argv[2])\n"
         "def loaded():\n"
         "    return (any(m.split('.')[0] == 'scipy' for m in sys.modules),\n"
-        "            *(m in sys.modules for m in ('numpy.ma', 'numpy.random', '_hashlib')))\n"
+        "            *(m in sys.modules\n"
+        "              for m in ('numpy.ma', 'numpy.random', '_hashlib', 'numpy.polynomial')))\n"
         "seen = [loaded()]\n"
         "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_criteria):\n"
         "    cmd(cfg, out)\n"
         "    seen.append(loaded())\n"
-        "import scipy.spatial\n"
+        "import scipy.spatial, numpy.polynomial\n"
         "print(seen, loaded())\n"
     )
     for name, obj in (("d2", SMALL), ("d3", D3)):
         out = subprocess.run([sys.executable, "-c", code, json.dumps({**obj, "sim": sim}),
                               str(tmp_path / name)],
                              env=env, capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.strip() == ("[" + ", ".join(["(False, False, False, False)"] * 4)
-                                      + "] (True, True, True, True)"), name
+        assert out.stdout.strip() == ("[" + ", ".join(["(False, False, False, False, False)"] * 4)
+                                      + "] (True, True, True, True, True)"), name
+
+
+def test_importing_the_harness_builds_no_table(tmp_path):
+    # the benchmark times `import champagne.harness` as its set-up: the table
+    # of |xi|'s law is built by the first simulation, once per (d, alpha)
+    src = str(Path(champagne.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    sim = {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 20, "n_traj": 4, "seed": 3}
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import champagne.harness as harness\n"
+        "from champagne import rng\n"
+        "seen = [rng.radial_law.cache_info().currsize]\n"
+        "cfg = harness.RunConfig.from_json(json.loads(sys.argv[1]))\n"
+        "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_simulate):\n"
+        "    cmd(cfg, Path(sys.argv[2]))\n"
+        "    seen.append(rng.radial_law.cache_info().currsize)\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps({**SMALL, "sim": sim}),
+                          str(tmp_path / "run")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == [0, 0, 1, 1]
 
 
 def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_path):

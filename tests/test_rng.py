@@ -6,12 +6,12 @@ from scipy import stats
 
 from champagne.rng import (
     mix64,
-    positive_stable,
     slots_per_step,
     stable_vectors,
     stream_keys,
     uniform01,
 )
+from stable_oracle import positive_stable
 
 
 def test_mix64_deterministic_and_bijective_sample():
@@ -54,9 +54,13 @@ def test_uniform01_stays_below_1_at_the_greatest_raw_value(top, want):
     assert int(mix64(np.uint64(key))) >> 11 == top
     u = uniform01(np.uint64(key), np.uint64(0))
     assert u == want and 0.0 < u < 1.0
-    # drawn as the w slot (counter 1) of step 0, it gives a finite increment
-    xi = stable_vectors(1.5, 2, np.array([(key - _GOLD) % 2**64], dtype=np.uint64), 0)
-    assert np.isfinite(xi).all()
+    # drawn in each slot of step 0 (the radius, then the direction's), it
+    # gives a finite increment of positive length
+    for d in (2, 3):
+        for slot in range(d):
+            keys = np.array([(key - slot * _GOLD) % 2**64], dtype=np.uint64)
+            xi = stable_vectors(1.5, d, keys, 0)
+            assert np.isfinite(xi).all() and (xi * xi).sum() > 0.0, (d, slot)
 
 
 def test_positive_stable_is_finite_and_positive_at_the_extreme_uniforms():
@@ -154,14 +158,17 @@ def test_increment_shrinks_with_h():
 
 
 def test_slots_per_step():
-    assert slots_per_step(2) == 4
-    assert slots_per_step(3) == 6
+    # the radius, then the angle in d=2, or the height and the azimuth in d=3
+    assert slots_per_step(2) == 2
+    assert slots_per_step(3) == 3
 
 
 def test_invalid_alpha_rejected():
     keys = stream_keys(0, np.arange(4))
     with pytest.raises(ValueError):
         stable_vectors(2.5, 2, keys, step=0)
+    with pytest.raises(ValueError):
+        stable_vectors(1.5, 4, keys, step=0)
     with pytest.raises(ValueError):
         positive_stable(1.2, np.array([0.5]), np.array([1.0]))
 

@@ -38,15 +38,16 @@ whole quarter turns, which is exact: in d=2 the angle is 2 pi v; in d=3
 the height 1 - 2w is uniform on [-1, 1] (Archimedes) and the azimuth is
 drawn as in d=2.
 
-What still depends on the host: np.log and np.exp, in the draw and in the
-table's build, run numpy's own SIMD loops, chosen when numpy loads for the
-CPU's instruction sets, and these need not round like the C library (on an
-AVX-512 host np.log differs from it for about 0.4 % of inputs in (0, 1)).
-np.sin and np.cos of float64 call the C library.  So on one host, with one
-numpy build, a draw is a function of (seed, trajectory, step, slot) alone,
-and trajectories are reproducible independently of batching, of how they
-are split between worker processes, and of evaluation order; another CPU
-or numpy build may change the last bits of a draw.
+What still depends on the host: np.log and np.exp in the draw run numpy's
+own SIMD loops, chosen when numpy loads for the CPU's instruction sets, and
+these need not round like the C library; so do the complex products and
+sums of the table's Fourier integrals, so the table and its median may
+move in their last bits too.  np.sin and np.cos of float64 matched the C
+library bit for bit on an AVX-512 host.  So on one host, with one numpy
+build, a draw is a function of (seed, trajectory, step, slot) alone, and
+trajectories are reproducible independently of batching, of how they are
+split between worker processes, and of evaluation order; another CPU or
+numpy build may change the last bits of a draw.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def slots_per_step(d: int) -> int:
 
 # the table of the radial law: it starts where F = 1e-7 under the small-r
 # law and ends where 1 - F = 1e-8 under the Pareto tail, where those laws
-# hold to 1e-12 and better; each end has half a unit of log r to spare
+# are off by well under 1e-9 in F; each end has half a unit of log r to spare
 _F_LO, _TAIL_HI, _SPARE = 1e-7, 1e-8, 0.5
 # spacing in log r of the exact values of F, and in x of the cubic pieces;
 # both set the interpolation error, which is largest near alpha = 2

@@ -19,11 +19,10 @@ Randomness is counter-based per trajectory, so estimates are bitwise
 independent of batching.  A step takes d uniforms (``rng.slots_per_step``):
 one for |xi|, read from the table by interpolation, and d - 1 for its
 direction.  Bitwise on one host: the draws, and the table and kappa, also
-depend on which of numpy's SIMD loops the CPU selects for np.log and np.exp
-(see ``rng``).  The step never reads the bubbles, so nested configurations
-run with the same seed share each path until the larger one is hit;
-delta/R is scale-free, so a power-of-two dilation of the run dilates every
-trajectory exactly.
+depend on which of numpy's SIMD loops the CPU selects (see ``rng``).  The
+step never reads the bubbles, so nested configurations run with the same
+seed share each path until the larger one is hit; delta/R is scale-free,
+so a power-of-two dilation of the run dilates every trajectory exactly.
 Trajectories run in lockstep, in passes of a block of steps over those
 still running: one draw of random vectors and one ball-index query per
 pass, not per step.  Blindness to the bubbles is also what makes this

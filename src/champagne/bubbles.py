@@ -3,12 +3,13 @@ accumulating at the boundary, their generator and separation infimum.  The
 generator's one random choice, a rotation per shell, comes from the counter
 streams of ``rng``, and no BLAS routine computes a centre.
 
-Radial profiles and weight functions are closed-form enumerations rather than
-arbitrary callables: divergence of an improper integral cannot be decided
-from finitely many samples of a black box, so the criteria module needs the
+Radial profiles are a closed-form enumeration rather than arbitrary
+callables: divergence of an improper integral cannot be decided from
+finitely many samples of a black box, so the criteria module needs the
 analytic form.  The enumeration lives here: one class per family under the
-bases ``RadialProfile`` and ``WeightFunction`` declares its JSON kind and
-parameter, its formula and its tail exponents.
+base ``RadialProfile`` declares its JSON kind and parameter, its formula and
+its tail exponents.  The generator records the profile in ``meta``, so the
+criteria read the tail of the family they judge.
 
 Memory.  A configuration keeps per bubble its centre (8d bytes), its radius
 and its distance to the boundary (8 bytes each) and its shell label (int32,
@@ -41,10 +42,6 @@ __all__ = [
     "PowerProfile",
     "LogProfile",
     "RadialProfile",
-    "OneWeight",
-    "PowerWeight",
-    "LogWeight",
-    "WeightFunction",
     "generate_shell_config",
     "shell_radii",
     "separation_infimum",
@@ -52,27 +49,26 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# closed-form families: radial profiles phi and weight functions M
+# closed-form radial profiles phi
 # ---------------------------------------------------------------------------
 
-class _Family:
-    """One closed-form family, a frozen dataclass of at most one field: its
-    JSON ``kind``, its parameter ``param`` (or None) with values in (0,
-    ``upper``), its formula ``_at`` on float arrays, and ``tail(d, alpha)``,
-    the exponents (rate, log_power) of its factor of the tail integrand
-    phi(t)^(d-a) * M(t) = const * exp(rate*u) * (1+u)^log_power in
-    u = -log(1-t), (0, 0) if bounded above and away from 0.  Each base
-    lists its families by kind in ``kinds``."""
+class RadialProfile:
+    """A radial profile phi: decreasing (0,1) -> (0,1).  One family is a
+    frozen dataclass of at most one field: its JSON ``kind``, its parameter
+    ``param`` (or None) with values in (0, ``upper``), its formula ``_at`` on
+    float arrays, and ``tail(d, alpha)``, the exponents (rate, log_power) of
+    the tail integrand phi(t)^(d-a) = const * exp(rate*u) * (1+u)^log_power
+    in u = -log(1-t), (0, 0) if bounded away from 0.  ``kinds`` lists the
+    families by kind."""
 
     kinds: ClassVar[dict]
-    block: ClassVar[str]   # the run configuration's block for the base
     kind: ClassVar[str]
     param: ClassVar[str | None] = None
     upper: ClassVar[float] = math.inf
 
     def __post_init__(self):
         if self.param and not 0.0 < getattr(self, self.param) < self.upper:
-            raise ValueError(f"{self.block}.{self.param} must lie in (0, {self.upper:g}), "
+            raise ValueError(f"profile.{self.param} must lie in (0, {self.upper:g}), "
                              f"got {getattr(self, self.param)!r}")
 
     def __call__(self, t):
@@ -88,34 +84,20 @@ class _Family:
     @classmethod
     def from_json(cls, obj: dict):
         """The family of ``obj["kind"]`` with its parameter; ValueError, naming
-        the block and the key, for an unknown kind, an unknown key, or a
-        parameter that is missing or not a number."""
+        the key, for an unknown kind, an unknown key, or a parameter that is
+        missing or not a number."""
         kind = obj.get("kind")
         family = cls.kinds.get(kind) if isinstance(kind, str) else None
         if family is None:
-            raise ValueError(f"{cls.block}.kind must be one of {', '.join(cls.kinds)}, "
-                             f"got {kind!r}")
+            raise ValueError(f"profile.kind must be one of {', '.join(cls.kinds)}, got {kind!r}")
         unknown = sorted(set(obj) - {"kind", family.param})
         if unknown:
-            raise ValueError(f"unknown field(s) in {cls.block}: {', '.join(unknown)}")
+            raise ValueError(f"unknown field(s) in profile: {', '.join(unknown)}")
         if family.param is None:
             return family()
         if family.param not in obj:
-            raise ValueError(f"missing field: {cls.block}.{family.param}")
-        return family(float(_number(obj[family.param], f"{cls.block}.{family.param}")))
-
-
-class RadialProfile(_Family):
-    """A radial profile phi: decreasing (0,1) -> (0,1)."""
-
-    block = "profile"
-
-
-class WeightFunction(_Family):
-    """A weight function M: increasing [0,1) -> [1,inf) with the
-    halving-doubling property M(1 - t/2) <= c * M(1 - t)."""
-
-    block = "weight"
+            raise ValueError(f"missing field: profile.{family.param}")
+        return family(float(_number(obj[family.param], f"profile.{family.param}")))
 
 
 @dataclass(frozen=True)
@@ -161,46 +143,7 @@ class LogProfile(RadialProfile):
         return 0.0, -self.p * (d - alpha)
 
 
-@dataclass(frozen=True)
-class OneWeight(WeightFunction):
-    """M == 1; doubling constant 1."""
-
-    kind = "one"
-
-    def _at(self, t):
-        return np.ones_like(t)
-
-
-@dataclass(frozen=True)
-class PowerWeight(WeightFunction):
-    """M(t) = (1-t)**(-gamma), gamma > 0; doubling constant 2**gamma."""
-
-    kind, param = "power", "gamma"
-    gamma: float
-
-    def _at(self, t):
-        return (1.0 - t) ** (-self.gamma)
-
-    def tail(self, d, alpha):
-        return self.gamma, 0.0
-
-
-@dataclass(frozen=True)
-class LogWeight(WeightFunction):
-    """M(t) = log(e/(1-t))**p, p > 0; doubling constant (1+log 2)**p."""
-
-    kind, param = "log", "p"
-    p: float
-
-    def _at(self, t):
-        return (1.0 - np.log(1.0 - t)) ** self.p
-
-    def tail(self, d, alpha):
-        return 0.0, self.p
-
-
 RadialProfile.kinds = {f.kind: f for f in (ConstantProfile, PowerProfile, LogProfile)}
-WeightFunction.kinds = {f.kind: f for f in (OneWeight, PowerWeight, LogWeight)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,16 @@
 
 Divergence is never claimed from truncated numerics: a Divergent/Convergent
 verdict requires the analytic tail reduction available for the closed-form
-profile/weight enumeration, otherwise the verdict is Inconclusive and the
-boundary series totals are the diagnostics.  The enumeration lives in
-``bubbles``: each family declares its tail exponents there, and
-:func:`classify_shell_series` adds them.  "sigma-a.e. boundary point" is
+profile enumeration, otherwise the verdict is Inconclusive and the boundary
+series totals are the diagnostics.  The enumeration lives in ``bubbles``:
+each family declares its tail exponents there, and
+:func:`classify_shell_series` reads them.  The verdict describes the
+bubbles it judges: :func:`classify_avoidability` takes the profile and the
+shell parameter from the configuration's own generation record.  The tail
+integrand is therefore phi(t)^(d-a) alone: a weight M(t) multiplying it,
+as in the general criterion, is left out, because no generated family
+realises an M other than 1, and any other M would move the verdict without
+moving a bubble.  "sigma-a.e. boundary point" is
 operationalized as every point of a deterministic boundary grid plus the
 rotation-symmetry property of shell configurations; reports state this proxy.
 
@@ -51,14 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bubbles import (
-    BubbleConfig,
-    OneWeight,
-    RadialProfile,
-    WeightFunction,
-    _fibonacci_sphere,
-    separation_infimum,
-)
+from .bubbles import BubbleConfig, RadialProfile, _fibonacci_sphere, separation_infimum
 from .geometry import BallDomain
 from .kernels import (
     Constants,
@@ -168,32 +167,26 @@ def _classify_exponents(rate: float, log_power: float) -> Verdict:
     return Verdict.DIVERGENT if log_power >= -1.0 else Verdict.CONVERGENT
 
 
-def classify_shell_series(
-    phi: RadialProfile,
-    weight: WeightFunction,
-    d: int,
-    alpha: float,
-    a: float,
-) -> DivergenceVerdict:
-    """Classify the shell-sampled series sum_i phi(s_i)^(d-a) * M(s_(i+1)).
+def classify_shell_series(phi: RadialProfile, d: int, alpha: float, a: float) -> DivergenceVerdict:
+    """Classify the shell-sampled series sum_i phi(s_i)^(d-a).
 
-    The tail integrand phi(t)^(d-a) * M(t) is const * exp(rate*u) *
-    (1+u)^log_power in u = -log(1-t), the sums of the two families'
-    exponents (``tail`` in ``bubbles``).  The radii s_i approach 1
-    geometrically (1 - s_(i+1) = rho*(1 - s_i) with rho = (1-a)/(1+a)), so
-    each term behaves like exp(rate*L*i) * (L*i)^p with L = log(1/rho); the
-    exponent rule of the tail integral then classifies divergence.  The
-    evidence is rate, log_power and step_log = L; a profile or weight
-    outside the families is Inconclusive.
+    The tail integrand phi(t)^(d-a) is const * exp(rate*u) *
+    (1+u)^log_power in u = -log(1-t), with the profile family's exponents
+    (``tail`` in ``bubbles``).  The radii s_i approach 1 geometrically
+    (1 - s_(i+1) = rho*(1 - s_i) with rho = (1-a)/(1+a)), so each term
+    behaves like exp(rate*L*i) * (L*i)^p with L = log(1/rho); the exponent
+    rule of the tail integral then classifies divergence.  The evidence is
+    rate, log_power and step_log = L; a profile outside the families is
+    Inconclusive.  No weight M multiplies the integrand: it would change the
+    verdict without changing a bubble.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    name = f"shell series: phi={type(phi).__name__}, M={type(weight).__name__}, a={a}"
-    if not (hasattr(phi, "tail") and hasattr(weight, "tail")):
+    name = f"shell series: phi={type(phi).__name__}, a={a}"
+    if not hasattr(phi, "tail"):
         return DivergenceVerdict(Verdict.INCONCLUSIVE, {
-            "reason": "profile or weight outside the closed-form enumeration"}, name)
-    (rate_p, log_power_p), (rate_w, log_power_w) = phi.tail(d, alpha), weight.tail(d, alpha)
-    rate, log_power = rate_p + rate_w, log_power_p + log_power_w
+            "reason": "profile outside the closed-form enumeration"}, name)
+    rate, log_power = phi.tail(d, alpha)
     rho = (1.0 - a) / (1.0 + a)
     evidence = {"rate": rate, "log_power": log_power, "step_log": math.log(1.0 / rho)}
     return DivergenceVerdict(_classify_exponents(rate, log_power), evidence, name)
@@ -535,21 +528,17 @@ class AvoidabilityReport:
     notes: list
 
 
-def classify_avoidability(
-    config: BubbleConfig,
-    consts: Constants,
-    points,
-    phi: RadialProfile | None = None,
-    weight: WeightFunction = OneWeight(),
-) -> AvoidabilityReport:
+def classify_avoidability(config: BubbleConfig, consts: Constants, points) -> AvoidabilityReport:
     """One verdict for the boundary grid ``points`` (n, d), the boundary
     series total at each point, and an aggregate.
 
-    With a radial profile ``phi`` (and tail weight ``weight``) describing the
-    configuration's tail, and shell metadata (``meta["a"]``), the verdict
-    comes from the analytic shell-series reduction, which does not depend on
-    the grid point; otherwise it is Inconclusive with the series totals as
-    diagnostics, and a note says why.  Aggregate "unavoidable" requires a
+    The verdict reads the profile and the shell parameter that
+    ``bubbles.generate_shell_config`` records in the configuration's
+    ``meta`` (``meta["phi"]``, ``meta["a"]``), so it describes the bubbles
+    it is given, and comes from the analytic shell-series reduction, which
+    does not depend on the grid point.  A configuration without that record,
+    such as one built by hand, gets an Inconclusive verdict with the series
+    totals as diagnostics, and a note says why.  Aggregate "unavoidable" requires a
     divergent verdict and a positive separation infimum; "avoidable-candidate"
     requires a convergent one; anything else is inconclusive.
     """
@@ -565,14 +554,14 @@ def classify_avoidability(
             verdict, np.zeros(len(points)), math.inf, "avoidable-candidate", notes
         )
 
-    if phi is not None and "a" in config.meta:
+    if "phi" in config.meta and "a" in config.meta:
         verdict = classify_shell_series(
-            phi, weight, config.dimension, alpha, float(config.meta["a"])
+            config.meta["phi"], config.dimension, alpha, float(config.meta["a"])
         )
         notes.append(f"analytic route: {verdict.tail_model}")
     else:
-        reason = "no tail model given" if phi is None else "no shell metadata (meta['a'])"
-        notes.append(f"{reason}: truncated sums cannot decide divergence")
+        notes.append("no shell metadata (meta['phi'], meta['a']): "
+                     "truncated sums cannot decide divergence")
         verdict = DivergenceVerdict(Verdict.INCONCLUSIVE, {}, "truncated series")
 
     totals = np.array([_series_total(config, z, alpha) for z in points])

@@ -15,7 +15,7 @@ reading and checking a RunConfig and building the bubbles need (``geometry``,
 defines the ``sim`` block.  ``generate`` and ``simulate`` load nothing more.
 ``whitney`` loads the ``whitney`` module inside ``cmd_whitney``, and
 ``criteria`` loads ``criteria`` and ``whitney`` inside ``cmd_criteria``:
-together about 1,050 lines that the other stages never run.  The name
+together about 1,040 lines that the other stages never run.  The name
 ``aikawa_sum`` is re-exported from ``criteria`` on first use (module
 ``__getattr__``).
 """
@@ -46,7 +46,6 @@ from .bubbles import (
     _CSV_BLOCK,
     BubbleConfig,
     RadialProfile,
-    WeightFunction,
     _check_shell_domain,
     _shell_phi,
     generate_shell_config,
@@ -87,7 +86,6 @@ class RunConfig:
     domain: BallDomain
     constants: Constants
     profile: object
-    weight: object
     shell_a: float = 0.5
     shells: int = 4
     seed: int = 0
@@ -134,7 +132,6 @@ class RunConfig:
             "domain": self.domain.to_json(),
             "constants": self.constants.to_json(),
             "profile": self.profile.to_json(),
-            "weight": self.weight.to_json(),
             "shells": {"a": self.shell_a, "count": self.shells, "seed": self.seed},
             "whitney": {"max_level": self.whitney_max_level},
             "criteria": {"grid": self.grid_size, "wiener_n_max": self.wiener_n_max},
@@ -147,6 +144,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
         try:
+            _object(obj, "config")
             version = str(obj.get("format_version", FORMAT_VERSION))
             if version != FORMAT_VERSION:
                 raise ConfigError(f"unsupported format_version {version!r}")
@@ -178,12 +176,11 @@ class RunConfig:
                     raise ConfigError(
                         f"sim.alpha {sim.alpha!r} differs from constants.alpha {constants.alpha!r}"
                     )
+            _check_weight(_object(obj.get("weight", {"kind": "one"}), "weight"))
             return cls(
                 domain=BallDomain.from_json(domain),
                 constants=constants,
                 profile=RadialProfile.from_json(_object(obj["profile"], "profile")),
-                weight=WeightFunction.from_json(_object(obj.get("weight", {"kind": "one"}),
-                                                        "weight")),
                 shell_a=float(_number(shells.get("a", 0.5), "shells.a")),
                 shells=_integer(shells.get("count", 4), "shells.count"),
                 seed=_integer(shells.get("seed", 0), "shells.seed"),
@@ -223,6 +220,19 @@ def _object(block, name: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object, got {block!r}")
     return block
+
+
+def _check_weight(block: dict) -> None:
+    """A ConfigError unless the weight block is M == 1, ``{"kind": "one"}``,
+    which older configs carry.  No generated bubble realises another M, so
+    it would change the verdict without moving a bubble."""
+    if block.get("kind") != "one":
+        raise ConfigError(f"weight.kind must be 'one', got {block.get('kind')!r}: no generated "
+                          "bubble realises a weight M other than 1, so it would change the "
+                          "verdict without moving a bubble")
+    unknown = sorted(set(block) - {"kind"})
+    if unknown:
+        raise ConfigError(f"unknown field(s) in weight: {', '.join(unknown)}")
 
 
 def _section(obj: dict, name: str) -> dict:
@@ -294,6 +304,20 @@ def _build_config(cfg: RunConfig) -> BubbleConfig:
     return generate_shell_config(cfg.domain, cfg.profile, cfg.shell_a, cfg.shells, cfg.seed)
 
 
+def _write_bubbles(cfg: RunConfig, config: BubbleConfig, out: Path) -> None:
+    """Write ``bubbles.csv`` and ``run_config.json`` together, unless ``out``
+    already holds both and its ``run_config.json`` is ``cfg``'s, so that the
+    bubbles there are always the ones the run's other outputs describe."""
+    try:
+        with open(out / "run_config.json") as f:
+            if json.load(f) == cfg.to_json() and (out / "bubbles.csv").exists():
+                return
+    except (OSError, json.JSONDecodeError):
+        pass
+    config.to_csv(out / "bubbles.csv")
+    _write_json(out / "run_config.json", cfg.to_json())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -339,12 +363,11 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
 
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
-    if not (out / "bubbles.csv").exists():
-        config.to_csv(out / "bubbles.csv")
+    _write_bubbles(cfg, config, out)
     points = uniform_boundary_grid(cfg.domain, cfg.grid_size)
 
     def boundary_part():
-        return classify_avoidability(config, cfg.constants, points, cfg.profile, cfg.weight)
+        return classify_avoidability(config, cfg.constants, points)
 
     def whitney_part():
         # the separation infimum, in the worker or already run here, is the
@@ -413,8 +436,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
         raise ConfigError("missing field: sim")
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
-    if not (out / "bubbles.csv").exists():
-        config.to_csv(out / "bubbles.csv")
+    _write_bubbles(cfg, config, out)
     x0 = cfg.domain.center
     estimate, outcomes = estimate_hitting(x0, config, cfg.profile, cfg.sim)
     payload = {"format_version": FORMAT_VERSION, **estimate.to_json()}
@@ -459,7 +481,6 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
             family = RadialProfile.kinds.get(prof.get("kind"))
             row["profile_kind"] = prof.get("kind", "")
             row["profile_param"] = prof.get(family.param, "") if family else ""
-            row["weight_kind"] = cfg_obj.get("weight", {}).get("kind", "")
             row["a"] = cfg_obj.get("shells", {}).get("a", "")
             row["shells"] = cfg_obj.get("shells", {}).get("count", "")
         verdicts = run / "verdicts.json"
@@ -476,7 +497,7 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
             row["timeout_fraction"] = est.get("timeout_fraction", "")
         rows.append(row)
 
-    fields = ["run", "profile_kind", "profile_param", "weight_kind", "a", "shells",
+    fields = ["run", "profile_kind", "profile_param", "a", "shells",
               "verdict", "p_hat", "ci_lo", "ci_hi", "timeout_fraction"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":

@@ -110,13 +110,6 @@ class WhitneyDecomposition:
     def level_indices(self, level: int) -> np.ndarray:
         return self._idx[level]
 
-    def level_dists(self, level: int) -> np.ndarray:
-        return self._dist[level]
-
-    def level_centers(self, level: int) -> np.ndarray:
-        side = 2.0 ** (-level)
-        return (self._idx[level] + 0.5) * side
-
     def to_csv(self, path) -> None:
         """Export as CSV: level, index components, center coords, side,
         dist_boundary; floats as repr, CRLF line ends.  Rows are formatted

@@ -10,12 +10,8 @@ from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
     LogProfile,
-    LogWeight,
-    OneWeight,
     PowerProfile,
-    PowerWeight,
     RadialProfile,
-    WeightFunction,
     generate_shell_config,
     separation_infimum,
     shell_radii,
@@ -45,7 +41,7 @@ def test_shell_radii_recursion():
             assert t[i + 1] - t[i] == pytest.approx(step * (1.0 - t[i]), abs=1e-12)
 
 
-# -- profiles and weights -----------------------------------------------------
+# -- profiles -----------------------------------------------------------------
 
 def test_profiles_decreasing_in_range():
     grid = np.linspace(0.01, 0.999, 200)
@@ -59,9 +55,6 @@ def test_profiles_decreasing_in_range():
     (RadialProfile, {"kind": "constant", "c": 0.25}, ConstantProfile(0.25)),
     (RadialProfile, {"kind": "power", "beta": 1.5}, PowerProfile(1.5)),
     (RadialProfile, {"kind": "log", "p": 2.0}, LogProfile(2.0)),
-    (WeightFunction, {"kind": "one"}, OneWeight()),
-    (WeightFunction, {"kind": "power", "gamma": 0.5}, PowerWeight(0.5)),
-    (WeightFunction, {"kind": "log", "p": 3.0}, LogWeight(3.0)),
 ])
 def test_every_family_round_trips_through_json(base, obj, family):
     assert base.from_json(obj) == family

@@ -10,10 +10,7 @@ from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
     LogProfile,
-    LogWeight,
-    OneWeight,
     PowerProfile,
-    PowerWeight,
     generate_shell_config,
     separation_infimum,
 )
@@ -134,33 +131,25 @@ def test_grouped_matches_naive_direct_sum(disk):
 
 # -- analytic classification --------------------------------------------------------
 
-def _u_integrand(phi, weight, d, alpha):
-    """The tail integrand phi(t)^(d-a) * M(t) / (1-t) in u = -log(1-t),
-    which avoids the loss in 1 - exp(-u), with its exponents (rate,
-    log_power): integrand = const * exp(rate*u) * (1+u)^log_power.  Written
-    out per family here, independently of the families' own ``tail``."""
+def _u_integrand(phi, d, alpha):
+    """The tail integrand phi(t)^(d-a) / (1-t) in u = -log(1-t), which
+    avoids the loss in 1 - exp(-u), with its exponents (rate, log_power):
+    integrand = const * exp(rate*u) * (1+u)^log_power.  Written out per
+    family here, independently of the families' own ``tail``."""
     if isinstance(phi, ConstantProfile):
-        phi_u, rate_p, log_p = (lambda u: phi.c), 0.0, 0.0
+        phi_u, rate, log_power = (lambda u: phi.c), 0.0, 0.0
     elif isinstance(phi, PowerProfile):
-        phi_u, rate_p, log_p = (lambda u: np.exp(-phi.beta * u)), -phi.beta * (d - alpha), 0.0
+        phi_u, rate, log_power = (lambda u: np.exp(-phi.beta * u)), -phi.beta * (d - alpha), 0.0
     else:
-        phi_u, rate_p, log_p = (lambda u: (1.0 + u) ** (-phi.p)), 0.0, -phi.p * (d - alpha)
-
-    if isinstance(weight, OneWeight):
-        m_u, rate_w, log_w = (lambda u: 1.0), 0.0, 0.0
-    elif isinstance(weight, PowerWeight):
-        m_u, rate_w, log_w = (lambda u: np.exp(weight.gamma * u)), weight.gamma, 0.0
-    else:
-        m_u, rate_w, log_w = (lambda u: (1.0 + u) ** weight.p), 0.0, weight.p
-
-    return (lambda u: phi_u(u) ** (d - alpha) * m_u(u)), rate_p + rate_w, log_p + log_w
+        phi_u, rate, log_power = (lambda u: (1.0 + u) ** (-phi.p)), 0.0, -phi.p * (d - alpha)
+    return (lambda u: phi_u(u) ** (d - alpha)), rate, log_power
 
 
-def classify_radial_integral(phi, weight, d, alpha):
-    """Oracle: the tail integral of phi(t)^(d-a) * M(t) / (1-t) over
-    (1/2, 1), classified by the analytic reduction under u = -log(1-t), with
-    the partial integrals up to 1 - eps for eps = 1e-3 .. 1e-12 as evidence."""
-    integrand, rate, log_power = _u_integrand(phi, weight, d, alpha)
+def classify_radial_integral(phi, d, alpha):
+    """Oracle: the tail integral of phi(t)^(d-a) / (1-t) over (1/2, 1),
+    classified by the analytic reduction under u = -log(1-t), with the
+    partial integrals up to 1 - eps for eps = 1e-3 .. 1e-12 as evidence."""
+    integrand, rate, log_power = _u_integrand(phi, d, alpha)
     t0 = 0.5
     u0 = -math.log(1.0 - t0)
     trace = [(10.0 ** (-k), quad(integrand, u0, -math.log(10.0 ** (-k)), limit=400)[0])
@@ -168,24 +157,23 @@ def classify_radial_integral(phi, weight, d, alpha):
     return DivergenceVerdict(
         _classify_exponents(rate, log_power),
         {"rate": rate, "log_power": log_power, "quadrature": trace, "t0": t0},
-        f"phi={type(phi).__name__}, M={type(weight).__name__}",
+        f"phi={type(phi).__name__}",
     )
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
 def test_canonical_profiles_classified(d, alpha):
-    one = OneWeight()
     for phi, tag in ((ConstantProfile(0.35), Verdict.DIVERGENT),
                      (PowerProfile(0.8), Verdict.CONVERGENT),
                      (LogProfile(1.0 / (d - alpha)), Verdict.DIVERGENT)):
-        assert classify_radial_integral(phi, one, d, alpha).tag == tag
-        assert classify_shell_series(phi, one, d, alpha, 0.5).tag == tag
+        assert classify_radial_integral(phi, d, alpha).tag == tag
+        assert classify_shell_series(phi, d, alpha, 0.5).tag == tag
 
 
 def test_quadrature_trace_monotone_and_loglog_growth():
     d, alpha = 2, 1.5
-    v = classify_radial_integral(LogProfile(1.0 / (d - alpha)), OneWeight(), d, alpha)
+    v = classify_radial_integral(LogProfile(1.0 / (d - alpha)), d, alpha)
     trace = v.evidence["quadrature"]
     vals = [t[1] for t in trace]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -197,57 +185,37 @@ def test_quadrature_trace_monotone_and_loglog_growth():
 
 
 def test_convergent_quadrature_plateaus():
-    v = classify_radial_integral(PowerProfile(1.0), OneWeight(), 2, 1.5)
+    v = classify_radial_integral(PowerProfile(1.0), 2, 1.5)
     vals = [t[1] for t in v.evidence["quadrature"]]
     assert vals[-1] - vals[-2] < 1e-4 * vals[-1]
 
 
-def test_weight_shifts_the_verdict():
-    # (1-t)^0.8 alone converges; a strong power weight restores divergence;
-    # borderline log cases are decided by the log-power rule: (1+u)^-1 still
-    # diverges, (1+u)^-2 converges
-    d, alpha = 2, 1.5
-    for phi, weight, tag in ((PowerProfile(0.8), OneWeight(), Verdict.CONVERGENT),
-                             (PowerProfile(0.8), PowerWeight(1.0), Verdict.DIVERGENT),
-                             (LogProfile(4.0), LogWeight(1.0), Verdict.DIVERGENT),
-                             (LogProfile(6.0), LogWeight(1.0), Verdict.CONVERGENT)):
-        assert classify_shell_series(phi, weight, d, alpha, 0.5).tag == tag
-        assert classify_radial_integral(phi, weight, d, alpha).tag == tag
-
-
-@pytest.mark.parametrize("phi, weight", [
-    (lambda t: 0.3, OneWeight()),
-    (ConstantProfile(0.3), lambda t: 1.0),
-])
-def test_shell_series_outside_the_families_is_inconclusive(phi, weight):
-    v = classify_shell_series(phi, weight, 2, 1.5, 0.5)
+def test_shell_series_outside_the_families_is_inconclusive():
+    v = classify_shell_series(lambda t: 0.3, 2, 1.5, 0.5)
     assert v.tag == Verdict.INCONCLUSIVE
-    assert v.evidence == {"reason": "profile or weight outside the closed-form enumeration"}
+    assert v.evidence == {"reason": "profile outside the closed-form enumeration"}
 
 
-PAIRS = [
-    (ConstantProfile(0.2), OneWeight()),
-    (ConstantProfile(0.4), OneWeight()),
-    (ConstantProfile(0.3), PowerWeight(0.5)),
-    (ConstantProfile(0.3), LogWeight(1.0)),
-    (PowerProfile(0.5), OneWeight()),
-    (PowerProfile(1.0), OneWeight()),
-    (PowerProfile(1.0), PowerWeight(0.25)),
-    (PowerProfile(1.0), PowerWeight(2.0)),
-    (PowerProfile(2.0), LogWeight(2.0)),
-    (LogProfile(1.0), OneWeight()),
-    (LogProfile(2.0), OneWeight()),
-    (LogProfile(2.0), LogWeight(1.0)),
-    (LogProfile(4.0), OneWeight()),
+# at d=2, alpha=1.5 the log profiles with p = 2 and 4 sit on either side of
+# the log-power rule: (1+u)^-1 still diverges, (1+u)^-2 converges
+PROFILES = [
+    ConstantProfile(0.2),
+    ConstantProfile(0.4),
+    PowerProfile(0.5),
+    PowerProfile(1.0),
+    PowerProfile(2.0),
+    LogProfile(1.0),
+    LogProfile(2.0),
+    LogProfile(4.0),
 ]
 
 
-@pytest.mark.parametrize("phi,weight", PAIRS)
-def test_shell_series_agrees_with_integral(phi, weight):
+@pytest.mark.parametrize("phi", PROFILES)
+def test_shell_series_agrees_with_integral(phi):
     for d, alpha in ((2, 1.5), (3, 1.3)):
         for a in (0.3, 0.5, 0.7):
-            s = classify_shell_series(phi, weight, d, alpha, a)
-            i = classify_radial_integral(phi, weight, d, alpha)
+            s = classify_shell_series(phi, d, alpha, a)
+            i = classify_radial_integral(phi, d, alpha)
             assert s.tag == i.tag
             assert [s.evidence[k] for k in ("rate", "log_power")] == [
                 i.evidence[k] for k in ("rate", "log_power")]
@@ -486,7 +454,7 @@ def _block_case_results(d, phi, shells, seed, max_level, alpha, grid):
     consts = Constants(alpha=alpha, C=2.0)
     points = uniform_boundary_grid(domain, grid)
     sums = whitney_sums(_inc(max_level, cfg), cfg, points, consts, n_max=24)
-    report = classify_avoidability(cfg, consts, points, phi)
+    report = classify_avoidability(cfg, consts, points)
     return sums, report.per_z_totals.tolist(), whitney_module.cube_counts(domain, max_level)
 
 
@@ -524,7 +492,7 @@ def test_quasi_additivity_interval_finite_and_ordered(disk, c15):
 def test_classify_dense_shell_config_unavoidable(disk, c15):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=0)
     grid = uniform_boundary_grid(disk, 16)
-    report = classify_avoidability(cfg, c15, grid, ConstantProfile(0.3))
+    report = classify_avoidability(cfg, c15, grid)
     assert report.aggregate == "unavoidable"
     assert report.verdict.tag == Verdict.DIVERGENT
     assert report.separation > 0.0
@@ -534,7 +502,7 @@ def test_classify_thin_profile_avoidable_candidate(disk, c15):
     phi = PowerProfile(0.5)
     cfg = generate_shell_config(disk, phi, 0.5, 4, seed=0)
     grid = uniform_boundary_grid(disk, 16)
-    report = classify_avoidability(cfg, c15, grid, phi)
+    report = classify_avoidability(cfg, c15, grid)
     assert report.aggregate == "avoidable-candidate"
     assert report.verdict.tag == Verdict.CONVERGENT
 
@@ -546,25 +514,30 @@ def test_classify_empty_config(disk, c15):
     assert report.aggregate == "avoidable-candidate"
 
 
+NO_RECORD = "no shell metadata (meta['phi'], meta['a']): truncated sums cannot decide divergence"
+
+
 def test_classify_without_tail_model_is_inconclusive(disk, c15):
+    # the generator's record without its profile: the verdict reads the tail
+    # only from the bubbles' own record, and the series totals remain
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
-    grid = uniform_boundary_grid(disk, 8)
-    report = classify_avoidability(cfg, c15, grid)
+    del cfg.meta["phi"]
+    report = classify_avoidability(cfg, c15, uniform_boundary_grid(disk, 8))
     assert report.aggregate == "inconclusive"
     assert report.verdict.tag == Verdict.INCONCLUSIVE
-    assert "no tail model given: truncated sums cannot decide divergence" in report.notes
+    assert report.notes.count(NO_RECORD) == 1
     assert np.all(report.per_z_totals > 0)
 
 
 def test_classify_without_shell_metadata_is_inconclusive(disk, c15):
     # a tail model alone decides nothing: the analytic route is the shell series
     shells = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
-    cfg = BubbleConfig(disk, shells.centers, shells.radii)
-    grid = uniform_boundary_grid(disk, 8)
-    report = classify_avoidability(cfg, c15, grid, ConstantProfile(0.3))
-    assert report.aggregate == "inconclusive"
-    assert report.verdict.tag == Verdict.INCONCLUSIVE
-    assert "no shell metadata (meta['a']): truncated sums cannot decide divergence" in report.notes
+    for meta in (None, {"phi": ConstantProfile(0.3)}):
+        cfg = BubbleConfig(disk, shells.centers, shells.radii, meta=meta)
+        report = classify_avoidability(cfg, c15, uniform_boundary_grid(disk, 8))
+        assert report.aggregate == "inconclusive"
+        assert report.verdict.tag == Verdict.INCONCLUSIVE
+        assert report.notes.count(NO_RECORD) == 1
     assert report.separation == separation_infimum(shells, c15.alpha) > 0.0
 
 
@@ -585,7 +558,7 @@ def test_classify_rotation_symmetric_verdicts(tmp_path):
     per_z = verdicts["per_z"]
     config = generate_shell_config(cfg.domain, cfg.profile, 0.5, 3, seed=0)
     points = uniform_boundary_grid(cfg.domain, 32)
-    report = classify_avoidability(config, cfg.constants, points, cfg.profile)
+    report = classify_avoidability(config, cfg.constants, points)
     assert report.verdict.tag == Verdict.DIVERGENT
     assert verdicts["verdict"] == report.verdict.to_json()
     assert set(verdicts["verdict"]["evidence"]) == {"rate", "log_power", "step_log"}

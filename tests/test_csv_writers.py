@@ -17,7 +17,7 @@ from champagne.bubbles import _CSV_BLOCK, BubbleConfig
 from champagne.geometry import BallDomain
 from champagne.harness import _write_trajectories
 from champagne.simulate import _TAGS
-from champagne.whitney import decompose
+from champagne.whitney import decompose, whitney
 
 
 def _bubbles_oracle(config: BubbleConfig, path) -> None:
@@ -51,8 +51,9 @@ def _whitney_oracle(dec, path) -> None:
                    + ["side", "dist_boundary"])
         for lev in dec.levels:
             side = 2.0 ** (-lev)
-            for idx, ctr, dist in zip(dec.level_indices(lev), dec.level_centers(lev),
-                                      dec.level_dists(lev)):
+            cubes = dec.level_indices(lev)
+            for idx, ctr, dist in zip(cubes, (cubes + 0.5) * side,
+                                      whitney(dec.domain, lev, cubes)[1]):
                 w.writerow([lev] + [int(k) for k in idx] + [repr(float(c)) for c in ctr]
                            + [repr(side), repr(float(dist))])
 

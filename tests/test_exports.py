@@ -66,3 +66,35 @@ def test_every_exported_name_has_a_caller_in_the_package():
                        for where, defines, reads in uses):
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+# public methods and properties that no package code reads, each with the
+# reason it stays: perfbench's Aikawa layer counts the cubes through
+# cube_ids, until the benchmark counts them from n_cubes
+KEPT_FOR_PERFBENCH = {"criteria.AikawaTrace.cube_ids"}
+
+
+def test_every_public_method_and_property_has_a_caller_in_the_package():
+    # a public method or property of a package class that only tests call is
+    # dead code too: its name must be read by package code other than its
+    # own definition
+    units = []   # (the qualified method name, or None for other code; names it reads)
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.ClassDef):
+                units.append((None, _referenced_names(stmt)))
+                continue
+            for node in stmt.body:
+                name = None
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    name = f"{path.stem}.{stmt.name}.{node.name}"
+                units.append((name, _referenced_names(node)))
+            units.append((None, set().union(*map(_referenced_names, stmt.bases),
+                                                *map(_referenced_names, stmt.decorator_list))))
+    unused = sorted(
+        name for name, _ in units
+        if name is not None and name not in KEPT_FOR_PERFBENCH
+        and not any(name.rpartition(".")[2] in reads for other, reads in units if other != name)
+    )
+    assert unused == []

@@ -56,13 +56,14 @@ def _assert_criteria_outputs(tmp_path, monkeypatch, obj, verdicts, wiener_trace,
 def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # Outputs of the per-ball implementation that built the cube-bubble map
     # once per sum; the closed-form incidence must reproduce them bit for bit
-    # (verdicts.json re-pinned when it came to state its one verdict once;
-    # wiener_trace.csv and the quasi-additivity interval re-pinned when the
-    # Wiener and quasi-additivity sums came to add their cubes in cube order,
-    # which moved their last bits).
+    # (verdicts.json re-pinned when it came to state its one verdict once,
+    # and when the weight M left its tail model; wiener_trace.csv and the
+    # quasi-additivity interval re-pinned when the Wiener and
+    # quasi-additivity sums came to add their cubes in cube order, which
+    # moved their last bits).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "9f31d354381282d1350919eff07a1e3d060b63b53b9c9113761f60156b0bb443",
+        "e89f742ac8d54af62355e45e6ba04fb583793172e84b63ea9207c23f348050a3",
         "50126af7f32eeda9663304bfad3ac066027fd454d4f213155db7a6b13427bbc0",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
@@ -72,12 +73,13 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
 def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # Outputs of the incidence that looked each box up in the decomposition;
     # the closed-form incidence must reproduce them bit for bit
-    # (verdicts.json re-pinned when it came to state its one verdict once;
-    # wiener_trace.csv and the quasi-additivity interval re-pinned when the
-    # Wiener and quasi-additivity sums came to add their cubes in cube order).
+    # (verdicts.json re-pinned when it came to state its one verdict once,
+    # and when the weight M left its tail model; wiener_trace.csv and the
+    # quasi-additivity interval re-pinned when the Wiener and
+    # quasi-additivity sums came to add their cubes in cube order).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "0d41119c2bcfca42848781323d8d45ca71762f1f1ca9e8e76e143ff5fb33fd4a",
+        "adc59f8f344a3ba3a496131341bafe4f7d4dc8f72e82d60b04ea54178ff4e23e",
         "16e9a0695da830f0d9bddc8a679a30156db54f8589f778db6119dad2e63a7a5a",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,
@@ -188,6 +190,14 @@ def test_main_returns_2_on_a_config_missing_profile(tmp_path, capsys):
     assert "profile" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", [[1, 2], "x"])
+def test_main_returns_2_on_a_config_that_is_not_an_object(tmp_path, capsys, obj):
+    cfg = _write_config(tmp_path, obj)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"invalid config: config must be an object, got {obj!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("change, message", [
     ({"sim": {"alpha": 1.5, "max_steps": 50, "n_traj": 20}}, "differs from constants.alpha"),
     ({"constants": {"alpha": 1.3, "C_M": 1.5}}, "C_M"),
@@ -250,9 +260,13 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     ({"profile": {"kind": "cubic", "c": 0.1}},
      "profile.kind must be one of constant, power, log, got 'cubic'"),
     ({"weight": {"kind": "one", "gamma": 1.0}}, "unknown field(s) in weight: gamma"),
-    ({"weight": {"kind": "log"}}, "missing field: weight.p"),
+    # no generated bubble realises a weight M other than 1, so a config
+    # that names one is refused rather than given a verdict about other bubbles
+    ({"weight": {"kind": "power", "gamma": 1.0}},
+     "weight.kind must be 'one', got 'power': no generated bubble realises a weight M other "
+     "than 1, so it would change the verdict without moving a bubble"),
     ({"profile": {"kind": "power", "beta": 0.0}}, "profile.beta must lie in (0, inf), got 0.0"),
-    ({"weight": {"kind": "log", "p": -1.0}}, "weight.p must lie in (0, inf), got -1.0"),
+    ({"weight": {"kind": "log", "p": 3.0}}, "weight.kind must be 'one', got 'log'"),
     ({"domain": {"center": [0.0, 0.0], "radius": 1.0, "radus": 2.0}},
      "unknown field(s) in domain: radus"),
     ({"domain": {"radius": 1.0}}, "missing field: domain.center"),
@@ -389,16 +403,65 @@ def test_report_gives_the_wilson_interval_bounds(tmp_path, monkeypatch):
     assert (float(row["ci_lo"]), float(row["ci_hi"])) == (est["ci_lo"], est["ci_hi"])
 
 
+def test_report_lists_each_run_and_skips_one_without_a_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = _write_config(tmp_path, {**SMALL, "sim": {"alpha": 1.3, "max_steps": 50,
+                                                    "n_traj": 20, "seed": 3}})
+    run, bare = tmp_path / "run", tmp_path / "bare"
+    for cmd in ("generate", "criteria", "simulate"):
+        assert main([cmd, "--config", cfg, "--out", str(run)]) == 0
+    bare.mkdir()
+    est = json.loads((run / "estimate.json").read_text())
+    want = {"run": "run", "profile_kind": "constant", "profile_param": 0.1, "a": 0.5,
+            "shells": 3, "verdict": "unavoidable", "p_hat": est["p_hat"],
+            "ci_lo": est["ci_lo"], "ci_hi": est["ci_hi"],
+            "timeout_fraction": est["timeout_fraction"]}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"report.{fmt}"
+        assert main(["report", str(run), str(bare), "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {bare} has no manifest.<command>.json; skipped\n")
+        if fmt == "csv":
+            with open(out, newline="") as f:
+                reader = csv.DictReader(f)
+                rows = list(reader)
+            assert reader.fieldnames == list(want)
+            assert rows == [{k: str(v) for k, v in want.items()}]
+        else:
+            report = json.loads(out.read_text())
+            assert report == {"format_version": "1", "rows": [want]}
+
+
+def test_outputs_describe_the_bubbles_of_their_own_config(tmp_path, monkeypatch):
+    # simulate --seed 2 into a directory that generate filled with seed 7's
+    # bubbles rewrites bubbles.csv and run_config.json, as a fresh run writes them
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = _write_config(tmp_path, {**SMALL, "per_trajectory_csv": True,
+                                   "sim": {"alpha": 1.3, "max_steps": 50, "n_traj": 20,
+                                           "seed": 3}})
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["generate", "--config", cfg, "--out", str(reused)]) == 0
+    seed_7 = (reused / "bubbles.csv").read_bytes()
+    for run in (reused, fresh):
+        assert main(["simulate", "--config", cfg, "--out", str(run), "--seed", "2"]) == 0
+    assert (fresh / "bubbles.csv").read_bytes() != seed_7
+    for name in ("bubbles.csv", "run_config.json", "estimate.json", "trajectories.csv"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_run_config_json_round_trip():
     obj = {
         **SMALL,
         "constants": {"alpha": 1.3, "C_G": 2.0, "C": 3.0},
-        "weight": {"kind": "power", "gamma": 0.25},
+        "weight": {"kind": "one"},
         "sim": {"alpha": 1.3, "h": 1e-4, "boundary_eps": 1e-3, "max_steps": 500,
                 "n_traj": 10, "seed": 3},
         "per_trajectory_csv": True,
     }
     cfg = RunConfig.from_json(obj)
+    assert cfg.to_json() == RunConfig.from_json({k: v for k, v in obj.items()
+                                                 if k != "weight"}).to_json()
+    assert "weight" not in cfg.to_json()
     again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert again.to_json() == cfg.to_json()
     assert again.hash() == cfg.hash()

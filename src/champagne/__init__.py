@@ -4,7 +4,8 @@ avoidable or unavoidable for the censored alpha-stable process (alpha in (1,2)).
 Two independent routes are provided and can be cross-checked:
 
 * ``criteria`` evaluates capacity-based divergence criteria (boundary series,
-  shell series, Whitney/Wiener/Aikawa sums) as two-sided (lower, upper) bounds;
+  shell series, Whitney/Wiener/Aikawa sums), the Whitney sums as (lower,
+  upper) bounds;
 * ``simulate`` estimates the hitting probability of the bubble union by a
   jump-suppression Monte-Carlo chain.
 
@@ -14,13 +15,11 @@ construction; the ``simulate`` module docstring and
 """
 
 from .geometry import BallDomain, dist_to_boundary
-from .kernels import Constants
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BallDomain",
-    "Constants",
     "dist_to_boundary",
     "__version__",
 ]

@@ -22,27 +22,33 @@ cube.  Bubbles with no pair lie below the coverage collar.
 :func:`whitney_sums` makes one pass over the levels for every boundary point
 of a grid at once: each level's z-independent factors (each cube's
 Cap(A ∩ Q) bounds and boundary-distance weight) are computed once and used
-for every point, and the level is dropped before the next is built.  Every
-quantity is a (lower, upper) pair of floats or of arrays, checked by
-:func:`kernels.check_bounds`.  Every Whitney sum adds its cubes in one
-order, ascending cube number, which is level order and then lexicographic
-order, as a running (lower, upper) total carried from level to level: one
-per point for Aikawa, one per (point, dyadic shell) for Wiener and one for
-the quasi-additivity numerator.  Sums add left to right, so totals match a
-plain loop over the cubes, one scalar (lower, upper) pair at a time, bit for
-bit.
+for every point, and the level is dropped before the next is built.  The
+kernels are their comparison functions (see ``kernels``), so the Green
+factor g is one value per point, as is the quasi-additivity denominator.
+Each Cap(A ∩ Q) is a (lower, upper) pair bracketed by geometry alone: the
+largest ball inscribed in a bubble and the cube below, subadditivity over
+the meeting bubbles above.  So the Aikawa and Wiener sums and the
+quasi-additivity numerator are (lower, upper) pairs of floats or of arrays,
+checked by :func:`kernels.check_bounds`.  Every Whitney sum adds its cubes
+in one order, ascending cube number, which is level order and then
+lexicographic order, as a running (lower, upper) total carried from level
+to level: one per point for Aikawa, one per (point, dyadic shell) for
+Wiener and one for the quasi-additivity numerator.  Sums add left to right,
+so totals match a plain loop over the cubes, one scalar (lower, upper) pair
+at a time, bit for bit.
 
 Memory.  Beyond the level in hand (8 bytes a pair, see ``whitney``), the
 pass keeps two floats per point for Aikawa, two per (point, shell) for
 Wiener and two for the quasi-additivity numerator, one flag per (point,
 shell) for the shells that hold a bubble, and one int32 count per bubble
-for c2; no per-cube term outlives its level.  A level's factors hold five
+for c2; no per-cube term outlives its level.  A level's factors hold four
 floats a cube and two a pair (16 bytes a pair beside the level's 8), so
-that every point's Wiener terms reuse the capacity and Green bounds of its
-pairs and cubes.  Every pass over bubbles, pairs or cubes takes _ROW_BLOCK
-rows at a time, which bounds its temporaries: the Wiener shells and the
-quasi-additivity denominator over the bubbles, the pair and cube factors of
-a level, and the boundary series totals of :func:`classify_avoidability`.
+that every point's Wiener terms reuse the capacity bounds and the Green
+factor of its pairs and cubes.  Every pass over bubbles, pairs or cubes
+takes _ROW_BLOCK rows at a time, which bounds its temporaries: the Wiener
+shells and the quasi-additivity denominator over the bubbles, the pair and
+cube factors of a level, and the boundary series totals of
+:func:`classify_avoidability`.
 ``kernels._pow_each`` raises ``kernels._POW_BLOCK`` values at a time.
 ``whitney`` bounds the building of a level (_BALL_BLOCK,
 _CANDIDATE_CHUNK).  No block size changes a result.
@@ -59,14 +65,7 @@ import numpy as np
 
 from .bubbles import BubbleConfig, RadialProfile, _fibonacci_sphere, separation_infimum
 from .geometry import BallDomain
-from .kernels import (
-    Constants,
-    _pow_each,
-    capacity_ball_bounds,
-    capped_green_bounds,
-    check_bounds,
-    small_radius_threshold,
-)
+from .kernels import _pow_each, ball_capacity, capped_green, check_bounds, small_radius_threshold
 # intersecting_cubes is the per-ball reference for the incidence; it stays
 # importable from here
 from .whitney import CubeIncidence, LevelPairs, intersecting_cubes  # noqa: F401
@@ -219,33 +218,33 @@ def _shell(dist: np.ndarray) -> np.ndarray:
     return np.ceil(-np.log2(dist)).astype(int) - 1
 
 
-def _pair_bounds(lv: LevelPairs, config: BubbleConfig, consts: Constants, rows):
-    """Capacity bounds of the pairs at ``rows`` of one level.  The upper
-    bound is the bubble's; the lower bound comes from the largest ball
-    inscribed in the bubble-cube intersection: a bubble whose center lies
-    strictly inside the cube contributes min(r, distance of the center to
-    the cube faces)."""
+def _pair_bounds(lv: LevelPairs, config: BubbleConfig, alpha: float, rows):
+    """Capacity bounds of the pairs at ``rows`` of one level: the capacity
+    at the bubble's radius r above, and below the capacity at the radius
+    rho of the largest ball inscribed in the bubble-cube intersection: a
+    bubble whose center lies strictly inside the cube contributes
+    rho = min(r, distance of the center to the cube faces)."""
     d = config.dimension
     side = 2.0 ** (-lv.level)
     ball = lv.ball[rows]
     radii = config.radii[ball]
-    upper = capacity_ball_bounds(consts, radii, d)[1]
+    upper = ball_capacity(alpha, radii, d)
     c = config.centers[ball]
     lo = lv.index[lv.cube[rows]] * side
     hi = lo + side
     rho = np.minimum(radii, np.minimum((c - lo).min(axis=1), (hi - c).min(axis=1)))
     lower = np.zeros(rho.size)
     inside = rho > 0.0
-    lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
+    lower[inside] = ball_capacity(alpha, rho[inside], d)
     return lower, upper
 
 
-def _green_bounds(lv: LevelPairs, inc: CubeIncidence, consts: Constants, cubes):
-    """Capped Green bounds at the centers of one level's cubes ``cubes``."""
+def _green(lv: LevelPairs, inc: CubeIncidence, alpha: float, cubes):
+    """The capped Green factor at the centers of one level's cubes ``cubes``."""
     side = 2.0 ** (-lv.level)
     lo = lv.index[cubes] * side
     hi = lo + side
-    return capped_green_bounds(inc.domain, consts, 0.5 * (lo + hi))
+    return capped_green(inc.domain, alpha, 0.5 * (lo + hi))
 
 
 def _add_cap_bounds(cap_lower, cap_upper, groups, lower, upper) -> None:
@@ -266,27 +265,26 @@ class _Level(NamedTuple):
     dist_weight: np.ndarray   # dist(Q, boundary)^(2(a-1))
     cap_lower: np.ndarray     # Cap(A ∩ Q) bounds over all bubbles
     cap_upper: np.ndarray
-    green_lower: np.ndarray   # capped Green bounds at the cube's center
-    green_upper: np.ndarray
+    green: np.ndarray         # capped Green factor at the cube's center
     pair_lower: np.ndarray    # per pair: _pair_bounds
     pair_upper: np.ndarray
 
 
 def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
-                   consts: Constants) -> _Level:
+                   alpha: float) -> _Level:
     """The factors of one level's sums, a block of pairs or cubes at a time."""
     k, m = lv.dist.size, lv.ball.size
     cap_lower, cap_upper = np.zeros(k), np.zeros(k)
     pair_lower, pair_upper = np.empty(m), np.empty(m)
     for b in _blocks(m):
-        pair_lower[b], pair_upper[b] = _pair_bounds(lv, config, consts, b)
+        pair_lower[b], pair_upper[b] = _pair_bounds(lv, config, alpha, b)
         _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], pair_lower[b], pair_upper[b])
     np.minimum(cap_lower, cap_upper, out=cap_lower)
-    green_lower, green_upper = np.empty(k), np.empty(k)
+    green = np.empty(k)
     for b in _blocks(k):
-        green_lower[b], green_upper[b] = _green_bounds(lv, inc, consts, b)
-    return _Level(_pow_each(lv.dist, 2.0 * (consts.alpha - 1.0)), cap_lower, cap_upper,
-                  green_lower, green_upper, pair_lower, pair_upper)
+        green[b] = _green(lv, inc, alpha, b)
+    return _Level(_pow_each(lv.dist, 2.0 * (alpha - 1.0)), cap_lower, cap_upper,
+                  green, pair_lower, pair_upper)
 
 
 @dataclass(frozen=True)
@@ -319,7 +317,7 @@ class WhitneySums:
     aikawa: list                       # AikawaTrace per boundary point
     wiener: list                       # WienerTrace per boundary point
     qa_numerator: tuple[float, float]  # sum_Q g(Q)^2 * Cap(A ∩ Q)
-    qa_denominator: tuple[float, float]  # sum_k g(x_k)^2 * Cap(B_k)
+    qa_denominator: float              # sum_k g(x_k)^2 * Cap(B_k)
     max_cubes_per_ball: int            # c2: the most cubes one bubble meets
     ratio_bound: float                 # C1: see whitney_sums
 
@@ -328,9 +326,9 @@ class WhitneySums:
         for capacity quasi-additivity over the Whitney cubes.  Reported, not
         asserted against any constant."""
         num, den = self.qa_numerator, self.qa_denominator
-        if den[0] == 0.0 or num[0] == 0.0:
+        if den == 0.0 or num[0] == 0.0:
             raise ValueError("degenerate bounds; decomposition too shallow for this config")
-        ratio = num[0] / den[1], num[1] / den[0]
+        ratio = num[0] / den, num[1] / den
         check_bounds(*ratio)
         return ratio
 
@@ -339,7 +337,7 @@ def whitney_sums(
     inc: CubeIncidence,
     config: BubbleConfig,
     points,
-    consts: Constants,
+    alpha: float,
     n_max: int = 30,
 ) -> WhitneySums:
     """Aikawa and Wiener sums at each boundary point of ``points`` (n, d),
@@ -371,7 +369,6 @@ def whitney_sums(
         raise ValueError("n_max must be >= 1")
     _check_incidence(inc, config)
     d = config.dimension
-    a = consts.alpha
     dom = inc.domain
     points = np.asarray(points, dtype=float).reshape(-1, d)
     for z in points:
@@ -382,14 +379,13 @@ def whitney_sums(
     # the bubbles: each point's Wiener shells, the quasi-additivity
     # denominator and the bubbles above the small-radius threshold
     present = np.zeros((n_points, n_max + 1), dtype=bool)
-    den = (0.0, 0.0)
-    r_thresh = small_radius_threshold(consts, d)
+    den = 0.0
+    r_thresh = small_radius_threshold(alpha, d)
     n_big = 0
     for b in _blocks(config.n):
         c, r = config.centers[b], config.radii[b]
-        gl, gu = capped_green_bounds(dom, consts, c)
-        cl, cu = capacity_ball_bounds(consts, r, d)
-        den = _running_total(den[0], gl * gl * cl), _running_total(den[1], gu * gu * cu)
+        g = capped_green(dom, alpha, c)
+        den = _running_total(den, g * g * ball_capacity(alpha, r, d))
         n_big += int((r > r_thresh).sum())
         for j, z in enumerate(points):
             shell = _shell(np.sqrt(((c - z) ** 2).sum(axis=1)))
@@ -402,15 +398,15 @@ def whitney_sums(
     cubes_per_ball = np.zeros(config.n, dtype=np.int32)
     worst = 1.0
     n_cubes = 0
-    w_exp = d + a - 2.0
+    w_exp = d + alpha - 2.0
     for lv in inc.levels():
-        f = _level_factors(lv, inc, config, consts)
+        f = _level_factors(lv, inc, config, alpha)
         side = 2.0 ** (-lv.level)
         k = lv.dist.size
         for b in _blocks(k):
-            gl, gu = f.green_lower[b], f.green_upper[b]
-            qa = (_running_total(qa[0], gl * gl * f.cap_lower[b]),
-                  _running_total(qa[1], gu * gu * f.cap_upper[b]))
+            g2 = f.green[b] * f.green[b]
+            qa = (_running_total(qa[0], g2 * f.cap_lower[b]),
+                  _running_total(qa[1], g2 * f.cap_upper[b]))
         balls, counts = np.unique(lv.ball, return_counts=True)
         cubes_per_ball[balls] += counts
         for b in _blocks(lv.ball.size):
@@ -457,7 +453,7 @@ def whitney_sums(
         check_bounds(lower, upper)
         aikawa.append(AikawaTrace(n_cubes, (lower, upper), uncovered, list(warnings)))
     wiener = [
-        _wiener_trace(totals, np.flatnonzero(shells), inc, d, a)
+        _wiener_trace(totals, np.flatnonzero(shells), inc, d, alpha)
         for totals, shells in zip(wiener_totals, present)
     ]
     return WhitneySums(aikawa, wiener, qa, den, int(cubes_per_ball.max(initial=0)), worst)
@@ -467,8 +463,8 @@ def _shell_terms(lv: LevelPairs, f: _Level, pos: np.ndarray, shells: np.ndarray)
     """One term per (shell, cube) of one level's pairs at ``pos``, which fall
     in ``shells``: the shell and the g^2 * Cap(E_n ∩ Q) bounds over those
     pairs, added in pair order, sorted by shell and then by cube.  The pair
-    and Green bounds come from the level's factors ``f``; both are
-    elementwise, so they equal bounds computed for these pairs alone."""
+    bounds and the Green factor come from the level's factors ``f``; both
+    are elementwise, so they equal values computed for these pairs alone."""
     k = lv.dist.size
     # shells * k can pass 2^31, so the key is formed in int64
     key, inverse = np.unique(shells.astype(np.int64, copy=False) * k + lv.cube[pos],
@@ -477,8 +473,8 @@ def _shell_terms(lv: LevelPairs, f: _Level, pos: np.ndarray, shells: np.ndarray)
     _add_cap_bounds(lower, upper, inverse, f.pair_lower[pos], f.pair_upper[pos])
     np.minimum(lower, upper, out=lower)
     cubes = key % k
-    gl, gu = f.green_lower[cubes], f.green_upper[cubes]
-    return key // k, gl * gl * lower, gu * gu * upper
+    g2 = f.green[cubes] * f.green[cubes]
+    return key // k, g2 * lower, g2 * upper
 
 
 def _add_shell_terms(totals: np.ndarray, shell: np.ndarray, lower: np.ndarray,
@@ -507,12 +503,12 @@ def _wiener_trace(totals: np.ndarray, shells: np.ndarray, inc: CubeIncidence, d:
 
 
 def aikawa_sum(
-    inc: CubeIncidence, config: BubbleConfig, z, consts: Constants
+    inc: CubeIncidence, config: BubbleConfig, z, alpha: float
 ) -> AikawaTrace:
     """Cube-indexed thinness sum at the boundary point z (see
     :func:`whitney_sums`) as (lower, upper) bounds over the cubes of
     ``inc``, the cube-bubble incidence of ``config``."""
-    return whitney_sums(inc, config, [z], consts).aikawa[0]
+    return whitney_sums(inc, config, [z], alpha).aikawa[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +524,7 @@ class AvoidabilityReport:
     notes: list
 
 
-def classify_avoidability(config: BubbleConfig, consts: Constants, points) -> AvoidabilityReport:
+def classify_avoidability(config: BubbleConfig, alpha: float, points) -> AvoidabilityReport:
     """One verdict for the boundary grid ``points`` (n, d), the boundary
     series total at each point, and an aggregate.
 
@@ -546,7 +542,6 @@ def classify_avoidability(config: BubbleConfig, consts: Constants, points) -> Av
         "a.e.-boundary statements are proxied by a deterministic grid",
     ]
     points = np.asarray(points, dtype=float)
-    alpha = consts.alpha
 
     if config.n == 0:
         verdict = DivergenceVerdict(Verdict.CONVERGENT, {"reason": "empty configuration"}, "empty")

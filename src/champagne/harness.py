@@ -11,13 +11,13 @@ Exit codes: 0 success, 2 invalid configuration, 3 runtime failure.
 Every CLI stage is its own process, so it pays for each module it imports
 (and, without cached bytecode, compiles).  Importing this module loads what
 reading and checking a RunConfig and building the bubbles need (``geometry``,
-``kernels``, ``rng``, ``spatial``, ``bubbles``) and ``simulate``, which
-defines the ``sim`` block.  ``generate`` and ``simulate`` load nothing more.
+``rng``, ``spatial``, ``bubbles``) and ``simulate``, which defines the
+``sim`` block.  ``generate`` and ``simulate`` load nothing more.
 ``whitney`` loads the ``whitney`` module inside ``cmd_whitney``, and
-``criteria`` loads ``criteria`` and ``whitney`` inside ``cmd_criteria``:
-together about 1,040 lines that the other stages never run.  The name
-``aikawa_sum`` is re-exported from ``criteria`` on first use (module
-``__getattr__``).
+``criteria`` loads ``criteria``, ``kernels`` and ``whitney`` inside
+``cmd_criteria``: together about 1,130 lines that the other stages never
+run.  The name ``aikawa_sum`` is re-exported from ``criteria`` on first use
+(module ``__getattr__``).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .bubbles import (
     shell_radii,
 )
 from .geometry import BallDomain, _csv_lines, _number
-from .kernels import Constants
 from .simulate import _TAGS, SimParams, _forked, estimate_hitting
 from .simulate import APPROXIMATION_NOTES as SIM_NOTES
 
@@ -66,7 +65,7 @@ _SECTION_KEYS = {"shells": frozenset({"a", "count", "seed"}),
                  "whitney": frozenset({"max_level"}),
                  "criteria": frozenset({"grid", "wiener_n_max"}),
                  "domain": frozenset({"center", "radius"}),
-                 "constants": frozenset({"alpha", "C_G", "C"}),
+                 "constants": frozenset({"alpha"}),
                  "sim": frozenset({"alpha", "h", "boundary_eps", "max_steps", "n_traj", "seed"})}
 # the keys of a block that have no default
 _REQUIRED_KEYS = {"domain": ("center", "radius"), "constants": ("alpha",)}
@@ -84,7 +83,7 @@ class RunConfig:
     """Everything needed to reproduce a run; round-trips bit-exactly."""
 
     domain: BallDomain
-    constants: Constants
+    alpha: float
     profile: object
     shell_a: float = 0.5
     shells: int = 4
@@ -97,6 +96,8 @@ class RunConfig:
     format_version: str = FORMAT_VERSION
 
     def __post_init__(self):
+        if not 1.0 < self.alpha < 2.0:
+            raise ConfigError(f"constants.alpha must lie in (1, 2), got {self.alpha!r}")
         # the shells block, checked here so that a bad value exits 2 rather
         # than failing later in the generator
         if not 0.0 < self.shell_a < 1.0:
@@ -130,7 +131,7 @@ class RunConfig:
         out = {
             "format_version": self.format_version,
             "domain": self.domain.to_json(),
-            "constants": self.constants.to_json(),
+            "constants": {"alpha": self.alpha},
             "profile": self.profile.to_json(),
             "shells": {"a": self.shell_a, "count": self.shells, "seed": self.seed},
             "whitney": {"max_level": self.whitney_max_level},
@@ -160,26 +161,32 @@ class RunConfig:
             if not isinstance(per_trajectory_csv, bool):
                 raise ConfigError(
                     f"per_trajectory_csv must be true or false, got {per_trajectory_csv!r}")
-            constants = Constants.from_json(constants)
+            alpha = float(_number(constants["alpha"], "constants.alpha"))
             sim = None
             if "sim" in obj:
-                sim_obj = {"alpha": constants.alpha, **sim_obj}
+                sim_obj = {"alpha": alpha, **sim_obj}
                 for key in ("alpha", "h", "boundary_eps"):
                     if key in sim_obj:
                         _number(sim_obj[key], f"sim.{key}")
+                # h, the time step of an earlier fixed-step rule, is read by
+                # no step rule: checked, so that configs setting it still
+                # load, then dropped
+                h = sim_obj.pop("h", 1.0)
+                if not h > 0:
+                    raise ConfigError(f"sim.h must be > 0, got {h!r}")
                 for key in ("max_steps", "n_traj", "seed"):
                     if key in sim_obj:
                         sim_obj[key] = _integer(sim_obj[key], f"sim.{key}")
                 sim = SimParams(**sim_obj)
                 # the criteria and the simulator must decide the same process
-                if sim.alpha != constants.alpha:
+                if sim.alpha != alpha:
                     raise ConfigError(
-                        f"sim.alpha {sim.alpha!r} differs from constants.alpha {constants.alpha!r}"
+                        f"sim.alpha {sim.alpha!r} differs from constants.alpha {alpha!r}"
                     )
             _check_weight(_object(obj.get("weight", {"kind": "one"}), "weight"))
             return cls(
                 domain=BallDomain.from_json(domain),
-                constants=constants,
+                alpha=alpha,
                 profile=RadialProfile.from_json(_object(obj["profile"], "profile")),
                 shell_a=float(_number(shells.get("a", 0.5), "shells.a")),
                 shells=_integer(shells.get("count", 4), "shells.count"),
@@ -367,7 +374,7 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     points = uniform_boundary_grid(cfg.domain, cfg.grid_size)
 
     def boundary_part():
-        return classify_avoidability(config, cfg.constants, points)
+        return classify_avoidability(config, cfg.alpha, points)
 
     def whitney_part():
         # the separation infimum, in the worker or already run here, is the
@@ -377,7 +384,7 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
             return None
         inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
                                   config.centers, config.radii)
-        return whitney_sums(inc, config, points, cfg.constants, cfg.wiener_n_max)
+        return whitney_sums(inc, config, points, cfg.alpha, cfg.wiener_n_max)
 
     sums, report = _forked(whitney_part, [
         ("criteria worker for the boundary series and separation", boundary_part)])

@@ -1,12 +1,16 @@
-"""Two-sided comparison bounds for the potential-theoretic kernels.
+"""Comparison functions for the potential-theoretic kernels.
 
 No closed form exists for the Green function or the capacity of the censored
-stable process; they are known only up to multiplicative constants.  The
-honest output type is therefore an interval, given as a (lower, upper) pair
-of floats or of arrays.  With all comparison constants set to 1 (the default
-"comparison-function mode") the two bounds collapse to the comparison
-functions themselves, which is what every divergence classification actually
-consumes.
+stable process.  The criteria use the functions that they are compared with:
+delta(y)^(a-1) ∧ 1 for the capped Green function G(y, x0) ∧ 1 near the
+boundary, and r^(d-a) for the capacity of a ball of radius r.  Each
+comparison holds only up to a multiplicative constant that depends on d and
+a, and neither the paper nor its Brownian model (Gardiner & Ghergu, Ann.
+Acad. Sci. Fenn. 35, 2010) gives one.  None is modelled here: a made-up
+constant would only widen every interval without carrying information, and a
+fixed factor cancels in every divergence classification.  The (lower, upper)
+bounds that the criteria report therefore come from geometry alone (see
+``criteria``).
 
 Memory.  The powers go through Python floats _POW_BLOCK values at a time, so
 beside its result a call holds one block of them.
@@ -15,54 +19,21 @@ beside its result a call holds one block of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallDomain, _number, dist_to_boundary
+from .geometry import BallDomain, dist_to_boundary
 
 __all__ = [
-    "Constants",
     "check_bounds",
     "unit_ball_volume",
-    "capped_green_bounds",
-    "capacity_ball_bounds",
+    "capped_green",
+    "ball_capacity",
     "small_radius_threshold",
 ]
 
 # values that _pow_each raises at a time through Python floats
 _POW_BLOCK = 1 << 12
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Comparison constants entering the two-sided kernel estimates.
-
-    alpha is the stability index, strictly inside (1, 2).  All comparison
-    constants are >= 1; the defaults give comparison-function mode.
-    """
-
-    alpha: float
-    C_G: float = 1.0
-    C: float = 1.0
-
-    def __post_init__(self):
-        if not (1.0 < self.alpha < 2.0):
-            raise ValueError("alpha must lie strictly inside (1, 2)")
-        for name in ("C_G", "C"):
-            if not getattr(self, name) >= 1.0:
-                raise ValueError(f"{name} must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "C_G": self.C_G,
-            "C": self.C,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Constants":
-        return cls(**{k: float(_number(v, f"constants.{k}")) for k, v in obj.items()})
 
 
 def check_bounds(lower, upper) -> None:
@@ -94,40 +65,28 @@ def _pow_each(x, p: float) -> np.ndarray:
     return out
 
 
-def capped_green_bounds(
-    domain: BallDomain, consts: Constants, y
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds for g(y) = G(y, x0) ∧ 1 in the near-boundary regime, where
-    g(y) is comparable to delta(y)^(a-1), over points y (n, d) inside the
-    domain, as (lower, upper) arrays.
-
-    The single comparison factor is C_G * 2**(d+1); it cancels in every
-    divergence classification.  Both bounds are capped at 1 since g <= 1 by
-    definition.
-    """
+def capped_green(domain: BallDomain, alpha: float, y) -> np.ndarray:
+    """The comparison function min(delta(y)^(a-1), 1) of g(y) = G(y, x0) ∧ 1
+    in the near-boundary regime, over points y (n, d) inside the domain."""
     y = np.asarray(y, dtype=float)
     if not np.all(domain.contains(y)):
-        raise ValueError("capped_green_bounds requires y inside the domain")
-    c = consts.C_G * 2.0 ** (domain.dimension + 1)
-    base = _pow_each(dist_to_boundary(domain, y), consts.alpha - 1.0)
-    return np.minimum(base / c, 1.0), np.minimum(base * c, 1.0)
+        raise ValueError("capped_green requires y inside the domain")
+    return np.minimum(_pow_each(dist_to_boundary(domain, y), alpha - 1.0), 1.0)
 
 
-def capacity_ball_bounds(consts: Constants, r, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds [C^-1 r^(d-a), C r^(d-a)] for the capacity of each ball of
-    radius r well inside the domain (caller attests B(x, 2r) ⊂ D), as
-    (lower, upper) arrays."""
+def ball_capacity(alpha: float, r, d: int) -> np.ndarray:
+    """The comparison function r^(d-a) of the capacity of each ball of
+    radius r well inside the domain (caller attests B(x, 2r) ⊂ D)."""
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0):
         raise ValueError("radius must be > 0")
-    f = _pow_each(r, d - consts.alpha)
-    return f / consts.C, f * consts.C
+    return _pow_each(r, d - alpha)
 
 
-def small_radius_threshold(consts: Constants, d: int) -> float:
-    """Largest r with 16r <= eta_lower(r): (16^d * C * sigma_d)^(-1/alpha).
+def small_radius_threshold(alpha: float, d: int) -> float:
+    """Largest r with 16r <= eta(r): (16^d * sigma_d)^(-1/alpha).
 
-    eta_lower(r) = (C * sigma_d)^(-1/d) * r^(1 - alpha/d) is the lower bound
-    on the radius of the ball whose volume equals the capacity of B(x, r).
+    eta(r) = sigma_d^(-1/d) * r^(1 - alpha/d) is the radius of the ball
+    whose volume equals the capacity r^(d-a) of B(x, r).
     """
-    return (16.0 ** d * consts.C * unit_ball_volume(d)) ** (-1.0 / consts.alpha)
+    return (16.0 ** d * unit_ball_volume(d)) ** (-1.0 / alpha)

@@ -88,14 +88,9 @@ APPROXIMATION_NOTES = [
 
 @dataclass(frozen=True)
 class SimParams:
-    """Simulation parameters.
-
-    The step rule does not read ``h``: it is the time step of an earlier
-    fixed-step rule, kept so that run configurations that set it still load.
-    """
+    """Simulation parameters."""
 
     alpha: float
-    h: float = 1e-4
     boundary_eps: float = 1e-3
     max_steps: int = 20_000
     n_traj: int = 1000
@@ -104,8 +99,6 @@ class SimParams:
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie in (1, 2)")
-        if not self.h > 0:
-            raise ValueError("h must be > 0")
         if not self.boundary_eps > 0:
             raise ValueError("boundary_eps must be > 0")
         if self.max_steps < 1 or self.n_traj < 1:

@@ -17,8 +17,8 @@ import numpy as np
 
 from champagne.kernels import (
     _pow_each,
-    capacity_ball_bounds,
-    capped_green_bounds,
+    ball_capacity,
+    capped_green,
     check_bounds,
     small_radius_threshold,
 )
@@ -169,8 +169,7 @@ class CubeFactors(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     dist_weight: np.ndarray
-    g_lower: np.ndarray
-    g_upper: np.ndarray
+    green: np.ndarray
     pair_lower: np.ndarray
     pair_upper: np.ndarray
     cap_lower: np.ndarray
@@ -179,22 +178,22 @@ class CubeFactors(NamedTuple):
     warnings: tuple
 
 
-def cube_factors(inc, config, consts) -> CubeFactors:
+def cube_factors(inc, config, alpha) -> CubeFactors:
     d = config.dimension
     lo, hi = inc.boxes()
-    g_lower, g_upper = capped_green_bounds(inc.domain, consts, 0.5 * (lo + hi))
+    green = capped_green(inc.domain, alpha, 0.5 * (lo + hi))
     radii = config.radii[inc.ball]
-    _, pair_upper = capacity_ball_bounds(consts, radii, d)
+    pair_upper = ball_capacity(alpha, radii, d)
     c = config.centers[inc.ball]
     face = np.minimum((c - lo[inc.cube]).min(axis=1), (hi[inc.cube] - c).min(axis=1))
     rho = np.minimum(radii, face)
     pair_lower = np.zeros(rho.size)
     inside = rho > 0.0
-    pair_lower[inside] = capacity_ball_bounds(consts, rho[inside], d)[0]
+    pair_lower[inside] = ball_capacity(alpha, rho[inside], d)
     # every cube meets a bubble, so the cubes come out as 0, 1, ..., n - 1
     _, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
     warnings = []
-    r_thresh = small_radius_threshold(consts, d)
+    r_thresh = small_radius_threshold(alpha, d)
     n_big = int((config.radii > r_thresh).sum()) if config.n else 0
     if n_big:
         warnings.append(
@@ -208,15 +207,15 @@ def cube_factors(inc, config, consts) -> CubeFactors:
             "their contribution needs a tail estimate"
         )
     return CubeFactors(
-        lo, hi, _pow_each(inc.dist_boundary, 2.0 * (consts.alpha - 1.0)), g_lower, g_upper,
+        lo, hi, _pow_each(inc.dist_boundary, 2.0 * (alpha - 1.0)), green,
         pair_lower, pair_upper, cap_lower, cap_upper,
         uncovered, tuple(warnings),
     )
 
 
 def _green_weighted_total(f, pos, cap_lower, cap_upper):
-    gl, gu = f.g_lower[pos], f.g_upper[pos]
-    return _total(gl * gl * cap_lower), _total(gu * gu * cap_upper)
+    g2 = f.green[pos] * f.green[pos]
+    return _total(g2 * cap_lower), _total(g2 * cap_upper)
 
 
 class AikawaTrace(NamedTuple):
@@ -228,10 +227,10 @@ class AikawaTrace(NamedTuple):
     warnings: list
 
 
-def aikawa_sum(inc, config, z, consts) -> AikawaTrace:
+def aikawa_sum(inc, config, z, alpha) -> AikawaTrace:
     z = np.asarray(z, dtype=float)
-    a, d = consts.alpha, config.dimension
-    f = cube_factors(inc, config, consts)
+    a, d = alpha, config.dimension
+    f = cube_factors(inc, config, alpha)
     nearest = np.clip(z, f.lo, f.hi)
     dzq = np.sqrt(((z - nearest) ** 2).sum(axis=1))
     w = f.dist_weight / _pow_each(dzq, d + a - 2.0)
@@ -249,16 +248,16 @@ class WienerTrace(NamedTuple):
     truncated_shells: np.ndarray
 
 
-def wiener_dyadic_sum(inc, config, z, consts, n_max=30) -> WienerTrace:
+def wiener_dyadic_sum(inc, config, z, alpha, n_max=30) -> WienerTrace:
     z = np.asarray(z, dtype=float)
-    a, d = consts.alpha, config.dimension
+    a, d = alpha, config.dimension
     shells = np.empty(0, dtype=np.int64)
     terms = np.zeros((0, 2))
     if config.n:
         dist = np.sqrt(((config.centers - z) ** 2).sum(axis=1))
         shell_n = np.ceil(-np.log2(dist)).astype(int) - 1
         shells = np.unique(shell_n[(shell_n >= 1) & (shell_n <= n_max)]).astype(np.int64)
-        f = cube_factors(inc, config, consts)
+        f = cube_factors(inc, config, alpha)
         pair_shell = shell_n[inc.ball]
         terms = np.zeros((shells.size, 2))
         for j, n in enumerate(shells.tolist()):
@@ -275,10 +274,9 @@ def wiener_dyadic_sum(inc, config, z, consts, n_max=30) -> WienerTrace:
     return WienerTrace(shells, lower, upper, total, truncated)
 
 
-def quasi_additivity_interval(inc, config, consts):
-    f = cube_factors(inc, config, consts)
+def quasi_additivity_interval(inc, config, alpha):
+    f = cube_factors(inc, config, alpha)
     num = _green_weighted_total(f, slice(None), f.cap_lower, f.cap_upper)
-    gl, gu = capped_green_bounds(inc.domain, consts, config.centers)
-    cl, cu = capacity_ball_bounds(consts, config.radii, config.dimension)
-    den = _total(gl * gl * cl), _total(gu * gu * cu)
-    return num[0] / den[1], num[1] / den[0]
+    g = capped_green(inc.domain, alpha, config.centers)
+    den = _total(g * g * ball_capacity(alpha, config.radii, config.dimension))
+    return num[0] / den, num[1] / den

@@ -30,18 +30,12 @@ from champagne.criteria import (
 )
 from champagne.geometry import BallDomain
 from champagne.harness import RunConfig, cmd_criteria
-from champagne.kernels import Constants
 from champagne.whitney import ball_cube_incidence, intersecting_cubes, whitney
 
 
 @pytest.fixture(scope="module")
 def disk():
     return BallDomain(np.zeros(2), 1.0)
-
-
-@pytest.fixture(scope="module")
-def c15():
-    return Constants(alpha=1.5)
 
 
 def _inc(max_level, cfg):
@@ -223,31 +217,37 @@ def test_shell_series_agrees_with_integral(phi):
 
 # -- whitney sums ---------------------------------------------------------------------
 
-def test_aikawa_empty_config(disk, c15):
+def test_aikawa_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = aikawa_sum(_inc(7, cfg), cfg, [1.0, 0.0], c15)
+    trace = aikawa_sum(_inc(7, cfg), cfg, [1.0, 0.0], 1.5)
     assert trace.total == (0.0, 0.0)
     assert trace.uncovered_bubbles.size == 0
 
 
-def test_aikawa_single_bubble_hand_bound(disk, c15):
-    # center the bubble inside a cube so the lower envelope is positive
+def _one_bubble_at_a_cube_centre(disk):
+    """One bubble of radius 0.01 at the centre of the Whitney cube that
+    holds (0.53, 0.01), so that the inscribed ball is the bubble itself."""
     x = np.array([0.53, 0.01])
     level = next(lev for lev in range(8) if whitney(
         disk, lev, np.floor(x / 2.0**-lev).astype(np.int64)[None, :])[0][0])
     center = (np.floor(x / 2.0**-level) + 0.5) * 2.0**-level
-    cfg = BubbleConfig(disk, [center], [0.01])
+    return BubbleConfig(disk, [center], [0.01])
+
+
+def test_aikawa_single_bubble_hand_bound(disk):
+    # center the bubble inside a cube so the lower envelope is positive
+    cfg = _one_bubble_at_a_cube_centre(disk)
+    center = cfg.centers[0]
     z = np.array([-1.0, 0.0])
-    trace = aikawa_sum(_inc(7, cfg), cfg, z, c15)
+    trace = aikawa_sum(_inc(7, cfg), cfg, z, 1.5)
     assert trace.total[0] > 0.0
     c2 = intersecting_cubes(disk, 7, cfg.centers[0], 0.01).shape[0]
-    C1 = whitney_sums(_inc(7, cfg), cfg, z[None, :], c15).ratio_bound
+    C1 = whitney_sums(_inc(7, cfg), cfg, z[None, :], 1.5).ratio_bound
     alpha, d = 1.5, 2
     delta = float(cfg.deltas[0])
     dist = float(np.sqrt(((center - z) ** 2).sum()))
     hand = (
         c2
-        * c15.C
         * 0.01 ** (d - alpha)
         * C1 ** ((2 * alpha - 2) + (d + alpha - 2))
         * delta ** (2 * alpha - 2)
@@ -256,18 +256,34 @@ def test_aikawa_single_bubble_hand_bound(disk, c15):
     assert trace.total[1] <= hand * (1 + 1e-9)
 
 
-def test_aikawa_subconfig_ordering(disk, c15):
+def test_an_exact_geometry_gives_zero_width_intervals(disk):
+    # the bubble is its cube's inscribed ball and meets no other cube, so
+    # the capacity bounds coincide, and with the comparison functions as the
+    # kernels every sum is exact: no constant widens g
+    cfg = _one_bubble_at_a_cube_centre(disk)
+    sums = whitney_sums(_inc(7, cfg), cfg, [[1.0, 0.0], [-1.0, 0.0]], 1.5)
+    assert sums.max_cubes_per_ball == 1
+    for trace in sums.aikawa:
+        assert trace.total[0] == trace.total[1] > 0.0
+    wiener = sums.wiener[0]
+    assert wiener.shells.size > 0
+    assert wiener.term_lower.tolist() == wiener.term_upper.tolist()
+    assert wiener.total[0] == wiener.total[1]
+    assert sums.quasi_additivity() == (1.0, 1.0)
+
+
+def test_aikawa_subconfig_ordering(disk):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=4)
     half = BubbleConfig(
         disk, cfg.centers[::2], cfg.radii[::2], validate=False
     )
     z = np.array([0.0, -1.0])
-    full = aikawa_sum(_inc(7, cfg), cfg, z, c15)
-    sub = aikawa_sum(_inc(7, half), half, z, c15)
+    full = aikawa_sum(_inc(7, cfg), cfg, z, 1.5)
+    sub = aikawa_sum(_inc(7, half), half, z, 1.5)
     assert sub.total[1] <= full.total[1] * (1 + 1e-12)
 
 
-def test_aikawa_warns_below_collar(disk, c15):
+def test_aikawa_warns_below_collar(disk):
     # coarse: collar depth ~0.44
     below = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
     # a fat bubble above the small-radius threshold (256 pi)^(-2/3) = 0.01156
@@ -276,43 +292,43 @@ def test_aikawa_warns_below_collar(disk, c15):
         (below, [1.0, 0.0], [0], "bubbles lie below the Whitney coverage collar"),
         (fat, [2.0, 0.0], [], "bubbles exceed the small-radius threshold 0.01156"),
     ):
-        trace = whitney_sums(_inc(4, cfg), cfg, [z], c15).aikawa[0]
+        trace = whitney_sums(_inc(4, cfg), cfg, [z], 1.5).aikawa[0]
         assert trace.uncovered_bubbles.tolist() == uncovered
         assert [w for w in trace.warnings if warning in w] != []
         assert len(trace.warnings) == 1
 
 
-def test_aikawa_rejects_interior_z(disk, c15):
+def test_aikawa_rejects_interior_z(disk):
     cfg = BubbleConfig(disk, [[0.5, 0.0]], [0.01])
     with pytest.raises(ValueError, match="boundary"):
-        aikawa_sum(_inc(7, cfg), cfg, [0.5, 0.5], c15)
+        aikawa_sum(_inc(7, cfg), cfg, [0.5, 0.5], 1.5)
 
 
-def test_wiener_single_bubble_shell_membership(disk, c15):
+def test_wiener_single_bubble_shell_membership(disk):
     # distance 0.3 from z: shell n = 1 (0.25 <= 0.3 < 0.5)
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
-    trace = whitney_sums(_inc(7, cfg), cfg, [[1.0, 0.0]], c15, n_max=10).wiener[0]
+    trace = whitney_sums(_inc(7, cfg), cfg, [[1.0, 0.0]], 1.5, n_max=10).wiener[0]
     assert trace.shells.tolist() == [1]
     assert trace.total[1] > 0.0
 
 
-def test_wiener_empty_and_far(disk, c15):
+def test_wiener_empty_and_far(disk):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = whitney_sums(_inc(7, empty), empty, [[1.0, 0.0]], c15).wiener[0]
+    trace = whitney_sums(_inc(7, empty), empty, [[1.0, 0.0]], 1.5).wiener[0]
     assert trace.total == (0.0, 0.0)
     # at distance 1.5 >= 1/2 from z the bubble falls in no shell
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
-    trace = whitney_sums(_inc(7, far), far, [[1.0, 0.0]], c15).wiener[0]
+    trace = whitney_sums(_inc(7, far), far, [[1.0, 0.0]], 1.5).wiener[0]
     assert trace.shells.size == 0
     assert trace.total == (0.0, 0.0)
 
 
-def test_wiener_matches_aikawa_within_constant(disk, c15):
+def test_wiener_matches_aikawa_within_constant(disk):
     ratios = []
     for seed in range(10):
         cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=seed)
         z = np.array([1.0, 0.0])
-        sums = whitney_sums(_inc(7, cfg), cfg, [z], c15)
+        sums = whitney_sums(_inc(7, cfg), cfg, [z], 1.5)
         ratios.append(sums.wiener[0].total[1] / sums.aikawa[0].total[1])
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
@@ -346,7 +362,7 @@ def test_cap_bounds_match_a_dict_filled_pair_by_pair():
         assert [cap_lower[p] for p in want] == [min(lo, up) for lo, up in want.values()]
 
 
-def _aikawa_terms_per_cube(max_level, cfg, z, consts):
+def _aikawa_terms_per_cube(max_level, cfg, z, alpha):
     """Aikawa terms from scalar envelopes, one intersecting_cubes call per
     bubble: the reference the incidence reproduces bit for bit."""
     cube_map = {}
@@ -354,7 +370,7 @@ def _aikawa_terms_per_cube(max_level, cfg, z, consts):
         for row in intersecting_cubes(cfg.domain, max_level, cfg.centers[k],
                                       float(cfg.radii[k])).tolist():
             cube_map.setdefault(tuple(row), []).append(k)
-    a, d = consts.alpha, cfg.dimension
+    a, d = alpha, cfg.dimension
     terms = []
     for key in sorted(cube_map):   # (level, index) order
         level, idx = key[0], np.asarray(key[1:])
@@ -362,14 +378,14 @@ def _aikawa_terms_per_cube(max_level, cfg, z, consts):
         lo = idx * side
         hi = lo + side
         dist_boundary = float(whitney(cfg.domain, level, idx[None, :])[1][0])
-        # capacity envelope of a ball: [r^(d-a)/C, C r^(d-a)]
-        upper = sum(float(cfg.radii[k]) ** (d - a) * consts.C for k in cube_map[key])
+        # capacity of a ball: r^(d-a)
+        upper = sum(float(cfg.radii[k]) ** (d - a) for k in cube_map[key])
         lower = 0.0
         for k in cube_map[key]:
             c = cfg.centers[k]
             rho = min(float(cfg.radii[k]), float(min((c - lo).min(), (hi - c).min())))
             if rho > 0.0:
-                lower = max(lower, rho ** (d - a) / consts.C)
+                lower = max(lower, rho ** (d - a))
         dzq = float(np.sqrt(((z - np.clip(z, lo, hi)) ** 2).sum()))
         w = dist_boundary ** (2.0 * (a - 1.0)) / dzq ** (d + a - 2.0)
         terms.append((min(lower, upper) * w, upper * w))
@@ -377,25 +393,24 @@ def _aikawa_terms_per_cube(max_level, cfg, z, consts):
 
 
 def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk):
-    consts = Constants(alpha=1.3, C=2.0)
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=5)
     z = np.array([0.6, -0.8])
-    expected = _aikawa_terms_per_cube(7, cfg, z, consts)
+    expected = _aikawa_terms_per_cube(7, cfg, z, 1.3)
     # the in-memory oracle's terms, cube by cube, and the streamed total
     terms = oracle.aikawa_sum(oracle.ball_cube_incidence(disk, 7, cfg.centers, cfg.radii),
-                              cfg, z, consts)
+                              cfg, z, 1.3)
     assert list(zip(terms.term_lower.tolist(), terms.term_upper.tolist())) == expected
-    trace = aikawa_sum(_inc(7, cfg), cfg, z, consts)
+    trace = aikawa_sum(_inc(7, cfg), cfg, z, 1.3)
     assert trace.cube_ids.tolist() == list(range(len(expected)))
     assert trace.total == tuple(map(sum, zip(*expected)))
 
 
-def _oracle_sums(max_level, cfg, points, consts, n_max):
+def _oracle_sums(max_level, cfg, points, alpha, n_max):
     inc = oracle.ball_cube_incidence(cfg.domain, max_level, cfg.centers, cfg.radii)
     return (
-        [oracle.aikawa_sum(inc, cfg, z, consts) for z in points],
-        [oracle.wiener_dyadic_sum(inc, cfg, z, consts, n_max) for z in points],
-        oracle.quasi_additivity_interval(inc, cfg, consts),
+        [oracle.aikawa_sum(inc, cfg, z, alpha) for z in points],
+        [oracle.wiener_dyadic_sum(inc, cfg, z, alpha, n_max) for z in points],
+        oracle.quasi_additivity_interval(inc, cfg, alpha),
         oracle.max_cubes_per_ball(inc),
         oracle.bubble_cube_ratio_bound(inc, cfg, points),
     )
@@ -432,12 +447,11 @@ STREAM_CASES = [
 def test_streamed_sums_equal_the_in_memory_oracle(d, phi, shells, seed, max_level, alpha, grid):
     domain = BallDomain(np.zeros(d), 1.0)
     cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
-    consts = Constants(alpha=alpha, C=2.0)
     points = uniform_boundary_grid(domain, grid)
-    sums = whitney_sums(_inc(max_level, cfg), cfg, points, consts, n_max=24)
+    sums = whitney_sums(_inc(max_level, cfg), cfg, points, alpha, n_max=24)
     assert sum(s.shells.size for s in sums.wiener) > grid
     assert 0 < sums.aikawa[0].uncovered_bubbles.size < cfg.n
-    _assert_sums_equal(sums, _oracle_sums(max_level, cfg, points, consts, 24))
+    _assert_sums_equal(sums, _oracle_sums(max_level, cfg, points, alpha, 24))
 
 
 # smaller grids and a coarser d=3 family: with blocks of 97 rows every
@@ -451,10 +465,9 @@ BLOCK_CASES = [
 def _block_case_results(d, phi, shells, seed, max_level, alpha, grid):
     domain = BallDomain(np.zeros(d), 1.0)
     cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
-    consts = Constants(alpha=alpha, C=2.0)
     points = uniform_boundary_grid(domain, grid)
-    sums = whitney_sums(_inc(max_level, cfg), cfg, points, consts, n_max=24)
-    report = classify_avoidability(cfg, consts, points)
+    sums = whitney_sums(_inc(max_level, cfg), cfg, points, alpha, n_max=24)
+    report = classify_avoidability(cfg, alpha, points)
     return sums, report.per_z_totals.tolist(), whitney_module.cube_counts(domain, max_level)
 
 
@@ -481,64 +494,64 @@ def test_block_sizes_change_no_result(module, name, monkeypatch, default_block_r
                                   want.max_cubes_per_ball, want.ratio_bound))
 
 
-def test_quasi_additivity_interval_finite_and_ordered(disk, c15):
+def test_quasi_additivity_interval_finite_and_ordered(disk):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
-    lo, hi = whitney_sums(_inc(7, cfg), cfg, [], c15).quasi_additivity()
+    lo, hi = whitney_sums(_inc(7, cfg), cfg, [], 1.5).quasi_additivity()
     assert 0.0 < lo <= hi < math.inf
 
 
 # -- aggregate classification ------------------------------------------------------
 
-def test_classify_dense_shell_config_unavoidable(disk, c15):
+def test_classify_dense_shell_config_unavoidable(disk):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 4, seed=0)
     grid = uniform_boundary_grid(disk, 16)
-    report = classify_avoidability(cfg, c15, grid)
+    report = classify_avoidability(cfg, 1.5, grid)
     assert report.aggregate == "unavoidable"
     assert report.verdict.tag == Verdict.DIVERGENT
     assert report.separation > 0.0
 
 
-def test_classify_thin_profile_avoidable_candidate(disk, c15):
+def test_classify_thin_profile_avoidable_candidate(disk):
     phi = PowerProfile(0.5)
     cfg = generate_shell_config(disk, phi, 0.5, 4, seed=0)
     grid = uniform_boundary_grid(disk, 16)
-    report = classify_avoidability(cfg, c15, grid)
+    report = classify_avoidability(cfg, 1.5, grid)
     assert report.aggregate == "avoidable-candidate"
     assert report.verdict.tag == Verdict.CONVERGENT
 
 
-def test_classify_empty_config(disk, c15):
+def test_classify_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     grid = uniform_boundary_grid(disk, 8)
-    report = classify_avoidability(cfg, c15, grid)
+    report = classify_avoidability(cfg, 1.5, grid)
     assert report.aggregate == "avoidable-candidate"
 
 
 NO_RECORD = "no shell metadata (meta['phi'], meta['a']): truncated sums cannot decide divergence"
 
 
-def test_classify_without_tail_model_is_inconclusive(disk, c15):
+def test_classify_without_tail_model_is_inconclusive(disk):
     # the generator's record without its profile: the verdict reads the tail
     # only from the bubbles' own record, and the series totals remain
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
     del cfg.meta["phi"]
-    report = classify_avoidability(cfg, c15, uniform_boundary_grid(disk, 8))
+    report = classify_avoidability(cfg, 1.5, uniform_boundary_grid(disk, 8))
     assert report.aggregate == "inconclusive"
     assert report.verdict.tag == Verdict.INCONCLUSIVE
     assert report.notes.count(NO_RECORD) == 1
     assert np.all(report.per_z_totals > 0)
 
 
-def test_classify_without_shell_metadata_is_inconclusive(disk, c15):
+def test_classify_without_shell_metadata_is_inconclusive(disk):
     # a tail model alone decides nothing: the analytic route is the shell series
     shells = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
     for meta in (None, {"phi": ConstantProfile(0.3)}):
         cfg = BubbleConfig(disk, shells.centers, shells.radii, meta=meta)
-        report = classify_avoidability(cfg, c15, uniform_boundary_grid(disk, 8))
+        report = classify_avoidability(cfg, 1.5, uniform_boundary_grid(disk, 8))
         assert report.aggregate == "inconclusive"
         assert report.verdict.tag == Verdict.INCONCLUSIVE
         assert report.notes.count(NO_RECORD) == 1
-    assert report.separation == separation_infimum(shells, c15.alpha) > 0.0
+    assert report.separation == separation_infimum(shells, 1.5) > 0.0
 
 
 def test_classify_rotation_symmetric_verdicts(tmp_path):
@@ -558,7 +571,7 @@ def test_classify_rotation_symmetric_verdicts(tmp_path):
     per_z = verdicts["per_z"]
     config = generate_shell_config(cfg.domain, cfg.profile, 0.5, 3, seed=0)
     points = uniform_boundary_grid(cfg.domain, 32)
-    report = classify_avoidability(config, cfg.constants, points)
+    report = classify_avoidability(config, cfg.alpha, points)
     assert report.verdict.tag == Verdict.DIVERGENT
     assert verdicts["verdict"] == report.verdict.to_json()
     assert set(verdicts["verdict"]["evidence"]) == {"rate", "log_power", "step_log"}

@@ -16,7 +16,7 @@ from champagne.harness import RunConfig, _sha256_hex, main
 
 SMALL = {
     "domain": {"center": [0.0, 0.0], "radius": 1.0},
-    "constants": {"alpha": 1.3, "C": 2.0},
+    "constants": {"alpha": 1.3},
     "profile": {"kind": "constant", "c": 0.1},
     "shells": {"a": 0.5, "count": 3, "seed": 7},
     "whitney": {"max_level": 6},
@@ -60,14 +60,18 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # and when the weight M left its tail model; wiener_trace.csv and the
     # quasi-additivity interval re-pinned when the Wiener and
     # quasi-additivity sums came to add their cubes in cube order, which
-    # moved their last bits).
+    # moved their last bits; verdicts.json re-pinned when the config's
+    # capacity constant C = 2 went, which the Aikawa totals carried, to the
+    # digest that C = 1 gave; wiener_trace.csv and the interval re-pinned
+    # when g became its comparison function, without the factor of 8 each
+    # way that g^2 carried into every term).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "e89f742ac8d54af62355e45e6ba04fb583793172e84b63ea9207c23f348050a3",
-        "50126af7f32eeda9663304bfad3ac066027fd454d4f213155db7a6b13427bbc0",
+        "6f3bf50598614f17787bd752d6bd75b99b69fff671723b00d93c425970358397",
+        "65ba5d414752abe8d7a6eb19f12a4b5d820f2c661d9c34282ff387fa46dd146b",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
-         "quasi_additivity_interval": [0.00026416584261578386, 1996.0685363374084]})
+         "quasi_additivity_interval": [0.3964674451197798, 1.8319985597413477]})
 
 
 def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
@@ -76,14 +80,18 @@ def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # (verdicts.json re-pinned when it came to state its one verdict once,
     # and when the weight M left its tail model; wiener_trace.csv and the
     # quasi-additivity interval re-pinned when the Wiener and
-    # quasi-additivity sums came to add their cubes in cube order).
+    # quasi-additivity sums came to add their cubes in cube order;
+    # verdicts.json re-pinned when the config's capacity constant C = 2
+    # went, to the digest that C = 1 gave; wiener_trace.csv and the
+    # interval re-pinned when g became its comparison function, without
+    # the factor of 16 each way that g^2 carried into every term).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "adc59f8f344a3ba3a496131341bafe4f7d4dc8f72e82d60b04ea54178ff4e23e",
-        "16e9a0695da830f0d9bddc8a679a30156db54f8589f778db6119dad2e63a7a5a",
+        "9f4c511609cf0322dbca9d9aabccdc92a70ad98bb5a0dac1f2a4566b1195b048",
+        "8cbb7ee4f6a6a0206938d0f44925c7b1977a4fb5c3e09be4bcac484d8936d72b",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,
-         "quasi_additivity_interval": [5.531446687038971e-06, 48350.36079237825]})
+         "quasi_additivity_interval": [0.024033506185099862, 14.95196411925079]})
 
 
 def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):
@@ -159,7 +167,7 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
             counts = whitney.cube_counts(cfg.domain, cfg.whitney_max_level)
             inc = whitney.ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
                                               config.centers, config.radii)
-            out = criteria.whitney_sums(inc, config, points, cfg.constants, cfg.wiener_n_max)
+            out = criteria.whitney_sums(inc, config, points, cfg.alpha, cfg.wiener_n_max)
             out.quasi_additivity()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -203,6 +211,9 @@ def test_main_returns_2_on_a_config_that_is_not_an_object(tmp_path, capsys, obj)
     ({"constants": {"alpha": 1.3, "C_M": 1.5}}, "C_M"),
     ({"constants": {"alpha": 1.3, "C_H": 1.0}}, "C_H"),
     ({"constants": {"alpha": 1.3, "C_1": 1.25}}, "C_1"),
+    # the comparison functions are the kernels: no Green or capacity constant
+    ({"constants": {"alpha": 1.3, "C": 2.0}}, "unknown field(s) in constants: C"),
+    ({"constants": {"alpha": 1.3, "C_G": 1.0}}, "unknown field(s) in constants: C_G"),
 ])
 def test_main_returns_2_on_a_sim_alpha_mismatch_or_a_removed_constant(
     tmp_path, capsys, change, message
@@ -292,6 +303,14 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
      "criteria.wiener_n_max must be <= 1074, got 1075"),
     # the paths start at the centre, so every one would end at step 0
     ({"sim": {"alpha": 1.3, "boundary_eps": 1.0}}, "sim.boundary_eps must be < domain.radius 1.0"),
+    ({"constants": {"alpha": 1.0}}, "constants.alpha must lie in (1, 2), got 1.0"),
+    ({"constants": {"alpha": 2.0}}, "constants.alpha must lie in (1, 2), got 2.0"),
+    ({"constants": {"alpha": "1.5"}}, "constants.alpha must be a number, got '1.5'"),
+    ({"constants": {"alpha": True}}, "constants.alpha must be a number, got True"),
+    ({"constants": {"alpha": None}}, "constants.alpha must be a number, got None"),
+    # no step rule reads h, but a config that sets it gets today's check
+    ({"sim": {"alpha": 1.3, "h": 0}}, "sim.h must be > 0, got 0"),
+    ({"sim": {"alpha": 1.3, "h": "x"}}, "sim.h must be a number, got 'x'"),
 ])
 def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path, capsys,
                                                                          change, message):
@@ -452,7 +471,6 @@ def test_outputs_describe_the_bubbles_of_their_own_config(tmp_path, monkeypatch)
 def test_run_config_json_round_trip():
     obj = {
         **SMALL,
-        "constants": {"alpha": 1.3, "C_G": 2.0, "C": 3.0},
         "weight": {"kind": "one"},
         "sim": {"alpha": 1.3, "h": 1e-4, "boundary_eps": 1e-3, "max_steps": 500,
                 "n_traj": 10, "seed": 3},
@@ -462,6 +480,9 @@ def test_run_config_json_round_trip():
     assert cfg.to_json() == RunConfig.from_json({k: v for k, v in obj.items()
                                                  if k != "weight"}).to_json()
     assert "weight" not in cfg.to_json()
+    # no step rule reads sim.h: a config that sets it loads, and it is dropped
+    assert "h" not in cfg.to_json()["sim"]
+    assert cfg.to_json()["constants"] == {"alpha": 1.3}
     again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert again.to_json() == cfg.to_json()
     assert again.hash() == cfg.hash()
@@ -533,8 +554,9 @@ def test_importing_the_harness_builds_no_table(tmp_path):
 
 def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_path):
     # generate and simulate run neither the criteria nor the Whitney cubes,
-    # so they neither compile nor import those modules; harness's re-export
-    # of aikawa_sum still resolves, to the criteria's own function
+    # so they neither compile nor import those modules, nor the kernels that
+    # only the criteria read; harness's re-export of aikawa_sum still
+    # resolves, to the criteria's own function
     src = str(Path(champagne.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     sim = {"alpha": 1.3, "boundary_eps": 1e-3, "max_steps": 200, "n_traj": 20, "seed": 3}
@@ -544,7 +566,8 @@ def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_pa
         "import champagne.harness as harness\n"
         "cfg, out = harness.RunConfig.from_json(json.loads(sys.argv[1])), Path(sys.argv[2])\n"
         "def loaded():\n"
-        "    return [m in sys.modules for m in ('champagne.criteria', 'champagne.whitney')]\n"
+        "    return [m in sys.modules\n"
+        "            for m in ('champagne.criteria', 'champagne.whitney', 'champagne.kernels')]\n"
         "seen = [loaded()]\n"
         "for cmd in (harness.cmd_generate, harness.cmd_simulate, harness.cmd_whitney,\n"
         "            harness.cmd_criteria):\n"
@@ -558,8 +581,8 @@ def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_pa
                               str(tmp_path / name)],
                              env=env, capture_output=True, text=True, check=True, timeout=120)
         seen, same = json.loads(out.stdout)
-        assert seen == [[False, False], [False, False], [False, False], [False, True],
-                        [True, True]], name
+        assert seen == [[False, False, False], [False, False, False], [False, False, False],
+                        [False, True, False], [True, True, True]], name
         assert same, name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         harness.no_such_name

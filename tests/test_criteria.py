@@ -363,8 +363,8 @@ def test_cap_bounds_match_a_dict_filled_pair_by_pair():
 
 
 def _aikawa_terms_per_cube(max_level, cfg, z, alpha):
-    """Aikawa terms from scalar envelopes, one intersecting_cubes call per
-    bubble: the reference the incidence reproduces bit for bit."""
+    """Aikawa terms from scalar capacity bounds, one intersecting_cubes call
+    per bubble: the reference the incidence reproduces bit for bit."""
     cube_map = {}
     for k in range(cfg.n):
         for row in intersecting_cubes(cfg.domain, max_level, cfg.centers[k],

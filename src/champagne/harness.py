@@ -364,9 +364,11 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     """The boundary series, the verdict and the separation infimum
     (``classify_avoidability``) run in a forked worker (``simulate._forked``)
     while this process builds the cube-bubble incidence and runs the
-    Whitney sums; with one CPU they run here, one after the other."""
+    Whitney sums; with one CPU they run here, one after the other.  No
+    Whitney decomposition is walked: ``cmd_whitney``'s manifest counts its
+    cubes."""
     from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
-    from .whitney import ball_cube_incidence, coverage_threshold, cube_counts
+    from .whitney import ball_cube_incidence, coverage_threshold
 
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
@@ -389,7 +391,6 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     sums, report = _forked(whitney_part, [
         ("criteria worker for the boundary series and separation", boundary_part)])
 
-    n_cubes = sum(cube_counts(cfg.domain, cfg.whitney_max_level).values())
     empirical = {}
     traces = {}
     if sums is not None:
@@ -426,7 +427,6 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
                   for z, total in zip(points.tolist(), report.per_z_totals.tolist())],
         "notes": report.notes,
         "whitney": {
-            "n_cubes": n_cubes,
             "max_level": cfg.whitney_max_level,
             "coverage_threshold": coverage_threshold(cfg.domain.dimension,
                                                      cfg.whitney_max_level),

@@ -20,9 +20,8 @@ Refinement stops at ``max_level``; the uncovered boundary collar
 {delta_D < 5*sqrt(d)*2**-max_level} is explicit, and criteria built on top
 must treat it via tail estimates.
 
-:func:`decompose` lists every cube, for the CSV export, and
-:func:`cube_counts` counts them per level.  Both walk the dyadic tree depth
-first.  :func:`ball_cube_incidence` describes, for a whole family of balls
+:func:`decompose` lists every cube, for the CSV export, walking the dyadic
+tree depth first.  :func:`ball_cube_incidence` describes, for a whole family of balls
 at once, every (ball, cube) pair where the closed ball meets the closed
 cube box; :meth:`CubeIncidence.levels` lists those pairs one level at a
 time, coarsest first, sorted by ball and then by cube, so that a caller
@@ -33,8 +32,7 @@ index) order that :func:`decompose` lists them in.  Balls with no pair lie
 in the collar.  :func:`intersecting_cubes` is the per-ball reference the
 incidence is tested against.
 
-Memory.  :func:`cube_counts` keeps only counts, and the incidence never
-holds more than one level's pairs.  The walk tests _CANDIDATE_CHUNK boxes
+Memory.  The incidence never holds more than one level's pairs.  The walk tests _CANDIDATE_CHUNK boxes
 at a time and keeps, per level of its depth, the children of one batch, at
 most 2^d * _CANDIDATE_CHUNK boxes.  The incidence computes the candidate
 windows of _BALL_BLOCK balls at a time and expands _CANDIDATE_CHUNK
@@ -63,7 +61,6 @@ __all__ = [
     "LevelPairs",
     "whitney",
     "decompose",
-    "cube_counts",
     "intersecting_cubes",
     "ball_cube_incidence",
     "coverage_threshold",
@@ -250,16 +247,6 @@ def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
         level_idx[level] = idx[order]
         level_dist[level] = np.concatenate([b[1] for b in batches[level]])[order]
     return WhitneyDecomposition(domain, max_level, level_idx, level_dist)
-
-
-def cube_counts(domain: BallDomain, max_level: int) -> dict:
-    """How many Whitney cubes each level down to ``max_level`` has, for the
-    levels that have any, without holding the cubes.  Raises if no cube
-    fits."""
-    counts = {}
-    for level, idx, _ in _walk(domain, max_level):
-        counts[level] = counts.get(level, 0) + idx.shape[0]
-    return dict(sorted(counts.items()))
 
 
 def _candidate_window(dimension: int, delta, r):

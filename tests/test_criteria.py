@@ -468,7 +468,9 @@ def _block_case_results(d, phi, shells, seed, max_level, alpha, grid):
     points = uniform_boundary_grid(domain, grid)
     sums = whitney_sums(_inc(max_level, cfg), cfg, points, alpha, n_max=24)
     report = classify_avoidability(cfg, alpha, points)
-    return sums, report.per_z_totals.tolist(), whitney_module.cube_counts(domain, max_level)
+    dec = whitney_module.decompose(domain, max_level)
+    return sums, report.per_z_totals.tolist(), [dec.level_indices(lev).shape[0]
+                                                for lev in dec.levels]
 
 
 @pytest.fixture(scope="module")

@@ -64,10 +64,12 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # capacity constant C = 2 went, which the Aikawa totals carried, to the
     # digest that C = 1 gave; wiener_trace.csv and the interval re-pinned
     # when g became its comparison function, without the factor of 8 each
-    # way that g^2 carried into every term).
+    # way that g^2 carried into every term; verdicts.json re-pinned when its
+    # whitney section lost n_cubes, the count of a decomposition walk that
+    # the criteria stage no longer makes, and nothing else moved).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "6f3bf50598614f17787bd752d6bd75b99b69fff671723b00d93c425970358397",
+        "fa3ca54e53e68ce3873ac331415a1fc266cbefb19ddd6be73f6fc5773a87b0e7",
         "65ba5d414752abe8d7a6eb19f12a4b5d820f2c661d9c34282ff387fa46dd146b",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
@@ -84,10 +86,13 @@ def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # verdicts.json re-pinned when the config's capacity constant C = 2
     # went, to the digest that C = 1 gave; wiener_trace.csv and the
     # interval re-pinned when g became its comparison function, without
-    # the factor of 16 each way that g^2 carried into every term).
+    # the factor of 16 each way that g^2 carried into every term;
+    # verdicts.json re-pinned when its whitney section lost n_cubes, the
+    # count of a decomposition walk that the criteria stage no longer
+    # makes, and nothing else moved).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "9f4c511609cf0322dbca9d9aabccdc92a70ad98bb5a0dac1f2a4566b1195b048",
+        "392f230bc4fcd57a9cdcb6f550fc46f64fa949b44a3945cfad5f96ba05b323d1",
         "8cbb7ee4f6a6a0206938d0f44925c7b1977a4fb5c3e09be4bcac484d8936d72b",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,
@@ -95,11 +100,17 @@ def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
 
 
 def test_cmd_criteria_never_calls_the_per_ball_loop(tmp_path, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("intersecting_cubes called")
+    # the sums run over the incidence alone: the criteria stage neither
+    # loops over the bubbles one at a time nor walks the Whitney
+    # decomposition, which only the whitney stage lists
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(whitney, "intersecting_cubes", forbidden)
-    monkeypatch.setattr(criteria, "intersecting_cubes", forbidden)
+    monkeypatch.setattr(whitney, "intersecting_cubes", forbidden("intersecting_cubes"))
+    monkeypatch.setattr(criteria, "intersecting_cubes", forbidden("intersecting_cubes"))
+    monkeypatch.setattr(whitney, "_walk", forbidden("whitney._walk"))
     harness.cmd_criteria(RunConfig.from_json(SMALL), tmp_path)
     traces = json.loads((tmp_path / "verdicts.json").read_text())["traces"]
     assert len(traces["aikawa_total"]) == 4
@@ -151,7 +162,7 @@ def test_stage_start_up_holds_little_beyond_what_it_keeps():
 
 def test_criteria_sums_hold_little_beyond_the_configuration():
     # The Whitney half of the criteria stage on W2 at the benchmark's
-    # max_level 8: cube counts, the incidence and every sum at 4 grid points.
+    # max_level 8: the incidence and every sum at 4 grid points.
     # It holds one level's pairs, blocks of rows, one count per bubble and
     # the ids of the 52,012 bubbles below the collar (1.3 MiB by tracemalloc);
     # holding the whole incidence and passing over it once per point took 5.2.
@@ -164,7 +175,6 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
         points = criteria.uniform_boundary_grid(cfg.domain, cfg.grid_size)
         tracemalloc.start()
         try:
-            counts = whitney.cube_counts(cfg.domain, cfg.whitney_max_level)
             inc = whitney.ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
                                               config.centers, config.radii)
             out = criteria.whitney_sums(inc, config, points, cfg.alpha, cfg.wiener_n_max)
@@ -172,13 +182,12 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return config, counts, out, peak
+        return config, out, peak
 
     sums(SMALL)  # first-use imports and caches
     w2 = {**W2, "whitney": {"max_level": 8}}
-    config, counts, out, peak = sums(w2)
+    config, out, peak = sums(w2)
     assert config.n == 54_743
-    assert sum(counts.values()) == 6_324
     assert out.aikawa[0].uncovered_bubbles.size == 52_012
     assert peak < 2.5 * MiB
     *_, peak_32 = sums({**w2, "criteria": {"grid": 32, "wiener_n_max": 24}})

@@ -9,7 +9,6 @@ from champagne.geometry import BallDomain, dist_to_boundary
 from champagne.whitney import (
     ball_cube_incidence,
     coverage_threshold,
-    cube_counts,
     decompose,
     intersecting_cubes,
     whitney as is_whitney,
@@ -149,8 +148,6 @@ def test_closed_form_membership_gives_exactly_the_decomposition(dim, radius, max
             assert np.array_equal(grid[brute], dec.level_indices(level))
         else:
             assert not brute.any()
-    assert cube_counts(domain, max_level) == {
-        lev: dec.level_indices(lev).shape[0] for lev in dec.levels}
 
 
 def test_coverage_invariant(disk):
@@ -325,8 +322,6 @@ def test_decompose_rejects_bad_level(disk):
     tiny = BallDomain(np.zeros(2), 1e-3)
     with pytest.raises(ValueError, match="no dyadic cube"):
         decompose(tiny, 2)
-    with pytest.raises(ValueError, match="no dyadic cube"):
-        cube_counts(tiny, 2)
 
 
 def test_csv_export(tmp_path, dec6):

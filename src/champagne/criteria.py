@@ -15,10 +15,12 @@ moving a bubble.  "sigma-a.e. boundary point" is
 operationalized as every point of a deterministic boundary grid plus the
 rotation-symmetry property of shell configurations; reports state this proxy.
 
-The Whitney-based sums (Aikawa, Wiener, quasi-additivity) all run over the
-configuration's cube-bubble incidence (:class:`whitney.CubeIncidence`), whose
-(bubble, cube) pairs come one level at a time, sorted by bubble and then by
-cube.  Bubbles with no pair lie below the coverage collar.
+The Whitney-based sums (Aikawa, Wiener, quasi-additivity) are functions of
+the configuration they judge: they take it and a ``max_level``, and run over
+its cube-bubble incidence (:func:`whitney.incidence_levels`), whose (bubble,
+cube) pairs come one level at a time, sorted by bubble and then by cube.
+The configuration's own distances to the boundary give each bubble's Green
+factor.  Bubbles with no pair lie below the coverage collar.
 :func:`whitney_sums` makes one pass over the levels for every boundary point
 of a grid at once: each level's z-independent factors (each cube's
 Cap(A ∩ Q) bounds and boundary-distance weight) are computed once and used
@@ -64,11 +66,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .bubbles import BubbleConfig, RadialProfile, _fibonacci_sphere, separation_infimum
-from .geometry import BallDomain
+from .geometry import BallDomain, dist_to_boundary, row_norms
 from .kernels import _pow_each, ball_capacity, capped_green, check_bounds, small_radius_threshold
 # intersecting_cubes is the per-ball reference for the incidence; it stays
 # importable from here
-from .whitney import CubeIncidence, LevelPairs, intersecting_cubes  # noqa: F401
+from .whitney import (  # noqa: F401
+    LevelPairs,
+    coverage_threshold,
+    incidence_levels,
+    intersecting_cubes,
+)
 
 __all__ = [
     "uniform_boundary_grid",
@@ -133,7 +140,7 @@ class DivergenceVerdict:
 def _series_terms(config: BubbleConfig, z: np.ndarray, alpha: float,
                   rows: slice = slice(None)) -> np.ndarray:
     d = config.dimension
-    dist = np.sqrt(((config.centers[rows] - z) ** 2).sum(axis=1))
+    dist = row_norms(config.centers[rows], z)
     if dist.size and float(dist.min()) == 0.0:
         raise ValueError("a bubble center coincides with the boundary point z")
     return (
@@ -195,11 +202,6 @@ def classify_shell_series(phi: RadialProfile, d: int, alpha: float, a: float) ->
 # Whitney-based sums
 # ---------------------------------------------------------------------------
 
-def _check_incidence(inc: CubeIncidence, config: BubbleConfig) -> None:
-    if inc.n_balls != config.n:
-        raise ValueError("the incidence was built for another configuration")
-
-
 def _blocks(n: int):
     """Slices of at most _ROW_BLOCK rows that cover range(n) in order."""
     return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
@@ -239,12 +241,12 @@ def _pair_bounds(lv: LevelPairs, config: BubbleConfig, alpha: float, rows):
     return lower, upper
 
 
-def _green(lv: LevelPairs, inc: CubeIncidence, alpha: float, cubes):
+def _green(lv: LevelPairs, domain: BallDomain, alpha: float, cubes):
     """The capped Green factor at the centers of one level's cubes ``cubes``."""
     side = 2.0 ** (-lv.level)
     lo = lv.index[cubes] * side
     hi = lo + side
-    return capped_green(inc.domain, alpha, 0.5 * (lo + hi))
+    return capped_green(alpha, dist_to_boundary(domain, 0.5 * (lo + hi)))
 
 
 def _add_cap_bounds(cap_lower, cap_upper, groups, lower, upper) -> None:
@@ -270,8 +272,7 @@ class _Level(NamedTuple):
     pair_upper: np.ndarray
 
 
-def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
-                   alpha: float) -> _Level:
+def _level_factors(lv: LevelPairs, config: BubbleConfig, alpha: float) -> _Level:
     """The factors of one level's sums, a block of pairs or cubes at a time."""
     k, m = lv.dist.size, lv.ball.size
     cap_lower, cap_upper = np.zeros(k), np.zeros(k)
@@ -282,7 +283,7 @@ def _level_factors(lv: LevelPairs, inc: CubeIncidence, config: BubbleConfig,
     np.minimum(cap_lower, cap_upper, out=cap_lower)
     green = np.empty(k)
     for b in _blocks(k):
-        green[b] = _green(lv, inc, alpha, b)
+        green[b] = _green(lv, config.domain, alpha, b)
     return _Level(_pow_each(lv.dist, 2.0 * (alpha - 1.0)), cap_lower, cap_upper,
                   green, pair_lower, pair_upper)
 
@@ -334,16 +335,16 @@ class WhitneySums:
 
 
 def whitney_sums(
-    inc: CubeIncidence,
     config: BubbleConfig,
     points,
     alpha: float,
+    max_level: int,
     n_max: int = 30,
 ) -> WhitneySums:
     """Aikawa and Wiener sums at each boundary point of ``points`` (n, d),
     the quasi-additivity numerator and denominator, and the c2 and C1
-    reports, from one pass over ``inc``, the cube-bubble incidence of
-    ``config``, level by level.
+    reports, from one pass over the cube-bubble incidence of ``config``
+    with the Whitney cubes down to ``max_level``, level by level.
 
     Every sum runs over the cubes Q_j in cube order (level, then
     lexicographic index), as a running total from level to level.
@@ -364,16 +365,17 @@ def whitney_sums(
     meet, dist(Q, boundary)/delta_D(x_k) and, at every boundary point z,
     dist(z, Q)/|x_k - z| lie in [1/C, C].  Bubbles below the collar are
     reported in every Aikawa trace, not silently dropped.
+
+    Every point must lie on the boundary sphere to within 1e-9 * R, a
+    tolerance that scales with the domain as the sums do.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_incidence(inc, config)
     d = config.dimension
-    dom = inc.domain
+    dom = config.domain
     points = np.asarray(points, dtype=float).reshape(-1, d)
-    for z in points:
-        if abs(float(np.sqrt(((z - dom.center) ** 2).sum())) - dom.radius) > 1e-9:
-            raise ValueError("z must lie on the boundary sphere")
+    if np.any(np.abs(row_norms(points, dom.center) - dom.radius) > 1e-9 * dom.radius):
+        raise ValueError("z must lie on the boundary sphere")
     n_points = len(points)
 
     # the bubbles: each point's Wiener shells, the quasi-additivity
@@ -384,11 +386,11 @@ def whitney_sums(
     n_big = 0
     for b in _blocks(config.n):
         c, r = config.centers[b], config.radii[b]
-        g = capped_green(dom, alpha, c)
+        g = capped_green(alpha, config.deltas[b])
         den = _running_total(den, g * g * ball_capacity(alpha, r, d))
         n_big += int((r > r_thresh).sum())
         for j, z in enumerate(points):
-            shell = _shell(np.sqrt(((c - z) ** 2).sum(axis=1)))
+            shell = _shell(row_norms(c, z))
             present[j, shell[(shell >= 1) & (shell <= n_max)]] = True
 
     # the pairs, a level at a time, with running (lower, upper) totals
@@ -399,8 +401,8 @@ def whitney_sums(
     worst = 1.0
     n_cubes = 0
     w_exp = d + alpha - 2.0
-    for lv in inc.levels():
-        f = _level_factors(lv, inc, config, alpha)
+    for lv in incidence_levels(config, max_level):
+        f = _level_factors(lv, config, alpha)
         side = 2.0 ** (-lv.level)
         k = lv.dist.size
         for b in _blocks(k):
@@ -416,14 +418,14 @@ def whitney_sums(
             dzq = np.empty(k)
             for b in _blocks(k):
                 lo = lv.index[b] * side
-                dzq[b] = np.sqrt(((z - np.clip(z, lo, lo + side)) ** 2).sum(axis=1))
+                dzq[b] = row_norms(np.clip(z, lo, lo + side), z)
                 w = f.dist_weight[b] / _pow_each(dzq[b], w_exp)
                 lower, upper = f.cap_lower[b] * w, f.cap_upper[b] * w
                 check_bounds(lower, upper)
                 aik[j] = _running_total(aik[j, 0], lower), _running_total(aik[j, 1], upper)
             pos, shells = [], []
             for b in _blocks(lv.ball.size):
-                dist = np.sqrt(((config.centers[lv.ball[b]] - z) ** 2).sum(axis=1))
+                dist = row_norms(config.centers[lv.ball[b]], z)
                 r2 = dzq[lv.cube[b]] / dist
                 worst = max(worst, float(r2.max()), float((1.0 / r2).max()))
                 shell = _shell(dist)
@@ -452,8 +454,9 @@ def whitney_sums(
     for lower, upper in aik.tolist():
         check_bounds(lower, upper)
         aikawa.append(AikawaTrace(n_cubes, (lower, upper), uncovered, list(warnings)))
+    collar = coverage_threshold(d, max_level)
     wiener = [
-        _wiener_trace(totals, np.flatnonzero(shells), inc, d, alpha)
+        _wiener_trace(totals, np.flatnonzero(shells), collar, d, alpha)
         for totals, shells in zip(wiener_totals, present)
     ]
     return WhitneySums(aikawa, wiener, qa, den, int(cubes_per_ball.max(initial=0)), worst)
@@ -487,10 +490,11 @@ def _add_shell_terms(totals: np.ndarray, shell: np.ndarray, lower: np.ndarray,
         totals[n] = _running_total(totals[n, 0], lo), _running_total(totals[n, 1], up)
 
 
-def _wiener_trace(totals: np.ndarray, shells: np.ndarray, inc: CubeIncidence, d: int,
+def _wiener_trace(totals: np.ndarray, shells: np.ndarray, collar: float, d: int,
                   a: float) -> WienerTrace:
     """A point's Wiener trace from its running (lower, upper) totals per
-    shell and its shells: each shell's total scaled by 2^(n(d+a-2))."""
+    shell and its shells: each shell's total scaled by 2^(n(d+a-2)), and
+    the shells that reach the coverage collar of depth ``collar``."""
     terms = totals[shells]
     for j, n in enumerate(shells.tolist()):
         terms[j] *= 2.0 ** (n * (d + a - 2.0))
@@ -498,17 +502,15 @@ def _wiener_trace(totals: np.ndarray, shells: np.ndarray, inc: CubeIncidence, d:
     check_bounds(lower, upper)
     total = _running_total(0.0, lower), _running_total(0.0, upper)
     check_bounds(*total)
-    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * inc.coverage_threshold]
+    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * collar]
     return WienerTrace(shells, lower, upper, total, truncated)
 
 
-def aikawa_sum(
-    inc: CubeIncidence, config: BubbleConfig, z, alpha: float
-) -> AikawaTrace:
+def aikawa_sum(config: BubbleConfig, z, alpha: float, max_level: int) -> AikawaTrace:
     """Cube-indexed thinness sum at the boundary point z (see
-    :func:`whitney_sums`) as (lower, upper) bounds over the cubes of
-    ``inc``, the cube-bubble incidence of ``config``."""
-    return whitney_sums(inc, config, [z], alpha).aikawa[0]
+    :func:`whitney_sums`) as (lower, upper) bounds over the Whitney cubes
+    down to ``max_level`` that meet a bubble of ``config``."""
+    return whitney_sums(config, [z], alpha, max_level).aikawa[0]
 
 
 # ---------------------------------------------------------------------------

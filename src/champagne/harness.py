@@ -15,7 +15,7 @@ reading and checking a RunConfig and building the bubbles need (``geometry``,
 ``sim`` block.  ``generate`` and ``simulate`` load nothing more.
 ``whitney`` loads the ``whitney`` module inside ``cmd_whitney``, and
 ``criteria`` loads ``criteria``, ``kernels`` and ``whitney`` inside
-``cmd_criteria``: together about 1,130 lines that the other stages never
+``cmd_criteria``: together about 1,080 lines that the other stages never
 run.  The name ``aikawa_sum`` is re-exported from ``criteria`` on first use
 (module ``__getattr__``).
 """
@@ -363,12 +363,12 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
 def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     """The boundary series, the verdict and the separation infimum
     (``classify_avoidability``) run in a forked worker (``simulate._forked``)
-    while this process builds the cube-bubble incidence and runs the
-    Whitney sums; with one CPU they run here, one after the other.  No
-    Whitney decomposition is walked: ``cmd_whitney``'s manifest counts its
-    cubes."""
+    while this process runs the Whitney sums over the configuration's
+    cube-bubble incidence; with one CPU they run here, one after the other.
+    No Whitney decomposition is walked: ``cmd_whitney``'s manifest counts
+    its cubes."""
     from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
-    from .whitney import ball_cube_incidence, coverage_threshold
+    from .whitney import coverage_threshold
 
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
@@ -384,9 +384,7 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
         vars(config).pop("index", None)
         if not config.n:
             return None
-        inc = ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
-                                  config.centers, config.radii)
-        return whitney_sums(inc, config, points, cfg.alpha, cfg.wiener_n_max)
+        return whitney_sums(config, points, cfg.alpha, cfg.whitney_max_level, cfg.wiener_n_max)
 
     sums, report = _forked(whitney_part, [
         ("criteria worker for the boundary series and separation", boundary_part)])

@@ -22,8 +22,6 @@ import math
 
 import numpy as np
 
-from .geometry import BallDomain, dist_to_boundary
-
 __all__ = [
     "check_bounds",
     "unit_ball_volume",
@@ -65,13 +63,14 @@ def _pow_each(x, p: float) -> np.ndarray:
     return out
 
 
-def capped_green(domain: BallDomain, alpha: float, y) -> np.ndarray:
-    """The comparison function min(delta(y)^(a-1), 1) of g(y) = G(y, x0) ∧ 1
-    in the near-boundary regime, over points y (n, d) inside the domain."""
-    y = np.asarray(y, dtype=float)
-    if not np.all(domain.contains(y)):
-        raise ValueError("capped_green requires y inside the domain")
-    return np.minimum(_pow_each(dist_to_boundary(domain, y), alpha - 1.0), 1.0)
+def capped_green(alpha: float, delta) -> np.ndarray:
+    """The comparison function min(delta^(a-1), 1) of g(y) = G(y, x0) ∧ 1
+    in the near-boundary regime, from the distances delta(y) > 0 of points
+    y inside the domain to its boundary."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(delta > 0):
+        raise ValueError("capped_green requires y inside the domain: delta(y) > 0")
+    return np.minimum(_pow_each(delta, alpha - 1.0), 1.0)
 
 
 def ball_capacity(alpha: float, r, d: int) -> np.ndarray:

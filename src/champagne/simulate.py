@@ -196,7 +196,7 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, params: SimParams,
     suppressed = np.zeros(n, dtype=np.int64)
 
     index = config.index
-    if R - float(np.sqrt(((np.asarray(x0, dtype=float) - c) ** 2).sum())) < eps:
+    if R - float(row_norms(np.asarray(x0, dtype=float)[None, :], c)[0]) < eps:
         return (np.full(n, BOUNDARY, np.int8), np.zeros(n, np.int64), bubbles, finals,
                 killed, suppressed)
 
@@ -415,7 +415,7 @@ def estimate_hitting(x0, config: BubbleConfig, phi, params: SimParams):
     dom = config.domain
     if config.index.contains(x0) is not None:
         raise ValueError("x0 lies inside a bubble")
-    if dom.radius - float(np.sqrt(((x0 - dom.center) ** 2).sum())) <= 0:
+    if dom.radius - float(row_norms(x0[None, :], dom.center)[0]) <= 0:
         raise ValueError("x0 must lie inside the domain")
     radial_law(dom.dimension, params.alpha)
     n = params.n_traj

@@ -21,48 +21,51 @@ Refinement stops at ``max_level``; the uncovered boundary collar
 must treat it via tail estimates.
 
 :func:`decompose` lists every cube, for the CSV export, walking the dyadic
-tree depth first.  :func:`ball_cube_incidence` describes, for a whole family of balls
-at once, every (ball, cube) pair where the closed ball meets the closed
-cube box; :meth:`CubeIncidence.levels` lists those pairs one level at a
-time, coarsest first, sorted by ball and then by cube, so that a caller
-can consume each level and drop it before the next is built.  A level
-ranks its cubes in lexicographic index order; numbering the cubes of
-successive levels one after the other gives the (level, lexicographic
-index) order that :func:`decompose` lists them in.  Balls with no pair lie
-in the collar.  :func:`intersecting_cubes` is the per-ball reference the
-incidence is tested against.
+tree depth first.  :func:`incidence_levels` describes, for a whole bubble
+configuration at once, every (bubble, cube) pair where the closed ball meets
+the closed cube box, one level at a time, coarsest first, sorted by ball and
+then by cube, so that a caller can consume each level and drop it before the
+next is built.  It reads the centres, radii and distances to the boundary of
+a ``bubbles.BubbleConfig``, whose checks (r > 0 and fl(r/delta) < 1/2, which
+forces r < delta/2) are the ones its candidate windows need, so it checks no
+ball again.  A level ranks its cubes in lexicographic index order; numbering
+the cubes of successive levels one after the other gives the (level,
+lexicographic index) order that :func:`decompose` lists them in.  Balls with
+no pair lie in the collar.  :func:`intersecting_cubes`, with its own check of
+the ball, is the per-ball reference the incidence is tested against.
 
-Memory.  The incidence never holds more than one level's pairs.  The walk tests _CANDIDATE_CHUNK boxes
-at a time and keeps, per level of its depth, the children of one batch, at
-most 2^d * _CANDIDATE_CHUNK boxes.  The incidence computes the candidate
-windows of _BALL_BLOCK balls at a time and expands _CANDIDATE_CHUNK
-candidate boxes at a time.  It keeps each pair of the level being built as
-an int32 ball id and an int64 cube key (12 bytes), ranks the keys (their
-sort order and the sorted keys, 16 bytes a pair more while it ranks), and
-then holds per pair an int32 ball id and an int32 cube rank (8 bytes) and
-per cube its int64 index and float64 dist(Q, boundary) (8d + 8 bytes), the
-latter computed _CANDIDATE_CHUNK cubes at a time.  Keys and products that
-can pass 2^31 are formed in int64.
+Memory.  The walk tests _CANDIDATE_CHUNK boxes at a time and keeps, per
+level of its depth, the children of one batch, at most 2^d *
+_CANDIDATE_CHUNK boxes.  The incidence never holds more than one level's
+pairs.  It computes the candidate windows of _BALL_BLOCK balls at a time and
+expands _CANDIDATE_CHUNK candidate boxes at a time.  It keeps each pair of
+the level being built as an int32 ball id and an int64 cube key (12 bytes),
+ranks the keys (their sort order and the sorted keys, 16 bytes a pair more
+while it ranks), and then holds per pair an int32 ball id and an int32 cube
+rank (8 bytes) and per cube its int64 index and float64 dist(Q, boundary)
+(8d + 8 bytes), the latter computed _CANDIDATE_CHUNK cubes at a time.  Keys
+and products that can pass 2^31 are formed in int64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import BallDomain, _csv_lines
+from .geometry import BallDomain, _csv_lines, dist_to_boundary
+
+if TYPE_CHECKING:
+    from .bubbles import BubbleConfig
 
 __all__ = [
     "WhitneyDecomposition",
-    "CubeIncidence",
     "LevelPairs",
     "whitney",
     "decompose",
     "intersecting_cubes",
-    "ball_cube_incidence",
+    "incidence_levels",
     "coverage_threshold",
 ]
 
@@ -256,22 +259,6 @@ def _candidate_window(dimension: int, delta, r):
     return (delta - r) / (10.0 * sqd), 2.0 * (delta + r) / sqd
 
 
-def _delta(domain: BallDomain, x: np.ndarray) -> np.ndarray:
-    """delta_D of each center."""
-    return domain.radius - np.sqrt(((x - domain.center) ** 2).sum(axis=-1))
-
-
-def _check_balls(domain: BallDomain, x: np.ndarray, r) -> np.ndarray:
-    """delta_D of each center; raises unless 0 < r < delta_D/2."""
-    domain._check_dim(x)
-    delta = _delta(domain, x)
-    if not np.all(r > 0):
-        raise ValueError("ball radius must be > 0")
-    if not np.all(r < delta / 2):
-        raise ValueError("ball not inside D: require radius < dist_to_boundary(center)/2")
-    return delta
-
-
 def intersecting_cubes(domain: BallDomain, max_level: int, center, radius: float) -> np.ndarray:
     """Whitney cubes down to ``max_level`` whose closed box meets the closed
     ball, as rows (level, k_1..k_d) in ascending (level, index) order.
@@ -279,7 +266,9 @@ def intersecting_cubes(domain: BallDomain, max_level: int, center, radius: float
     Requires the ball to sit well inside the domain: radius < delta_D(center)/2.
     """
     x = np.asarray(center, dtype=float)
-    delta = float(_check_balls(domain, x, radius))
+    delta = dist_to_boundary(domain, x)
+    if not 0 < radius < delta / 2:
+        raise ValueError("ball not inside D: require 0 < radius < dist_to_boundary(center)/2")
     lo_side, hi_side = _candidate_window(domain.dimension, delta, radius)
     found = [np.empty((0, domain.dimension + 1), dtype=np.int64)]
     for lev in range(_top_level(domain), max_level + 1):
@@ -307,95 +296,79 @@ class LevelPairs(NamedTuple):
     dist: np.ndarray    # (k,) float64 dist(Q, boundary) per cube
 
 
-@dataclass(frozen=True, eq=False)
-class CubeIncidence:
-    """Every (ball, cube) pair of a ball family where the closed ball meets
-    the closed box of a Whitney cube of ``domain`` down to ``max_level``.
+def incidence_levels(config: BubbleConfig, max_level: int) -> Iterator[LevelPairs]:
+    """Every (bubble, cube) pair of ``config`` where the closed ball meets the
+    closed box of a Whitney cube of its domain down to ``max_level``, one
+    level at a time: the pairs of each level that has any, coarsest level
+    first.  The pairs are not stored; the centres, radii and distances to
+    the boundary are read from ``config``, never copied.
 
-    The pairs are not stored: :meth:`levels` builds them one level at a
-    time.  The balls are checked by :func:`ball_cube_incidence`, which
-    makes the incidence; ``centers`` and ``radii`` are read, never copied.
+    Equals a loop of :func:`intersecting_cubes` over the bubbles, split by
+    level: each bubble whose candidate window includes the level has its box
+    range expanded, tested with :func:`whitney` and kept where the nearest
+    point of the box lies in the ball.
     """
+    for lev in range(_top_level(config.domain), max_level + 1):
+        pairs = _level(config, lev)
+        if pairs is not None:
+            yield pairs
+            del pairs   # the caller's reference is then the last
 
-    domain: BallDomain
-    max_level: int
-    centers: np.ndarray   # (n, d)
-    radii: np.ndarray     # (n,)
 
-    @property
-    def n_balls(self) -> int:
-        return int(self.radii.shape[0])
+def _level(config: BubbleConfig, lev: int) -> LevelPairs | None:
+    """The pairs of level ``lev``, or None if it has none."""
+    domain = config.domain
+    grid = _LevelGrid(domain, lev)
+    parts = [part for start in range(0, config.n, _BALL_BLOCK)
+             for part in _expand(config, lev, start, grid)]
+    if not parts:
+        return None
+    balls, keys = zip(*parts)
+    del parts
+    keys, rank = _distinct(np.concatenate(keys))
+    index = grid.index(keys)
+    del keys
+    side = 2.0 ** (-lev)
+    dist = np.empty(index.shape[0])
+    for start in range(0, dist.size, _CANDIDATE_CHUNK):
+        block = index[start:start + _CANDIDATE_CHUNK]
+        dist[start:start + _CANDIDATE_CHUNK] = (
+            domain.radius - _max_dist(block, side, domain.center))
+    return LevelPairs(lev, np.concatenate(balls), rank, index, dist)
 
-    @property
-    def coverage_threshold(self) -> float:
-        return coverage_threshold(self.domain.dimension, self.max_level)
 
-    def levels(self) -> Iterator[LevelPairs]:
-        """The pairs of each level that has any, coarsest level first.
-
-        Equals a loop of :func:`intersecting_cubes` over the balls, split by
-        level: each ball whose candidate window includes the level has its
-        box range expanded, tested with :func:`whitney` and kept where the
-        nearest point of the box lies in the ball.
-        """
-        for lev in range(_top_level(self.domain), self.max_level + 1):
-            pairs = self._level(lev)
-            if pairs is not None:
-                yield pairs
-                del pairs   # the caller's reference is then the last
-
-    def _level(self, lev: int) -> LevelPairs | None:
-        """The pairs of level ``lev``, or None if it has none."""
-        grid = _LevelGrid(self.domain, lev)
-        parts = [part for start in range(0, self.n_balls, _BALL_BLOCK)
-                 for part in self._expand(lev, start, grid)]
-        if not parts:
-            return None
-        balls, keys = zip(*parts)
-        del parts
-        keys, rank = _distinct(np.concatenate(keys))
-        index = grid.index(keys)
-        del keys
-        side = 2.0 ** (-lev)
-        dist = np.empty(index.shape[0])
-        for start in range(0, dist.size, _CANDIDATE_CHUNK):
-            block = index[start:start + _CANDIDATE_CHUNK]
-            dist[start:start + _CANDIDATE_CHUNK] = (
-                self.domain.radius - _max_dist(block, side, self.domain.center))
-        return LevelPairs(lev, np.concatenate(balls), rank, index, dist)
-
-    def _expand(self, lev: int, start: int, grid: "_LevelGrid"):
-        """The pairs at level ``lev`` of the balls start..start+_BALL_BLOCK-1,
-        as (balls, cube keys) batches in ball order, each ball's cubes in
-        lexicographic order."""
-        d = self.domain.dimension
-        side = 2.0 ** (-lev)
-        x = self.centers[start:start + _BALL_BLOCK]
-        r = self.radii[start:start + _BALL_BLOCK]
-        lo_side, hi_side = _candidate_window(d, _delta(self.domain, x), r)
-        sel = np.flatnonzero((lo_side <= side) & (side <= hi_side))
-        if sel.size == 0:
-            return
-        kmin = np.floor((x[sel] - r[sel, None]) / side).astype(np.int64)
-        dims = np.floor((x[sel] + r[sel, None]) / side).astype(np.int64) - kmin + 1
-        counts = dims.prod(axis=1)
-        if counts.max() > _MAX_CANDIDATES_PER_LEVEL:
-            raise RuntimeError("candidate enumeration unexpectedly large")
-        step = max(1, _CANDIDATE_CHUNK // int(counts.max()))
-        for lo in range(0, sel.size, step):
-            part = slice(lo, min(lo + step, sel.size))
-            owner = np.repeat(np.arange(part.start, part.stop), counts[part])
-            offset = np.arange(owner.size) - np.repeat(
-                np.cumsum(counts[part]) - counts[part], counts[part])
-            boxes = np.empty((owner.size, d), dtype=np.int64)
-            for j in reversed(range(d)):   # C order, as meshgrid(indexing="ij")
-                boxes[:, j] = kmin[owner, j] + offset % dims[owner, j]
-                offset //= dims[owner, j]
-            member = whitney(self.domain, lev, boxes)[0]
-            owner, boxes = sel[owner[member]], boxes[member]
-            meets = _meets(boxes, side, x[owner], r[owner])
-            if meets.any():
-                yield (start + owner[meets]).astype(np.int32), grid.keys(boxes[meets])
+def _expand(config: BubbleConfig, lev: int, start: int, grid: "_LevelGrid"):
+    """The pairs at level ``lev`` of the bubbles start..start+_BALL_BLOCK-1,
+    as (balls, cube keys) batches in ball order, each ball's cubes in
+    lexicographic order."""
+    d = config.dimension
+    side = 2.0 ** (-lev)
+    block = slice(start, start + _BALL_BLOCK)
+    x, r = config.centers[block], config.radii[block]
+    lo_side, hi_side = _candidate_window(d, config.deltas[block], r)
+    sel = np.flatnonzero((lo_side <= side) & (side <= hi_side))
+    if sel.size == 0:
+        return
+    kmin = np.floor((x[sel] - r[sel, None]) / side).astype(np.int64)
+    dims = np.floor((x[sel] + r[sel, None]) / side).astype(np.int64) - kmin + 1
+    counts = dims.prod(axis=1)
+    if counts.max() > _MAX_CANDIDATES_PER_LEVEL:
+        raise RuntimeError("candidate enumeration unexpectedly large")
+    step = max(1, _CANDIDATE_CHUNK // int(counts.max()))
+    for lo in range(0, sel.size, step):
+        part = slice(lo, min(lo + step, sel.size))
+        owner = np.repeat(np.arange(part.start, part.stop), counts[part])
+        offset = np.arange(owner.size) - np.repeat(
+            np.cumsum(counts[part]) - counts[part], counts[part])
+        boxes = np.empty((owner.size, d), dtype=np.int64)
+        for j in reversed(range(d)):   # C order, as meshgrid(indexing="ij")
+            boxes[:, j] = kmin[owner, j] + offset % dims[owner, j]
+            offset //= dims[owner, j]
+        member = whitney(config.domain, lev, boxes)[0]
+        owner, boxes = sel[owner[member]], boxes[member]
+        meets = _meets(boxes, side, x[owner], r[owner])
+        if meets.any():
+            yield (start + owner[meets]).astype(np.int32), grid.keys(boxes[meets])
 
 
 def _distinct(keys: np.ndarray):
@@ -440,16 +413,3 @@ class _LevelGrid:
             idx[:, j] = rest % self.shape[j] + self.origin[j]
             rest //= self.shape[j]
         return idx
-
-
-def ball_cube_incidence(domain: BallDomain, max_level: int, centers, radii) -> CubeIncidence:
-    """The incidence of the balls (centers, radii) with the Whitney cubes of
-    ``domain`` down to ``max_level``, after the checks of
-    :func:`intersecting_cubes` on every ball, _BALL_BLOCK balls at a time."""
-    x = np.asarray(centers, dtype=float)
-    r = np.asarray(radii, dtype=float)
-    if r.size == 0:
-        x = np.empty((0, domain.dimension))
-    for start in range(0, r.size, _BALL_BLOCK):
-        _check_balls(domain, x[start:start + _BALL_BLOCK], r[start:start + _BALL_BLOCK])
-    return CubeIncidence(domain, int(max_level), x, r)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from champagne.geometry import dist_to_boundary
 from champagne.kernels import (
     _pow_each,
     ball_capacity,
@@ -25,7 +26,6 @@ from champagne.kernels import (
 from champagne.whitney import (
     _MAX_CANDIDATES_PER_LEVEL,
     _candidate_window,
-    _check_balls,
     _meets,
     _top_level,
     coverage_threshold,
@@ -77,7 +77,9 @@ def ball_cube_incidence(domain, max_level, centers, radii) -> MemoryIncidence:
     r = np.asarray(radii, dtype=float)
     d = domain.dimension
     if r.size:
-        delta = _check_balls(domain, x, r)
+        delta = dist_to_boundary(domain, x)
+        if not (np.all(r > 0) and np.all(r < delta / 2)):
+            raise ValueError("ball not inside D: require 0 < radius < dist_to_boundary(center)/2")
     else:
         x, delta = np.empty((0, d)), np.empty(0)
     lo_side, hi_side = _candidate_window(d, delta, r)
@@ -181,7 +183,7 @@ class CubeFactors(NamedTuple):
 def cube_factors(inc, config, alpha) -> CubeFactors:
     d = config.dimension
     lo, hi = inc.boxes()
-    green = capped_green(inc.domain, alpha, 0.5 * (lo + hi))
+    green = capped_green(alpha, dist_to_boundary(inc.domain, 0.5 * (lo + hi)))
     radii = config.radii[inc.ball]
     pair_upper = ball_capacity(alpha, radii, d)
     c = config.centers[inc.ball]
@@ -277,6 +279,6 @@ def wiener_dyadic_sum(inc, config, z, alpha, n_max=30) -> WienerTrace:
 def quasi_additivity_interval(inc, config, alpha):
     f = cube_factors(inc, config, alpha)
     num = _green_weighted_total(f, slice(None), f.cap_lower, f.cap_upper)
-    g = capped_green(inc.domain, alpha, config.centers)
+    g = capped_green(alpha, dist_to_boundary(inc.domain, config.centers))
     den = _total(g * g * ball_capacity(alpha, config.radii, config.dimension))
     return num[0] / den, num[1] / den

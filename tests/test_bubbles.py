@@ -74,6 +74,13 @@ def test_config_rejects_fat_ratio(disk):
         BubbleConfig(disk, [[0.0, 0.0]], [0.6])
 
 
+def test_config_rejects_zero_radius(disk):
+    # also without the disjointness check, which hand-built incidences skip
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="bubble radii must be > 0"):
+            BubbleConfig(disk, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0], validate=validate)
+
+
 def test_config_rejects_escaping_bubble(disk):
     with pytest.raises(ValueError, match="inside"):
         BubbleConfig(disk, [[0.95, 0.0]], [0.2])

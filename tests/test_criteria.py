@@ -30,16 +30,12 @@ from champagne.criteria import (
 )
 from champagne.geometry import BallDomain
 from champagne.harness import RunConfig, cmd_criteria
-from champagne.whitney import ball_cube_incidence, intersecting_cubes, whitney
+from champagne.whitney import intersecting_cubes, whitney
 
 
 @pytest.fixture(scope="module")
 def disk():
     return BallDomain(np.zeros(2), 1.0)
-
-
-def _inc(max_level, cfg):
-    return ball_cube_incidence(cfg.domain, max_level, cfg.centers, cfg.radii)
 
 
 # -- boundary grids --------------------------------------------------------------
@@ -219,7 +215,7 @@ def test_shell_series_agrees_with_integral(phi):
 
 def test_aikawa_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = aikawa_sum(_inc(7, cfg), cfg, [1.0, 0.0], 1.5)
+    trace = aikawa_sum(cfg, [1.0, 0.0], 1.5, 7)
     assert trace.total == (0.0, 0.0)
     assert trace.uncovered_bubbles.size == 0
 
@@ -239,10 +235,10 @@ def test_aikawa_single_bubble_hand_bound(disk):
     cfg = _one_bubble_at_a_cube_centre(disk)
     center = cfg.centers[0]
     z = np.array([-1.0, 0.0])
-    trace = aikawa_sum(_inc(7, cfg), cfg, z, 1.5)
+    trace = aikawa_sum(cfg, z, 1.5, 7)
     assert trace.total[0] > 0.0
     c2 = intersecting_cubes(disk, 7, cfg.centers[0], 0.01).shape[0]
-    C1 = whitney_sums(_inc(7, cfg), cfg, z[None, :], 1.5).ratio_bound
+    C1 = whitney_sums(cfg, z[None, :], 1.5, 7).ratio_bound
     alpha, d = 1.5, 2
     delta = float(cfg.deltas[0])
     dist = float(np.sqrt(((center - z) ** 2).sum()))
@@ -261,7 +257,7 @@ def test_an_exact_geometry_gives_zero_width_intervals(disk):
     # the capacity bounds coincide, and with the comparison functions as the
     # kernels every sum is exact: no constant widens g
     cfg = _one_bubble_at_a_cube_centre(disk)
-    sums = whitney_sums(_inc(7, cfg), cfg, [[1.0, 0.0], [-1.0, 0.0]], 1.5)
+    sums = whitney_sums(cfg, [[1.0, 0.0], [-1.0, 0.0]], 1.5, 7)
     assert sums.max_cubes_per_ball == 1
     for trace in sums.aikawa:
         assert trace.total[0] == trace.total[1] > 0.0
@@ -278,8 +274,8 @@ def test_aikawa_subconfig_ordering(disk):
         disk, cfg.centers[::2], cfg.radii[::2], validate=False
     )
     z = np.array([0.0, -1.0])
-    full = aikawa_sum(_inc(7, cfg), cfg, z, 1.5)
-    sub = aikawa_sum(_inc(7, half), half, z, 1.5)
+    full = aikawa_sum(cfg, z, 1.5, 7)
+    sub = aikawa_sum(half, z, 1.5, 7)
     assert sub.total[1] <= full.total[1] * (1 + 1e-12)
 
 
@@ -292,7 +288,7 @@ def test_aikawa_warns_below_collar(disk):
         (below, [1.0, 0.0], [0], "bubbles lie below the Whitney coverage collar"),
         (fat, [2.0, 0.0], [], "bubbles exceed the small-radius threshold 0.01156"),
     ):
-        trace = whitney_sums(_inc(4, cfg), cfg, [z], 1.5).aikawa[0]
+        trace = whitney_sums(cfg, [z], 1.5, 4).aikawa[0]
         assert trace.uncovered_bubbles.tolist() == uncovered
         assert [w for w in trace.warnings if warning in w] != []
         assert len(trace.warnings) == 1
@@ -301,24 +297,46 @@ def test_aikawa_warns_below_collar(disk):
 def test_aikawa_rejects_interior_z(disk):
     cfg = BubbleConfig(disk, [[0.5, 0.0]], [0.01])
     with pytest.raises(ValueError, match="boundary"):
-        aikawa_sum(_inc(7, cfg), cfg, [0.5, 0.5], 1.5)
+        aikawa_sum(cfg, [0.5, 0.5], 1.5, 7)
+
+
+def test_the_on_sphere_check_scales_with_the_radius(disk):
+    # a power-of-two dilation by s = 2^k moves every cube k levels up and
+    # leaves the pairs, C1 and the Aikawa totals as they were; the check on
+    # z scales too: at R = 2^24 the grid's own points, which rounding puts
+    # about 1.9e-9 off the sphere, pass, and at R = 2^-20 a point 1e-3 R
+    # off the sphere fails
+    unit = _one_bubble_at_a_cube_centre(disk)
+    want = whitney_sums(unit, uniform_boundary_grid(disk, 32), 1.5, 7)
+    for k in (24, -20):
+        s = 2.0**k
+        domain = BallDomain(np.zeros(2), s)
+        cfg = BubbleConfig(domain, unit.centers * s, unit.radii * s)
+        points = uniform_boundary_grid(domain, 32)
+        sums = whitney_sums(cfg, points, 1.5, 7 - k)
+        assert sums.max_cubes_per_ball == want.max_cubes_per_ball
+        assert sums.ratio_bound == want.ratio_bound
+        for got, ref in zip(sums.aikawa, want.aikawa, strict=True):
+            assert got.total == pytest.approx(ref.total, rel=1e-12)
+        with pytest.raises(ValueError, match="boundary sphere"):
+            whitney_sums(cfg, points[:1] * (1.0 + 1e-3), 1.5, 7 - k)
 
 
 def test_wiener_single_bubble_shell_membership(disk):
     # distance 0.3 from z: shell n = 1 (0.25 <= 0.3 < 0.5)
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
-    trace = whitney_sums(_inc(7, cfg), cfg, [[1.0, 0.0]], 1.5, n_max=10).wiener[0]
+    trace = whitney_sums(cfg, [[1.0, 0.0]], 1.5, 7, n_max=10).wiener[0]
     assert trace.shells.tolist() == [1]
     assert trace.total[1] > 0.0
 
 
 def test_wiener_empty_and_far(disk):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = whitney_sums(_inc(7, empty), empty, [[1.0, 0.0]], 1.5).wiener[0]
+    trace = whitney_sums(empty, [[1.0, 0.0]], 1.5, 7).wiener[0]
     assert trace.total == (0.0, 0.0)
     # at distance 1.5 >= 1/2 from z the bubble falls in no shell
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
-    trace = whitney_sums(_inc(7, far), far, [[1.0, 0.0]], 1.5).wiener[0]
+    trace = whitney_sums(far, [[1.0, 0.0]], 1.5, 7).wiener[0]
     assert trace.shells.size == 0
     assert trace.total == (0.0, 0.0)
 
@@ -328,7 +346,7 @@ def test_wiener_matches_aikawa_within_constant(disk):
     for seed in range(10):
         cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=seed)
         z = np.array([1.0, 0.0])
-        sums = whitney_sums(_inc(7, cfg), cfg, [z], 1.5)
+        sums = whitney_sums(cfg, [z], 1.5, 7)
         ratios.append(sums.wiener[0].total[1] / sums.aikawa[0].total[1])
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
@@ -400,7 +418,7 @@ def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk):
     terms = oracle.aikawa_sum(oracle.ball_cube_incidence(disk, 7, cfg.centers, cfg.radii),
                               cfg, z, 1.3)
     assert list(zip(terms.term_lower.tolist(), terms.term_upper.tolist())) == expected
-    trace = aikawa_sum(_inc(7, cfg), cfg, z, 1.3)
+    trace = aikawa_sum(cfg, z, 1.3, 7)
     assert trace.cube_ids.tolist() == list(range(len(expected)))
     assert trace.total == tuple(map(sum, zip(*expected)))
 
@@ -448,7 +466,7 @@ def test_streamed_sums_equal_the_in_memory_oracle(d, phi, shells, seed, max_leve
     domain = BallDomain(np.zeros(d), 1.0)
     cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
     points = uniform_boundary_grid(domain, grid)
-    sums = whitney_sums(_inc(max_level, cfg), cfg, points, alpha, n_max=24)
+    sums = whitney_sums(cfg, points, alpha, max_level, n_max=24)
     assert sum(s.shells.size for s in sums.wiener) > grid
     assert 0 < sums.aikawa[0].uncovered_bubbles.size < cfg.n
     _assert_sums_equal(sums, _oracle_sums(max_level, cfg, points, alpha, 24))
@@ -466,7 +484,7 @@ def _block_case_results(d, phi, shells, seed, max_level, alpha, grid):
     domain = BallDomain(np.zeros(d), 1.0)
     cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
     points = uniform_boundary_grid(domain, grid)
-    sums = whitney_sums(_inc(max_level, cfg), cfg, points, alpha, n_max=24)
+    sums = whitney_sums(cfg, points, alpha, max_level, n_max=24)
     report = classify_avoidability(cfg, alpha, points)
     dec = whitney_module.decompose(domain, max_level)
     return sums, report.per_z_totals.tolist(), [dec.level_indices(lev).shape[0]
@@ -498,7 +516,7 @@ def test_block_sizes_change_no_result(module, name, monkeypatch, default_block_r
 
 def test_quasi_additivity_interval_finite_and_ordered(disk):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=1)
-    lo, hi = whitney_sums(_inc(7, cfg), cfg, [], 1.5).quasi_additivity()
+    lo, hi = whitney_sums(cfg, [], 1.5, 7).quasi_additivity()
     assert 0.0 < lo <= hi < math.inf
 
 

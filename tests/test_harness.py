@@ -175,9 +175,8 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
         points = criteria.uniform_boundary_grid(cfg.domain, cfg.grid_size)
         tracemalloc.start()
         try:
-            inc = whitney.ball_cube_incidence(cfg.domain, cfg.whitney_max_level,
-                                              config.centers, config.radii)
-            out = criteria.whitney_sums(inc, config, points, cfg.alpha, cfg.wiener_n_max)
+            out = criteria.whitney_sums(config, points, cfg.alpha, cfg.whitney_max_level,
+                                        cfg.wiener_n_max)
             out.quasi_additivity()
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -36,23 +36,23 @@ def test_check_bounds_rejects_nan_negative_and_crossed_bounds():
 
 def test_capped_green_envelope():
     disk = BallDomain(np.zeros(2), 1.0)
-    g = capped_green(disk, 1.5, [[0.9, 0.0], [0.99, 0.0]])
+    g = capped_green(1.5, dist_to_boundary(disk, [[0.9, 0.0], [0.99, 0.0]]))
     assert g[0] == pytest.approx(0.1**0.5)
     # monotone in delta
     assert g[1] < g[0]
     # capped at 1 where delta^(a-1) > 1
-    assert capped_green(BallDomain(np.zeros(2), 4.0), 1.5, [[0.0, 0.0]]).tolist() == [1.0]
+    assert capped_green(1.5, [4.0]).tolist() == [1.0]
 
 
 def test_array_bounds_equal_the_scalar_envelopes_exactly(disk):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.7, 0.7, (500, 2))
-    assert capped_green(disk, 1.3, pts).tolist() == [
+    assert capped_green(1.3, dist_to_boundary(disk, pts)).tolist() == [
         capped_green_scalar(disk, 1.3, y) for y in pts]
     radii = rng.uniform(1e-6, 0.1, 500)
     assert ball_capacity(1.3, radii, 2).tolist() == [float(r) ** (2 - 1.3) for r in radii]
     with pytest.raises(ValueError, match="capped_green requires y inside"):
-        capped_green(disk, 1.3, [[0.0, 0.0], [1.0, 0.0]])
+        capped_green(1.3, dist_to_boundary(disk, [[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="> 0"):
         ball_capacity(1.3, [0.1, 0.0], 2)
 

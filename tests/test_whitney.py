@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from champagne import whitney
-from champagne.bubbles import ConstantProfile, generate_shell_config
+from champagne.bubbles import BubbleConfig, ConstantProfile, generate_shell_config
 from champagne.geometry import BallDomain, dist_to_boundary
 from champagne.whitney import (
-    ball_cube_incidence,
     coverage_threshold,
     decompose,
+    incidence_levels,
     intersecting_cubes,
     whitney as is_whitney,
 )
@@ -239,15 +239,18 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
         centers.append(x)
         radii.append(r)
         pairs.extend((k, q) for q in sorted(brute))
-    assert _pairs(ball_cube_incidence(disk, 6, centers, radii)) == pairs
+    # the balls may overlap: the incidence reads them from a configuration
+    # that skips only the disjointness check
+    config = BubbleConfig(disk, centers, radii, validate=False)
+    assert _pairs(incidence_levels(config, 6)) == pairs
 
 
-def _pairs(inc):
+def _pairs(levels):
     """The incidence's pairs as (ball, (level, k_1..k_d)), sorted by ball and
     then by cube, after checking that each level lists its own pairs sorted
     by ball and then by cube."""
     pairs = []
-    for lv in inc.levels():
+    for lv in levels:
         assert np.array_equal(np.lexsort((lv.cube, lv.ball)), np.arange(lv.ball.size))
         rows = np.column_stack([np.full(lv.index.shape[0], lv.level), lv.index])[lv.cube]
         pairs.extend(zip(lv.ball.tolist(), map(tuple, rows.tolist())))
@@ -264,17 +267,15 @@ def test_ball_cube_incidence_matches_per_ball_loop(dim, level, shells, monkeypat
     domain = BallDomain(np.zeros(dim), 1.0)
     config = generate_shell_config(domain, ConstantProfile(0.3), 0.5, shells, seed=2)
     expected = _per_ball_pairs(domain, level, config.centers, config.radii)
-    inc = ball_cube_incidence(domain, level, config.centers, config.radii)
-    assert inc.n_balls == config.n
-    assert _pairs(inc) == expected
+    levels = list(incidence_levels(config, level))
+    assert _pairs(levels) == expected
     covered = {k for k, _ in expected}
     assert 0 < len(covered) < config.n
     # each level ranks its cubes in index order, each with its own
     # dist(Q, boundary), and each meets some ball
     dec = decompose(domain, level)
-    levels = [lv.level for lv in inc.levels()]
-    assert levels == sorted(set(levels))
-    for lv in inc.levels():
+    assert [lv.level for lv in levels] == sorted({lv.level for lv in levels})
+    for lv in levels:
         rows = list(map(tuple, lv.index.tolist()))
         assert rows == sorted(set(rows))
         assert np.array_equal(np.unique(lv.cube), np.arange(len(rows)))
@@ -285,23 +286,11 @@ def test_ball_cube_incidence_matches_per_ball_loop(dim, level, shells, monkeypat
     # gives the same pairs
     monkeypatch.setattr(whitney, "_CANDIDATE_CHUNK", 7)
     monkeypatch.setattr(whitney, "_BALL_BLOCK", 5)
-    assert _pairs(ball_cube_incidence(domain, level, config.centers, config.radii)) == expected
+    assert _pairs(incidence_levels(config, level)) == expected
 
 
 def test_ball_cube_incidence_empty(disk):
-    inc = ball_cube_incidence(disk, 6, np.empty((0, 2)), np.empty(0))
-    assert inc.n_balls == 0
-    assert list(inc.levels()) == []
-
-
-def test_ball_cube_incidence_rejects_fat_ball(disk):
-    with pytest.raises(ValueError, match="not inside"):
-        ball_cube_incidence(disk, 6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.4])
-
-
-def test_ball_cube_incidence_rejects_zero_radius(disk):
-    with pytest.raises(ValueError, match="> 0"):
-        ball_cube_incidence(disk, 6, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0])
+    assert list(incidence_levels(BubbleConfig(disk, np.empty((0, 2)), np.empty(0)), 6)) == []
 
 
 def test_intersecting_cubes_rejects_fat_ball(disk):
@@ -311,7 +300,7 @@ def test_intersecting_cubes_rejects_fat_ball(disk):
 
 def test_c2_empirical_finite(disk):
     config = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=0)
-    pairs = _pairs(ball_cube_incidence(disk, 8, config.centers, config.radii))
+    pairs = _pairs(incidence_levels(config, 8))
     c2 = max(np.bincount([k for k, _ in pairs]))
     assert 1 <= c2 <= 40
 

@@ -443,7 +443,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     config = _build_config(cfg)
     _write_bubbles(cfg, config, out)
     x0 = cfg.domain.center
-    estimate, outcomes = estimate_hitting(x0, config, cfg.profile, cfg.sim)
+    estimate, outcomes = estimate_hitting(x0, config, cfg.profile, cfg.shell_a, cfg.sim)
     payload = {"format_version": FORMAT_VERSION, **estimate.to_json()}
     _write_json(out / "estimate.json", payload)
     if cfg.per_trajectory_csv:

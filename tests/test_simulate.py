@@ -53,17 +53,20 @@ def _digest(outcomes):
 # Outcomes pinned when the step became kappa*delta*phi(1 - delta/R); every
 # rewrite of the step loop must reproduce them bit for bit.  Re-pinned when
 # Kanter's factors took their own powers (only final positions moved, in
-# their last bits), and when the increments came to be drawn from the table
-# of |xi|'s law with kappa from its exact median (every path moved).
+# their last bits), when the increments came to be drawn from the table of
+# |xi|'s law with kappa from its exact median (every path moved), and when
+# the step came to read the shell bands at kappa_b = kappa/2 (every path
+# moved; the disk's timeouts fell from 74 to 2).
 @pytest.mark.parametrize("config_name, counts, digest", [
-    ("disk_config", {"hit": 226, "boundary": 0, "timeout": 74},
-     "942de5d344f8f77a5da3b0b0bd489cdefba41cc574fc318e16564c0ad4041459"),
-    ("ball_config", {"hit": 291, "boundary": 7, "timeout": 2},
-     "50e3b139e21022ebb4b0ed0462baa2f233584ce6b3f7159306750916cc3e937d"),
+    ("disk_config", {"hit": 296, "boundary": 2, "timeout": 2},
+     "57177d047f1565f10e8027d504518df27fc6ab0c5fbfaac53f9284a92698d43f"),
+    ("ball_config", {"hit": 287, "boundary": 6, "timeout": 7},
+     "39dd49b20ad6e2d1733e6169f462842cd161d0805c16ade2ace8faf27d3feda0"),
 ], ids=["disk", "ball"])
 def test_outcomes_reproduce_pinned_digests(request, config_name, counts, digest):
     config = request.getfixturevalue(config_name)
-    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"], PARAMS)
+    est, outcomes = estimate_hitting(config.domain.center, config, config.meta["phi"],
+                                     config.meta["a"], PARAMS)
     assert est.counts == counts
     assert _digest(outcomes) == digest
 
@@ -85,7 +88,7 @@ def test_outcomes_do_not_depend_on_the_worker_count(disk_config, monkeypatch):
     for workers in (1, 2, 3):
         monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
         forks.clear()
-        runs.append(estimate_hitting(x0, disk_config, phi, params))
+        runs.append(estimate_hitting(x0, disk_config, phi, 0.5, params))
         assert len(forks) == workers - 1
     for est, outcomes in runs[1:]:
         assert est == runs[0][0]
@@ -113,31 +116,34 @@ def test_no_generator_draw_shares_a_key_with_a_simulator_draw(monkeypatch, d):
                                    seed=params.seed)
     generated = set(drawn)
     drawn.clear()
-    estimate_hitting(config.domain.center, config, config.meta["phi"], params)
+    estimate_hitting(config.domain.center, config, config.meta["phi"], config.meta["a"], params)
     assert len(generated) == 6 and len(drawn) > 1000
     assert generated.isdisjoint(drawn)
     assert {k for k, _ in generated}.isdisjoint(k for k, _ in drawn)
 
 
 # the ball case stops at 250 steps, so that many of its 600 trajectories time
-# out; the disk case runs 2,000, because about 1 in 200 ends at the boundary
+# out; the disk case runs 2,000, because about 1 in 200 ends at the boundary,
+# and stops at 600 steps, so that 68 of them time out
 @pytest.mark.parametrize("config_name, params", [
-    ("disk_config", dataclasses.replace(PARAMS, n_traj=2000)),
+    ("disk_config", dataclasses.replace(PARAMS, max_steps=600, n_traj=2000)),
     ("ball_config", dataclasses.replace(PARAMS, max_steps=250, n_traj=600)),
 ], ids=["disk", "ball"])
 def test_outcomes_do_not_depend_on_the_block_length(request, monkeypatch, config_name, params):
-    # A pass over m running trajectories takes max(1, _BLOCK_DRAWS // m) steps.
-    # One step per pass, three steps per pass at the start (more as
-    # trajectories end), and the whole run in one pass must give the same six
-    # arrays: work past a trajectory's outcome, suppressed proposals
-    # included, is discarded.
+    # A pass over m running trajectories takes max(1, _BLOCK_DRAWS // m)
+    # steps, at most _PASS_STEPS.  One step per pass, three steps per pass at
+    # the start (more as trajectories end), passes of 1 and of 7 steps, and
+    # the whole run in one pass must give the same six arrays: work past a
+    # trajectory's outcome, suppressed proposals included, is discarded.
     config = request.getfixturevalue(config_name)
     n = params.n_traj
     runs = []
-    for draws in (1, 3 * n, params.max_steps * n):
+    for draws, cap in ((1, 256), (3 * n, 256), (params.max_steps * n, 1),
+                       (params.max_steps * n, 7), (params.max_steps * n, params.max_steps)):
         monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
-        runs.append(_run_batch(config.domain.center, config, config.meta["phi"], params,
-                               np.arange(n)))
+        monkeypatch.setattr(simulate, "_PASS_STEPS", cap)
+        runs.append(_run_batch(config.domain.center, config, config.meta["phi"],
+                               config.meta["a"], params, np.arange(n)))
     tags, _, _, _, _, suppressed = runs[0]
     counts = np.bincount(tags, minlength=3)
     assert counts.min() > 0 and counts[simulate.TIMEOUT] >= 30
@@ -145,6 +151,41 @@ def test_outcomes_do_not_depend_on_the_block_length(request, monkeypatch, config
     for other in runs[1:]:
         for a, b in zip(other, runs[0]):
             assert np.array_equal(a, b)
+
+
+def test_the_last_pass_ends_within_the_cap_of_the_longest_trajectory(monkeypatch, disk_config):
+    # A pass starts only while a trajectory runs, and takes at most
+    # _PASS_STEPS steps, so no draw lies _PASS_STEPS or more steps past the
+    # longest trajectory's end.  Each pass asks stable_vectors for one step
+    # range; the schedule of ranges follows from the steps alone: a
+    # trajectory that ended at step e runs in every pass that starts at or
+    # before e.
+    asked = []
+
+    def draw(alpha, d, keys, step, n_steps):
+        asked.append((step, n_steps, keys.shape[0]))
+        return stable_vectors(alpha, d, keys, step, n_steps)
+
+    monkeypatch.setattr(simulate, "stable_vectors", draw)
+    params = dataclasses.replace(PARAMS, max_steps=5000)
+    tags, steps, _, _, _, _ = _run_batch(disk_config.domain.center, disk_config,
+                                         disk_config.meta["phi"], disk_config.meta["a"],
+                                         params, np.arange(params.n_traj))
+    assert simulate.TIMEOUT not in tags
+    schedule, start = [], 0
+    while (steps >= start).any():
+        m = int((steps >= start).sum())
+        k = min(max(1, simulate._BLOCK_DRAWS // m), simulate._PASS_STEPS,
+                params.max_steps - start)
+        schedule.append((start, k, m))
+        start += k
+    assert asked == schedule
+    longest = int(steps.max())
+    last_start, last_k, _ = asked[-1]
+    assert last_start <= longest < last_start + last_k <= longest + simulate._PASS_STEPS
+    # the cap binds: without it the last pass, over the one trajectory left
+    # at step 2,340, drew all 2,660 steps up to max_steps
+    assert last_k == simulate._PASS_STEPS and asked[-1][2] == 1
 
 
 def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
@@ -166,7 +207,7 @@ def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
     # the counters live in this process: a forked worker's calls never reach them
     monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
     _, (_, steps, _, _) = estimate_hitting(disk_config.domain.center, disk_config,
-                                           disk_config.meta["phi"], PARAMS)
+                                           disk_config.meta["phi"], disk_config.meta["a"], PARAMS)
     lockstep_steps = int(steps.max())
     assert lockstep_steps == PARAMS.max_steps
     assert calls["draw"] <= lockstep_steps / 20
@@ -187,9 +228,9 @@ def test_outcomes_are_covariant_under_power_of_two_dilation(s):
     params = dataclasses.replace(PARAMS, boundary_eps=0.01)
     scaled_params = dataclasses.replace(params, boundary_eps=params.boundary_eps * s)
     _, (tags, steps, bubbles, finals) = estimate_hitting(
-        dom.center, config, phi, params)
+        dom.center, config, phi, 0.5, params)
     _, (s_tags, s_steps, s_bubbles, s_finals) = estimate_hitting(
-        dom.center * s, scaled, phi, scaled_params)
+        dom.center * s, scaled, phi, 0.5, scaled_params)
     assert set(tags.tolist()) == {0, 1, 2}
     assert np.array_equal(s_tags, tags)
     assert np.array_equal(s_steps, steps)
@@ -209,9 +250,9 @@ def test_nested_configurations_are_coupled_pathwise(d, phi):
     params = SimParams(alpha=1.5, max_steps=1000, n_traj=1000, seed=5)
     x0 = outer.domain.center
     est_in, (tags_in, steps_in, bubbles_in, finals_in) = estimate_hitting(
-        x0, inner, phi, params)
+        x0, inner, phi, 0.5, params)
     est_out, (tags_out, steps_out, bubbles_out, finals_out) = estimate_hitting(
-        x0, outer, phi, params)
+        x0, outer, phi, 0.5, params)
     hit_in, hit_out = tags_in == HIT, tags_out == HIT
     assert est_out.counts["hit"] > est_in.counts["hit"] > 0
     # every hit of the subset is a hit of the superset, no later
@@ -269,7 +310,7 @@ def test_killed_hit_probability_matches_walk_on_spheres(disk_config):
     x0 = disk_config.domain.center
     params = SimParams(alpha=alpha, boundary_eps=1e-9, max_steps=3000, n_traj=n, seed=1)
     tags, steps, _, _, killed, suppressed = _run_batch(
-        x0, disk_config, disk_config.meta["phi"], params, np.arange(n))
+        x0, disk_config, disk_config.meta["phi"], disk_config.meta["a"], params, np.arange(n))
     assert np.all((suppressed > 0) == (killed < params.max_steps))
     killed_hit = (tags == HIT) & (steps < killed)
     # neither hit nor suppressed within max_steps: counted as a miss
@@ -281,12 +322,46 @@ def test_killed_hit_probability_matches_walk_on_spheres(disk_config):
     assert p_chain - 3.0 * sigma <= p_wos <= p_chain + undecided / n + 3.0 * sigma
 
 
+@pytest.mark.parametrize("phi", [ConstantProfile(0.1), PowerProfile(1.0)],
+                         ids=["constant", "power"])
+@pytest.mark.parametrize("shell", [0, 1, 2], ids=["shell1", "shell2", "shell3"])
+def test_killed_hit_probability_of_one_shell_matches_walk_on_spheres(request, monkeypatch, phi,
+                                                                      shell):
+    # One shell alone, stepped by the bands of the whole closed-form family:
+    # hits in other shells cannot make up for missed ones, as they can in
+    # the whole-family test.  A path that passes the shell by takes many
+    # small steps near the boundary before a suppressed proposal decides it,
+    # so the run is long; it is split between two forked workers.
+    if isinstance(phi, PowerProfile) and shell == 2:
+        # inside a band of phi = (1 - t) the step is kappa_b*delta**2: 10 % of
+        # the paths are undecided at max_steps, and the decided ones read
+        # 0.031 (4.5 sigma) low (see the FOUND entries of CHANGES.md)
+        request.applymarker(pytest.mark.xfail(strict=True, raises=AssertionError,
+                                              reason="deep shell of a decaying profile"))
+    family = generate_shell_config(BallDomain(np.zeros(2), 1.0), phi, 0.5, 3, seed=3)
+    keep = family.shell_ids == shell
+    single = BubbleConfig(family.domain, family.centers[keep], family.radii[keep])
+    n, alpha = 8000, 1.5
+    x0 = family.domain.center
+    params = SimParams(alpha=alpha, boundary_eps=1e-9, max_steps=10_000, n_traj=n, seed=1)
+    monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
+    tags, steps, _, _, killed, _ = simulate._run_forked(x0, single, phi, 0.5, params)
+    killed_hit = (tags == HIT) & (steps < killed)
+    undecided = int(((tags != HIT) & (killed == params.max_steps)).sum())
+    assert undecided <= 0.07 * n
+    p_chain = killed_hit.mean()
+    p_wos = _killed_walk_on_spheres(single, alpha, x0, n, seed=1).mean()
+    sigma = np.sqrt(2.0 * p_wos * (1.0 - p_wos) / n)
+    assert p_chain - 3.0 * sigma <= p_wos <= p_chain + undecided / n + 3.0 * sigma
+
+
 def test_estimate_reports_simulator_diagnostics(disk_config):
     # shell 3 of the disk has delta in [0.0167, 0.0204], below boundary_eps;
     # 1,000 paths, because only a few in a thousand land in it
     params = SimParams(alpha=1.5, boundary_eps=0.03, max_steps=400, n_traj=1000, seed=2)
-    est, (tags, steps, bubbles, _) = estimate_hitting(
-        disk_config.domain.center, disk_config, disk_config.meta["phi"], params)
+    est, (tags, steps, bubbles, finals) = estimate_hitting(
+        disk_config.domain.center, disk_config, disk_config.meta["phi"], disk_config.meta["a"],
+        params)
     diag = est.to_json()["diagnostics"]
     assert set(est.counts) == {"hit", "boundary", "timeout"}
     assert diag["shells_below_boundary_eps"] == 1
@@ -299,11 +374,23 @@ def test_estimate_reports_simulator_diagnostics(disk_config):
     assert 0.0 < diag["suppressed_fraction"] < 1.0
     assert diag["steps_p50"] <= diag["steps_p90"] <= diag["steps_p99"] <= params.max_steps
     assert diag["steps_p50"] == float(np.median(steps))
-    # with boundary_eps below every shell the list is empty
-    est, _ = estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"],
-                              dataclasses.replace(params, boundary_eps=1e-3, n_traj=20))
+    # how deep the timed-out paths ended
+    timed_out = tags == simulate.TIMEOUT
+    depth = 1.0 - row_norms(finals[timed_out], disk_config.domain.center)
+    assert timed_out.sum() >= 10
+    assert diag["timeout_delta_min"] == float(depth.min())
+    assert diag["timeout_delta_median"] == float(np.percentile(depth, 50))
+    assert params.boundary_eps <= diag["timeout_delta_min"] < diag["timeout_delta_median"]
+    # with boundary_eps below every shell the list is empty; without a
+    # timeout the depths are None
+    est, (tags, _, _, _) = estimate_hitting(
+        disk_config.domain.center, disk_config, disk_config.meta["phi"], disk_config.meta["a"],
+        dataclasses.replace(params, boundary_eps=1e-3, max_steps=5000, n_traj=20))
     assert est.diagnostics["shells_below_boundary_eps"] == 0
     assert est.diagnostics["shells_below_boundary_eps_list"] == []
+    assert simulate.TIMEOUT not in tags
+    assert est.to_json()["diagnostics"]["timeout_delta_min"] is None
+    assert est.to_json()["diagnostics"]["timeout_delta_median"] is None
 
 
 @pytest.mark.parametrize("first_failing, error", [(10, RuntimeError), (0, ArithmeticError)],
@@ -315,16 +402,17 @@ def test_a_block_failure_raises_here_and_leaves_no_child(disk_config, monkeypatc
     # worker is reaped (killed first, when this process's block fails).
     run_batch = simulate._run_batch
 
-    def failing(x0, config, phi, params, traj_ids):
+    def failing(x0, config, phi, a, params, traj_ids):
         if traj_ids[0] >= first_failing:
             raise ArithmeticError("block failed on purpose")
-        return run_batch(x0, config, phi, params, traj_ids)
+        return run_batch(x0, config, phi, a, params, traj_ids)
 
     monkeypatch.setattr(simulate, "_run_batch", failing)
     monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
     params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
     with pytest.raises(error, match="block failed on purpose"):
-        estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"], params)
+        estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"],
+                         disk_config.meta["a"], params)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -347,9 +435,11 @@ def test_percentile_equals_numpys_bit_for_bit():
     for trial in range(2000):
         n = int(rng.integers(1, 50))
         steps = rng.integers(0, 10 ** int(rng.integers(1, 12)), n)
-        for q in (50, 90, 99, 0, 100, 37.5):
-            got, want = _percentile(steps, q), np.percentile(steps, q)
-            assert got == want and np.signbit(got) == np.signbit(want), (steps, q)
+        depths = rng.random(n) * 10.0 ** -int(rng.integers(0, 12))
+        for a in (steps, depths):
+            for q in (50, 90, 99, 0, 100, 37.5):
+                got, want = _percentile(a, q), np.percentile(a, q)
+                assert got == want and np.signbit(got) == np.signbit(want), (a, q)
 
 
 def test_alpha_near_two_raises_on_a_non_finite_draw(disk_config, monkeypatch):
@@ -367,21 +457,72 @@ def test_alpha_near_two_raises_on_a_non_finite_draw(disk_config, monkeypatch):
 
     monkeypatch.setattr(simulate, "stable_vectors", planted)
     with pytest.raises(FloatingPointError, match="not finite"):
-        _run_batch(disk_config.domain.center, disk_config, disk_config.meta["phi"], params,
-                   np.arange(params.n_traj))
+        _run_batch(disk_config.domain.center, disk_config, disk_config.meta["phi"],
+                   disk_config.meta["a"], params, np.arange(params.n_traj))
 
 
 def test_x0_inside_a_bubble_raises(disk_config):
     params = SimParams(alpha=1.5, max_steps=10, n_traj=4)
     with pytest.raises(ValueError, match="inside a bubble"):
-        estimate_hitting(disk_config.centers[0], disk_config, disk_config.meta["phi"], params)
+        estimate_hitting(disk_config.centers[0], disk_config, disk_config.meta["phi"],
+                         disk_config.meta["a"], params)
+
+
+def test_bands_of_another_family_raise(disk_config):
+    # The step reads the bands of the (a, phi) it is given; a configuration
+    # that records another (a, phi) would be stepped by the wrong bands.
+    params = SimParams(alpha=1.5, max_steps=10, n_traj=4)
+    x0 = disk_config.domain.center
+    with pytest.raises(ValueError, match="phi"):
+        estimate_hitting(x0, disk_config, ConstantProfile(0.2), 0.5, params)
+    with pytest.raises(ValueError, match="a=0.25"):
+        estimate_hitting(x0, disk_config, disk_config.meta["phi"], 0.25, params)
+    # a family without a record, such as a subset, runs on the bands it is given
+    bare = BubbleConfig(disk_config.domain, disk_config.centers, disk_config.radii)
+    est, _ = estimate_hitting(x0, bare, ConstantProfile(0.2), 0.25, params)
+    assert est.n == 4
+
+
+def test_the_band_table_lists_at_most_max_bands_shells(monkeypatch, disk_config):
+    # As a -> 0 about log(eps/R)/log q shells start below R - eps, with
+    # q = (1 - a)/(1 + a): 1.4e4 here, 3.5e9 at a = 1e-9 and eps = 1e-3.
+    # Past the cap the last listed band reaches R, so the capped gap is -inf
+    # there and equals the full table's gap before that band starts.
+    phi, a, eps = PowerProfile(1.0), 1e-3, 1e-12
+
+    def gap(table, rho):
+        edges, below, above = table
+        j = edges.searchsorted(rho, side="right")
+        return np.minimum(rho - below[j], above[j] - rho)
+
+    capped = simulate._band_table(1.0, eps, phi, a)
+    monkeypatch.setattr(simulate, "_MAX_BANDS", 10 ** 5)
+    full = simulate._band_table(1.0, eps, phi, a)
+    monkeypatch.undo()
+    assert capped[0].size <= 2 * simulate._MAX_BANDS < full[0].size
+    assert capped[0][-1] == 1.0
+    tail = capped[0][-2]
+    t = simulate.shell_radii(a, simulate._MAX_BANDS)[-1]
+    assert tail == t - (1.0 - t) * phi(t)
+    rho = np.linspace(0.0, 1.0 - eps, 200_001)
+    g, g_full = gap(capped, rho), gap(full, rho)
+    assert np.array_equal(g[rho < tail], g_full[rho < tail])
+    assert np.all(g[rho >= tail] == -np.inf) and np.any(g_full[rho >= tail] > 0.0)
+    # tiny a runs: the table is built in every block and forked worker; at
+    # a = 1e-17, q = (1 - a)/(1 + a) rounds to 1
+    bare = BubbleConfig(disk_config.domain, disk_config.centers, disk_config.radii)
+    params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
+    for tiny in (1e-9, 1e-17):
+        est, _ = estimate_hitting(disk_config.domain.center, bare, ConstantProfile(0.1), tiny,
+                                  params)
+        assert est.n == 20
 
 
 def test_x0_within_boundary_eps_ends_at_once(disk_config):
     params = SimParams(alpha=1.5, boundary_eps=1e-3, max_steps=10, n_traj=5)
     x0 = np.array([1.0 - 5e-4, 0.0])
     est, (tags, steps, bubbles, finals) = estimate_hitting(
-        x0, disk_config, disk_config.meta["phi"], params)
+        x0, disk_config, disk_config.meta["phi"], disk_config.meta["a"], params)
     assert est.counts == {"hit": 0, "boundary": 5, "timeout": 0}
     assert np.all(steps == 0) and np.all(bubbles == -1)
     assert np.array_equal(finals, np.tile(x0, (5, 1)))
@@ -468,7 +609,7 @@ def test_wilson_interval_contains_p_hat_and_mirrors():
 def test_estimate_reports_the_interval_bounds(disk_config):
     params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
     est, _ = estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"],
-                              params)
+                              disk_config.meta["a"], params)
     out = est.to_json()
     assert "ci_halfwidth" not in out
     assert (out["ci_lo"], out["ci_hi"]) == _wilson_interval(est.counts["hit"], 20)

@@ -31,13 +31,19 @@ Each Cap(A ∩ Q) is a (lower, upper) pair bracketed by geometry alone: the
 largest ball inscribed in a bubble and the cube below, subadditivity over
 the meeting bubbles above.  So the Aikawa and Wiener sums and the
 quasi-additivity numerator are (lower, upper) pairs of floats or of arrays,
-checked by :func:`kernels.check_bounds`.  Every Whitney sum adds its cubes
-in one order, ascending cube number, which is level order and then
-lexicographic order, as a running (lower, upper) total carried from level
-to level: one per point for Aikawa, one per (point, dyadic shell) for
-Wiener and one for the quasi-additivity numerator.  Sums add left to right,
-so totals match a plain loop over the cubes, one scalar (lower, upper) pair
-at a time, bit for bit.
+checked by :func:`kernels.check_bounds`.  :class:`WhitneySums` holds them
+as arrays: a (lower, upper) row per point for Aikawa and per (point, dyadic
+shell) for Wiener, with a flag per (point, shell) for the shells that hold
+a bubble and one per shell for those reaching the coverage collar.  What
+belongs to the run, not to a point (the cubes summed, the bubbles below
+the collar and the warnings), is stored once, and the bubbles below the
+collar as a count.  Every Whitney sum adds its cubes in one order,
+ascending cube number, which is level order and then lexicographic order,
+as a running (lower, upper) total carried from level to level: one per
+point for Aikawa, one per (point, dyadic shell) for Wiener and one for the
+quasi-additivity numerator.  Sums add left to right, so totals match a
+plain loop over the cubes, one scalar (lower, upper) pair at a time, bit
+for bit.
 
 Memory.  Beyond the level in hand (8 bytes a pair, see ``whitney``), the
 pass keeps two floats per point for Aikawa, two per (point, shell) for
@@ -82,9 +88,7 @@ __all__ = [
     "Verdict",
     "DivergenceVerdict",
     "classify_shell_series",
-    "AikawaTrace",
     "aikawa_sum",
-    "WienerTrace",
     "WhitneySums",
     "whitney_sums",
     "AvoidabilityReport",
@@ -289,34 +293,18 @@ def _level_factors(lv: LevelPairs, config: BubbleConfig, alpha: float) -> _Level
 
 
 @dataclass(frozen=True)
-class AikawaTrace:
-    n_cubes: int             # cubes summed: every cube that meets a bubble
-    total: tuple[float, float]
-    uncovered_bubbles: np.ndarray
-    warnings: list
-
-    @property
-    def cube_ids(self) -> np.ndarray:
-        """The cubes summed, numbered in (level, lexicographic index) order."""
-        return np.arange(self.n_cubes)
-
-
-@dataclass(frozen=True)
-class WienerTrace:
-    shells: np.ndarray              # dyadic shell indices n, ascending
-    term_lower: np.ndarray          # per shell, following shells
-    term_upper: np.ndarray
-    total: tuple[float, float]
-    truncated_shells: np.ndarray    # shells overlapping the coverage collar
-
-
-@dataclass(frozen=True)
 class WhitneySums:
     """The Whitney-based sums of one configuration at every boundary point
-    of a grid, from one pass over its incidence."""
+    of a grid, from one pass over its incidence: arrays indexed by point
+    and dyadic shell, and each count of the run once."""
 
-    aikawa: list                       # AikawaTrace per boundary point
-    wiener: list                       # WienerTrace per boundary point
+    aikawa: np.ndarray                 # (points, 2): lower, upper totals
+    wiener: np.ndarray                 # (points, n_max + 1, 2): scaled shell terms
+    wiener_shells: np.ndarray          # (points, n_max + 1) bool: shells that hold a bubble
+    truncated: np.ndarray              # (n_max + 1,) bool: shells reaching the coverage collar
+    n_cubes: int                       # cubes summed: every cube that meets a bubble
+    n_uncovered: int                   # bubbles below the coverage collar
+    warnings: list
     qa_numerator: tuple[float, float]  # sum_Q g(Q)^2 * Cap(A ∩ Q)
     qa_denominator: float              # sum_k g(x_k)^2 * Cap(B_k)
     max_cubes_per_ball: int            # c2: the most cubes one bubble meets
@@ -354,9 +342,11 @@ def whitney_sums(
 
     Wiener at z: per dyadic shell n the contribution 2^(n(d+a-2)) *
     sum_j g(x_j)^2 * Cap(E_n ∩ Q_j), with the bubbles assigned to shells by
-    center distance; the scale is applied after the last level.  Bubbles
-    at distance >= 1/2 from z are in no shell, and shells reaching below
-    the coverage collar are flagged as truncated.
+    center distance; the scale is applied after the last level, to the
+    shells that hold a bubble (``wiener_shells``), and the other shells'
+    terms stay 0.  Bubbles at distance >= 1/2 from z are in no shell, and
+    the shells reaching below the coverage collar are flagged in
+    ``truncated``.
 
     Quasi-additivity numerator: sum_j g(x_j)^2 * Cap(A ∩ Q_j), with x_j the
     center of Q_j.
@@ -364,7 +354,7 @@ def whitney_sums(
     C1 is the smallest C >= 1 such that, for every bubble and cube that
     meet, dist(Q, boundary)/delta_D(x_k) and, at every boundary point z,
     dist(z, Q)/|x_k - z| lie in [1/C, C].  Bubbles below the collar are
-    reported in every Aikawa trace, not silently dropped.
+    counted (``n_uncovered``) and named in a warning, not silently dropped.
 
     Every point must lie on the boundary sphere to within 1e-9 * R, a
     tolerance that scales with the domain as the sums do.
@@ -395,7 +385,7 @@ def whitney_sums(
 
     # the pairs, a level at a time, with running (lower, upper) totals
     aik = np.zeros((n_points, 2))
-    wiener_totals = np.zeros((n_points, n_max + 1, 2))
+    wiener = np.zeros((n_points, n_max + 1, 2))
     qa = (0.0, 0.0)
     cubes_per_ball = np.zeros(config.n, dtype=np.int32)
     worst = 1.0
@@ -434,32 +424,37 @@ def whitney_sums(
                 shells.append(shell[keep])
             pos, shells = np.concatenate(pos), np.concatenate(shells)
             if pos.size:
-                _add_shell_terms(wiener_totals[j], *_shell_terms(lv, f, pos, shells))
+                # the terms come sorted by shell and then by cube, and
+                # np.add.at adds them in that order
+                shell, lower, upper = _shell_terms(lv, f, pos, shells)
+                np.add.at(wiener[j, :, 0], shell, lower)
+                np.add.at(wiener[j, :, 1], shell, upper)
         n_cubes += k
         del lv, f   # before the next level is built
 
-    uncovered = np.flatnonzero(cubes_per_ball == 0)
+    n_uncovered = int((cubes_per_ball == 0).sum())
     warnings = []
     if n_big:
         warnings.append(
             f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
             "capacity quasi-additivity hypotheses are not certified"
         )
-    if uncovered.size:
+    if n_uncovered:
         warnings.append(
-            f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
+            f"{n_uncovered} bubbles lie below the Whitney coverage collar; "
             "their contribution needs a tail estimate"
         )
-    aikawa = []
-    for lower, upper in aik.tolist():
-        check_bounds(lower, upper)
-        aikawa.append(AikawaTrace(n_cubes, (lower, upper), uncovered, list(warnings)))
-    collar = coverage_threshold(d, max_level)
-    wiener = [
-        _wiener_trace(totals, np.flatnonzero(shells), collar, d, alpha)
-        for totals, shells in zip(wiener_totals, present)
-    ]
-    return WhitneySums(aikawa, wiener, qa, den, int(cubes_per_ball.max(initial=0)), worst)
+    check_bounds(aik[:, 0], aik[:, 1])
+    # only the shells that hold a bubble are scaled: 2^(n(d+a-2)) passes
+    # the float range long before n reaches its bound of 1074
+    for n in np.flatnonzero(present.any(axis=0)).tolist():
+        wiener[present[:, n], n] *= 2.0 ** (n * w_exp)
+    check_bounds(wiener[..., 0], wiener[..., 1])
+    # each point's total, its shells added in ascending order
+    check_bounds(*np.cumsum(wiener, axis=1)[:, -1].T)
+    truncated = 2.0 ** -np.arange(n_max + 1.0) <= 2.0 * coverage_threshold(d, max_level)
+    return WhitneySums(aik, wiener, present, truncated, n_cubes, n_uncovered, warnings, qa,
+                       den, int(cubes_per_ball.max(initial=0)), worst)
 
 
 def _shell_terms(lv: LevelPairs, f: _Level, pos: np.ndarray, shells: np.ndarray):
@@ -480,37 +475,11 @@ def _shell_terms(lv: LevelPairs, f: _Level, pos: np.ndarray, shells: np.ndarray)
     return key // k, g2 * lower, g2 * upper
 
 
-def _add_shell_terms(totals: np.ndarray, shell: np.ndarray, lower: np.ndarray,
-                     upper: np.ndarray) -> None:
-    """Add terms sorted by shell to the running (lower, upper) totals
-    ``totals[n]`` of their shells n, each shell's run left to right."""
-    shells, starts = np.unique(shell, return_index=True)
-    for n, lo, up in zip(shells.tolist(), np.split(lower, starts[1:]),
-                         np.split(upper, starts[1:])):
-        totals[n] = _running_total(totals[n, 0], lo), _running_total(totals[n, 1], up)
-
-
-def _wiener_trace(totals: np.ndarray, shells: np.ndarray, collar: float, d: int,
-                  a: float) -> WienerTrace:
-    """A point's Wiener trace from its running (lower, upper) totals per
-    shell and its shells: each shell's total scaled by 2^(n(d+a-2)), and
-    the shells that reach the coverage collar of depth ``collar``."""
-    terms = totals[shells]
-    for j, n in enumerate(shells.tolist()):
-        terms[j] *= 2.0 ** (n * (d + a - 2.0))
-    lower, upper = terms.T
-    check_bounds(lower, upper)
-    total = _running_total(0.0, lower), _running_total(0.0, upper)
-    check_bounds(*total)
-    truncated = shells[2.0 ** (-shells.astype(float)) <= 2.0 * collar]
-    return WienerTrace(shells, lower, upper, total, truncated)
-
-
-def aikawa_sum(config: BubbleConfig, z, alpha: float, max_level: int) -> AikawaTrace:
+def aikawa_sum(config: BubbleConfig, z, alpha: float, max_level: int) -> tuple[float, float]:
     """Cube-indexed thinness sum at the boundary point z (see
     :func:`whitney_sums`) as (lower, upper) bounds over the Whitney cubes
     down to ``max_level`` that meet a bubble of ``config``."""
-    return whitney_sums(config, [z], alpha, max_level).aikawa[0]
+    return tuple(whitney_sums(config, [z], alpha, max_level).aikawa[0].tolist())
 
 
 # ---------------------------------------------------------------------------

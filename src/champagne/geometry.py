@@ -38,13 +38,6 @@ class BallDomain:
     def dimension(self) -> int:
         return int(self.center.shape[0])
 
-    def contains(self, x) -> np.ndarray | bool:
-        """Whether x lies in the open ball.  Accepts a point or an (n, d) batch."""
-        x = np.asarray(x, dtype=float)
-        self._check_dim(x)
-        sq = ((x - self.center) ** 2).sum(axis=-1)
-        return sq < self.radius * self.radius
-
     def _check_dim(self, x: np.ndarray) -> None:
         if x.shape[-1] != self.dimension:
             raise ValueError(

@@ -15,7 +15,7 @@ reading and checking a RunConfig and building the bubbles need (``geometry``,
 ``sim`` block.  ``generate`` and ``simulate`` load nothing more.
 ``whitney`` loads the ``whitney`` module inside ``cmd_whitney``, and
 ``criteria`` loads ``criteria``, ``kernels`` and ``whitney`` inside
-``cmd_criteria``: together about 1,080 lines that the other stages never
+``cmd_criteria``: together about 1,050 lines that the other stages never
 run.  The name ``aikawa_sum`` is re-exported from ``criteria`` on first use
 (module ``__getattr__``).
 """
@@ -401,19 +401,19 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
             w = csv.writer(f)
             w.writerow(["z_index", "shell_n", "term_lower", "term_upper",
                         "cum_lower", "cum_upper", "truncated"])
-            for i, wie in enumerate(sums.wiener):
-                truncated = set(wie.truncated_shells.tolist())
+            for i, (terms, shells) in enumerate(zip(sums.wiener, sums.wiener_shells)):
+                terms = terms[shells]
                 # np.cumsum adds in order, so each cumulative bound is a running total
-                for sh, lo, hi, cum_lo, cum_hi in zip(
-                    wie.shells.tolist(), wie.term_lower.tolist(), wie.term_upper.tolist(),
-                    np.cumsum(wie.term_lower).tolist(), np.cumsum(wie.term_upper).tolist(),
+                for sh, (lo, hi), (cum_lo, cum_hi), trunc in zip(
+                    np.flatnonzero(shells).tolist(), terms.tolist(),
+                    np.cumsum(terms, axis=0).tolist(), sums.truncated[shells].tolist(),
                 ):
                     w.writerow([i, sh, repr(lo), repr(hi), repr(cum_lo), repr(cum_hi),
-                                int(sh in truncated)])
+                                int(trunc)])
         traces["aikawa_total"] = [
-            {"z_index": i, "lower": aik.total[0], "upper": aik.total[1],
-             "n_cubes": aik.n_cubes, "warnings": aik.warnings}
-            for i, aik in enumerate(sums.aikawa)
+            {"z_index": i, "lower": lower, "upper": upper,
+             "n_cubes": sums.n_cubes, "warnings": sums.warnings}
+            for i, (lower, upper) in enumerate(sums.aikawa.tolist())
         ]
 
     verdicts = {
@@ -448,6 +448,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     _write_json(out / "estimate.json", payload)
     if cfg.per_trajectory_csv:
         _write_trajectories(out / "trajectories.csv", *outcomes)
+    else:
+        # an earlier run's trajectories would not be this estimate's
+        (out / "trajectories.csv").unlink(missing_ok=True)
     _write_manifest(out, "simulate", cfg)
     return out / "estimate.json"
 

@@ -22,25 +22,21 @@ the local bubble scale kappa_b*delta*phi; between bands it grows with the
 gap to the nearest band, as walk-on-spheres steps to the nearest obstacle
 (Muller, Ann. Math. Stat. 27, 1956), and never past kappa_b*delta.  What
 this saves depends on the share of the radial range between the bands,
-1 - phi/a for a constant phi < a and none for phi >= a.  On the W2 disk
-(phi/a = 0.2) a path takes a median of 182 steps, against 496 for the
-bubble scale kappa*delta*phi alone; where the bands cover the range, the
-step is half that scale and a path takes up to twice as many steps.  The
-median is exact: it is the radius that the table of |xi|'s law
-(``rng.radial_law``) gives at u = 1/2, to within 1e-8 in probability.  A
-jump s(x)*xi is what the stable process does in time s(x)**alpha, so the
-chain is an Euler scheme for the censored process time-changed by
-dt = s(X)**alpha.  A time change keeps the paths and hence
-every hitting probability; the one error is the chain's discretisation
-bias, which the tests measure against walk-on-spheres for the process
-killed on leaving D (Bogdan, Burdzy & Chen, PTRF 127, 2003), on a whole
-family and on single shells.  kappa_b is half of kappa = 0.25/median|xi|,
-at which the band step read a whole family's killed hit probability about
-4 sigma low; with dense bands, where the old step kappa*delta*phi read
-single shells up to 3.9 sigma low, the band step reads them within 2.9
-sigma.  The lifetime proxy delta_D < boundary_eps biases p_hat
-downward; a running trajectory has delta >= boundary_eps, so its step is
-never 0.
+1 - phi/a for a constant phi < a and none for phi >= a; where the bands
+cover the range, the step is half the bubble scale kappa*delta*phi and a
+path takes up to twice as many steps.  The median is exact: it is the
+radius that the table of |xi|'s law (``rng.radial_law``) gives at
+u = 1/2, to within 1e-8 in probability.  A jump s(x)*xi is what the
+stable process does in time s(x)**alpha, so the chain is an Euler scheme
+for the censored process time-changed by dt = s(X)**alpha.  A time change
+keeps the paths and hence every hitting probability; the one error is the
+chain's discretisation bias, which the tests measure against
+walk-on-spheres for the process killed on leaving D (Bogdan, Burdzy &
+Chen, PTRF 127, 2003), on a whole family and on single shells.  kappa_b
+is half of kappa = 0.25/median|xi|, because at kappa the band step read a
+whole family's killed hit probability low by more than its noise.  The
+lifetime proxy delta_D < boundary_eps biases p_hat downward; a running
+trajectory has delta >= boundary_eps, so its step is never 0.
 
 Randomness is counter-based per trajectory, so estimates are bitwise
 independent of batching.  A step takes d uniforms (``rng.slots_per_step``):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from champagne import criteria, kernels, whitney as whitney_module
 from champagne.criteria import (
     DivergenceVerdict,
     Verdict,
+    WhitneySums,
     _add_cap_bounds,
     _classify_exponents,
     _series_total,
@@ -213,11 +214,16 @@ def test_shell_series_agrees_with_integral(phi):
 
 # -- whitney sums ---------------------------------------------------------------------
 
+def _wiener_total(sums, j):
+    """Point j's Wiener total: its shell terms added in ascending shell order."""
+    return tuple(np.cumsum(sums.wiener[j], axis=0)[-1].tolist())
+
+
 def test_aikawa_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = aikawa_sum(cfg, [1.0, 0.0], 1.5, 7)
-    assert trace.total == (0.0, 0.0)
-    assert trace.uncovered_bubbles.size == 0
+    assert aikawa_sum(cfg, [1.0, 0.0], 1.5, 7) == (0.0, 0.0)
+    sums = whitney_sums(cfg, [[1.0, 0.0]], 1.5, 7)
+    assert (sums.n_cubes, sums.n_uncovered, sums.warnings) == (0, 0, [])
 
 
 def _one_bubble_at_a_cube_centre(disk):
@@ -235,8 +241,8 @@ def test_aikawa_single_bubble_hand_bound(disk):
     cfg = _one_bubble_at_a_cube_centre(disk)
     center = cfg.centers[0]
     z = np.array([-1.0, 0.0])
-    trace = aikawa_sum(cfg, z, 1.5, 7)
-    assert trace.total[0] > 0.0
+    total = aikawa_sum(cfg, z, 1.5, 7)
+    assert total[0] > 0.0
     c2 = intersecting_cubes(disk, 7, cfg.centers[0], 0.01).shape[0]
     C1 = whitney_sums(cfg, z[None, :], 1.5, 7).ratio_bound
     alpha, d = 1.5, 2
@@ -249,7 +255,7 @@ def test_aikawa_single_bubble_hand_bound(disk):
         * delta ** (2 * alpha - 2)
         / dist ** (d + alpha - 2)
     )
-    assert trace.total[1] <= hand * (1 + 1e-9)
+    assert total[1] <= hand * (1 + 1e-9)
 
 
 def test_an_exact_geometry_gives_zero_width_intervals(disk):
@@ -259,12 +265,12 @@ def test_an_exact_geometry_gives_zero_width_intervals(disk):
     cfg = _one_bubble_at_a_cube_centre(disk)
     sums = whitney_sums(cfg, [[1.0, 0.0], [-1.0, 0.0]], 1.5, 7)
     assert sums.max_cubes_per_ball == 1
-    for trace in sums.aikawa:
-        assert trace.total[0] == trace.total[1] > 0.0
-    wiener = sums.wiener[0]
-    assert wiener.shells.size > 0
-    assert wiener.term_lower.tolist() == wiener.term_upper.tolist()
-    assert wiener.total[0] == wiener.total[1]
+    for lower, upper in sums.aikawa.tolist():
+        assert lower == upper > 0.0
+    assert sums.wiener_shells[0].any()
+    assert sums.wiener[0, :, 0].tolist() == sums.wiener[0, :, 1].tolist()
+    total = _wiener_total(sums, 0)
+    assert total[0] == total[1] > 0.0
     assert sums.quasi_additivity() == (1.0, 1.0)
 
 
@@ -276,7 +282,7 @@ def test_aikawa_subconfig_ordering(disk):
     z = np.array([0.0, -1.0])
     full = aikawa_sum(cfg, z, 1.5, 7)
     sub = aikawa_sum(half, z, 1.5, 7)
-    assert sub.total[1] <= full.total[1] * (1 + 1e-12)
+    assert sub[1] <= full[1] * (1 + 1e-12)
 
 
 def test_aikawa_warns_below_collar(disk):
@@ -285,13 +291,13 @@ def test_aikawa_warns_below_collar(disk):
     # a fat bubble above the small-radius threshold (256 pi)^(-2/3) = 0.01156
     fat = BubbleConfig(BallDomain(np.zeros(2), 2.0), [[0.0, 0.0]], [0.5])
     for cfg, z, uncovered, warning in (
-        (below, [1.0, 0.0], [0], "bubbles lie below the Whitney coverage collar"),
-        (fat, [2.0, 0.0], [], "bubbles exceed the small-radius threshold 0.01156"),
+        (below, [1.0, 0.0], 1, "bubbles lie below the Whitney coverage collar"),
+        (fat, [2.0, 0.0], 0, "bubbles exceed the small-radius threshold 0.01156"),
     ):
-        trace = whitney_sums(cfg, [z], 1.5, 4).aikawa[0]
-        assert trace.uncovered_bubbles.tolist() == uncovered
-        assert [w for w in trace.warnings if warning in w] != []
-        assert len(trace.warnings) == 1
+        sums = whitney_sums(cfg, [z], 1.5, 4)
+        assert sums.n_uncovered == uncovered
+        assert [w for w in sums.warnings if warning in w] != []
+        assert len(sums.warnings) == 1
 
 
 def test_aikawa_rejects_interior_z(disk):
@@ -316,8 +322,7 @@ def test_the_on_sphere_check_scales_with_the_radius(disk):
         sums = whitney_sums(cfg, points, 1.5, 7 - k)
         assert sums.max_cubes_per_ball == want.max_cubes_per_ball
         assert sums.ratio_bound == want.ratio_bound
-        for got, ref in zip(sums.aikawa, want.aikawa, strict=True):
-            assert got.total == pytest.approx(ref.total, rel=1e-12)
+        assert sums.aikawa == pytest.approx(want.aikawa, rel=1e-12)
         with pytest.raises(ValueError, match="boundary sphere"):
             whitney_sums(cfg, points[:1] * (1.0 + 1e-3), 1.5, 7 - k)
 
@@ -325,20 +330,30 @@ def test_the_on_sphere_check_scales_with_the_radius(disk):
 def test_wiener_single_bubble_shell_membership(disk):
     # distance 0.3 from z: shell n = 1 (0.25 <= 0.3 < 0.5)
     cfg = BubbleConfig(disk, [[0.7, 0.0]], [0.01])
-    trace = whitney_sums(cfg, [[1.0, 0.0]], 1.5, 7, n_max=10).wiener[0]
-    assert trace.shells.tolist() == [1]
-    assert trace.total[1] > 0.0
+    sums = whitney_sums(cfg, [[1.0, 0.0]], 1.5, 7, n_max=10)
+    assert np.flatnonzero(sums.wiener_shells[0]).tolist() == [1]
+    assert _wiener_total(sums, 0)[1] > 0.0
+
+
+def test_wiener_scales_only_the_shells_that_hold_a_bubble(disk):
+    # 2^(n(d+a-2)) passes the float range for n near the largest n_max,
+    # 1074, so scaling an empty shell would give 0 * inf = NaN there
+    cfg = _one_bubble_at_a_cube_centre(disk)
+    points = uniform_boundary_grid(disk, 8)
+    want = whitney_sums(cfg, points, 1.5, 7, n_max=10)
+    sums = whitney_sums(cfg, points, 1.5, 7, n_max=1074)
+    assert sums.wiener[:, :11].tolist() == want.wiener.tolist()
+    assert not sums.wiener[:, 11:].any() and not sums.wiener_shells[:, 11:].any()
 
 
 def test_wiener_empty_and_far(disk):
     empty = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
-    trace = whitney_sums(empty, [[1.0, 0.0]], 1.5, 7).wiener[0]
-    assert trace.total == (0.0, 0.0)
+    assert _wiener_total(whitney_sums(empty, [[1.0, 0.0]], 1.5, 7), 0) == (0.0, 0.0)
     # at distance 1.5 >= 1/2 from z the bubble falls in no shell
     far = BubbleConfig(disk, [[-0.5, 0.0]], [0.01])
-    trace = whitney_sums(far, [[1.0, 0.0]], 1.5, 7).wiener[0]
-    assert trace.shells.size == 0
-    assert trace.total == (0.0, 0.0)
+    sums = whitney_sums(far, [[1.0, 0.0]], 1.5, 7)
+    assert not sums.wiener_shells.any()
+    assert _wiener_total(sums, 0) == (0.0, 0.0)
 
 
 def test_wiener_matches_aikawa_within_constant(disk):
@@ -347,7 +362,7 @@ def test_wiener_matches_aikawa_within_constant(disk):
         cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=seed)
         z = np.array([1.0, 0.0])
         sums = whitney_sums(cfg, [z], 1.5, 7)
-        ratios.append(sums.wiener[0].total[1] / sums.aikawa[0].total[1])
+        ratios.append(_wiener_total(sums, 0)[1] / sums.aikawa[0, 1])
     ratios = np.asarray(ratios)
     assert ratios.max() / ratios.min() < 10.0
 
@@ -418,9 +433,9 @@ def test_aikawa_terms_equal_the_scalar_envelopes_exactly(disk):
     terms = oracle.aikawa_sum(oracle.ball_cube_incidence(disk, 7, cfg.centers, cfg.radii),
                               cfg, z, 1.3)
     assert list(zip(terms.term_lower.tolist(), terms.term_upper.tolist())) == expected
-    trace = aikawa_sum(cfg, z, 1.3, 7)
-    assert trace.cube_ids.tolist() == list(range(len(expected)))
-    assert trace.total == tuple(map(sum, zip(*expected)))
+    sums = whitney_sums(cfg, [z], 1.3, 7)
+    assert sums.n_cubes == len(expected)
+    assert tuple(sums.aikawa[0].tolist()) == tuple(map(sum, zip(*expected)))
 
 
 def _oracle_sums(max_level, cfg, points, alpha, n_max):
@@ -435,18 +450,24 @@ def _oracle_sums(max_level, cfg, points, alpha, n_max):
 
 
 def _assert_sums_equal(sums, want):
+    # the oracle keeps a trace per point; the sums keep arrays and the run's
+    # counts once
     aikawa, wiener, qa, c2, c1 = want
-    for got, ref in zip(sums.aikawa, aikawa, strict=True):
-        assert got.total == ref.total
-        assert got.n_cubes == ref.cube_ids.size
-        assert np.array_equal(got.uncovered_bubbles, ref.uncovered_bubbles)
-        assert got.warnings == ref.warnings
-    for got, ref in zip(sums.wiener, wiener, strict=True):
-        assert got.shells.tolist() == ref.shells.tolist()
-        assert got.term_lower.tolist() == ref.term_lower.tolist()
-        assert got.term_upper.tolist() == ref.term_upper.tolist()
-        assert got.total == ref.total
-        assert got.truncated_shells.tolist() == ref.truncated_shells.tolist()
+    assert sums.aikawa.tolist() == [list(ref.total) for ref in aikawa]
+    for ref in aikawa:
+        assert sums.n_cubes == ref.cube_ids.size
+        assert sums.n_uncovered == ref.uncovered_bubbles.size
+        assert sums.warnings == ref.warnings
+    assert len(sums.wiener) == len(wiener)
+    for j, ref in enumerate(wiener):
+        present = sums.wiener_shells[j]
+        shells = np.flatnonzero(present)
+        assert shells.tolist() == ref.shells.tolist()
+        assert sums.wiener[j, shells, 0].tolist() == ref.term_lower.tolist()
+        assert sums.wiener[j, shells, 1].tolist() == ref.term_upper.tolist()
+        assert not sums.wiener[j, ~present].any()
+        assert _wiener_total(sums, j) == ref.total
+        assert shells[sums.truncated[shells]].tolist() == ref.truncated_shells.tolist()
     assert sums.quasi_additivity() == qa
     assert sums.max_cubes_per_ball == c2
     assert sums.ratio_bound == c1
@@ -467,8 +488,8 @@ def test_streamed_sums_equal_the_in_memory_oracle(d, phi, shells, seed, max_leve
     cfg = generate_shell_config(domain, phi, 0.5, shells, seed=seed)
     points = uniform_boundary_grid(domain, grid)
     sums = whitney_sums(cfg, points, alpha, max_level, n_max=24)
-    assert sum(s.shells.size for s in sums.wiener) > grid
-    assert 0 < sums.aikawa[0].uncovered_bubbles.size < cfg.n
+    assert sums.wiener_shells.sum() > grid
+    assert 0 < sums.n_uncovered < cfg.n
     _assert_sums_equal(sums, _oracle_sums(max_level, cfg, points, alpha, 24))
 
 
@@ -510,8 +531,11 @@ def test_block_sizes_change_no_result(module, name, monkeypatch, default_block_r
         sums, totals, counts = _block_case_results(*case)
         assert totals == want_totals
         assert counts == want_counts
-        _assert_sums_equal(sums, (want.aikawa, want.wiener, want.quasi_additivity(),
-                                  want.max_cubes_per_ball, want.ratio_bound))
+        for f in fields(WhitneySums):
+            got, ref = getattr(sums, f.name), getattr(want, f.name)
+            if isinstance(ref, np.ndarray):
+                got, ref = got.tolist(), ref.tolist()
+            assert got == ref, f.name
 
 
 def test_quasi_additivity_interval_finite_and_ordered(disk):

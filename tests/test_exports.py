@@ -68,12 +68,6 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert unused == []
 
 
-# public methods and properties that no package code reads, each with the
-# reason it stays: perfbench's Aikawa layer counts the cubes through
-# cube_ids, until the benchmark counts them from n_cubes
-KEPT_FOR_PERFBENCH = {"criteria.AikawaTrace.cube_ids"}
-
-
 def test_every_public_method_and_property_has_a_caller_in_the_package():
     # a public method or property of a package class that only tests call is
     # dead code too: its name must be read by package code other than its
@@ -94,7 +88,7 @@ def test_every_public_method_and_property_has_a_caller_in_the_package():
                                                 *map(_referenced_names, stmt.decorator_list))))
     unused = sorted(
         name for name, _ in units
-        if name is not None and name not in KEPT_FOR_PERFBENCH
+        if name is not None
         and not any(name.rpartition(".")[2] in reads for other, reads in units if other != name)
     )
     assert unused == []

@@ -163,12 +163,14 @@ def test_stage_start_up_holds_little_beyond_what_it_keeps():
 def test_criteria_sums_hold_little_beyond_the_configuration():
     # The Whitney half of the criteria stage on W2 at the benchmark's
     # max_level 8: the incidence and every sum at 4 grid points.
-    # It holds one level's pairs, blocks of rows, one count per bubble and
-    # the ids of the 52,012 bubbles below the collar (1.3 MiB by tracemalloc);
-    # holding the whole incidence and passing over it once per point took 5.2.
-    # The sums keep running totals and no per-cube term, so 32 grid points
-    # peak within 0.1 MiB of 4 (keeping each point's Wiener terms per cube
-    # until the last level went 1.43 -> 1.78 MiB).
+    # It holds one level's pairs, blocks of rows and one count per bubble
+    # (1.2 MiB by tracemalloc); holding the whole incidence and passing over
+    # it once per point took 5.2.  The sums keep running totals and no
+    # per-cube term, so 32 grid points peak within 0.1 MiB of 4 (keeping
+    # each point's Wiener terms per cube until the last level went 1.43 ->
+    # 1.78 MiB).  The result keeps arrays per point and shell and counts
+    # the 52,012 bubbles below the collar: 0.007 MiB at 4 points, where a
+    # trace per point, with the ids of those bubbles, kept 0.41.
     def sums(obj):
         cfg = RunConfig.from_json(obj)
         config = harness._build_config(cfg)
@@ -178,16 +180,17 @@ def test_criteria_sums_hold_little_beyond_the_configuration():
             out = criteria.whitney_sums(config, points, cfg.alpha, cfg.whitney_max_level,
                                         cfg.wiener_n_max)
             out.quasi_additivity()
-            peak = tracemalloc.get_traced_memory()[1]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return config, out, peak
+        return config, out, kept, peak
 
     sums(SMALL)  # first-use imports and caches
     w2 = {**W2, "whitney": {"max_level": 8}}
-    config, out, peak = sums(w2)
+    config, out, kept, peak = sums(w2)
     assert config.n == 54_743
-    assert out.aikawa[0].uncovered_bubbles.size == 52_012
+    assert out.n_uncovered == 52_012
+    assert kept < 0.05 * MiB
     assert peak < 2.5 * MiB
     *_, peak_32 = sums({**w2, "criteria": {"grid": 32, "wiener_n_max": 24}})
     assert abs(peak_32 - peak) < 0.1 * MiB
@@ -474,6 +477,19 @@ def test_outputs_describe_the_bubbles_of_their_own_config(tmp_path, monkeypatch)
     assert (fresh / "bubbles.csv").read_bytes() != seed_7
     for name in ("bubbles.csv", "run_config.json", "estimate.json", "trajectories.csv"):
         assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_a_simulate_without_trajectories_removes_an_earlier_runs(tmp_path):
+    # a 20-path run writes trajectories.csv; a 10-path run into the same
+    # directory with per_trajectory_csv false must not leave those 20 rows
+    # beside its own estimate
+    sim = {"alpha": 1.3, "max_steps": 50, "n_traj": 20, "seed": 3}
+    harness.cmd_simulate(RunConfig.from_json({**SMALL, "per_trajectory_csv": True,
+                                              "sim": sim}), tmp_path)
+    assert len((tmp_path / "trajectories.csv").read_text().splitlines()) == 21
+    harness.cmd_simulate(RunConfig.from_json({**SMALL, "sim": {**sim, "n_traj": 10}}), tmp_path)
+    assert json.loads((tmp_path / "estimate.json").read_text())["n"] == 10
+    assert not (tmp_path / "trajectories.csv").exists()
 
 
 def test_run_config_json_round_trip():

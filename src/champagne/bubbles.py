@@ -1,7 +1,8 @@
 """Bubble configurations: champagne families of disjoint closed balls
-accumulating at the boundary, their generator and separation infimum.  The
-generator's one random choice, a rotation per shell, comes from the counter
-streams of ``rng``, and no BLAS routine computes a centre.
+accumulating at the boundary, and their generator, which records each
+shell's centre gap in closed form.  The generator's one random choice, a
+rotation per shell, comes from the counter streams of ``rng``, and no BLAS
+routine computes a centre.
 
 Radial profiles are a closed-form enumeration rather than arbitrary
 callables: divergence of an improper integral cannot be decided from
@@ -18,9 +19,9 @@ and 44 in d=3.  From validation on it also keeps its ball index, 13.7 bytes
 a bubble on the W2 disk (see ``spatial``).  Beyond these arrays, every pass
 holds one block of rows: the shell generator writes each lattice straight
 into the rows of the centres _LATTICE_BLOCK rows at a time; the distances to
-the boundary, the radius-ratio check and the separation ratios take
-_ROW_BLOCK bubbles at a time; and ``to_csv`` formats _CSV_BLOCK rows at a
-time.  No block size changes a result.
+the boundary and the radius-ratio check take _ROW_BLOCK bubbles at a time;
+and ``to_csv`` formats _CSV_BLOCK rows at a time.  No block size changes a
+result.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "RadialProfile",
     "generate_shell_config",
     "shell_radii",
-    "separation_infimum",
 ]
 
 
@@ -152,8 +152,7 @@ RadialProfile.kinds = {f.kind: f for f in (ConstantProfile, PowerProfile, LogPro
 
 # rows of bubbles.csv formatted at a time
 _CSV_BLOCK = 1 << 10
-# bubbles whose distances to the boundary, radius ratios and separation
-# ratios are computed at a time
+# bubbles whose distances to the boundary and radius ratios are computed at a time
 _ROW_BLOCK = 1 << 13
 
 
@@ -169,8 +168,8 @@ class BubbleConfig:
     Centers and radii are stored as arrays; ``meta`` carries generation
     parameters (profile, a, shells, seed) when built by the generator, and
     ``shell_ids`` labels each bubble with its shell.  ``index`` answers
-    every spatial query: point membership, the disjointness check's
-    candidate pairs and the separation infimum's nearest centres.
+    every spatial query: point membership and the disjointness check's
+    candidate pairs.
     """
 
     def __init__(
@@ -348,11 +347,19 @@ def _shoemake_rotation(u1: float, u2: float, u3: float) -> tuple:
             (2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)))
 
 
-# lattice factors relative to the mean spacing: the Fibonacci lattice has
-# min-NN distance 0.872x and covering radius <= 0.77x the mean (measured,
-# stable in N); d=2 chords are enforced exactly instead
+# lattice factors relative to the mean spacing sqrt(4*pi*t^2/n): the
+# Fibonacci lattice's minimum-neighbour distance is 0.8487x the mean at
+# n = 4, at least 0.868x for n >= 5 and 0.8723x at n = 200,000, and its
+# covering radius is <= 0.77x (measured).  The spacing's 5 % margin covers
+# n = 4 under 0.85; d=2 chords are enforced exactly instead.
 _MIN_NN_FACTOR = {2: 0.99, 3: 0.85}
 _COVER_FACTOR = {3: 0.80}
+# below every measured minimum-neighbour factor, so that it bounds the
+# distance between two centres of a d=3 shell
+_CENTER_GAP_FACTOR = 0.84
+# relative shave of each centre gap: the exact d=2 chord exceeds the distance
+# between the rounded centres by up to 5e-11 of it
+_GAP_SHAVE = 1e-9
 # lattice rows computed at a time, which bounds the generator's working memory
 _LATTICE_BLOCK = 1 << 13
 _SHELL_STREAMS = 2**63
@@ -386,6 +393,15 @@ def generate_shell_config(
     the generator records ``coverage_a`` in ``meta``: a widened parameter for
     which N_coverage_a(x) >= 1 holds on t_1 <= |x| <= t_shells, provided it
     came out below 1; values >= 1 mean no coverage certificate.
+
+    It also records ``center_gap``: per shell i, a lower bound on the
+    distance from any of its centres to any other centre,
+    min(within_i, t_i - t_(i-1), t_(i+1) - t_i), with a radial gap that has
+    no neighbour shell left out.  within_i is the chord 2*t_i*sin(pi/n_i)
+    between adjacent centres in d=2 and _CENTER_GAP_FACTOR times the mean
+    spacing sqrt(4*pi*t_i^2/n_i) in d=3; a centre of another shell lies at
+    least the radial gap to the neighbour shell away.  Each bound is shaved
+    by _GAP_SHAVE of itself for the rounding of the centres.
     """
     _check_shell_domain(domain)
     d = domain.dimension
@@ -395,6 +411,7 @@ def generate_shell_config(
 
     spacing = np.empty(shells)
     counts = np.empty(shells, dtype=np.int64)
+    gap = np.empty(shells)
     for i in range(shells):
         # lattice spacing: N_a coverage wants a*u/2, disjointness wants the
         # minimum pairwise chord to clear 2r
@@ -407,9 +424,15 @@ def generate_shell_config(
             # exact chord check: adjacent centers must clear the two radii
             while n_i > 1 and 2.0 * t[i] * math.sin(math.pi / n_i) <= 2.0 * r[i] * 1.02:
                 n_i -= 1
+            gap[i] = 2.0 * t[i] * math.sin(math.pi / n_i)
         else:
             n_i = max(4, int(math.ceil(4.0 * math.pi * t[i] ** 2 / (s * s))))
+            gap[i] = _CENTER_GAP_FACTOR * math.sqrt(4.0 * math.pi * t[i] ** 2 / n_i)
         counts[i] = n_i
+    radial = np.diff(t)
+    np.minimum(gap[1:], radial, out=gap[1:])
+    np.minimum(gap[:-1], radial, out=gap[:-1])
+    gap *= 1.0 - _GAP_SHAVE
 
     keys = stream_keys(seed, _SHELL_STREAMS + np.arange(shells, dtype=np.uint64))
     uniforms = uniform01(keys[:, None], np.arange(3, dtype=np.uint64)).tolist()
@@ -441,6 +464,7 @@ def generate_shell_config(
         "seed": seed,
         "t": [float(x) for x in t],
         "coverage_a": coverage_a,
+        "center_gap": gap.tolist(),
     }
     return BubbleConfig(domain, centers, r[shell_ids], shell_ids=shell_ids, meta=meta)
 
@@ -470,26 +494,3 @@ def _coverage_parameter(a, t, spacing, counts, d) -> float:
                     best = min(best, math.hypot(s - t[jj], cover[jj]))
             worst = max(worst, best / (1.0 - s))
     return worst * 1.02  # >= 1 means the lattice does not certify coverage
-
-
-# ---------------------------------------------------------------------------
-# separation
-# ---------------------------------------------------------------------------
-
-def separation_infimum(config: BubbleConfig, alpha: float) -> float:
-    """inf over j != k of |x_j - x_k| / (r_k^(1-alpha/d) * delta(x_k)^(alpha/d)).
-
-    +inf for a single bubble.  The denominator depends on k only, so the
-    infimum reduces to each centre's distance to the nearest other centre,
-    which ``config.index`` gives exactly (``BallIndex.nearest_center_distances``).
-    """
-    if config.n == 0:
-        raise ValueError("need at least one bubble")
-    d = config.dimension
-    nn = config.index.nearest_center_distances()  # inf for a single bubble
-    least = math.inf
-    for b in _row_blocks(config.n):
-        denom = config.radii[b] ** (1.0 - alpha / d) * config.deltas[b] ** (alpha / d)
-        least = min(least, float((nn[b] / denom).min()))
-    return least
-

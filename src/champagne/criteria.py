@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bubbles import BubbleConfig, RadialProfile, _fibonacci_sphere, separation_infimum
+from .bubbles import BubbleConfig, RadialProfile, _fibonacci_sphere
 from .geometry import BallDomain, dist_to_boundary, row_norms
 from .kernels import _pow_each, ball_capacity, capped_green, check_bounds, small_radius_threshold
 # intersecting_cubes is the per-ball reference for the incidence; it stays
@@ -490,9 +490,25 @@ def aikawa_sum(config: BubbleConfig, z, alpha: float, max_level: int) -> tuple[f
 class AvoidabilityReport:
     verdict: DivergenceVerdict     # one for the whole grid
     per_z_totals: np.ndarray       # final partial sum of the boundary series per grid point
-    separation: float
+    separation: np.ndarray | None  # per shell: _separation_ratios
     aggregate: str                 # "unavoidable" | "avoidable-candidate" | "inconclusive"
     notes: list
+
+
+def _separation_ratios(config: BubbleConfig, alpha: float) -> np.ndarray | None:
+    """Per shell i, a lower bound on |x_j - x_k| / (r_k^(1-a/d) delta_k^(a/d))
+    over its bubbles k and every other bubble j: the centre gap that
+    ``bubbles.generate_shell_config`` records (``meta["center_gap"]``) over
+    r_i^(1-a/d) u_i^(a/d), with u_i = 1 - t_i and r_i = u_i phi(t_i).  None
+    without that record and the profile."""
+    meta = config.meta
+    if "center_gap" not in meta or "phi" not in meta:
+        return None
+    d = config.dimension
+    t = np.asarray(meta["t"])
+    u = 1.0 - t
+    r = u * meta["phi"](t)
+    return np.asarray(meta["center_gap"]) / (r ** (1.0 - alpha / d) * u ** (alpha / d))
 
 
 def classify_avoidability(config: BubbleConfig, alpha: float, points) -> AvoidabilityReport:
@@ -505,9 +521,15 @@ def classify_avoidability(config: BubbleConfig, alpha: float, points) -> Avoidab
     it is given, and comes from the analytic shell-series reduction, which
     does not depend on the grid point.  A configuration without that record,
     such as one built by hand, gets an Inconclusive verdict with the series
-    totals as diagnostics, and a note says why.  Aggregate "unavoidable" requires a
-    divergent verdict and a positive separation infimum; "avoidable-candidate"
-    requires a convergent one; anything else is inconclusive.
+    totals as diagnostics, and a note says why.
+
+    The separation is each shell's ratio from the generator's closed-form
+    centre gap (``_separation_ratios``), or None for a configuration
+    without that record.  The aggregate is "unavoidable" exactly when the
+    verdict is divergent, "avoidable-candidate" when it is convergent and
+    "inconclusive" otherwise: the spacing rule keeps every shell's ratio
+    positive by construction, so a positive separation decides nothing, and
+    a note says so.
     """
     notes = [
         "a.e.-boundary statements are proxied by a deterministic grid",
@@ -517,7 +539,7 @@ def classify_avoidability(config: BubbleConfig, alpha: float, points) -> Avoidab
     if config.n == 0:
         verdict = DivergenceVerdict(Verdict.CONVERGENT, {"reason": "empty configuration"}, "empty")
         return AvoidabilityReport(
-            verdict, np.zeros(len(points)), math.inf, "avoidable-candidate", notes
+            verdict, np.zeros(len(points)), None, "avoidable-candidate", notes
         )
 
     if "phi" in config.meta and "a" in config.meta:
@@ -530,12 +552,15 @@ def classify_avoidability(config: BubbleConfig, alpha: float, points) -> Avoidab
                      "truncated sums cannot decide divergence")
         verdict = DivergenceVerdict(Verdict.INCONCLUSIVE, {}, "truncated series")
 
+    notes.append("separation: the generator's spacing rule keeps every shell's ratio "
+                 "|x_j - x_k| / (r_k^(1-a/d) delta_k^(a/d)) positive by construction, so the "
+                 "aggregate does not read it; whether it stays bounded below as shells are "
+                 "added is not judged")
     totals = np.array([_series_total(config, z, alpha) for z in points])
-    separation = separation_infimum(config, alpha)
-    if verdict.tag == Verdict.DIVERGENT and separation > 0.0:
+    if verdict.tag == Verdict.DIVERGENT:
         aggregate = "unavoidable"
     elif verdict.tag == Verdict.CONVERGENT:
         aggregate = "avoidable-candidate"
     else:
         aggregate = "inconclusive"
-    return AvoidabilityReport(verdict, totals, separation, aggregate, notes)
+    return AvoidabilityReport(verdict, totals, _separation_ratios(config, alpha), aggregate, notes)

@@ -52,7 +52,7 @@ from .bubbles import (
     shell_radii,
 )
 from .geometry import BallDomain, _csv_lines, _number
-from .simulate import _TAGS, SimParams, _forked, estimate_hitting
+from .simulate import _TAGS, SimParams, estimate_hitting
 from .simulate import APPROXIMATION_NOTES as SIM_NOTES
 
 __all__ = ["RunConfig", "ConfigError", "main", "cmd_generate", "cmd_whitney",
@@ -361,12 +361,11 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
-    """The boundary series, the verdict and the separation infimum
-    (``classify_avoidability``) run in a forked worker (``simulate._forked``)
-    while this process runs the Whitney sums over the configuration's
-    cube-bubble incidence; with one CPU they run here, one after the other.
-    No Whitney decomposition is walked: ``cmd_whitney``'s manifest counts
-    its cubes."""
+    """The boundary series, the verdict and the per-shell separation
+    (``classify_avoidability``), then the Whitney sums over the
+    configuration's cube-bubble incidence (``whitney_sums``), one after the
+    other in this process.  No Whitney decomposition is walked:
+    ``cmd_whitney``'s manifest counts its cubes."""
     from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
     from .whitney import coverage_threshold
 
@@ -374,52 +373,41 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     config = _build_config(cfg)
     _write_bubbles(cfg, config, out)
     points = uniform_boundary_grid(cfg.domain, cfg.grid_size)
+    report = classify_avoidability(config, cfg.alpha, points)
+    # the disjointness check at generation was the index's last use
+    vars(config).pop("index", None)
+    sums = whitney_sums(config, points, cfg.alpha, cfg.whitney_max_level, cfg.wiener_n_max)
 
-    def boundary_part():
-        return classify_avoidability(config, cfg.alpha, points)
-
-    def whitney_part():
-        # the separation infimum, in the worker or already run here, is the
-        # index's last use
-        vars(config).pop("index", None)
-        if not config.n:
-            return None
-        return whitney_sums(config, points, cfg.alpha, cfg.whitney_max_level, cfg.wiener_n_max)
-
-    sums, report = _forked(whitney_part, [
-        ("criteria worker for the boundary series and separation", boundary_part)])
-
-    empirical = {}
-    traces = {}
-    if sums is not None:
-        empirical["c2_cubes_per_ball"] = sums.max_cubes_per_ball
-        empirical["C1_ratio_bound"] = sums.ratio_bound
-        qa = sums.quasi_additivity()
-        empirical["quasi_additivity_interval"] = [qa[0], qa[1]]
-
-        with open(out / "wiener_trace.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["z_index", "shell_n", "term_lower", "term_upper",
-                        "cum_lower", "cum_upper", "truncated"])
-            for i, (terms, shells) in enumerate(zip(sums.wiener, sums.wiener_shells)):
-                terms = terms[shells]
-                # np.cumsum adds in order, so each cumulative bound is a running total
-                for sh, (lo, hi), (cum_lo, cum_hi), trunc in zip(
-                    np.flatnonzero(shells).tolist(), terms.tolist(),
-                    np.cumsum(terms, axis=0).tolist(), sums.truncated[shells].tolist(),
-                ):
-                    w.writerow([i, sh, repr(lo), repr(hi), repr(cum_lo), repr(cum_hi),
-                                int(trunc)])
-        traces["aikawa_total"] = [
-            {"z_index": i, "lower": lower, "upper": upper,
-             "n_cubes": sums.n_cubes, "warnings": sums.warnings}
-            for i, (lower, upper) in enumerate(sums.aikawa.tolist())
-        ]
+    qa = sums.quasi_additivity()
+    empirical = {
+        "c2_cubes_per_ball": sums.max_cubes_per_ball,
+        "C1_ratio_bound": sums.ratio_bound,
+        "quasi_additivity_interval": [qa[0], qa[1]],
+    }
+    with open(out / "wiener_trace.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["z_index", "shell_n", "term_lower", "term_upper",
+                    "cum_lower", "cum_upper", "truncated"])
+        for i, (terms, shells) in enumerate(zip(sums.wiener, sums.wiener_shells)):
+            terms = terms[shells]
+            # np.cumsum adds in order, so each cumulative bound is a running total
+            for sh, (lo, hi), (cum_lo, cum_hi), trunc in zip(
+                np.flatnonzero(shells).tolist(), terms.tolist(),
+                np.cumsum(terms, axis=0).tolist(), sums.truncated[shells].tolist(),
+            ):
+                w.writerow([i, sh, repr(lo), repr(hi), repr(cum_lo), repr(cum_hi),
+                            int(trunc)])
+    traces = {"aikawa_total": [
+        {"z_index": i, "lower": lower, "upper": upper,
+         "n_cubes": sums.n_cubes, "warnings": sums.warnings}
+        for i, (lower, upper) in enumerate(sums.aikawa.tolist())
+    ]}
 
     verdicts = {
         "format_version": FORMAT_VERSION,
         "aggregate": report.aggregate,
-        "separation": report.separation,
+        "separation": float(report.separation.min()),
+        "separation_per_shell": report.separation.tolist(),
         "verdict": report.verdict.to_json(),
         "per_z": [{"z": z, "partial_sum": total}
                   for z, total in zip(points.tolist(), report.per_z_totals.tolist())],

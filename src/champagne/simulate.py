@@ -66,9 +66,8 @@ concatenates the blocks in id order.  Workers are forked, not threads,
 because two threads sharing the interpreter lock ran no faster than one;
 and forked, not spawned by ``multiprocessing``, so that they inherit the
 configuration, its index and the table instead of rebuilding them.
-``_forked`` does the forking, the pipes and the reaping, for these blocks
-and for the two halves of ``harness``'s criteria stage, with one set of
-failure rules.
+``_forked`` does the forking, the pipes and the reaping of these blocks,
+with one set of failure rules.
 
 Beside its outcome arrays, a pass holds the temporaries of at most
 _BLOCK_DRAWS rows: the block's draws, path and ball-index query (which

@@ -1,6 +1,6 @@
 """Spatial index over a fixed family of disjoint closed balls: which ball
-holds a point, which pairs of balls are near enough to need a disjointness
-check, and how far each ball's centre is from the nearest other centre.
+holds a point, and which pairs of balls are near enough to need a
+disjointness check.
 
 The balls are split into radius classes, one per binary exponent of the
 radius (``np.frexp``), so the radii of a class differ by less than a factor
@@ -32,23 +32,6 @@ The span and the bands are widened outward by 2^-40 of the coordinates'
 scale, far more than the rounding of the norms, so a point that passes the
 closed test for a ball is never turned away by its band.
 
-The nearest-centre query is exact too: it returns the same float as
-|c_j - c_k| taken by ``row_norms`` and minimised over k != j.  A class is
-searched in rounds of the 3^d cells around each query centre, on grids whose
-side H is a power of two and doubles from round to round, so every key is
-exact.  The cells hold every centre within H of the query on each axis; a
-centre outside them is more than H away on some axis, so its computed
-distance is >= H, and a query is finished once its best is <= H.  A round
-skips a cell whose distance to the query, computed with the same roundings
-from the exact cell faces, exceeds the query's best: no centre in it
-computes nearer.  A query searches another class only if its radial gap to
-the class's band is below its best, the band's widening covering the
-rounding of the gap.  The rounds end once the grid is at most two cells
-wide, when one round sees the whole class.  The first round of a class may
-start from any side at least its own, and starts from the power of two at
-least its extent over its count, so that a sparse class of tiny balls skips
-the rounds finer than its spacing.
-
 Memory.  Per radius class the index keeps its balls' ids in key order as
 int32 (so it refuses 2^31 balls or more), the int64 keys of its occupied
 cells and the int32 start of each cell's run of ids: 4 bytes a ball and 12
@@ -57,15 +40,9 @@ cells hold 1.24 balls on average.  It reads the centres and radii it was
 given without copying them.  Every pass over balls or queries takes a fixed
 block of rows at a time, which bounds its temporaries: the index build
 _INDEX_BLOCK balls (radius exponents, bands, boxes, cell keys),
-``contains_batch`` _QUERY_BLOCK query points, ``near_pairs`` _PAIR_BLOCK
-balls and a nearest-centre round _NEAREST_BLOCK balls.  Beyond the blocks,
-building a class's grid holds its cell keys and their sort order (16 bytes a
-ball of the class), and the nearest-centre query holds one float per ball
-(its result) and one grid besides the index's: a class's grid of the round
-in hand, which is dropped before the next is built.  A round takes the
-class's own balls in the key order of its grid, so it sorts nothing; queries
-from a sample or from other classes, usually few, are sorted by key each
-round, so that the lookups read memory in order.  No block size changes a
+``contains_batch`` _QUERY_BLOCK query points and ``near_pairs`` _PAIR_BLOCK
+balls.  Beyond the blocks, building a class's grid holds its cell keys and
+their sort order (16 bytes a ball of the class).  No block size changes a
 result.
 """
 
@@ -90,8 +67,6 @@ _INDEX_BLOCK = 1 << 13
 _QUERY_BLOCK = 1 << 12
 # balls looked up at a time by near_pairs
 _PAIR_BLOCK = 1 << 12
-# balls searched for their nearest centres at a time: a round's memory bound
-_NEAREST_BLOCK = 1 << 11
 
 
 def _power_of_two_at_least(v: float) -> float:
@@ -130,10 +105,10 @@ class _Grid:
         self.top = last - first + 1.0
         self.stride = np.array([math.prod(extent[j + 1:]) for j in range(len(extent))],
                                dtype=np.int64)
-        self.offsets = np.array(list(itertools.product((-1, 0, 1), repeat=centers.shape[1])))
+        offsets = np.array(list(itertools.product((-1, 0, 1), repeat=centers.shape[1])))
         # ascending; a key difference is >= 0 exactly when its offset is
         # lexicographically >= 0
-        self.deltas = self.offsets @ self.stride
+        self.deltas = offsets @ self.stride
         keys = self.keys_of(centers, ids)
         order = np.argsort(keys, kind="stable")
         self.ids = ids[order]
@@ -306,115 +281,3 @@ class BallIndex:
                         js.append(a.ids[q[keep]])
                         ks.append(b.ids[p[keep]])
         return np.concatenate(js), np.concatenate(ks)
-
-    def nearest_center_distances(self) -> np.ndarray:
-        """For each ball, the distance from its centre to the nearest centre
-        of another ball, or inf when there is no other ball.
-
-        A class is searched by a sample of its balls from a grid of about
-        its extent over its count, or of its own side if that is larger (a
-        sparse class of tiny balls skips the rounds finer than its
-        spacing); then by all of them from a grid of about the sample's
-        median best (finer rounds would seldom finish a ball); and, once
-        every class is done, from that grid again by the other classes'
-        balls whose radial gap to its band is below their best so far.
-        """
-        best = np.full(self.n, np.inf)
-        sides = []
-        for g in self._grids:
-            h = max(g.h, _power_of_two_at_least(g.h * float(g.top.max()) / g.ids.size))
-            sample = g.ids[::64]  # spread over the class: ids are in cell order
-            self._lower_to_nearest(g, h, sample, best)
-            spacing = np.sort(best[sample])[sample.size // 2]  # inf for a class of one ball
-            if h < spacing < math.inf:
-                h = _power_of_two_at_least(spacing)
-            self._lower_to_nearest(g, h, None, best)
-            sides.append(h)
-        if len(self._grids) < 2:
-            return best
-        for g, h, rows in zip(self._grids, sides, self._across(best)):
-            if rows.size:
-                self._lower_to_nearest(g, h, rows, best)
-        return best
-
-    def _across(self, best: np.ndarray) -> list:
-        """For each class, the other classes' balls whose radial gap to its
-        band is below their best, taken _NEAREST_BLOCK balls at a time."""
-        exponents = [math.frexp(g.r_max)[1] for g in self._grids]
-        parts = [[] for _ in self._grids]
-        for start in range(0, self.n, _NEAREST_BLOCK):
-            stop = min(self.n, start + _NEAREST_BLOCK)
-            norms = row_norms(self._centers[start:stop], self.origin)
-            near = best[start:stop]
-            own = np.frexp(self._radii[start:stop])[1]
-            for g, e, part in zip(self._grids, exponents, parts):
-                rows = (np.maximum(g.band[0] - norms, norms - g.band[1]) < near) & (own != e)
-                part.append(start + np.flatnonzero(rows))
-        return [np.concatenate(part) for part in parts]
-
-    def _lower_to_nearest(self, base: _Grid, h: float, rows, best: np.ndarray) -> None:
-        """Lower best[rows] to each row's distance to the nearest other
-        centre of base's class, in the rounds that the module docstring
-        gives, the first on a grid of side h >= base.h.  rows None stands
-        for the whole class, which each round's grid holds in key order;
-        other rows are sorted by key each round."""
-        # own cell first, corners last: what the near cells find rules out far ones
-        order = np.argsort(np.count_nonzero(base.offsets, axis=1), kind="stable")
-        g = base
-        done = -math.inf   # the side of the last round: a row whose best is <= it is finished
-        while True:
-            if h > g.h:
-                g = None   # free the last round's grid before this one is built
-                g = _Grid(base.ids, self._centers, base.r_max, base.band, h)
-            if rows is not None:
-                # in key order, so that the lookups read memory in order
-                rows = rows[best[rows] > done]
-                rows = rows[np.argsort(g.keys_of(self._centers, rows), kind="stable")]
-            more = False
-            for r in _blocks(g.ids if rows is None else rows, _NEAREST_BLOCK):
-                r = r[best[r] > done]
-                if r.size:
-                    self._search_cells(g, r, best, order)
-                    more = more or bool((best[r] > g.h).any())
-            if not more or np.all(g.top <= 2.0):
-                return
-            done, h = g.h, 2.0 * g.h
-
-    def _search_cells(self, g: _Grid, r: np.ndarray, best: np.ndarray, order) -> None:
-        """Lower best[r] to the distance from each centre of r to the
-        nearest other centre of g's class in the 3^d cells around its own,
-        visiting the cells in ``order`` and skipping a cell farther than
-        the row's best."""
-        xb = np.take(self._centers, r, axis=0)
-        keys = g.cell_keys(xb)
-        # per axis, the exact lower faces of the cells -1..2 from each
-        # centre's (clipped) cell less the centre; then the square of its
-        # gap to cells -1, 0, 1
-        gap2 = np.empty((3, xb.shape[1], r.size))
-        for j in range(xb.shape[1]):
-            cell = np.floor(xb[:, j] / g.h)
-            cell -= g.base[j]
-            np.clip(cell, 1.0, g.top[j], out=cell)
-            cell += g.base[j]
-            face = [(cell + k) * g.h - xb[:, j] for k in (-1.0, 0.0, 1.0, 2.0)]
-            for i in range(3):
-                gap = np.maximum(face[i], -face[i + 1])
-                np.maximum(gap, 0.0, out=gap)
-                np.square(gap, out=gap2[i, j])
-        near = best[r]
-        for offset, delta in zip(g.offsets[order], g.deltas[order]):
-            box = gap2[offset[0] + 1, 0].copy()
-            for j in range(1, offset.size):
-                box += gap2[offset[j] + 1, j]
-            sel = np.flatnonzero(np.sqrt(box) <= near)
-            q, p = g.candidates(keys[sel] + delta) if sel.size else (sel, sel)
-            if not q.size:
-                continue
-            q, k = sel[q], g.ids[p]
-            dist = row_norms(np.take(xb, q, axis=0), np.take(self._centers, k, axis=0))
-            dist[k == r[q]] = np.inf
-            # q is ascending, so each row's candidates are one run
-            first = np.flatnonzero(np.diff(q, prepend=-1))
-            q = q[first]
-            near[q] = np.minimum(near[q], np.minimum.reduceat(dist, first))
-        best[r] = near

@@ -12,10 +12,12 @@ from champagne.bubbles import (
     LogProfile,
     PowerProfile,
     RadialProfile,
+    _CENTER_GAP_FACTOR,
+    _fibonacci_sphere,
     generate_shell_config,
-    separation_infimum,
     shell_radii,
 )
+from champagne.criteria import classify_avoidability
 from champagne.geometry import BallDomain
 
 
@@ -246,20 +248,31 @@ def test_generator_d3(monkeypatch):
     assert cfg.disjointness_report()["violations"] == []
 
 
-# -- separation ---------------------------------------------------------------------
+# -- centre gaps and separation ---------------------------------------------------
 
-def test_separation_single_bubble_infinite(disk):
-    cfg = BubbleConfig(disk, [[0.5, 0.0]], [0.01])
-    assert separation_infimum(cfg, 1.5) == math.inf
+def _separation(cfg, alpha=1.5):
+    """The per-shell separation ratios that the criteria read from the
+    configuration's centre gaps."""
+    return classify_avoidability(cfg, alpha, np.empty((0, cfg.dimension))).separation
 
 
 def test_separation_hand_value(disk):
-    # both bubbles share delta = 0.1 and r = 0.001, so both ordered ratios equal
-    cfg = BubbleConfig(disk, [[0.9, 0.0], [0.9, 0.05]], [0.001, 0.001], validate=False)
-    got = separation_infimum(cfg, 1.5)
-    want = 0.05 / (0.001**0.25 * 0.1**0.75)
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got == pytest.approx(1.58114, rel=1e-5)
+    # shell 1 of phi = 0.1 at a = 0.5: t = 5/6, u = 1/6, r = u/10, and the
+    # spacing a*u/2 = 1/24 gives ceil(2*pi*t*24) = 126 centres, whose chord
+    # 2t*sin(pi/126) = 0.04155 is below the radial gap 1/9 to shell 2
+    cfg = generate_shell_config(disk, ConstantProfile(0.1), 0.5, 2, seed=0)
+    assert np.count_nonzero(cfg.shell_ids == 0) == 126
+    chord = 2.0 * (5.0 / 6.0) * math.sin(math.pi / 126)
+    assert cfg.meta["center_gap"][0] == pytest.approx(chord * (1.0 - 1e-9), rel=1e-15)
+    got = _separation(cfg)[0]
+    assert got == pytest.approx(chord / ((1.0 / 60.0) ** 0.25 * (1.0 / 6.0) ** 0.75), rel=1e-8)
+    assert got == pytest.approx(0.44334, rel=1e-5)
+    # phi = 0.4 spaces shell 1 wider than the radial gap 1/9, which bounds
+    # it: (1/9) / ((0.4/6)^(1/4) (1/6)^(3/4)) = (2/3) / 0.4^(1/4)
+    cfg = generate_shell_config(disk, ConstantProfile(0.4), 0.5, 2, seed=0)
+    assert cfg.meta["center_gap"][0] == pytest.approx(1.0 / 9.0, rel=1e-8)
+    assert _separation(cfg)[0] == pytest.approx((2.0 / 3.0) / 0.4**0.25, rel=1e-8)
+    assert _separation(cfg)[0] == pytest.approx(0.83829, rel=1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -269,8 +282,12 @@ def w2(disk):
 
 
 def test_separation_of_w2_seed_35_is_pinned(w2):
+    # the least ratio is shell 1's closed-form chord; measured over every
+    # centre it is 0.4433373579584104, 1.0e-9 of it above the bound
     assert w2.n == 54_743
-    assert separation_infimum(w2, 1.5) == 0.4433373579584104
+    got = _separation(w2)
+    assert got.min() == got[0] == 0.44333735751508757
+    assert 0.4433373579584104 * (1.0 - 1e-8) < got[0] < 0.4433373579584104
 
 
 def test_bytes_per_bubble_of_w2(w2):
@@ -288,30 +305,59 @@ def test_bytes_per_bubble_of_w2(w2):
     assert w2.shell_ids.dtype == np.int64
 
 
-def test_separation_matches_quadratic_oracle(disk):
-    rng = np.random.default_rng(8)
-    pts, radii = [], []
-    while len(pts) < 200:
-        x = rng.uniform(-0.9, 0.9, 2)
-        delta = 1.0 - math.sqrt((x**2).sum())
-        if delta < 0.05:
-            continue
-        pts.append(x)
-        radii.append(rng.uniform(0.1, 0.4) * delta * 0.001)
-    cfg = BubbleConfig(disk, np.asarray(pts), np.asarray(radii), validate=False)
+SEPARATION_FAMILIES = (
+    # the roadmap's table of per-shell separation minima, at seed 35
+    [(2, ConstantProfile(0.1), 0.5, 8, 35), (2, PowerProfile(1.0), 0.5, 8, 35),
+     (2, LogProfile(2.0), 0.5, 8, 35), (2, ConstantProfile(0.4), 0.5, 8, 35),
+     (3, ConstantProfile(0.3), 0.5, 3, 35)]
+    + [(3, ConstantProfile(c), 0.5, shells, seed)
+       for c, shells in ((0.3, 2), (0.3, 3), (0.4, 3), (0.1, 2))
+       for seed in (1, 35, 36, 101) if (c, shells, seed) != (0.3, 3, 35)]
+    # every shell bound by a radial gap, the last by its inner one
+    + [(2, ConstantProfile(0.0195), 0.02, 3, 35)]
+)
+
+
+@pytest.mark.parametrize(
+    "d, phi, a, shells, seed", SEPARATION_FAMILIES,
+    ids=[f"d{d}-{phi.kind}{getattr(phi, phi.param)}-a{a}-{shells}-seed{seed}"
+         for d, phi, a, shells, seed in SEPARATION_FAMILIES])
+def test_separation_bounds_the_kd_tree_minimum_of_each_shell(d, phi, a, shells, seed):
+    # Per shell, the least |x_j - x_k| / (r_k^(1-a/d) delta_k^(a/d)) over its
+    # bubbles k, with each centre's nearest other centre from a KD-tree.  The
+    # closed form is at most that on every shell.  Where the d=2 chord is
+    # below both radial gaps it is the chord and within 1e-8 of it; the
+    # radial gaps (measured within 3e-5) and the d=3 lattice factor
+    # (measured 1.0384) are within a factor 2.
     alpha = 1.5
-    got = separation_infimum(cfg, alpha)
-    # O(n^2) oracle
-    d = 2
-    best = math.inf
-    for j in range(cfg.n):
-        for k in range(cfg.n):
-            if j == k:
-                continue
-            num = math.sqrt(((cfg.centers[j] - cfg.centers[k]) ** 2).sum())
-            den = cfg.radii[k] ** (1 - alpha / d) * cfg.deltas[k] ** (alpha / d)
-            best = min(best, num / den)
-    assert got == best
+    cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), phi, a, shells, seed=seed)
+    nearest = cKDTree(cfg.centers).query(cfg.centers, k=2)[0][:, 1]
+    ratio = nearest / (cfg.radii ** (1.0 - alpha / d) * cfg.deltas ** (alpha / d))
+    oracle = np.full(shells, np.inf)
+    np.minimum.at(oracle, cfg.shell_ids, ratio)
+    bound = _separation(cfg, alpha)
+    assert np.all(bound > 0.0)
+    assert np.all(bound <= oracle)
+    assert np.all(oracle <= 2.0 * bound)
+    t = np.asarray(cfg.meta["t"])
+    radial = np.diff(t)
+    chord = 2.0 * t * np.sin(np.pi / np.bincount(cfg.shell_ids))
+    exact = (d == 2) & (chord <= np.minimum(np.append(np.inf, radial), np.append(radial, np.inf)))
+    assert np.all(oracle[exact] <= bound[exact] * (1.0 + 1e-8))
+
+
+def test_fibonacci_lattice_neighbours_lie_beyond_the_center_gap_factor():
+    # a d=3 shell's centre gap is _CENTER_GAP_FACTOR times the mean spacing
+    # sqrt(4*pi*t^2/n): the nearest pair of every lattice of 4 to 4,096
+    # points is farther apart.  The least factor is n = 4's, below the
+    # generator's spacing factor 0.85.
+    factors = []
+    for n in range(4, 4097):
+        p = _fibonacci_sphere(n)
+        factors.append(cKDTree(p).query(p, k=2)[0][:, 1].min() / math.sqrt(4.0 * math.pi / n))
+    assert min(factors) >= _CENTER_GAP_FACTOR
+    assert min(factors) == factors[0] == pytest.approx(0.8487, abs=1e-4)
+    assert min(factors[1:]) == pytest.approx(0.8684, abs=1e-4)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -12,7 +12,6 @@ from champagne.bubbles import (
     LogProfile,
     PowerProfile,
     generate_shell_config,
-    separation_infimum,
 )
 import incidence_oracle as oracle
 from champagne import criteria, kernels, whitney as whitney_module
@@ -552,7 +551,11 @@ def test_classify_dense_shell_config_unavoidable(disk):
     report = classify_avoidability(cfg, 1.5, grid)
     assert report.aggregate == "unavoidable"
     assert report.verdict.tag == Verdict.DIVERGENT
-    assert report.separation > 0.0
+    # one ratio per shell, each positive by the generator's spacing, which
+    # a note gives as the reason the aggregate does not read them
+    assert report.separation.shape == (4,)
+    assert np.all(report.separation > 0.0)
+    assert sum(note.startswith("separation: ") for note in report.notes) == 1
 
 
 def test_classify_thin_profile_avoidable_candidate(disk):
@@ -595,7 +598,8 @@ def test_classify_without_shell_metadata_is_inconclusive(disk):
         assert report.aggregate == "inconclusive"
         assert report.verdict.tag == Verdict.INCONCLUSIVE
         assert report.notes.count(NO_RECORD) == 1
-    assert report.separation == separation_infimum(shells, 1.5) > 0.0
+        # no centre gaps recorded: the separation is not reported
+        assert report.separation is None
 
 
 def test_classify_rotation_symmetric_verdicts(tmp_path):

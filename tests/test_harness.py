@@ -66,10 +66,12 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # when g became its comparison function, without the factor of 8 each
     # way that g^2 carried into every term; verdicts.json re-pinned when its
     # whitney section lost n_cubes, the count of a decomposition walk that
-    # the criteria stage no longer makes, and nothing else moved).
+    # the criteria stage no longer makes, and nothing else moved; and when
+    # separation became the least closed-form shell ratio, beside
+    # separation_per_shell and a note, and nothing else moved).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "fa3ca54e53e68ce3873ac331415a1fc266cbefb19ddd6be73f6fc5773a87b0e7",
+        "eb6c3d42eddb88dc8a97b32fb8a8c76c60cff942cb333e41bdb5dd241f33b43d",
         "65ba5d414752abe8d7a6eb19f12a4b5d820f2c661d9c34282ff387fa46dd146b",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
@@ -89,10 +91,12 @@ def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # the factor of 16 each way that g^2 carried into every term;
     # verdicts.json re-pinned when its whitney section lost n_cubes, the
     # count of a decomposition walk that the criteria stage no longer
-    # makes, and nothing else moved).
+    # makes, and nothing else moved; and when separation became the least
+    # closed-form shell ratio, beside separation_per_shell and a note, and
+    # nothing else moved).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "392f230bc4fcd57a9cdcb6f550fc46f64fa949b44a3945cfad5f96ba05b323d1",
+        "bbdd61f6f1a745937f91782bd3bbf38887db9d5bfa0423808e0c147b4a19649b",
         "8cbb7ee4f6a6a0206938d0f44925c7b1977a4fb5c3e09be4bcac484d8936d72b",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,
@@ -616,15 +620,13 @@ def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_pa
                          ids=["worker", "parent"])
 def test_a_criteria_half_failure_raises_here_and_leaves_no_child(tmp_path, monkeypatch,
                                                                   capsys, failing):
-    # The boundary series and separation run in a forked worker while this
-    # process runs the Whitney sums; either half's exception ends main with
-    # exit 3 and its message, and the worker is reaped (killed first, when
-    # this process's half fails).
+    # The criteria stage runs the boundary series and separation, then the
+    # Whitney sums; either half's exception ends main with exit 3 and its
+    # message, and leaves no child process.
     def fail(*args, **kwargs):
         raise ArithmeticError("criteria half failed on purpose")
 
     monkeypatch.setattr(criteria, failing, fail)
-    monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
     cfg = _write_config(tmp_path, SMALL)
     assert main(["criteria", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
     assert "criteria half failed on purpose" in capsys.readouterr().err
@@ -645,10 +647,10 @@ def test_criteria_writes_the_same_bytes_with_one_cpu_and_no_fork(tmp_path, monke
     runs = {}
     for workers in (1, 2):
         monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
-        forks.clear()
         runs[workers] = tmp_path / f"workers_{workers}"
         harness.cmd_criteria(RunConfig.from_json(SMALL), runs[workers])
-        assert len(forks) == workers - 1
+        # both halves run in this process, whatever the CPU count
+        assert forks == []
     names = sorted(p.name for p in runs[1].iterdir())
     assert "wiener_trace.csv" in names
     assert names == sorted(p.name for p in runs[2].iterdir())

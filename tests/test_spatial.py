@@ -1,5 +1,3 @@
-import math
-import time
 
 import numpy as np
 import pytest
@@ -291,69 +289,6 @@ def test_single_point_lookup():
     assert idx.contains([0.7, 0.0]) is None
 
 
-# -- nearest other centre ---------------------------------------------------------
-
-def _assert_nearest_equals_the_kd_tree(centers, radii, origin=None):
-    """The index's nearest-centre distances against cKDTree's k=2 query, bit
-    for bit; returns the KD-tree's nearest neighbour of each centre."""
-    got = BallIndex(centers, radii, origin=origin).nearest_center_distances()
-    dist, nearest = cKDTree(centers).query(centers, k=2)
-    assert np.array_equal(got, dist[:, 1])
-    return nearest[:, 1]
-
-
-@pytest.mark.parametrize("d,phi,shells,across", [(2, 0.1, 6, 0), (3, 0.3, 3, 6000)])
-def test_nearest_center_distances_equal_the_kd_tree_on_shells(d, phi, shells, across):
-    dom = BallDomain(np.zeros(d), 1.0)
-    cfg = generate_shell_config(dom, ConstantProfile(phi), 0.5, shells, seed=35)
-    nearest = _assert_nearest_equals_the_kd_tree(cfg.centers, cfg.radii, dom.center)
-    # in d=3 the nearest centre of most of shell 2 lies in shell 3
-    assert (cfg.shell_ids[nearest] != cfg.shell_ids).sum() >= across
-
-
-def test_nearest_center_distances_equal_the_kd_tree_on_mixed_radii():
-    rng = np.random.default_rng(5)
-    families = [
-        _disjoint_balls(rng, 300, lambda g: (g.uniform(-1, 1, 2), 10.0 ** g.uniform(-4, -1))),
-        _multiscale_family_3d(rng, 200, 100, 1e-9, 60)[:2],
-        # power-of-two radii, centres on the cell edges of their class
-        _disjoint_balls(rng, 60, _dyadic_ball),
-    ]
-    for centers, radii in families:
-        nearest = _assert_nearest_equals_the_kd_tree(centers, radii)
-        classes = np.frexp(radii)[1]
-        assert np.unique(classes).size >= 4
-        assert (classes[nearest] != classes).sum() >= 10
-
-
-def test_nearest_center_distances_on_a_lattice_of_the_doubled_cell_side():
-    # radius 2^-8 gives cells of 2^-6; centres 2^-5 apart lie on cell faces,
-    # and each nearest distance equals the side of the second round
-    steps = np.arange(-12, 13) * 2.0**-5
-    centers = np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
-    got = BallIndex(centers, np.full(centers.shape[0], 2.0**-8)).nearest_center_distances()
-    assert np.all(got == 2.0**-5)
-
-
-def test_nearest_center_distance_of_two_far_tiny_balls_is_quick():
-    # the cell side doubles from 2^-8 to 1 in 8 rounds; a ring of fixed cells
-    # grown until it passed the distance would visit ~2^16 cells
-    idx = BallIndex(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.full(2, 1e-3))
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        got = idx.nearest_center_distances()
-        times.append(time.perf_counter() - start)
-    assert got.tolist() == [1.0, 1.0]
-    assert min(times) < 0.05
-
-
-def test_nearest_center_distance_without_another_ball():
-    one = BallIndex(np.array([[0.5, 0.0]]), np.array([0.1]))
-    assert one.nearest_center_distances().tolist() == [math.inf]
-    assert BallIndex(np.empty((0, 2)), np.empty(0)).nearest_center_distances().shape == (0,)
-
-
 @pytest.mark.parametrize("d, c, shells", [(2, 0.1, 4), (3, 0.3, 2)])
 def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
     # Each pass over lattice rows, balls or queries takes a fixed block of rows
@@ -374,21 +309,19 @@ def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
         cfg.to_csv(tmp_path / name)
         pairs = np.stack(BallIndex(centers, radii).near_pairs(), axis=1)
         return [cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas,
-                cfg.index.contains_batch(queries)[1], cfg.index.nearest_center_distances(),
-                np.unique(pairs, axis=0), (tmp_path / name).read_bytes(),
-                bubbles.separation_infimum(cfg, 1.5)]
+                cfg.index.contains_batch(queries)[1], np.unique(pairs, axis=0),
+                (tmp_path / name).read_bytes()]
 
     state = rng.bit_generator.state
     want = run("default.csv")
     for module, name in [(bubbles, "_LATTICE_BLOCK"), (bubbles, "_CSV_BLOCK"),
                          (bubbles, "_ROW_BLOCK"), (spatial, "_INDEX_BLOCK"),
-                         (spatial, "_QUERY_BLOCK"), (spatial, "_PAIR_BLOCK"),
-                         (spatial, "_NEAREST_BLOCK")]:
+                         (spatial, "_QUERY_BLOCK"), (spatial, "_PAIR_BLOCK")]:
         assert getattr(module, name) > 97
         monkeypatch.setattr(module, name, 97)
     rng.bit_generator.state = state
     got = run("blocked.csv")
-    assert want[0].shape[0] > 97 * 20 and want[6].shape[0] > 1000
+    assert want[0].shape[0] > 97 * 20 and want[5].shape[0] > 1000
     assert (want[4] >= 0).sum() > 1000
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

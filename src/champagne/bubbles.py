@@ -1,5 +1,6 @@
 """Bubble configurations: champagne families of disjoint closed balls
-accumulating at the boundary, and their generator, which records each
+accumulating at the boundary, and their generator, which certifies from its
+lattice parameters alone that the bubbles are disjoint and records each
 shell's centre gap in closed form.  The generator's one random choice, a
 rotation per shell, comes from the counter streams of ``rng``, and no BLAS
 routine computes a centre.
@@ -15,17 +16,18 @@ criteria read the tail of the family they judge.
 Memory.  A configuration keeps per bubble its centre (8d bytes), its radius
 and its distance to the boundary (8 bytes each) and its shell label (int32,
 widened to int64 by each read of ``shell_ids``): 36 bytes a bubble in d=2
-and 44 in d=3.  From validation on it also keeps its ball index, 13.7 bytes
-a bubble on the W2 disk (see ``spatial``).  Beyond these arrays, every pass
-holds one block of rows: the shell generator writes each lattice straight
-into the rows of the centres _LATTICE_BLOCK rows at a time; the distances to
-the boundary and the radius-ratio check take _ROW_BLOCK bubbles at a time;
-and ``to_csv`` formats _CSV_BLOCK rows at a time.  No block size changes a
-result.
+and 44 in d=3.  Once a point query needs it (the simulator's), it also
+keeps its ball index, 13.7 bytes a bubble on the W2 disk (see ``spatial``).
+Beyond these arrays, every pass holds one block of rows: the shell
+generator writes each lattice straight into the rows of the centres
+_LATTICE_BLOCK rows at a time; the distances to the boundary and the
+radius-ratio check take _ROW_BLOCK bubbles at a time; and ``to_csv``
+formats _CSV_BLOCK rows at a time.  No block size changes a result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -162,14 +164,15 @@ def _row_blocks(n: int):
 
 
 class BubbleConfig:
-    """Finite family of pairwise disjoint closed balls strictly inside D,
-    with sup_k r_k/delta_D(x_k) < 1/2.
+    """Finite family of closed balls strictly inside D, with
+    sup_k r_k/delta_D(x_k) < 1/2, which the constructor checks per bubble.
+    The balls must be pairwise disjoint, which it does not check: the shell
+    generator certifies it from its lattice.
 
     Centers and radii are stored as arrays; ``meta`` carries generation
     parameters (profile, a, shells, seed) when built by the generator, and
     ``shell_ids`` labels each bubble with its shell.  ``index`` answers
-    every spatial query: point membership and the disjointness check's
-    candidate pairs.
+    point membership, and is built on its first use.
     """
 
     def __init__(
@@ -179,7 +182,6 @@ class BubbleConfig:
         radii,
         shell_ids=None,
         meta: dict | None = None,
-        validate: bool = True,
     ):
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
@@ -214,15 +216,6 @@ class BubbleConfig:
                     f"ratio_sup violated: bubble {k} has r/delta = {radii[k] / delta[k]:.6g} >= 1/2"
                 )
 
-        if validate and self.n > 1:
-            report = self.disjointness_report()
-            if report["violations"]:
-                j, k = report["violations"][0]
-                raise ValueError(
-                    f"bubbles {j} and {k} are not disjoint "
-                    f"(gap {report['min_margin']:.3e} <= slack {DISJOINTNESS_SLACK:g})"
-                )
-
     @property
     def n(self) -> int:
         return int(self.centers.shape[0])
@@ -241,31 +234,6 @@ class BubbleConfig:
     def index(self) -> BallIndex:
         """The one ``BallIndex`` over these bubbles, built on first use."""
         return BallIndex(self.centers, self.radii, origin=self.domain.center)
-
-    # -- disjointness ---------------------------------------------------------
-
-    def disjointness_report(self) -> dict:
-        """Exact pairwise disjointness via squared-distance comparisons.
-
-        The candidate pairs are ``index.near_pairs()``: every pair whose
-        centres lie within r_max,a + r_max,b + slack of each other, with
-        r_max,a and r_max,b the largest radii of the two bubbles' radius
-        classes, which holds every pair that can violate.  A pair (j, k)
-        violates when |c_j - c_k|^2 <= (r_j + r_k + slack)^2.  Returns the
-        violations as sorted (j, k) with j < k, the least gap
-        |c_j - c_k| - r_j - r_k among the candidate pairs, and the slack.
-        """
-        slack = DISJOINTNESS_SLACK
-        if self.n < 2:
-            return {"violations": [], "min_margin": math.inf, "slack": slack}
-        j, k = self.index.near_pairs()
-        dsq = ((self.centers[j] - self.centers[k]) ** 2).sum(axis=1)
-        rsum = self.radii[j] + self.radii[k]
-        lim = rsum + slack
-        bad = dsq <= lim * lim
-        violations = sorted(zip(np.minimum(j, k)[bad].tolist(), np.maximum(j, k)[bad].tolist()))
-        min_margin = float((np.sqrt(dsq) - rsum).min()) if j.size else math.inf
-        return {"violations": violations, "min_margin": min_margin, "slack": slack}
 
     # -- serialization ----------------------------------------------------------
 
@@ -302,28 +270,6 @@ def shell_radii(a: float, shells: int) -> np.ndarray:
     q = (1.0 - a) / (1.0 + a)
     i = np.arange(1, shells + 1, dtype=float)
     return 1.0 - 0.5 * q**i
-
-
-def _check_shell_domain(domain: BallDomain) -> None:
-    """ValueError unless the shell generator can build in domain: the unit
-    ball at the origin in d=2 or d=3."""
-    if domain.dimension not in (2, 3):
-        raise ValueError("shell generator supports d in {2, 3}")
-    if float(domain.radius) != 1.0 or not np.all(domain.center == 0.0):
-        raise ValueError("shell generator requires the unit ball at the origin")
-
-
-def _shell_phi(phi: RadialProfile, t: np.ndarray) -> np.ndarray:
-    """phi at the shell radii t; ValueError if a value is >= 1/2, which no
-    bubble of radius (1 - t)*phi(t) centred at radius t can satisfy."""
-    phi_vals = np.asarray(phi(t), dtype=float)
-    bad = np.where(phi_vals >= 0.5)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"shell {i + 1}: phi(t)={phi_vals[i]:.6g} >= 1/2 violates the ratio constraint"
-        )
-    return phi_vals
 
 
 def _fibonacci_sphere(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -365,6 +311,82 @@ _LATTICE_BLOCK = 1 << 13
 _SHELL_STREAMS = 2**63
 
 
+def _shell_lattice(domain: BallDomain, phi: RadialProfile, a: float, shells: int):
+    """(t, r, counts, gap): the shell radii, the bubble radii, the centres per
+    shell and the centre gaps that ``generate_shell_config`` records, from
+    (d, a, phi, shells) alone, once its disjointness certificate holds.
+
+    ValueError, naming the shell or the shell pair, unless the generator can
+    build the family: the domain is the unit ball at the origin in d=2 or
+    d=3; on every shell phi(t_i) < 1/2, without which no bubble of radius
+    (1 - t)*phi(t) centred at radius t meets the ratio constraint, r_i > 0
+    and the lattice has fewer than 2**62 centres; and the certificate
+    holds.  Let within_i be the least distance between two centres of shell
+    i (see ``generate_shell_config``), and shave it and each radial gap
+    t_(i+1) - t_i by _GAP_SHAVE of itself.  The certificate asks
+    within_i > 2*r_i + DISJOINTNESS_SLACK on every shell and
+    t_(i+1) - t_i > r_i + r_(i+1) + DISJOINTNESS_SLACK between adjacent
+    shells.  Two centres of shells i < j lie at least t_j - t_i apart, the
+    sum of the adjacent gaps between them, which then clears
+    r_i + r_j + DISJOINTNESS_SLACK as well.
+    """
+    if domain.dimension not in (2, 3):
+        raise ValueError("shell generator supports d in {2, 3}")
+    if float(domain.radius) != 1.0 or not np.all(domain.center == 0.0):
+        raise ValueError("shell generator requires the unit ball at the origin")
+    d = domain.dimension
+    t = shell_radii(a, shells)
+    u = 1.0 - t
+    phi_t = np.asarray(phi(t), dtype=float)
+    r = u * phi_t
+
+    counts = np.empty(shells, dtype=np.int64)
+    within = np.empty(shells)
+    for i in range(shells):
+        if not phi_t[i] < 0.5:
+            raise ValueError(
+                f"shell {i + 1}: phi(t)={phi_t[i]:.6g} >= 1/2 violates the ratio constraint")
+        if not r[i] > 0.0:
+            raise ValueError(f"shell {i + 1}: its bubble radius (1 - t)*phi(t) rounds to 0")
+        # lattice spacing: N_a coverage wants a*u/2, disjointness wants the
+        # minimum pairwise chord to clear 2r
+        s = max(a * u[i] / 2.0, 2.0 * r[i] * 1.05 / _MIN_NN_FACTOR[d])
+        n = 2.0 * math.pi * t[i] / s if d == 2 else 4.0 * math.pi * t[i] ** 2 / (s * s)
+        if not n < 2**62:
+            raise ValueError(f"shell {i + 1}: its lattice of {n:.3g} centres is too large")
+        if d == 2:
+            n_i = max(3, int(math.ceil(n)))
+            # exact chord check: adjacent centers must clear the two radii
+            while n_i > 1 and 2.0 * t[i] * math.sin(math.pi / n_i) <= 2.0 * r[i] * 1.02:
+                n_i -= 1
+            within[i] = 2.0 * t[i] * math.sin(math.pi / n_i)
+        else:
+            n_i = max(4, int(math.ceil(n)))
+            within[i] = _CENTER_GAP_FACTOR * math.sqrt(4.0 * math.pi * t[i] ** 2 / n_i)
+        counts[i] = n_i
+    within *= 1.0 - _GAP_SHAVE
+    radial = np.diff(t) * (1.0 - _GAP_SHAVE)
+    need = 2.0 * r + DISJOINTNESS_SLACK
+    bad = np.flatnonzero(~(within > need))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"shell {i + 1}: its centres lie {within[i]:.12g} apart, which does "
+                         f"not clear 2r + slack = {need[i]:.12g}, so its bubbles may overlap")
+    need = r[:-1] + r[1:] + DISJOINTNESS_SLACK
+    bad = np.flatnonzero(~(radial > need))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"shells {i + 1} and {i + 2}: their radial gap {radial[i]:.12g} does "
+                         f"not clear r_{i + 1} + r_{i + 2} + slack = {need[i]:.12g}, so their "
+                         "bubbles may overlap")
+    # the least distance from a centre to any other: within its shell or
+    # across to a neighbour shell (shaving commutes with the minimum)
+    gap = within
+    np.minimum(gap[1:], radial, out=gap[1:])
+    np.minimum(gap[:-1], radial, out=gap[:-1])
+    return t, r, counts, gap
+
+
 def generate_shell_config(
     domain: BallDomain,
     phi: RadialProfile,
@@ -377,8 +399,17 @@ def generate_shell_config(
     Centers sit on spheres of radius t_i = 1 - (1/2)*((1-a)/(1+a))**i with
     radii r = (1-|x|)*phi(|x|).  The angular lattice (equal angles for d=2,
     Fibonacci lattice for d=3) is spaced by
-    max(a*(1-t_i)/2, disjointness spacing), so the family is always pairwise
-    disjoint; a seeded rotation decorrelates shells.
+    max(a*(1-t_i)/2, disjointness spacing), which separates the bubbles of
+    one shell; a seeded rotation decorrelates shells.
+
+    The family is certified pairwise disjoint from (d, a, phi, shells) alone,
+    before any centre is computed (``_shell_lattice``): every shell's
+    within_i must clear 2*r_i and every radial gap t_(i+1) - t_i must clear
+    r_i + r_(i+1), each gap shaved by _GAP_SHAVE and each sum widened by
+    DISJOINTNESS_SLACK.  The spacing rule separates only the bubbles of one
+    shell, so a family can fail the certificate, which is a ValueError
+    naming the shell or the shell pair; constant phi >= a, whose adjacent
+    bands touch or overlap, fails it.
 
     Shell i takes three uniforms u from the counter stream of trajectory id
     2**63 + i under seed (``rng.stream_keys``, ``rng.uniform01``).  For d=2
@@ -403,36 +434,8 @@ def generate_shell_config(
     least the radial gap to the neighbour shell away.  Each bound is shaved
     by _GAP_SHAVE of itself for the rounding of the centres.
     """
-    _check_shell_domain(domain)
     d = domain.dimension
-    t = shell_radii(a, shells)
-    u = 1.0 - t
-    r = u * _shell_phi(phi, t)
-
-    spacing = np.empty(shells)
-    counts = np.empty(shells, dtype=np.int64)
-    gap = np.empty(shells)
-    for i in range(shells):
-        # lattice spacing: N_a coverage wants a*u/2, disjointness wants the
-        # minimum pairwise chord to clear 2r
-        s_cov = a * u[i] / 2.0
-        s_dis = 2.0 * r[i] * 1.05 / _MIN_NN_FACTOR[d]
-        s = max(s_cov, s_dis)
-        spacing[i] = s
-        if d == 2:
-            n_i = max(3, int(math.ceil(2.0 * math.pi * t[i] / s)))
-            # exact chord check: adjacent centers must clear the two radii
-            while n_i > 1 and 2.0 * t[i] * math.sin(math.pi / n_i) <= 2.0 * r[i] * 1.02:
-                n_i -= 1
-            gap[i] = 2.0 * t[i] * math.sin(math.pi / n_i)
-        else:
-            n_i = max(4, int(math.ceil(4.0 * math.pi * t[i] ** 2 / (s * s))))
-            gap[i] = _CENTER_GAP_FACTOR * math.sqrt(4.0 * math.pi * t[i] ** 2 / n_i)
-        counts[i] = n_i
-    radial = np.diff(t)
-    np.minimum(gap[1:], radial, out=gap[1:])
-    np.minimum(gap[:-1], radial, out=gap[:-1])
-    gap *= 1.0 - _GAP_SHAVE
+    t, r, counts, gap = _shell_lattice(domain, phi, a, shells)
 
     keys = stream_keys(seed, _SHELL_STREAMS + np.arange(shells, dtype=np.uint64))
     uniforms = uniform01(keys[:, None], np.arange(3, dtype=np.uint64)).tolist()
@@ -456,7 +459,7 @@ def generate_shell_config(
             out *= t[i]
         first += n_i
 
-    coverage_a = _coverage_parameter(a, t, spacing, counts, d)
+    coverage_a = _coverage_parameter(a, t, counts, d)
     meta = {
         "phi": phi,
         "a": a,
@@ -469,12 +472,13 @@ def generate_shell_config(
     return BubbleConfig(domain, centers, r[shell_ids], shell_ids=shell_ids, meta=meta)
 
 
-def _coverage_parameter(a, t, spacing, counts, d) -> float:
+def _coverage_parameter(a, t, counts, d) -> float:
     """Smallest a' (plus margin) with N_a'(x) >= 1 for t_1 <= |x| <= t_shells.
 
     Bounds the distance from any point at radius s to the nearest center on an
     adjacent shell by sqrt((s - t_j)^2 + cover_j^2) with cover_j the lattice
-    covering chord, then maximizes the ratio to (1 - s) over the gaps.
+    covering chord, then maximizes the ratio to (1 - s) over the gaps, at 257
+    radii s a gap.
     """
     cover = np.empty(len(t))
     for j in range(len(t)):
@@ -487,10 +491,11 @@ def _coverage_parameter(a, t, spacing, counts, d) -> float:
     for j in range(len(t)):
         lo = t[j - 1] if j else t[j]
         hi = t[j + 1] if j + 1 < len(t) else t[j]
-        for s in np.linspace(lo, hi, 257):
-            best = math.inf
-            for jj in (j - 1, j, j + 1):
-                if 0 <= jj < len(t):
-                    best = min(best, math.hypot(s - t[jj], cover[jj]))
-            worst = max(worst, best / (1.0 - s))
+        s = np.linspace(lo, hi, 257)
+        best = np.full(s.size, np.inf)
+        for jj in range(max(j - 1, 0), min(j + 2, len(t))):
+            # math.hypot, which np.hypot misses by an ulp on some families
+            dist = map(math.hypot, (s - t[jj]).tolist(), itertools.repeat(cover[jj]))
+            np.minimum(best, np.fromiter(dist, float, s.size), out=best)
+        worst = max(worst, float((best / (1.0 - s)).max()))
     return worst * 1.02  # >= 1 means the lattice does not certify coverage

@@ -18,6 +18,11 @@ reading and checking a RunConfig and building the bubbles need (``geometry``,
 ``cmd_criteria``: together about 1,050 lines that the other stages never
 run.  The name ``aikawa_sum`` is re-exported from ``criteria`` on first use
 (module ``__getattr__``).
+
+Checking a RunConfig runs the generator's disjointness certificate, which
+reads only the lattice parameters, so a family it refuses exits 2 and no
+stage searches the bubbles for overlapping pairs.  Only ``simulate`` builds
+their ball index, for its point queries.
 """
 
 from __future__ import annotations
@@ -46,10 +51,8 @@ from .bubbles import (
     _CSV_BLOCK,
     BubbleConfig,
     RadialProfile,
-    _check_shell_domain,
-    _shell_phi,
+    _shell_lattice,
     generate_shell_config,
-    shell_radii,
 )
 from .geometry import BallDomain, _csv_lines, _number
 from .simulate import _TAGS, SimParams, estimate_hitting
@@ -121,9 +124,10 @@ class RunConfig:
         if self.sim is not None and self.sim.boundary_eps >= self.domain.radius:
             raise ConfigError(f"sim.boundary_eps must be < domain.radius {self.domain.radius!r}, "
                               f"got {self.sim.boundary_eps!r}")
+        # the generator's own checks, its disjointness certificate among
+        # them, so that a family it would refuse exits 2
         try:
-            _check_shell_domain(self.domain)
-            _shell_phi(self.profile, shell_radii(self.shell_a, self.shells))
+            _shell_lattice(self.domain, self.profile, self.shell_a, self.shells)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -374,8 +378,6 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     _write_bubbles(cfg, config, out)
     points = uniform_boundary_grid(cfg.domain, cfg.grid_size)
     report = classify_avoidability(config, cfg.alpha, points)
-    # the disjointness check at generation was the index's last use
-    vars(config).pop("index", None)
     sums = whitney_sums(config, points, cfg.alpha, cfg.whitney_max_level, cfg.wiener_n_max)
 
     qa = sums.quasi_additivity()

@@ -1,6 +1,5 @@
 """Spatial index over a fixed family of disjoint closed balls: which ball
-holds a point, and which pairs of balls are near enough to need a
-disjointness check.
+holds a point.
 
 The balls are split into radius classes, one per binary exponent of the
 radius (``np.frexp``), so the radii of a class differ by less than a factor
@@ -14,12 +13,9 @@ The lookup is exact.  h is a power of two, so x/h is exact and so is its
 floor: a cell is computed without rounding.  A ball of the class that holds
 x has |x_j - c_j| <= r_max < h on every axis, so the cell of its centre is
 at most one away from the cell of x on each axis, and the lookup finds it.
-Two balls of classes a and b, b the class of the larger radii, whose centres
-lie within the reach r_max,a + r_max,b + DISJOINTNESS_SLACK <= h_b of each
-other are found the same way, by looking up the centre of the a-ball in b's
-grid.  A class whose cell range would overflow int64 keys doubles h until
-it fits; a ball within one cell of the old side is within one cell of the
-new, so that only adds candidates.  The grid only proposes candidates.  The
+A class whose cell range would overflow int64 keys doubles h until it fits;
+a ball within one cell of the old side is within one cell of the new, so
+that only adds candidates.  The grid only proposes candidates.  The
 decision is the closed test |x - c_k| <= r_k, with the squares added in
 coordinate order and then the square root taken (``geometry.row_norms``), so
 no answer depends on the grid.  Dilating the whole configuration by a power
@@ -39,11 +35,10 @@ bytes an occupied cell, 13.7 bytes a ball on the W2 disk, whose occupied
 cells hold 1.24 balls on average.  It reads the centres and radii it was
 given without copying them.  Every pass over balls or queries takes a fixed
 block of rows at a time, which bounds its temporaries: the index build
-_INDEX_BLOCK balls (radius exponents, bands, boxes, cell keys),
-``contains_batch`` _QUERY_BLOCK query points and ``near_pairs`` _PAIR_BLOCK
-balls.  Beyond the blocks, building a class's grid holds its cell keys and
-their sort order (16 bytes a ball of the class).  No block size changes a
-result.
+_INDEX_BLOCK balls (radius exponents, bands, boxes, cell keys) and
+``contains_batch`` _QUERY_BLOCK query points.  Beyond the blocks, building
+a class's grid holds its cell keys and their sort order (16 bytes a ball of
+the class).  No block size changes a result.
 """
 
 from __future__ import annotations
@@ -57,7 +52,9 @@ from .geometry import row_norms
 
 __all__ = ["BallIndex"]
 
-# the disjointness check counts two balls as overlapping when their gap is at most this
+# two balls count as overlapping when their gap is at most this: the shell
+# generator's disjointness certificate asks more, and each cell side of the
+# index is at least twice a radius plus it
 DISJOINTNESS_SLACK = 1e-12
 # outward widening of the radial span and bands, relative to the coordinates
 _BAND_PAD = 2.0**-40
@@ -65,8 +62,6 @@ _BAND_PAD = 2.0**-40
 _INDEX_BLOCK = 1 << 13
 # query points looked up at a time by contains_batch
 _QUERY_BLOCK = 1 << 12
-# balls looked up at a time by near_pairs
-_PAIR_BLOCK = 1 << 12
 
 
 def _power_of_two_at_least(v: float) -> float:
@@ -83,7 +78,7 @@ class _Grid:
     """One radius class: its balls' int32 ids, in the order of the int64 key
     of their cell."""
 
-    def __init__(self, ids, centers, r_max, band, h):
+    def __init__(self, ids, centers, band, h):
         lo = np.full(centers.shape[1], np.inf)
         hi = np.full(centers.shape[1], -np.inf)
         for rows in _blocks(ids, _INDEX_BLOCK):
@@ -98,7 +93,7 @@ class _Grid:
             if math.prod(extent) < 2**63 and max(extent) <= 2**53:
                 break
             h *= 2.0
-        self.h, self.r_max, self.band = h, r_max, band
+        self.h, self.band = h, band
         # centres sit in cells 1..top on each axis, so every neighbour cell
         # has a key of its own in 0..top+1
         self.base = first - 1.0
@@ -106,8 +101,6 @@ class _Grid:
         self.stride = np.array([math.prod(extent[j + 1:]) for j in range(len(extent))],
                                dtype=np.int64)
         offsets = np.array(list(itertools.product((-1, 0, 1), repeat=centers.shape[1])))
-        # ascending; a key difference is >= 0 exactly when its offset is
-        # lexicographically >= 0
         self.deltas = offsets @ self.stride
         keys = self.keys_of(centers, ids)
         order = np.argsort(keys, kind="stable")
@@ -166,8 +159,7 @@ class _Grid:
 
 
 class BallIndex:
-    """Point-in-ball queries and near pairs over a fixed family of disjoint
-    closed balls."""
+    """Point-in-ball queries over a fixed family of disjoint closed balls."""
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray, origin=None):
         centers = np.asarray(centers, dtype=float)
@@ -200,7 +192,7 @@ class BallIndex:
         self._span = (span[0] - pad, span[1] + pad)
         for i, (lo, hi, r_max) in enumerate(bounds):
             h = _power_of_two_at_least(2.0 * r_max + DISJOINTNESS_SLACK)
-            self._grids.append(_Grid(classes[i], centers, r_max, (lo - pad, hi + pad), h))
+            self._grids.append(_Grid(classes[i], centers, (lo - pad, hi + pad), h))
             classes[i] = None   # the grid keeps the ids in key order
 
     def _class_bounds(self, ids: np.ndarray) -> tuple[float, float, float]:
@@ -244,40 +236,3 @@ class BallIndex:
         """Index of the ball containing point x, or None."""
         got, owner = self.contains_batch(np.asarray(x, dtype=float)[None, :])
         return int(owner[0]) if got[0] else None
-
-    def near_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every pair (j, k) of balls, once, whose centres lie within
-        r_max,a + r_max,b + DISJOINTNESS_SLACK of each other, with a and b the
-        radius classes of j and k.
-
-        The pairs are gathered for _PAIR_BLOCK balls and one neighbour offset
-        at a time, and filtered to the reach as they come, so memory beyond
-        the result stays bounded.
-        """
-        js, ks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for i, a in enumerate(self._grids):
-            for b in self._grids[i:]:
-                reach = a.r_max + b.r_max + DISJOINTNESS_SLACK
-                # within a class, each unordered pair once: offsets >= 0, and
-                # the earlier ball first within a cell
-                deltas = b.deltas[b.deltas >= 0] if b is a else b.deltas
-                # a's balls in key order, so that the lookups read memory in order
-                for start in range(0, a.ids.size, _PAIR_BLOCK):
-                    x = np.take(self._centers, a.ids[start:start + _PAIR_BLOCK], axis=0)
-                    norms = row_norms(x, self.origin)
-                    rows = np.flatnonzero((norms >= b.band[0] - reach)
-                                          & (norms <= b.band[1] + reach))
-                    if not rows.size:
-                        continue
-                    x = np.take(x, rows, axis=0)
-                    rows += start
-                    keys = b.cell_keys(x)
-                    for delta in deltas:
-                        q, p = b.candidates(keys + delta)
-                        keep = row_norms(x[q], self._centers[b.ids[p]]) <= reach
-                        q = rows[q]
-                        if b is a and delta == 0:
-                            keep &= q < p
-                        js.append(a.ids[q[keep]])
-                        ks.append(b.ids[p[keep]])
-        return np.concatenate(js), np.concatenate(ks)

@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from champagne import bubbles
 from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
@@ -14,11 +16,13 @@ from champagne.bubbles import (
     RadialProfile,
     _CENTER_GAP_FACTOR,
     _fibonacci_sphere,
+    _shell_lattice,
     generate_shell_config,
     shell_radii,
 )
 from champagne.criteria import classify_avoidability
 from champagne.geometry import BallDomain
+from champagne.spatial import DISJOINTNESS_SLACK
 
 
 @pytest.fixture(scope="module")
@@ -66,96 +70,19 @@ def test_every_family_round_trips_through_json(base, obj, family):
 
 # -- config invariants ---------------------------------------------------------
 
-def test_config_rejects_overlap(disk):
-    with pytest.raises(ValueError, match="not disjoint"):
-        BubbleConfig(disk, [[0.0, 0.0], [0.05, 0.0]], [0.04, 0.04])
-
-
 def test_config_rejects_fat_ratio(disk):
     with pytest.raises(ValueError, match="ratio_sup"):
         BubbleConfig(disk, [[0.0, 0.0]], [0.6])
 
 
 def test_config_rejects_zero_radius(disk):
-    # also without the disjointness check, which hand-built incidences skip
-    for validate in (True, False):
-        with pytest.raises(ValueError, match="bubble radii must be > 0"):
-            BubbleConfig(disk, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0], validate=validate)
+    with pytest.raises(ValueError, match="bubble radii must be > 0"):
+        BubbleConfig(disk, [[0.0, 0.0], [0.5, 0.0]], [0.01, 0.0])
 
 
 def test_config_rejects_escaping_bubble(disk):
     with pytest.raises(ValueError, match="inside"):
         BubbleConfig(disk, [[0.95, 0.0]], [0.2])
-
-
-def test_disjointness_slack_reported(disk):
-    cfg = BubbleConfig(disk, [[0.3, 0.0], [-0.3, 0.0]], [0.01, 0.01])
-    rep = cfg.disjointness_report()
-    assert rep["slack"] == 1e-12
-    assert rep["violations"] == []
-
-
-def _disjointness_by_all_pairs(cfg, slack):
-    """Violations and least margin over every pair, one pair at a time."""
-    violations, min_margin = [], math.inf
-    for j in range(cfg.n):
-        for k in range(j + 1, cfg.n):
-            dsq = float(((cfg.centers[j] - cfg.centers[k]) ** 2).sum())
-            rsum = float(cfg.radii[j] + cfg.radii[k])
-            min_margin = min(min_margin, math.sqrt(dsq) - rsum)
-            if dsq <= (rsum + slack) ** 2:
-                violations.append((j, k))
-    return violations, min_margin
-
-
-def _overlapping_family(rng, d):
-    centers = rng.uniform(-0.35, 0.35, (250, d))
-    radii = 10.0 ** rng.uniform(-4, -1.7, 250)
-    # partners touching a ball, half and twice the slack off its surface, and
-    # one overlapping it by 1e-3
-    extra_c, extra_r = [], []
-    for i, gap in enumerate([0.0, 5e-13, 2e-12, -1e-3, 0.0, 5e-13, 2e-12]):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
-        r = 10.0 ** rng.uniform(-4, -2)
-        extra_c.append(centers[i] + (radii[i] + r + gap) * u)
-        extra_r.append(r)
-    return np.vstack([centers, extra_c]), np.concatenate([radii, extra_r])
-
-
-def _dense_multiclass_family(rng, d):
-    # radii over five binary classes, packed so that balls of every class overlap
-    n = 400
-    return rng.uniform(-0.1, 0.1, (n, d)), 2.0 ** rng.uniform(-10, -5, n)
-
-
-def _touching_powers_of_two_family(rng, d):
-    # radii 2^-4 .. 2^-9; each ball sits along an axis from an earlier ball of
-    # another class, touching it, or half or twice the slack off its surface
-    centers, radii = [np.zeros(d)], [2.0**-4]
-    for i in range(60):
-        k = int(rng.integers(0, len(radii)))
-        r = 2.0 ** -int(rng.choice([e for e in range(4, 10) if 2.0**-e != radii[k]]))
-        axis = np.zeros(d)
-        axis[rng.integers(0, d)] = rng.choice([-1.0, 1.0])
-        gap = [0.0, 5e-13, 2e-12][i % 3]
-        centers.append(centers[k] + (radii[k] + r + gap) * axis)
-        radii.append(r)
-    return np.vstack(centers), np.asarray(radii)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_disjointness_report_matches_all_pairs_with_overlaps(d):
-    rng = np.random.default_rng(d)
-    for family in (_overlapping_family, _dense_multiclass_family,
-                   _touching_powers_of_two_family):
-        centers, radii = family(rng, d)
-        cfg = BubbleConfig(BallDomain(np.zeros(d), 1.0), centers, radii, validate=False)
-        rep = cfg.disjointness_report()
-        violations, min_margin = _disjointness_by_all_pairs(cfg, rep["slack"])
-        assert len(violations) >= 5
-        assert rep["violations"] == violations
-        assert rep["min_margin"] == min_margin
 
 
 # -- generator -----------------------------------------------------------------
@@ -245,7 +172,117 @@ def test_generator_d3(monkeypatch):
     cfg = generate_shell_config(ball, ConstantProfile(0.3), 0.5, 2, seed=3)
     assert cfg.dimension == 3
     assert cfg.ratio_sup < 0.5
-    assert cfg.disjointness_report()["violations"] == []
+    assert _overlapping_pairs(cfg) == []
+
+
+# -- the disjointness certificate ---------------------------------------------------
+
+@pytest.mark.parametrize("d, phi, a, shells, match", [
+    # the radial gap 0.074 is far below r_1 + r_2 = 0.298
+    (2, ConstantProfile(0.4), 0.1, 2, "shells 1 and 2: their radial gap"),
+    # constant phi = a: the radial gap equals r_i + r_(i+1), the bands touch
+    (2, ConstantProfile(0.3), 0.3, 3, "shells 1 and 2: their radial gap"),
+    (3, ConstantProfile(0.1), 0.1, 2, "shells 1 and 2: their radial gap"),
+    # 11 lattice points, whose mean spacing times 0.84 is below 2r
+    (3, ConstantProfile(0.49), 0.02, 1, "shell 1: its centres lie"),
+    (2, PowerProfile(500.0), 0.5, 1, "shell 1: its bubble radius"),
+    (3, ConstantProfile(0.1), 1.0 - 1e-12, 1, "shell 1: its lattice of .* is too large"),
+])
+def test_generator_refuses_what_it_cannot_certify(d, phi, a, shells, match):
+    with pytest.raises(ValueError, match=match):
+        generate_shell_config(BallDomain(np.zeros(d), 1.0), phi, a, shells)
+
+
+def _overlapping_pairs(cfg, slack=DISJOINTNESS_SLACK):
+    """Every pair (j, k), j < k, of the configuration's bubbles that are not
+    disjoint, |c_j - c_k|^2 <= (r_j + r_k + slack)^2: for each pair of
+    shells a KD-tree query for the centres within the sum of their largest
+    radii and the slack (padded by 1e-9 of it), then the closed squared test
+    on every pair found."""
+    ids = [np.flatnonzero(cfg.shell_ids == i) for i in range(int(cfg.shell_ids.max()) + 1)]
+    trees = [cKDTree(cfg.centers[k]) for k in ids]
+    c, r = cfg.centers, cfg.radii
+    found = []
+    for i, j in itertools.combinations_with_replacement(range(len(ids)), 2):
+        reach = (r[ids[i]].max() + r[ids[j]].max() + slack) * (1.0 + 1e-9)
+        if i == j:
+            p = trees[i].query_pairs(reach, output_type="ndarray")
+            a, b = ids[i][p[:, 0]], ids[i][p[:, 1]]
+        else:
+            m = trees[i].sparse_distance_matrix(trees[j], reach, output_type="ndarray")
+            a, b = ids[i][m["i"]], ids[j][m["j"]]
+        dsq = ((c[a] - c[b]) ** 2).sum(axis=1)
+        lim = r[a] + r[b] + slack
+        bad = dsq <= lim * lim
+        found += zip(np.minimum(a, b)[bad].tolist(), np.maximum(a, b)[bad].tolist())
+    return sorted(found)
+
+
+def test_the_oracle_finds_every_overlapping_pair(monkeypatch, disk):
+    # two shells of constant phi = 0.4 at a = 0.1 overlap, since the radial
+    # gap 0.074 is below r_1 + r_2 = 0.298; with no certificate (slack -inf)
+    # the generator builds them, and the oracle agrees with every pair
+    with monkeypatch.context() as mp:
+        mp.setattr(bubbles, "DISJOINTNESS_SLACK", -math.inf)
+        cfg = generate_shell_config(disk, ConstantProfile(0.4), 0.1, 2, seed=1)
+    c, r = cfg.centers, cfg.radii
+    dsq = ((c[:, None, :] - c[None, :, :]) ** 2).sum(-1)
+    lim = r[:, None] + r[None, :] + DISJOINTNESS_SLACK
+    want = [(j, k) for j, k in zip(*np.nonzero(dsq <= lim * lim)) if j < k]
+    assert len(want) > 10
+    assert _overlapping_pairs(cfg) == want
+
+
+# the certificate's grid: per dimension, every a and profile below for 1 to 6
+# shells; constant phi = a is where adjacent bands touch
+_GRID_A = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9)
+_GRID_PROFILES = ([ConstantProfile(c) for c in (0.02, 0.1, 0.3, 0.45, 0.49)]
+                  + [PowerProfile(b) for b in (0.5, 1.0, 3.0)]
+                  + [LogProfile(p) for p in (0.5, 2.0)])
+
+
+# the families of the grid whose adjacent bands touch, constant phi = a,
+# which no two centres meet exactly
+_TOUCHING = {(a, ConstantProfile(a), shells) for a in (0.02, 0.1, 0.3) for shells in range(2, 7)}
+
+
+@pytest.mark.parametrize("d, checked_want, spared_want", [
+    (2, 169, _TOUCHING),
+    # the 6-shell touching family has 208,984 bubbles; the 11-centre lattice
+    # of a = 0.02, phi = 0.49 clears 2r by less than the factor 0.84 certifies
+    (3, 65, _TOUCHING - {(0.3, ConstantProfile(0.3), 6)} | {(0.02, ConstantProfile(0.49), 1)}),
+], ids=["d2", "d3"])
+def test_the_certificate_accepts_no_family_that_overlaps(monkeypatch, d, checked_want,
+                                                         spared_want):
+    # Every family of the grid up to 60,000 bubbles is built with the
+    # certificate switched off (slack -inf) at two of the seeds 1, 35 and
+    # 101, in turn.  Soundness: no family the certificate accepts has an
+    # overlapping pair.  Of the families it refuses on a gap, those without
+    # one are exactly spared_want.
+    domain = BallDomain(np.zeros(d), 1.0)
+    seeds = itertools.cycle([(1, 35), (35, 101), (101, 1)])
+    checked, spared = 0, set()
+    for a, phi, shells in itertools.product(_GRID_A, _GRID_PROFILES, range(1, 7)):
+        try:
+            _shell_lattice(domain, phi, a, shells)
+            certified = True
+        except ValueError as exc:
+            if "may overlap" not in str(exc):   # phi >= 1/2 on a shell
+                continue
+            certified = False
+        with monkeypatch.context() as mp:
+            mp.setattr(bubbles, "DISJOINTNESS_SLACK", -math.inf)
+            if _shell_lattice(domain, phi, a, shells)[2].sum() > 60_000:
+                continue
+            cfgs = [generate_shell_config(domain, phi, a, shells, seed=s) for s in next(seeds)]
+        overlaps = any(_overlapping_pairs(cfg) for cfg in cfgs)
+        if certified:
+            assert not overlaps, (d, a, phi, shells)
+            checked += 1
+        elif not overlaps:
+            spared.add((a, phi, shells))
+    assert checked == checked_want
+    assert spared == spared_want
 
 
 # -- centre gaps and separation ---------------------------------------------------
@@ -358,6 +395,16 @@ def test_fibonacci_lattice_neighbours_lie_beyond_the_center_gap_factor():
     assert min(factors) >= _CENTER_GAP_FACTOR
     assert min(factors) == factors[0] == pytest.approx(0.8487, abs=1e-4)
     assert min(factors[1:]) == pytest.approx(0.8684, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [2**14, 2**17, 10**6])
+def test_fibonacci_lattice_factor_holds_on_large_lattices(n):
+    # the factor settles at 0.87226 from 5,000 points on (measured up to
+    # 4,000,000), well above _CENTER_GAP_FACTOR
+    p = _fibonacci_sphere(n)
+    factor = cKDTree(p).query(p, k=2)[0][:, 1].min() / math.sqrt(4.0 * math.pi / n)
+    assert factor >= _CENTER_GAP_FACTOR
+    assert factor == pytest.approx(0.87226, abs=1e-4)
 
 
 # -- serialization ------------------------------------------------------------------

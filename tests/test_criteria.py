@@ -275,9 +275,7 @@ def test_an_exact_geometry_gives_zero_width_intervals(disk):
 
 def test_aikawa_subconfig_ordering(disk):
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 3, seed=4)
-    half = BubbleConfig(
-        disk, cfg.centers[::2], cfg.radii[::2], validate=False
-    )
+    half = BubbleConfig(disk, cfg.centers[::2], cfg.radii[::2])
     z = np.array([0.0, -1.0])
     full = aikawa_sum(cfg, z, 1.5, 7)
     sub = aikawa_sum(half, z, 1.5, 7)

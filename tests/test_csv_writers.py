@@ -89,7 +89,7 @@ def test_bubbles_csv_equals_the_per_row_writer(tmp_path, d, n):
     centers = np.stack([np.roll(_values(n, 1 + j), j) for j in range(d)], axis=1)
     radii = np.abs(_values(n, 9))
     radii[radii == 0.0] = 5e-324
-    config = BubbleConfig(domain, centers.reshape(n, d), radii, validate=False)
+    config = BubbleConfig(domain, centers.reshape(n, d), radii)
     config.to_csv(tmp_path / "new.csv")
     _bubbles_oracle(config, tmp_path / "oracle.csv")
     _assert_same_bytes(tmp_path, n)

@@ -13,6 +13,7 @@ import pytest
 import champagne
 from champagne import criteria, harness, rng, simulate, whitney
 from champagne.harness import RunConfig, _sha256_hex, main
+from champagne.spatial import BallIndex
 
 SMALL = {
     "domain": {"center": [0.0, 0.0], "radius": 1.0},
@@ -141,8 +142,9 @@ MiB = 2**20
 def test_stage_start_up_holds_little_beyond_what_it_keeps():
     # tracemalloc counts numpy's buffers, so these bounds do not depend on the
     # host's allocator.  W2's configuration keeps its centres, radii, shell ids,
-    # distances to the boundary and ball index (3.2 MiB); the build needs
-    # besides only blocks of rows and a few columns of n values (1.2 MiB).
+    # distances to the boundary and, in the simulate stage, its ball index
+    # (3.2 MiB in all); the build needs besides only blocks of rows and a few
+    # columns of n values (1.2 MiB).
     # The table of |xi|'s law keeps about 1,500 cubic pieces (50 KiB) and
     # holds blocks of its Fourier sums and a few columns of 1,500 values;
     # the 2^16 draws of the sampled median it replaced held 0.8 MiB.
@@ -345,6 +347,45 @@ def test_main_returns_2_on_a_profile_of_half_or_more_at_a_shell(tmp_path, capsys
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("domain, profile, shells, message", [
+    # the radial gap between the shells is below the sum of their radii
+    (SMALL["domain"], {"kind": "constant", "c": 0.4}, {"a": 0.1, "count": 2},
+     "shells 1 and 2: their radial gap"),
+    # constant phi = a: adjacent bands touch, which the certificate refuses
+    (SMALL["domain"], {"kind": "constant", "c": 0.3}, {"a": 0.3, "count": 3},
+     "shells 1 and 2: their radial gap"),
+    (D3["domain"], {"kind": "constant", "c": 0.49}, {"a": 0.02, "count": 1},
+     "shell 1: its centres lie"),
+], ids=["overlapping", "touching", "d3-small-shell"])
+@pytest.mark.parametrize("command", ["generate", "whitney"])
+def test_main_returns_2_on_shells_the_certificate_refuses(tmp_path, capsys, domain, profile,
+                                                          shells, message, command):
+    cfg = _write_config(tmp_path, {**SMALL, "domain": domain, "profile": profile,
+                                   "shells": shells})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_only_simulate_builds_the_ball_index(tmp_path, monkeypatch):
+    # generate and criteria read no point query, so they never index the
+    # bubbles; simulate indexes them once
+    built = []
+    init = BallIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BallIndex, "__init__", counting_init)
+    cfg = RunConfig.from_json({**W2, "sim": {"max_steps": 50, "n_traj": 20, "seed": 3}})
+    for command, want in ((harness.cmd_generate, 0), (harness.cmd_criteria, 0),
+                          (harness.cmd_simulate, 1)):
+        built.clear()
+        command(cfg, tmp_path)
+        assert len(built) == want, command.__name__
 
 
 def test_main_simulates_at_alpha_1_99_in_d2_and_d3(tmp_path, capsys):

@@ -228,30 +228,14 @@ def _kd_owner(tree, centers, radii, queries):
     return owner
 
 
-def _kd_near_pairs(tree, centers, radii):
-    """Every unordered pair whose centres lie within r_max,a + r_max,b +
-    DISJOINTNESS_SLACK, a and b the radius classes of its balls, from the
-    KD-tree's pairs within the largest such reach."""
-    classes = np.frexp(radii)[1]
-    r_max = {e: radii[classes == e].max() for e in np.unique(classes).tolist()}
-    reach = 2 * max(r_max.values()) + spatial.DISJOINTNESS_SLACK
-    pairs = tree.query_pairs(reach * (1 + 1e-9), output_type="ndarray")
-    j, k = pairs.T
-    lim = np.array([r_max[a] + r_max[b] + spatial.DISJOINTNESS_SLACK
-                    for a, b in zip(classes[j].tolist(), classes[k].tolist())])
-    keep = np.sqrt(((centers[j] - centers[k]) ** 2).sum(axis=1)) <= lim
-    return {(a, b) for a, b in np.sort(pairs[keep], axis=1).tolist()}
-
-
 def _shell_family(d, c, shells):
     cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(c), 0.5, shells,
                                 seed=35)
     return cfg.centers, cfg.radii
 
 
-@pytest.mark.parametrize("family",
-                         ["random", "multiscale", "dyadic", "disk", "ball", "overlapping"])
-def test_queries_and_near_pairs_equal_the_kd_tree(family):
+@pytest.mark.parametrize("family", ["random", "multiscale", "dyadic", "disk", "ball"])
+def test_queries_equal_the_kd_tree(family):
     rng = np.random.default_rng(7)
     centers, radii = {
         "random": lambda: _disjoint_balls(
@@ -260,9 +244,6 @@ def test_queries_and_near_pairs_equal_the_kd_tree(family):
         "dyadic": lambda: _disjoint_balls(rng, 60, _dyadic_ball),
         "disk": lambda: _shell_family(2, 0.4, 4),
         "ball": lambda: _shell_family(3, 0.3, 2),
-        # near pairs abound
-        "overlapping": lambda: (rng.uniform(-1, 1, (3000, 2)),
-                                rng.choice([0.01, 0.03], 3000) * rng.uniform(0.75, 1, 3000)),
     }[family]()
     idx, tree = BallIndex(centers, radii), cKDTree(centers)
     d = centers.shape[1]
@@ -272,15 +253,9 @@ def test_queries_and_near_pairs_equal_the_kd_tree(family):
     queries = centers[k] + radii[k, None] * u * rng.uniform(0.5, 1.5, (4000, 1))
     hit, owner = idx.contains_batch(queries)
     assert owner.dtype == np.int64
-    if family != "overlapping":   # a point in two balls has either as its owner
-        want = _kd_owner(tree, centers, radii, queries)
-        assert np.array_equal(np.where(hit, owner, -1), want)
-        assert 0 < hit.sum() < hit.size
-    j, k = idx.near_pairs()
-    assert j.dtype == k.dtype == np.int64
-    got = np.sort(np.stack([j, k], axis=1), axis=1)
-    assert np.unique(got, axis=0).shape[0] == got.shape[0]   # each pair once
-    assert set(map(tuple, got.tolist())) == _kd_near_pairs(tree, centers, radii)
+    want = _kd_owner(tree, centers, radii, queries)
+    assert np.array_equal(np.where(hit, owner, -1), want)
+    assert 0 < hit.sum() < hit.size
 
 
 def test_single_point_lookup():
@@ -295,9 +270,6 @@ def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
     # at a time.  Blocks of 97 rows, which end inside shells and cells, must
     # give what the default blocks give.
     rng = np.random.default_rng(d)
-    # overlapping balls of a few radius classes, so that near pairs abound
-    centers = rng.uniform(-1.0, 1.0, (3000, d))
-    radii = rng.choice([0.01, 0.03, 0.07], 3000) * rng.uniform(0.75, 1.0, 3000)
 
     def run(name):
         cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(c), 0.5,
@@ -307,21 +279,19 @@ def test_block_sizes_change_no_result(monkeypatch, tmp_path, d, c, shells):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         queries = cfg.centers[k] + cfg.radii[k, None] * u * rng.uniform(0.5, 1.5, (4000, 1))
         cfg.to_csv(tmp_path / name)
-        pairs = np.stack(BallIndex(centers, radii).near_pairs(), axis=1)
         return [cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas,
-                cfg.index.contains_batch(queries)[1], np.unique(pairs, axis=0),
-                (tmp_path / name).read_bytes()]
+                cfg.index.contains_batch(queries)[1], (tmp_path / name).read_bytes()]
 
     state = rng.bit_generator.state
     want = run("default.csv")
     for module, name in [(bubbles, "_LATTICE_BLOCK"), (bubbles, "_CSV_BLOCK"),
                          (bubbles, "_ROW_BLOCK"), (spatial, "_INDEX_BLOCK"),
-                         (spatial, "_QUERY_BLOCK"), (spatial, "_PAIR_BLOCK")]:
+                         (spatial, "_QUERY_BLOCK")]:
         assert getattr(module, name) > 97
         monkeypatch.setattr(module, name, 97)
     rng.bit_generator.state = state
     got = run("blocked.csv")
-    assert want[0].shape[0] > 97 * 20 and want[5].shape[0] > 1000
+    assert want[0].shape[0] > 97 * 20
     assert (want[4] >= 0).sum() > 1000
     for a, b in zip(got, want):
         assert np.array_equal(a, b)

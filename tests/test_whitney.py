@@ -239,9 +239,8 @@ def test_intersecting_cubes_matches_bruteforce(dec6, disk):
         centers.append(x)
         radii.append(r)
         pairs.extend((k, q) for q in sorted(brute))
-    # the balls may overlap: the incidence reads them from a configuration
-    # that skips only the disjointness check
-    config = BubbleConfig(disk, centers, radii, validate=False)
+    # the balls may overlap: a configuration checks each bubble, not pairs
+    config = BubbleConfig(disk, centers, radii)
     assert _pairs(incidence_levels(config, 6)) == pairs
 
 

@@ -53,8 +53,8 @@ from .geometry import row_norms
 __all__ = ["BallIndex"]
 
 # two balls count as overlapping when their gap is at most this: the shell
-# generator's disjointness certificate asks more, and each cell side of the
-# index is at least twice a radius plus it
+# generator's disjointness certificate asks every gap to exceed it, and each
+# cell side of the index is at least twice a radius plus it
 DISJOINTNESS_SLACK = 1e-12
 # outward widening of the radial span and bands, relative to the coordinates
 _BAND_PAD = 2.0**-40

@@ -7,6 +7,7 @@ the rest of the toolkit consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "BallDomain",
     "dist_to_boundary",
     "row_norms",
+    "finest_key_level",
 ]
 
 
@@ -86,6 +88,26 @@ def row_norms(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     for j in range(1, x.shape[1]):
         sq += (x[:, j] - c[..., j]) ** 2
     return np.sqrt(sq)
+
+
+def _cube_grid(domain: BallDomain, level: int) -> tuple[list[int], list[int]]:
+    """Per axis, the index of the first dyadic box of ``level`` that meets the
+    domain's closed bounding box, and the number of such boxes."""
+    side = 2.0 ** (-level)
+    first = [math.floor(v / side) for v in (domain.center - domain.radius).tolist()]
+    last = [math.floor(v / side) for v in (domain.center + domain.radius).tolist()]
+    return first, [b - a + 1 for a, b in zip(first, last)]
+
+
+def finest_key_level(domain: BallDomain) -> int:
+    """The finest dyadic level whose boxes over the domain's bounding box
+    number fewer than 2**63, so that they have int64 keys: 30 for the unit
+    disk and 19 for the unit ball.  Coarser levels have no more boxes, and the
+    search starts above any level whose boxes could number 2**63."""
+    level = math.floor(63 / domain.dimension - math.log2(2.0 * domain.radius)) + 1
+    while math.prod(_cube_grid(domain, level)[1]) >= 2**63:
+        level -= 1
+    return level
 
 
 def _csv_lines(columns) -> str:

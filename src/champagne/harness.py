@@ -54,7 +54,7 @@ from .bubbles import (
     _shell_lattice,
     generate_shell_config,
 )
-from .geometry import BallDomain, _csv_lines, _number
+from .geometry import BallDomain, _csv_lines, _number, finest_key_level
 from .simulate import _TAGS, SimParams, estimate_hitting
 from .simulate import APPROXIMATION_NOTES as SIM_NOTES
 
@@ -130,6 +130,11 @@ class RunConfig:
             _shell_lattice(self.domain, self.profile, self.shell_a, self.shells)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # after the generator's checks, which leave only the unit disk and ball
+        finest = finest_key_level(self.domain)
+        if self.whitney_max_level > finest:
+            raise ConfigError(f"whitney.max_level must be <= {finest}, got "
+                              f"{self.whitney_max_level!r}: finer cubes have no int64 keys")
 
     def to_json(self) -> dict:
         out = {
@@ -214,7 +219,7 @@ class RunConfig:
         """SHA-256 of the canonical bytes in hex, the manifests' ``config_hash``,
         from CPython's built-in module: importing ``hashlib`` would map
         OpenSSL's libcrypto (3.4 MiB of resident memory) into every CLI stage."""
-        return _sha256_hex(self.canonical_bytes())
+        return _sha256(self.canonical_bytes()).hexdigest()
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -268,11 +273,6 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
-
-
-def _sha256_hex(data: bytes) -> str:
-    """``hashlib.sha256(data).hexdigest()``, without importing hashlib."""
-    return _sha256(data).hexdigest()
 
 
 def _timestamps() -> dict:
@@ -349,16 +349,16 @@ def cmd_generate(cfg: RunConfig, out: Path) -> Path:
 
 
 def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
-    from .whitney import decompose
+    from .whitney import coverage_threshold, decompose, write_csv
 
     out.mkdir(parents=True, exist_ok=True)
-    dec = decompose(cfg.domain, cfg.whitney_max_level)
-    dec.to_csv(out / "whitney.csv")
-    per_level = {str(lev): int(dec.level_indices(lev).shape[0]) for lev in dec.levels}
+    cubes = decompose(cfg.domain, cfg.whitney_max_level)
+    write_csv(out / "whitney.csv", cubes)
+    per_level = {str(lev): int(idx.shape[0]) for lev, (idx, _) in cubes.items()}
     empirical = {
-        "n_cubes": len(dec),
+        "n_cubes": sum(per_level.values()),
         "cubes_per_level": per_level,
-        "coverage_threshold": dec.coverage_threshold,
+        "coverage_threshold": coverage_threshold(cfg.domain.dimension, cfg.whitney_max_level),
     }
     _write_manifest(out, "whitney", cfg, empirical)
     return out / "whitney.csv"

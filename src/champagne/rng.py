@@ -11,9 +11,9 @@ the same seed.  The seed of every stream lies in [0, 2**64).
 
 Isotropic alpha-stable increments, with characteristic function
 exp(-|u|^alpha), are drawn as xi = R * Theta: a radius R = |xi| from its
-law and an independent uniform direction Theta.  A step takes d slots
-(``slots_per_step``): slot 0 gives R, slot 1 the direction in d=2, and
-slots 1 and 2 in d=3.
+law and an independent uniform direction Theta.  A trajectory takes d
+slots a step: slot 0 gives R, slot 1 the direction in d=2, and slots 1 and
+2 in d=3.
 
 R comes from one uniform u by inverting a table of its distribution
 function F, built once per (d, alpha) by ``radial_law``.  The table holds
@@ -63,7 +63,6 @@ __all__ = [
     "uniform01",
     "radial_law",
     "stable_vectors",
-    "slots_per_step",
 ]
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -112,13 +111,6 @@ def uniform01(keys, counters) -> np.ndarray:
     u *= 2.0**-53
     np.minimum(u, _LAST_U, out=u)
     return u[()]  # a scalar for scalar inputs
-
-
-
-
-def slots_per_step(d: int) -> int:
-    """Uniforms consumed per step: one for the radius, d - 1 for the direction."""
-    return d
 
 
 # the table of the radial law: it starts where F = 1e-7 under the small-r
@@ -288,9 +280,9 @@ def stable_vectors(alpha: float, d: int, keys: np.ndarray, step: int,
     d is 2 or 3.
     """
     law = radial_law(d, alpha)
-    nslots = np.uint64(slots_per_step(d))
-    # one counter base per step, a column that broadcasts against the keys
-    base = np.arange(step, step + n_steps, dtype=np.uint64)[:, None] * nslots
+    # one counter base per step, d slots a step, a column that broadcasts
+    # against the keys
+    base = np.arange(step, step + n_steps, dtype=np.uint64)[:, None] * np.uint64(d)
     r = law.radii(uniform01(keys, base).ravel())
     out = np.empty((r.size, d))
     if d == 3:

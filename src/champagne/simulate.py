@@ -39,9 +39,9 @@ lifetime proxy delta_D < boundary_eps biases p_hat downward; a running
 trajectory has delta >= boundary_eps, so its step is never 0.
 
 Randomness is counter-based per trajectory, so estimates are bitwise
-independent of batching.  A step takes d uniforms (``rng.slots_per_step``):
-one for |xi|, read from the table by interpolation, and d - 1 for its
-direction.  Bitwise on one host: the draws, and the table and kappa_b,
+independent of batching.  A trajectory's stream gives d slots a step, d
+uniforms: one for |xi|, read from the table by interpolation, and d - 1 for
+its direction.  Bitwise on one host: the draws, and the table and kappa_b,
 also depend on which of numpy's SIMD loops the CPU selects (see ``rng``).
 The step reads (a, phi) and never the bubbles, so nested, thinned and
 single-shell configurations run with the same seed and bands share each
@@ -58,16 +58,14 @@ hit or boundary step, and its work past that step is discarded.
 
 The counter streams also make every trajectory a function of its own id
 alone (and of the host's numpy loops), so the ids can be split between
-processes without changing a bit.
-``estimate_hitting`` splits them into one contiguous block per CPU this
-process may use, runs block 0 itself and each other block in a worker
-forked after the ball index and the table of |xi|'s law are built, and
-concatenates the blocks in id order.  Workers are forked, not threads,
-because two threads sharing the interpreter lock ran no faster than one;
-and forked, not spawned by ``multiprocessing``, so that they inherit the
-configuration, its index and the table instead of rebuilding them.
-``_forked`` does the forking, the pipes and the reaping of these blocks,
-with one set of failure rules.
+processes without changing a bit.  ``_run_forked`` splits them into one
+contiguous block per CPU this process may use, runs block 0 itself and
+each other block in a worker forked after the ball index and the table of
+|xi|'s law are built, and concatenates the blocks in id order.  Workers are
+forked, not threads, because two threads sharing the interpreter lock ran
+no faster than one; and forked, not spawned by ``multiprocessing``, so that
+they inherit the configuration, its index and the table instead of
+rebuilding them.
 
 Beside its outcome arrays, a pass holds the temporaries of at most
 _BLOCK_DRAWS rows: the block's draws, path and ball-index query (which
@@ -421,25 +419,27 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _forked(here, elsewhere) -> list:
-    """``[here(), *(task() for _, task in elsewhere)]``, with each of
-    ``elsewhere``'s (name, task) pairs run in a forked worker while ``here``
-    runs in this process.  A worker inherits everything its task reads
-    instead of unpickling it, pickles the result back over a pipe and ends
-    with ``os._exit``, so it neither flushes inherited buffers nor runs exit
-    hooks.  A worker's exception is raised here as a RuntimeError that
-    names the worker and carries its message; on any exception the workers
-    still running are killed, and every worker is reaped.  As with any
-    fork, no other thread of the caller may hold a lock that a worker then
-    needs.  With fewer than two CPUs (``_worker_count``) nothing is forked:
-    the tasks of ``elsewhere`` run here, in order, and then ``here``.
-    """
-    if _worker_count() < 2:
-        rest = [task() for _, task in elsewhere]
-        return [here(), *rest]
+def _run_forked(x0, config, phi, a, params) -> list:
+    """``_run_batch`` over all trajectories in one block of ids per CPU
+    (``_worker_count``), block 0 here and each other block in a forked
+    worker, concatenated in id order.  A worker pickles its outcomes back
+    over a pipe and ends with ``os._exit``, so it neither flushes inherited
+    buffers nor runs exit hooks.  A worker's exception is raised here as a
+    RuntimeError that names the worker and carries its message; on any
+    exception the workers still running are killed, and every worker is
+    reaped.  No other thread of the caller may hold a lock that a worker
+    then needs.  With one CPU nothing is forked."""
+    n = params.n_traj
+    w = min(n, _worker_count())
+    bounds = [n * i // w for i in range(w + 1)]
+
+    def block(i):
+        return _run_batch(x0, config, phi, a, params,
+                          np.arange(bounds[i], bounds[i + 1], dtype=np.int64))
+
     workers = []  # (pid, read end of its pipe, name) of the workers not yet reaped
     try:
-        for name, task in elsewhere:
+        for i in range(1, w):
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -447,7 +447,7 @@ def _forked(here, elsewhere) -> list:
                 try:
                     os.close(r)
                     try:
-                        out = (True, task())
+                        out = (True, block(i))
                     except BaseException as exc:  # reported to the parent, which raises it
                         out = (False, f"{type(exc).__name__}: {exc}")
                     with open(wr, "wb") as f:
@@ -456,8 +456,9 @@ def _forked(here, elsewhere) -> list:
                 finally:
                     os._exit(code)
             os.close(wr)
+            name = f"simulation worker for trajectories {bounds[i]}..{bounds[i + 1] - 1}"
             workers.append((pid, open(r, "rb"), name))
-        results = [here()]
+        blocks = [block(0)]
         while workers:
             pid, pipe, name = workers[0]
             with pipe:
@@ -469,7 +470,7 @@ def _forked(here, elsewhere) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise RuntimeError(f"{name} failed: {value}")
-            results.append(value)
+            blocks.append(value)
     finally:
         for pid, pipe, _ in workers:  # left only by an exception
             import signal  # here, not at the top: importing it adds ≈2 ms to every start
@@ -477,24 +478,6 @@ def _forked(here, elsewhere) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
-
-
-def _run_forked(x0, config, phi, a, params) -> list:
-    """``_run_batch`` over all trajectories, split into one contiguous block
-    per CPU: block 0 runs here and each other block in a worker forked by
-    ``_forked``, which inherits the configuration and its index."""
-    n = params.n_traj
-    w = min(n, _worker_count())
-    bounds = [n * i // w for i in range(w + 1)]
-
-    def block(lo, hi):
-        return lambda: _run_batch(x0, config, phi, a, params,
-                                  np.arange(lo, hi, dtype=np.int64))
-
-    blocks = _forked(block(0, bounds[1]),
-                     [(f"simulation worker for trajectories {lo}..{hi - 1}", block(lo, hi))
-                      for lo, hi in zip(bounds[1:-1], bounds[2:])])
     return [np.concatenate(col) for col in zip(*blocks)]
 
 
@@ -508,15 +491,11 @@ def estimate_hitting(x0, config: BubbleConfig, phi, a: float, params: SimParams)
     a dilation, a single shell) runs on the bands it is given.
 
     Runs ``params.n_traj`` trajectories on independent counter streams,
-    split into one contiguous block of trajectory ids per CPU that this
-    process may use: block 0 runs in this process, each other block in a
-    forked worker, each block as one lockstep batch.  A trajectory consumes
-    only its own counter stream, so on a given host it is a function of its
-    id alone, and the estimate and outcomes are identical for any number of
-    workers.
-    x0 is checked, and the ball index and the table of |xi|'s law built,
-    before forking, so workers inherit them.  Timeouts are reported
-    separately and never counted as hits.
+    split between processes by ``_run_forked``; the estimate and outcomes
+    are identical for any number of workers.  x0 is checked, and the ball
+    index and the table of |xi|'s law built, before forking, so workers
+    inherit them.  Timeouts are reported separately and never counted as
+    hits.
     """
     for key, given in (("phi", phi), ("a", a)):
         if key in config.meta and config.meta[key] != given:
@@ -524,7 +503,7 @@ def estimate_hitting(x0, config: BubbleConfig, phi, a: float, params: SimParams)
                              f"{key}={config.meta[key]!r}")
     x0 = np.asarray(x0, dtype=float)
     dom = config.domain
-    if config.index.contains(x0) is not None:
+    if config.index.contains_batch(x0[None, :])[0][0]:
         raise ValueError("x0 lies inside a bubble")
     if dom.radius - float(row_norms(x0[None, :], dom.center)[0]) <= 0:
         raise ValueError("x0 must lie inside the domain")

@@ -20,12 +20,13 @@ Refinement stops at ``max_level``; the uncovered boundary collar
 {delta_D < 5*sqrt(d)*2**-max_level} is explicit, and criteria built on top
 must treat it via tail estimates.
 
-:func:`decompose` lists every cube, for the CSV export, walking the dyadic
-tree depth first.  :func:`incidence_levels` describes, for a whole bubble
-configuration at once, every (bubble, cube) pair where the closed ball meets
-the closed cube box, one level at a time, coarsest first, sorted by ball and
-then by cube, so that a caller can consume each level and drop it before the
-next is built.  It reads the centres, radii and distances to the boundary of
+:func:`decompose` lists every cube as per-level arrays, walking the dyadic
+tree depth first, and :func:`write_csv` writes them as ``whitney.csv``.
+:func:`incidence_levels` describes, for a whole bubble configuration at
+once, every (bubble, cube) pair where the closed ball meets the closed cube
+box, one level at a time, coarsest first, sorted by ball and then by cube,
+so that a caller can consume each level and drop it before the next is
+built.  It reads the centres, radii and distances to the boundary of
 a ``bubbles.BubbleConfig``, whose checks (r > 0 and fl(r/delta) < 1/2, which
 forces r < delta/2) are the ones its candidate windows need, so it checks no
 ball again.  A level ranks its cubes in lexicographic index order; numbering
@@ -54,16 +55,16 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import BallDomain, _csv_lines, dist_to_boundary
+from .geometry import BallDomain, _csv_lines, _cube_grid, dist_to_boundary, finest_key_level
 
 if TYPE_CHECKING:
     from .bubbles import BubbleConfig
 
 __all__ = [
-    "WhitneyDecomposition",
     "LevelPairs",
     "whitney",
     "decompose",
+    "write_csv",
     "intersecting_cubes",
     "incidence_levels",
     "coverage_threshold",
@@ -80,58 +81,6 @@ _BALL_BLOCK = 1 << 13
 def coverage_threshold(dimension: int, max_level: int) -> float:
     """Depth of the uncovered boundary collar: 5*sqrt(d)*2**-max_level."""
     return 5.0 * math.sqrt(dimension) * 2.0 ** (-max_level)
-
-
-class WhitneyDecomposition:
-    """Immutable result of :func:`decompose`: the cubes per level as integer
-    index arrays in canonical (level, lexicographic index) order, with their
-    dist(Q, boundary).
-    """
-
-    def __init__(self, domain: BallDomain, max_level: int, level_idx: dict, level_dist: dict):
-        self.domain = domain
-        self.max_level = int(max_level)
-        self._idx = level_idx          # level -> (n_l, d) int64, lexsorted
-        self._dist = level_dist        # level -> (n_l,) float64
-        self.levels = sorted(level_idx)
-        self._n = sum(idx.shape[0] for idx in level_idx.values())
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def dimension(self) -> int:
-        return self.domain.dimension
-
-    @property
-    def coverage_threshold(self) -> float:
-        return coverage_threshold(self.dimension, self.max_level)
-
-    def level_indices(self, level: int) -> np.ndarray:
-        return self._idx[level]
-
-    def to_csv(self, path) -> None:
-        """Export as CSV: level, index components, center coords, side,
-        dist_boundary; floats as repr, CRLF line ends.  Rows are formatted
-        _CANDIDATE_CHUNK cubes at a time, a column at a time from
-        ``tolist()`` (``geometry._csv_lines``)."""
-        d = self.dimension
-        header = (["level"] + [f"i_{j}" for j in range(d)] + [f"c_{j}" for j in range(d)]
-                  + ["side", "dist_boundary"])
-        with open(path, "w", newline="") as f:
-            f.write(_csv_lines([name] for name in header))
-            for lev in self.levels:
-                side = 2.0 ** (-lev)
-                for start in range(0, self._idx[lev].shape[0], _CANDIDATE_CHUNK):
-                    idx = self._idx[lev][start:start + _CANDIDATE_CHUNK]
-                    n = idx.shape[0]
-                    f.write(_csv_lines([
-                        [str(lev)] * n,
-                        *(map(str, k) for k in idx.T.tolist()),
-                        *(map(repr, c) for c in ((idx + 0.5) * side).T.tolist()),
-                        [repr(side)] * n,
-                        map(repr, self._dist[lev][start:start + n].tolist()),
-                    ]))
 
 
 def _max_dist(idx: np.ndarray, side: float, center: np.ndarray) -> np.ndarray:
@@ -232,24 +181,48 @@ def _walk(domain: BallDomain, max_level: int):
         stack.extend((level + 1, children[i:i + _CANDIDATE_CHUNK])
                      for i in range(0, children.shape[0], _CANDIDATE_CHUNK))
     if not found:
-        raise ValueError(
-            f"max_level={max_level} too small: no dyadic cube fits inside the domain"
-        )
+        raise ValueError(f"max_level={max_level} too small: "
+                         "no dyadic cube fits inside the domain")
 
 
-def decompose(domain: BallDomain, max_level: int) -> WhitneyDecomposition:
-    """Every Whitney cube down to dyadic level ``max_level``, each level in
-    lexicographic index order.  Raises if no cube fits."""
+def decompose(domain: BallDomain, max_level: int) -> dict:
+    """Every Whitney cube down to dyadic level ``max_level``, as
+    ``{level: (indices, dists)}``: the levels that have cubes, in increasing
+    order, each with its (n, d) int64 indices in lexicographic order and
+    their (n,) float64 dist(Q, boundary).  Raises if no cube fits."""
     batches = {}
     for level, idx, dist in _walk(domain, max_level):
         batches.setdefault(level, []).append((idx, dist))
-    level_idx, level_dist = {}, {}
+    cubes = {}
     for level in sorted(batches):
         idx = np.concatenate([b[0] for b in batches[level]])
         order = np.lexsort(idx.T[::-1])
-        level_idx[level] = idx[order]
-        level_dist[level] = np.concatenate([b[1] for b in batches[level]])[order]
-    return WhitneyDecomposition(domain, max_level, level_idx, level_dist)
+        cubes[level] = idx[order], np.concatenate([b[1] for b in batches[level]])[order]
+    return cubes
+
+
+def write_csv(path, cubes: dict) -> None:
+    """Write :func:`decompose`'s cubes as CSV: level, index components,
+    center coords, side, dist_boundary; floats as repr, CRLF line ends.
+    Rows are formatted _CANDIDATE_CHUNK cubes at a time, a column at a time
+    from ``tolist()`` (``geometry._csv_lines``)."""
+    d = next(iter(cubes.values()))[0].shape[1]
+    header = (["level"] + [f"i_{j}" for j in range(d)] + [f"c_{j}" for j in range(d)]
+              + ["side", "dist_boundary"])
+    with open(path, "w", newline="") as f:
+        f.write(_csv_lines([name] for name in header))
+        for lev, (indices, dists) in cubes.items():
+            side = 2.0 ** (-lev)
+            for start in range(0, indices.shape[0], _CANDIDATE_CHUNK):
+                idx = indices[start:start + _CANDIDATE_CHUNK]
+                n = idx.shape[0]
+                f.write(_csv_lines([
+                    [str(lev)] * n,
+                    *(map(str, k) for k in idx.T.tolist()),
+                    *(map(repr, c) for c in ((idx + 0.5) * side).T.tolist()),
+                    [repr(side)] * n,
+                    map(repr, dists[start:start + n].tolist()),
+                ]))
 
 
 def _candidate_window(dimension: int, delta, r):
@@ -392,12 +365,10 @@ class _LevelGrid:
     bounding box, increasing in lexicographic index order."""
 
     def __init__(self, domain: BallDomain, level: int):
-        side = 2.0 ** (-level)
-        self.origin = np.floor((domain.center - domain.radius) / side).astype(np.int64)
-        self.shape = np.floor((domain.center + domain.radius) / side).astype(np.int64) \
-            - self.origin + 1
-        if math.prod(self.shape.tolist()) >= 2**63:
+        if level > finest_key_level(domain):
             raise RuntimeError(f"level {level} is too fine for int64 cube keys")
+        self.origin, self.shape = (np.array(v, dtype=np.int64)
+                                   for v in _cube_grid(domain, level))
 
     def keys(self, idx: np.ndarray) -> np.ndarray:
         key = idx[:, 0] - self.origin[0]

@@ -504,9 +504,8 @@ def _block_case_results(d, phi, shells, seed, max_level, alpha, grid):
     points = uniform_boundary_grid(domain, grid)
     sums = whitney_sums(cfg, points, alpha, max_level, n_max=24)
     report = classify_avoidability(cfg, alpha, points)
-    dec = whitney_module.decompose(domain, max_level)
-    return sums, report.per_z_totals.tolist(), [dec.level_indices(lev).shape[0]
-                                                for lev in dec.levels]
+    cubes = whitney_module.decompose(domain, max_level)
+    return sums, report.per_z_totals.tolist(), [idx.shape[0] for idx, _ in cubes.values()]
 
 
 @pytest.fixture(scope="module")

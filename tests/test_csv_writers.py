@@ -17,7 +17,7 @@ from champagne.bubbles import _CSV_BLOCK, BubbleConfig
 from champagne.geometry import BallDomain
 from champagne.harness import _write_trajectories
 from champagne.simulate import _TAGS
-from champagne.whitney import decompose, whitney
+from champagne.whitney import decompose, whitney, write_csv
 
 
 def _bubbles_oracle(config: BubbleConfig, path) -> None:
@@ -43,17 +43,17 @@ def _trajectories_oracle(path, d, tags, steps, bubbles, finals) -> None:
                        + [repr(float(v)) for v in finals[t]])
 
 
-def _whitney_oracle(dec, path) -> None:
-    d = dec.dimension
+def _whitney_oracle(domain, cubes_per_level, path) -> None:
+    d = domain.dimension
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["level"] + [f"i_{j}" for j in range(d)] + [f"c_{j}" for j in range(d)]
                    + ["side", "dist_boundary"])
-        for lev in dec.levels:
+        for lev in sorted(cubes_per_level):
             side = 2.0 ** (-lev)
-            cubes = dec.level_indices(lev)
+            cubes = cubes_per_level[lev][0]
             for idx, ctr, dist in zip(cubes, (cubes + 0.5) * side,
-                                      whitney(dec.domain, lev, cubes)[1]):
+                                      whitney(domain, lev, cubes)[1]):
                 w.writerow([lev] + [int(k) for k in idx] + [repr(float(c)) for c in ctr]
                            + [repr(side), repr(float(dist))])
 
@@ -113,7 +113,8 @@ def test_trajectories_csv_equals_the_per_row_writer(tmp_path, d, n):
     ([0.0, 0.0, 0.0], 1.0, 4),
 ])
 def test_whitney_csv_equals_the_per_row_writer(tmp_path, center, radius, max_level):
-    dec = decompose(BallDomain(np.array(center), radius), max_level)
-    dec.to_csv(tmp_path / "new.csv")
-    _whitney_oracle(dec, tmp_path / "oracle.csv")
+    domain = BallDomain(np.array(center), radius)
+    cubes = decompose(domain, max_level)
+    write_csv(tmp_path / "new.csv", cubes)
+    _whitney_oracle(domain, cubes, tmp_path / "oracle.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -12,7 +12,7 @@ import pytest
 
 import champagne
 from champagne import criteria, harness, rng, simulate, whitney
-from champagne.harness import RunConfig, _sha256_hex, main
+from champagne.harness import RunConfig, main
 from champagne.spatial import BallIndex
 
 SMALL = {
@@ -318,6 +318,11 @@ def test_main_returns_2_on_an_invalid_shells_block(tmp_path, capsys, shells, arg
     # shells per point
     ({"criteria": {"grid": 4, "wiener_n_max": 1075}},
      "criteria.wiener_n_max must be <= 1074, got 1075"),
+    # refused before any cube is walked: a finer level's cubes have no int64
+    # keys, 30 being the finest for the unit disk and 19 for the unit ball
+    ({"whitney": {"max_level": 31}}, "whitney.max_level must be <= 30, got 31"),
+    ({"domain": D3["domain"], "profile": D3["profile"], "shells": D3["shells"],
+      "whitney": {"max_level": 20}}, "whitney.max_level must be <= 19, got 20"),
     # the paths start at the centre, so every one would end at step 0
     ({"sim": {"alpha": 1.3, "boundary_eps": 1.0}}, "sim.boundary_eps must be < domain.radius 1.0"),
     ({"constants": {"alpha": 1.0}}, "constants.alpha must lie in (1, 2), got 1.0"),
@@ -334,6 +339,19 @@ def test_main_returns_2_on_an_invalid_whitney_criteria_sim_or_csv_value(tmp_path
     cfg = _write_config(tmp_path, {**SMALL, **change})
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("obj, finest", [(SMALL, 30), (D3, 19)], ids=["d2", "d3"])
+def test_whitney_and_criteria_refuse_a_max_level_past_the_int64_keys(tmp_path, capsys, obj,
+                                                                     finest):
+    assert RunConfig.from_json({**obj, "whitney": {"max_level": finest}}).whitney_max_level \
+        == finest
+    cfg = _write_config(tmp_path, {**obj, "whitney": {"max_level": finest + 1}})
+    for command in ("whitney", "criteria"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert f"whitney.max_level must be <= {finest}, got {finest + 1}" \
+            in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -759,6 +777,6 @@ def test_config_hash_is_hashlib_sha256(lengths):
     rng = np.random.default_rng(15)
     for n in lengths:
         data = rng.bytes(n)
-        assert _sha256_hex(data) == hashlib.sha256(data).hexdigest(), n
+        assert harness._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), n
     cfg = RunConfig.from_json(SMALL)
     assert cfg.hash() == hashlib.sha256(cfg.canonical_bytes()).hexdigest()

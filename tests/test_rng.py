@@ -6,7 +6,6 @@ from scipy import stats
 
 from champagne.rng import (
     mix64,
-    slots_per_step,
     stable_vectors,
     stream_keys,
     uniform01,
@@ -155,12 +154,6 @@ def test_increment_shrinks_with_h():
     for h in (1e-2, 1e-4, 1e-6):
         scaled = np.median(h ** (1 / 1.5) * norms)
         assert scaled < 1e-1 * (h / 1e-2) ** 0.5
-
-
-def test_slots_per_step():
-    # the radius, then the angle in d=2, or the height and the azimuth in d=3
-    assert slots_per_step(2) == 2
-    assert slots_per_step(3) == 3
 
 
 def test_invalid_alpha_rejected():

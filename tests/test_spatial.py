@@ -184,7 +184,7 @@ def test_index_points_outside_every_band():
 def test_index_band_edges_are_closed():
     # each point on a band edge below lies in its ball: |x| = 0.4 and 0.6 bound
     # the band of B((0.5, 0), 0.1), and |x| = 0.625 and 0.875 that of
-    # B((0, -0.75), 0.125); 0.4 and 0.875 are also the ends of the whole span
+    # B((0, -0.75), 0.125)
     idx = BallIndex(np.array([[0.5, 0.0], [0.0, -0.75]]), np.array([0.1, 0.125]))
     queries = np.array([[0.4, 0.0], [0.6, 0.0], [0.0, -0.625], [0.0, -0.875],
                         [np.nextafter(0.4, 0.0), 0.0], [np.nextafter(0.6, 1.0), 0.0],
@@ -199,7 +199,8 @@ def test_index_band_edges_are_closed():
     x = np.array([0.21888396915109098, 0.43399440594417377])
     assert np.sqrt(((x - c) ** 2).sum()) <= r
     assert np.sqrt((x**2).sum()) < np.sqrt((c**2).sum()) - r
-    assert BallIndex(c[None, :], np.array([r])).contains(x) == 0
+    hit, owner = BallIndex(c[None, :], np.array([r])).contains_batch(x[None, :])
+    assert hit.tolist() == [True] and owner.tolist() == [0]
 
 
 def test_index_empty_query():
@@ -260,8 +261,9 @@ def test_queries_equal_the_kd_tree(family):
 
 def test_single_point_lookup():
     idx = BallIndex(np.array([[0.5, 0.0]]), np.array([0.1]))
-    assert idx.contains([0.55, 0.0]) == 0
-    assert idx.contains([0.7, 0.0]) is None
+    for x, want in (([0.55, 0.0], 0), ([0.7, 0.0], -1)):
+        hit, owner = idx.contains_batch(np.array([x]))
+        assert hit.tolist() == [want == 0] and owner.tolist() == [want]
 
 
 @pytest.mark.parametrize("d, c, shells", [(2, 0.1, 4), (3, 0.3, 2)])

@@ -5,7 +5,7 @@ import pytest
 
 from champagne import whitney
 from champagne.bubbles import BubbleConfig, ConstantProfile, generate_shell_config
-from champagne.geometry import BallDomain, dist_to_boundary
+from champagne.geometry import BallDomain, _cube_grid, dist_to_boundary, finest_key_level
 from champagne.whitney import (
     coverage_threshold,
     decompose,
@@ -31,11 +31,15 @@ def dec8(disk):
 
 
 def test_sandwich_every_cube(dec6, disk):
+    # decompose lists the levels in increasing order, each level's cubes in
+    # lexicographic order with their own dist(Q, boundary)
+    assert list(dec6) == sorted(dec6)
     sqd = math.sqrt(2)
-    for lev in dec6.levels:
+    for lev, (idx, dists) in dec6.items():
         side = 2.0**-lev
-        member, dist = is_whitney(disk, lev, dec6.level_indices(lev))
-        assert member.all()
+        assert np.array_equal(np.lexsort(idx.T[::-1]), np.arange(idx.shape[0]))
+        member, dist = is_whitney(disk, lev, idx)
+        assert member.all() and np.array_equal(dist, dists)
         assert np.all(side * sqd <= dist)
         assert np.all(dist <= 4 * side * sqd)
 
@@ -43,11 +47,11 @@ def test_sandwich_every_cube(dec6, disk):
 def test_maximality_parent_fails(dec6, disk):
     # the dyadic parent of every emitted cube must violate diam <= dist
     sqd = math.sqrt(2)
-    for lev in dec6.levels:
+    for lev in dec6:
         if lev == 0:
             continue
         side_p = 2.0 ** -(lev - 1)
-        parents = dec6.level_indices(lev) // 2
+        parents = dec6[lev][0] // 2
         lo = parents * side_p
         hi = lo + side_p
         far = np.maximum(hi - disk.center, disk.center - lo)
@@ -60,33 +64,33 @@ def test_maximality_parent_fails(dec6, disk):
 
 def test_disjointness_same_level_and_ancestry(dec6):
     level_sets = {}
-    for lev in dec6.levels:
-        idx = dec6.level_indices(lev)
+    for lev in dec6:
+        idx = dec6[lev][0]
         keys = set(map(tuple, idx.tolist()))
         assert len(keys) == idx.shape[0]
         level_sets[lev] = keys
-    for lev in dec6.levels:
-        for anc in dec6.levels:
+    for lev in dec6:
+        for anc in dec6:
             if anc >= lev:
                 continue
-            ancestors = dec6.level_indices(lev) // (2 ** (lev - anc))
+            ancestors = dec6[lev][0] // (2 ** (lev - anc))
             for row in map(tuple, ancestors.tolist()):
                 assert row not in level_sets[anc]
 
 
 def test_cube_counts_grow_like_surface(dec8):
     # near max_level the per-level count should grow by about 2^(d-1) = 2
-    counts = [dec8.level_indices(lev).shape[0] for lev in dec8.levels[-3:]]
+    counts = [dec8[lev][0].shape[0] for lev in list(dec8)[-3:]]
     for a, b in zip(counts, counts[1:]):
         assert 0.7 * 2 <= b / a <= 1.3 * 2
 
 
 def test_total_volume_matches_disk(dec8):
     total = sum(
-        dec8.level_indices(lev).shape[0] * (2.0**-lev) ** 2 for lev in dec8.levels
+        dec8[lev][0].shape[0] * (2.0**-lev) ** 2 for lev in dec8
     )
     area = math.pi
-    thr = dec8.coverage_threshold
+    thr = coverage_threshold(2, 8)
     collar = math.pi - math.pi * (1 - thr) ** 2
     assert total <= area
     assert total >= area - 3 * collar
@@ -134,7 +138,7 @@ def test_closed_form_membership_gives_exactly_the_decomposition(dim, radius, max
     sqd = math.sqrt(dim)
     top = whitney._top_level(domain)
     assert 2.0**-top * sqd > radius >= 2.0 ** -(top + 1) * sqd
-    assert dec.levels[0] > top
+    assert min(dec) > top
     for level in range(top - 1, max_level + 1):
         side = 2.0**-level
         grid = _grid(np.floor((center - radius) / side).astype(np.int64),
@@ -144,8 +148,8 @@ def test_closed_form_membership_gives_exactly_the_decomposition(dim, radius, max
         member, got = is_whitney(domain, level, grid)
         assert np.array_equal(member, brute)
         assert np.array_equal(got, dist)
-        if level in dec.levels:
-            assert np.array_equal(grid[brute], dec.level_indices(level))
+        if level in dec:
+            assert np.array_equal(grid[brute], dec[level][0])
         else:
             assert not brute.any()
 
@@ -167,13 +171,13 @@ def test_coverage_invariant(disk):
 
 def test_doubled_cube_geometry_and_containment(dec8, disk):
     # the concentric box of twice the side of a Whitney cube stays inside D
-    for lev in dec8.levels:
+    for lev in dec8:
         side = 2.0**-lev
-        lo = dec8.level_indices(lev) * side
+        lo = dec8[lev][0] * side
         hi = lo + side
         lo2, hi2 = lo - side / 2, hi + side / 2
         assert np.allclose(hi2 - lo2, 2 * side)
-        assert np.allclose((lo2 + hi2) / 2, (dec8.level_indices(lev) + 0.5) * side)
+        assert np.allclose((lo2 + hi2) / 2, (dec8[lev][0] + 0.5) * side)
         far = np.maximum(hi2 - disk.center, disk.center - lo2)
         assert np.all(np.sqrt((far * far).sum(axis=1)) < disk.radius)
 
@@ -182,9 +186,9 @@ def test_doubled_overlap_multiplicity(dec8, disk):
     # every point of D should be covered by a bounded number of doubled cubes
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1, 1, (20000, 2))
-    pts = pts[dist_to_boundary(disk, pts) >= 2 * dec8.coverage_threshold]
+    pts = pts[dist_to_boundary(disk, pts) >= 2 * coverage_threshold(2, 8)]
     counts = np.zeros(pts.shape[0], dtype=int)
-    for lev in dec8.levels:
+    for lev in dec8:
         side = 2.0**-lev
         # candidate boxes per level via dyadic shifts of the containing index
         base = np.floor(pts / side).astype(np.int64)
@@ -217,9 +221,9 @@ def test_intersecting_cubes_at_corner(disk):
 def test_intersecting_cubes_matches_bruteforce(dec6, disk):
     rng = np.random.default_rng(11)
     boxes = []
-    for lev in dec6.levels:
+    for lev in dec6:
         side = 2.0**-lev
-        idx = dec6.level_indices(lev)
+        idx = dec6[lev][0]
         rows = np.column_stack([np.full(idx.shape[0], lev), idx])
         boxes.append((idx * side, idx * side + side, rows))
     centers, radii, pairs = [], [], []
@@ -280,7 +284,7 @@ def test_ball_cube_incidence_matches_per_ball_loop(dim, level, shells, monkeypat
         assert np.array_equal(np.unique(lv.cube), np.arange(len(rows)))
         member, dist = is_whitney(domain, lv.level, lv.index)
         assert member.all() and np.array_equal(dist, lv.dist)
-        assert set(rows) <= set(map(tuple, dec.level_indices(lv.level).tolist()))
+        assert set(rows) <= set(map(tuple, dec[lv.level][0].tolist()))
     # expanding a few candidate boxes, or windows of a few balls, at a time
     # gives the same pairs
     monkeypatch.setattr(whitney, "_CANDIDATE_CHUNK", 7)
@@ -312,9 +316,25 @@ def test_decompose_rejects_bad_level(disk):
         decompose(tiny, 2)
 
 
+@pytest.mark.parametrize("center, radius, finest", [
+    ([0.0, 0.0], 1.0, 30), ([0.0, 0.0, 0.0], 1.0, 19),
+    ([0.3, -0.2], 2.5, None), ([1e3, 0.5, -7.0], 1e-3, None),
+])
+def test_level_grid_has_int64_keys_down_to_the_finest_key_level(center, radius, finest):
+    domain = BallDomain(np.array(center), radius)
+    level = finest_key_level(domain)
+    assert finest in (None, level)
+    assert math.prod(_cube_grid(domain, level)[1]) < 2**63
+    assert math.prod(_cube_grid(domain, level + 1)[1]) >= 2**63
+    grid = whitney._LevelGrid(domain, level)
+    assert grid.shape.tolist() == _cube_grid(domain, level)[1]
+    with pytest.raises(RuntimeError, match=f"level {level + 1} is too fine"):
+        whitney._LevelGrid(domain, level + 1)
+
+
 def test_csv_export(tmp_path, dec6):
     path = tmp_path / "w.csv"
-    dec6.to_csv(path)
+    whitney.write_csv(path, dec6)
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",")[:3] == ["level", "i_0", "i_1"]
-    assert len(lines) == len(dec6) + 1
+    assert len(lines) == sum(idx.shape[0] for idx, _ in dec6.values()) + 1

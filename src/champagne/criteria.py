@@ -15,35 +15,30 @@ moving a bubble.  "sigma-a.e. boundary point" is
 operationalized as every point of a deterministic boundary grid plus the
 rotation-symmetry property of shell configurations; reports state this proxy.
 
-The Whitney-based sums (Aikawa, Wiener, quasi-additivity) are functions of
-the configuration they judge: they take it and a ``max_level``, and run over
-its cube-bubble incidence (:func:`whitney.incidence_levels`), whose (bubble,
-cube) pairs come one level at a time, sorted by bubble and then by cube.
-The configuration's own distances to the boundary give each bubble's Green
-factor.  Bubbles with no pair lie below the coverage collar.
-:func:`whitney_sums` makes one pass over the levels for every boundary point
-of a grid at once: each level's z-independent factors (each cube's
-Cap(A ∩ Q) bounds and boundary-distance weight) are computed once and used
-for every point, and the level is dropped before the next is built.  The
-kernels are their comparison functions (see ``kernels``), so the Green
-factor g is one value per point, as is the quasi-additivity denominator.
-Each Cap(A ∩ Q) is a (lower, upper) pair bracketed by geometry alone: the
-largest ball inscribed in a bubble and the cube below, subadditivity over
-the meeting bubbles above.  So the Aikawa and Wiener sums and the
-quasi-additivity numerator are (lower, upper) pairs of floats or of arrays,
-checked by :func:`kernels.check_bounds`.  :class:`WhitneySums` holds them
-as arrays: a (lower, upper) row per point for Aikawa and per (point, dyadic
-shell) for Wiener, with a flag per (point, shell) for the shells that hold
-a bubble and one per shell for those reaching the coverage collar.  What
-belongs to the run, not to a point (the cubes summed, the bubbles below
-the collar and the warnings), is stored once, and the bubbles below the
-collar as a count.  Every Whitney sum adds its cubes in one order,
-ascending cube number, which is level order and then lexicographic order,
-as a running (lower, upper) total carried from level to level: one per
-point for Aikawa, one per (point, dyadic shell) for Wiener and one for the
-quasi-additivity numerator.  Sums add left to right, so totals match a
-plain loop over the cubes, one scalar (lower, upper) pair at a time, bit
-for bit.
+The Whitney-based sums (Aikawa, Wiener, quasi-additivity) take the
+configuration they judge and a ``max_level``, and run over its cube-bubble
+incidence (:func:`whitney.incidence_levels`): (bubble, cube) pairs one
+level at a time, sorted by bubble and then by cube.  Bubbles with no pair
+lie below the coverage collar.  :func:`whitney_sums` makes one pass over
+the levels for every point of a boundary grid: each level's factors that
+do not depend on the point (each cube's Cap(A ∩ Q) bounds, boundary-distance
+weight and Green factor) are computed once, and the level is dropped before
+the next is built.  The kernels are their comparison functions (see
+``kernels``), and the configuration's own distances to the boundary give
+each bubble's Green factor.  Each Cap(A ∩ Q) is a (lower, upper) pair
+bracketed by geometry alone: the largest ball inscribed in a bubble and the
+cube below, subadditivity over the meeting bubbles above.  So every Whitney
+sum is a (lower, upper) pair, checked by :func:`kernels.check_bounds`, and
+adds its cubes in ascending cube number (level, then lexicographic index)
+left to right, as a running total carried from level to level, which
+matches a plain loop over the cubes bit for bit.  :class:`WhitneySums` holds
+the sums as arrays per point and per (point, dyadic shell), and what
+belongs to the run once, as counts: the cubes summed, the bubbles below the
+collar, and those above the small-radius threshold of ``kernels``, for which
+the quasi-additivity hypotheses are not certified.  The quasi-additivity
+interval is None without a positive lower bound, as when ``max_level`` is
+too shallow for any cube to meet a bubble.  The boundary series of
+:func:`classify_avoidability` is one pass over the bubbles for every point.
 
 Memory.  Beyond the level in hand (8 bytes a pair, see ``whitney``), the
 pass keeps two floats per point for Aikawa, two per (point, shell) for
@@ -141,27 +136,22 @@ class DivergenceVerdict:
 # boundary series
 # ---------------------------------------------------------------------------
 
-def _series_terms(config: BubbleConfig, z: np.ndarray, alpha: float,
-                  rows: slice = slice(None)) -> np.ndarray:
+def _series_totals(config: BubbleConfig, points: np.ndarray, alpha: float) -> np.ndarray:
+    """The boundary series at each point z of ``points`` (n, d): the
+    per-bubble terms delta^(2a-2) * r^(d-a) / |x-z|^(d+a-2) added left to
+    right in config order.  One pass takes _ROW_BLOCK bubbles at a time for
+    every point, and each block's numerators delta^(2a-2) * r^(d-a) are
+    computed once."""
     d = config.dimension
-    dist = row_norms(config.centers[rows], z)
-    if dist.size and float(dist.min()) == 0.0:
-        raise ValueError("a bubble center coincides with the boundary point z")
-    return (
-        config.deltas[rows] ** (2.0 * alpha - 2.0)
-        * config.radii[rows] ** (d - alpha)
-        / dist ** (d + alpha - 2.0)
-    )
-
-
-def _series_total(config: BubbleConfig, z: np.ndarray, alpha: float) -> float:
-    """The boundary series at z: the per-bubble terms
-    delta^(2a-2) * r^(d-a) / |x-z|^(d+a-2) added left to right in config
-    order, _ROW_BLOCK bubbles at a time."""
-    total = 0.0
+    totals = [0.0] * len(points)
     for b in _blocks(config.n):
-        total = _running_total(total, _series_terms(config, z, alpha, b))
-    return total
+        num = config.deltas[b] ** (2.0 * alpha - 2.0) * config.radii[b] ** (d - alpha)
+        for j, z in enumerate(points):
+            dist = row_norms(config.centers[b], z)
+            if float(dist.min()) == 0.0:
+                raise ValueError("a bubble center coincides with the boundary point z")
+            totals[j] = _running_total(totals[j], num / dist ** (d + alpha - 2.0))
+    return np.array(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +235,6 @@ def _pair_bounds(lv: LevelPairs, config: BubbleConfig, alpha: float, rows):
     return lower, upper
 
 
-def _green(lv: LevelPairs, domain: BallDomain, alpha: float, cubes):
-    """The capped Green factor at the centers of one level's cubes ``cubes``."""
-    side = 2.0 ** (-lv.level)
-    lo = lv.index[cubes] * side
-    hi = lo + side
-    return capped_green(alpha, dist_to_boundary(domain, 0.5 * (lo + hi)))
-
-
 def _add_cap_bounds(cap_lower, cap_upper, groups, lower, upper) -> None:
     """Add pairs, with their (lower, upper) bounds, to the Cap(A ∩ Q) bounds
     of their cubes ``groups``, in the order given: the upper bound adds the
@@ -286,8 +268,11 @@ def _level_factors(lv: LevelPairs, config: BubbleConfig, alpha: float) -> _Level
         _add_cap_bounds(cap_lower, cap_upper, lv.cube[b], pair_lower[b], pair_upper[b])
     np.minimum(cap_lower, cap_upper, out=cap_lower)
     green = np.empty(k)
+    side = 2.0 ** (-lv.level)
     for b in _blocks(k):
-        green[b] = _green(lv, config.domain, alpha, b)
+        lo = lv.index[b] * side
+        # at each cube's center
+        green[b] = capped_green(alpha, dist_to_boundary(config.domain, 0.5 * (lo + (lo + side))))
     return _Level(_pow_each(lv.dist, 2.0 * (alpha - 1.0)), cap_lower, cap_upper,
                   green, pair_lower, pair_upper)
 
@@ -304,19 +289,21 @@ class WhitneySums:
     truncated: np.ndarray              # (n_max + 1,) bool: shells reaching the coverage collar
     n_cubes: int                       # cubes summed: every cube that meets a bubble
     n_uncovered: int                   # bubbles below the coverage collar
-    warnings: list
+    n_above_small_radius: int          # bubbles above kernels.small_radius_threshold
     qa_numerator: tuple[float, float]  # sum_Q g(Q)^2 * Cap(A ∩ Q)
     qa_denominator: float              # sum_k g(x_k)^2 * Cap(B_k)
     max_cubes_per_ball: int            # c2: the most cubes one bubble meets
     ratio_bound: float                 # C1: see whitney_sums
 
-    def quasi_additivity(self) -> tuple[float, float]:
+    def quasi_additivity(self) -> tuple[float, float] | None:
         """Ratio interval of the numerator to the denominator: the surrogate
         for capacity quasi-additivity over the Whitney cubes.  Reported, not
-        asserted against any constant."""
+        asserted against any constant.  None without a positive lower bound:
+        no cube meets a bubble at a positive inscribed radius (a shallow
+        ``max_level``), or there is no bubble."""
         num, den = self.qa_numerator, self.qa_denominator
         if den == 0.0 or num[0] == 0.0:
-            raise ValueError("degenerate bounds; decomposition too shallow for this config")
+            return None
         ratio = num[0] / den, num[1] / den
         check_bounds(*ratio)
         return ratio
@@ -354,7 +341,10 @@ def whitney_sums(
     C1 is the smallest C >= 1 such that, for every bubble and cube that
     meet, dist(Q, boundary)/delta_D(x_k) and, at every boundary point z,
     dist(z, Q)/|x_k - z| lie in [1/C, C].  Bubbles below the collar are
-    counted (``n_uncovered``) and named in a warning, not silently dropped.
+    counted (``n_uncovered``), not silently dropped, and so are those above
+    the small-radius threshold (``n_above_small_radius``).  No count fails
+    the call: with no cube summed every sum is 0 and
+    :meth:`WhitneySums.quasi_additivity` is None.
 
     Every point must lie on the boundary sphere to within 1e-9 * R, a
     tolerance that scales with the domain as the sums do.
@@ -432,18 +422,6 @@ def whitney_sums(
         n_cubes += k
         del lv, f   # before the next level is built
 
-    n_uncovered = int((cubes_per_ball == 0).sum())
-    warnings = []
-    if n_big:
-        warnings.append(
-            f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
-            "capacity quasi-additivity hypotheses are not certified"
-        )
-    if n_uncovered:
-        warnings.append(
-            f"{n_uncovered} bubbles lie below the Whitney coverage collar; "
-            "their contribution needs a tail estimate"
-        )
     check_bounds(aik[:, 0], aik[:, 1])
     # only the shells that hold a bubble are scaled: 2^(n(d+a-2)) passes
     # the float range long before n reaches its bound of 1074
@@ -453,8 +431,8 @@ def whitney_sums(
     # each point's total, its shells added in ascending order
     check_bounds(*np.cumsum(wiener, axis=1)[:, -1].T)
     truncated = 2.0 ** -np.arange(n_max + 1.0) <= 2.0 * coverage_threshold(d, max_level)
-    return WhitneySums(aik, wiener, present, truncated, n_cubes, n_uncovered, warnings, qa,
-                       den, int(cubes_per_ball.max(initial=0)), worst)
+    return WhitneySums(aik, wiener, present, truncated, n_cubes, int((cubes_per_ball == 0).sum()),
+                       n_big, qa, den, int(cubes_per_ball.max(initial=0)), worst)
 
 
 def _shell_terms(lv: LevelPairs, f: _Level, pos: np.ndarray, shells: np.ndarray):
@@ -485,6 +463,10 @@ def aikawa_sum(config: BubbleConfig, z, alpha: float, max_level: int) -> tuple[f
 # ---------------------------------------------------------------------------
 # aggregate classification
 # ---------------------------------------------------------------------------
+
+_AGGREGATES = {Verdict.DIVERGENT: "unavoidable", Verdict.CONVERGENT: "avoidable-candidate",
+               Verdict.INCONCLUSIVE: "inconclusive"}
+
 
 @dataclass(frozen=True)
 class AvoidabilityReport:
@@ -538,9 +520,8 @@ def classify_avoidability(config: BubbleConfig, alpha: float, points) -> Avoidab
 
     if config.n == 0:
         verdict = DivergenceVerdict(Verdict.CONVERGENT, {"reason": "empty configuration"}, "empty")
-        return AvoidabilityReport(
-            verdict, np.zeros(len(points)), None, "avoidable-candidate", notes
-        )
+        return AvoidabilityReport(verdict, np.zeros(len(points)), None, _AGGREGATES[verdict.tag],
+                                  notes)
 
     if "phi" in config.meta and "a" in config.meta:
         verdict = classify_shell_series(
@@ -556,11 +537,5 @@ def classify_avoidability(config: BubbleConfig, alpha: float, points) -> Avoidab
                  "|x_j - x_k| / (r_k^(1-a/d) delta_k^(a/d)) positive by construction, so the "
                  "aggregate does not read it; whether it stays bounded below as shells are "
                  "added is not judged")
-    totals = np.array([_series_total(config, z, alpha) for z in points])
-    if verdict.tag == Verdict.DIVERGENT:
-        aggregate = "unavoidable"
-    elif verdict.tag == Verdict.CONVERGENT:
-        aggregate = "avoidable-candidate"
-    else:
-        aggregate = "inconclusive"
-    return AvoidabilityReport(verdict, totals, _separation_ratios(config, alpha), aggregate, notes)
+    return AvoidabilityReport(verdict, _series_totals(config, points, alpha),
+                              _separation_ratios(config, alpha), _AGGREGATES[verdict.tag], notes)

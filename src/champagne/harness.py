@@ -15,7 +15,7 @@ reading and checking a RunConfig and building the bubbles need (``geometry``,
 ``sim`` block.  ``generate`` and ``simulate`` load nothing more.
 ``whitney`` loads the ``whitney`` module inside ``cmd_whitney``, and
 ``criteria`` loads ``criteria``, ``kernels`` and ``whitney`` inside
-``cmd_criteria``: together about 1,050 lines that the other stages never
+``cmd_criteria``: together about 1,000 lines that the other stages never
 run.  The name ``aikawa_sum`` is re-exported from ``criteria`` on first use
 (module ``__getattr__``).
 
@@ -212,14 +212,11 @@ class RunConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
-
     def hash(self) -> str:
-        """SHA-256 of the canonical bytes in hex, the manifests' ``config_hash``,
+        """SHA-256 in hex of ``_canonical_bytes``, the manifests' ``config_hash``,
         from CPython's built-in module: importing ``hashlib`` would map
         OpenSSL's libcrypto (3.4 MiB of resident memory) into every CLI stage."""
-        return _sha256(self.canonical_bytes()).hexdigest()
+        return _sha256(_canonical_bytes(self.to_json())).hexdigest()
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -229,6 +226,12 @@ class RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_json(obj)
+
+
+def _canonical_bytes(obj: dict) -> bytes:
+    """The JSON of a config object with sorted keys and no spaces, which the
+    manifests' ``config_hash`` digests."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _object(block, name: str) -> dict:
@@ -276,8 +279,13 @@ def _integer(value, name: str) -> int:
 
 
 def _timestamps() -> dict:
+    """SOURCE_DATE_EPOCH if set, else now; each stage reads it before it
+    writes, so a value that is not an integer exits 2 and writes nothing."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    now = int(epoch) if epoch is not None else int(time.time())
+    try:
+        now = int(epoch) if epoch is not None else int(time.time())
+    except ValueError:
+        raise ConfigError(f"SOURCE_DATE_EPOCH must be an integer, got {epoch!r}") from None
     return {"unix": now, "source_date_epoch": epoch is not None}
 
 
@@ -287,14 +295,15 @@ def _write_json(path: Path, obj: dict) -> None:
         f.write("\n")
 
 
-def _write_manifest(out: Path, command: str, cfg: RunConfig, empirical: dict | None = None):
+def _write_manifest(out: Path, command: str, cfg: RunConfig, stamp: dict,
+                    empirical: dict | None = None):
     _write_json(out / f"manifest.{command}.json", {
         "format_version": FORMAT_VERSION,
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "tool_version": __version__,
         "empirical": empirical or {},
-        "timestamps": _timestamps(),
+        "timestamps": stamp,
         "approximation_notes": APPROXIMATION_NOTES,
     })
 
@@ -334,6 +343,7 @@ def _write_bubbles(cfg: RunConfig, config: BubbleConfig, out: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: RunConfig, out: Path) -> Path:
+    stamp = _timestamps()
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
     config.to_csv(out / "bubbles.csv")
@@ -344,13 +354,14 @@ def cmd_generate(cfg: RunConfig, out: Path) -> Path:
         "coverage_a": config.meta.get("coverage_a"),
         "shell_t": config.meta.get("t"),
     }
-    _write_manifest(out, "generate", cfg, empirical)
+    _write_manifest(out, "generate", cfg, stamp, empirical)
     return out / "bubbles.csv"
 
 
 def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
     from .whitney import coverage_threshold, decompose, write_csv
 
+    stamp = _timestamps()
     out.mkdir(parents=True, exist_ok=True)
     cubes = decompose(cfg.domain, cfg.whitney_max_level)
     write_csv(out / "whitney.csv", cubes)
@@ -360,7 +371,7 @@ def cmd_whitney(cfg: RunConfig, out: Path) -> Path:
         "cubes_per_level": per_level,
         "coverage_threshold": coverage_threshold(cfg.domain.dimension, cfg.whitney_max_level),
     }
-    _write_manifest(out, "whitney", cfg, empirical)
+    _write_manifest(out, "whitney", cfg, stamp, empirical)
     return out / "whitney.csv"
 
 
@@ -369,10 +380,19 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     (``classify_avoidability``), then the Whitney sums over the
     configuration's cube-bubble incidence (``whitney_sums``), one after the
     other in this process.  No Whitney decomposition is walked:
-    ``cmd_whitney``'s manifest counts its cubes."""
+    ``cmd_whitney``'s manifest counts its cubes.
+
+    ``verdicts.json`` holds ``aggregate``, ``verdict``, ``notes``, the
+    separations, ``per_z`` (each point's series ``partial_sum``), the run's
+    ``whitney`` counts once (``n_cubes``, ``n_uncovered``, ``n_above_small_radius``
+    beside ``small_radius_threshold``, ``max_level``, ``coverage_threshold``) and
+    ``traces.aikawa_total`` (``z_index``, ``lower``, ``upper``).  The manifest's
+    ``quasi_additivity_interval`` is null without a positive lower bound."""
     from .criteria import classify_avoidability, uniform_boundary_grid, whitney_sums
+    from .kernels import small_radius_threshold
     from .whitney import coverage_threshold
 
+    stamp = _timestamps()
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
     _write_bubbles(cfg, config, out)
@@ -384,26 +404,17 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
     empirical = {
         "c2_cubes_per_ball": sums.max_cubes_per_ball,
         "C1_ratio_bound": sums.ratio_bound,
-        "quasi_additivity_interval": [qa[0], qa[1]],
+        "quasi_additivity_interval": None if qa is None else list(qa),
     }
     with open(out / "wiener_trace.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["z_index", "shell_n", "term_lower", "term_upper",
-                    "cum_lower", "cum_upper", "truncated"])
+        f.write("z_index,shell_n,term_lower,term_upper,cum_lower,cum_upper,truncated\r\n")
         for i, (terms, shells) in enumerate(zip(sums.wiener, sums.wiener_shells)):
             terms = terms[shells]
             # np.cumsum adds in order, so each cumulative bound is a running total
-            for sh, (lo, hi), (cum_lo, cum_hi), trunc in zip(
-                np.flatnonzero(shells).tolist(), terms.tolist(),
-                np.cumsum(terms, axis=0).tolist(), sums.truncated[shells].tolist(),
-            ):
-                w.writerow([i, sh, repr(lo), repr(hi), repr(cum_lo), repr(cum_hi),
-                            int(trunc)])
-    traces = {"aikawa_total": [
-        {"z_index": i, "lower": lower, "upper": upper,
-         "n_cubes": sums.n_cubes, "warnings": sums.warnings}
-        for i, (lower, upper) in enumerate(sums.aikawa.tolist())
-    ]}
+            floats = np.concatenate((terms, np.cumsum(terms, axis=0)), axis=1)
+            f.write(_csv_lines([[str(i)] * len(terms), map(str, np.flatnonzero(shells).tolist()),
+                                *(map(repr, col) for col in floats.T.tolist()),
+                                map(str, sums.truncated[shells].astype(int).tolist())]))
 
     verdicts = {
         "format_version": FORMAT_VERSION,
@@ -418,17 +429,23 @@ def cmd_criteria(cfg: RunConfig, out: Path) -> Path:
             "max_level": cfg.whitney_max_level,
             "coverage_threshold": coverage_threshold(cfg.domain.dimension,
                                                      cfg.whitney_max_level),
+            "n_cubes": sums.n_cubes,
+            "n_uncovered": sums.n_uncovered,
+            "n_above_small_radius": sums.n_above_small_radius,
+            "small_radius_threshold": small_radius_threshold(cfg.alpha, cfg.domain.dimension),
         },
-        "traces": traces,
+        "traces": {"aikawa_total": [{"z_index": i, "lower": lower, "upper": upper}
+                                    for i, (lower, upper) in enumerate(sums.aikawa.tolist())]},
     }
     _write_json(out / "verdicts.json", verdicts)
-    _write_manifest(out, "criteria", cfg, empirical)
+    _write_manifest(out, "criteria", cfg, stamp, empirical)
     return out / "verdicts.json"
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     if cfg.sim is None:
         raise ConfigError("missing field: sim")
+    stamp = _timestamps()
     out.mkdir(parents=True, exist_ok=True)
     config = _build_config(cfg)
     _write_bubbles(cfg, config, out)
@@ -441,7 +458,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> Path:
     else:
         # an earlier run's trajectories would not be this estimate's
         (out / "trajectories.csv").unlink(missing_ok=True)
-    _write_manifest(out, "simulate", cfg)
+    _write_manifest(out, "simulate", cfg, stamp)
     return out / "estimate.json"
 
 
@@ -463,7 +480,9 @@ def _write_trajectories(path: Path, tags, steps, bubbles, finals) -> None:
 
 
 def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
-    """One row per completed run: profile parameters, verdict, estimate."""
+    """One row per completed run: profile parameters, verdict, estimate.  The
+    verdict and the estimate are read only when their stage's manifest
+    carries the ``config_hash`` of the directory's ``run_config.json``."""
     rows = []
     for run in run_dirs:
         run = Path(run)
@@ -471,28 +490,25 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
             print(f"warning: {run} has no manifest.<command>.json; skipped", file=sys.stderr)
             continue
         row = {"run": run.name}
+        config_hash = None
         cfg_path = run / "run_config.json"
         if cfg_path.exists():
             with open(cfg_path) as f:
                 cfg_obj = json.load(f)
+            config_hash = _sha256(_canonical_bytes(cfg_obj)).hexdigest()
             prof = cfg_obj.get("profile", {})
             family = RadialProfile.kinds.get(prof.get("kind"))
             row["profile_kind"] = prof.get("kind", "")
             row["profile_param"] = prof.get(family.param, "") if family else ""
             row["a"] = cfg_obj.get("shells", {}).get("a", "")
             row["shells"] = cfg_obj.get("shells", {}).get("count", "")
-        verdicts = run / "verdicts.json"
-        if verdicts.exists():
-            with open(verdicts) as f:
-                row["verdict"] = json.load(f).get("aggregate", "")
-        estimate = run / "estimate.json"
-        if estimate.exists():
-            with open(estimate) as f:
-                est = json.load(f)
-            row["p_hat"] = est.get("p_hat", "")
-            row["ci_lo"] = est.get("ci_lo", "")
-            row["ci_hi"] = est.get("ci_hi", "")
-            row["timeout_fraction"] = est.get("timeout_fraction", "")
+        verdicts = _stage_output(run, "criteria", "verdicts.json", config_hash)
+        if verdicts is not None:
+            row["verdict"] = verdicts.get("aggregate", "")
+        est = _stage_output(run, "simulate", "estimate.json", config_hash)
+        if est is not None:
+            row.update({k: est.get(k, "") for k in ("p_hat", "ci_lo", "ci_hi",
+                                                    "timeout_fraction")})
         rows.append(row)
 
     fields = ["run", "profile_kind", "profile_param", "a", "shells",
@@ -502,11 +518,24 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
         _write_json(out_path, {"format_version": FORMAT_VERSION, "rows": rows})
     else:
         with open(out_path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=fields)
+            w = csv.DictWriter(f, fieldnames=fields, restval="")
             w.writeheader()
-            for row in rows:
-                w.writerow({k: row.get(k, "") for k in fields})
+            w.writerows(rows)
     return out_path
+
+
+def _stage_output(run: Path, command: str, name: str, config_hash: str | None) -> dict | None:
+    """``run``'s JSON output ``name``, or None if there is none or if (with a
+    warning) its stage's manifest does not carry ``config_hash``."""
+    path, manifest = run / name, run / f"manifest.{command}.json"
+    if not path.exists():
+        return None
+    if (config_hash is None or not manifest.exists()
+            or json.loads(manifest.read_text()).get("config_hash") != config_hash):
+        print(f"warning: {path} was not written for {run / 'run_config.json'}; "
+              "its cells are left empty", file=sys.stderr)
+        return None
+    return json.loads(path.read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +567,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             sim = None if cfg.sim is None else replace(cfg.sim, seed=args.seed)
             cfg = replace(cfg, seed=args.seed, sim=sim)
-        out = Path(args.out)
-        if args.command == "generate":
-            cmd_generate(cfg, out)
-        elif args.command == "whitney":
-            cmd_whitney(cfg, out)
-        elif args.command == "criteria":
-            cmd_criteria(cfg, out)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, out)
+        stage = {"generate": cmd_generate, "whitney": cmd_whitney, "criteria": cmd_criteria,
+                 "simulate": cmd_simulate}[args.command]
+        stage(cfg, Path(args.out))
         return 0
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -177,7 +177,7 @@ class CubeFactors(NamedTuple):
     cap_lower: np.ndarray
     cap_upper: np.ndarray
     uncovered: np.ndarray
-    warnings: tuple
+    n_above_small_radius: int
 
 
 def cube_factors(inc, config, alpha) -> CubeFactors:
@@ -194,24 +194,11 @@ def cube_factors(inc, config, alpha) -> CubeFactors:
     pair_lower[inside] = ball_capacity(alpha, rho[inside], d)
     # every cube meets a bubble, so the cubes come out as 0, 1, ..., n - 1
     _, cap_lower, cap_upper = _cap_bounds(inc.cube, pair_lower, pair_upper)
-    warnings = []
-    r_thresh = small_radius_threshold(alpha, d)
-    n_big = int((config.radii > r_thresh).sum()) if config.n else 0
-    if n_big:
-        warnings.append(
-            f"{n_big} bubbles exceed the small-radius threshold {r_thresh:.4g}; "
-            "capacity quasi-additivity hypotheses are not certified"
-        )
-    uncovered = inc.uncovered()
-    if uncovered.size:
-        warnings.append(
-            f"{uncovered.size} bubbles lie below the Whitney coverage collar; "
-            "their contribution needs a tail estimate"
-        )
+    n_big = int((config.radii > small_radius_threshold(alpha, d)).sum())
     return CubeFactors(
         lo, hi, _pow_each(inc.dist_boundary, 2.0 * (alpha - 1.0)), green,
         pair_lower, pair_upper, cap_lower, cap_upper,
-        uncovered, tuple(warnings),
+        inc.uncovered(), n_big,
     )
 
 
@@ -226,7 +213,7 @@ class AikawaTrace(NamedTuple):
     term_upper: np.ndarray
     total: tuple
     uncovered_bubbles: np.ndarray
-    warnings: list
+    n_above_small_radius: int
 
 
 def aikawa_sum(inc, config, z, alpha) -> AikawaTrace:
@@ -239,7 +226,8 @@ def aikawa_sum(inc, config, z, alpha) -> AikawaTrace:
     lower, upper = f.cap_lower * w, f.cap_upper * w
     check_bounds(lower, upper)
     total = _total(lower), _total(upper)
-    return AikawaTrace(np.arange(lower.size), lower, upper, total, f.uncovered, list(f.warnings))
+    return AikawaTrace(np.arange(lower.size), lower, upper, total, f.uncovered,
+                       f.n_above_small_radius)
 
 
 class WienerTrace(NamedTuple):

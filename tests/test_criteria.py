@@ -21,7 +21,7 @@ from champagne.criteria import (
     WhitneySums,
     _add_cap_bounds,
     _classify_exponents,
-    _series_total,
+    _series_totals,
     aikawa_sum,
     classify_avoidability,
     classify_shell_series,
@@ -60,7 +60,7 @@ class SeriesEvaluation:
 
 
 def avoidability_series(config, z, alpha):
-    """Oracle for ``criteria._series_total``: every per-bubble term
+    """Oracle for ``criteria._series_totals`` at z: every per-bubble term
     delta^(2a-2) * r^(d-a) / |x-z|^(d+a-2) at once, in config order, with
     np.cumsum's left-to-right partial sums."""
     z = np.asarray(z, dtype=float)
@@ -76,13 +76,14 @@ def test_series_single_bubble_hand_value(disk):
     ev = avoidability_series(cfg, [1.0, 0.0], 1.5)
     # 0.1^1 * 0.01^0.5 / 0.1^1.5
     assert ev.terms[0] == pytest.approx(0.31622776601683794, rel=1e-12)
-    assert _series_total(cfg, np.array([1.0, 0.0]), 1.5) == ev.total == ev.terms[0]
+    assert _series_totals(cfg, np.array([[1.0, 0.0]]), 1.5).tolist() == [ev.total]
+    assert ev.total == ev.terms[0]
 
 
 def test_series_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     assert avoidability_series(cfg, [1.0, 0.0], 1.5).total == 0.0
-    assert _series_total(cfg, np.array([1.0, 0.0]), 1.5) == 0.0
+    assert _series_totals(cfg, np.array([[1.0, 0.0], [0.0, 1.0]]), 1.5).tolist() == [0.0, 0.0]
 
 
 def test_series_partial_sums_monotone(disk):
@@ -92,20 +93,21 @@ def test_series_partial_sums_monotone(disk):
 
 
 def test_blocked_series_total_equals_the_oracle_bit_for_bit(disk, monkeypatch):
-    # _series_total adds _ROW_BLOCK terms at a time; with blocks of 1,000 the
-    # 6-shell configuration takes 11 of them, and the running total must
-    # still equal the oracle's one cumsum over all terms
+    # _series_totals adds _ROW_BLOCK terms at a time for every point; with
+    # blocks of 1,000 the 6-shell configuration takes 11 of them, and each
+    # point's running total must still equal the oracle's one cumsum over
+    # all its terms
     monkeypatch.setattr(criteria, "_ROW_BLOCK", 1000)
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 6, seed=3)
     assert cfg.n > 10_000
-    for ang in (0.0, 0.3, 2.0):
-        z = np.array([math.cos(ang), math.sin(ang)])
-        assert _series_total(cfg, z, 1.5) == avoidability_series(cfg, z, 1.5).total
+    points = np.array([[math.cos(ang), math.sin(ang)] for ang in (0.0, 0.3, 2.0)])
+    assert _series_totals(cfg, points, 1.5).tolist() == [
+        avoidability_series(cfg, z, 1.5).total for z in points]
 
 
 def test_grouped_matches_naive_direct_sum(disk):
     # oracle: plain python accumulation in config order, against the series
-    # total that _series_total accumulates block by block
+    # total that _series_totals accumulates block by block
     cfg = generate_shell_config(disk, ConstantProfile(0.3), 0.5, 6, seed=3)
     assert cfg.n > 10_000
     z = np.array([math.cos(0.3), math.sin(0.3)])
@@ -115,7 +117,7 @@ def test_grouped_matches_naive_direct_sum(disk):
         delta = cfg.deltas[k]
         dist = math.sqrt(((cfg.centers[k] - z) ** 2).sum())
         naive += delta * cfg.radii[k] ** 0.5 / dist**1.5
-    got = _series_total(cfg, z, alpha)
+    (got,) = _series_totals(cfg, z[None, :], alpha).tolist()
     assert got == pytest.approx(naive, rel=1e-9)
 
 
@@ -222,7 +224,8 @@ def test_aikawa_empty_config(disk):
     cfg = BubbleConfig(disk, np.empty((0, 2)), np.empty(0))
     assert aikawa_sum(cfg, [1.0, 0.0], 1.5, 7) == (0.0, 0.0)
     sums = whitney_sums(cfg, [[1.0, 0.0]], 1.5, 7)
-    assert (sums.n_cubes, sums.n_uncovered, sums.warnings) == (0, 0, [])
+    assert (sums.n_cubes, sums.n_uncovered, sums.n_above_small_radius) == (0, 0, 0)
+    assert sums.quasi_additivity() is None
 
 
 def _one_bubble_at_a_cube_centre(disk):
@@ -287,14 +290,10 @@ def test_aikawa_warns_below_collar(disk):
     below = BubbleConfig(disk, [[0.9, 0.0]], [0.001])
     # a fat bubble above the small-radius threshold (256 pi)^(-2/3) = 0.01156
     fat = BubbleConfig(BallDomain(np.zeros(2), 2.0), [[0.0, 0.0]], [0.5])
-    for cfg, z, uncovered, warning in (
-        (below, [1.0, 0.0], 1, "bubbles lie below the Whitney coverage collar"),
-        (fat, [2.0, 0.0], 0, "bubbles exceed the small-radius threshold 0.01156"),
-    ):
+    assert kernels.small_radius_threshold(1.5, 2) == pytest.approx(0.01156, rel=1e-3)
+    for cfg, z, uncovered, above in ((below, [1.0, 0.0], 1, 0), (fat, [2.0, 0.0], 0, 1)):
         sums = whitney_sums(cfg, [z], 1.5, 4)
-        assert sums.n_uncovered == uncovered
-        assert [w for w in sums.warnings if warning in w] != []
-        assert len(sums.warnings) == 1
+        assert (sums.n_uncovered, sums.n_above_small_radius) == (uncovered, above)
 
 
 def test_aikawa_rejects_interior_z(disk):
@@ -454,7 +453,7 @@ def _assert_sums_equal(sums, want):
     for ref in aikawa:
         assert sums.n_cubes == ref.cube_ids.size
         assert sums.n_uncovered == ref.uncovered_bubbles.size
-        assert sums.warnings == ref.warnings
+        assert sums.n_above_small_radius == ref.n_above_small_radius
     assert len(sums.wiener) == len(wiener)
     for j, ref in enumerate(wiener):
         present = sums.wiener_shells[j]

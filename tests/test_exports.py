@@ -48,23 +48,22 @@ def _referenced_names(node) -> set:
     return out
 
 
-def test_every_exported_name_has_a_caller_in_the_package():
-    # a public name whose only caller is its own test is dead code: each name
-    # in a module's __all__ must be used by the package's code somewhere
-    # other than the statement that defines it
-    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+def test_every_module_level_name_has_a_caller_in_the_package():
+    # a module-level name whose only caller is its own test is dead code:
+    # each function, class or assigned name at the top level of a module,
+    # whether in __all__ or private, must be used by the package's code
+    # somewhere other than the statement that defines it (dunders such as
+    # __all__ and __getattr__ are read by Python itself)
     uses = []   # (module, names the statement defines, names it reads)
-    for module, tree in trees.items():
-        for stmt in tree.body:
-            uses.append((module, _defined_names(stmt), _referenced_names(stmt)))
-    unused = []
-    for module, tree in trees.items():
-        exported = next((ast.literal_eval(stmt.value) for stmt in tree.body
-                         if "__all__" in _defined_names(stmt)), [])
-        for name in exported:
-            if not any(name in reads and not (where == module and name in defines)
-                       for where, defines, reads in uses):
-                unused.append(f"{module}.{name}")
+    for path in SRC.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            uses.append((path.stem, _defined_names(stmt), _referenced_names(stmt)))
+    unused = sorted(
+        f"{module}.{name}" for module, defines, _ in uses for name in defines
+        if not (name.startswith("__") and name.endswith("__"))
+        and not any(name in reads and not (where == module and name in other)
+                    for where, other, reads in uses)
+    )
     assert unused == []
 
 

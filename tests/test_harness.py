@@ -69,10 +69,12 @@ def test_cmd_criteria_reproduces_pinned_outputs(tmp_path, monkeypatch):
     # whitney section lost n_cubes, the count of a decomposition walk that
     # the criteria stage no longer makes, and nothing else moved; and when
     # separation became the least closed-form shell ratio, beside
-    # separation_per_shell and a note, and nothing else moved).
+    # separation_per_shell and a note, and nothing else moved; and when the
+    # run's counts moved from each Aikawa entry's n_cubes and warning strings
+    # to the whitney section, once and as numbers, and nothing else moved).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, SMALL,
-        "eb6c3d42eddb88dc8a97b32fb8a8c76c60cff942cb333e41bdb5dd241f33b43d",
+        "283a10e7fc99e7d778bed7fbfd45133ab158639721dcab8ea1a50cb30400a9e3",
         "65ba5d414752abe8d7a6eb19f12a4b5d820f2c661d9c34282ff387fa46dd146b",
         {"c2_cubes_per_ball": 4,
          "C1_ratio_bound": 1.900247054885668,
@@ -92,12 +94,14 @@ def test_cmd_criteria_reproduces_pinned_outputs_in_d3(tmp_path, monkeypatch):
     # the factor of 16 each way that g^2 carried into every term;
     # verdicts.json re-pinned when its whitney section lost n_cubes, the
     # count of a decomposition walk that the criteria stage no longer
-    # makes, and nothing else moved; and when separation became the least
+    # makes, and nothing else moved; when separation became the least
     # closed-form shell ratio, beside separation_per_shell and a note, and
-    # nothing else moved).
+    # nothing else moved; and when the run's counts moved from each Aikawa
+    # entry's n_cubes and warning strings to the whitney section, once and
+    # as numbers, and nothing else moved).
     _assert_criteria_outputs(
         tmp_path, monkeypatch, D3,
-        "bbdd61f6f1a745937f91782bd3bbf38887db9d5bfa0423808e0c147b4a19649b",
+        "a9c135fe0e2f4267199a7d182190c79709e39802eb7fe38e4a95200a410335a5",
         "8cbb7ee4f6a6a0206938d0f44925c7b1977a4fb5c3e09be4bcac484d8936d72b",
         {"c2_cubes_per_ball": 38,
          "C1_ratio_bound": 2.5394803189929083,
@@ -206,6 +210,41 @@ def test_main_returns_0_on_a_valid_run(tmp_path):
     cfg = _write_config(tmp_path, SMALL)
     assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run" / "bubbles.csv").exists()
+
+
+@pytest.mark.parametrize("obj", [SMALL, W2], ids=["small", "w2"])
+def test_criteria_at_a_shallow_max_level_writes_its_verdict(tmp_path, obj):
+    # at max_level 2 and 3 no Whitney cube meets a bubble, so every sum is 0
+    # and the quasi-additivity interval has no positive lower bound: the run
+    # writes null for it, and the verdict and series, which read no Whitney
+    # sum, are those of the default level
+    runs = {}
+    for level in (obj["whitney"]["max_level"], 2, 3):
+        cfg = _write_config(tmp_path, {**obj, "whitney": {"max_level": level}})
+        assert main(["criteria", "--config", cfg, "--out", str(tmp_path / str(level))]) == 0
+        verdicts = json.loads((tmp_path / str(level) / "verdicts.json").read_text())
+        manifest = json.loads((tmp_path / str(level) / "manifest.criteria.json").read_text())
+        runs[level] = verdicts, manifest["empirical"]["quasi_additivity_interval"]
+    (want, qa), *shallow = runs.values()
+    assert want["whitney"]["n_cubes"] > 0 and len(qa) == 2
+    n_bubbles = harness._build_config(RunConfig.from_json(obj)).n
+    for verdicts, qa in shallow:
+        assert (verdicts["whitney"]["n_cubes"], verdicts["whitney"]["n_uncovered"], qa) \
+            == (0, n_bubbles, None)
+        for key in ("aggregate", "verdict", "per_z", "separation_per_shell", "notes"):
+            assert verdicts[key] == want[key], key
+    assert want["aggregate"] == "unavoidable"
+
+
+@pytest.mark.parametrize("command", ["generate", "whitney", "criteria", "simulate"])
+def test_a_malformed_source_date_epoch_exits_2_before_any_output(tmp_path, capsys,
+                                                                  monkeypatch, command):
+    cfg = _write_config(tmp_path, {**SMALL, "sim": {"alpha": 1.3, "max_steps": 50,
+                                                    "n_traj": 20, "seed": 3}})
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "SOURCE_DATE_EPOCH must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_main_returns_2_on_a_config_missing_profile(tmp_path, capsys):
@@ -525,6 +564,43 @@ def test_report_lists_each_run_and_skips_one_without_a_manifest(tmp_path, monkey
             assert report == {"format_version": "1", "rows": [want]}
 
 
+def test_report_reads_no_output_of_another_config(tmp_path, monkeypatch, capsys):
+    # generate, criteria and simulate a constant profile, then generate
+    # phi = (1 - t)^1 into the same directory: the verdict and the estimate
+    # there are the first config's, so their cells stay empty, with a
+    # warning, until the second config's own stages rewrite them
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    sim = {"alpha": 1.3, "max_steps": 50, "n_traj": 20, "seed": 3}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({**SMALL, "sim": sim}))
+    second.write_text(json.dumps({**SMALL, "sim": sim,
+                                  "profile": {"kind": "power", "beta": 1.0}}))
+    run, out = tmp_path / "run", tmp_path / "report.json"
+
+    def report():
+        assert main(["report", str(run), "--out", str(out), "--format", "json"]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        return row
+
+    for cmd in ("generate", "criteria", "simulate"):
+        assert main([cmd, "--config", str(first), "--out", str(run)]) == 0
+    assert report()["verdict"] == "unavoidable"
+    capsys.readouterr()
+    assert main(["generate", "--config", str(second), "--out", str(run)]) == 0
+    row = report()
+    assert (row["profile_kind"], row["profile_param"]) == ("power", 1.0)
+    assert not {"verdict", "p_hat", "ci_lo", "ci_hi", "timeout_fraction"} & set(row)
+    assert capsys.readouterr().err == "".join(
+        f"warning: {run / name} was not written for {run / 'run_config.json'}; "
+        "its cells are left empty\n" for name in ("verdicts.json", "estimate.json"))
+    for cmd in ("criteria", "simulate"):
+        assert main([cmd, "--config", str(second), "--out", str(run)]) == 0
+    row = report()
+    assert capsys.readouterr().err == ""
+    assert row["verdict"] == json.loads((run / "verdicts.json").read_text())["aggregate"]
+    assert row["p_hat"] == json.loads((run / "estimate.json").read_text())["p_hat"]
+
+
 def test_outputs_describe_the_bubbles_of_their_own_config(tmp_path, monkeypatch):
     # simulate --seed 2 into a directory that generate filled with seed 7's
     # bubbles rewrites bubbles.csv and run_config.json, as a fresh run writes them
@@ -779,4 +855,4 @@ def test_config_hash_is_hashlib_sha256(lengths):
         data = rng.bytes(n)
         assert harness._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), n
     cfg = RunConfig.from_json(SMALL)
-    assert cfg.hash() == hashlib.sha256(cfg.canonical_bytes()).hexdigest()
+    assert cfg.hash() == hashlib.sha256(harness._canonical_bytes(cfg.to_json())).hexdigest()

@@ -14,10 +14,12 @@ its tail exponents.  The generator records the profile in ``meta``, so the
 criteria read the tail of the family they judge.
 
 Memory.  A configuration keeps per bubble its centre (8d bytes), its radius
-and its distance to the boundary (8 bytes each) and its shell label (int32,
-widened to int64 by each read of ``shell_ids``): 36 bytes a bubble in d=2
-and 44 in d=3.  Once a point query needs it (the simulator's), it also
-keeps its ball index, 13.7 bytes a bubble on the W2 disk (see ``spatial``).
+and its distance to the boundary (8 bytes each) and its int32 shell label
+``shell_ids``: 36 bytes a bubble in d=2 and 44 in d=3.  Once a point query
+needs it (the simulator's), it also keeps its ``index``: for a generated
+d=2 shell family the lattice lookup, which holds 40 bytes a shell and reads
+the centres and radii in place (``_ShellLookup``); for any other family a
+``BallIndex``, 13.7 bytes a bubble on the W2 disk (see ``spatial``).
 Beyond these arrays, every pass holds one block of rows: the shell
 generator writes each lattice straight into the rows of the centres
 _LATTICE_BLOCK rows at a time; the distances to the boundary and the
@@ -35,6 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import spatial
 from .geometry import BallDomain, _csv_lines, _number, row_norms
 from .rng import stream_keys, uniform01
 from .spatial import DISJOINTNESS_SLACK, BallIndex
@@ -171,8 +174,8 @@ class BubbleConfig:
 
     Centers and radii are stored as arrays; ``meta`` carries generation
     parameters (profile, a, shells, seed) when built by the generator, and
-    ``shell_ids`` labels each bubble with its shell.  ``index`` answers
-    point membership, and is built on its first use.
+    ``shell_ids`` labels each bubble with its shell (int32, or None).
+    ``index`` answers point membership, and is built on its first use.
     """
 
     def __init__(
@@ -192,7 +195,7 @@ class BubbleConfig:
         self.domain = domain
         self.centers = centers
         self.radii = radii
-        self._shell_ids = None if shell_ids is None else np.asarray(shell_ids, dtype=np.int32)
+        self.shell_ids = None if shell_ids is None else np.asarray(shell_ids, dtype=np.int32)
         self.meta = dict(meta) if meta else {}
 
         self.deltas = np.empty(self.n)
@@ -224,16 +227,14 @@ class BubbleConfig:
     def dimension(self) -> int:
         return self.domain.dimension
 
-    @property
-    def shell_ids(self) -> np.ndarray | None:
-        """Each bubble's shell as int64, widened on each call from the int32
-        labels that the configuration keeps."""
-        return None if self._shell_ids is None else self._shell_ids.astype(np.int64)
-
     @cached_property
-    def index(self) -> BallIndex:
-        """The one ``BallIndex`` over these bubbles, built on first use."""
-        return BallIndex(self.centers, self.radii, origin=self.domain.center)
+    def index(self) -> BallIndex | _ShellLookup:
+        """Point membership over these bubbles, built on first use: the
+        lattice lookup (``_ShellLookup``) of a generated d=2 shell family,
+        which ``_shell_lookup`` recognises from the configuration alone, and
+        otherwise a ``BallIndex``.  Both answer ``contains_batch`` alike."""
+        return (_shell_lookup(self)
+                or BallIndex(self.centers, self.radii, origin=self.domain.center))
 
     # -- serialization ----------------------------------------------------------
 
@@ -387,6 +388,13 @@ def _shell_lattice(domain: BallDomain, phi: RadialProfile, a: float, shells: int
     return t, r, counts, gap
 
 
+def _shell_uniforms(seed: int, shells: int) -> list:
+    """The generator's one random draw: per shell i, the three uniforms of
+    the counter stream of trajectory id 2**63 + i under seed, as floats."""
+    keys = stream_keys(seed, _SHELL_STREAMS + np.arange(shells, dtype=np.uint64))
+    return uniform01(keys[:, None], np.arange(3, dtype=np.uint64)).tolist()
+
+
 def generate_shell_config(
     domain: BallDomain,
     phi: RadialProfile,
@@ -437,8 +445,7 @@ def generate_shell_config(
     d = domain.dimension
     t, r, counts, gap = _shell_lattice(domain, phi, a, shells)
 
-    keys = stream_keys(seed, _SHELL_STREAMS + np.arange(shells, dtype=np.uint64))
-    uniforms = uniform01(keys[:, None], np.arange(3, dtype=np.uint64)).tolist()
+    uniforms = _shell_uniforms(seed, shells)
     shell_ids = np.repeat(np.arange(shells, dtype=np.int32), counts)
     centers = np.empty((shell_ids.size, d))
     first = 0
@@ -499,3 +506,138 @@ def _coverage_parameter(a, t, counts, d) -> float:
             np.minimum(best, np.fromiter(dist, float, s.size), out=best)
         worst = max(worst, float((best / (1.0 - s)).max()))
     return worst * 1.02  # >= 1 means the lattice does not certify coverage
+
+
+# ---------------------------------------------------------------------------
+# lattice lookup
+# ---------------------------------------------------------------------------
+
+# outward widening of each shell's radial band, relative to R as spatial's
+# _BAND_PAD is, but a quarter of it: the certificate's DISJOINTNESS_SLACK
+# exceeds 1.5 pads, which keeps each widened band clear of a neighbour's
+# bubbles (see _ShellLookup)
+_LATTICE_PAD = 2.0**-42
+# per slot of a shell of n_i, a bound on the rounding of one slot coordinate
+_SLOT_ROUNDING = 2.0**-44
+
+
+class _ShellLookup:
+    """Point-in-ball queries over a generated d=2 shell family, read from its
+    lattice instead of a grid over its bubbles: O(shells) memory and
+    O(log shells) work a query.  ``_shell_lookup`` builds it.
+
+    Shell i of the generator holds n_i bubbles of radius r_i, bubble j
+    (row first_i + j) centred at t_i*(cos, sin)(2*pi*(u_i + j/n_i)).  A
+    query x takes the first band whose widened top t_i + r_i + P is at
+    least |x|, and is dropped unless |x| >= t_i - r_i - P, with P =
+    _LATTICE_PAD*R.  Its slot coordinate is f = (atan2(x)/(2*pi) - u_i)*n_i,
+    and its candidate the bubble of slot rint(f) mod n_i.  The decision is
+    ``BallIndex``'s closed test |x - c_k| <= r_k on the same arrays, so no
+    answer depends on the lookup, whose one duty is not to miss a bubble.
+    Queries are taken spatial._QUERY_BLOCK at a time.
+
+    Exactness.  ``_shell_lookup`` admits a family only if every centre c_k
+    of shell i lies within P/2 of radius t_i, has radius r_i exactly, and
+    has a slot coordinate within tol_i = 1/2 - reach_i - 4*n_i*_SLOT_ROUNDING
+    of its own slot j, with reach_i = n_i*asin(r_i/(t_i - P))/(2*pi).  Let x
+    lie in bubble k of shell i.
+    - Band: |x| lies within r_i + P/2 of t_i, up to a rounding of about
+      1e-16, so inside band i widened by P.  The certificate puts
+      t_(i+1) - t_i above r_i + r_(i+1) + DISJOINTNESS_SLACK, and the slack
+      exceeds 1.5*P, so |x| is above band i-1's widened top: the first band
+      whose top reaches |x| is band i.
+    - Slot: seen from the origin, x lies within asin(r_i/|c_k|) of the
+      angle of c_k, reach_i slots at most.  Each computed slot coordinate,
+      x's and c_k's, lies within n_i*_SLOT_ROUNDING of its exact value: a
+      bound a hundred times the few ulps that atan2, the division, the
+      subtraction and the product lose on a coordinate of magnitude at
+      most 1.5*n_i, which also covers a whole turn rounding to 2*math.pi.
+      Two more such bounds cover the rounding of reach_i and the last bit
+      of the closed test.  So f lies within 1/2 of j modulo n_i, and rint
+      gives slot j.
+    The generator keeps each chord 2*t_i*sin(pi/n_i) above 2.04*r_i, so
+    reach_i < 0.5/1.02 (asin is convex, so asin(s/1.02) <= asin(s)/1.02)
+    and tol_i > 0.0098 - 4*n_i*_SLOT_ROUNDING, positive on every shell of
+    fewer than 4*10^10 bubbles; on the W2 disk reach_i is 0.40.  So the nearest slot is the
+    only possible owner and no neighbour slot needs a test; a family with
+    some tol_i <= 0 is not admitted.
+    """
+
+    def __init__(self, centers, radii, t, r, counts, turns):
+        self._centers, self._radii = centers, radii
+        # the last band's successor starts at +inf, so no query lands there
+        self._lo = np.append(t - r - _LATTICE_PAD, np.inf)
+        self._hi = t + r + _LATTICE_PAD
+        self._turns = np.asarray(turns, dtype=float)
+        self._counts = counts
+        self._first = np.cumsum(counts) - counts
+
+    def _locate(self, x: np.ndarray):
+        """(rows, pts, shell, k, off) for the rows of x whose norm lies in a
+        widened band: the rows, their points, their band, the bubble k of
+        the nearest slot, and the slot coordinate's offset from that slot."""
+        rho = row_norms(x, np.zeros(2))
+        shell = np.searchsorted(self._hi, rho)
+        rows = np.flatnonzero(rho >= self._lo[shell])
+        shell = shell[rows]
+        pts = np.take(x, rows, axis=0)
+        off = np.arctan2(pts[:, 1], pts[:, 0])
+        off /= 2.0 * math.pi
+        off -= self._turns[shell]
+        off *= self._counts[shell]
+        slot = np.rint(off)
+        off -= slot
+        k = slot.astype(np.int64)
+        k %= self._counts[shell]
+        k += self._first[shell]
+        return rows, pts, shell, k, off
+
+    def contains_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each query point: (hit mask, index of the containing ball or
+        -1), as ``BallIndex.contains_batch`` gives them."""
+        x = np.asarray(x, dtype=float)
+        hit = np.zeros(x.shape[0], dtype=bool)
+        owner = np.full(x.shape[0], -1, dtype=np.int64)
+        block = spatial._QUERY_BLOCK
+        for start in range(0, x.shape[0], block):
+            rows, pts, _, k, _ = self._locate(x[start:start + block])
+            inside = row_norms(pts, self._centers[k]) <= self._radii[k]
+            rows = rows[inside] + start
+            hit[rows] = True
+            owner[rows] = k[inside]
+        return hit, owner
+
+
+def _shell_lookup(config: BubbleConfig) -> _ShellLookup | None:
+    """The lattice lookup of ``config``, or None unless its input shows it
+    to be a generated d=2 shell family: d = 2 and the unit disk at the
+    origin; ``meta`` records phi, a, shells and seed, from which
+    ``_shell_lattice`` and ``_shell_uniforms`` rebuild the lattice; the
+    bubbles number the lattice's n; and every centre, checked
+    spatial._QUERY_BLOCK at a time, passes the checks that ``_ShellLookup``
+    argues exactness from, so that its own lookup returns its row."""
+    meta, dom = config.meta, config.domain
+    if dom.dimension != 2 or not {"phi", "a", "shells", "seed"} <= meta.keys():
+        return None
+    try:
+        t, r, counts, _ = _shell_lattice(dom, meta["phi"], meta["a"], meta["shells"])
+        turns = [u[0] for u in _shell_uniforms(meta["seed"], meta["shells"])]
+    except (TypeError, ValueError):
+        return None
+    if config.n != int(counts.sum()):
+        return None
+    reach = counts * np.arcsin(r / (t - _LATTICE_PAD)) / (2.0 * math.pi)
+    tol = 0.5 - reach - 4.0 * _SLOT_ROUNDING * counts
+    if not np.all(tol > 0.0):
+        return None
+    lookup = _ShellLookup(config.centers, config.radii, t, r, counts, turns)
+    block = spatial._QUERY_BLOCK
+    for start in range(0, config.n, block):
+        rows, pts, shell, k, off = lookup._locate(config.centers[start:start + block])
+        if not (np.array_equal(k, np.arange(start, start + rows.size))
+                and rows.size == min(block, config.n - start)
+                and np.all(np.abs(off) < tol[shell])
+                and np.all(np.abs(row_norms(pts, np.zeros(2)) - t[shell]) <= _LATTICE_PAD / 2)
+                and np.array_equal(config.radii[start:start + block], r[shell])):
+            return None
+    return lookup

@@ -22,7 +22,8 @@ run.  The name ``aikawa_sum`` is re-exported from ``criteria`` on first use
 Checking a RunConfig runs the generator's disjointness certificate, which
 reads only the lattice parameters, so a family it refuses exits 2 and no
 stage searches the bubbles for overlapping pairs.  Only ``simulate`` builds
-their ball index, for its point queries.
+a point lookup over them (``BubbleConfig.index``): the shell lattice's for
+a d=2 family, a ``BallIndex`` for d=3.
 """
 
 from __future__ import annotations
@@ -482,7 +483,9 @@ def _write_trajectories(path: Path, tags, steps, bubbles, finals) -> None:
 def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
     """One row per completed run: profile parameters, verdict, estimate.  The
     verdict and the estimate are read only when their stage's manifest
-    carries the ``config_hash`` of the directory's ``run_config.json``."""
+    carries the ``config_hash`` of the directory's ``run_config.json``.  A
+    file that does not hold a JSON object is skipped with a warning that
+    names it, and the cells it would fill are left empty."""
     rows = []
     for run in run_dirs:
         run = Path(run)
@@ -491,10 +494,8 @@ def cmd_report(run_dirs, out_path: Path, fmt: str = "csv") -> Path:
             continue
         row = {"run": run.name}
         config_hash = None
-        cfg_path = run / "run_config.json"
-        if cfg_path.exists():
-            with open(cfg_path) as f:
-                cfg_obj = json.load(f)
+        cfg_obj = _report_json(run / "run_config.json")
+        if cfg_obj is not None:
             config_hash = _sha256(_canonical_bytes(cfg_obj)).hexdigest()
             prof = cfg_obj.get("profile", {})
             family = RadialProfile.kinds.get(prof.get("kind"))
@@ -530,12 +531,33 @@ def _stage_output(run: Path, command: str, name: str, config_hash: str | None) -
     path, manifest = run / name, run / f"manifest.{command}.json"
     if not path.exists():
         return None
-    if (config_hash is None or not manifest.exists()
-            or json.loads(manifest.read_text()).get("config_hash") != config_hash):
-        print(f"warning: {path} was not written for {run / 'run_config.json'}; "
-              "its cells are left empty", file=sys.stderr)
+    if config_hash is not None and manifest.exists():
+        record = _report_json(manifest)
+        if record is None:
+            return None
+        if record.get("config_hash") == config_hash:
+            return _report_json(path)
+    print(f"warning: {path} was not written for {run / 'run_config.json'}; "
+          "its cells are left empty", file=sys.stderr)
+    return None
+
+
+def _report_json(path: Path) -> dict | None:
+    """The JSON object in ``path``; None if there is no such file, and None
+    with a warning that names it if it does not hold a JSON object."""
+    if not path.exists():
         return None
-    return json.loads(path.read_text())
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        obj, why = None, str(exc)
+    else:
+        why = f"it holds a {type(obj).__name__}"
+    if isinstance(obj, dict):
+        return obj
+    print(f"warning: {path} is not a JSON object ({why}); its cells are left empty",
+          file=sys.stderr)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ path until the larger one is hit; delta/R is scale-free and the bands
 scale with R, so a power-of-two dilation of the run dilates every
 trajectory exactly.  Trajectories run in lockstep, in passes of a block of
 steps over those still running: one draw of random vectors and one
-ball-index query per pass, not per step.  A pass over m trajectories takes
+point query per pass, not per step.  A pass over m trajectories takes
 _BLOCK_DRAWS // m steps, at least 1 and at most _PASS_STEPS, so the
 passes past the longest trajectory's end draw fewer than _PASS_STEPS
 steps.  Blindness to the bubbles is also what makes this exact: a block's
@@ -60,17 +60,19 @@ The counter streams also make every trajectory a function of its own id
 alone (and of the host's numpy loops), so the ids can be split between
 processes without changing a bit.  ``_run_forked`` splits them into one
 contiguous block per CPU this process may use, runs block 0 itself and
-each other block in a worker forked after the ball index and the table of
-|xi|'s law are built, and concatenates the blocks in id order.  Workers are
-forked, not threads, because two threads sharing the interpreter lock ran
-no faster than one; and forked, not spawned by ``multiprocessing``, so that
-they inherit the configuration, its index and the table instead of
-rebuilding them.
+each other block in a worker forked after the configuration's point
+lookup (``BubbleConfig.index``: the shell lattice's in d=2, a ball index
+otherwise) and the table of |xi|'s law are built, and concatenates the
+blocks in id order.  Workers are forked, not threads, because two threads
+sharing the interpreter lock ran no faster than one; and forked, not
+spawned by ``multiprocessing``, so that they inherit the configuration, its
+index and the table instead of rebuilding them.
 
 Beside its outcome arrays, a pass holds the temporaries of at most
-_BLOCK_DRAWS rows: the block's draws, path and ball-index query (which
-``spatial`` splits further).  The table holds about 1,500 cubic pieces
-(50 KiB) per (d, alpha).
+_BLOCK_DRAWS rows: the block's draws, path and point query (which the index
+splits into blocks of spatial._QUERY_BLOCK).  The diagnostics take the
+bubbles' shell labels _ROW_BLOCK at a time (``bubbles``).  The table holds
+about 1,500 cubic pieces (50 KiB) per (d, alpha).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bubbles import BubbleConfig, shell_radii
+from .bubbles import BubbleConfig, _row_blocks, shell_radii
 from .geometry import row_norms
 from .rng import radial_law, stable_vectors, stream_keys
 
@@ -244,12 +246,12 @@ def _run_batch(x0: np.ndarray, config: BubbleConfig, phi, a: float, params: SimP
     the gap to the shell bands of (a, phi) (``_band_table``).  A pass
     advances the m running trajectories K = max(1, _BLOCK_DRAWS // m) steps,
     at most _PASS_STEPS and at most the steps left, on one block of draws,
-    then asks the ball index once about every position the block moved to.
-    This is exact: the step never reads the bubbles, so a path through the
-    block is the same whether or not it meets one; a trajectory's outcome
-    is its first hit or boundary step in the block (a hit first at the same
-    step), and whatever it did after that step is discarded, suppressed
-    proposals included.  The cap bounds that discarded work: a pass starts
+    then asks the configuration's index once about every position the block
+    moved to.  This is exact: the step never reads the bubbles, so a path
+    through the block is the same whether or not it meets one; a
+    trajectory's outcome is its first hit or boundary step in the block (a
+    hit first at the same step), and whatever it did after that step is
+    discarded, suppressed proposals included.  The cap bounds that discarded work: a pass starts
     only while some trajectory runs, so the last one ends fewer than
     _PASS_STEPS steps after the longest trajectory.  Trajectories with an
     outcome leave the running arrays (positions, distances to the centre,
@@ -403,7 +405,8 @@ def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles, 
         n_shells = int(sid.max()) + 1
         out["hits_per_shell"] = np.bincount(sid[bubbles[tags == HIT]], minlength=n_shells).tolist()
         top = np.full(n_shells, -np.inf)  # largest delta over each shell
-        np.maximum.at(top, sid, config.deltas + config.radii)
+        for b in _row_blocks(config.n):
+            np.maximum.at(top, sid[b], config.deltas[b] + config.radii[b])
         below = np.flatnonzero(top < params.boundary_eps)
         out["shells_below_boundary_eps"] = int(below.size)
         out["shells_below_boundary_eps_list"] = (below + 1).tolist()
@@ -492,10 +495,10 @@ def estimate_hitting(x0, config: BubbleConfig, phi, a: float, params: SimParams)
 
     Runs ``params.n_traj`` trajectories on independent counter streams,
     split between processes by ``_run_forked``; the estimate and outcomes
-    are identical for any number of workers.  x0 is checked, and the ball
-    index and the table of |xi|'s law built, before forking, so workers
-    inherit them.  Timeouts are reported separately and never counted as
-    hits.
+    are identical for any number of workers.  x0 is checked, and
+    ``config.index`` and the table of |xi|'s law built, before forking, so
+    workers inherit them.  Timeouts are reported separately and never
+    counted as hits.
     """
     for key, given in (("phi", phi), ("a", a)):
         if key in config.meta and config.meta[key] != given:

@@ -1,5 +1,8 @@
 """Spatial index over a fixed family of disjoint closed balls: which ball
-holds a point.
+holds a point.  It serves every family the lattice lookup of a generated
+d=2 shell family (``bubbles._ShellLookup``) does not: d=3 shell families,
+and families without the generator's record, such as subsets and
+dilations.  The tests also take it as the lattice lookup's oracle.
 
 The balls are split into radius classes, one per binary exponent of the
 radius (``np.frexp``), so the radii of a class differ by less than a factor

@@ -15,14 +15,16 @@ from champagne.bubbles import (
     PowerProfile,
     RadialProfile,
     _CENTER_GAP_FACTOR,
+    _LATTICE_PAD,
+    _ShellLookup,
     _fibonacci_sphere,
     _shell_lattice,
     generate_shell_config,
     shell_radii,
 )
 from champagne.criteria import classify_avoidability
-from champagne.geometry import BallDomain
-from champagne.spatial import DISJOINTNESS_SLACK
+from champagne.geometry import BallDomain, row_norms
+from champagne.spatial import DISJOINTNESS_SLACK, BallIndex
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +130,8 @@ def test_generator_reproduces_pinned_digests(d, c, shells, digest):
     cfg = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(c), 0.5, shells,
                                 seed=35)
     h = hashlib.sha256()
-    for a in (cfg.centers, cfg.radii, cfg.shell_ids, cfg.deltas):
+    # the labels were pinned as int64, before the configuration kept int32
+    for a in (cfg.centers, cfg.radii, cfg.shell_ids.astype(np.int64), cfg.deltas):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(float(cfg.meta["coverage_a"]).hex().encode())
     assert h.hexdigest() == digest
@@ -329,17 +332,128 @@ def test_separation_of_w2_seed_35_is_pinned(w2):
 
 def test_bytes_per_bubble_of_w2(w2):
     # what a configuration keeps for each bubble: centres, radii, int32
-    # shell labels and distances to the boundary, 36 bytes; and its index,
+    # shell labels and distances to the boundary, 36 bytes.  Its index is
+    # the lattice lookup, which keeps a few numbers a shell and reads the
+    # centres and radii in place.  A BallIndex over the same bubbles keeps
     # per radius class the int32 ids, the int64 keys of the occupied cells
-    # and the int32 starts of their runs, 13.7 bytes on W2
+    # and the int32 starts of their runs, 13.7 bytes a bubble on W2.
     kept = [a for a in vars(w2).values() if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in kept) == 36 * w2.n
-    grids = w2.index._grids
+    assert w2.shell_ids.dtype == np.int32
+    lookup = w2.index
+    assert isinstance(lookup, _ShellLookup)
+    own = [a for name, a in vars(lookup).items()
+           if isinstance(a, np.ndarray) and name not in ("_centers", "_radii")]
+    assert lookup._centers is w2.centers and lookup._radii is w2.radii
+    assert sum(a.nbytes for a in own) <= 64 * (w2.meta["shells"] + 1)
+    grids = BallIndex(w2.centers, w2.radii)._grids
     for g in grids:
         assert (g.ids.dtype, g.cells.dtype, g.starts.dtype) == (np.int32, np.int64, np.int32)
     index = sum(g.ids.nbytes + g.cells.nbytes + g.starts.nbytes for g in grids)
     assert index / w2.n < 14.0
-    assert w2.shell_ids.dtype == np.int64
+
+
+# -- lattice lookup -----------------------------------------------------------------
+
+LOOKUP_FAMILIES = (
+    # W2, the roadmap's five 8-shell d=2 families, and one whose shells are
+    # each bound by a radial gap, so that neighbouring bands nearly touch
+    [(ConstantProfile(0.1), 0.5, 6)]
+    + [(phi, 0.5, 8) for phi in (ConstantProfile(0.1), PowerProfile(1.0), LogProfile(2.0),
+                                 LogProfile(3.0), ConstantProfile(0.4))]
+    + [(ConstantProfile(0.0195), 0.02, 3)]
+)
+LOOKUP_IDS = [f"{phi.kind}{getattr(phi, phi.param)}-a{a}-{shells}"
+              for phi, a, shells in LOOKUP_FAMILIES]
+
+
+def _probed_balls(cfg):
+    """Every ball of a family of at most 60,000; of a larger one, every 7th
+    ball and the first two and last two of each shell, where the slots wrap."""
+    if cfg.n <= 60_000:
+        return np.arange(cfg.n)
+    counts = np.bincount(cfg.shell_ids)
+    first = np.cumsum(counts) - counts
+    ends = np.concatenate([first, first + 1, first + counts - 2, first + counts - 1])
+    return np.union1d(np.arange(0, cfg.n, 7), ends)
+
+
+@pytest.mark.parametrize("phi, a, shells", LOOKUP_FAMILIES, ids=LOOKUP_IDS)
+def test_lattice_lookup_answers_adversarial_points_as_the_closed_test(disk, phi, a, shells):
+    # 64 points on each probed ball's boundary and 8 each at r*(1 - 1e-12)
+    # and r*(1 + 1e-12): the balls are more than DISJOINTNESS_SLACK apart, so
+    # only the ball a point was drawn from can hold it, and the lookup must
+    # answer as the closed test against that ball does.  On W2 every answer
+    # must also be BallIndex's.
+    cfg = generate_shell_config(disk, phi, a, shells, seed=35)
+    lookup = cfg.index
+    assert isinstance(lookup, _ShellLookup)
+    oracle = BallIndex(cfg.centers, cfg.radii) if cfg.n == 54_743 else None
+    turn = 2.0 * np.pi * np.concatenate([np.arange(64) / 64, np.arange(16) / 16 + 1 / 32])
+    dirs = np.column_stack([np.cos(turn), np.sin(turn)])
+    scale = np.concatenate([np.ones(64), np.full(8, 1.0 - 1e-12), np.full(8, 1.0 + 1e-12)])
+    balls = _probed_balls(cfg)
+    hits = 0
+    for chunk in np.array_split(balls, -(-balls.size // 2048)):
+        k = np.repeat(chunk, scale.size)
+        pts = cfg.centers[k] + (cfg.radii[k] * np.tile(scale, chunk.size))[:, None] * np.tile(
+            dirs, (chunk.size, 1))
+        inside = row_norms(pts, cfg.centers[k]) <= cfg.radii[k]
+        hit, owner = lookup.contains_batch(pts)
+        assert np.array_equal(hit, inside)
+        assert np.array_equal(owner, np.where(inside, k, -1))
+        if oracle is not None:
+            want = oracle.contains_batch(pts)
+            assert np.array_equal(hit, want[0]) and np.array_equal(owner, want[1])
+        hits += int(inside.sum())
+    assert 0 < hits < balls.size * scale.size
+
+
+@pytest.mark.parametrize("phi, a, shells", LOOKUP_FAMILIES, ids=LOOKUP_IDS)
+def test_lattice_lookup_answers_band_edges_as_the_ball_index(disk, phi, a, shells):
+    # points at 0, 1/2, 1 and 2 lookup pads inside and outside each end of
+    # every shell's band t_i -+ r_i, on the rays through the first 256
+    # centres of the shell and half-way between them
+    cfg = generate_shell_config(disk, phi, a, shells, seed=35)
+    t, r, counts, _ = _shell_lattice(disk, phi, a, shells)
+    first = np.cumsum(counts) - counts
+    steps = _LATTICE_PAD * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    pts = []
+    for i in range(shells):
+        c = cfg.centers[first[i]:first[i] + min(counts[i], 256)]
+        ang = np.arctan2(c[:, 1], c[:, 0])
+        ang = np.concatenate([ang, ang + np.pi / counts[i]])
+        rho = np.concatenate([t[i] - r[i] + steps, t[i] + r[i] + steps])
+        ray = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        pts.append((rho[:, None, None] * ray).reshape(-1, 2))
+    pts = np.concatenate(pts)
+    hit, owner = cfg.index.contains_batch(pts)
+    want = BallIndex(cfg.centers, cfg.radii).contains_batch(pts)
+    assert np.array_equal(hit, want[0]) and np.array_equal(owner, want[1])
+    assert hit.any()
+
+
+@pytest.mark.parametrize("change", ["shift", "roll", "radius", "subset", "seed"])
+def test_a_generator_record_that_the_bubbles_do_not_fit_takes_the_ball_index(w2, change):
+    # the lattice lookup is chosen from the configuration alone: centres
+    # moved by 1e-9, rows out of lattice order, a radius changed, a subset
+    # or another seed's record leave only the BallIndex
+    centers, radii, meta, keep = w2.centers.copy(), w2.radii.copy(), dict(w2.meta), slice(None)
+    if change == "shift":
+        centers += [1e-9, 0.0]
+    elif change == "roll":
+        centers[:126] = np.roll(centers[:126], 1, axis=0)
+    elif change == "radius":
+        radii[-1] *= 1.0 - 1e-9
+    elif change == "subset":
+        keep = slice(1, None)
+    else:
+        meta["seed"] = 36
+    cfg = BubbleConfig(w2.domain, centers[keep], radii[keep], shell_ids=w2.shell_ids[keep],
+                       meta=meta)
+    assert isinstance(cfg.index, BallIndex)
+    assert isinstance(BubbleConfig(w2.domain, w2.centers, w2.radii, meta=w2.meta).index,
+                      _ShellLookup)
 
 
 SEPARATION_FAMILIES = (

@@ -13,6 +13,7 @@ import pytest
 import champagne
 from champagne import criteria, harness, rng, simulate, whitney
 from champagne.harness import RunConfig, main
+from champagne.bubbles import _ShellLookup
 from champagne.spatial import BallIndex
 
 SMALL = {
@@ -145,10 +146,10 @@ MiB = 2**20
 
 def test_stage_start_up_holds_little_beyond_what_it_keeps():
     # tracemalloc counts numpy's buffers, so these bounds do not depend on the
-    # host's allocator.  W2's configuration keeps its centres, radii, shell ids,
-    # distances to the boundary and, in the simulate stage, its ball index
-    # (3.2 MiB in all); the build needs besides only blocks of rows and a few
-    # columns of n values (1.2 MiB).
+    # host's allocator.  W2's configuration keeps its centres, radii, shell ids
+    # and distances to the boundary (1.9 MiB) and, in the simulate stage, its
+    # lattice lookup, a few numbers a shell; the build and the lookup's check
+    # of every centre need besides only blocks of rows (0.5 MiB at most).
     # The table of |xi|'s law keeps about 1,500 cubic pieces (50 KiB) and
     # holds blocks of its Fourier sums and a few columns of 1,500 values;
     # the 2^16 draws of the sampled median it replaced held 0.8 MiB.
@@ -428,21 +429,23 @@ def test_main_returns_2_on_shells_the_certificate_refuses(tmp_path, capsys, doma
 
 def test_only_simulate_builds_the_ball_index(tmp_path, monkeypatch):
     # generate and criteria read no point query, so they never index the
-    # bubbles; simulate indexes them once
+    # bubbles; simulate indexes them once: W2 with the lattice lookup and no
+    # BallIndex, D3 with one BallIndex
     built = []
-    init = BallIndex.__init__
+    for cls in (BallIndex, _ShellLookup):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BallIndex, "__init__", counting_init)
-    cfg = RunConfig.from_json({**W2, "sim": {"max_steps": 50, "n_traj": 20, "seed": 3}})
-    for command, want in ((harness.cmd_generate, 0), (harness.cmd_criteria, 0),
-                          (harness.cmd_simulate, 1)):
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    sim = {"sim": {"max_steps": 50, "n_traj": 20, "seed": 3}}
+    w2, d3 = RunConfig.from_json({**W2, **sim}), RunConfig.from_json({**D3, **sim})
+    for cfg, command, want in ((w2, harness.cmd_generate, []), (w2, harness.cmd_criteria, []),
+                               (w2, harness.cmd_simulate, [_ShellLookup]),
+                               (d3, harness.cmd_simulate, [BallIndex])):
         built.clear()
-        command(cfg, tmp_path)
-        assert len(built) == want, command.__name__
+        command(cfg, tmp_path / f"d{cfg.domain.dimension}")
+        assert built == want, command.__name__
 
 
 def test_main_simulates_at_alpha_1_99_in_d2_and_d3(tmp_path, capsys):
@@ -562,6 +565,30 @@ def test_report_lists_each_run_and_skips_one_without_a_manifest(tmp_path, monkey
         else:
             report = json.loads(out.read_text())
             assert report == {"format_version": "1", "rows": [want]}
+
+
+@pytest.mark.parametrize("name", ["run_config.json", "manifest.criteria.json"])
+def test_report_names_a_file_that_is_not_json_and_leaves_its_cells_empty(
+        tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    cfg = _write_config(tmp_path, {**SMALL, "sim": {"alpha": 1.3, "max_steps": 50,
+                                                    "n_traj": 20, "seed": 3}})
+    run, out = tmp_path / "run", tmp_path / "report.json"
+    for cmd in ("generate", "criteria", "simulate"):
+        assert main([cmd, "--config", cfg, "--out", str(run)]) == 0
+    (run / name).write_text("{")
+    assert main(["report", str(run), "--out", str(out), "--format", "json"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: {run / name} is not a JSON object (Expecting property name")
+    assert err.endswith("; its cells are left empty\n")
+    (row,) = json.loads(out.read_text())["rows"]
+    if name == "run_config.json":
+        # without the config no output can be matched to it
+        assert row == {"run": "run"}
+    else:
+        assert "verdict" not in row and row["profile_kind"] == "constant"
+        assert row["p_hat"] == json.loads((run / "estimate.json").read_text())["p_hat"]
+        assert err.count("warning:") == 1
 
 
 def test_report_reads_no_output_of_another_config(tmp_path, monkeypatch, capsys):

@@ -100,7 +100,9 @@ def test_outcomes_do_not_depend_on_the_worker_count(disk_config, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 def test_no_generator_draw_shares_a_key_with_a_simulator_draw(monkeypatch, d):
     # under one seed the shells draw from trajectory ids 2**63 + i and the
-    # simulator from ids below n_traj, so no (key, counter) pair is drawn twice
+    # simulator from ids below n_traj, so no (key, counter) pair is drawn twice.
+    # The d=2 lattice lookup replays the shells' draw for their rotations, so
+    # it is built with the shells.
     params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=3)
     drawn = set()
 
@@ -114,6 +116,7 @@ def test_no_generator_draw_shares_a_key_with_a_simulator_draw(monkeypatch, d):
     monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
     config = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(0.3), 0.5, 2,
                                    seed=params.seed)
+    assert config.index is not None
     generated = set(drawn)
     drawn.clear()
     estimate_hitting(config.domain.center, config, config.meta["phi"], config.meta["a"], params)
@@ -192,7 +195,8 @@ def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
     # Counts calls, not time: a loop that draws or queries once per step
     # makes as many calls as the longest trajectory takes steps.
     calls = {"draw": 0, "query": 0}
-    contains_batch = BallIndex.contains_batch
+    lookup = type(disk_config.index)
+    contains_batch = lookup.contains_batch
 
     def draw(*args, **kwargs):
         calls["draw"] += 1
@@ -203,15 +207,42 @@ def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
         return contains_batch(self, x)
 
     monkeypatch.setattr(simulate, "stable_vectors", draw)
-    monkeypatch.setattr(BallIndex, "contains_batch", query)
+    monkeypatch.setattr(lookup, "contains_batch", query)
     # the counters live in this process: a forked worker's calls never reach them
     monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
     _, (_, steps, _, _) = estimate_hitting(disk_config.domain.center, disk_config,
                                            disk_config.meta["phi"], disk_config.meta["a"], PARAMS)
     lockstep_steps = int(steps.max())
     assert lockstep_steps == PARAMS.max_steps
-    assert calls["draw"] <= lockstep_steps / 20
-    assert calls["query"] <= lockstep_steps / 20 + 1  # +1: the check on x0
+    assert 1 <= calls["draw"] <= lockstep_steps / 20
+    assert 2 <= calls["query"] <= lockstep_steps / 20 + 1  # +1: the check on x0
+
+
+def test_lattice_lookup_answers_every_w2_query_as_the_ball_index(monkeypatch):
+    # every point that a 4,000-path W2 run asks about, answered by the
+    # lattice lookup and by a BallIndex over the same bubbles
+    w2 = generate_shell_config(BallDomain(np.zeros(2), 1.0), ConstantProfile(0.1), 0.5, 6,
+                               seed=35)
+    lookup = w2.index
+    assert isinstance(lookup, bubbles._ShellLookup)
+    oracle = BallIndex(w2.centers, w2.radii)
+    contains_batch = type(lookup).contains_batch
+    asked = [0, 0]
+
+    def query(self, x):
+        got = contains_batch(self, x)
+        want = oracle.contains_batch(x)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        asked[0] += x.shape[0]
+        asked[1] += int(got[0].sum())
+        return got
+
+    monkeypatch.setattr(type(lookup), "contains_batch", query)
+    monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+    params = SimParams(alpha=1.5, max_steps=5000, n_traj=4000, seed=35)
+    est, _ = estimate_hitting(np.zeros(2), w2, w2.meta["phi"], w2.meta["a"], params)
+    assert asked[0] > 500_000
+    assert asked[1] >= est.counts["hit"] > 3900
 
 
 @pytest.mark.parametrize("s", [2.0, 0.25])

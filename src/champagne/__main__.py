@@ -1,5 +1,5 @@
 import sys
 
-from .harness import main
+from .harness import cli
 
-sys.exit(main())
+sys.exit(cli())

@@ -23,14 +23,26 @@ the centres and radii in place (``_ShellLookup``); for any other family a
 Beyond these arrays, every pass holds one block of rows: the shell
 generator writes each lattice straight into the rows of the centres
 _LATTICE_BLOCK rows at a time; the distances to the boundary and the
-radius-ratio check take _ROW_BLOCK bubbles at a time; and ``to_csv``
-formats _CSV_BLOCK rows at a time.  No block size changes a result.
+radius-ratio check take _ROW_BLOCK bubbles at a time.  No block size
+changes a result.
+
+Writing.  ``to_csv`` cuts the rows at multiples of _CSV_BLOCK into one
+contiguous block per CPU this process may use.  It writes the header and
+block 0 into the file itself; a worker forked for each other block writes
+that block into a part file beside it, ``<path>.part<first row>``; the
+parent then appends the parts in row order, _COPY_CHUNK bytes at a time,
+and deletes them.  Every process formats _CSV_BLOCK rows at a time and
+writes them out before it formats more, so none holds more than one
+_CSV_BLOCK of text.  The workers follow the rules for forking, reaping,
+killing and reporting a failure that the simulator's follow
+(``workers._run_blocks``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -41,6 +53,7 @@ from . import spatial
 from .geometry import BallDomain, _csv_lines, _number, row_norms
 from .rng import stream_keys, uniform01
 from .spatial import DISJOINTNESS_SLACK, BallIndex
+from .workers import _run_blocks, _split
 
 __all__ = [
     "BubbleConfig",
@@ -155,8 +168,10 @@ RadialProfile.kinds = {f.kind: f for f in (ConstantProfile, PowerProfile, LogPro
 # configurations
 # ---------------------------------------------------------------------------
 
-# rows of bubbles.csv formatted at a time
+# rows of bubbles.csv formatted at a time; the workers' blocks start at its multiples
 _CSV_BLOCK = 1 << 10
+# bytes of a part file of bubbles.csv copied at a time
+_COPY_CHUNK = 1 << 16
 # bubbles whose distances to the boundary and radius ratios are computed at a time
 _ROW_BLOCK = 1 << 13
 
@@ -241,21 +256,48 @@ class BubbleConfig:
     def to_csv(self, path) -> None:
         """One bubble per row: k, x_1..x_d, r; floats as repr, CRLF line ends.
 
-        Rows are formatted _CSV_BLOCK at a time, a column at a time from
-        ``tolist()`` (``geometry._csv_lines``), which bounds the Python
-        objects alive at once, and each block formats each of its distinct
-        radii once (a shell configuration has one radius per shell).
+        The rows are cut at multiples of _CSV_BLOCK into one contiguous
+        block per CPU (``_split``).  This process writes the header and
+        block 0 into ``path``; a worker forked for each other block
+        (``_run_blocks``) writes it into the part file
+        ``<path>.part<first row>``; then the parts are appended to ``path``
+        in row order, _COPY_CHUNK bytes at a time, and deleted, also when a
+        worker fails.  Every process formats _CSV_BLOCK rows at a time, a
+        column at a time from ``tolist()`` (``geometry._csv_lines``), and
+        writes each such block out before it formats the next, so none holds
+        more than one block of text; each block formats each of its distinct
+        radii once (a shell configuration has one radius per shell).  The
+        bytes do not depend on the number of CPUs.
         """
-        header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
-        with open(path, "w", newline="") as f:
-            f.write(_csv_lines([name] for name in header))
-            for start in range(0, self.n, _CSV_BLOCK):
-                stop = min(self.n, start + _CSV_BLOCK)
-                radii, which = np.unique(self.radii[start:stop], return_inverse=True)
-                r_text = [repr(r) for r in radii.tolist()]
-                f.write(_csv_lines([map(str, range(start, stop)),
-                                    *(map(repr, x) for x in self.centers[start:stop].T.tolist()),
-                                    map(r_text.__getitem__, which.tolist())]))
+        path = os.fspath(path)
+        bounds = _split(self.n, _CSV_BLOCK)
+        parts = [f"{path}.part{lo}" for lo in bounds[1:-1]]
+        target = dict(zip(bounds, [path, *parts]))  # the file of the block from each row
+
+        def write(lo, hi):
+            with open(target[lo], "w", newline="") as f:
+                if lo == 0:
+                    header = ["k"] + [f"x_{j + 1}" for j in range(self.dimension)] + ["r"]
+                    f.write(_csv_lines([name] for name in header))
+                for start in range(lo, hi, _CSV_BLOCK):
+                    b = slice(start, min(hi, start + _CSV_BLOCK))
+                    radii, which = np.unique(self.radii[b], return_inverse=True)
+                    r_text = [repr(r) for r in radii.tolist()]
+                    f.write(_csv_lines([map(str, range(b.start, b.stop)),
+                                        *(map(repr, x) for x in self.centers[b].T.tolist()),
+                                        map(r_text.__getitem__, which.tolist())]))
+
+        try:
+            _run_blocks(bounds, write, "bubbles.csv worker for rows")
+            with open(path, "ab") as out:
+                for part in parts:
+                    with open(part, "rb") as f:
+                        while chunk := f.read(_COPY_CHUNK):
+                            out.write(chunk)
+        finally:
+            for part in parts:
+                if os.path.exists(part):
+                    os.unlink(part)
 
 
 # ---------------------------------------------------------------------------

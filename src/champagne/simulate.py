@@ -60,13 +60,13 @@ The counter streams also make every trajectory a function of its own id
 alone (and of the host's numpy loops), so the ids can be split between
 processes without changing a bit.  ``_run_forked`` splits them into one
 contiguous block per CPU this process may use, runs block 0 itself and
-each other block in a worker forked after the configuration's point
-lookup (``BubbleConfig.index``: the shell lattice's in d=2, a ball index
-otherwise) and the table of |xi|'s law are built, and concatenates the
-blocks in id order.  Workers are forked, not threads, because two threads
-sharing the interpreter lock ran no faster than one; and forked, not
-spawned by ``multiprocessing``, so that they inherit the configuration, its
-index and the table instead of rebuilding them.
+each other block in a forked worker, and concatenates the blocks in id
+order.  Its rules for forking, reaping and failing are those of
+``workers._run_blocks``, which ``BubbleConfig.to_csv`` shares.  The
+workers are forked after the configuration's point lookup
+(``BubbleConfig.index``: the shell lattice's in d=2, a ball index
+otherwise) and the table of |xi|'s law are built, so that they inherit the
+configuration, its index and the table instead of rebuilding them.
 
 Beside its outcome arrays, a pass holds the temporaries of at most
 _BLOCK_DRAWS rows: the block's draws, path and point query (which the index
@@ -78,8 +78,6 @@ about 1,500 cubic pieces (50 KiB) per (d, alpha).
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,6 +85,7 @@ import numpy as np
 from .bubbles import BubbleConfig, _row_blocks, shell_radii
 from .geometry import row_norms
 from .rng import radial_law, stable_vectors, stream_keys
+from .workers import _run_blocks, _split
 
 __all__ = [
     "SimParams",
@@ -413,74 +412,16 @@ def _diagnostics(config: BubbleConfig, params: SimParams, tags, steps, bubbles, 
     return out
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on, or 1 where ``os.fork`` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_forked(x0, config, phi, a, params) -> list:
     """``_run_batch`` over all trajectories in one block of ids per CPU
-    (``_worker_count``), block 0 here and each other block in a forked
-    worker, concatenated in id order.  A worker pickles its outcomes back
-    over a pipe and ends with ``os._exit``, so it neither flushes inherited
-    buffers nor runs exit hooks.  A worker's exception is raised here as a
-    RuntimeError that names the worker and carries its message; on any
-    exception the workers still running are killed, and every worker is
-    reaped.  No other thread of the caller may hold a lock that a worker
-    then needs.  With one CPU nothing is forked."""
-    n = params.n_traj
-    w = min(n, _worker_count())
-    bounds = [n * i // w for i in range(w + 1)]
-
-    def block(i):
-        return _run_batch(x0, config, phi, a, params,
-                          np.arange(bounds[i], bounds[i + 1], dtype=np.int64))
-
-    workers = []  # (pid, read end of its pipe, name) of the workers not yet reaped
-    try:
-        for i in range(1, w):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    try:
-                        out = (True, block(i))
-                    except BaseException as exc:  # reported to the parent, which raises it
-                        out = (False, f"{type(exc).__name__}: {exc}")
-                    with open(wr, "wb") as f:
-                        pickle.dump(out, f, protocol=pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(wr)
-            name = f"simulation worker for trajectories {bounds[i]}..{bounds[i + 1] - 1}"
-            workers.append((pid, open(r, "rb"), name))
-        blocks = [block(0)]
-        while workers:
-            pid, pipe, name = workers[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            if code != 0:
-                raise RuntimeError(f"{name} exited with status {code}")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise RuntimeError(f"{name} failed: {value}")
-            blocks.append(value)
-    finally:
-        for pid, pipe, _ in workers:  # left only by an exception
-            import signal  # here, not at the top: importing it adds ≈2 ms to every start
-
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    (``workers._split``), block 0 here and each other block in a forked
+    worker (``workers._run_blocks``, whose rules for failures and reaping
+    hold), concatenated in id order.  With one CPU nothing is forked."""
+    blocks = _run_blocks(
+        _split(params.n_traj, 1),
+        lambda lo, hi: _run_batch(x0, config, phi, a, params,
+                                  np.arange(lo, hi, dtype=np.int64)),
+        "simulation worker for trajectories")
     return [np.concatenate(col) for col in zip(*blocks)]
 
 

@@ -5,14 +5,16 @@ at a time with ``map``/``zip``/``str.join`` (``geometry._csv_lines``).  The
 oracles below are the per-row writers they replaced, with the same
 formatting: an f-string per bubble row, and ``csv.writer`` over numpy
 scalars per trajectory and per cube.  Every case must match them byte for
-byte.
+byte, ``bubbles.csv`` with one CPU and with its rows split between two.
 """
 
 import csv
+import os
 
 import numpy as np
 import pytest
 
+from champagne import bubbles, workers
 from champagne.bubbles import _CSV_BLOCK, BubbleConfig
 from champagne.geometry import BallDomain
 from champagne.harness import _write_trajectories
@@ -80,19 +82,82 @@ def _assert_same_bytes(tmp_path, n: int) -> None:
             assert text in new
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("n", [0, 1, 7, 2 * _CSV_BLOCK + 5])
-def test_bubbles_csv_equals_the_per_row_writer(tmp_path, d, n):
+def _edge_config(d: int, n: int) -> BubbleConfig:
     # a domain large enough for 1e16 coordinates; each bubble's radius is a
     # small fraction of its distance to the boundary
     domain = BallDomain(np.zeros(d), 1e17)
     centers = np.stack([np.roll(_values(n, 1 + j), j) for j in range(d)], axis=1)
     radii = np.abs(_values(n, 9))
     radii[radii == 0.0] = 5e-324
-    config = BubbleConfig(domain, centers.reshape(n, d), radii)
+    return BubbleConfig(domain, centers.reshape(n, d), radii)
+
+
+def _counting_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 7, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 5,
+                               3 * _CSV_BLOCK + 333])
+def test_bubbles_csv_equals_the_per_row_writer(tmp_path, monkeypatch, cpus, d, n):
+    # with two CPUs a worker writes the rows from the second block of
+    # _CSV_BLOCK rows on, once there is such a block, into a part file that
+    # is appended and deleted
+    config = _edge_config(d, n)
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(workers, "_worker_count", lambda: cpus)
     config.to_csv(tmp_path / "new.csv")
+    assert len(forks) == (cpus - 1 if n > _CSV_BLOCK else 0)
+    assert os.listdir(tmp_path) == ["new.csv"]
     _bubbles_oracle(config, tmp_path / "oracle.csv")
     _assert_same_bytes(tmp_path, n)
+
+
+def test_bubbles_csv_forks_one_worker_per_other_cpu_of_this_process(tmp_path, monkeypatch):
+    # the CPUs this process may run on, unpatched: none is forked on one CPU
+    config = _edge_config(2, 8 * _CSV_BLOCK)
+    forks = _counting_forks(monkeypatch)
+    config.to_csv(tmp_path / "new.csv")
+    assert len(forks) == min(8, len(os.sched_getaffinity(0))) - 1
+    _bubbles_oracle(config, tmp_path / "oracle.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("failing_pid, error", [("worker", RuntimeError), ("parent", OSError)])
+def test_a_failing_bubbles_csv_block_raises_here_and_leaves_no_part_or_child(
+        tmp_path, monkeypatch, failing_pid, error):
+    # rows 0..2047 are written here and 2048..4100 by the forked worker; the
+    # failing process fails on its second block of _CSV_BLOCK rows, after it
+    # has written the first into its file
+    config = _edge_config(2, 4 * _CSV_BLOCK + 5)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 2)
+    parent, calls = os.getpid(), []
+    csv_lines = bubbles._csv_lines
+
+    def failing(columns):
+        if (os.getpid() == parent) == (failing_pid == "parent"):
+            calls.append(1)
+            if len(calls) == (3 if failing_pid == "parent" else 2):  # the header is one call
+                raise OSError("disk full on purpose")
+        return csv_lines(columns)
+
+    monkeypatch.setattr(bubbles, "_csv_lines", failing)
+    match = ("bubbles.csv worker for rows 2048..4100 failed: OSError: disk full on purpose"
+             if failing_pid == "worker" else "disk full on purpose")
+    with pytest.raises(error, match=match):
+        config.to_csv(tmp_path / "new.csv")
+    assert os.listdir(tmp_path) == ["new.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import champagne
-from champagne import criteria, harness, rng, simulate, whitney
+from champagne import criteria, harness, rng, whitney, workers
 from champagne.harness import RunConfig, main
 from champagne.bubbles import _ShellLookup
 from champagne.spatial import BallIndex
@@ -567,24 +569,37 @@ def test_report_lists_each_run_and_skips_one_without_a_manifest(tmp_path, monkey
             assert report == {"format_version": "1", "rows": [want]}
 
 
-@pytest.mark.parametrize("name", ["run_config.json", "manifest.criteria.json"])
+@pytest.mark.parametrize("name, text, why, want", [
+    ("run_config.json", "{", " is not a JSON object (Expecting property name", {}),
+    ("manifest.criteria.json", "{", " is not a JSON object (Expecting property name", None),
+    # a run_config.json that holds an object with a block or a kind of the
+    # wrong type: only the cells that the field fills are left empty
+    ("run_config.json", '{"profile": 3}', ": profile is not an object (it holds a int)",
+     {"profile_kind": "", "profile_param": "", "a": "", "shells": ""}),
+    ("run_config.json", '{"shells": 4, "profile": {"kind": "constant", "c": 0.1}}',
+     ": shells is not an object (it holds a int)",
+     {"profile_kind": "constant", "profile_param": 0.1, "a": "", "shells": ""}),
+    ("run_config.json", '{"profile": {"kind": ["constant"], "c": 0.1}}',
+     ": profile.kind is not a string (it holds a list)",
+     {"profile_kind": "", "profile_param": "", "a": "", "shells": ""}),
+], ids=["run_config", "manifest", "profile", "shells", "kind"])
 def test_report_names_a_file_that_is_not_json_and_leaves_its_cells_empty(
-        tmp_path, monkeypatch, capsys, name):
+        tmp_path, monkeypatch, capsys, name, text, why, want):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     cfg = _write_config(tmp_path, {**SMALL, "sim": {"alpha": 1.3, "max_steps": 50,
                                                     "n_traj": 20, "seed": 3}})
     run, out = tmp_path / "run", tmp_path / "report.json"
     for cmd in ("generate", "criteria", "simulate"):
         assert main([cmd, "--config", cfg, "--out", str(run)]) == 0
-    (run / name).write_text("{")
+    (run / name).write_text(text)
     assert main(["report", str(run), "--out", str(out), "--format", "json"]) == 0
     err = capsys.readouterr().err
-    assert err.startswith(f"warning: {run / name} is not a JSON object (Expecting property name")
-    assert err.endswith("; its cells are left empty\n")
+    assert err.startswith(f"warning: {run / name}{why}")
+    assert err.split("\n")[0].endswith("; its cells are left empty")
     (row,) = json.loads(out.read_text())["rows"]
     if name == "run_config.json":
         # without the config no output can be matched to it
-        assert row == {"run": "run"}
+        assert row == {"run": "run", **want}
     else:
         assert "verdict" not in row and row["profile_kind"] == "constant"
         assert row["p_hat"] == json.loads((run / "estimate.json").read_text())["p_hat"]
@@ -742,6 +757,53 @@ def test_importing_the_harness_builds_no_table(tmp_path):
     assert json.loads(out.stdout) == [0, 0, 1, 1]
 
 
+def test_the_cli_entry_freezes_the_imported_heap_and_main_does_not(tmp_path, monkeypatch):
+    # python -m champagne calls harness.cli, which collects and then freezes
+    # once before main runs the stage; main, which tests call in process,
+    # freezes nothing
+    cfg = _write_config(tmp_path, SMALL)
+    frozen = gc.get_freeze_count()
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+    calls = []
+    monkeypatch.setattr(gc, "collect", lambda: calls.append("collect"))
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(harness, "main", lambda: calls.append("main") or 7)
+    assert harness.cli() == 7
+    assert calls == ["collect", "freeze", "main"]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(harness, "cli", lambda: calls.append("cli") or 5)
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("champagne", run_name="__main__")
+    assert stop.value.code == 5 and calls[-1] == "cli"
+
+
+def test_the_console_script_is_the_cli_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"champagne": "champagne.harness:cli"}
+
+
+def test_importing_the_harness_freezes_nothing_and_the_entry_freezes(tmp_path):
+    # the benchmark times `import champagne.harness` as its set-up, which must
+    # not pay for the freeze; `python -m champagne` freezes before main runs
+    src = str(Path(champagne.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import gc, runpy\n"
+        "from champagne import harness\n"
+        "print(gc.get_freeze_count())\n"
+        "harness.main = lambda: print(gc.get_freeze_count() > 0) or 0\n"
+        "runpy.run_module('champagne', run_name='__main__')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["0", "True"]
+
+
 def test_only_the_whitney_and_criteria_commands_load_whitney_and_criteria(tmp_path):
     # generate and simulate run neither the criteria nor the Whitney cubes,
     # so they neither compile nor import those modules, nor the kernels that
@@ -807,11 +869,16 @@ def test_criteria_writes_the_same_bytes_with_one_cpu_and_no_fork(tmp_path, monke
 
     monkeypatch.setattr(os, "fork", counted_fork)
     runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
-        runs[workers] = tmp_path / f"workers_{workers}"
-        harness.cmd_criteria(RunConfig.from_json(SMALL), runs[workers])
-        # both halves run in this process, whatever the CPU count
+    cfg = RunConfig.from_json(SMALL)
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "_worker_count", lambda: cpus)
+        runs[cpus] = tmp_path / f"cpus_{cpus}"
+        # bubbles.csv, which a second CPU helps write, is in place before the
+        # stage, which then keeps it
+        harness.cmd_generate(cfg, runs[cpus])
+        forks.clear()
+        harness.cmd_criteria(cfg, runs[cpus])
+        # both halves of the criteria run in this process, whatever the CPU count
         assert forks == []
     names = sorted(p.name for p in runs[1].iterdir())
     assert "wiener_trace.csv" in names

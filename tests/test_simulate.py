@@ -8,7 +8,7 @@ import pytest
 
 from scipy.spatial import cKDTree
 
-from champagne import bubbles, rng, simulate
+from champagne import bubbles, rng, simulate, workers
 from champagne.bubbles import (
     BubbleConfig,
     ConstantProfile,
@@ -85,11 +85,11 @@ def test_outcomes_do_not_depend_on_the_worker_count(disk_config, monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate, "_worker_count", lambda: workers)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(workers, "_worker_count", lambda: cpus)
         forks.clear()
         runs.append(estimate_hitting(x0, disk_config, phi, 0.5, params))
-        assert len(forks) == workers - 1
+        assert len(forks) == cpus - 1
     for est, outcomes in runs[1:]:
         assert est == runs[0][0]
         for a, b in zip(outcomes, runs[0][1]):
@@ -113,7 +113,7 @@ def test_no_generator_draw_shares_a_key_with_a_simulator_draw(monkeypatch, d):
 
     monkeypatch.setattr(rng, "uniform01", recording_uniform01)
     monkeypatch.setattr(bubbles, "uniform01", recording_uniform01)
-    monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 1)
     config = generate_shell_config(BallDomain(np.zeros(d), 1.0), ConstantProfile(0.3), 0.5, 2,
                                    seed=params.seed)
     assert config.index is not None
@@ -209,7 +209,7 @@ def test_step_loop_draws_and_queries_once_per_block(monkeypatch, disk_config):
     monkeypatch.setattr(simulate, "stable_vectors", draw)
     monkeypatch.setattr(lookup, "contains_batch", query)
     # the counters live in this process: a forked worker's calls never reach them
-    monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 1)
     _, (_, steps, _, _) = estimate_hitting(disk_config.domain.center, disk_config,
                                            disk_config.meta["phi"], disk_config.meta["a"], PARAMS)
     lockstep_steps = int(steps.max())
@@ -238,7 +238,7 @@ def test_lattice_lookup_answers_every_w2_query_as_the_ball_index(monkeypatch):
         return got
 
     monkeypatch.setattr(type(lookup), "contains_batch", query)
-    monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 1)
     params = SimParams(alpha=1.5, max_steps=5000, n_traj=4000, seed=35)
     est, _ = estimate_hitting(np.zeros(2), w2, w2.meta["phi"], w2.meta["a"], params)
     assert asked[0] > 500_000
@@ -375,7 +375,7 @@ def test_killed_hit_probability_of_one_shell_matches_walk_on_spheres(request, mo
     n, alpha = 8000, 1.5
     x0 = family.domain.center
     params = SimParams(alpha=alpha, boundary_eps=1e-9, max_steps=10_000, n_traj=n, seed=1)
-    monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 2)
     tags, steps, _, _, killed, _ = simulate._run_forked(x0, single, phi, 0.5, params)
     killed_hit = (tags == HIT) & (steps < killed)
     undecided = int(((tags != HIT) & (killed == params.max_steps)).sum())
@@ -439,7 +439,7 @@ def test_a_block_failure_raises_here_and_leaves_no_child(disk_config, monkeypatc
         return run_batch(x0, config, phi, a, params, traj_ids)
 
     monkeypatch.setattr(simulate, "_run_batch", failing)
-    monkeypatch.setattr(simulate, "_worker_count", lambda: 2)
+    monkeypatch.setattr(workers, "_worker_count", lambda: 2)
     params = SimParams(alpha=1.5, max_steps=50, n_traj=20, seed=1)
     with pytest.raises(error, match="block failed on purpose"):
         estimate_hitting(disk_config.domain.center, disk_config, disk_config.meta["phi"],
